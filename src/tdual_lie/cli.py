@@ -146,22 +146,40 @@ def parse_args(argv) -> RunConfig:
 def _load_json(spec: str):
     text = spec
     if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(spec[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read {spec[1:]!r}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {spec!r}: {exc}") from exc
 
 
+def _exact_int(value, what: str) -> int:
+    """JSON integers are taken as written; a float, bool or string is refused."""
+    if type(value) is not int:
+        raise UsageError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def resolve_group(spec: str) -> RootDatum:
     if spec.startswith("{") or spec.startswith("@"):
         data = _load_json(spec)
         try:
-            comps = [(c["series"], int(c["rank"])) for c in data["components"]]
+            comps = [(c["series"], _exact_int(c["rank"], "components[].rank"))
+                     for c in data["components"]]
         except (KeyError, TypeError) as exc:
             raise UsageError(f"root-datum JSON needs components[].series/.rank: {exc}") from exc
         fg = data.get("fundamental_group", "simply_connected")
+        if isinstance(fg, dict) and "generators" in fg:
+            gens = fg["generators"]
+            if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
+                raise UsageError("fundamental_group.generators must be a list of integer lists")
+            for gen in gens:
+                for x in gen:
+                    _exact_int(x, "fundamental_group generator entry")
         return build(comps, fg, label=data.get("label"))
     return named_group(spec)
 
@@ -382,8 +400,13 @@ def main(argv=None) -> int:
     else:
         text = render_text(payload)
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"usage error: cannot write {config.output!r}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -37,7 +37,6 @@ from .zlinalg import (
     image_basis,
     kernel_of_matrix,
     pair_basis,
-    solve_columns,
     subquotient,
     sym2_map,
 )
@@ -95,11 +94,7 @@ class LssComplex:
 
     def is_cycle(self, u: IntMatrix) -> bool:
         """True when the symmetrized quadratic form of u is Weyl-invariant."""
-        coords = self.twist_coords(u)
-        target = self.d21_raw @ IntMatrix.from_columns([coords])
-        if self.invariants.rank == 0:
-            return all(x == 0 for x in target.column(0))
-        return solve_columns(self.invariants.basis, target) is not None
+        return self.invariants.contains(self.d21_raw.apply(self.twist_coords(u)))
 
     def boundary_of(self, wedge_coeffs) -> IntMatrix:
         """Twist matrix of the boundary of an element of wedge^2(chars)."""
@@ -193,14 +188,10 @@ def _boundaries_lattice(cx: LssComplex) -> Lattice:
 
 @lru_cache(maxsize=None)
 def h3_group(rd: RootDatum) -> FgAbGroup:
-    cx = build_complex(rd)
-    return subquotient(_boundaries_lattice(cx), _cycles_lattice(cx))
-
-
-def h3_of_K(rd: RootDatum) -> FgAbGroup:
     """H^3 of the group: cycles modulo boundaries, with generator lifts in
     tensor coordinates on chars (x) weights."""
-    return h3_group(rd)
+    cx = build_complex(rd)
+    return subquotient(_boundaries_lattice(cx), _cycles_lattice(cx))
 
 
 def h2_of_K(rd: RootDatum) -> FgAbGroup:
@@ -385,7 +376,7 @@ def cohomology(rd: RootDatum) -> CohomologyReport:
         group=rd.label,
         h1_group=h1_of_K(rd),
         h2_group=h2_of_K(rd),
-        h3_group=h3_of_K(rd),
+        h3_group=h3_group(rd),
         h2_base=h2_of_B(rd),
         h4_base=h4b,
         chern=chern_classes(rd),

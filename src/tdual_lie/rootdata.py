@@ -38,7 +38,6 @@ from .zlinalg import (
     FgAbGroup,
     IntMatrix,
     Lattice,
-    LatticeMap,
     block_diag,
     column_hermite_form,
     contains_columns,
@@ -47,16 +46,6 @@ from .zlinalg import (
 )
 
 SIMPLY_LACED = {"A", "D", "E"}
-
-ROOT_COUNTS = {
-    "A": lambda n: n * (n + 1),
-    "B": lambda n: 2 * n * n,
-    "C": lambda n: 2 * n * n,
-    "D": lambda n: 2 * n * (n - 1),
-    "E": lambda n: {6: 72, 7: 126, 8: 240}[n],
-    "F": lambda n: 48,
-    "G": lambda n: 12,
-}
 
 
 def _check_series(series: str, rank: int) -> None:
@@ -198,14 +187,6 @@ class RootDatum:
 
     def root_lattice(self) -> Lattice:
         return Lattice(self.rank, self.cartan.transpose(), "roots")
-
-    def simple_coroots(self) -> LatticeMap:
-        return LatticeMap(Lattice.standard(self.rank, "simple coroot index"),
-                          self.coweight_lattice(), self.cartan)
-
-    def simple_roots(self) -> LatticeMap:
-        return LatticeMap(Lattice.standard(self.rank, "simple root index"),
-                          self.weight_lattice(), self.cartan.transpose())
 
     def char_lattice(self) -> Lattice:
         """Character lattice of the torus, with the basis dual to `integral`.

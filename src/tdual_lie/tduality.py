@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DimensionMismatch, NotACycle, Unavailable
-from .flagcoh import ChernVector, build_complex, chern_classes, class_in_h3, h3_group
+from .flagcoh import ChernVector, build_complex, class_in_h3
 from .rootdata import (
     RootDatum,
     _cartan_inverse,
@@ -296,13 +296,3 @@ def verify_langlands_tdual(rd: RootDatum) -> LanglandsReport:
         dual_chern_lattice=mine,
         expected_lattice=expected,
     )
-
-
-def group_chern_classes(rd: RootDatum) -> ChernVector:
-    """Chern classes of K -> K/T itself (re-export for the CLI)."""
-    return chern_classes(rd)
-
-
-def twist_class_group(rd: RootDatum) -> FgAbGroup:
-    """H^3 of the group, the home of twist classes (re-export)."""
-    return h3_group(rd)

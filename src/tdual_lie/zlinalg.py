@@ -5,12 +5,28 @@ without bound (Smith normal form blows up fixed-width arithmetic quickly).
 The module provides:
 
   * IntMatrix       -- immutable arbitrary-precision integer matrices,
-  * smith_normal_form / column_hermite_form -- normal forms with transforms,
+  * smith_normal_form / column_hermite_form -- normal forms,
   * Lattice / LatticeMap -- free Z-modules with chosen bases and maps,
   * image_basis / kernel_basis / subquotient -- the pieces every cohomology
     group in the package is assembled from,
   * tensor_map / wedge2_map / sym2_map -- functorial powers with fixed
     lexicographic bases (i<j for wedge, i<=j for sym).
+
+One elimination core computes a transform only where a caller reads it:
+
+  * `_echelon`, row-style Hermite elimination on the columns of a matrix,
+    lets trailing entries ride along to record a column transform T.
+    column_hermite_form tracks none; kernel_of_matrix (and kernel_basis)
+    tracks T and keeps the columns of T whose image ends up zero, which span
+    the saturated kernel; solve_columns keeps H = B T together with T.
+  * Rank, and so the independence check of every Lattice, is elimination
+    mod the prime 2^61 - 1, which keeps entries bounded: full rank mod p
+    certifies full rank over Z, a lower rank falls back to exact
+    elimination.
+  * `_smith` builds U with U m V = D, and U^-1 (subquotient) or V
+    (smith_normal_form) only on request.
+  * A Lattice caches its Hermite basis, pivots and transform on first use
+    for coords, contains, reduce_mod, same_lattice and subquotient.
 
 Canonical forms: sublattices are compared through the column-style Hermite
 form (unique), and subquotients report invariant factors d1 | d2 | ... with
@@ -20,50 +36,62 @@ generator lifts reduced to a fixed representative modulo the inner lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+from math import prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotCompatible, NotSublattice
 
+_PRIME = (1 << 61) - 1  # modulus of the rank certificate
+
 
 class IntMatrix:
-    """Immutable integer matrix, row-major, arbitrary precision."""
+    """Immutable integer matrix, row-major, arbitrary precision.
+
+    Entries must be `int` (a bool or a float is refused, not truncated).
+    """
 
     __slots__ = ("_rows", "_shape")
 
     def __init__(self, rows: Iterable[Iterable[int]], cols: int | None = None):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise DimensionMismatch("ragged rows in matrix")
-        else:
-            width = 0 if cols is None else cols
-        self._rows = data
-        self._shape = (len(data), width)
+        data = tuple(map(tuple, rows))
+        if not set(map(type, chain.from_iterable(data))) <= {int}:
+            raise TypeError("matrix entries must be integers")
+        width = len(data[0]) if data else (cols or 0)
+        if any(len(r) != width for r in data):
+            raise DimensionMismatch("ragged rows in matrix")
+        self._rows, self._shape = data, (len(data), width)
+
+    @classmethod
+    def _of(cls, rows: Iterable[Sequence[int]], cols: int) -> "IntMatrix":
+        """Wrap rows of ints this module computed, without checking them."""
+        m = object.__new__(cls)
+        m._rows = tuple(map(tuple, rows))
+        m._shape = (len(m._rows), cols)
+        return m
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), cols=n)
+        return cls._of(_identity_lists(n), n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)), cols=cols)
+        return cls._of(((0,) * cols for _ in range(rows)), cols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
-        cols = [tuple(int(x) for x in c) for c in columns]
-        if cols:
-            rows = len(cols[0])
-        elif rows is None:
-            rows = 0
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(rows)), cols=len(cols))
+        cols = [tuple(c) for c in columns]
+        if any(len(c) != len(cols[0]) for c in cols):
+            raise DimensionMismatch("columns of different lengths")
+        return cls(zip(*cols), cols=len(cols)) if cols else cls(((),) * (rows or 0), cols=0)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
-        n = len(entries)
-        return cls(tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)), cols=n)
+        return cls([[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)])
 
     # -- shape and access --------------------------------------------------
 
@@ -78,7 +106,7 @@ class IntMatrix:
     @property
     def entries(self) -> tuple[int, ...]:
         """Row-major flattening."""
-        return tuple(x for row in self._rows for x in row)
+        return tuple(chain.from_iterable(self._rows))
 
     def row(self, i: int) -> tuple[int, ...]:
         return self._rows[i]
@@ -87,7 +115,7 @@ class IntMatrix:
         return tuple(r[j] for r in self._rows)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self._rows)) if self._rows else [()] * self.cols
 
     def tolist(self) -> list[list[int]]:
         return [list(r) for r in self._rows]
@@ -116,17 +144,16 @@ class IntMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self._shape} by {other._shape}")
         bt = other.columns()
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self._rows),
-            cols=other.cols,
+        return IntMatrix._of(
+            ([sum(map(mul, row, col)) for col in bt] for row in self._rows), other.cols
         )
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self._shape != other._shape:
             raise DimensionMismatch("shape mismatch in addition")
-        return IntMatrix(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self._rows, other._rows)),
-            cols=self.cols,
+        return IntMatrix._of(
+            ([a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)),
+            self.cols,
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
@@ -136,15 +163,15 @@ class IntMatrix:
         return self.scale(-1)
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(k * x for x in r) for r in self._rows), cols=self.cols)
+        return IntMatrix._of(([k * x for x in r] for r in self._rows), self.cols)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(self.columns()), cols=self.rows)
+        return IntMatrix._of(self.columns(), self.rows)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self._rows)
+        return tuple(sum(map(mul, row, vec)) for row in self._rows)
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -154,8 +181,7 @@ class IntMatrix:
         if n == 0:
             return 1
         a = [list(r) for r in self._rows]
-        sign = 1
-        prev = 1
+        sign = prev = 1
         for k in range(n - 1):
             if a[k][k] == 0:
                 for i in range(k + 1, n):
@@ -173,159 +199,229 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
     def rank(self) -> int:
-        return sum(1 for d in smith_normal_form(self)[1].entries if d != 0)
+        """Rank over Q: elimination mod a large prime, exact elimination
+        only when that falls short of full rank."""
+        vectors = self._rows if self.rows <= self.cols else self.columns()
+        r = _rank_mod_p(vectors)
+        if r < min(self._shape):
+            r = len(_echelon([list(v) for v in vectors], len(vectors[0])))
+        return r
 
 
 def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows:
         raise DimensionMismatch("row mismatch in hstack")
-    return IntMatrix(tuple(ra + rb for ra, rb in zip(a, b)), cols=a.cols + b.cols)
-
-
-def vstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.cols:
-        raise DimensionMismatch("column mismatch in vstack")
-    return IntMatrix(tuple(a) + tuple(b), cols=a.cols)
+    return IntMatrix._of((ra + rb for ra, rb in zip(a, b)), a.cols + b.cols)
 
 
 def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
-    out = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    out = []
+    c0 = 0
     for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[r0 + i][c0 + j] = b[i, j]
-        r0 += b.rows
+        out += [(0,) * c0 + r + (0,) * (cols - c0 - b.cols) for r in b]
         c0 += b.cols
-    return IntMatrix(out, cols=cols)
+    return IntMatrix._of(out, cols)
+
+
+def _identity_lists(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _from_columns(columns: Sequence[Sequence[int]], rows: int) -> IntMatrix:
+    return IntMatrix._of(zip(*columns), len(columns)) if columns else IntMatrix.zero(rows, 0)
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# The elimination core
 # ---------------------------------------------------------------------------
 
 
-def _snf_with_inverses(m: IntMatrix):
-    """Return (U, D, V, Uinv, Vinv) with U*m*V = D in Smith normal form."""
+def _rank_mod_p(vectors: Sequence[Sequence[int]]) -> int:
+    """Rank of the vectors over Z/p.  Never above the rank over Q, and equal
+    to it unless p divides every nonzero maximal minor."""
+    a = [[x % _PRIME for x in v] for v in vectors]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        tail = a[rank][c:]
+        inv = pow(tail[0], -1, _PRIME)
+        for i in range(rank + 1, len(a)):
+            f = a[i][c]
+            if f:
+                f = f * inv % _PRIME
+                a[i][c:] = [(x - f * y) % _PRIME for x, y in zip(a[i][c:], tail)]
+        rank += 1
+    return rank
+
+
+def _echelon(rows: list[list[int]], width: int) -> list[int]:
+    """Row-style Hermite elimination, in place, on the first `width` entries.
+
+    Row operations are unimodular, so entries past `width` ride along as
+    their record.  Returns the pivot columns: rows[:r] (r pivots) are the
+    unique Hermite form of the span (positive pivots, entries above a pivot
+    in [0, pivot)), and rows[r:] vanish on the first `width` entries.  Rows
+    from the pivot down are zero left of column c, so operations touch the
+    slice from c on.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    for c in range(width):
+        r = len(pivots)
+        if r == nrows:
+            break
+        # Shrink column c below row r to a single nonzero entry by gcd steps.
+        while True:
+            live = [i for i in range(r, nrows) if rows[i][c]]
+            if not live:
+                break
+            i0 = min(live, key=lambda i: abs(rows[i][c]))
+            rows[r], rows[i0] = rows[i0], rows[r]
+            tail = rows[r][c:]
+            done = True
+            for i in live:
+                if i == i0:
+                    continue
+                row = rows[i0 if i == r else i]
+                q = row[c] // tail[0]
+                row[c:] = [x - q * y for x, y in zip(row[c:], tail)]
+                done = done and not row[c]
+            if done:
+                break
+        pivot = rows[r]
+        if not pivot[c]:
+            continue
+        if pivot[c] < 0:
+            pivot[c:] = [-x for x in pivot[c:]]
+        tail = pivot[c:]
+        for row in rows[:r]:
+            q = row[c] // tail[0]
+            if q:
+                row[c:] = [x - q * y for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+    return pivots
+
+
+def _hermite_data(basis: IntMatrix):
+    """(rows, pivots, n, k) for the columns of an n x k matrix B: rows[j] is
+    the j-th echelon column h_j followed by t_j with B t_j = h_j; the rows
+    past the pivots have h_j = 0."""
+    n, k = basis.rows, basis.cols
+    rows = [list(col) + row for col, row in zip(basis.columns(), _identity_lists(k))]
+    return rows, _echelon(rows, n), n, k
+
+
+def _solve(data, targets: Iterable[Sequence[int]]) -> list[list[int]] | None:
+    """Integer solutions x of B x = y for each target y, from the data of
+    `_hermite_data(B)`, or None if some target is outside the span."""
+    rows, pivots, n, k = data
+    out = []
+    for y in targets:
+        if len(y) != n:
+            raise DimensionMismatch("ambient dimensions differ")
+        y = list(y)
+        x = [0] * k
+        for row, c in zip(rows, pivots):
+            q, rem = divmod(y[c], row[c])
+            if rem:
+                return None
+            if q:
+                y[c:] = [a - q * b for a, b in zip(y[c:], row[c:n])]
+                x = [a + q * b for a, b in zip(x, row[n:])]
+        if any(y):
+            return None
+        out.append(x)
+    return out
+
+
+def _smith(m: IntMatrix, inverse: bool = False, right: bool = False):
+    """(U, D, V, U^-1) with U*m*V = D in Smith normal form.  V is None
+    unless `right`, U^-1 None unless `inverse`."""
     R, C = m.rows, m.cols
-    a = [list(r) for r in m]
-    u = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
-    ui = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
-    v = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
-    vi = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
+    a = [list(r) + e for r, e in zip(m, _identity_lists(R))]  # rows of [m | U]
+    ut = _identity_lists(R) if inverse else None  # rows: the columns of U^-1
+    vt = _identity_lists(C) if right else None  # rows: the columns of V
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in ui:
-            r[i], r[j] = r[j], r[i]
+        if ut is not None:
+            ut[i], ut[j] = ut[j], ut[i]
 
     def row_addmul(i, j, q):
         # row_i += q * row_j; the inverse transform is col_j -= q * col_i.
-        ai, aj = a[i], a[j]
-        for k in range(C):
-            ai[k] += q * aj[k]
-        uii, uj = u[i], u[j]
-        for k in range(R):
-            uii[k] += q * uj[k]
-        for r in ui:
-            r[j] -= q * r[i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in ui:
-            r[i] = -r[i]
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        if ut is not None:
+            ut[j] = [x - q * y for x, y in zip(ut[j], ut[i])]
 
     def col_swap(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vi[i], vi[j] = vi[j], vi[i]
+        if vt is not None:
+            vt[i], vt[j] = vt[j], vt[i]
 
     def col_addmul(i, j, q):
-        # col_i += q * col_j; the inverse transform is row_j -= q * row_i.
+        # col_i += q * col_j.
         for r in a:
             r[i] += q * r[j]
-        for r in v:
-            r[i] += q * r[j]
-        vij, vii = vi[j], vi[i]
-        for k in range(C):
-            vij[k] -= q * vii[k]
+        if vt is not None:
+            vt[i] = [x + q * y for x, y in zip(vt[i], vt[j])]
 
-    t = 0
-    while t < min(R, C):
-        # Locate a pivot of least absolute value in the trailing block.
-        piv = None
-        best = None
-        for i in range(t, R):
-            for j in range(t, C):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-        if piv is None:
+    for t in range(min(R, C)):
+        # The first pivot of least absolute value in the trailing block.
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, R) for j in range(t, C) if a[i][j]]
+        if not nonzero:
             break
-        if piv[0] != t:
-            row_swap(t, piv[0])
-        if piv[1] != t:
-            col_swap(t, piv[1])
-
+        _, pi, pj = min(nonzero)
+        if pi != t:
+            row_swap(t, pi)
+        if pj != t:
+            col_swap(t, pj)
         while True:
-            # Clear column t, restarting whenever a smaller pivot appears.
+            # Clear column t, then row t, restarting on a smaller pivot.
             dirty = False
             for i in range(R):
-                if i == t or a[i][t] == 0:
-                    continue
-                q = a[i][t] // a[t][t]
-                row_addmul(i, t, -q)
-                if a[i][t] != 0:
-                    row_swap(t, i)
-                    dirty = True
+                if i != t and a[i][t]:
+                    row_addmul(i, t, -(a[i][t] // a[t][t]))
+                    if a[i][t]:
+                        row_swap(t, i)
+                        dirty = True
             if dirty:
                 continue
             for j in range(C):
-                if j == t or a[t][j] == 0:
-                    continue
-                q = a[t][j] // a[t][t]
-                col_addmul(j, t, -q)
-                if a[t][j] != 0:
-                    col_swap(t, j)
-                    dirty = True
+                if j != t and a[t][j]:
+                    col_addmul(j, t, -(a[t][j] // a[t][t]))
+                    if a[t][j]:
+                        col_swap(t, j)
+                        dirty = True
             if dirty:
                 continue
             # Enforce d_t | (everything that remains).
-            fix = None
-            for i in range(t + 1, R):
-                for j in range(t + 1, C):
-                    if a[i][j] % a[t][t] != 0:
-                        fix = i
-                        break
-                if fix is not None:
-                    break
+            fix = next((i for i in range(t + 1, R)
+                        if any(a[i][j] % a[t][t] for j in range(t + 1, C))), None)
             if fix is None:
                 break
             row_addmul(t, fix, 1)
         if a[t][t] < 0:
-            row_negate(t)
-        t += 1
+            a[t] = [-x for x in a[t]]
+            if ut is not None:
+                ut[t] = [-x for x in ut[t]]
 
     return (
-        IntMatrix(u, cols=R),
-        IntMatrix(a, cols=C),
-        IntMatrix(v, cols=C),
-        IntMatrix(ui, cols=R),
-        IntMatrix(vi, cols=C),
+        IntMatrix._of((r[C:] for r in a), R),
+        IntMatrix._of((r[:C] for r in a), C),
+        None if vt is None else _from_columns(vt, C),
+        None if ut is None else _from_columns(ut, R),
     )
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: U*m*V = D, U and V unimodular, D diagonal with
     positive entries satisfying d1 | d2 | ...."""
-    u, d, v, _, _ = _snf_with_inverses(m)
+    u, d, v, _ = _smith(m, right=True)
     return u, d, v
 
 
@@ -338,43 +434,8 @@ def column_hermite_form(m: IntMatrix) -> IntMatrix:
     into [0, pivot).  Equal column spans give equal output, which is what
     makes lattice equality plain data equality.
     """
-    # Work on the transpose with row operations.
     h = [list(col) for col in m.columns()]
-    nrows = len(h)
-    ncols = m.rows
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        # Shrink column c below row r to a single nonzero entry by gcd steps.
-        while True:
-            live = [i for i in range(r, nrows) if h[i][c] != 0]
-            if not live:
-                break
-            i0 = min(live, key=lambda i: (abs(h[i][c]), i))
-            if i0 != r:
-                h[r], h[i0] = h[i0], h[r]
-            done = True
-            for i in range(r + 1, nrows):
-                if h[i][c] == 0:
-                    continue
-                q = h[i][c] // h[r][c]
-                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                if h[i][c] != 0:
-                    done = False
-            if done:
-                break
-        if h[r][c] == 0:
-            continue
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-        for i in range(r):
-            q = h[i][c] // h[r][c]
-            if q != 0:
-                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-        r += 1
-    basis_rows = h[:r]
-    return IntMatrix.from_columns([tuple(row) for row in basis_rows], rows=m.rows)
+    return _from_columns(h[:len(_echelon(h, m.rows))], m.rows)
 
 
 def solve_columns(basis: IntMatrix, targets: IntMatrix) -> IntMatrix | None:
@@ -385,25 +446,8 @@ def solve_columns(basis: IntMatrix, targets: IntMatrix) -> IntMatrix | None:
     """
     if basis.rows != targets.rows:
         raise DimensionMismatch("ambient dimensions differ")
-    u, d, v, _, _ = _snf_with_inverses(basis)
-    # basis = Uinv D Vinv, so basis x = y  <=>  D z = U y with z = Vinv x.
-    rhs = u @ targets
-    n = basis.cols
-    diag_len = min(basis.rows, n)
-    sol = [[0] * targets.cols for _ in range(n)]
-    for j in range(targets.cols):
-        for i in range(rhs.rows):
-            val = rhs[i, j]
-            di = d[i, i] if i < diag_len else 0
-            if di == 0:
-                if val != 0:
-                    return None
-            elif val % di != 0:
-                return None
-            else:
-                sol[i][j] = val // di
-    z = IntMatrix(sol, cols=targets.cols)
-    return v @ z
+    sol = _solve(_hermite_data(basis), targets.columns())
+    return None if sol is None else _from_columns(sol, basis.cols)
 
 
 def contains_columns(basis: IntMatrix, targets: IntMatrix) -> bool:
@@ -420,7 +464,7 @@ class Lattice:
     """Free Z-module with a chosen basis inside Z^ambient_dim.
 
     The basis matrix has the basis vectors as columns; they must be linearly
-    independent over Q.
+    independent over Q.  Its Hermite form and solve data are cached.
     """
 
     ambient_dim: int
@@ -432,6 +476,10 @@ class Lattice:
             raise DimensionMismatch("basis rows must equal ambient dimension")
         if self.basis.cols and self.basis.rank() != self.basis.cols:
             raise DimensionMismatch(f"basis columns of {self.label or 'lattice'} are dependent")
+
+    @cached_property
+    def _hermite(self):
+        return _hermite_data(self.basis)
 
     @property
     def rank(self) -> int:
@@ -445,31 +493,19 @@ class Lattice:
     def zero(cls, ambient_dim: int, label: str = "") -> "Lattice":
         return cls(ambient_dim, IntMatrix.zero(ambient_dim, 0), label)
 
-    def canonical(self) -> "Lattice":
-        """Same lattice with the canonical Hermite-form basis."""
-        return Lattice(self.ambient_dim, column_hermite_form(self.basis), self.label)
-
     def same_lattice(self, other: "Lattice") -> bool:
-        return (
-            self.ambient_dim == other.ambient_dim
-            and column_hermite_form(self.basis) == column_hermite_form(other.basis)
-        )
+        if self.ambient_dim != other.ambient_dim or self.rank != other.rank:
+            return False
+        n = self.ambient_dim
+        return all(a[:n] == b[:n] for a, b in zip(self._hermite[0], other._hermite[0]))
 
     def contains(self, vec: Sequence[int]) -> bool:
-        target = IntMatrix.from_columns([tuple(vec)], rows=self.ambient_dim)
-        return contains_columns(self.basis, target)
-
-    def contains_lattice(self, other: "Lattice") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            return False
-        return contains_columns(self.basis, other.basis)
+        return _solve(self._hermite, [vec]) is not None
 
     def coords(self, vec: Sequence[int]) -> tuple[int, ...] | None:
         """Basis coordinates of an ambient vector, or None if outside."""
-        sol = solve_columns(self.basis, IntMatrix.from_columns([tuple(vec)], rows=self.ambient_dim))
-        if sol is None:
-            return None
-        return sol.column(0)
+        sol = _solve(self._hermite, [vec])
+        return None if sol is None else tuple(sol[0])
 
     def reduce_mod(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical representative of vec modulo this lattice.
@@ -478,19 +514,12 @@ class Lattice:
         result is the unique representative with coordinates in [0, pivot)
         at every pivot position.
         """
-        h = column_hermite_form(self.basis)
-        out = list(int(x) for x in vec)
-        pivots = []
-        for j in range(h.cols):
-            col = h.column(j)
-            i = next(i for i, x in enumerate(col) if x != 0)
-            pivots.append((i, j))
-        for i, j in sorted(pivots):
-            p = h[i, j]
-            q = out[i] // p
-            if q != 0:
-                for k in range(self.ambient_dim):
-                    out[k] -= q * h[k, j]
+        rows, pivots, n, _ = self._hermite
+        out = list(vec)
+        for row, c in zip(rows, pivots):
+            q = out[c] // row[c]
+            if q:
+                out[c:] = [x - q * y for x, y in zip(out[c:], row[c:n])]
         return tuple(out)
 
 
@@ -518,34 +547,32 @@ class LatticeMap:
 
     def ambient_matrix(self) -> IntMatrix:
         """Matrix sending domain-basis coordinates to ambient codomain vectors."""
+        if self.codomain.basis == IntMatrix.identity(self.codomain.ambient_dim):
+            return self.matrix  # a standard codomain needs no product
         return self.codomain.basis @ self.matrix
 
 
 def image_basis(m: LatticeMap) -> Lattice:
     """Canonical basis of the image sublattice m(domain) of the codomain."""
-    return Lattice(
-        m.codomain.ambient_dim,
-        column_hermite_form(m.ambient_matrix()),
-        label=f"im({m.domain.label or '?'})",
-    )
+    return Lattice(m.codomain.ambient_dim, column_hermite_form(m.ambient_matrix()),
+                   label=f"im({m.domain.label or '?'})")
 
 
 def kernel_basis(m: LatticeMap) -> Lattice:
     """Canonical basis of ker(m) as a (saturated) sublattice of the domain."""
-    _, d, v, _, _ = _snf_with_inverses(m.matrix)
-    rank = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
-    cols = [v.column(j) for j in range(rank, m.matrix.cols)]
-    coords = IntMatrix.from_columns(cols, rows=m.matrix.cols)
-    ambient = m.domain.basis @ coords
+    ambient = m.domain.basis @ kernel_of_matrix(m.matrix)
     return Lattice(m.domain.ambient_dim, column_hermite_form(ambient), label="ker")
 
 
 def kernel_of_matrix(m: IntMatrix) -> IntMatrix:
-    """Columns spanning {x : m x = 0}; saturated, in canonical form."""
-    _, d, v, _, _ = _snf_with_inverses(m)
-    rank = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
-    cols = [v.column(j) for j in range(rank, m.cols)]
-    return column_hermite_form(IntMatrix.from_columns(cols, rows=m.cols))
+    """Columns spanning {x : m x = 0}; saturated, in canonical form.
+
+    The columns of m are put in echelon form with the column transform
+    riding along; the transform columns whose image ends up zero span the
+    kernel, saturated because the transform is unimodular.
+    """
+    rows, pivots, n, k = _hermite_data(m)
+    return column_hermite_form(_from_columns([row[n:] for row in rows[len(pivots):]], k))
 
 
 @dataclass(frozen=True)
@@ -580,18 +607,10 @@ class FgAbGroup:
 
     def order(self) -> int:
         """Group order (0 for infinite)."""
-        if self.free_rank:
-            return 0
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
+        return 0 if self.free_rank else prod(self.torsion)
 
     def same_type(self, other: "FgAbGroup") -> bool:
         return self.free_rank == other.free_rank and self.torsion == other.torsion
-
-    def free_generators(self) -> list[tuple[int, ...]]:
-        return [self.generator_lifts.column(j) for j in range(self.free_rank)]
 
     def torsion_generators(self) -> list[tuple[int, ...]]:
         return [self.generator_lifts.column(self.free_rank + j) for j in range(len(self.torsion))]
@@ -608,9 +627,7 @@ class FgAbGroup:
         cc = self._row_transform.apply(c)
         rank = sum(1 for d in self._diag if d != 0)
         free = tuple(cc[i] for i in range(rank, self._outer.rank))
-        tors = tuple(
-            cc[i] % self._diag[i] for i in range(rank) if self._diag[i] >= 2
-        )
+        tors = tuple(cc[i] % self._diag[i] for i in range(rank) if self._diag[i] >= 2)
         return free, tors
 
     def describe(self) -> str:
@@ -625,10 +642,10 @@ def subquotient(inner: Lattice, outer: Lattice) -> FgAbGroup:
     """
     if inner.ambient_dim != outer.ambient_dim:
         raise NotSublattice("ambient dimensions differ")
-    rel = solve_columns(outer.basis, inner.basis)
+    rel = _solve(outer._hermite, inner.basis.columns())
     if rel is None:
         raise NotSublattice("inner lattice is not contained in the outer one")
-    u, d, _, ui, _ = _snf_with_inverses(rel)
+    u, d, _, ui = _smith(_from_columns(rel, outer.rank), inverse=True)
     n_out = outer.rank
     diag = tuple(d[i, i] if i < min(d.rows, d.cols) else 0 for i in range(n_out))
     rank = sum(1 for x in diag if x != 0)
@@ -639,16 +656,9 @@ def subquotient(inner: Lattice, outer: Lattice) -> FgAbGroup:
     if inner.rank:
         free_cols = [inner.reduce_mod(c) for c in free_cols]
         tors_cols = [inner.reduce_mod(c) for c in tors_cols]
-    lifts = IntMatrix.from_columns(free_cols + tors_cols, rows=outer.ambient_dim)
-    return FgAbGroup(
-        free_rank=n_out - rank,
-        torsion=torsion,
-        generator_lifts=lifts,
-        _outer=outer,
-        _inner=inner,
-        _row_transform=u,
-        _diag=diag,
-    )
+    lifts = _from_columns(free_cols + tors_cols, outer.ambient_dim)
+    return FgAbGroup(free_rank=n_out - rank, torsion=torsion, generator_lifts=lifts,
+                     _outer=outer, _inner=inner, _row_transform=u, _diag=diag)
 
 
 def induced_map_on_subquotient(f: IntMatrix, src: FgAbGroup, dst: FgAbGroup) -> IntMatrix:
@@ -660,16 +670,9 @@ def induced_map_on_subquotient(f: IntMatrix, src: FgAbGroup, dst: FgAbGroup) -> 
     """
     if not contains_columns(dst._outer.basis, f @ src._outer.basis):
         raise NotCompatible("map does not send outer lattice into outer lattice")
-    if src._inner.rank and not contains_columns(
-        dst._inner.basis if dst._inner.rank else IntMatrix.zero(dst._inner.ambient_dim, 0),
-        f @ src._inner.basis,
-    ):
+    if src._inner.rank and not contains_columns(dst._inner.basis, f @ src._inner.basis):
         raise NotCompatible("map does not send inner lattice into inner lattice")
-    cols = []
-    for j in range(src.generator_lifts.cols):
-        img = f.apply(src.generator_lifts.column(j))
-        free, tors = dst.coords(img)
-        cols.append(tuple(free) + tuple(tors))
+    cols = [tuple(chain(*dst.coords(f.apply(g)))) for g in src.generator_lifts.columns()]
     return IntMatrix.from_columns(cols, rows=dst.free_rank + len(dst.torsion))
 
 
@@ -690,32 +693,21 @@ def tensor_map(f: LatticeMap, g: LatticeMap) -> LatticeMap:
     fm, gm = f.matrix, g.matrix
     rows = fm.rows * gm.rows
     cols = fm.cols * gm.cols
-    out = [[0] * cols for _ in range(rows)]
-    for a in range(fm.rows):
-        for i in range(fm.cols):
-            fa = fm[a, i]
-            if fa == 0:
-                continue
-            for b in range(gm.rows):
-                for j in range(gm.cols):
-                    out[a * gm.rows + b][i * gm.cols + j] = fa * gm[b, j]
+    out = [[fa * gb for fa in fr for gb in gr] for fr in fm for gr in gm]
     dom = Lattice.standard(cols, label=f"({f.domain.label})x({g.domain.label})")
     cod = Lattice.standard(rows, label=f"({f.codomain.label})x({g.codomain.label})")
-    return LatticeMap(dom, cod, IntMatrix(out, cols=cols))
+    return LatticeMap(dom, cod, IntMatrix._of(out, cols))
 
 
 def wedge2_map(f: LatticeMap) -> LatticeMap:
     """Second exterior power on the basis e_i ^ e_j, i<j."""
-    fm = f.matrix
-    dom_idx = pair_basis(fm.cols, strict=True)
-    cod_idx = pair_basis(fm.rows, strict=True)
-    out = [[0] * len(dom_idx) for _ in range(len(cod_idx))]
-    for cj, (i, j) in enumerate(dom_idx):
-        for ri, (a, b) in enumerate(cod_idx):
-            out[ri][cj] = fm[a, i] * fm[b, j] - fm[b, i] * fm[a, j]
+    fm = f.matrix._rows
+    dom_idx = pair_basis(f.matrix.cols, strict=True)
+    cod_idx = pair_basis(f.matrix.rows, strict=True)
+    out = [[fm[a][i] * fm[b][j] - fm[b][i] * fm[a][j] for i, j in dom_idx] for a, b in cod_idx]
     dom = Lattice.standard(len(dom_idx), label=f"wedge2({f.domain.label})")
     cod = Lattice.standard(len(cod_idx), label=f"wedge2({f.codomain.label})")
-    return LatticeMap(dom, cod, IntMatrix(out, cols=len(dom_idx)))
+    return LatticeMap(dom, cod, IntMatrix._of(out, len(dom_idx)))
 
 
 def sym2_map(f: LatticeMap) -> LatticeMap:
@@ -725,16 +717,14 @@ def sym2_map(f: LatticeMap) -> LatticeMap:
     x_a x_b (a<b) in f(e_i) f(e_j) is F[a,i]F[b,j] + F[b,i]F[a,j], and of
     x_a^2 it is F[a,i]F[a,j].
     """
-    fm = f.matrix
-    dom_idx = pair_basis(fm.cols, strict=False)
-    cod_idx = pair_basis(fm.rows, strict=False)
-    out = [[0] * len(dom_idx) for _ in range(len(cod_idx))]
-    for cj, (i, j) in enumerate(dom_idx):
-        for ri, (a, b) in enumerate(cod_idx):
-            if a == b:
-                out[ri][cj] = fm[a, i] * fm[a, j]
-            else:
-                out[ri][cj] = fm[a, i] * fm[b, j] + fm[b, i] * fm[a, j]
+    fm = f.matrix._rows
+    dom_idx = pair_basis(f.matrix.cols, strict=False)
+    cod_idx = pair_basis(f.matrix.rows, strict=False)
+    out = [
+        [fm[a][i] * fm[a][j] for i, j in dom_idx] if a == b
+        else [fm[a][i] * fm[b][j] + fm[b][i] * fm[a][j] for i, j in dom_idx]
+        for a, b in cod_idx
+    ]
     dom = Lattice.standard(len(dom_idx), label=f"sym2({f.domain.label})")
     cod = Lattice.standard(len(cod_idx), label=f"sym2({f.codomain.label})")
-    return LatticeMap(dom, cod, IntMatrix(out, cols=len(dom_idx)))
+    return LatticeMap(dom, cod, IntMatrix._of(out, len(dom_idx)))

@@ -20,7 +20,7 @@ from tdual_lie.flagcoh import (
     build_complex,
     dualizability_report,
     h2_of_K,
-    h3_of_K,
+    h3_group,
     h4_of_B,
 )
 from tdual_lie.loopext import fibrewise_trivializable
@@ -49,7 +49,7 @@ def test_c01_h3_is_free_rank_one():
     with criterion(1, "H^3(K) = Z for the simply connected sample"):
         for name in ["SU(2)", "SU(3)", "SU(4)", "SU(5)", "Spin(5)", "Sp(3)",
                      "Spin(8)", "G2"]:
-            g = h3_of_K(named_group(name))
+            g = h3_group(named_group(name))
             assert g.invariant_factors == [0], (name, g.invariant_factors)
 
 
@@ -57,7 +57,7 @@ def test_c02_nonsimply_connected_cohomology():
     with criterion(2, "SO(3): H^2=Z/2, H^3=Z; PSU(3): H^2=Z/3"):
         so3_h2 = h2_of_K(named_group("SO(3)"))
         assert (so3_h2.free_rank, so3_h2.torsion) == (0, (2,))
-        so3_h3 = h3_of_K(named_group("SO(3)"))
+        so3_h3 = h3_group(named_group("SO(3)"))
         assert (so3_h3.free_rank, so3_h3.torsion) == (1, ())
         psu3_h2 = h2_of_K(named_group("PSU(3)"))
         assert (psu3_h2.free_rank, psu3_h2.torsion) == (0, (3,))

@@ -176,3 +176,46 @@ def test_contcheck_grid_env(monkeypatch):
     monkeypatch.setenv("TDUAL_PRECISION", "oops")
     with pytest.raises(UsageError):
         parse_args(["contcheck"])
+
+
+def _usage_error(capsys, argv):
+    """Exit code 2 with a single `usage error:` line on stderr."""
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("usage error:") and err.count("\n") == 1, err
+
+
+def test_twist_float_entry_rejected(capsys):
+    _usage_error(capsys, ["twist", "--group", "SU(2)", "--twist", "[[1.5]]"])
+
+
+def test_twist_bool_entry_rejected(capsys):
+    _usage_error(capsys, ["twist", "--group", "SU(2)", "--twist", "[[true]]"])
+
+
+def test_shift_float_entry_rejected(capsys):
+    _usage_error(capsys, ["dualize", "--group", "SU(3)", "--twist", "level:1",
+                          "--shift", "[[0,1.5],[0,0]]"])
+
+
+def test_component_rank_must_be_integer(capsys):
+    _usage_error(capsys, ["group", "--group", '{"components": [{"series": "A", "rank": "x"}]}'])
+
+
+def test_generator_float_entry_rejected(capsys):
+    spec = '{"components": [{"series": "A", "rank": 1}], "fundamental_group": {"generators": [[1.5]]}}'
+    _usage_error(capsys, ["group", "--group", spec])
+
+
+def test_missing_input_file(capsys, tmp_path):
+    missing = tmp_path / "absent.json"
+    _usage_error(capsys, ["group", "--group", f"@{missing}"])
+    _usage_error(capsys, ["twist", "--group", "SU(2)", "--twist", f"@{missing}"])
+
+
+def test_output_into_missing_directory(capsys, tmp_path):
+    target = tmp_path / "no-such-dir" / "out.json"
+    _usage_error(capsys, ["group", "--group", "SU(2)", "--output", str(target)])
+    assert not target.parent.exists()

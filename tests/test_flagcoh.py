@@ -12,7 +12,7 @@ from tdual_lie.flagcoh import (
     cohomology,
     dualizability_report,
     h2_of_K,
-    h3_of_K,
+    h3_group,
     h4_of_B,
     is_cycle,
     sym_invariants,
@@ -93,7 +93,7 @@ def test_complex_is_complex_everywhere():
 
 def test_h3_examples():
     for name in ["SU(2)", "SO(3)", "SU(3)"]:
-        g = h3_of_K(named_group(name))
+        g = h3_group(named_group(name))
         assert g.free_rank == 1 and g.torsion == (), name
 
 
@@ -102,10 +102,10 @@ def test_h3_simply_connected_rank_counts_factors():
 
     for comps in [[("A", 1)], [("A", 2)], [("A", 3)], [("A", 4)], [("B", 2)],
                   [("C", 3)], [("D", 4)], [("G", 2)]]:
-        g = h3_of_K(build(comps))
+        g = h3_group(build(comps))
         assert g.free_rank == 1 and g.torsion == (), comps
     two = build([("A", 1), ("A", 2)])
-    g = h3_of_K(two)
+    g = h3_group(two)
     assert g.free_rank == 2 and g.torsion == ()
 
 

@@ -1,0 +1,137 @@
+"""The elimination core against sympy's normal forms on random matrices.
+
+Matrices are at most 8x8 with entries up to 50 in absolute value; half of
+them are products through a narrower middle dimension so that rank-deficient
+cases, nonzero kernels and torsion come up often.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors
+
+from tdual_lie.zlinalg import (
+    _PRIME,
+    IntMatrix,
+    Lattice,
+    _rank_mod_p,
+    kernel_of_matrix,
+    solve_columns,
+    subquotient,
+)
+
+ORACLE = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+def _entries(rows, cols, bound):
+    return st.lists(st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def matrices(draw, max_dim=8):
+    rows = draw(st.integers(1, max_dim))
+    cols = draw(st.integers(1, max_dim))
+    if draw(st.booleans()):
+        return IntMatrix(draw(_entries(rows, cols, 50)))
+    mid = draw(st.integers(1, max(rows, cols)))
+    a = IntMatrix(draw(_entries(rows, mid, 3)))
+    b = IntMatrix(draw(_entries(mid, cols, 3)))
+    return a @ b
+
+
+@st.composite
+def independent_columns(draw, max_dim=6):
+    """A matrix whose columns are independent over Q."""
+    m = draw(matrices(max_dim))
+    return IntMatrix.from_columns(_independent_subset(m.columns()), rows=m.rows)
+
+
+def _independent_subset(columns):
+    kept = []
+    for col in columns:
+        if Matrix([list(c) for c in kept + [col]]).rank() == len(kept) + 1:
+            kept.append(col)
+    return kept
+
+
+def _sympy(m: IntMatrix) -> Matrix:
+    return Matrix(m.rows, m.cols, list(m.entries))
+
+
+def _nonzero_invariant_factors(m: IntMatrix) -> list[int]:
+    if m.rows == 0 or m.cols == 0:
+        return []
+    return [abs(int(d)) for d in invariant_factors(_sympy(m), domain=ZZ) if d != 0]
+
+
+@ORACLE
+@given(matrices())
+def test_rank_matches_sympy(m):
+    assert m.rank() == _sympy(m).rank()
+
+
+@ORACLE
+@given(matrices())
+def test_kernel_is_annihilated_and_saturated(m):
+    k = kernel_of_matrix(m)
+    assert k.rows == m.cols
+    assert k.cols == m.cols - _sympy(m).rank()
+    assert m @ k == IntMatrix.zero(m.rows, k.cols)
+    # Z^n / span(K) is torsion-free exactly when every invariant factor is 1.
+    assert all(d == 1 for d in _nonzero_invariant_factors(k))
+
+
+@ORACLE
+@given(matrices(), st.data())
+def test_solve_columns_membership(basis, data):
+    coeffs = IntMatrix(data.draw(_entries(basis.cols, 2, 5)))
+    inside = basis @ coeffs
+    sol = solve_columns(basis, inside)
+    assert sol is not None and basis @ sol == inside
+
+    target = IntMatrix(data.draw(_entries(basis.rows, 1, 50)))
+    sol = solve_columns(basis, target)
+    # target lies in the span iff appending it changes neither the rank nor
+    # the product of the nonzero invariant factors (the lattice's index).
+    joined = IntMatrix(list(a + b) for a, b in zip(basis, target))
+    same_rank = basis.rank() == joined.rank()
+    same_index = _product(_nonzero_invariant_factors(basis)) == _product(
+        _nonzero_invariant_factors(joined))
+    assert (sol is not None) == (same_rank and same_index)
+    if sol is not None:
+        assert basis @ sol == target
+
+
+def _product(xs):
+    out = 1
+    for x in xs:
+        out *= x
+    return out
+
+
+@ORACLE
+@given(independent_columns(), st.data())
+def test_subquotient_invariant_factors(outer_basis, data):
+    k = outer_basis.cols
+    rel = IntMatrix(data.draw(_entries(k, data.draw(st.integers(0, k)), 6), label="rel"))
+    rel = IntMatrix.from_columns(_independent_subset(rel.columns()), rows=k)
+    outer = Lattice(outer_basis.rows, outer_basis)
+    inner = Lattice(outer_basis.rows, outer_basis @ rel)
+    g = subquotient(inner, outer)
+    factors = _nonzero_invariant_factors(rel)
+    assert g.torsion == tuple(d for d in factors if d >= 2)
+    assert g.free_rank == k - len(factors)
+
+
+def test_rank_falls_back_when_the_prime_divides():
+    p = IntMatrix([[_PRIME]])
+    assert _rank_mod_p(p) == 0
+    assert p.rank() == 1
+    assert kernel_of_matrix(p).cols == 0
+    # Rank 2 over Z, rank 1 mod p: det = p.
+    m = IntMatrix([[1, 1], [1, 1 + _PRIME]])
+    assert _rank_mod_p(m) == 1
+    assert m.rank() == 2
+    assert Lattice(2, m).rank == 2
+    assert kernel_of_matrix(m).cols == 0
