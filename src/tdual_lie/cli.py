@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import contcheck as cont
 from . import flagcoh, loopext, tduality
@@ -65,20 +66,30 @@ class RunConfig:
     expect: str | None
     fmt: str
     output: str | None
-    grid: int
+    grid: int | None  # contcheck only
 
 
-def _positive_grid(default: int) -> int:
-    raw = os.environ.get("TDUAL_PRECISION")
-    if raw is None:
-        return default
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"TDUAL_PRECISION must be an integer, got {raw!r}") from exc
+def _contcheck_grid(flag: int | None) -> int:
+    """--grid, else TDUAL_PRECISION, else the default: an integer of at least 16."""
+    if flag is not None:
+        what, val = "--grid", flag
+    else:
+        raw = os.environ.get("TDUAL_PRECISION")
+        if raw is None:
+            return cont.DEFAULT_GRID
+        try:
+            what, val = "TDUAL_PRECISION", int(raw)
+        except ValueError as exc:
+            raise UsageError(f"TDUAL_PRECISION must be an integer, got {raw!r}") from exc
     if val < 16:
-        raise UsageError("TDUAL_PRECISION must be at least 16")
+        raise UsageError(f"{what} must be at least 16, got {val}")
     return val
+
+
+def _nonnegative_level(level: int, what: str) -> int:
+    if level < 0:
+        raise UsageError(f"{what} must be nonnegative, got {level}")
+    return level
 
 
 def parse_args(argv) -> RunConfig:
@@ -125,18 +136,17 @@ def parse_args(argv) -> RunConfig:
             groups = tuple(s.strip() for s in ns.group_list.split(",") if s.strip())
         if not groups:
             raise UsageError(f"verb {ns.verb!r} needs --group or --group-list")
-    grid = ns.grid if getattr(ns, "grid", None) else _positive_grid(cont.DEFAULT_GRID)
     return RunConfig(
         verb=ns.verb,
         groups=groups,
-        level=getattr(ns, "level", 1),
+        level=_nonnegative_level(getattr(ns, "level", 1), "--level"),
         twist_spec=getattr(ns, "twist", None),
         shift_spec=getattr(ns, "shift", None),
         b_spec=getattr(ns, "b", None),
         expect=ns.expect,
         fmt=ns.format,
         output=ns.output,
-        grid=grid,
+        grid=_contcheck_grid(ns.grid) if ns.verb == "contcheck" else None,
     )
 
 
@@ -162,6 +172,20 @@ def _exact_int(value, what: str) -> int:
     if type(value) is not int:
         raise UsageError(f"{what} must be an integer, got {json.dumps(value)}")
     return value
+
+
+def _exact_rational(value, what: str) -> Fraction:
+    """A JSON integer, or a string Fraction reads exactly ("1/2", "-3", "0.25");
+    a float, bool or anything else is refused."""
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise UsageError(f'{what} must be an integer or a rational string such as "1/2", '
+                     f"got {json.dumps(value)}")
 
 
 def resolve_group(spec: str) -> RootDatum:
@@ -192,12 +216,19 @@ def resolve_twist(rd: RootDatum, spec: str) -> tduality.TwistClass:
             level = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise UsageError(f"malformed level twist {spec!r}") from exc
-        return tduality.level_twist(rd, level)
+        return tduality.level_twist(rd, _nonnegative_level(level, "twist level"))
     rows = _load_json(spec)
     try:
         return tduality.TwistClass(rd, IntMatrix(rows))
     except (TdualError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed twist matrix {spec!r}: {exc}") from exc
+
+
+def resolve_commutator(spec: str) -> list[list[Fraction]]:
+    rows = _load_json(spec)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise UsageError(f"--b must be a JSON list of rows, got {spec!r}")
+    return [[_exact_rational(x, "--b entry") for x in row] for row in rows]
 
 
 def resolve_shift(spec: str) -> tduality.ShiftMatrix:
@@ -281,7 +312,7 @@ def report_extension(rd: RootDatum, level: int, b_spec: str | None) -> dict:
     out: dict = {"group": rd.label, "level": level}
     try:
         if b_spec is not None:
-            b = loopext.commutator_from_matrix(rd, _load_json(b_spec))
+            b = loopext.commutator_from_matrix(rd, resolve_commutator(b_spec))
         else:
             b = loopext.commutator_from_level(rd, form)
     except RequiresExplicitB as exc:

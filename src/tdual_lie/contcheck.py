@@ -14,17 +14,21 @@ numerical check instead of an integer proof:
     (or three) arguments are Cartan, which is what makes the curvature
     restrict to zero on torus fibres.
 
-This module never feeds numbers back into the exact lattice code.
+This module never feeds numbers back into the exact lattice code.  numpy is
+imported inside the functions that use it, so the exact verbs of the CLI,
+which import this module, start without loading it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InadmissibleCutoff
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_GRID = 8192
 PLATEAU_FRACTION = 0.05
@@ -72,6 +76,8 @@ def cutoff_integral(cutoff: Cutoff) -> float:
     admissible profile.
     """
     cutoff.validate()
+    import numpy as np
+
     v = np.asarray(cutoff.values, dtype=float)
     n = v.size
     h = 1.0 / (n - 1)
@@ -89,6 +95,8 @@ def cutoff_integral(cutoff: Cutoff) -> float:
 
 
 def _core_grid(n: int):
+    import numpy as np
+
     ts = np.linspace(0.0, 1.0, n + 1)
     a, b = PLATEAU_FRACTION, 1.0 - PLATEAU_FRACTION
     tau = np.clip((ts - a) / (b - a), 0.0, 1.0)
@@ -97,6 +105,8 @@ def _core_grid(n: int):
 
 def _bump_integral(tau: np.ndarray) -> np.ndarray:
     """Normalized integral of the standard bump exp(-1/(s(1-s)))."""
+    import numpy as np
+
     s = np.linspace(0.0, 1.0, 4097)
     inner = s * (1.0 - s)
     with np.errstate(divide="ignore", over="ignore"):
@@ -134,6 +144,8 @@ def cutoff_mollified(n: int = DEFAULT_GRID) -> Cutoff:
 
 def cutoff_plateau_ramp(n: int = DEFAULT_GRID) -> Cutoff:
     """Climb to 0.6, sit on an interior plateau, then climb to 1."""
+    import numpy as np
+
     ts = np.linspace(0.0, 1.0, n + 1)
     lo = _bump_integral(np.clip((ts - 0.05) / 0.30, 0.0, 1.0))
     hi = _bump_integral(np.clip((ts - 0.60) / 0.35, 0.0, 1.0))
@@ -143,6 +155,8 @@ def cutoff_plateau_ramp(n: int = DEFAULT_GRID) -> Cutoff:
 
 def cutoff_overshoot(n: int = DEFAULT_GRID) -> Cutoff:
     """Non-monotone profile: a smooth interior wiggle on top of the step."""
+    import numpy as np
+
     ts, tau = _core_grid(n)
     base = _bump_integral(tau)
     inner = np.clip((ts - 0.25) / 0.5, 0.0, 1.0)
@@ -183,6 +197,8 @@ class StructureConstants:
     """
 
     def __init__(self, algebra: str):
+        import numpy as np
+
         if algebra not in ("su2", "su3", "su4"):
             raise ValueError(f"unsupported algebra {algebra!r} (su2, su3, su4)")
         self.algebra = algebra
@@ -219,6 +235,8 @@ class StructureConstants:
         assert self.jacobi_residual() < 1e-12
 
     def jacobi_residual(self) -> float:
+        import numpy as np
+
         f = self.f
         total = (
             np.einsum("xya,azc->xyzc", f, f)
@@ -228,6 +246,8 @@ class StructureConstants:
         return float(np.max(np.abs(total)))
 
     def antisymmetry_residual(self) -> float:
+        import numpy as np
+
         return float(np.max(np.abs(self.f + np.transpose(self.f, (1, 0, 2)))))
 
 
@@ -263,6 +283,8 @@ def check_c_form(sc: StructureConstants, tolerance: float = 1e-12) -> CFormRepor
     """Verify the three defining properties of the curvature form's
     algebraic core: total antisymmetry, ad-invariance, and vanishing on
     pairs (and, when the rank allows, triples) of Cartan directions."""
+    import numpy as np
+
     c, f = sc.c, sc.f
     anti = 0.0
     for perm, sign in (((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1),

@@ -31,6 +31,11 @@ class RequiresExplicitB(TdualError):
     commutator map explicitly."""
 
 
+class InvalidCommutator(TdualError):
+    """A commutator matrix does not vanish on the diagonal, is not
+    antisymmetric mod 1, or has entries outside [0, 1)."""
+
+
 class NotACycle(TdualError):
     """The given twist representative is not killed by the degree-2
     differential, so it does not represent a degree-3 class."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatch, RequiresExplicitB
+from .errors import DimensionMismatch, InvalidCommutator, RequiresExplicitB
 from .rootdata import InvariantForm, RootDatum, all_coroots
 from .zlinalg import Lattice
 
@@ -44,13 +44,13 @@ class CommutatorMap:
             raise DimensionMismatch("commutator matrix size must match lattice rank")
         for i in range(n):
             if self.values[i][i] != 0:
-                raise ValueError("commutator map must vanish on the diagonal")
+                raise InvalidCommutator("commutator map must vanish on the diagonal")
             for j in range(n):
                 v = self.values[i][j]
                 if not (0 <= v < 1):
-                    raise ValueError("values must be reduced into [0, 1)")
+                    raise InvalidCommutator("values must be reduced into [0, 1)")
                 if _mod1(v + self.values[j][i]) != 0:
-                    raise ValueError("commutator map must be antisymmetric mod 1")
+                    raise InvalidCommutator("commutator map must be antisymmetric mod 1")
 
     def value(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
         """b(x, y) in [0,1) for x, y in basis coordinates."""

@@ -1,6 +1,10 @@
 """Command-line surface: parsing, reports, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,13 +182,13 @@ def test_contcheck_grid_env(monkeypatch):
         parse_args(["contcheck"])
 
 
-def _usage_error(capsys, argv):
-    """Exit code 2 with a single `usage error:` line on stderr."""
+def _usage_error(capsys, argv, prefix="usage error:"):
+    """Exit code 2 with a single `usage error:` (or other `prefix`) line on stderr."""
     capsys.readouterr()
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2, err
-    assert err.startswith("usage error:") and err.count("\n") == 1, err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
 
 
 def test_twist_float_entry_rejected(capsys):
@@ -219,3 +223,65 @@ def test_output_into_missing_directory(capsys, tmp_path):
     target = tmp_path / "no-such-dir" / "out.json"
     _usage_error(capsys, ["group", "--group", "SU(2)", "--output", str(target)])
     assert not target.parent.exists()
+
+
+def test_precision_env_read_only_by_contcheck(capsys, monkeypatch):
+    monkeypatch.setenv("TDUAL_PRECISION", "oops")
+    assert main(["group", "--group", "SU(2)"]) == 0
+    _usage_error(capsys, ["contcheck"])
+
+
+@pytest.mark.parametrize("grid", ["0", "-5", "15"])
+def test_contcheck_grid_below_16_rejected(capsys, grid):
+    _usage_error(capsys, ["contcheck", "--grid", grid])
+
+
+@pytest.mark.parametrize("argv", [
+    ["twist", "--group", "SU(2)", "--twist", "level:-1"],
+    ["dualize", "--group", "SU(2)", "--twist", "level:-1"],
+    ["extension", "--group", "SU(2)", "--level", "-1"],
+])
+def test_negative_level_rejected(capsys, argv):
+    _usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("b, prefix", [
+    ('[["x"]]', "usage error:"),
+    ('[["1/0"]]', "usage error:"),
+    ("[[0.1]]", "usage error:"),
+    ("[[true]]", "usage error:"),
+    ("5", "usage error:"),
+    ('[["1/2", 0], [0, 0]]', "error:"),  # nonzero diagonal
+    ('[[0, "1/2"], ["1/3", 0]]', "error:"),  # not antisymmetric mod 1
+])
+def test_commutator_entries_taken_exactly(capsys, b, prefix):
+    _usage_error(capsys, ["extension", "--group", "SU(3)", "--b", b], prefix)
+
+
+def test_commutator_rational_strings_accepted():
+    code, payload = run_json(["extension", "--group", "SU(3)",
+                              "--b", '[[0, "-1/2"], ["1/2", 0]]'])
+    assert code == 0
+    assert payload["reports"][0]["witness_value"] == "1/2"
+
+
+def test_numpy_loaded_only_by_contcheck():
+    """The exact verbs never import numpy; contcheck imports it when it runs."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from tdual_lie.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['group', '--group', 'SU(2)']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert 'tdual_lie.contcheck' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['contcheck']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("TDUAL_PRECISION", None)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
