@@ -70,7 +70,8 @@ class RunConfig:
 
 
 def _contcheck_grid(flag: int | None) -> int:
-    """--grid, else TDUAL_PRECISION, else the default: an integer of at least 16."""
+    """--grid, else TDUAL_PRECISION, else the default: an integer of at least
+    `contcheck.MIN_GRID`."""
     if flag is not None:
         what, val = "--grid", flag
     else:
@@ -81,8 +82,8 @@ def _contcheck_grid(flag: int | None) -> int:
             what, val = "TDUAL_PRECISION", int(raw)
         except ValueError as exc:
             raise UsageError(f"TDUAL_PRECISION must be an integer, got {raw!r}") from exc
-    if val < 16:
-        raise UsageError(f"{what} must be at least 16, got {val}")
+    if val < cont.MIN_GRID:
+        raise UsageError(f"{what} must be at least {cont.MIN_GRID}, got {val}")
     return val
 
 
@@ -242,11 +243,6 @@ def resolve_shift(spec: str) -> tduality.ShiftMatrix:
 # -- per-verb reports ---------------------------------------------------------
 
 
-def _group_dict(g) -> dict:
-    return {"free_rank": g.free_rank, "invariant_factors": list(g.torsion),
-            "pretty": g.describe()}
-
-
 def report_group(rd: RootDatum) -> dict:
     return {
         "group": rd.label,
@@ -257,8 +253,8 @@ def report_group(rd: RootDatum) -> dict:
         "simply_laced": rd.is_simply_laced(),
         "integral_basis": rd.integral.basis.tolist(),
         "character_basis": rd.char_lattice().basis.tolist(),
-        "center": _group_dict(center(rd)),
-        "fundamental_group": _group_dict(fundamental_group_of(rd)),
+        "center": flagcoh.group_dict(center(rd)),
+        "fundamental_group": flagcoh.group_dict(fundamental_group_of(rd)),
         "root_count": len(all_roots(rd)),
     }
 

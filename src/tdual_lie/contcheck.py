@@ -31,6 +31,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_GRID = 8192
+MIN_GRID = 20  # smallest grid on which every standard cutoff passes Cutoff.validate
 PLATEAU_FRACTION = 0.05
 FLAT_TOL = 1e-12
 

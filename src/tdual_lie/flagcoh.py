@@ -328,6 +328,12 @@ def dualizability_report(rd: RootDatum, u: IntMatrix | None = None) -> Dualizabi
 # ---------------------------------------------------------------------------
 
 
+def group_dict(g: FgAbGroup) -> dict:
+    """JSON rendering of a finitely generated abelian group."""
+    return {"free_rank": g.free_rank, "invariant_factors": list(g.torsion),
+            "pretty": g.describe()}
+
+
 @dataclass(frozen=True)
 class CohomologyReport:
     group: str
@@ -341,17 +347,13 @@ class CohomologyReport:
     h4_base_torsion_flag: bool
 
     def as_dict(self) -> dict:
-        def grp(g: FgAbGroup) -> dict:
-            return {"free_rank": g.free_rank, "invariant_factors": list(g.torsion),
-                    "pretty": g.describe()}
-
         return {
             "group": self.group,
-            "H1_K": grp(self.h1_group),
-            "H2_K": grp(self.h2_group),
-            "H3_K": grp(self.h3_group),
-            "H2_B": grp(self.h2_base),
-            "H4_B": grp(self.h4_base),
+            "H1_K": group_dict(self.h1_group),
+            "H2_K": group_dict(self.h2_group),
+            "H3_K": group_dict(self.h3_group),
+            "H2_B": group_dict(self.h2_base),
+            "H4_B": group_dict(self.h4_base),
             "chern_classes": self.chern.as_lists(),
             "filtration_notes": list(self.filtration_notes),
             "H4_B_torsion_discrepancy": self.h4_base_torsion_flag,

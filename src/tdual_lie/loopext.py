@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, InvalidCommutator, RequiresExplicitB
-from .rootdata import InvariantForm, RootDatum, all_coroots
-from .zlinalg import Lattice
+from .rootdata import InvariantForm, RootDatum, all_coroots, form_pairing
+from .zlinalg import IntMatrix, Lattice, solve_columns
 
 
 def _mod1(x: Fraction) -> Fraction:
@@ -202,28 +202,32 @@ class AdmissibilityReport:
 
 def admissibility_check(rd: RootDatum, form: InvariantForm, b: CommutatorMap) -> AdmissibilityReport:
     """Check the two conditions under which a loop-group extension realizing
-    (form, b) exists: the form is integral on pairs of fundamental coroots,
-    and b(lambda, H) = [<lambda, H>/2] for every lattice basis vector and
-    every coroot H."""
+    (form, b) exists: the form is integral on pairs of simple coroots, and
+    b(lambda, H) = [<lambda, H>/2] for every lattice basis vector and every
+    coroot H.
+
+    Every coroot is solved once, in the integral basis and in the coroot
+    basis; with c its coroot coordinates, the symmetric form gives
+    <lambda_k, H> = sum_i c_i <H_i, lambda_k>, from `form_pairing` in
+    integers."""
     n = rd.rank
     integrality = []
+    simple = form_pairing(rd, form.level, rd.cartan)
     for i in range(n):
         for j in range(n):
-            # Recompute the pairing of simple coroots through the rational
-            # coweight route and require an integer agreeing with the Gram.
-            val = form.value_on_coweights(rd, rd.cartan.column(i), rd.cartan.column(j))
-            if val.denominator != 1 or val != form.gram[i, j]:
-                integrality.append(f"<H_{i}, H_{j}> = {val} is not the integer Gram entry")
+            if simple[i, j] != form.gram[i, j]:
+                integrality.append(f"<H_{i}, H_{j}> = {simple[i, j]} is not the integer Gram entry")
+    coroots = all_coroots(rd)
+    targets = IntMatrix.from_columns(coroots, rows=n)
+    coords = solve_columns(rd.integral.basis, targets)
+    in_coroots = solve_columns(rd.cartan, targets)
+    values = in_coroots.transpose() @ form_pairing(rd, form.level, rd.integral.basis)
     half = []
-    basis_cols = [rd.integral.basis.column(k) for k in range(rd.integral.rank)]
-    for k, lam in enumerate(basis_cols):
-        for coroot in all_coroots(rd):
-            coords = rd.integral.coords(coroot)
-            if coords is None:
-                half.append(f"coroot {coroot} lies outside the integral lattice")
-                continue
-            got = b.value([1 if t == k else 0 for t in range(n)], coords)
-            want = _mod1(form.value_on_coweights(rd, lam, coroot) / 2)
+    for k in range(n):
+        e_k = [1 if t == k else 0 for t in range(n)]
+        for h, coroot in enumerate(coroots):
+            got = b.value(e_k, coords.column(h))
+            want = Fraction(values[h, k] % 2, 2)
             if got != want:
                 half.append(
                     f"b(basis_{k}, coroot {coroot}) = {got} but [<.,.>/2] = {want}")

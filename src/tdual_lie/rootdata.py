@@ -14,17 +14,19 @@ Conventions (fixed once, used by every module downstream):
     whenever x is a character of a torus whose integral lattice contains v.
   * The basic invariant form on the coroot lattice is normalized so that
     coroots of long roots have squared length 2; its Gram matrix on the
-    simple coroots is diag(eps) * cartan with eps_i = 1 for long alpha_i
-    and the squared-length ratio (2 or 3) for short alpha_i.
+    simple coroots is G = diag(eps) * cartan with eps_i = 1 for long alpha_i
+    and the squared-length ratio (2 or 3) for short alpha_i.  Hence
+    G A^{-1} = diag(eps): the form pairs coroots with coweights through an
+    integer matrix, and no inverse is ever taken (`form_pairing`).
 
-All stored data is integral; rationals appear only transiently when dual
-lattices are computed and are verified to clear.
+Everything is integral, with no rationals even in passing: a dual basis is
+the transpose of an integer solve B X = A, which has a solution exactly when
+the lattice with basis B contains the coroots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -42,6 +44,7 @@ from .zlinalg import (
     column_hermite_form,
     contains_columns,
     hstack,
+    solve_columns,
     subquotient,
 )
 
@@ -214,20 +217,6 @@ class RootDatum:
         """Simple reflection s_i on fundamental-coweight coordinates."""
         return _reflection(self.rank, self.cartan.column(i), i)
 
-    # -- pairings ----------------------------------------------------------------
-
-    def pairing(self, weight_vec: Sequence[int], coweight_vec: Sequence[int]) -> Fraction:
-        """<x, v> for x in weight coordinates and v in coweight coordinates."""
-        inv = _cartan_inverse(self.cartan)
-        n = self.rank
-        total = Fraction(0)
-        for i in range(n):
-            if weight_vec[i] == 0:
-                continue
-            row = inv[i]
-            total += weight_vec[i] * sum(row[j] * coweight_vec[j] for j in range(n))
-        return total
-
 
 def _reflection(n: int, root_coords: Sequence[int], i: int) -> IntMatrix:
     # s_i(x) = x - x_i * root, i.e. I minus the outer product root * e_i^T.
@@ -239,48 +228,17 @@ def _reflection(n: int, root_coords: Sequence[int], i: int) -> IntMatrix:
     return IntMatrix(rows, cols=n)
 
 
-def _rational_inverse(m: IntMatrix) -> list[list[Fraction]]:
-    n = m.rows
-    a = [[Fraction(m[i, j]) for j in range(n)] + [Fraction(1 if i == k else 0) for k in range(n)]
-         for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        inv = a[c][c]
-        a[c] = [x / inv for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [row[n:] for row in a]
-
-
-@lru_cache(maxsize=None)
-def _cartan_inverse(cartan: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(row) for row in _rational_inverse(cartan))
-
-
 def _dual_basis_matrix(cartan: IntMatrix, lattice_basis: IntMatrix) -> IntMatrix:
     """Integer matrix whose columns are the basis of the dual lattice.
 
     Column k is the character x_k with x_k^T A^{-1} lattice_basis = e_k^T,
-    i.e. X = A^T (B^{-1})^T.  Integrality holds exactly when the lattice
-    contains the coroots; we verify it entry by entry.
+    i.e. X = A^T (B^{-1})^T, the transpose of the solution of B X^T = A.
+    That solution is integral exactly when the lattice contains the coroots.
     """
-    binv = _rational_inverse(lattice_basis)
-    at = cartan.transpose()
-    n = cartan.rows
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = sum(Fraction(at[i, k]) * binv[j][k] for k in range(n))
-    for row in out:
-        for x in row:
-            if x.denominator != 1:
-                raise NotBetweenLattices("dual basis is not integral; lattice misses coroots")
-    return IntMatrix([[int(x) for x in row] for row in out], cols=n)
+    sol = solve_columns(lattice_basis, cartan)
+    if sol is None:
+        raise NotBetweenLattices("dual basis is not integral; lattice misses coroots")
+    return sol.transpose()
 
 
 @dataclass(frozen=True)
@@ -290,24 +248,25 @@ class InvariantForm:
     gram: IntMatrix
     level: int
 
-    def value_on_coweights(self, rd: RootDatum, v: Sequence[int], w: Sequence[int]) -> Fraction:
-        """Form value for vectors in coweight coordinates."""
-        inv = _cartan_inverse(rd.cartan)
-        n = rd.cartan.rows
-        # coroot coordinates of v are A^{-1} v.
-        cv = [sum(inv[i][j] * v[j] for j in range(n)) for i in range(n)]
-        cw = [sum(inv[i][j] * w[j] for j in range(n)) for i in range(n)]
-        return sum(cv[i] * self.gram[i, j] * cw[j] for i in range(n) for j in range(n))
+
+def form_pairing(rd: RootDatum, level: int, coweights: IntMatrix) -> IntMatrix:
+    """<H_i, v_k> under the basic form at `level`, for the simple coroots H_i
+    and the columns v_k of `coweights` (coweight coordinates).
+
+    The Gram matrix on the simple coroots is G = level * diag(eps) * A and
+    they are the columns of A, so G A^{-1} = level * diag(eps): the pairing
+    is level * eps_i * v_k[i], an integer, and no inverse is taken.
+    """
+    if level < 0:
+        raise ValueError("level must be nonnegative")
+    eps = rd.epsilons()
+    return IntMatrix([[level * eps[i] * x for x in coweights.row(i)] for i in range(rd.rank)],
+                     cols=coweights.cols)
 
 
 def basic_form(rd: RootDatum, level: int) -> InvariantForm:
     """level x (minimal invariant form with long-root coroots of norm 2)."""
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    eps = rd.epsilons()
-    n = rd.rank
-    gram = IntMatrix([[level * eps[i] * rd.cartan[i, j] for j in range(n)] for i in range(n)], cols=n)
-    return InvariantForm(gram=gram, level=level)
+    return InvariantForm(gram=form_pairing(rd, level, rd.cartan), level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -463,29 +422,27 @@ _NAMED_MAKERS = {"SU": _make_su, "PSU": _make_psu, "Spin": _make_spin, "SO": _ma
 @lru_cache(maxsize=None)
 def all_roots(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     """Every root, as weight-coordinate vectors, sorted."""
-    return _orbit_closure(rd, on_weights=True)
+    n = rd.rank
+    return _orbit([rd.cartan.row(i) for i in range(n)],
+                  [rd.reflection_on_weights(i) for i in range(n)])
 
 
 @lru_cache(maxsize=None)
 def all_coroots(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     """Every coroot, as coweight-coordinate vectors, sorted."""
-    return _orbit_closure(rd, on_weights=False)
-
-
-def _orbit_closure(rd: RootDatum, on_weights: bool) -> tuple[tuple[int, ...], ...]:
     n = rd.rank
-    if on_weights:
-        seeds = [rd.cartan.row(i) for i in range(n)]
-        refl = [rd.reflection_on_weights(i) for i in range(n)]
-    else:
-        seeds = [rd.cartan.column(i) for i in range(n)]
-        refl = [rd.reflection_on_coweights(i) for i in range(n)]
+    return _orbit([rd.cartan.column(i) for i in range(n)],
+                  [rd.reflection_on_coweights(i) for i in range(n)])
+
+
+def _orbit(seeds, reflections) -> tuple[tuple[int, ...], ...]:
+    """The orbit of `seeds` under the group the `reflections` generate, sorted."""
     seen = set(seeds)
-    frontier = list(seeds)
+    frontier = list(seen)
     while frontier:
         nxt = []
         for v in frontier:
-            for s in refl:
+            for s in reflections:
                 w = s.apply(v)
                 if w not in seen:
                     seen.add(w)
@@ -499,24 +456,8 @@ def long_short_split(rd: RootDatum) -> tuple[tuple[tuple[int, ...], ...], tuple[
     n = rd.rank
     eps = rd.epsilons()
     refl = [rd.reflection_on_weights(i) for i in range(n)]
-
-    def orbit(seed_indices):
-        seen = set(rd.cartan.row(i) for i in seed_indices)
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for s in refl:
-                    w = s.apply(v)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return seen
-
-    long_idx = [i for i in range(n) if eps[i] == 1]
-    short_idx = [i for i in range(n) if eps[i] > 1]
-    return tuple(sorted(orbit(long_idx))), tuple(sorted(orbit(short_idx))) if short_idx else ()
+    return (_orbit([rd.cartan.row(i) for i in range(n) if eps[i] == 1], refl),
+            _orbit([rd.cartan.row(i) for i in range(n) if eps[i] > 1], refl))
 
 
 @lru_cache(maxsize=None)

@@ -23,8 +23,7 @@ from .errors import DimensionMismatch, NotACycle, Unavailable
 from .flagcoh import ChernVector, build_complex, class_in_h3
 from .rootdata import (
     RootDatum,
-    _cartan_inverse,
-    basic_form,
+    form_pairing,
     langlands_dual,
     require_phi,
     weyl_elements_on_coweights,
@@ -74,21 +73,7 @@ def zero_twist(rd: RootDatum) -> TwistClass:
 def level_twist(rd: RootDatum, level: int) -> TwistClass:
     """Twist induced by the invariant form: u = level * <., .> restricted to
     the integral lattice.  Always a cycle (the form is Weyl-invariant)."""
-    n = rd.rank
-    g = basic_form(rd, level).gram
-    inv = _cartan_inverse(rd.cartan)
-    b = rd.integral.basis
-    from fractions import Fraction
-
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            out[j][k] = sum(
-                Fraction(g[j, i]) * inv[i][t] * b[t, k] for i in range(n) for t in range(n)
-            )
-    bad = [v for row in out for v in row if v.denominator != 1]
-    assert not bad, "invariant-form twist must be integral on the integral lattice"
-    return TwistClass(rd, IntMatrix([[int(v) for v in row] for row in out], cols=n))
+    return TwistClass(rd, form_pairing(rd, level, rd.integral.basis))
 
 
 @dataclass(frozen=True)

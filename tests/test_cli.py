@@ -231,9 +231,14 @@ def test_precision_env_read_only_by_contcheck(capsys, monkeypatch):
     _usage_error(capsys, ["contcheck"])
 
 
-@pytest.mark.parametrize("grid", ["0", "-5", "15"])
-def test_contcheck_grid_below_16_rejected(capsys, grid):
+@pytest.mark.parametrize("grid", ["0", "-5", "15", "19"])
+def test_contcheck_grid_below_minimum_rejected(capsys, grid):
     _usage_error(capsys, ["contcheck", "--grid", grid])
+
+
+def test_contcheck_precision_below_minimum_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("TDUAL_PRECISION", "19")
+    _usage_error(capsys, ["contcheck"])
 
 
 @pytest.mark.parametrize("argv", [

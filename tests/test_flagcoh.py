@@ -1,8 +1,12 @@
 """Cohomology of groups and flag manifolds through the lattice complex."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
 
 from tdual_lie.errors import NotACycle
 from tdual_lie.flagcoh import (
@@ -17,28 +21,94 @@ from tdual_lie.flagcoh import (
     is_cycle,
     sym_invariants,
 )
-from tdual_lie.rootdata import basic_form, named_group
+from tdual_lie.loopext import admissibility_check, commutator_from_matrix
+from tdual_lie.rootdata import (
+    all_coroots,
+    basic_form,
+    build,
+    center_product_generators,
+    form_pairing,
+    named_group,
+)
+from tdual_lie.tduality import level_twist
 from tdual_lie.zlinalg import IntMatrix
 
 
+def _sympy(m: IntMatrix) -> Matrix:
+    return Matrix(m.rows, m.cols, list(m.entries))
+
+
+def _int_matrix(m: Matrix) -> IntMatrix:
+    assert all(x.is_integer for x in m)
+    return IntMatrix([[int(x) for x in m.row(i)] for i in range(m.rows)], cols=m.cols)
+
+
 def level_twist_matrix(rd, level):
-    """u(lam) = level * <lam, .> as a weight-coordinate matrix (exact)."""
-    from fractions import Fraction
+    """u(lam) = level * <lam, .> as a weight-coordinate matrix: G A^{-1} B,
+    computed over the rationals (sympy), apart from the integer route."""
+    g = _sympy(basic_form(rd, level).gram)
+    return _int_matrix(g * _sympy(rd.cartan).inv() * _sympy(rd.integral.basis))
 
-    from tdual_lie.rootdata import _cartan_inverse
 
+@st.composite
+def root_data(draw):
+    """Products of simple factors of total rank <= 6, B/C/F/G included, with
+    a simply connected, adjoint or custom fundamental group."""
+    factors = {"A": range(1, 7), "B": range(2, 7), "C": range(3, 7), "D": range(4, 7),
+               "G": [2], "F": [4]}
+    comps, total = [], 0
+    while not comps or (total < 6 and draw(st.booleans())):
+        series = draw(st.sampled_from(sorted(factors)))
+        fits = [r for r in factors[series] if total + r <= 6]
+        if fits:
+            comps.append((series, draw(st.sampled_from(fits))))
+            total += comps[-1][1]
+    kind = draw(st.sampled_from(["simply_connected", "adjoint", "custom"]))
+    if kind != "custom":
+        return build(comps, kind)
+    sc = build(comps)
+    cyclic = center_product_generators(sc.components, sc.cartan)
+    gens = draw(st.lists(st.lists(st.integers(0, 3), min_size=len(cyclic), max_size=len(cyclic)),
+                         min_size=1, max_size=2))
+    return build(comps, {"generators": gens})
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(root_data(), st.integers(0, 4), st.data())
+def test_integer_form_route_matches_rationals(rd, level, data):
+    """The integer route of the level twist, the character lattice and the
+    admissibility form values against G, A^{-1} and B^{-1} over Q."""
     n = rd.rank
-    g = basic_form(rd, level).gram
-    inv = _cartan_inverse(rd.cartan)
-    b = rd.integral.basis
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            out[j][k] = sum(
-                Fraction(g[j, i]) * inv[i][t] * b[t, k] for i in range(n) for t in range(n)
-            )
-    assert all(v.denominator == 1 for row in out for v in row)
-    return IntMatrix([[int(v) for v in row] for row in out], cols=n)
+    a, b = _sympy(rd.cartan), _sympy(rd.integral.basis)
+    form = basic_form(rd, level)
+    g = _sympy(form.gram)
+    assert level_twist(rd, level).matrix == level_twist_matrix(rd, level)
+    assert rd.char_lattice().basis == _int_matrix(a.T * b.inv().T)
+    # <lambda_k, H> = (A^{-1} lambda_k)^T G (A^{-1} H) for every integral basis
+    # vector lambda_k and every coroot H, as admissibility_check reads it.
+    coroots = all_coroots(rd)
+    h = Matrix([list(v) for v in coroots]).T
+    want = (a.inv() * b).T * g * a.inv() * h
+    got = _int_matrix((a.inv() * h).T) @ form_pairing(rd, level, rd.integral.basis)
+    assert got.transpose() == _int_matrix(want)
+    # The whole report, against b(lambda_k, H) = [<lambda_k, H>/2] over Q.
+    entries = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = data.draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3)]))
+            entries[i][j], entries[j][i] = x, -x
+    comm = commutator_from_matrix(rd, entries)
+    coords = b.inv() * h
+    expected = []
+    for k in range(n):
+        for t, coroot in enumerate(coroots):
+            have = comm.value([int(i == k) for i in range(n)], [int(x) for x in coords.col(t)])
+            half = Fraction(int(want[k, t]) % 2, 2)
+            if have != half:
+                expected.append(f"b(basis_{k}, coroot {coroot}) = {have} but [<.,.>/2] = {half}")
+    report = admissibility_check(rd, form, comm)
+    assert report.half_pairing_violations == tuple(expected)
+    assert report.integrality_violations == ()
 
 
 def test_sym_invariants_ranks():

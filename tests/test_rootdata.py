@@ -26,7 +26,6 @@ def test_su2_lattices():
     # Integral lattice = coroot lattice = 2 * coweights; characters = weights.
     assert su2.integral.basis == IntMatrix([[2]])
     assert su2.char_lattice().basis == IntMatrix([[1]])
-    assert su2.pairing((1,), (2,)) == 1  # <omega, alpha^vee> = 1
     assert su2.is_simply_connected()
 
 
