@@ -24,21 +24,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 from .errors import DimensionMismatch, NotACycle
-from .rootdata import RootDatum
+from .rootdata import RootDatum, form_pairing
 from .zlinalg import (
     FgAbGroup,
     IntMatrix,
     Lattice,
-    LatticeMap,
     column_hermite_form,
     hstack,
     image_basis,
     kernel_of_matrix,
     pair_basis,
     subquotient,
-    sym2_map,
 )
 
 
@@ -139,26 +138,24 @@ def build_complex(rd: RootDatum) -> LssComplex:
 
 @lru_cache(maxsize=None)
 def sym_invariants(rd: RootDatum) -> Lattice:
-    """Weyl-invariant sublattice of sym^2 of the weight lattice.
+    """Weyl-invariant sublattice of sym^2 of the weight lattice, in closed form.
 
-    Invariance under the simple reflections suffices (they generate), so the
-    result is the common kernel of sym^2(s_i) - id, saturated by
-    construction.
+    Over Q each simple factor has exactly one invariant of degree 2, its
+    basic form (Bourbaki, Lie Groups ch. VI).  The weight coordinates w_i
+    read coroot coordinates, so the level-1 form with Gram matrix G is the
+    polynomial sum_i G_ii w_i^2 + sum_{i<j} 2 G_ij w_i w_j, supported on its
+    factor's block.  Supports are disjoint, so the span is saturated once
+    each generator is divided by the gcd of its entries.
     """
-    n = rd.rank
-    dim = n * (n + 1) // 2
-    stacked_rows: list[tuple[int, ...]] = []
-    weight = Lattice.standard(n, "weights")
-    for i in range(n):
-        s = LatticeMap(weight, weight, rd.reflection_on_weights(i))
-        m = sym2_map(s).matrix
-        for r in range(dim):
-            row = list(m.row(r))
-            row[r] -= 1
-            stacked_rows.append(tuple(row))
-    stacked = IntMatrix(stacked_rows, cols=dim)
-    basis = kernel_of_matrix(stacked)
-    return Lattice(dim, basis, label="sym2 Weyl invariants")
+    g = form_pairing(rd, 1, rd.cartan)
+    mono = pair_basis(rd.rank, strict=False)
+    gens = []
+    for lo, hi, _, _ in rd.factor_ranges():
+        v = [(1 if i == j else 2) * g[i, j] if lo <= i and j < hi else 0 for i, j in mono]
+        d = gcd(*v)
+        gens.append([x // d for x in v])
+    basis = column_hermite_form(IntMatrix.from_columns(gens))
+    return Lattice(len(mono), basis, label="sym2 Weyl invariants")
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +177,12 @@ def _cycles_lattice(cx: LssComplex) -> Lattice:
     return Lattice(n2, basis, label="degree-3 cycles")
 
 
-def _boundaries_lattice(cx: LssComplex) -> Lattice:
-    c0 = Lattice.standard(cx.c0_rank(), "wedge2 chars")
-    c1 = Lattice.standard(cx.c1_rank(), "chars x weights")
-    return image_basis(LatticeMap(c0, c1, cx.d20))
-
-
 @lru_cache(maxsize=None)
 def h3_group(rd: RootDatum) -> FgAbGroup:
     """H^3 of the group: cycles modulo boundaries, with generator lifts in
     tensor coordinates on chars (x) weights."""
     cx = build_complex(rd)
-    return subquotient(_boundaries_lattice(cx), _cycles_lattice(cx))
+    return subquotient(image_basis(cx.d20), _cycles_lattice(cx))
 
 
 def h2_of_K(rd: RootDatum) -> FgAbGroup:

@@ -15,7 +15,8 @@ Conventions (fixed once, used by every module downstream):
   * The basic invariant form on the coroot lattice is normalized so that
     coroots of long roots have squared length 2; its Gram matrix on the
     simple coroots is G = diag(eps) * cartan with eps_i = 1 for long alpha_i
-    and the squared-length ratio (2 or 3) for short alpha_i.  Hence
+    and the squared-length ratio (2 or 3) for short alpha_i, read off the
+    Cartan matrix itself (`RootDatum.epsilons`).  Hence
     G A^{-1} = diag(eps): the form pairs coroots with coweights through an
     integer matrix, and no inverse is ever taken (`form_pairing`).
 
@@ -47,8 +48,6 @@ from .zlinalg import (
     solve_columns,
     subquotient,
 )
-
-SIMPLY_LACED = {"A", "D", "E"}
 
 
 def _check_series(series: str, rank: int) -> None:
@@ -96,21 +95,6 @@ def cartan_block(series: str, rank: int) -> list[list[int]]:
     else:
         raise InvalidSeries(f"unknown series {series!r}")
     return a
-
-
-def length_multipliers(series: str, rank: int) -> tuple[int, ...]:
-    """eps_i = (long length)^2 / (alpha_i length)^2, per simple root."""
-    if series in SIMPLY_LACED:
-        return (1,) * rank
-    if series == "B":
-        return (1,) * (rank - 1) + (2,)
-    if series == "C":
-        return (2,) * (rank - 1) + (1,)
-    if series == "F":
-        return (1, 1, 2, 2)
-    if series == "G":
-        return (1, 3)
-    raise InvalidSeries(series)
 
 
 def _dual_series(series: str, rank: int) -> tuple[str, int]:
@@ -172,7 +156,7 @@ class RootDatum:
         return out
 
     def is_simply_laced(self) -> bool:
-        return all(s in SIMPLY_LACED for s, _ in self.components)
+        return all(e == 1 for e in self.epsilons())
 
     def is_simply_connected(self) -> bool:
         return self.integral.same_lattice(self.coroot_lattice())
@@ -202,10 +186,24 @@ class RootDatum:
                        "characters")
 
     def epsilons(self) -> tuple[int, ...]:
-        out: tuple[int, ...] = ()
-        for series, r in self.components:
-            out += length_multipliers(series, r)
-        return out
+        """eps_i = (longest root length)^2 / (alpha_i length)^2 in its factor.
+
+        Read off the Cartan matrix, so a transposed (Langlands dual) matrix
+        swaps long and short: |alpha_j|^2 a_ij = |alpha_i|^2 a_ji along each
+        Dynkin edge.  Squared lengths start at 6 in each factor, which keeps
+        them integers (ratios within a factor are 1, 2 or 3 either way).
+        """
+        a, out = self.cartan, []
+        for lo, hi, _, _ in self.factor_ranges():
+            length, frontier = {lo: 6}, [lo]
+            while frontier:
+                i = frontier.pop()
+                for j in range(lo, hi):
+                    if j not in length and a[i, j]:
+                        length[j] = length[i] * a[j, i] // a[i, j]
+                        frontier.append(j)
+            out += [max(length.values()) // length[i] for i in range(lo, hi)]
+        return tuple(out)
 
     # -- Weyl group -------------------------------------------------------------
 
@@ -616,14 +614,13 @@ def require_phi(rd: RootDatum) -> DynkinIso:
     return iso
 
 
-def weyl_elements_on_coweights(rd: RootDatum, indices: Sequence[int] | None = None) -> Iterator[IntMatrix]:
+def weyl_elements_on_coweights(rd: RootDatum) -> Iterator[IntMatrix]:
     """Weyl elements as coweight-coordinate matrices, in BFS word order.
 
     The identity comes first, so consumers that scan for the first element
-    with some property pay nothing in the common case.  `indices` restricts
-    to the parabolic subgroup generated by those simple reflections.
+    with some property pay nothing in the common case.
     """
-    gens = [rd.reflection_on_coweights(i) for i in (indices if indices is not None else range(rd.rank))]
+    gens = [rd.reflection_on_coweights(i) for i in range(rd.rank)]
     ident = IntMatrix.identity(rd.rank)
     seen = {ident}
     frontier = [ident]

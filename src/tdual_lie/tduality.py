@@ -32,7 +32,6 @@ from .zlinalg import (
     FgAbGroup,
     IntMatrix,
     Lattice,
-    LatticeMap,
     column_hermite_form,
     image_basis,
     subquotient,
@@ -61,9 +60,6 @@ class TwistClass:
 
     def h3_class(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return class_in_h3(self.rd, self.matrix)
-
-    def as_map(self) -> LatticeMap:
-        return LatticeMap(self.rd.integral, self.rd.weight_lattice(), self.matrix)
 
 
 def zero_twist(rd: RootDatum) -> TwistClass:
@@ -96,10 +92,7 @@ def dual_chern(twist: TwistClass) -> DualChernData:
     """Chern data of the T-dual bundle attached to a cycle representative."""
     if not twist.is_cycle():
         raise NotACycle(f"twist is not a cycle for {twist.rd.label}")
-    image = image_basis(
-        LatticeMap(Lattice.standard(twist.rd.rank, "integral basis"),
-                   twist.rd.weight_lattice(), twist.matrix)
-    )
+    image = image_basis(twist.matrix)
     chern = ChernVector(
         classes=tuple(twist.matrix.column(k) for k in range(twist.rd.rank)),
         basis_convention=TWIST_BASIS_CONVENTION,
@@ -193,10 +186,7 @@ def reduction_torsor_group(rd: RootDatum) -> FgAbGroup:
     """The group acting simply transitively on reductions with a fixed
     class: boundaries inside the hom lattice (free, of wedge-square rank)."""
     cx = build_complex(rd)
-    boundaries = image_basis(
-        LatticeMap(Lattice.standard(cx.c0_rank()), Lattice.standard(cx.c1_rank()), cx.d20)
-    )
-    return subquotient(Lattice.zero(cx.c1_rank()), boundaries)
+    return subquotient(Lattice.zero(cx.c1_rank()), image_basis(cx.d20))
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,19 @@ The module provides:
 
   * IntMatrix       -- immutable arbitrary-precision integer matrices,
   * smith_normal_form / column_hermite_form -- normal forms,
-  * Lattice / LatticeMap -- free Z-modules with chosen bases and maps,
-  * image_basis / kernel_basis / subquotient -- the pieces every cohomology
-    group in the package is assembled from,
-  * tensor_map / wedge2_map / sym2_map -- functorial powers with fixed
-    lexicographic bases (i<j for wedge, i<=j for sym).
+  * Lattice         -- free Z-modules with chosen bases,
+  * image_basis / kernel_of_matrix / subquotient -- the pieces every
+    cohomology group in the package is assembled from,
+  * pair_basis      -- the lexicographic index pairs (i<j for wedge^2, i<=j
+    for sym^2) that fix the bases of the degree-2 lattices.
 
 One elimination core computes a transform only where a caller reads it:
 
   * `_echelon`, row-style Hermite elimination on the columns of a matrix,
     lets trailing entries ride along to record a column transform T.
-    column_hermite_form tracks none; kernel_of_matrix (and kernel_basis)
-    tracks T and keeps the columns of T whose image ends up zero, which span
-    the saturated kernel; solve_columns keeps H = B T together with T.
+    column_hermite_form tracks none; kernel_of_matrix tracks T and keeps
+    the columns of T whose image ends up zero, which span the saturated
+    kernel; solve_columns keeps H = B T together with T.
   * Rank, and so the independence check of every Lattice, is elimination
     mod the prime 2^61 - 1, which keeps entries bounded: full rank mod p
     certifies full rank over Z, a lower rank falls back to exact
@@ -455,7 +455,7 @@ def contains_columns(basis: IntMatrix, targets: IntMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Lattices and maps
+# Lattices
 # ---------------------------------------------------------------------------
 
 
@@ -523,45 +523,9 @@ class Lattice:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class LatticeMap:
-    """Z-linear map recorded in the chosen bases of domain and codomain."""
-
-    domain: Lattice
-    codomain: Lattice
-    matrix: IntMatrix
-
-    def __post_init__(self):
-        if self.matrix.rows != self.codomain.rank or self.matrix.cols != self.domain.rank:
-            raise DimensionMismatch("matrix shape does not match lattice ranks")
-
-    @classmethod
-    def identity_on(cls, lat: Lattice) -> "LatticeMap":
-        return cls(lat, lat, IntMatrix.identity(lat.rank))
-
-    def compose(self, inner: "LatticeMap") -> "LatticeMap":
-        """self after inner."""
-        if inner.codomain.basis != self.domain.basis:
-            raise DimensionMismatch("composition bases do not match")
-        return LatticeMap(inner.domain, self.codomain, self.matrix @ inner.matrix)
-
-    def ambient_matrix(self) -> IntMatrix:
-        """Matrix sending domain-basis coordinates to ambient codomain vectors."""
-        if self.codomain.basis == IntMatrix.identity(self.codomain.ambient_dim):
-            return self.matrix  # a standard codomain needs no product
-        return self.codomain.basis @ self.matrix
-
-
-def image_basis(m: LatticeMap) -> Lattice:
-    """Canonical basis of the image sublattice m(domain) of the codomain."""
-    return Lattice(m.codomain.ambient_dim, column_hermite_form(m.ambient_matrix()),
-                   label=f"im({m.domain.label or '?'})")
-
-
-def kernel_basis(m: LatticeMap) -> Lattice:
-    """Canonical basis of ker(m) as a (saturated) sublattice of the domain."""
-    ambient = m.domain.basis @ kernel_of_matrix(m.matrix)
-    return Lattice(m.domain.ambient_dim, column_hermite_form(ambient), label="ker")
+def image_basis(m: IntMatrix) -> Lattice:
+    """Canonical basis of the sublattice of Z^rows spanned by the columns of m."""
+    return Lattice(m.rows, column_hermite_form(m))
 
 
 def kernel_of_matrix(m: IntMatrix) -> IntMatrix:
@@ -601,9 +565,6 @@ class FgAbGroup:
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
-
-    def is_free(self) -> bool:
-        return not self.torsion
 
     def order(self) -> int:
         """Group order (0 for infinite)."""
@@ -677,7 +638,7 @@ def induced_map_on_subquotient(f: IntMatrix, src: FgAbGroup, dst: FgAbGroup) -> 
 
 
 # ---------------------------------------------------------------------------
-# Functorial powers (lexicographic bases)
+# Degree-2 bases
 # ---------------------------------------------------------------------------
 
 
@@ -686,45 +647,3 @@ def pair_basis(n: int, strict: bool) -> list[tuple[int, int]]:
     if strict:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
     return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-def tensor_map(f: LatticeMap, g: LatticeMap) -> LatticeMap:
-    """Kronecker product on the standard tensor bases e_i (x) h_j."""
-    fm, gm = f.matrix, g.matrix
-    rows = fm.rows * gm.rows
-    cols = fm.cols * gm.cols
-    out = [[fa * gb for fa in fr for gb in gr] for fr in fm for gr in gm]
-    dom = Lattice.standard(cols, label=f"({f.domain.label})x({g.domain.label})")
-    cod = Lattice.standard(rows, label=f"({f.codomain.label})x({g.codomain.label})")
-    return LatticeMap(dom, cod, IntMatrix._of(out, cols))
-
-
-def wedge2_map(f: LatticeMap) -> LatticeMap:
-    """Second exterior power on the basis e_i ^ e_j, i<j."""
-    fm = f.matrix._rows
-    dom_idx = pair_basis(f.matrix.cols, strict=True)
-    cod_idx = pair_basis(f.matrix.rows, strict=True)
-    out = [[fm[a][i] * fm[b][j] - fm[b][i] * fm[a][j] for i, j in dom_idx] for a, b in cod_idx]
-    dom = Lattice.standard(len(dom_idx), label=f"wedge2({f.domain.label})")
-    cod = Lattice.standard(len(cod_idx), label=f"wedge2({f.codomain.label})")
-    return LatticeMap(dom, cod, IntMatrix._of(out, len(dom_idx)))
-
-
-def sym2_map(f: LatticeMap) -> LatticeMap:
-    """Second symmetric power on the monomial basis e_i e_j, i<=j.
-
-    Images multiply out as polynomials: the monomial coefficient of
-    x_a x_b (a<b) in f(e_i) f(e_j) is F[a,i]F[b,j] + F[b,i]F[a,j], and of
-    x_a^2 it is F[a,i]F[a,j].
-    """
-    fm = f.matrix._rows
-    dom_idx = pair_basis(f.matrix.cols, strict=False)
-    cod_idx = pair_basis(f.matrix.rows, strict=False)
-    out = [
-        [fm[a][i] * fm[a][j] for i, j in dom_idx] if a == b
-        else [fm[a][i] * fm[b][j] + fm[b][i] * fm[a][j] for i, j in dom_idx]
-        for a, b in cod_idx
-    ]
-    dom = Lattice.standard(len(dom_idx), label=f"sym2({f.domain.label})")
-    cod = Lattice.standard(len(cod_idx), label=f"sym2({f.codomain.label})")
-    return LatticeMap(dom, cod, IntMatrix._of(out, len(dom_idx)))

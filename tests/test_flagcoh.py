@@ -28,10 +28,11 @@ from tdual_lie.rootdata import (
     build,
     center_product_generators,
     form_pairing,
+    langlands_dual,
     named_group,
 )
 from tdual_lie.tduality import level_twist
-from tdual_lie.zlinalg import IntMatrix
+from tdual_lie.zlinalg import IntMatrix, kernel_of_matrix, pair_basis
 
 
 def _sympy(m: IntMatrix) -> Matrix:
@@ -48,6 +49,29 @@ def level_twist_matrix(rd, level):
     computed over the rationals (sympy), apart from the integer route."""
     g = _sympy(basic_form(rd, level).gram)
     return _int_matrix(g * _sympy(rd.cartan).inv() * _sympy(rd.integral.basis))
+
+
+def sym2_matrix(f: IntMatrix) -> IntMatrix:
+    """Second symmetric power of f on the monomials e_i e_j, i <= j.
+
+    Images multiply out as polynomials: the coefficient of x_a x_b (a < b)
+    in f(e_i) f(e_j) is f[a,i]f[b,j] + f[b,i]f[a,j], and of x_a^2 it is
+    f[a,i]f[a,j].
+    """
+    dom, cod = pair_basis(f.cols, strict=False), pair_basis(f.rows, strict=False)
+    return IntMatrix([[f[a, i] * f[a, j] if a == b else f[a, i] * f[b, j] + f[b, i] * f[a, j]
+                       for i, j in dom] for a, b in cod], cols=len(dom))
+
+
+def invariants_by_reflection_kernel(rd) -> IntMatrix:
+    """Weyl invariants of sym^2(weights) by brute force: the common kernel of
+    sym^2(s_i) - id over the simple reflections (they generate W)."""
+    dim = rd.rank * (rd.rank + 1) // 2
+    stacked = []
+    for i in range(rd.rank):
+        m = sym2_matrix(rd.reflection_on_weights(i)) - IntMatrix.identity(dim)
+        stacked += m.tolist()
+    return kernel_of_matrix(IntMatrix(stacked, cols=dim))
 
 
 @st.composite
@@ -132,12 +156,28 @@ def test_sym_invariants_a2_generator_invariant():
     rd = named_group("A2")
     inv = sym_invariants(rd)
     gen = inv.basis.column(0)
-    from tdual_lie.zlinalg import Lattice, LatticeMap, sym2_map
-
-    w = Lattice.standard(2)
     for i in range(2):
-        m = sym2_map(LatticeMap(w, w, rd.reflection_on_weights(i))).matrix
-        assert m.apply(gen) == gen
+        assert sym2_matrix(rd.reflection_on_weights(i)).apply(gen) == gen
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(root_data())
+def test_sym_invariants_match_reflection_kernel(rd):
+    """The closed form (one basic form per factor) against the brute-force
+    kernel, on random root data and on their Langlands duals."""
+    for datum in (rd, langlands_dual(rd)):
+        assert sym_invariants(datum).basis == invariants_by_reflection_kernel(datum), datum.label
+
+
+def test_sym2_matrix_is_functorial():
+    assert sym2_matrix(IntMatrix.identity(2)) == IntMatrix.identity(3)
+    assert sym2_matrix(IntMatrix([[1, 0], [0, -1]])) == IntMatrix.diagonal([1, -1, 1])
+    rng = random.Random(5)
+    for _ in range(50):
+        a, b, c = (rng.randint(1, 3) for _ in range(3))
+        f = IntMatrix([[rng.randint(-4, 4) for _ in range(b)] for _ in range(c)])
+        g = IntMatrix([[rng.randint(-4, 4) for _ in range(a)] for _ in range(b)])
+        assert sym2_matrix(f @ g) == sym2_matrix(f) @ sym2_matrix(g)
 
 
 def test_complex_ranks():

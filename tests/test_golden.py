@@ -2,7 +2,7 @@
 
 `perfbench/expected.json` maps each fixed benchmark job (its argv as JSON)
 to the sha256 of its stdout.  Each job runs here in-process; its output must
-hash to the same value.
+hash to the same value, and it must write nothing to stderr.
 """
 
 import hashlib
@@ -21,6 +21,7 @@ EXPECTED = json.loads(
 def test_stdout_matches_recorded_digest(key, capsys, monkeypatch):
     monkeypatch.delenv("TDUAL_PRECISION", raising=False)
     code = main(json.loads(key))
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert code in (0, 1)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXPECTED[key]
+    assert err == ""

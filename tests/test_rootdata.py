@@ -94,6 +94,26 @@ def test_basic_form_weyl_invariant():
             assert tm.transpose() @ g @ tm == g, (name, i)
 
 
+def test_epsilons_match_classification():
+    # Bourbaki's numbering: B_n and F4 end in short roots, C_n in one long
+    # root, alpha_2 of G2 is short (squared-length ratio 3).
+    table = {"A3": (1, 1, 1), "B3": (1, 1, 2), "C3": (2, 2, 1), "D4": (1, 1, 1, 1),
+             "E6": (1,) * 6, "F4": (1, 1, 2, 2), "G2": (1, 3)}
+    for name, eps in table.items():
+        assert named_group(name).epsilons() == eps, name
+        assert named_group(name).is_simply_laced() == (set(eps) == {1}), name
+
+
+def test_basic_form_symmetric_on_langlands_duals():
+    # The dual's Cartan matrix is the transpose, so its long and short roots
+    # swap; the form must follow the matrix, not the series letter.
+    for comps in ([("G", 2)], [("F", 4)], [("F", 4), ("G", 2)], [("B", 3), ("C", 3)]):
+        dual = langlands_dual(build(comps))
+        g = basic_form(dual, 1).gram
+        assert g == g.transpose(), comps
+    assert langlands_dual(named_group("G2")).epsilons() == (3, 1)
+
+
 def test_basic_form_symmetric_positive():
     for name in ["B3", "C3", "F4", "G2", "E6"]:
         g = basic_form(named_group(name), 1).gram
