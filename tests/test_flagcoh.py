@@ -32,7 +32,9 @@ from tdual_lie.rootdata import (
     named_group,
 )
 from tdual_lie.tduality import level_twist
-from tdual_lie.zlinalg import IntMatrix, kernel_of_matrix, pair_basis
+from tdual_lie.zlinalg import IntMatrix, kernel_of_matrix
+
+from test_zlinalg import sym2_matrix
 
 
 def _sympy(m: IntMatrix) -> Matrix:
@@ -49,18 +51,6 @@ def level_twist_matrix(rd, level):
     computed over the rationals (sympy), apart from the integer route."""
     g = _sympy(basic_form(rd, level).gram)
     return _int_matrix(g * _sympy(rd.cartan).inv() * _sympy(rd.integral.basis))
-
-
-def sym2_matrix(f: IntMatrix) -> IntMatrix:
-    """Second symmetric power of f on the monomials e_i e_j, i <= j.
-
-    Images multiply out as polynomials: the coefficient of x_a x_b (a < b)
-    in f(e_i) f(e_j) is f[a,i]f[b,j] + f[b,i]f[a,j], and of x_a^2 it is
-    f[a,i]f[a,j].
-    """
-    dom, cod = pair_basis(f.cols, strict=False), pair_basis(f.rows, strict=False)
-    return IntMatrix([[f[a, i] * f[a, j] if a == b else f[a, i] * f[b, j] + f[b, i] * f[a, j]
-                       for i, j in dom] for a, b in cod], cols=len(dom))
 
 
 def invariants_by_reflection_kernel(rd) -> IntMatrix:
@@ -167,17 +157,6 @@ def test_sym_invariants_match_reflection_kernel(rd):
     kernel, on random root data and on their Langlands duals."""
     for datum in (rd, langlands_dual(rd)):
         assert sym_invariants(datum).basis == invariants_by_reflection_kernel(datum), datum.label
-
-
-def test_sym2_matrix_is_functorial():
-    assert sym2_matrix(IntMatrix.identity(2)) == IntMatrix.identity(3)
-    assert sym2_matrix(IntMatrix([[1, 0], [0, -1]])) == IntMatrix.diagonal([1, -1, 1])
-    rng = random.Random(5)
-    for _ in range(50):
-        a, b, c = (rng.randint(1, 3) for _ in range(3))
-        f = IntMatrix([[rng.randint(-4, 4) for _ in range(b)] for _ in range(c)])
-        g = IntMatrix([[rng.randint(-4, 4) for _ in range(a)] for _ in range(b)])
-        assert sym2_matrix(f @ g) == sym2_matrix(f) @ sym2_matrix(g)
 
 
 def test_complex_ranks():

@@ -13,6 +13,7 @@ from tdual_lie.zlinalg import (
     image_basis,
     induced_map_on_subquotient,
     kernel_of_matrix,
+    pair_basis,
     smith_normal_form,
     solve_columns,
     subquotient,
@@ -21,6 +22,28 @@ from tdual_lie.zlinalg import (
 
 def random_matrix(rng, rows, cols, bound=10):
     return IntMatrix([[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)])
+
+
+def square_power(f: IntMatrix, strict: bool) -> IntMatrix:
+    """wedge^2 f (strict) or sym^2 f on the pair_basis monomials e_a e_b.
+
+    The coefficient of e_a e_b (a < b) in f(e_i) f(e_j) is
+    f[a,i]f[b,j] -/+ f[b,i]f[a,j]; of e_a^2 (sym^2 only) it is f[a,i]f[a,j].
+    """
+    sign = -1 if strict else 1
+    dom, cod = pair_basis(f.cols, strict), pair_basis(f.rows, strict)
+    return IntMatrix([[f[a, i] * f[a, j] if a == b else f[a, i] * f[b, j] + sign * f[b, i] * f[a, j]
+                       for i, j in dom] for a, b in cod], cols=len(dom))
+
+
+def sym2_matrix(f: IntMatrix) -> IntMatrix:
+    return square_power(f, strict=False)
+
+
+def tensor_matrix(f: IntMatrix, g: IntMatrix) -> IntMatrix:
+    """f (x) g on e_i (x) e_j, pairs in lexicographic order (Kronecker product)."""
+    return IntMatrix([[f[a, i] * g[b, j] for i in range(f.cols) for j in range(g.cols)]
+                      for a in range(f.rows) for b in range(g.rows)], cols=f.cols * g.cols)
 
 
 def check_snf(m):
@@ -230,6 +253,29 @@ def test_induced_map_examples():
     with pytest.raises(NotCompatible):
         # x -> x does not send Z into 2Z.
         induced_map_on_subquotient(IntMatrix.identity(1), dst, src)
+
+
+def test_functor_examples():
+    assert square_power(IntMatrix.identity(2), strict=True) == IntMatrix.identity(1)
+    assert sym2_matrix(IntMatrix.identity(2)) == IntMatrix.identity(3)
+
+    flip = IntMatrix([[1, 0], [0, -1]])
+    assert sym2_matrix(flip) == IntMatrix.diagonal([1, -1, 1])
+    # wedge^2 of a 2x2 matrix is its determinant.
+    m = IntMatrix([[2, 3], [5, 7]])
+    assert square_power(m, strict=True) == IntMatrix([[m.det()]])
+
+
+def test_functors_preserve_composition():
+    rng = random.Random(5)
+    for _ in range(50):
+        a, b, c = (rng.randint(1, 3) for _ in range(3))
+        f = random_matrix(rng, c, b, 4)
+        g = random_matrix(rng, b, a, 4)
+        fg = f @ g
+        assert square_power(fg, strict=True) == square_power(f, strict=True) @ square_power(g, strict=True)
+        assert sym2_matrix(fg) == sym2_matrix(f) @ sym2_matrix(g)
+        assert tensor_matrix(fg, fg) == tensor_matrix(f, f) @ tensor_matrix(g, g)
 
 
 def test_solve_columns_roundtrip():
