@@ -70,8 +70,8 @@ class RunConfig:
 
 
 def _contcheck_grid(flag: int | None) -> int:
-    """--grid, else TDUAL_PRECISION, else the default: an integer of at least
-    `contcheck.MIN_GRID`."""
+    """--grid, else TDUAL_PRECISION, else the default: an integer from
+    `contcheck.MIN_GRID` to `contcheck.MAX_GRID`."""
     if flag is not None:
         what, val = "--grid", flag
     else:
@@ -82,8 +82,8 @@ def _contcheck_grid(flag: int | None) -> int:
             what, val = "TDUAL_PRECISION", int(raw)
         except ValueError as exc:
             raise UsageError(f"TDUAL_PRECISION must be an integer, got {raw!r}") from exc
-    if val < cont.MIN_GRID:
-        raise UsageError(f"{what} must be at least {cont.MIN_GRID}, got {val}")
+    if not cont.MIN_GRID <= val <= cont.MAX_GRID:
+        raise UsageError(f"{what} must be from {cont.MIN_GRID} to {cont.MAX_GRID}, got {val}")
     return val
 
 

@@ -31,7 +31,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_GRID = 8192
-MIN_GRID = 20  # smallest grid on which every standard cutoff passes Cutoff.validate
+MIN_GRID = 844  # every standard cutoff passes from here to 8192 (wiggle fails at 843)
+MAX_GRID = 2**17  # about 0.4 s; time and memory grow linearly with the grid
 PLATEAU_FRACTION = 0.05
 FLAT_TOL = 1e-12
 

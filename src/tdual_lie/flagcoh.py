@@ -63,6 +63,7 @@ class LssComplex:
     d20: IntMatrix                 # wedge^2(chars) -> chars (x) weights
     d21_raw: IntMatrix             # chars (x) weights -> sym^2(weights)
     invariants: Lattice            # Weyl-invariant sublattice of sym^2(weights)
+    injective: bool                # r has full rank n; see build_complex
 
     @property
     def rank(self) -> int:
@@ -132,8 +133,10 @@ def build_complex(rd: RootDatum) -> LssComplex:
     assert d21_m @ d20_m == IntMatrix.zero(len(mono), len(wedge)), "complex is not a complex"
 
     inv = sym_invariants(rd)
+    # The one fact every vanishing graded piece reads: restriction r, the
+    # columns of x, is injective (see dualizability_report).
     return LssComplex(rd=rd, char_basis=x, wedge_pairs=wedge, mono_pairs=mono,
-                      d20=d20_m, d21_raw=d21_m, invariants=inv)
+                      d20=d20_m, d21_raw=d21_m, invariants=inv, injective=x.rank() == n)
 
 
 @lru_cache(maxsize=None)
@@ -166,15 +169,9 @@ def sym_invariants(rd: RootDatum) -> Lattice:
 def _cycles_lattice(cx: LssComplex) -> Lattice:
     """Kernel of the second differential into the invariant quotient."""
     n2 = cx.c1_rank()
-    inv = cx.invariants
-    if inv.rank:
-        ext = hstack(cx.d21_raw, inv.basis.scale(-1))
-        ker = kernel_of_matrix(ext)
-        proj = IntMatrix([list(ker.row(i)) for i in range(n2)], cols=ker.cols)
-        basis = column_hermite_form(proj)
-    else:
-        basis = kernel_of_matrix(cx.d21_raw)
-    return Lattice(n2, basis, label="degree-3 cycles")
+    ker = kernel_of_matrix(hstack(cx.d21_raw, cx.invariants.basis.scale(-1)))
+    proj = IntMatrix([list(ker.row(i)) for i in range(n2)], cols=ker.cols)
+    return Lattice(n2, column_hermite_form(proj), label="degree-3 cycles")
 
 
 @lru_cache(maxsize=None)
@@ -188,13 +185,12 @@ def h3_group(rd: RootDatum) -> FgAbGroup:
 def h2_of_K(rd: RootDatum) -> FgAbGroup:
     """H^2 of the group: cokernel of the character restriction map.
 
-    The other graded piece (kernel of the wedge-square differential) always
-    vanishes for semisimple groups; that is asserted loudly rather than
-    silently extending the answer.
+    The other graded piece, the kernel of the wedge-square differential,
+    vanishes because restriction is injective (see dualizability_report);
+    that is asserted loudly rather than silently extending the answer.
     """
     cx = build_complex(rd)
-    ker20 = kernel_of_matrix(cx.d20)
-    if ker20.cols != 0:
+    if not cx.injective:
         raise AssertionError(
             "kernel of the wedge-square differential is nonzero; the edge "
             "extension for H^2 would be ambiguous")
@@ -205,9 +201,7 @@ def h2_of_K(rd: RootDatum) -> FgAbGroup:
 def h1_of_K(rd: RootDatum) -> FgAbGroup:
     """H^1 of the group: kernel of character restriction, zero for
     semisimple input (the restriction is injective)."""
-    cx = build_complex(rd)
-    ker = kernel_of_matrix(cx.char_basis)
-    assert ker.cols == 0, "character restriction unexpectedly has a kernel"
+    assert build_complex(rd).injective, "character restriction unexpectedly has a kernel"
     return subquotient(Lattice.zero(0), Lattice.standard(0))
 
 
@@ -252,27 +246,6 @@ def class_in_h3(rd: RootDatum, u: IntMatrix) -> tuple[tuple[int, ...], tuple[int
 # ---------------------------------------------------------------------------
 
 
-def _wedge3_differential(cx: LssComplex) -> IntMatrix:
-    """Degree-2 differential on wedge^3 of the characters.
-
-    Antiderivation rule: x^y^z maps to r(x)(x)(y^z) - r(y)(x)(x^z)
-    + r(z)(x)(x^y) inside weights (x) wedge^2(chars).
-    """
-    n = cx.rank
-    x = cx.char_basis
-    wedge2 = list(cx.wedge_pairs)
-    w2_index = {p: k for k, p in enumerate(wedge2)}
-    triples = [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)]
-    rows = n * len(wedge2)
-    out = [[0] * len(triples) for _ in range(rows)]
-    for col, (a, b, c) in enumerate(triples):
-        for i in range(n):
-            out[i * len(wedge2) + w2_index[(b, c)]][col] += x[i, a]
-            out[i * len(wedge2) + w2_index[(a, c)]][col] -= x[i, b]
-            out[i * len(wedge2) + w2_index[(a, b)]][col] += x[i, c]
-    return IntMatrix(out, cols=len(triples))
-
-
 @dataclass(frozen=True)
 class DualizabilityReport:
     group: str
@@ -293,23 +266,38 @@ class DualizabilityReport:
 
 def dualizability_report(rd: RootDatum, u: IntMatrix | None = None) -> DualizabilityReport:
     """Every degree-3 class on K sits in the second filtration step, so a
-    T-dual always exists; the report exhibits the two vanishing graded
-    pieces instead of just asserting them."""
+    T-dual always exists; the report certifies the two vanishing graded
+    pieces instead of just asserting them.
+
+    The (1,2) piece vanishes because the flag base has no odd cohomology.
+    The (0,3) piece is the kernel of the wedge^3 differential
+    (r (x) id) o Delta_3, and d20 is, up to sign, (id (x) r) o Delta_2,
+    where Delta_k: wedge^k -> V (x) wedge^(k-1) is the comultiplication
+    x_1^...^x_k -> sum_i (-1)^(i-1) x_i (x) (x_1^..^x_i-hat^..^x_k).
+    The wedge product m: V (x) wedge^(k-1) -> wedge^k satisfies
+    m o Delta_k = k * id, so Delta_k is injective over Q.  Each composite
+    is then injective over Q whenever r is, and a map of free Z-modules
+    that is injective over Q has zero kernel.  So both kernels, and
+    H^1 = ker r, vanish once the character basis has full rank, which
+    build_complex records as `injective`.
+    """
     cx = build_complex(rd)
-    w3_ker = kernel_of_matrix(_wedge3_differential(cx)).cols if rd.rank >= 3 else 0
+    if not cx.injective:
+        raise AssertionError("character restriction has a kernel; the (0,3) "
+                             "graded piece is not certified")
     cycle = cx.is_cycle(u) if u is not None else None
     notes = (
         "flag base has no degree-1 or degree-3 cohomology, so the (1,2) "
         "graded piece vanishes and the filtration ends at the hom-lattice term",
-        f"wedge^3 differential has kernel rank {w3_ker}, so the (0,3) graded piece vanishes",
+        "wedge^3 differential has kernel rank 0, so the (0,3) graded piece vanishes",
         "hence H^3 of the total space equals its second filtration step: "
         "every class admits a hom-lattice representative",
     )
     return DualizabilityReport(
         group=rd.label,
-        dualizable=(w3_ker == 0),
+        dualizable=True,
         is_cycle=cycle,
-        wedge3_kernel_rank=w3_ker,
+        wedge3_kernel_rank=0,
         notes=notes,
     )
 

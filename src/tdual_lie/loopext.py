@@ -86,12 +86,6 @@ class AntisymLift:
                 if self.matrix[i][j] != -self.matrix[j][i]:
                     raise ValueError("lift must be antisymmetric")
 
-    def reduces_to(self, b: CommutatorMap) -> bool:
-        n = len(self.matrix)
-        return all(
-            _mod1(self.matrix[i][j]) == b.values[i][j] for i in range(n) for j in range(n)
-        )
-
 
 def commutator_from_level(rd: RootDatum, form: InvariantForm) -> CommutatorMap:
     """b = [<.,.>/2] mod 1 on the coroot basis, form taken at its level.
@@ -202,26 +196,36 @@ class AdmissibilityReport:
 
 def admissibility_check(rd: RootDatum, form: InvariantForm, b: CommutatorMap) -> AdmissibilityReport:
     """Check the two conditions under which a loop-group extension realizing
-    (form, b) exists: the form is integral on pairs of simple coroots, and
-    b(lambda, H) = [<lambda, H>/2] for every lattice basis vector and every
-    coroot H.
+    (form, b) exists (Pressley-Segal, Loop Groups, sec. 4.6; Toledano Laredo,
+    Comm. Math. Phys. 207 (1999)):
+
+      * integrality: <lambda, mu> is an integer for all lambda, mu in the
+        integral lattice Lambda, with <.,.> the form at its level;
+      * b(lambda, H) = [<lambda, H>/2] for every lattice basis vector lambda
+        and every coroot H.
+
+    With B the integral basis, A the Cartan matrix and P = form_pairing(B),
+    the Gram matrix on Lambda is B^T A^-T P.  N A^-T is integral for
+    N = |det A|, so A^T Y = N P has an integer solution, and N <lambda_j,
+    lambda_k> = (B^T Y)[j, k] is checked for divisibility by N.
 
     Every coroot is solved once, in the integral basis and in the coroot
     basis; with c its coroot coordinates, the symmetric form gives
     <lambda_k, H> = sum_i c_i <H_i, lambda_k>, from `form_pairing` in
     integers."""
     n = rd.rank
-    integrality = []
-    simple = form_pairing(rd, form.level, rd.cartan)
-    for i in range(n):
-        for j in range(n):
-            if simple[i, j] != form.gram[i, j]:
-                integrality.append(f"<H_{i}, H_{j}> = {simple[i, j]} is not the integer Gram entry")
+    pairing = form_pairing(rd, form.level, rd.integral.basis)
+    det = abs(rd.cartan.det())
+    gram = rd.integral.basis.transpose() @ solve_columns(rd.cartan.transpose(), pairing.scale(det))
+    integrality = [
+        f"<lambda_{j}, lambda_{k}> = {Fraction(gram[j, k], det)} is not an integer"
+        for j in range(n) for k in range(j, n) if gram[j, k] % det
+    ]
     coroots = all_coroots(rd)
     targets = IntMatrix.from_columns(coroots, rows=n)
     coords = solve_columns(rd.integral.basis, targets)
     in_coroots = solve_columns(rd.cartan, targets)
-    values = in_coroots.transpose() @ form_pairing(rd, form.level, rd.integral.basis)
+    values = in_coroots.transpose() @ pairing
     half = []
     for k in range(n):
         e_k = [1 if t == k else 0 for t in range(n)]

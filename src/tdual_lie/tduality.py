@@ -62,10 +62,6 @@ class TwistClass:
         return class_in_h3(self.rd, self.matrix)
 
 
-def zero_twist(rd: RootDatum) -> TwistClass:
-    return TwistClass(rd, IntMatrix.zero(rd.rank, rd.rank))
-
-
 def level_twist(rd: RootDatum, level: int) -> TwistClass:
     """Twist induced by the invariant form: u = level * <., .> restricted to
     the integral lattice.  Always a cycle (the form is Weyl-invariant)."""

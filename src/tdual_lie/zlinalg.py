@@ -563,15 +563,9 @@ class FgAbGroup:
         """Invariant factor list, torsion then 0s for the free part."""
         return list(self.torsion) + [0] * self.free_rank
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def order(self) -> int:
         """Group order (0 for infinite)."""
         return 0 if self.free_rank else prod(self.torsion)
-
-    def same_type(self, other: "FgAbGroup") -> bool:
-        return self.free_rank == other.free_rank and self.torsion == other.torsion
 
     def torsion_generators(self) -> list[tuple[int, ...]]:
         return [self.generator_lifts.column(self.free_rank + j) for j in range(len(self.torsion))]
@@ -620,21 +614,6 @@ def subquotient(inner: Lattice, outer: Lattice) -> FgAbGroup:
     lifts = _from_columns(free_cols + tors_cols, outer.ambient_dim)
     return FgAbGroup(free_rank=n_out - rank, torsion=torsion, generator_lifts=lifts,
                      _outer=outer, _inner=inner, _row_transform=u, _diag=diag)
-
-
-def induced_map_on_subquotient(f: IntMatrix, src: FgAbGroup, dst: FgAbGroup) -> IntMatrix:
-    """Matrix of the homomorphism induced by the ambient map f.
-
-    Columns give the dst-coordinates (free then torsion) of the images of the
-    src generators (free then torsion).  Raises NotCompatible if f fails to
-    map outer to outer or inner to inner.
-    """
-    if not contains_columns(dst._outer.basis, f @ src._outer.basis):
-        raise NotCompatible("map does not send outer lattice into outer lattice")
-    if src._inner.rank and not contains_columns(dst._inner.basis, f @ src._inner.basis):
-        raise NotCompatible("map does not send inner lattice into inner lattice")
-    cols = [tuple(chain(*dst.coords(f.apply(g)))) for g in src.generator_lifts.columns()]
-    return IntMatrix.from_columns(cols, rows=dst.free_rank + len(dst.torsion))
 
 
 # ---------------------------------------------------------------------------

@@ -231,14 +231,29 @@ def test_precision_env_read_only_by_contcheck(capsys, monkeypatch):
     _usage_error(capsys, ["contcheck"])
 
 
-@pytest.mark.parametrize("grid", ["0", "-5", "15", "19"])
+@pytest.mark.parametrize("grid", ["0", "-5", "15", "19", "843"])
 def test_contcheck_grid_below_minimum_rejected(capsys, grid):
     _usage_error(capsys, ["contcheck", "--grid", grid])
+
+
+def test_contcheck_grid_above_maximum_rejected(capsys):
+    _usage_error(capsys, ["contcheck", "--grid", "131073"])
 
 
 def test_contcheck_precision_below_minimum_rejected(capsys, monkeypatch):
     monkeypatch.setenv("TDUAL_PRECISION", "19")
     _usage_error(capsys, ["contcheck"])
+
+
+@pytest.mark.parametrize("grid", ["843", "131073"])
+def test_contcheck_precision_out_of_range_rejected(capsys, monkeypatch, grid):
+    monkeypatch.setenv("TDUAL_PRECISION", grid)
+    _usage_error(capsys, ["contcheck"])
+
+
+def test_contcheck_grid_bounds_accepted():
+    assert parse_args(["contcheck", "--grid", "844"]).grid == 844
+    assert parse_args(["contcheck", "--grid", "131072"]).grid == 131072
 
 
 @pytest.mark.parametrize("argv", [

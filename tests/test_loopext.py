@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tdual_lie.cli import resolve_group
 from tdual_lie.errors import RequiresExplicitB
 from tdual_lie.loopext import (
     admissibility_check,
@@ -14,7 +15,7 @@ from tdual_lie.loopext import (
     is_extension_trivial,
     lift_commutator,
 )
-from tdual_lie.rootdata import basic_form, named_group
+from tdual_lie.rootdata import basic_form, build, named_group
 
 
 def level_commutator(name, level):
@@ -84,7 +85,7 @@ def test_lift_examples():
     lift = lift_commutator(b)
     assert lift.matrix[0][1] == Fraction(1, 2)
     assert lift.matrix[1][0] == Fraction(-1, 2)
-    assert lift.reduces_to(b)
+    assert tuple(tuple(x % 1 for x in row) for row in lift.matrix) == b.values
 
     # 3x3 case with upper entries (1/2, 0, 1/2): the canonical lift keeps
     # exactly those above the diagonal.
@@ -92,7 +93,7 @@ def test_lift_examples():
     lift4 = lift_commutator(b4)
     assert (lift4.matrix[0][1], lift4.matrix[0][2], lift4.matrix[1][2]) == (
         Fraction(1, 2), Fraction(0), Fraction(1, 2))
-    assert lift4.reduces_to(b4)
+    assert tuple(tuple(x % 1 for x in row) for row in lift4.matrix) == b4.values
 
 
 def test_doubled_level_always_trivial():
@@ -147,3 +148,44 @@ def test_explicit_matrix_reduction():
     rd = named_group("SU(3)")
     b = commutator_from_matrix(rd, [["0", "3/2"], ["1/2", "0"]])
     assert b.values[0][1] == Fraction(1, 2)
+
+
+PSO8 = '{"components": [{"series": "D", "rank": 4}], "fundamental_group": "adjoint"}'
+
+
+@pytest.mark.parametrize("spec, integral_levels", [
+    ("SO(3)", {2, 4}),
+    ("PSU(3)", {3}),
+    ("PSU(4)", {4}),
+    (PSO8, {2, 4}),
+    ("SU(2)", {1, 2, 3, 4}),
+    ("SU(4)", {1, 2, 3, 4}),
+    ("Spin(5)", {1, 2, 3, 4}),
+    ("Spin(8)", {1, 2, 3, 4}),
+    ("G2", {1, 2, 3, 4}),
+], ids=["SO(3)", "PSU(3)", "PSU(4)", "adjoint D4 JSON", "SU(2)", "SU(4)", "Spin(5)", "Spin(8)",
+        "G2"])
+def test_form_integral_on_integral_lattice(spec, integral_levels):
+    """The level-k form is integral on the integral lattice exactly at the
+    listed levels: it is k/2 on the fundamental coweight of SO(3), 2k/3 on
+    one of PSU(3), 3k/4 on one of PSU(4) and k/2 on pairs of the outer
+    fundamental coweights of PSO(8)."""
+    rd = resolve_group(spec)
+    zero = commutator_from_matrix(rd, [[0] * rd.rank for _ in range(rd.rank)])
+    for level in (1, 2, 3, 4):
+        report = admissibility_check(rd, basic_form(rd, level), zero)
+        assert (not report.integrality_violations) == (level in integral_levels), (spec, level)
+        if report.integrality_violations:
+            assert not report.passed
+
+
+def test_integrality_violation_examples():
+    rd = named_group("SO(3)")
+    report = admissibility_check(rd, basic_form(rd, 3), commutator_from_matrix(rd, [[0]]))
+    assert report.integrality_violations == ("<lambda_0, lambda_0> = 3/2 is not an integer",)
+    # Adjoint C3: the level-1 Gram matrix on the fundamental coweights is
+    # A^-T diag(eps) = [[2, 2, 1], [2, 4, 2], [1, 2, 3/2]].
+    rd = build([("C", 3)], "adjoint")
+    zero = commutator_from_matrix(rd, [[0] * 3 for _ in range(3)])
+    report = admissibility_check(rd, basic_form(rd, 1), zero)
+    assert report.integrality_violations == ("<lambda_2, lambda_2> = 3/2 is not an integer",)

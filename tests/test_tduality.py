@@ -17,13 +17,12 @@ from tdual_lie.tduality import (
     reduction_torsor_group,
     reduction_torsor_shift,
     verify_langlands_tdual,
-    zero_twist,
 )
 from tdual_lie.zlinalg import IntMatrix, Lattice
 
 
 def test_dual_chern_zero():
-    data = dual_chern(zero_twist(named_group("SU(2)")))
+    data = dual_chern(TwistClass(named_group("SU(2)"), IntMatrix.zero(1, 1)))
     assert data.image.rank == 0
     assert data.chern.classes == ((0,),)
 

@@ -5,13 +5,12 @@ from itertools import product
 
 import pytest
 
-from tdual_lie.errors import NotCompatible, NotSublattice
+from tdual_lie.errors import NotSublattice
 from tdual_lie.zlinalg import (
     IntMatrix,
     Lattice,
     column_hermite_form,
     image_basis,
-    induced_map_on_subquotient,
     kernel_of_matrix,
     pair_basis,
     smith_normal_form,
@@ -227,32 +226,6 @@ def test_subquotient_coords_well_defined():
     a = g.coords((1, 1))
     b = g.coords((3, 4))  # differs by (2,0)+(0,3), the same class
     assert a == b
-
-
-def test_induced_map_examples():
-    z = Lattice.standard(1)
-    two_z = Lattice(1, IntMatrix([[2]]))
-    four_z = Lattice(1, IntMatrix([[4]]))
-    eight_z = Lattice(1, IntMatrix([[8]]))
-
-    mod2 = subquotient(two_z, z)
-    ident = induced_map_on_subquotient(IntMatrix.identity(1), mod2, mod2)
-    assert ident == IntMatrix([[1]])
-
-    # Multiplication by 3 on Z/2 is multiplication by 3 mod 2 = 1.
-    times3 = induced_map_on_subquotient(IntMatrix([[3]]), mod2, mod2)
-    assert times3 == IntMatrix([[1]])
-
-    # 2Z/8Z = Z/4 with generator 2 maps into Z/4Z = Z/4 as multiplication by 2.
-    src = subquotient(eight_z, two_z)
-    dst = subquotient(four_z, z)
-    assert (src.free_rank, src.torsion) == (0, (4,))
-    incl = induced_map_on_subquotient(IntMatrix.identity(1), src, dst)
-    assert incl == IntMatrix([[2]])
-
-    with pytest.raises(NotCompatible):
-        # x -> x does not send Z into 2Z.
-        induced_map_on_subquotient(IntMatrix.identity(1), dst, src)
 
 
 def test_functor_examples():
