@@ -5,8 +5,8 @@ low-degree integral cohomology of a group and its flag manifold, twist
 classification, dual-bundle Chern data, torsor shifts of reductions,
 commutator maps of lattice central extensions with the fibrewise
 trivializability criterion, and the Langlands-dual T-duality verification.
-A small floating-point module checks the curvature constants; it never
-feeds back into the exact code.
+A small module checks the curvature constants (a float quadrature and exact
+su(n) structure constants); it never feeds back into the exact code.
 """
 
 from .errors import TdualError

@@ -177,10 +177,10 @@ def _exact_int(value, what: str) -> int:
 
 def _exact_rational(value, what: str) -> Fraction:
     """A JSON integer, or a string Fraction reads exactly ("1/2", "-3", "0.25");
-    a float, bool or anything else is refused."""
+    a float, bool, exponent ("1e-9": unbounded cost) or anything else is refused."""
     if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and "e" not in value.lower():
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -232,12 +232,16 @@ def resolve_commutator(spec: str) -> list[list[Fraction]]:
     return [[_exact_rational(x, "--b entry") for x in row] for row in rows]
 
 
-def resolve_shift(spec: str) -> tduality.ShiftMatrix:
+def resolve_shift(rd: RootDatum, spec: str) -> tduality.ShiftMatrix:
     rows = _load_json(spec)
     try:
-        return tduality.ShiftMatrix.from_rows(rows)
+        shift = tduality.ShiftMatrix.from_rows(rows)
     except (TdualError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed shift matrix {spec!r}: {exc}") from exc
+    if shift.entries.rows != rd.rank:
+        raise UsageError(f"shift matrix must be {rd.rank}x{rd.rank} for {rd.label}, "
+                         f"got {shift.entries.rows}x{shift.entries.cols}")
+    return shift
 
 
 # -- per-verb reports ---------------------------------------------------------
@@ -357,7 +361,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
             elif config.verb == "cohomology":
                 reports.append(report_cohomology(rd))
             elif config.verb in ("twist", "dualize"):
-                shift = resolve_shift(config.shift_spec) if config.shift_spec else None
+                shift = resolve_shift(rd, config.shift_spec) if config.shift_spec else None
                 try:
                     twist = resolve_twist(rd, config.twist_spec)
                 except Unavailable as exc:

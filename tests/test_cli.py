@@ -285,8 +285,9 @@ def test_commutator_rational_strings_accepted():
     assert payload["reports"][0]["witness_value"] == "1/2"
 
 
-def test_numpy_loaded_only_by_contcheck():
-    """The exact verbs never import numpy; contcheck imports it when it runs."""
+def test_numpy_never_loaded():
+    """No verb imports numpy, contcheck included: the package needs only the
+    standard library."""
     script = (
         "import contextlib, io, sys\n"
         "from tdual_lie.cli import main\n"
@@ -296,7 +297,7 @@ def test_numpy_loaded_only_by_contcheck():
         "assert 'tdual_lie.contcheck' in sys.modules\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['contcheck']) == 0\n"
-        "assert 'numpy' in sys.modules\n"
+        "assert 'numpy' not in sys.modules\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -305,3 +306,42 @@ def test_numpy_loaded_only_by_contcheck():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# Each argv exits 0, 1 or 2 in a fresh interpreter, with no traceback, well
+# within the timeout.  The rows include inputs that once ended in a
+# traceback, ignored entries or ran for more than a minute.
+FUZZ_CASES = [
+    pytest.param(["dualize", "--group", "SU(3)", "--twist", "level:1", "--shift", "[[0]]"], 2,
+                 id="shift-1x1"),
+    pytest.param(["dualize", "--group", "SU(3)", "--twist", "level:1", "--shift", "[]"], 2,
+                 id="shift-empty"),
+    pytest.param(["dualize", "--group", "SU(3)", "--twist", "level:1",
+                  "--shift", "[[0, 1, 0], [0, 0, 0], [0, 0, 0]]"], 2, id="shift-3x3"),
+    pytest.param(["dualize", "--group", "SU(3)", "--twist", "[[1, 0], [0, 0]]",
+                  "--shift", "[[0, 1, 0], [0, 0, 0], [0, 0, 0]]"], 2, id="shift-3x3-not-cycle"),
+    pytest.param(["dualize", "--group", "SU(3)", "--twist", "level:1",
+                  "--shift", "[[0, 1], [0, 0]]"], 0, id="shift-2x2"),
+    pytest.param(["extension", "--group", "SU(2)", "--b", '[["1e-999999999"]]'], 2,
+                 id="b-exponent-huge"),
+    pytest.param(["extension", "--group", "SU(3)", "--b", '[[0, "1e-99999"], ["-1e-99999", 0]]'],
+                 2, id="b-exponent-digits"),
+    pytest.param(["extension", "--group", "SU(3)", "--b", '[[0, "1E5"], ["-1E5", 0]]'], 2,
+                 id="b-exponent-upper"),
+    pytest.param(["extension", "--group", "SU(3)", "--b", '[[0, "0.5"], ["-1/2", 0]]'], 0,
+                 id="b-decimal"),
+    pytest.param(["langlands", "--group", "B3", "--expect", "available"], 1, id="expect-fails"),
+]
+
+
+@pytest.mark.parametrize("argv, code", FUZZ_CASES)
+def test_cli_fuzz_exits_cleanly(argv, code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "tdual_lie.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert proc.stderr.count("\n") == 1, proc.stderr

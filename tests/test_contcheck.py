@@ -3,7 +3,6 @@
 import math
 import time
 
-import numpy as np
 import pytest
 
 from tdual_lie.contcheck import (
@@ -34,15 +33,15 @@ def test_cutoff_independence():
 
 def test_nonmonotone_profile_is_nonmonotone():
     c = cutoff_overshoot()
-    diffs = np.diff(np.asarray(c.values))
-    assert (diffs < 0).any() and (diffs > 0).any()
+    diffs = [b - a for a, b in zip(c.values, c.values[1:])]
+    assert any(d < 0 for d in diffs) and any(d > 0 for d in diffs)
     assert abs(cutoff_integral(c) - EXPECTED) < 1e-9
 
 
 def test_inadmissible_profiles_rejected():
     n = 256
-    ts = tuple(np.linspace(0.0, 1.0, n + 1))
-    ramp = tuple(np.linspace(0.0, 1.0, n + 1))  # no plateaus
+    ts = tuple(i / n for i in range(n + 1))
+    ramp = ts  # no plateaus
     with pytest.raises(InadmissibleCutoff):
         cutoff_integral(Cutoff("ramp", ts, ramp))
     wrong_end = tuple(0.5 * t for t in ts)
@@ -77,15 +76,21 @@ def test_structure_constants_su2_levi_civita():
                     eps = 1
                 elif (i, j, k) in ((0, 2, 1), (2, 1, 0), (1, 0, 2)):
                     eps = -1
-                assert abs(sc.c[i, j, k] - scale * eps) < 1e-12
+                assert sc.c.get((i, j, k), 0) == scale * eps
 
 
 def test_structure_constants_basic_normalization():
-    # Cartan generators are coroot directions of squared length 2.
+    # Cartan generators are coroot directions of squared length 2; the Gram
+    # matrix is the A_{n-1} Cartan matrix on them and 2 on every root direction.
     for name in ("su2", "su3", "su4"):
         sc = StructureConstants(name)
+        r = len(sc.cartan_indices)
         for h in sc.cartan_indices:
-            assert abs(sc.gram[h, h] - 2.0) < 1e-12
+            assert sc.gram[h][h] == 2
+        for a in range(sc.dim):
+            for b in range(sc.dim):
+                cartan = -1 if a < r and b < r and abs(a - b) == 1 else 0
+                assert sc.gram[a][b] == (2 if a == b else cartan), (name, a, b)
 
 
 def test_check_c_form_all():
@@ -112,3 +117,16 @@ def test_summary_shape():
     assert summary["passed"]
     assert len(summary["cutoffs"]) >= 5
     assert {row["algebra"] for row in summary["structure_constants"]} == {"su2", "su3", "su4"}
+
+
+def test_c_form_residuals_exactly_zero():
+    """The constants are exact: every residual is 0, and f has exactly the
+    nonzero entries of the su(n) brackets (6, 56 and 176)."""
+    for name, nonzero in (("su2", 6), ("su3", 56), ("su4", 176)):
+        sc = StructureConstants(name)
+        assert len(sc.f) == nonzero
+        row = check_c_form(sc).as_dict()
+        residuals = [v for k, v in row.items() if k.endswith("_residual") and v is not None]
+        assert len(residuals) == (5 if name == "su4" else 4)
+        assert residuals == [0.0] * len(residuals), row
+

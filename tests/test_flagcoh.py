@@ -26,8 +26,10 @@ from tdual_lie.rootdata import (
     all_coroots,
     basic_form,
     build,
+    center,
     center_product_generators,
     form_pairing,
+    fundamental_group_of,
     langlands_dual,
     named_group,
 )
@@ -88,17 +90,20 @@ def wedge3_differential(cx) -> IntMatrix:
 @st.composite
 def root_data(draw):
     """Products of simple factors of total rank <= 6, B/C/F/G included, with
-    a simply connected, adjoint or custom fundamental group."""
+    a simply connected, adjoint or custom fundamental group.  A quotient's
+    first factor is B, C, F or G, so that its integral lattice often pairs
+    roots of different lengths (PSp(n) at odd level is not integral there)."""
     factors = {"A": range(1, 7), "B": range(2, 7), "C": range(3, 7), "D": range(4, 7),
                "G": [2], "F": [4]}
+    kind = draw(st.sampled_from(["simply_connected", "adjoint", "custom"]))
     comps, total = [], 0
     while not comps or (total < 6 and draw(st.booleans())):
-        series = draw(st.sampled_from(sorted(factors)))
+        quotient_lead = kind != "simply_connected" and not comps
+        series = draw(st.sampled_from("BCFG" if quotient_lead else sorted(factors)))
         fits = [r for r in factors[series] if total + r <= 6]
         if fits:
             comps.append((series, draw(st.sampled_from(fits))))
             total += comps[-1][1]
-    kind = draw(st.sampled_from(["simply_connected", "adjoint", "custom"]))
     if kind != "custom":
         return build(comps, kind)
     sc = build(comps)
@@ -198,6 +203,29 @@ def test_vanishing_pieces_match_kernels(rd):
         assert kernel_of_matrix(cx.d20).cols == 0, datum.label
         assert kernel_of_matrix(cx.char_basis).cols == 0, datum.label
         assert dualizability_report(datum).wedge3_kernel_rank == 0, datum.label
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(root_data())
+def test_center_order_is_cartan_determinant(rd):
+    """|Z| of the simply connected form is |det A|, on random root data and
+    on their Langlands duals; pi_1 of a group and of its dual multiply to it."""
+    dual = langlands_dual(rd)
+    det = abs(rd.cartan.det())
+    for datum in (rd, dual):
+        assert center(datum).order() == det, datum.label
+    assert fundamental_group_of(rd).order() * fundamental_group_of(dual).order() == det
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(root_data())
+def test_h3_rank_counts_factors(rd):
+    """H^3 of a simply connected group is free of rank the number of simple
+    factors, on random root data and on their Langlands duals."""
+    for datum in (rd, langlands_dual(rd)):
+        if datum.is_simply_connected():
+            g = h3_group(datum)
+            assert g.free_rank == len(datum.components) and g.torsion == (), datum.label
 
 
 def test_complex_ranks():
