@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +32,6 @@ from .errors import RequiresExplicitB, TdualError, Unavailable, UsageError
 from .rootdata import (
     RootDatum,
     all_roots,
-    basic_form,
     build,
     center,
     fundamental_group_of,
@@ -154,6 +154,18 @@ def parse_args(argv) -> RunConfig:
 # -- input parsing -----------------------------------------------------------
 
 
+@contextmanager
+def _exact_output():
+    """Lift Python's 4300-digit int/str limit while reports are built and
+    rendered: a result can outgrow its input, which is parsed under it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _load_json(spec: str):
     text = spec
     if spec.startswith("@"):
@@ -164,7 +176,7 @@ def _load_json(spec: str):
             raise UsageError(f"cannot read {spec[1:]!r}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer literal over the digit limit
         raise UsageError(f"malformed JSON in {spec!r}: {exc}") from exc
 
 
@@ -307,22 +319,20 @@ def report_langlands(rd: RootDatum) -> dict:
     return rep.as_dict()
 
 
-def report_extension(rd: RootDatum, level: int, b_spec: str | None) -> dict:
-    form = basic_form(rd, level)
+def report_extension(rd: RootDatum, level: int, b_rows: list[list[Fraction]] | None) -> dict:
     out: dict = {"group": rd.label, "level": level}
     try:
-        if b_spec is not None:
-            b = loopext.commutator_from_matrix(rd, resolve_commutator(b_spec))
+        if b_rows is not None:
+            b = loopext.commutator_from_matrix(rd, b_rows)
         else:
-            b = loopext.commutator_from_level(rd, form)
+            b = loopext.commutator_from_level(rd, level)
     except RequiresExplicitB as exc:
         out["requires_explicit_b"] = True
         out["reason"] = str(exc)
         return out
-    rep = loopext.fibrewise_trivializable(rd, form, b)
-    out.update(rep.as_dict())
-    out["lift"] = [[str(v) for v in row] for row in loopext.lift_commutator(b).matrix]
-    out["admissibility"] = loopext.admissibility_check(rd, form, b).as_dict()
+    out.update(loopext.fibrewise_trivializable(b).as_dict())
+    out["lift"] = [[str(v) for v in row] for row in loopext.lift_commutator(b)]
+    out["admissibility"] = loopext.admissibility_check(rd, level, b).as_dict()
     return out
 
 
@@ -356,11 +366,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
     else:
         for spec in config.groups:
             rd = resolve_group(spec)
-            if config.verb == "group":
-                reports.append(report_group(rd))
-            elif config.verb == "cohomology":
-                reports.append(report_cohomology(rd))
-            elif config.verb in ("twist", "dualize"):
+            if config.verb in ("twist", "dualize"):
                 shift = resolve_shift(rd, config.shift_spec) if config.shift_spec else None
                 try:
                     twist = resolve_twist(rd, config.twist_spec)
@@ -368,14 +374,20 @@ def run(config: RunConfig) -> tuple[int, dict]:
                     reports.append({"group": rd.label, "available": False,
                                     "reason": str(exc)})
                     continue
-                if config.verb == "twist":
+            b = resolve_commutator(config.b_spec) if config.b_spec else None
+            with _exact_output():
+                if config.verb == "group":
+                    reports.append(report_group(rd))
+                elif config.verb == "cohomology":
+                    reports.append(report_cohomology(rd))
+                elif config.verb == "twist":
                     reports.append(report_twist(rd, twist))
-                else:
+                elif config.verb == "dualize":
                     reports.append(report_dualize(rd, twist, shift))
-            elif config.verb == "langlands":
-                reports.append(report_langlands(rd))
-            elif config.verb == "extension":
-                reports.append(report_extension(rd, config.level, config.b_spec))
+                elif config.verb == "langlands":
+                    reports.append(report_langlands(rd))
+                elif config.verb == "extension":
+                    reports.append(report_extension(rd, config.level, b))
 
     payload = {
         "schema": SCHEMA,
@@ -426,10 +438,11 @@ def main(argv=None) -> int:
     except TdualError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        text = render_text(payload)
+    with _exact_output():
+        if config.fmt == "json":
+            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        else:
+            text = render_text(payload)
     if config.output:
         try:
             with open(config.output, "w", encoding="utf-8") as fh:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, InvalidCommutator, RequiresExplicitB
-from .rootdata import InvariantForm, RootDatum, all_coroots, form_pairing
+from .rootdata import RootDatum, all_coroots, basic_form, form_pairing
 from .zlinalg import IntMatrix, Lattice, solve_columns
 
 
@@ -62,9 +62,6 @@ class CommutatorMap:
             total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj != 0)
         return _mod1(total)
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.values for v in row)
-
     def first_nonzero(self) -> tuple[int, int, Fraction] | None:
         for i, row in enumerate(self.values):
             for j, v in enumerate(row):
@@ -73,22 +70,8 @@ class CommutatorMap:
         return None
 
 
-@dataclass(frozen=True)
-class AntisymLift:
-    """Rational antisymmetric matrix reducing mod Z to a commutator map."""
-
-    matrix: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.matrix)
-        for i in range(n):
-            for j in range(n):
-                if self.matrix[i][j] != -self.matrix[j][i]:
-                    raise ValueError("lift must be antisymmetric")
-
-
-def commutator_from_level(rd: RootDatum, form: InvariantForm) -> CommutatorMap:
-    """b = [<.,.>/2] mod 1 on the coroot basis, form taken at its level.
+def commutator_from_level(rd: RootDatum, level: int) -> CommutatorMap:
+    """b = [<.,.>/2] mod 1 on the coroot basis, the form taken at `level`.
 
     Only asserted for simply connected, simply laced groups; anything else
     raises RequiresExplicitB rather than extrapolating the formula.
@@ -100,35 +83,22 @@ def commutator_from_level(rd: RootDatum, form: InvariantForm) -> CommutatorMap:
         raise RequiresExplicitB(
             f"{rd.label} is not simply connected; supply the commutator map explicitly")
     n = rd.rank
-    g = form.gram
+    g = basic_form(rd, level)
     values = tuple(
         tuple(_mod1(Fraction(g[i, j], 2)) for j in range(n)) for i in range(n)
     )
     return CommutatorMap(lattice=rd.integral, values=values)
 
 
-def is_extension_trivial(b: CommutatorMap) -> bool:
-    """A central extension of a free abelian group by the circle is trivial
-    exactly when its commutator map vanishes."""
-    return b.is_zero()
-
-
-def lift_commutator(b: CommutatorMap) -> AntisymLift:
-    """Canonical antisymmetric rational lift: entries above the diagonal are
-    the [0,1) representatives, entries below their negatives."""
-    n = b.lattice.rank
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i][j] = b.values[i][j]
-            m[j][i] = -b.values[i][j]
-    return AntisymLift(matrix=tuple(tuple(row) for row in m))
+def lift_commutator(b: CommutatorMap) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows of the canonical antisymmetric rational lift: entries above the
+    diagonal are the [0,1) representatives, entries below their negatives."""
+    v, n = b.values, b.lattice.rank
+    return tuple(tuple(v[i][j] if i <= j else -v[j][i] for j in range(n)) for i in range(n))
 
 
 @dataclass(frozen=True)
 class TrivializabilityReport:
-    group: str
-    level: int | None
     trivializable: bool
     witness: tuple[tuple[str, ...], ...]
     witness_pair: tuple[int, int] | None
@@ -137,8 +107,6 @@ class TrivializabilityReport:
 
     def as_dict(self) -> dict:
         return {
-            "group": self.group,
-            "level": self.level,
             "trivializable": self.trivializable,
             "commutator_matrix": [list(r) for r in self.witness],
             "witness_pair": list(self.witness_pair) if self.witness_pair else None,
@@ -147,21 +115,12 @@ class TrivializabilityReport:
         }
 
 
-def _serialize_fractions(values) -> tuple[tuple[str, ...], ...]:
-    return tuple(tuple(str(v) for v in row) for row in values)
-
-
-def fibrewise_trivializable(rd: RootDatum, form: InvariantForm | None = None,
-                            b: CommutatorMap | None = None) -> TrivializabilityReport:
+def fibrewise_trivializable(b: CommutatorMap) -> TrivializabilityReport:
     """Decide whether the canonical reduction over the flag manifold is
     trivializable along the torus fibres: true exactly when the pulled-back
     central extension of the integral lattice is trivial, i.e. b = 0."""
-    if b is None:
-        if form is None:
-            raise ValueError("either an invariant form or an explicit b is required")
-        b = commutator_from_level(rd, form)
-    trivial = is_extension_trivial(b)
     nz = b.first_nonzero()
+    trivial = nz is None
     if trivial:
         explanation = "commutator map vanishes, so the lattice extension splits"
     else:
@@ -170,10 +129,8 @@ def fibrewise_trivializable(rd: RootDatum, form: InvariantForm | None = None,
             f"commutator map does not vanish: b(basis_{i}, basis_{j}) = {v}; "
             "the lattice extension is nonabelian, so no fibrewise trivialization exists")
     return TrivializabilityReport(
-        group=rd.label,
-        level=form.level if form is not None else None,
         trivializable=trivial,
-        witness=_serialize_fractions(b.values),
+        witness=tuple(tuple(str(v) for v in row) for row in b.values),
         witness_pair=(nz[0], nz[1]) if nz else None,
         witness_value=str(nz[2]) if nz else None,
         explanation=explanation,
@@ -194,13 +151,13 @@ class AdmissibilityReport:
         }
 
 
-def admissibility_check(rd: RootDatum, form: InvariantForm, b: CommutatorMap) -> AdmissibilityReport:
+def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> AdmissibilityReport:
     """Check the two conditions under which a loop-group extension realizing
-    (form, b) exists (Pressley-Segal, Loop Groups, sec. 4.6; Toledano Laredo,
-    Comm. Math. Phys. 207 (1999)):
+    b with the form at `level` exists (Pressley-Segal, Loop Groups, sec. 4.6;
+    Toledano Laredo, Comm. Math. Phys. 207 (1999)):
 
       * integrality: <lambda, mu> is an integer for all lambda, mu in the
-        integral lattice Lambda, with <.,.> the form at its level;
+        integral lattice Lambda, with <.,.> the form at `level`;
       * b(lambda, H) = [<lambda, H>/2] for every lattice basis vector lambda
         and every coroot H.
 
@@ -214,7 +171,7 @@ def admissibility_check(rd: RootDatum, form: InvariantForm, b: CommutatorMap) ->
     <lambda_k, H> = sum_i c_i <H_i, lambda_k>, from `form_pairing` in
     integers."""
     n = rd.rank
-    pairing = form_pairing(rd, form.level, rd.integral.basis)
+    pairing = form_pairing(rd, level, rd.integral.basis)
     det = abs(rd.cartan.det())
     gram = rd.integral.basis.transpose() @ solve_columns(rd.cartan.transpose(), pairing.scale(det))
     integrality = [

@@ -239,14 +239,6 @@ def _dual_basis_matrix(cartan: IntMatrix, lattice_basis: IntMatrix) -> IntMatrix
     return sol.transpose()
 
 
-@dataclass(frozen=True)
-class InvariantForm:
-    """Weyl-invariant symmetric form on the coroot lattice basis."""
-
-    gram: IntMatrix
-    level: int
-
-
 def form_pairing(rd: RootDatum, level: int, coweights: IntMatrix) -> IntMatrix:
     """<H_i, v_k> under the basic form at `level`, for the simple coroots H_i
     and the columns v_k of `coweights` (coweight coordinates).
@@ -262,9 +254,10 @@ def form_pairing(rd: RootDatum, level: int, coweights: IntMatrix) -> IntMatrix:
                      cols=coweights.cols)
 
 
-def basic_form(rd: RootDatum, level: int) -> InvariantForm:
-    """level x (minimal invariant form with long-root coroots of norm 2)."""
-    return InvariantForm(gram=form_pairing(rd, level, rd.cartan), level=level)
+def basic_form(rd: RootDatum, level: int) -> IntMatrix:
+    """Gram matrix on the simple coroots of level x (the minimal invariant
+    form, long-root coroots of norm 2)."""
+    return form_pairing(rd, level, rd.cartan)
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +442,6 @@ def _orbit(seeds, reflections) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(seen))
 
 
-def long_short_split(rd: RootDatum) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """(long roots, short roots); for simply laced factors all roots are long."""
-    n = rd.rank
-    eps = rd.epsilons()
-    refl = [rd.reflection_on_weights(i) for i in range(n)]
-    return (_orbit([rd.cartan.row(i) for i in range(n) if eps[i] == 1], refl),
-            _orbit([rd.cartan.row(i) for i in range(n) if eps[i] > 1], refl))
-
-
 @lru_cache(maxsize=None)
 def center(rd: RootDatum) -> FgAbGroup:
     """The center of the simply connected form, as coweights mod coroots."""
@@ -468,16 +452,6 @@ def center(rd: RootDatum) -> FgAbGroup:
 def fundamental_group_of(rd: RootDatum) -> FgAbGroup:
     """pi_1 of the group: integral lattice mod coroot lattice."""
     return subquotient(rd.coroot_lattice(), rd.integral)
-
-
-def dual_lattice(lat: Lattice, rd: RootDatum) -> Lattice:
-    """{x in weights : <x, lat> in Z}, canonical basis, for Q^vee <= lat <= P^vee."""
-    if not contains_columns(lat.basis, rd.coroot_lattice().basis):
-        raise NotBetweenLattices("lattice does not contain the coroot lattice")
-    if not contains_columns(IntMatrix.identity(rd.rank), lat.basis):
-        raise NotBetweenLattices("lattice is not contained in the coweight lattice")
-    raw = _dual_basis_matrix(rd.cartan, lat.basis)
-    return Lattice(rd.rank, column_hermite_form(raw), label=f"dual({lat.label})")
 
 
 _DUAL_LABELS = {"SU": "PSU", "PSU": "SU"}
@@ -517,93 +491,45 @@ def langlands_dual(rd: RootDatum) -> RootDatum:
     )
 
 
-@dataclass(frozen=True)
-class DynkinIso:
-    """Diagram isomorphism onto the dual group's diagram.
-
-    `permutation` sends source simple-root indices to dual-side indices;
-    `matrix` is the induced pullback from the dual group's weight
-    coordinates to the source weight coordinates ((M x)_i = x_{perm(i)}).
-    """
-
-    permutation: tuple[int, ...]
-    matrix: IntMatrix
-
-
-def _block_isos(a_src, a_dst) -> Iterator[tuple[int, ...]]:
-    """Permutations p with a_dst[p(i)][p(j)] == a_src[i][j], lazily."""
-    r = len(a_src)
-
-    def extend(partial):
-        k = len(partial)
-        if k == r:
-            yield tuple(partial)
-            return
-        for cand in range(r):
-            if cand in partial:
-                continue
-            if a_dst[cand][cand] != a_src[k][k]:
-                continue
-            ok = True
-            for a_idx in range(k):
-                pa = partial[a_idx]
-                if a_dst[pa][cand] != a_src[a_idx][k] or a_dst[cand][pa] != a_src[k][a_idx]:
-                    ok = False
-                    break
-            if ok:
-                yield from extend(partial + [cand])
-
-    yield from extend([])
-
-
 @lru_cache(maxsize=None)
-def find_phi(rd: RootDatum) -> DynkinIso | None:
-    """Search for a Dynkin isomorphism from rd onto its Langlands dual.
+def find_phi(rd: RootDatum) -> tuple[int, ...] | None:
+    """The Dynkin isomorphism from rd onto its Langlands dual, as the
+    permutation sending simple-root indices to dual-side indices.
 
-    Works factor by factor (a diagram isomorphism cannot merge factors) but
-    allows factors to permute.  Returns None when no isomorphism exists,
-    which happens exactly when some B/C factor of rank >= 3 is unpaired.
+    Each source factor takes the first unused dual factor whose Cartan block
+    is its own (identity) or its own reversed (G2, F4 and B2: the transposed
+    block, and these diagrams have no automorphism).  Factors of one type
+    are interchangeable, so no choice needs revisiting.  None when some
+    factor finds no match: exactly when a B/C factor of rank >= 3 is unpaired.
     """
     dual = langlands_dual(rd)
-    a, al = rd.cartan, dual.cartan
-    src_blocks = rd.factor_ranges()
-    dst_blocks = dual.factor_ranges()
 
-    def block_of(mat, lo, hi):
+    def block(mat, lo, hi):
         return [[mat[i, j] for j in range(lo, hi)] for i in range(lo, hi)]
 
-    perm: list[int | None] = [None] * rd.rank
-
-    def assign(k, used):
-        if k == len(src_blocks):
-            return True
-        lo, hi, _, r = src_blocks[k]
-        src = block_of(a, lo, hi)
-        for gi, (glo, ghi, _, gr) in enumerate(dst_blocks):
-            if gi in used or gr != r:
+    unused = [(lo, hi, block(dual.cartan, lo, hi)) for lo, hi, _, _ in dual.factor_ranges()]
+    perm: list[int] = []
+    for lo, hi, _, _ in rd.factor_ranges():
+        src = block(rd.cartan, lo, hi)
+        reversed_src = [row[::-1] for row in src[::-1]]
+        for k, (glo, ghi, dst) in enumerate(unused):
+            if dst == src:
+                perm += range(glo, ghi)
+            elif dst == reversed_src:
+                perm += range(ghi - 1, glo - 1, -1)
+            else:
                 continue
-            dst = block_of(al, glo, ghi)
-            for p in _block_isos(src, dst):
-                for i, pi in enumerate(p):
-                    perm[lo + i] = glo + pi
-                if assign(k + 1, used | {gi}):
-                    return True
-            for i in range(lo, hi):
-                perm[i] = None
-        return False
-
-    if not assign(0, frozenset()):
-        return None
-    final = tuple(int(p) for p in perm)  # type: ignore[arg-type]
-    n = rd.rank
-    mat = IntMatrix([[1 if final[i] == j else 0 for j in range(n)] for i in range(n)], cols=n)
-    return DynkinIso(permutation=final, matrix=mat)
+            del unused[k]
+            break
+        else:
+            return None
+    return tuple(perm)
 
 
-def require_phi(rd: RootDatum) -> DynkinIso:
+def require_phi(rd: RootDatum) -> tuple[int, ...]:
     """find_phi, raising Unavailable with the obstruction spelled out."""
-    iso = find_phi(rd)
-    if iso is None:
+    perm = find_phi(rd)
+    if perm is None:
         bad = [f"{s}{r}" for s, r in rd.components
                if _dual_series(s, r) != (s, r) and not (s in ("B", "C") and r == 2)]
         raise Unavailable(
@@ -611,7 +537,7 @@ def require_phi(rd: RootDatum) -> DynkinIso:
             f"(obstructing factors: {', '.join(bad) or 'none found by factor scan'})",
             evidence={"components": rd.components, "dual": langlands_dual(rd).components},
         )
-    return iso
+    return perm
 
 
 def weyl_elements_on_coweights(rd: RootDatum) -> Iterator[IntMatrix]:

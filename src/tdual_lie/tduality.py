@@ -202,15 +202,16 @@ def _langlands_transport(rd: RootDatum) -> IntMatrix:
     Chern lattice does not depend on this choice (the integral lattice is
     Weyl-stable), the cycle property does.
     """
-    iso = require_phi(rd)
+    perm = require_phi(rd)
+    pullback = IntMatrix([[int(p == j) for j in range(rd.rank)] for p in perm], cols=rd.rank)
     cx = build_complex(rd)
     for w in weyl_elements_on_coweights(rd):
-        transport = iso.matrix @ w
+        transport = pullback @ w
         if cx.is_cycle(transport @ rd.integral.basis):
             return transport
     raise Unavailable(
         f"no Weyl refinement of the diagram isomorphism yields a cycle for {rd.label}",
-        evidence={"permutation": iso.permutation},
+        evidence={"permutation": perm},
     )
 
 

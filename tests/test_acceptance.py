@@ -23,8 +23,8 @@ from tdual_lie.flagcoh import (
     h3_group,
     h4_of_B,
 )
-from tdual_lie.loopext import fibrewise_trivializable
-from tdual_lie.rootdata import basic_form, named_group
+from tdual_lie.loopext import commutator_from_level, fibrewise_trivializable
+from tdual_lie.rootdata import named_group
 from tdual_lie.tduality import (
     ShiftMatrix,
     bfield_shift,
@@ -94,14 +94,14 @@ def test_c04_trivializability_criterion():
     with criterion(4, "fibrewise trivializability booleans"):
         su2 = named_group("SU(2)")
         for level in (0, 1, 2, 3, 7):
-            assert fibrewise_trivializable(su2, basic_form(su2, level)).trivializable
+            assert fibrewise_trivializable(commutator_from_level(su2, level)).trivializable
         for n in (3, 4, 5, 6):
             rd = named_group(f"SU({n})")
-            rep = fibrewise_trivializable(rd, basic_form(rd, 1))
+            rep = fibrewise_trivializable(commutator_from_level(rd, 1))
             assert rep.trivializable is False
             assert rep.witness_value == "1/2"
         su3 = named_group("SU(3)")
-        assert fibrewise_trivializable(su3, basic_form(su3, 2)).trivializable is True
+        assert fibrewise_trivializable(commutator_from_level(su3, 2)).trivializable is True
 
 
 def test_c05_langlands_tduality():

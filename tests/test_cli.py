@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -308,6 +309,9 @@ def test_numpy_never_loaded():
     assert proc.returncode == 0, proc.stderr
 
 
+HUGE = "9" * 5000
+D1, D2 = 10 ** 3000 + 1, 10 ** 3000 + 3
+
 # Each argv exits 0, 1 or 2 in a fresh interpreter, with no traceback, well
 # within the timeout.  The rows include inputs that once ended in a
 # traceback, ignored entries or ran for more than a minute.
@@ -331,6 +335,21 @@ FUZZ_CASES = [
     pytest.param(["extension", "--group", "SU(3)", "--b", '[[0, "0.5"], ["-1/2", 0]]'], 0,
                  id="b-decimal"),
     pytest.param(["langlands", "--group", "B3", "--expect", "available"], 1, id="expect-fails"),
+    # A JSON integer literal over Python's 4300-digit parsing limit is refused.
+    pytest.param(["group", "--group", '{"components": [{"series": "A", "rank": %s}]}' % HUGE], 2,
+                 id="group-huge-literal"),
+    pytest.param(["twist", "--group", "SU(2)", "--twist", f"[[{HUGE}]]"], 2,
+                 id="twist-huge-literal"),
+    pytest.param(["dualize", "--group", "SU(3)", "--twist", "level:1",
+                  "--shift", f"[[0, {HUGE}], [0, 0]]"], 2, id="shift-huge-literal"),
+    pytest.param(["extension", "--group", "SU(3)", "--b", f"[[0, {HUGE}], [-{HUGE}, 0]]"], 2,
+                 id="b-huge-literal"),
+    # Inputs within the limit whose exact results print past it.
+    pytest.param(["extension", "--group", "SU(4)", "--b",
+                  f'[[0, "1/{D1}", "1/{D2}"], ["-1/{D1}", 0, 0], ["-1/{D2}", 0, 0]]'], 0,
+                 id="b-long-result"),
+    pytest.param(["dualize", "--group", "SU(3)", "--twist", "level:1",
+                  "--shift", f"[[0, {10 ** 3000 - 1}], [0, 0]]"], 0, id="shift-long-result"),
 ]
 
 
@@ -345,3 +364,15 @@ def test_cli_fuzz_exits_cleanly(argv, code):
     assert "Traceback" not in proc.stderr
     if code == 2:
         assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_int_digit_limit_lifted_only_for_output(capsys):
+    """A result past 4300 digits prints in full, the limit is back in force
+    once main returns, and input is still parsed under it."""
+    limit = sys.get_int_max_str_digits()
+    shift = f"[[0, {10 ** 3000 - 1}], [0, 0]]"
+    assert main(["dualize", "--group", "SU(3)", "--twist", "level:1", "--shift", shift]) == 0
+    assert max(map(len, re.findall(r"\d+", capsys.readouterr().out))) > 4300
+    assert sys.get_int_max_str_digits() == limit
+    _usage_error(capsys, ["twist", "--group", "SU(2)", "--twist", f"[[{HUGE}]]"])
+    assert sys.get_int_max_str_digits() == limit

@@ -51,7 +51,7 @@ def _int_matrix(m: Matrix) -> IntMatrix:
 def level_twist_matrix(rd, level):
     """u(lam) = level * <lam, .> as a weight-coordinate matrix: G A^{-1} B,
     computed over the rationals (sympy), apart from the integer route."""
-    g = _sympy(basic_form(rd, level).gram)
+    g = _sympy(basic_form(rd, level))
     return _int_matrix(g * _sympy(rd.cartan).inv() * _sympy(rd.integral.basis))
 
 
@@ -120,8 +120,7 @@ def test_integer_form_route_matches_rationals(rd, level, data):
     admissibility form values against G, A^{-1} and B^{-1} over Q."""
     n = rd.rank
     a, b = _sympy(rd.cartan), _sympy(rd.integral.basis)
-    form = basic_form(rd, level)
-    g = _sympy(form.gram)
+    g = _sympy(basic_form(rd, level))
     assert level_twist(rd, level).matrix == level_twist_matrix(rd, level)
     assert rd.char_lattice().basis == _int_matrix(a.T * b.inv().T)
     # <lambda_k, H> = (A^{-1} lambda_k)^T G (A^{-1} H) for every integral basis
@@ -146,7 +145,7 @@ def test_integer_form_route_matches_rationals(rd, level, data):
             half = Fraction(int(want[k, t]) % 2, 2)
             if have != half:
                 expected.append(f"b(basis_{k}, coroot {coroot}) = {have} but [<.,.>/2] = {half}")
-    report = admissibility_check(rd, form, comm)
+    report = admissibility_check(rd, level, comm)
     assert report.half_pairing_violations == tuple(expected)
     # Integrality of the form on the integral lattice: B^T A^-T G A^-1 B.
     gram = b.T * a.inv().T * g * a.inv() * b

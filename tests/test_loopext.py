@@ -12,47 +12,50 @@ from tdual_lie.loopext import (
     commutator_from_level,
     commutator_from_matrix,
     fibrewise_trivializable,
-    is_extension_trivial,
     lift_commutator,
 )
-from tdual_lie.rootdata import basic_form, build, named_group
+from tdual_lie.rootdata import build, named_group
 
 
 def level_commutator(name, level):
     rd = named_group(name)
-    return rd, commutator_from_level(rd, basic_form(rd, level))
+    return rd, commutator_from_level(rd, level)
+
+
+def is_zero(b):
+    return all(v == 0 for row in b.values for v in row)
 
 
 def test_su2_any_level_vanishes():
     for level in (0, 1, 2, 5):
         _, b = level_commutator("SU(2)", level)
-        assert b.is_zero()  # rank-1 antisymmetric form has nothing to hold
+        assert is_zero(b)  # rank-1 antisymmetric form has nothing to hold
 
 
 def test_su3_level_one_half():
     _, b = level_commutator("SU(3)", 1)
     assert b.values[0][1] == Fraction(1, 2)
     assert b.values[1][0] == Fraction(1, 2)  # -1/2 reduced into [0,1)
-    assert not is_extension_trivial(b)
+    assert not fibrewise_trivializable(b).trivializable
 
 
 def test_su3_level_two_trivial():
     _, b = level_commutator("SU(3)", 2)
-    assert is_extension_trivial(b)
+    assert fibrewise_trivializable(b).trivializable
 
 
 def test_su4_level_two_trivial():
     _, b = level_commutator("SU(4)", 2)
-    assert is_extension_trivial(b)
+    assert fibrewise_trivializable(b).trivializable
 
 
 def test_requires_explicit_b():
     b2 = named_group("Spin(5)")
     with pytest.raises(RequiresExplicitB):
-        commutator_from_level(b2, basic_form(b2, 1))
+        commutator_from_level(b2, 1)
     psu3 = named_group("PSU(3)")
     with pytest.raises(RequiresExplicitB):
-        commutator_from_level(psu3, basic_form(psu3, 1))
+        commutator_from_level(psu3, 1)
 
 
 def test_biadditive():
@@ -79,42 +82,40 @@ def test_antisymmetric_on_vectors():
 
 def test_lift_examples():
     _, b0 = level_commutator("SU(2)", 3)
-    assert all(v == 0 for row in lift_commutator(b0).matrix for v in row)
+    assert all(v == 0 for row in lift_commutator(b0) for v in row)
 
     rd, b = level_commutator("SU(3)", 1)
     lift = lift_commutator(b)
-    assert lift.matrix[0][1] == Fraction(1, 2)
-    assert lift.matrix[1][0] == Fraction(-1, 2)
-    assert tuple(tuple(x % 1 for x in row) for row in lift.matrix) == b.values
+    assert lift[0][1] == Fraction(1, 2)
+    assert lift[1][0] == Fraction(-1, 2)
+    assert tuple(tuple(x % 1 for x in row) for row in lift) == b.values
 
     # 3x3 case with upper entries (1/2, 0, 1/2): the canonical lift keeps
     # exactly those above the diagonal.
     rd4, b4 = level_commutator("SU(4)", 1)
     lift4 = lift_commutator(b4)
-    assert (lift4.matrix[0][1], lift4.matrix[0][2], lift4.matrix[1][2]) == (
-        Fraction(1, 2), Fraction(0), Fraction(1, 2))
-    assert tuple(tuple(x % 1 for x in row) for row in lift4.matrix) == b4.values
+    assert (lift4[0][1], lift4[0][2], lift4[1][2]) == (Fraction(1, 2), Fraction(0), Fraction(1, 2))
+    assert tuple(tuple(x % 1 for x in row) for row in lift4) == b4.values
+    for rows in (lift, lift4):  # antisymmetric
+        assert tuple(tuple(-x for x in col) for col in zip(*rows)) == rows
 
 
 def test_doubled_level_always_trivial():
     for name in ["SU(2)", "SU(3)", "SU(4)", "SU(5)", "Spin(8)", "E6"]:
         for k in (1, 2, 3):
             _, b = level_commutator(name, 2 * k)
-            assert b.is_zero(), (name, k)
+            assert is_zero(b), (name, k)
 
 
 def test_fibrewise_trivializable_reports():
-    rep = fibrewise_trivializable(named_group("SU(2)"), basic_form(named_group("SU(2)"), 7))
-    assert rep.trivializable
+    assert fibrewise_trivializable(level_commutator("SU(2)", 7)[1]).trivializable
 
     for n in (3, 4, 5, 6):
-        rd = named_group(f"SU({n})")
-        rep = fibrewise_trivializable(rd, basic_form(rd, 1))
+        rep = fibrewise_trivializable(level_commutator(f"SU({n})", 1)[1])
         assert not rep.trivializable
         assert rep.witness_value == "1/2"
 
-    rd = named_group("SU(3)")
-    assert fibrewise_trivializable(rd, basic_form(rd, 2)).trivializable
+    assert fibrewise_trivializable(level_commutator("SU(3)", 2)[1]).trivializable
 
 
 def test_trivializable_matches_direct_test_randomized():
@@ -123,25 +124,21 @@ def test_trivializable_matches_direct_test_randomized():
     for _ in range(20):
         name = rng.choice(names)
         level = rng.randint(0, 4)
-        rd = named_group(name)
-        b = commutator_from_level(rd, basic_form(rd, level))
-        rep = fibrewise_trivializable(rd, basic_form(rd, level))
-        assert rep.trivializable == b.is_zero()
+        _, b = level_commutator(name, level)
+        assert fibrewise_trivializable(b).trivializable == is_zero(b)
 
 
 def test_admissibility():
     rd = named_group("SU(3)")
-    form = basic_form(rd, 1)
-    good = commutator_from_level(rd, form)
-    assert admissibility_check(rd, form, good).passed
+    good = commutator_from_level(rd, 1)
+    assert admissibility_check(rd, 1, good).passed
 
     zero = commutator_from_matrix(rd, [[0, 0], [0, 0]])
-    bad = admissibility_check(rd, form, zero)
+    bad = admissibility_check(rd, 1, zero)
     assert not bad.passed
     assert bad.half_pairing_violations
 
-    level0 = basic_form(rd, 0)
-    assert admissibility_check(rd, level0, zero).passed
+    assert admissibility_check(rd, 0, zero).passed
 
 
 def test_explicit_matrix_reduction():
@@ -173,7 +170,7 @@ def test_form_integral_on_integral_lattice(spec, integral_levels):
     rd = resolve_group(spec)
     zero = commutator_from_matrix(rd, [[0] * rd.rank for _ in range(rd.rank)])
     for level in (1, 2, 3, 4):
-        report = admissibility_check(rd, basic_form(rd, level), zero)
+        report = admissibility_check(rd, level, zero)
         assert (not report.integrality_violations) == (level in integral_levels), (spec, level)
         if report.integrality_violations:
             assert not report.passed
@@ -181,11 +178,11 @@ def test_form_integral_on_integral_lattice(spec, integral_levels):
 
 def test_integrality_violation_examples():
     rd = named_group("SO(3)")
-    report = admissibility_check(rd, basic_form(rd, 3), commutator_from_matrix(rd, [[0]]))
+    report = admissibility_check(rd, 3, commutator_from_matrix(rd, [[0]]))
     assert report.integrality_violations == ("<lambda_0, lambda_0> = 3/2 is not an integer",)
     # Adjoint C3: the level-1 Gram matrix on the fundamental coweights is
     # A^-T diag(eps) = [[2, 2, 1], [2, 4, 2], [1, 2, 3/2]].
     rd = build([("C", 3)], "adjoint")
     zero = commutator_from_matrix(rd, [[0] * 3 for _ in range(3)])
-    report = admissibility_check(rd, basic_form(rd, 1), zero)
+    report = admissibility_check(rd, 1, zero)
     assert report.integrality_violations == ("<lambda_2, lambda_2> = 3/2 is not an integer",)

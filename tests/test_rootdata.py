@@ -1,24 +1,26 @@
 """Root data: Cartan matrices, lattices, forms, duals, diagram isomorphisms."""
 
 import pytest
+from hypothesis import given, settings
 
 from tdual_lie.errors import InvalidCenterSubgroup, InvalidSeries, NotBetweenLattices, Unavailable
 from tdual_lie.rootdata import (
+    RootDatum,
     all_coroots,
     all_roots,
     basic_form,
     build,
     center,
-    dual_lattice,
     find_phi,
     fundamental_group_of,
     langlands_dual,
-    long_short_split,
     named_group,
     require_phi,
     weyl_elements_on_coweights,
 )
 from tdual_lie.zlinalg import IntMatrix, Lattice
+
+from test_flagcoh import root_data
 
 
 def test_su2_lattices():
@@ -65,25 +67,39 @@ def test_root_counts():
 
 
 def test_g2_long_short():
+    # Root length is constant on Weyl orbits: the long simple root alpha_1
+    # and the short alpha_2 each sweep out six roots, together all twelve.
     g2 = named_group("G2")
-    longs, shorts = long_short_split(g2)
+    assert g2.epsilons() == (1, 3)
+    reflections = [g2.reflection_on_weights(i) for i in range(2)]
+
+    def orbit(root):
+        seen, frontier = {root}, [root]
+        while frontier:
+            new = {s.apply(v) for v in frontier for s in reflections} - seen
+            seen |= new
+            frontier = list(new)
+        return seen
+
+    longs, shorts = orbit(g2.cartan.row(0)), orbit(g2.cartan.row(1))
     assert len(longs) == 6 and len(shorts) == 6
-    assert set(longs).isdisjoint(shorts)
+    assert longs.isdisjoint(shorts)
+    assert longs | shorts == set(all_roots(g2))
 
 
 def test_basic_form_examples():
-    assert basic_form(named_group("A1"), 1).gram == IntMatrix([[2]])
-    assert basic_form(named_group("A2"), 1).gram == IntMatrix([[2, -1], [-1, 2]])
-    assert basic_form(named_group("G2"), 0).gram == IntMatrix.zero(2, 2)
+    assert basic_form(named_group("A1"), 1) == IntMatrix([[2]])
+    assert basic_form(named_group("A2"), 1) == IntMatrix([[2, -1], [-1, 2]])
+    assert basic_form(named_group("G2"), 0) == IntMatrix.zero(2, 2)
     # Non-simply-laced normalization: long-root coroots keep norm 2.
-    b2 = basic_form(named_group("B2"), 1).gram
+    b2 = basic_form(named_group("B2"), 1)
     assert b2 == IntMatrix([[2, -2], [-2, 4]])
 
 
 def test_basic_form_weyl_invariant():
     for name in ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"]:
         rd = named_group(name)
-        g = basic_form(rd, 1).gram
+        g = basic_form(rd, 1)
         for i in range(rd.rank):
             # Reflection on coroot coordinates: s(alpha_j) = alpha_j - a_ij alpha_i.
             n = rd.rank
@@ -109,32 +125,35 @@ def test_basic_form_symmetric_on_langlands_duals():
     # swap; the form must follow the matrix, not the series letter.
     for comps in ([("G", 2)], [("F", 4)], [("F", 4), ("G", 2)], [("B", 3), ("C", 3)]):
         dual = langlands_dual(build(comps))
-        g = basic_form(dual, 1).gram
+        g = basic_form(dual, 1)
         assert g == g.transpose(), comps
     assert langlands_dual(named_group("G2")).epsilons() == (3, 1)
 
 
 def test_basic_form_symmetric_positive():
     for name in ["B3", "C3", "F4", "G2", "E6"]:
-        g = basic_form(named_group(name), 1).gram
+        g = basic_form(named_group(name), 1)
         assert g == g.transpose()
         assert g.det() > 0
 
 
 def test_dual_lattice_examples():
+    # The character lattice is the dual of the integral lattice.
     su2 = named_group("SU(2)")
-    assert dual_lattice(su2.integral, su2).basis == IntMatrix([[1]])
+    assert su2.char_lattice().basis == IntMatrix([[1]])
 
     so3 = named_group("SO(3)")
-    assert dual_lattice(so3.integral, so3).basis == IntMatrix([[2]])
+    assert so3.char_lattice().basis == IntMatrix([[2]])
 
     su3 = named_group("SU(3)")
-    assert dual_lattice(su3.integral, su3).same_lattice(su3.weight_lattice())
+    assert su3.char_lattice().same_lattice(su3.weight_lattice())
     # Index of the root lattice in the weight lattice is det(Cartan) = 3.
     assert abs(su3.root_lattice().basis.det()) == 3
 
+    # 4 * coweights misses the coroots 2 * coweights: no integral dual basis.
     with pytest.raises(NotBetweenLattices):
-        dual_lattice(Lattice(1, IntMatrix([[4]])), su2)
+        RootDatum(components=su2.components, cartan=su2.cartan,
+                  integral=Lattice(1, IntMatrix([[4]])), label="bad")
 
 
 def test_char_lattice_endpoints():
@@ -186,13 +205,14 @@ def test_langlands_dual_examples():
     assert langlands_dual(b3).components == (("C", 3),)
 
 
-def test_langlands_dual_involutive():
-    for name in ["SU(2)", "SO(3)", "SU(4)", "PSU(3)", "Spin(7)", "Sp(3)", "G2", "F4"]:
-        rd = named_group(name)
-        back = langlands_dual(langlands_dual(rd))
-        assert back.cartan == rd.cartan
-        assert back.components == rd.components
-        assert back.integral.same_lattice(rd.integral)
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(root_data())
+def test_langlands_dual_involutive(rd):
+    back = langlands_dual(langlands_dual(rd))
+    assert back.cartan == rd.cartan
+    assert back.components == rd.components
+    assert back.fundamental_group == rd.fundamental_group
+    assert back.integral.same_lattice(rd.integral)
 
 
 def test_find_phi():
@@ -207,9 +227,8 @@ def test_find_phi():
 def test_find_phi_transports_cartan():
     for name in ["SU(3)", "G2", "F4", "B2", "D4"]:
         rd = named_group(name)
-        iso = find_phi(rd)
+        p = find_phi(rd)
         al = langlands_dual(rd).cartan
-        p = iso.permutation
         n = rd.rank
         for i in range(n):
             for j in range(n):
@@ -219,9 +238,64 @@ def test_find_phi_transports_cartan():
 def test_find_phi_cross_factor():
     # B3 x C3 is isomorphic to its dual C3 x B3 through the factor swap.
     rd = build([("B", 3), ("C", 3)])
-    iso = find_phi(rd)
-    assert iso is not None
-    assert set(iso.permutation[:3]) == {3, 4, 5}
+    perm = find_phi(rd)
+    assert perm is not None
+    assert set(perm[:3]) == {3, 4, 5}
+
+
+def find_phi_by_search(rd):
+    """The first Dynkin isomorphism onto the Langlands dual found by a
+    backtracking search: source factors in order, dual factors in order,
+    each factor's vertex bijections in lexicographic order."""
+    dual = langlands_dual(rd)
+
+    def block(mat, lo, hi):
+        return [[mat[i, j] for j in range(lo, hi)] for i in range(lo, hi)]
+
+    def block_isos(src, dst, partial=()):
+        k = len(partial)
+        if k == len(src):
+            yield partial
+            return
+        for cand in range(len(src)):
+            if cand not in partial and dst[cand][cand] == src[k][k] and all(
+                    dst[p][cand] == src[a][k] and dst[cand][p] == src[k][a]
+                    for a, p in enumerate(partial)):
+                yield from block_isos(src, dst, partial + (cand,))
+
+    src_blocks, dst_blocks = rd.factor_ranges(), dual.factor_ranges()
+
+    def assign(k, used):
+        if k == len(src_blocks):
+            return ()
+        lo, hi, _, r = src_blocks[k]
+        for gi, (glo, ghi, _, gr) in enumerate(dst_blocks):
+            if gi in used or gr != r:
+                continue
+            for p in block_isos(block(rd.cartan, lo, hi), block(dual.cartan, glo, ghi)):
+                rest = assign(k + 1, used | {gi})
+                if rest is not None:
+                    return tuple(glo + i for i in p) + rest
+        return None
+
+    return assign(0, frozenset())
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(root_data())
+def test_find_phi_matches_search(rd):
+    for datum in (rd, langlands_dual(rd)):
+        assert find_phi(datum) == find_phi_by_search(datum)
+
+
+@pytest.mark.parametrize("comps", [
+    [("E", 7)], [("E", 8)], [("D", 4)], [("B", 4), ("C", 4)],
+    [("C", 3), ("B", 3), ("G", 2)], [("F", 4), ("G", 2), ("B", 2)], [("A", 3), ("G", 2)],
+], ids=["E7", "E8", "D4", "B4xC4", "C3xB3xG2", "F4xG2xB2", "A3xG2"])
+def test_find_phi_matches_search_table(comps):
+    for rd in (build(comps), langlands_dual(build(comps, "adjoint"))):
+        perm = find_phi(rd)
+        assert perm is not None and perm == find_phi_by_search(rd)
 
 
 def test_weyl_enumeration_sizes():
