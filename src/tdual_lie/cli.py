@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import contcheck as cont
 from . import flagcoh, loopext, tduality
-from .errors import RequiresExplicitB, TdualError, Unavailable, UsageError
+from .errors import RequiresExplicitB, TdualError, Unavailable, UsageError, quote
 from .rootdata import (
     RootDatum,
     all_roots,
@@ -173,17 +173,17 @@ def _load_json(spec: str):
             with open(spec[1:], "r", encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(f"cannot read {spec[1:]!r}: {exc}") from exc
+            raise UsageError(f"cannot read {quote(spec[1:])}: {exc.strerror or exc}") from exc
     try:
         return json.loads(text)
     except ValueError as exc:  # malformed, or an integer literal over the digit limit
-        raise UsageError(f"malformed JSON in {spec!r}: {exc}") from exc
+        raise UsageError(f"malformed JSON in {quote(spec)}: {exc}") from exc
 
 
 def _exact_int(value, what: str) -> int:
     """JSON integers are taken as written; a float, bool or string is refused."""
     if type(value) is not int:
-        raise UsageError(f"{what} must be an integer, got {json.dumps(value)}")
+        raise UsageError(f"{what} must be an integer, got {quote(json.dumps(value), str)}")
     return value
 
 
@@ -198,7 +198,7 @@ def _exact_rational(value, what: str) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise UsageError(f'{what} must be an integer or a rational string such as "1/2", '
-                     f"got {json.dumps(value)}")
+                     f"got {quote(json.dumps(value), str)}")
 
 
 def resolve_group(spec: str) -> RootDatum:
@@ -228,19 +228,19 @@ def resolve_twist(rd: RootDatum, spec: str) -> tduality.TwistClass:
         try:
             level = int(spec.split(":", 1)[1])
         except ValueError as exc:
-            raise UsageError(f"malformed level twist {spec!r}") from exc
+            raise UsageError(f"malformed level twist {quote(spec)}") from exc
         return tduality.level_twist(rd, _nonnegative_level(level, "twist level"))
     rows = _load_json(spec)
     try:
         return tduality.TwistClass(rd, IntMatrix(rows))
     except (TdualError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed twist matrix {spec!r}: {exc}") from exc
+        raise UsageError(f"malformed twist matrix {quote(spec)}: {exc}") from exc
 
 
 def resolve_commutator(spec: str) -> list[list[Fraction]]:
     rows = _load_json(spec)
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise UsageError(f"--b must be a JSON list of rows, got {spec!r}")
+        raise UsageError(f"--b must be a JSON list of rows, got {quote(spec)}")
     return [[_exact_rational(x, "--b entry") for x in row] for row in rows]
 
 
@@ -249,7 +249,7 @@ def resolve_shift(rd: RootDatum, spec: str) -> tduality.ShiftMatrix:
     try:
         shift = tduality.ShiftMatrix.from_rows(rows)
     except (TdualError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed shift matrix {spec!r}: {exc}") from exc
+        raise UsageError(f"malformed shift matrix {quote(spec)}: {exc}") from exc
     if shift.entries.rows != rd.rank:
         raise UsageError(f"shift matrix must be {rd.rank}x{rd.rank} for {rd.label}, "
                          f"got {shift.entries.rows}x{shift.entries.cols}")
@@ -275,10 +275,6 @@ def report_group(rd: RootDatum) -> dict:
     }
 
 
-def report_cohomology(rd: RootDatum) -> dict:
-    return flagcoh.cohomology(rd).as_dict()
-
-
 def report_twist(rd: RootDatum, twist: tduality.TwistClass) -> dict:
     out = {
         "group": rd.label,
@@ -286,13 +282,17 @@ def report_twist(rd: RootDatum, twist: tduality.TwistClass) -> dict:
         "twist_is_cycle": twist.is_cycle(),
     }
     if out["twist_is_cycle"]:
-        free, tors = twist.h3_class()
-        out["h3_class"] = {"free": list(free), "torsion": list(tors)}
-        out.update(tduality.dual_chern(twist).as_dict())
-    dual_rep = flagcoh.dualizability_report(rd, twist.matrix)
-    out["dualizable"] = dual_rep.dualizable
-    out["dualizability_notes"] = list(dual_rep.notes)
+        out["h3_class"] = _h3_class(twist)
+        out.update(tduality.dual_chern(twist))
+    dual_rep = flagcoh.dualizability_report(rd)
+    out["dualizable"] = dual_rep["dualizable"]
+    out["dualizability_notes"] = dual_rep["notes"]
     return out
+
+
+def _h3_class(twist: tduality.TwistClass) -> dict:
+    free, tors = twist.h3_class()
+    return {"free": list(free), "torsion": list(tors)}
 
 
 def report_dualize(rd: RootDatum, twist: tduality.TwistClass,
@@ -301,13 +301,14 @@ def report_dualize(rd: RootDatum, twist: tduality.TwistClass,
     if shift is not None and out["twist_is_cycle"]:
         moved = tduality.reduction_torsor_shift(twist, shift)
         out["shift"] = shift.entries.tolist()
-        out["shifted"] = moved.as_dict()
+        out["shifted"] = {"shifted_twist": moved.matrix.tolist(), "h3_class": _h3_class(moved),
+                          **tduality.dual_chern(moved)}
     return out
 
 
 def report_langlands(rd: RootDatum) -> dict:
     try:
-        rep = tduality.verify_langlands_tdual(rd)
+        return tduality.verify_langlands_tdual(rd)
     except Unavailable as exc:
         return {
             "group": rd.label,
@@ -316,7 +317,6 @@ def report_langlands(rd: RootDatum) -> dict:
             "reason": str(exc),
             "evidence": _jsonable(exc.evidence),
         }
-    return rep.as_dict()
 
 
 def report_extension(rd: RootDatum, level: int, b_rows: list[list[Fraction]] | None) -> dict:
@@ -330,9 +330,9 @@ def report_extension(rd: RootDatum, level: int, b_rows: list[list[Fraction]] | N
         out["requires_explicit_b"] = True
         out["reason"] = str(exc)
         return out
-    out.update(loopext.fibrewise_trivializable(b).as_dict())
+    out.update(loopext.fibrewise_trivializable(b))
     out["lift"] = [[str(v) for v in row] for row in loopext.lift_commutator(b)]
-    out["admissibility"] = loopext.admissibility_check(rd, level, b).as_dict()
+    out["admissibility"] = loopext.admissibility_check(rd, level, b)
     return out
 
 
@@ -379,7 +379,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
                 if config.verb == "group":
                     reports.append(report_group(rd))
                 elif config.verb == "cohomology":
-                    reports.append(report_cohomology(rd))
+                    reports.append(flagcoh.cohomology(rd))
                 elif config.verb == "twist":
                     reports.append(report_twist(rd, twist))
                 elif config.verb == "dualize":
@@ -448,7 +448,7 @@ def main(argv=None) -> int:
             with open(config.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"usage error: cannot write {config.output!r}: {exc.strerror or exc}",
+            print(f"usage error: cannot write {quote(config.output)}: {exc.strerror or exc}",
                   file=sys.stderr)
             return 2
     else:

@@ -26,7 +26,7 @@ import math
 import operator
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
@@ -241,24 +241,6 @@ class StructureConstants:
         self.f = {key: val for key, val in f.items() if val}
 
 
-@dataclass(frozen=True)
-class CFormReport:
-    algebra: str
-    dim: int
-    rank: int
-    antisymmetry: float
-    invariance: float
-    cartan_pair: float
-    cartan_triple: float | None
-    jacobi: float
-    tolerance: float
-    passed: bool
-
-    def as_dict(self) -> dict:
-        residuals = ("antisymmetry", "invariance", "cartan_pair", "cartan_triple", "jacobi")
-        return {f"{k}_residual" if k in residuals else k: v for k, v in asdict(self).items()}
-
-
 _PERMUTATIONS = (((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1),
                  ((1, 2, 0), 1), ((2, 0, 1), 1))
 
@@ -267,7 +249,7 @@ def _max_abs(values, denominator: int = 1) -> float:
     return float(Fraction(max(map(abs, values), default=0), denominator))
 
 
-def check_c_form(sc: StructureConstants, tolerance: float = 1e-12) -> CFormReport:
+def check_c_form(sc: StructureConstants, tolerance: float = 1e-12) -> dict:
     """Verify the three defining properties of the curvature form's
     algebraic core: total antisymmetry, ad-invariance, and vanishing on
     pairs (and, when the rank allows, triples) of Cartan directions; and
@@ -299,18 +281,18 @@ def check_c_form(sc: StructureConstants, tolerance: float = 1e-12) -> CFormRepor
     pair = _max_abs(val for key, val in c.items() if key[0] in h and key[1] in h)
     triple = _max_abs(val for key, val in c.items() if set(key) <= h) if len(h) >= 3 else None
     invariance, jacobi = _max_abs(inv.values(), den), _max_abs(jac.values(), den * den)
-    return CFormReport(
-        algebra=sc.algebra,
-        dim=sc.dim,
-        rank=len(h),
-        antisymmetry=anti,
-        invariance=invariance,
-        cartan_pair=pair,
-        cartan_triple=triple,
-        jacobi=jacobi,
-        tolerance=tolerance,
-        passed=all(x < tolerance for x in (anti, invariance, pair, jacobi, triple or 0.0)),
-    )
+    return {
+        "algebra": sc.algebra,
+        "dim": sc.dim,
+        "rank": len(h),
+        "antisymmetry_residual": anti,
+        "invariance_residual": invariance,
+        "cartan_pair_residual": pair,
+        "cartan_triple_residual": triple,
+        "jacobi_residual": jacobi,
+        "tolerance": tolerance,
+        "passed": all(x < tolerance for x in (anti, invariance, pair, jacobi, triple or 0.0)),
+    }
 
 
 def continuum_summary(grid: int = DEFAULT_GRID) -> dict:
@@ -325,7 +307,7 @@ def continuum_summary(grid: int = DEFAULT_GRID) -> dict:
             "error": err,
             "passed": err < 1e-9,
         })
-    alg_rows = [check_c_form(StructureConstants(a)).as_dict() for a in ("su2", "su3", "su4")]
+    alg_rows = [check_c_form(StructureConstants(a)) for a in ("su2", "su3", "su4")]
     return {
         "grid": grid,
         "expected_integral": -1.0 / 6.0,

@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+QUOTE_LIMIT = 60  # characters of user input an error message repeats
+
+
+def quote(text: str, show=repr) -> str:
+    """`show(text)` for a one-line message; longer input is cut to its first
+    QUOTE_LIMIT characters, followed by its length."""
+    if len(text) <= QUOTE_LIMIT:
+        return show(text)
+    return f"{show(text[:QUOTE_LIMIT])}... ({len(text)} characters)"
+
 
 class TdualError(Exception):
     """Base class for all errors raised by this package."""

@@ -42,17 +42,6 @@ from .zlinalg import (
 
 
 @dataclass(frozen=True)
-class ChernVector:
-    """Ordered degree-2 classes of a torus bundle, in weight coordinates."""
-
-    classes: tuple[tuple[int, ...], ...]
-    basis_convention: str
-
-    def as_lists(self) -> list[list[int]]:
-        return [list(c) for c in self.classes]
-
-
-@dataclass(frozen=True)
 class LssComplex:
     """The assembled three-term complex for one root datum."""
 
@@ -217,20 +206,12 @@ def h4_of_B(rd: RootDatum) -> FgAbGroup:
     return subquotient(cx.invariants, full)
 
 
-def chern_classes(rd: RootDatum) -> ChernVector:
-    """Chern classes of K -> B: restrictions of the character basis,
-    expressed in weight coordinates through the transgression isomorphism."""
+def chern_classes(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
+    """Chern classes of K -> B: c_k is the restriction of the k-th character
+    basis vector, in weight coordinates through the transgression
+    isomorphism."""
     x = rd.char_lattice().basis
-    return ChernVector(
-        classes=tuple(x.column(j) for j in range(x.cols)),
-        basis_convention="c_k = restriction of the k-th character basis vector, "
-                         "weight coordinates; character basis dual to the "
-                         "integral-lattice basis",
-    )
-
-
-def is_cycle(rd: RootDatum, u: IntMatrix) -> bool:
-    return build_complex(rd).is_cycle(u)
+    return tuple(x.column(j) for j in range(x.cols))
 
 
 def class_in_h3(rd: RootDatum, u: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -246,25 +227,7 @@ def class_in_h3(rd: RootDatum, u: IntMatrix) -> tuple[tuple[int, ...], tuple[int
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualizabilityReport:
-    group: str
-    dualizable: bool
-    is_cycle: bool | None
-    wedge3_kernel_rank: int
-    notes: tuple[str, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "dualizable": self.dualizable,
-            "twist_is_cycle": self.is_cycle,
-            "wedge3_kernel_rank": self.wedge3_kernel_rank,
-            "notes": list(self.notes),
-        }
-
-
-def dualizability_report(rd: RootDatum, u: IntMatrix | None = None) -> DualizabilityReport:
+def dualizability_report(rd: RootDatum, u: IntMatrix | None = None) -> dict:
     """Every degree-3 class on K sits in the second filtration step, so a
     T-dual always exists; the report certifies the two vanishing graded
     pieces instead of just asserting them.
@@ -285,21 +248,19 @@ def dualizability_report(rd: RootDatum, u: IntMatrix | None = None) -> Dualizabi
     if not cx.injective:
         raise AssertionError("character restriction has a kernel; the (0,3) "
                              "graded piece is not certified")
-    cycle = cx.is_cycle(u) if u is not None else None
-    notes = (
-        "flag base has no degree-1 or degree-3 cohomology, so the (1,2) "
-        "graded piece vanishes and the filtration ends at the hom-lattice term",
-        "wedge^3 differential has kernel rank 0, so the (0,3) graded piece vanishes",
-        "hence H^3 of the total space equals its second filtration step: "
-        "every class admits a hom-lattice representative",
-    )
-    return DualizabilityReport(
-        group=rd.label,
-        dualizable=True,
-        is_cycle=cycle,
-        wedge3_kernel_rank=0,
-        notes=notes,
-    )
+    return {
+        "group": rd.label,
+        "dualizable": True,
+        "twist_is_cycle": cx.is_cycle(u) if u is not None else None,
+        "wedge3_kernel_rank": 0,
+        "notes": [
+            "flag base has no degree-1 or degree-3 cohomology, so the (1,2) "
+            "graded piece vanishes and the filtration ends at the hom-lattice term",
+            "wedge^3 differential has kernel rank 0, so the (0,3) graded piece vanishes",
+            "hence H^3 of the total space equals its second filtration step: "
+            "every class admits a hom-lattice representative",
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -313,54 +274,26 @@ def group_dict(g: FgAbGroup) -> dict:
             "pretty": g.describe()}
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
-    group: str
-    h1_group: FgAbGroup
-    h2_group: FgAbGroup
-    h3_group: FgAbGroup
-    h2_base: FgAbGroup
-    h4_base: FgAbGroup
-    chern: ChernVector
-    filtration_notes: tuple[str, ...]
-    h4_base_torsion_flag: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "H1_K": group_dict(self.h1_group),
-            "H2_K": group_dict(self.h2_group),
-            "H3_K": group_dict(self.h3_group),
-            "H2_B": group_dict(self.h2_base),
-            "H4_B": group_dict(self.h4_base),
-            "chern_classes": self.chern.as_lists(),
-            "filtration_notes": list(self.filtration_notes),
-            "H4_B_torsion_discrepancy": self.h4_base_torsion_flag,
-        }
-
-
-def cohomology(rd: RootDatum) -> CohomologyReport:
+def cohomology(rd: RootDatum) -> dict:
     h4b = h4_of_B(rd)
-    torsion_flag = bool(h4b.torsion)
-    notes = (
+    notes = [
         "H^3 of the group is presented by hom-lattice representatives "
         "(second filtration step); see the dualizability report",
         "H^2 of the group is the cokernel of character restriction "
         "(the degree-(0,2) edge piece vanishes)",
-    )
-    if torsion_flag:
-        notes += (
+    ]
+    if h4b.torsion:
+        notes.append(
             "H^4 of the base has torsion, contradicting torsion-freeness of "
-            "flag-manifold cohomology; this flags an internal discrepancy",
-        )
-    return CohomologyReport(
-        group=rd.label,
-        h1_group=h1_of_K(rd),
-        h2_group=h2_of_K(rd),
-        h3_group=h3_group(rd),
-        h2_base=h2_of_B(rd),
-        h4_base=h4b,
-        chern=chern_classes(rd),
-        filtration_notes=notes,
-        h4_base_torsion_flag=torsion_flag,
-    )
+            "flag-manifold cohomology; this flags an internal discrepancy")
+    return {
+        "group": rd.label,
+        "H1_K": group_dict(h1_of_K(rd)),
+        "H2_K": group_dict(h2_of_K(rd)),
+        "H3_K": group_dict(h3_group(rd)),
+        "H2_B": group_dict(h2_of_B(rd)),
+        "H4_B": group_dict(h4b),
+        "chern_classes": [list(c) for c in chern_classes(rd)],
+        "filtration_notes": notes,
+        "H4_B_torsion_discrepancy": bool(h4b.torsion),
+    }

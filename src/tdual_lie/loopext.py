@@ -97,61 +97,28 @@ def lift_commutator(b: CommutatorMap) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(v[i][j] if i <= j else -v[j][i] for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class TrivializabilityReport:
-    trivializable: bool
-    witness: tuple[tuple[str, ...], ...]
-    witness_pair: tuple[int, int] | None
-    witness_value: str | None
-    explanation: str
-
-    def as_dict(self) -> dict:
-        return {
-            "trivializable": self.trivializable,
-            "commutator_matrix": [list(r) for r in self.witness],
-            "witness_pair": list(self.witness_pair) if self.witness_pair else None,
-            "witness_value": self.witness_value,
-            "explanation": self.explanation,
-        }
-
-
-def fibrewise_trivializable(b: CommutatorMap) -> TrivializabilityReport:
+def fibrewise_trivializable(b: CommutatorMap) -> dict:
     """Decide whether the canonical reduction over the flag manifold is
     trivializable along the torus fibres: true exactly when the pulled-back
     central extension of the integral lattice is trivial, i.e. b = 0."""
     nz = b.first_nonzero()
-    trivial = nz is None
-    if trivial:
+    if nz is None:
         explanation = "commutator map vanishes, so the lattice extension splits"
     else:
         i, j, v = nz
         explanation = (
             f"commutator map does not vanish: b(basis_{i}, basis_{j}) = {v}; "
             "the lattice extension is nonabelian, so no fibrewise trivialization exists")
-    return TrivializabilityReport(
-        trivializable=trivial,
-        witness=tuple(tuple(str(v) for v in row) for row in b.values),
-        witness_pair=(nz[0], nz[1]) if nz else None,
-        witness_value=str(nz[2]) if nz else None,
-        explanation=explanation,
-    )
+    return {
+        "trivializable": nz is None,
+        "commutator_matrix": [[str(v) for v in row] for row in b.values],
+        "witness_pair": [nz[0], nz[1]] if nz else None,
+        "witness_value": str(nz[2]) if nz else None,
+        "explanation": explanation,
+    }
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    passed: bool
-    integrality_violations: tuple[str, ...]
-    half_pairing_violations: tuple[str, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "integrality_violations": list(self.integrality_violations),
-            "half_pairing_violations": list(self.half_pairing_violations),
-        }
-
-
-def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> AdmissibilityReport:
+def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
     """Check the two conditions under which a loop-group extension realizing
     b with the form at `level` exists (Pressley-Segal, Loop Groups, sec. 4.6;
     Toledano Laredo, Comm. Math. Phys. 207 (1999)):
@@ -192,12 +159,11 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> Admissib
             if got != want:
                 half.append(
                     f"b(basis_{k}, coroot {coroot}) = {got} but [<.,.>/2] = {want}")
-    ok = not integrality and not half
-    return AdmissibilityReport(
-        passed=ok,
-        integrality_violations=tuple(integrality),
-        half_pairing_violations=tuple(half),
-    )
+    return {
+        "passed": not integrality and not half,
+        "integrality_violations": integrality,
+        "half_pairing_violations": half,
+    }
 
 
 def commutator_from_matrix(rd: RootDatum, entries: Sequence[Sequence]) -> CommutatorMap:

@@ -36,6 +36,7 @@ from .errors import (
     InvalidSeries,
     NotBetweenLattices,
     Unavailable,
+    quote,
 )
 from .zlinalg import (
     FgAbGroup,
@@ -61,7 +62,7 @@ def _check_series(series: str, rank: int) -> None:
         "G": rank == 2,
     }.get(series)
     if not ok:
-        raise InvalidSeries(f"no simple group of type {series}{rank}")
+        raise InvalidSeries(f"no simple group of type {quote(f'{series}{rank}', str)}")
 
 
 def cartan_block(series: str, rank: int) -> list[list[int]]:
@@ -296,7 +297,8 @@ def build(series_list: Sequence[tuple[str, int]], fundamental_group="simply_conn
         basis = column_hermite_form(hstack(cartan, gens))
         fg = "custom"
     else:
-        raise InvalidCenterSubgroup(f"unrecognized fundamental group spec {fundamental_group!r}")
+        raise InvalidCenterSubgroup(
+            f"unrecognized fundamental group spec {quote(repr(fundamental_group), str)}")
 
     name = label if label is not None else _generic_label(components, fg)
     return RootDatum(components=components, cartan=cartan,
@@ -336,12 +338,13 @@ def _center_subgroup_lifts(components, cartan, generators) -> IntMatrix:
     for gen in generators:
         if len(gen) != len(cyclic):
             raise InvalidCenterSubgroup(
-                f"generator {gen!r} needs {len(cyclic)} coordinates "
+                f"generator {quote(repr(gen), str)} needs {len(cyclic)} coordinates "
                 f"(one per cyclic factor of the center)")
         try:
             coeffs = [int(x) for x in gen]
         except (TypeError, ValueError) as exc:
-            raise InvalidCenterSubgroup(f"non-integer generator entry in {gen!r}") from exc
+            raise InvalidCenterSubgroup(
+                f"non-integer generator entry in {quote(repr(gen), str)}") from exc
         col = [0] * cartan.rows
         for a, (_, lift) in zip(coeffs, cyclic):
             for i in range(cartan.rows):
@@ -359,15 +362,18 @@ def named_group(name: str) -> RootDatum:
     if text in _NAMED_SIMPLE:
         return build([_NAMED_SIMPLE[text]], "simply_connected", label=text)
     if len(text) >= 2 and text[0] in "ABCDEFG" and text[1:].isdigit():
-        return build([(text[0], int(text[1:]))], "simply_connected", label=text)
+        return build([(text[0], _name_int(name, text[1:]))], "simply_connected", label=text)
     for prefix, maker in _NAMED_MAKERS.items():
         if text.startswith(prefix + "(") and text.endswith(")"):
-            try:
-                n = int(text[len(prefix) + 1:-1])
-            except ValueError as exc:
-                raise InvalidSeries(f"cannot parse group name {name!r}") from exc
-            return maker(n, text)
-    raise InvalidSeries(f"unknown group name {name!r}")
+            return maker(_name_int(name, text[len(prefix) + 1:-1]), text)
+    raise InvalidSeries(f"unknown group name {quote(name)}")
+
+
+def _name_int(name: str, digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # not an integer, or past Python's 4300-digit limit
+        raise InvalidSeries(f"cannot parse group name {quote(name)}") from exc
 
 
 def _make_su(n, label):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DimensionMismatch, NotACycle, Unavailable
-from .flagcoh import ChernVector, build_complex, class_in_h3
+from .flagcoh import build_complex, class_in_h3
 from .rootdata import (
     RootDatum,
     form_pairing,
@@ -68,32 +68,17 @@ def level_twist(rd: RootDatum, level: int) -> TwistClass:
     return TwistClass(rd, form_pairing(rd, level, rd.integral.basis))
 
 
-@dataclass(frozen=True)
-class DualChernData:
-    """Canonical image sublattice plus the basis-convention Chern tuple."""
-
-    twist: TwistClass
-    image: Lattice
-    chern: ChernVector
-
-    def as_dict(self) -> dict:
-        return {
-            "dual_chern_lattice": self.image.basis.tolist(),
-            "dual_chern_classes": self.chern.as_lists(),
-            "basis_convention": self.chern.basis_convention,
-        }
-
-
-def dual_chern(twist: TwistClass) -> DualChernData:
-    """Chern data of the T-dual bundle attached to a cycle representative."""
+def dual_chern(twist: TwistClass) -> dict:
+    """Chern data of the T-dual bundle attached to a cycle representative:
+    the canonical image sublattice and the basis-convention Chern tuple."""
     if not twist.is_cycle():
         raise NotACycle(f"twist is not a cycle for {twist.rd.label}")
-    image = image_basis(twist.matrix)
-    chern = ChernVector(
-        classes=tuple(twist.matrix.column(k) for k in range(twist.rd.rank)),
-        basis_convention=TWIST_BASIS_CONVENTION,
-    )
-    return DualChernData(twist=twist, image=image, chern=chern)
+    u = twist.matrix
+    return {
+        "dual_chern_lattice": column_hermite_form(u).tolist(),
+        "dual_chern_classes": [list(u.column(k)) for k in range(u.cols)],
+        "basis_convention": TWIST_BASIS_CONVENTION,
+    }
 
 
 @dataclass(frozen=True)
@@ -126,43 +111,30 @@ class ShiftMatrix:
         return ShiftMatrix(self.entries.scale(-1))
 
 
-def bfield_shift(chat: ChernVector, shift: ShiftMatrix, c: ChernVector) -> ChernVector:
+def bfield_shift(chat: tuple[tuple[int, ...], ...], shift: ShiftMatrix,
+                 c: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Dual Chern classes after moving the reduction by the shift datum."""
-    n = len(chat.classes)
-    if len(c.classes) != n or shift.entries.rows != n:
+    n = len(chat)
+    if len(c) != n or shift.entries.rows != n:
         raise DimensionMismatch("shift and Chern data sizes disagree")
-    dim = len(chat.classes[0]) if n else 0
-    if any(len(v) != dim for v in c.classes):
+    dim = len(chat[0]) if n else 0
+    if any(len(v) != dim for v in c):
         raise DimensionMismatch("Chern class vectors live in different spaces")
     b = shift.entries
     out = []
     for k in range(n):
-        acc = list(chat.classes[k])
+        acc = list(chat[k])
         for i in range(k):
             for t in range(dim):
-                acc[t] += b[i, k] * c.classes[i][t]
+                acc[t] += b[i, k] * c[i][t]
         for j in range(k + 1, n):
             for t in range(dim):
-                acc[t] -= b[k, j] * c.classes[j][t]
+                acc[t] -= b[k, j] * c[j][t]
         out.append(tuple(acc))
-    return ChernVector(classes=tuple(out), basis_convention=chat.basis_convention)
+    return tuple(out)
 
 
-@dataclass(frozen=True)
-class TorsorShiftResult:
-    shifted_twist: TwistClass
-    dual: DualChernData
-    h3_class: tuple[tuple[int, ...], tuple[int, ...]]
-
-    def as_dict(self) -> dict:
-        return {
-            "shifted_twist": self.shifted_twist.matrix.tolist(),
-            "h3_class": {"free": list(self.h3_class[0]), "torsion": list(self.h3_class[1])},
-            **self.dual.as_dict(),
-        }
-
-
-def reduction_torsor_shift(twist: TwistClass, shift: ShiftMatrix) -> TorsorShiftResult:
+def reduction_torsor_shift(twist: TwistClass, shift: ShiftMatrix) -> TwistClass:
     """Act on a reduction by a shift datum: u moves by the boundary of
     sum B_ij x_i ^ x_j, the degree-3 class stays put, and the dual Chern
     data moves by `bfield_shift`."""
@@ -170,12 +142,7 @@ def reduction_torsor_shift(twist: TwistClass, shift: ShiftMatrix) -> TorsorShift
         raise NotACycle(f"twist is not a cycle for {twist.rd.label}")
     cx = build_complex(twist.rd)
     coeffs = [shift.entries[i, j] for (i, j) in cx.wedge_pairs]
-    moved = TwistClass(twist.rd, twist.matrix + cx.boundary_of(coeffs))
-    return TorsorShiftResult(
-        shifted_twist=moved,
-        dual=dual_chern(moved),
-        h3_class=moved.h3_class(),
-    )
+    return TwistClass(twist.rd, twist.matrix + cx.boundary_of(coeffs))
 
 
 def reduction_torsor_group(rd: RootDatum) -> FgAbGroup:
@@ -222,31 +189,7 @@ def langlands_twist(rd: RootDatum) -> TwistClass:
     return TwistClass(rd, _langlands_transport(rd) @ rd.integral.basis)
 
 
-@dataclass(frozen=True)
-class LanglandsReport:
-    group: str
-    dual_group: str
-    available: bool
-    match: bool
-    twist: TwistClass | None
-    dual_chern_lattice: Lattice | None
-    expected_lattice: Lattice | None
-
-    def as_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "dual_group": self.dual_group,
-            "available": self.available,
-            "match": self.match,
-            "twist": self.twist.matrix.tolist() if self.twist else None,
-            "dual_chern_lattice": self.dual_chern_lattice.basis.tolist()
-            if self.dual_chern_lattice else None,
-            "expected_lattice": self.expected_lattice.basis.tolist()
-            if self.expected_lattice else None,
-        }
-
-
-def verify_langlands_tdual(rd: RootDatum) -> LanglandsReport:
+def verify_langlands_tdual(rd: RootDatum) -> dict:
     """Two-sided check that the Langlands twist T-dualizes onto the dual
     group: the image lattice of the twist must coincide with the transported
     character lattice of the dual torus, both in canonical form.
@@ -255,16 +198,15 @@ def verify_langlands_tdual(rd: RootDatum) -> LanglandsReport:
     both lattices.
     """
     twist = langlands_twist(rd)  # raises Unavailable without an isomorphism
-    mine = dual_chern(twist).image
+    mine = column_hermite_form(twist.matrix)
     dual_rd = langlands_dual(rd)
-    transported = column_hermite_form(_langlands_transport(rd) @ dual_rd.char_lattice().basis)
-    expected = Lattice(rd.rank, transported, "transported dual characters")
-    return LanglandsReport(
-        group=rd.label,
-        dual_group=dual_rd.label,
-        available=True,
-        match=mine.basis == expected.basis,
-        twist=twist,
-        dual_chern_lattice=mine,
-        expected_lattice=expected,
-    )
+    expected = column_hermite_form(_langlands_transport(rd) @ dual_rd.char_lattice().basis)
+    return {
+        "group": rd.label,
+        "dual_group": dual_rd.label,
+        "available": True,
+        "match": mine == expected,
+        "twist": twist.matrix.tolist(),
+        "dual_chern_lattice": mine.tolist(),
+        "expected_lattice": expected.tolist(),
+    }

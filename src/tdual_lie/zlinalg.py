@@ -89,10 +89,6 @@ class IntMatrix:
             raise DimensionMismatch("columns of different lengths")
         return cls(zip(*cols), cols=len(cols)) if cols else cls(((),) * (rows or 0), cols=0)
 
-    @classmethod
-    def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
-        return cls([[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)])
-
     # -- shape and access --------------------------------------------------
 
     @property
@@ -554,7 +550,6 @@ class FgAbGroup:
     torsion: tuple[int, ...]
     generator_lifts: IntMatrix
     _outer: Lattice = field(repr=False)
-    _inner: Lattice = field(repr=False)
     _row_transform: IntMatrix = field(repr=False)
     _diag: tuple[int, ...] = field(repr=False)
 
@@ -613,7 +608,7 @@ def subquotient(inner: Lattice, outer: Lattice) -> FgAbGroup:
         tors_cols = [inner.reduce_mod(c) for c in tors_cols]
     lifts = _from_columns(free_cols + tors_cols, outer.ambient_dim)
     return FgAbGroup(free_rank=n_out - rank, torsion=torsion, generator_lifts=lifts,
-                     _outer=outer, _inner=inner, _row_transform=u, _diag=diag)
+                     _outer=outer, _row_transform=u, _diag=diag)
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,8 @@ HUGE = "9" * 5000
 D1, D2 = 10 ** 3000 + 1, 10 ** 3000 + 3
 
 # Each argv exits 0, 1 or 2 in a fresh interpreter, with no traceback, well
-# within the timeout.  The rows include inputs that once ended in a
+# within the timeout; exit 2 prints one line under 300 characters, however
+# long the input it refuses.  The rows include inputs that once ended in a
 # traceback, ignored entries or ran for more than a minute.
 FUZZ_CASES = [
     pytest.param(["dualize", "--group", "SU(3)", "--twist", "level:1", "--shift", "[[0]]"], 2,
@@ -344,6 +345,10 @@ FUZZ_CASES = [
                   "--shift", f"[[0, {HUGE}], [0, 0]]"], 2, id="shift-huge-literal"),
     pytest.param(["extension", "--group", "SU(3)", "--b", f"[[0, {HUGE}], [-{HUGE}, 0]]"], 2,
                  id="b-huge-literal"),
+    pytest.param(["group", "--group", f"A{HUGE}"], 2, id="group-name-huge-literal"),
+    pytest.param(["group", "--group", f"SU({HUGE})"], 2, id="group-paren-huge-literal"),
+    pytest.param(["extension", "--group", "SU(2)", "--b", f'[["{"x" * 5000}"]]'], 2,
+                 id="b-long-string"),
     # Inputs within the limit whose exact results print past it.
     pytest.param(["extension", "--group", "SU(4)", "--b",
                   f'[[0, "1/{D1}", "1/{D2}"], ["-1/{D1}", 0, 0], ["-1/{D2}", 0, 0]]'], 0,
@@ -364,6 +369,7 @@ def test_cli_fuzz_exits_cleanly(argv, code):
     assert "Traceback" not in proc.stderr
     if code == 2:
         assert proc.stderr.count("\n") == 1, proc.stderr
+        assert len(proc.stderr) < 300, proc.stderr[:300]
 
 
 def test_int_digit_limit_lifted_only_for_output(capsys):

@@ -97,19 +97,19 @@ def test_check_c_form_all():
     start = time.monotonic()
     for name in ("su2", "su3", "su4"):
         rep = check_c_form(StructureConstants(name))
-        assert rep.passed, rep
-        assert rep.antisymmetry < 1e-12
-        assert rep.invariance < 1e-12
-        assert rep.cartan_pair < 1e-12
-        assert rep.jacobi < 1e-12
+        assert rep["passed"], rep
+        assert rep["antisymmetry_residual"] < 1e-12
+        assert rep["invariance_residual"] < 1e-12
+        assert rep["cartan_pair_residual"] < 1e-12
+        assert rep["jacobi_residual"] < 1e-12
     assert time.monotonic() - start < 2.0
 
 
 def test_su4_has_cartan_triples():
     rep = check_c_form(StructureConstants("su4"))
-    assert rep.rank == 3
-    assert rep.cartan_triple is not None and rep.cartan_triple < 1e-12
-    assert check_c_form(StructureConstants("su3")).cartan_triple is None
+    assert rep["rank"] == 3
+    assert rep["cartan_triple_residual"] is not None and rep["cartan_triple_residual"] < 1e-12
+    assert check_c_form(StructureConstants("su3"))["cartan_triple_residual"] is None
 
 
 def test_summary_shape():
@@ -125,7 +125,7 @@ def test_c_form_residuals_exactly_zero():
     for name, nonzero in (("su2", 6), ("su3", 56), ("su4", 176)):
         sc = StructureConstants(name)
         assert len(sc.f) == nonzero
-        row = check_c_form(sc).as_dict()
+        row = check_c_form(sc)
         residuals = [v for k, v in row.items() if k.endswith("_residual") and v is not None]
         assert len(residuals) == (5 if name == "su4" else 4)
         assert residuals == [0.0] * len(residuals), row

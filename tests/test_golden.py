@@ -4,7 +4,14 @@
 to the sha256 of its stdout.  Each job runs here in-process; its output must
 hash to the same value, and it must write nothing to stderr.  The rank-15
 and rank-16 rows of `perfbench/cliffs.py`, which the timed workloads leave
-out, are pinned here too.
+out, are pinned here too, and so are rows no benchmark job covers: torsor
+shifts, text `extension --b`, the text unavailable `langlands` report and
+`contcheck`.  The contcheck digests hold its float digits as this module's
+standard-library arithmetic gives them on CPython for x86-64 Linux.
+
+Every report of every pinned row must be plain JSON data (dict, list, str,
+int, float, bool, None): a tuple, `Fraction` or `IntMatrix` would change the
+text rendering without any error.
 """
 
 import hashlib
@@ -13,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from tdual_lie.cli import main
+from tdual_lie.cli import main, parse_args, run
 
 EXPECTED = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text("utf-8"))
@@ -48,3 +55,58 @@ CLIFF_DIGESTS = {
 @pytest.mark.parametrize("argv", sorted(CLIFF_DIGESTS), ids=" ".join)
 def test_cliff_rows_match_recorded_digest(argv, capsys, monkeypatch):
     _check((*argv, "--format", "json"), CLIFF_DIGESTS[argv], capsys, monkeypatch)
+
+
+UNBENCHED_DIGESTS = {
+    ("dualize", "--group", "SU(3)", "--twist", "level:1", "--shift", "[[0,1],[0,0]]"):
+        "1b165b35bb52dda6717502594901b83ff526c249fed2b405a5067a62db9b2ed6",
+    ("dualize", "--group", "SU(3)", "--twist", "level:1", "--shift", "[[0,1],[0,0]]",
+     "--format", "json"):
+        "6e6f39d710680d7e454fc58e5009cd8672b8d8f639823c3994449557d91fd447",
+    ("dualize", "--group", "Spin(8)", "--twist", "level:1",
+     "--shift", "[[0,1,0,2],[0,0,-1,0],[0,0,0,3],[0,0,0,0]]"):
+        "3ed88a8ae44712c6364e4fe99cfd70c2220c09cecf796f7a42d47c1a3aea2ebe",
+    ("dualize", "--group", "SU(3)", "--twist", "[[1,0],[0,0]]", "--shift", "[[0,1],[0,0]]"):
+        "6a8d594d32efedc22c8c994d9f72f0c69b3cd5d2e9249f03f4c327bead7a5e28",
+    ("extension", "--group", "G2", "--b", '[[0,"1/2"],["1/2",0]]'):
+        "55de8bb432e036756fa6605d8673455f7b4863e8e1484dcfc06c26d4152abf15",
+    ("extension", "--group", "G2"):
+        "adb400352c607acd0dfbafe87beeefb75949790c2ceb3ce4f65c4cd39f5bfc59",
+    ("extension", "--group", "SU(3)", "--b", '[[0,"1/3"],["2/3",0]]'):
+        "2f206df3aa12adf067853a46edb771103b96855d6d89b479a75fb8bdb6bdbead",
+    ("langlands", "--group", "B3"):
+        "2f81bebc6f4bbef9e0488fb2efb1a22da38add80c93914a5280c83ef25372b13",
+    ("contcheck", "--format", "json"):
+        "9d2d4f8d79bee64d7045d59850b0bfb44915b37a6f45a9a9f7e6c848cd0babac",
+    ("contcheck",):
+        "aba002f735a8afaa4c12d2f75dccaa8a77d2a7bf469c27b8bcddf679c747cf6e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(UNBENCHED_DIGESTS), ids=" ".join)
+def test_unbenched_rows_match_recorded_digest(argv, capsys, monkeypatch):
+    _check(argv, UNBENCHED_DIGESTS[argv], capsys, monkeypatch)
+
+
+GOLDEN_ARGVS = sorted({tuple(json.loads(key)) for key in EXPECTED}
+                      | {(*argv, "--format", "json") for argv in CLIFF_DIGESTS}
+                      | set(UNBENCHED_DIGESTS))
+PLAIN_TYPES = (dict, list, str, int, float, bool, type(None))
+
+
+def _foreign_values(value, path="report"):
+    """(path, type name) of every value below `value` that is not plain JSON data."""
+    if type(value) not in PLAIN_TYPES:
+        return [(path, type(value).__name__)]
+    if isinstance(value, dict):
+        return [bad for k, v in value.items() for bad in _foreign_values(v, f"{path}.{k}")]
+    if isinstance(value, list):
+        return [bad for i, v in enumerate(value) for bad in _foreign_values(v, f"{path}.{i}")]
+    return []
+
+
+def test_reports_hold_only_plain_json_data(monkeypatch):
+    monkeypatch.delenv("TDUAL_PRECISION", raising=False)
+    for argv in GOLDEN_ARGVS:
+        _, payload = run(parse_args(list(argv)))
+        assert _foreign_values(payload) == [], argv
