@@ -172,8 +172,10 @@ def _load_json(spec: str):
         try:
             with open(spec[1:], "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
+        except OSError as exc:
             raise UsageError(f"cannot read {quote(spec[1:])}: {exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"cannot read {quote(spec[1:])}: {exc}") from exc
     try:
         return json.loads(text)
     except ValueError as exc:  # malformed, or an integer literal over the digit limit

@@ -227,7 +227,7 @@ def class_in_h3(rd: RootDatum, u: IntMatrix) -> tuple[tuple[int, ...], tuple[int
 # ---------------------------------------------------------------------------
 
 
-def dualizability_report(rd: RootDatum, u: IntMatrix | None = None) -> dict:
+def dualizability_report(rd: RootDatum) -> dict:
     """Every degree-3 class on K sits in the second filtration step, so a
     T-dual always exists; the report certifies the two vanishing graded
     pieces instead of just asserting them.
@@ -251,7 +251,6 @@ def dualizability_report(rd: RootDatum, u: IntMatrix | None = None) -> dict:
     return {
         "group": rd.label,
         "dualizable": True,
-        "twist_is_cycle": cx.is_cycle(u) if u is not None else None,
         "wedge3_kernel_rank": 0,
         "notes": [
             "flag base has no degree-1 or degree-3 cohomology, so the (1,2) "

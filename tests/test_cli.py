@@ -220,6 +220,13 @@ def test_missing_input_file(capsys, tmp_path):
     _usage_error(capsys, ["twist", "--group", "SU(2)", "--twist", f"@{missing}"])
 
 
+def test_input_file_not_utf8(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff")
+    _usage_error(capsys, ["group", "--group", f"@{bad}"])
+    _usage_error(capsys, ["twist", "--group", "SU(2)", "--twist", f"@{bad}"])
+
+
 def test_output_into_missing_directory(capsys, tmp_path):
     target = tmp_path / "no-such-dir" / "out.json"
     _usage_error(capsys, ["group", "--group", "SU(2)", "--output", str(target)])

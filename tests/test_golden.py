@@ -20,14 +20,38 @@ from pathlib import Path
 
 import pytest
 
-from tdual_lie.cli import main, parse_args, run
+from tdual_lie import cli
+from tdual_lie.cli import main, run
 
 EXPECTED = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text("utf-8"))
 
 
+PLAIN_TYPES = (dict, list, str, int, float, bool, type(None))
+
+
+def _foreign_values(value, path="report"):
+    """(path, type name) of every value below `value` that is not plain JSON data."""
+    if type(value) not in PLAIN_TYPES:
+        return [(path, type(value).__name__)]
+    if isinstance(value, dict):
+        return [bad for k, v in value.items() for bad in _foreign_values(v, f"{path}.{k}")]
+    if isinstance(value, list):
+        return [bad for i, v in enumerate(value) for bad in _foreign_values(v, f"{path}.{i}")]
+    return []
+
+
+def _plain_run(config):
+    code, payload = run(config)
+    assert _foreign_values(payload) == []
+    return code, payload
+
+
 def _check(argv, digest, capsys, monkeypatch):
+    """Run `argv` through `main`; its stdout must hash to `digest`, and the
+    report `cli.run` hands to the renderer must be plain JSON data."""
     monkeypatch.delenv("TDUAL_PRECISION", raising=False)
+    monkeypatch.setattr(cli, "run", _plain_run)
     code = main(list(argv))
     out, err = capsys.readouterr()
     assert code in (0, 1)
@@ -86,27 +110,3 @@ UNBENCHED_DIGESTS = {
 @pytest.mark.parametrize("argv", sorted(UNBENCHED_DIGESTS), ids=" ".join)
 def test_unbenched_rows_match_recorded_digest(argv, capsys, monkeypatch):
     _check(argv, UNBENCHED_DIGESTS[argv], capsys, monkeypatch)
-
-
-GOLDEN_ARGVS = sorted({tuple(json.loads(key)) for key in EXPECTED}
-                      | {(*argv, "--format", "json") for argv in CLIFF_DIGESTS}
-                      | set(UNBENCHED_DIGESTS))
-PLAIN_TYPES = (dict, list, str, int, float, bool, type(None))
-
-
-def _foreign_values(value, path="report"):
-    """(path, type name) of every value below `value` that is not plain JSON data."""
-    if type(value) not in PLAIN_TYPES:
-        return [(path, type(value).__name__)]
-    if isinstance(value, dict):
-        return [bad for k, v in value.items() for bad in _foreign_values(v, f"{path}.{k}")]
-    if isinstance(value, list):
-        return [bad for i, v in enumerate(value) for bad in _foreign_values(v, f"{path}.{i}")]
-    return []
-
-
-def test_reports_hold_only_plain_json_data(monkeypatch):
-    monkeypatch.delenv("TDUAL_PRECISION", raising=False)
-    for argv in GOLDEN_ARGVS:
-        _, payload = run(parse_args(list(argv)))
-        assert _foreign_values(payload) == [], argv
