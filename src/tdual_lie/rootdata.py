@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import (
     InvalidCenterSubgroup,
@@ -266,6 +266,9 @@ def basic_form(rd: RootDatum, level: int) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
+MAX_RANK = 32  # total rank; bounds the cost of every verb (the complex has rank^2 columns)
+
+
 def build(series_list: Sequence[tuple[str, int]], fundamental_group="simply_connected",
           label: str | None = None) -> RootDatum:
     """Assemble a root datum from simple factors and a fundamental group.
@@ -282,6 +285,8 @@ def build(series_list: Sequence[tuple[str, int]], fundamental_group="simply_conn
         comps.append((series, int(rank)))
     if not comps:
         raise InvalidSeries("a semisimple group needs at least one simple factor")
+    if sum(r for _, r in comps) > MAX_RANK:  # checked before anything rank x rank exists
+        raise InvalidSeries(f"the factor ranks add up to more than the maximum {MAX_RANK}")
     components = tuple(comps)
     cartan = block_diag([IntMatrix(cartan_block(s, r)) for s, r in components])
     n = cartan.rows
@@ -545,25 +550,3 @@ def require_phi(rd: RootDatum) -> tuple[int, ...]:
         )
     return perm
 
-
-def weyl_elements_on_coweights(rd: RootDatum) -> Iterator[IntMatrix]:
-    """Weyl elements as coweight-coordinate matrices, in BFS word order.
-
-    The identity comes first, so consumers that scan for the first element
-    with some property pay nothing in the common case.
-    """
-    gens = [rd.reflection_on_coweights(i) for i in range(rd.rank)]
-    ident = IntMatrix.identity(rd.rank)
-    seen = {ident}
-    frontier = [ident]
-    yield ident
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                u = g @ w
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-                    yield u
-        frontier = nxt

@@ -19,15 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DimensionMismatch, NotACycle, Unavailable
+from .errors import DimensionMismatch, NotACycle
 from .flagcoh import build_complex, class_in_h3
-from .rootdata import (
-    RootDatum,
-    form_pairing,
-    langlands_dual,
-    require_phi,
-    weyl_elements_on_coweights,
-)
+from .rootdata import RootDatum, form_pairing, langlands_dual, require_phi
 from .zlinalg import (
     FgAbGroup,
     IntMatrix,
@@ -157,35 +151,56 @@ def reduction_torsor_group(rd: RootDatum) -> FgAbGroup:
 # ---------------------------------------------------------------------------
 
 
+# The Weyl word of each self-dual factor that Dynkin reversal matches to
+# itself, on its own simple reflections, leftmost letter applied last.
+_SELF_DUAL_WORDS = {("B", 2): (0,), ("C", 2): (0,), ("G", 2): (0,), ("F", 4): (0, 1, 2, 0, 1, 0)}
+
+
 @lru_cache(maxsize=None)
 def _langlands_transport(rd: RootDatum) -> IntMatrix:
-    """Pullback matrix from dual-side weight coordinates to weight
-    coordinates whose induced twist is a cycle.
+    """Pullback P.w from dual-side weight coordinates to weight coordinates
+    whose induced twist is a cycle.  P is the Dynkin isomorphism
+    `require_phi`; w is block-diagonal over the simple factors, in coweight
+    coordinates: the identity on a simply laced factor; on B2, C2, G2 and F4
+    the word in `_SELF_DUAL_WORDS` (s_0 is the factor's first simple root,
+    long on data from `build`, short on a Langlands dual: chosen by
+    position, not length); on a B_n or C_n with n >= 3, which `find_phi`
+    always pairs with another factor, -1 when it is the lower of the pair.
 
-    The diagram isomorphism fixes the matrix up to composition with a Weyl
-    element; for non-simply-laced self-dual factors the identity composition
-    symmetrizes to a non-invariant form, so we take the first Weyl element
-    (in word-length order) whose composite passes the cycle test.  The dual
-    Chern lattice does not depend on this choice (the integral lattice is
-    Weyl-stable), the cycle property does.
+    The twist P.w.B is the map P.w from coweights to weights whatever the
+    basis B, so the cycle test asks that the symmetric part of
+    beta(v, v') = <P.w v, v'> be a sum of the factors' basic forms.  This
+    splits over the orbits of the factor permutation, which have length 1
+    or 2 (the greedy matching pairs the k-th B_n with the k-th C_n).  On a
+    simply laced factor beta is the basic form.  On a pair beta vanishes on
+    each member, and with w = 1 its two cross blocks are transposes of each
+    other (as the matched Cartan blocks are), so beta is symmetric and not
+    invariant; w0 = -1 on one member flips the sign of one cross block, so
+    beta is antisymmetric and its symmetric part zero.  The words are the
+    first passing elements of a BFS over the lone factor's Weyl group.  That
+    w is also the first passing element of the product BFS in word-length
+    order, which `langlands` prints as the twist, is not proved here: the
+    property test against that BFS carries it.
     """
     perm = require_phi(rd)
-    pullback = IntMatrix([[int(p == j) for j in range(rd.rank)] for p in perm], cols=rd.rank)
-    cx = build_complex(rd)
-    for w in weyl_elements_on_coweights(rd):
-        transport = pullback @ w
-        if cx.is_cycle(transport @ rd.integral.basis):
-            return transport
-    raise Unavailable(
-        f"no Weyl refinement of the diagram isomorphism yields a cycle for {rd.label}",
-        evidence={"permutation": perm},
-    )
+    w = IntMatrix.identity(rd.rank)
+    flip = set()
+    for lo, hi, series, r in rd.factor_ranges():
+        for i in _SELF_DUAL_WORDS.get((series, r), ()):
+            w = w @ rd.reflection_on_coweights(lo + i)
+        if series in "BC" and r > 2 and perm[lo] > lo:
+            flip.update(range(lo, hi))
+    transport = IntMatrix([[-x for x in w.row(p)] if p in flip else w.row(p) for p in perm],
+                          cols=rd.rank)
+    if not build_complex(rd).is_cycle(transport @ rd.integral.basis):
+        raise AssertionError(f"the Langlands transport rule gives no cycle for {rd.label}")
+    return transport
 
 
 def langlands_twist(rd: RootDatum) -> TwistClass:
     """The twist whose T-dual is the Langlands dual group: compose the
     inclusion of the integral lattice into the dual-side weight lattice with
-    the (Weyl-refined) diagram-isomorphism pullback."""
+    the Weyl-adjusted diagram-isomorphism pullback."""
     return TwistClass(rd, _langlands_transport(rd) @ rd.integral.basis)
 
 

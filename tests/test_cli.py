@@ -317,6 +317,7 @@ def test_numpy_never_loaded():
 
 
 HUGE = "9" * 5000
+NINES = "9" * 4000  # parses, but is far past any rank a verb can finish
 D1, D2 = 10 ** 3000 + 1, 10 ** 3000 + 3
 
 # Each argv exits 0, 1 or 2 in a fresh interpreter, with no traceback, well
@@ -356,6 +357,17 @@ FUZZ_CASES = [
     pytest.param(["group", "--group", f"SU({HUGE})"], 2, id="group-paren-huge-literal"),
     pytest.param(["extension", "--group", "SU(2)", "--b", f'[["{"x" * 5000}"]]'], 2,
                  id="b-long-string"),
+    # The factor ranks may add up to at most rootdata.MAX_RANK = 32; a larger
+    # rank is refused before anything rank x rank is built.
+    pytest.param(["group", "--group", f"A{NINES}"], 2, id="group-name-rank-4000-digits"),
+    pytest.param(["group", "--group", f"SU({NINES})"], 2, id="group-paren-rank-4000-digits"),
+    pytest.param(["group", "--group", '{"components": [{"series": "A", "rank": %s}]}' % NINES],
+                 2, id="group-json-rank-4000-digits"),
+    pytest.param(["group", "--group", "SU(34)"], 2, id="group-rank-33"),
+    pytest.param(["group", "--group", json.dumps({"components": [{"series": "A", "rank": 1}] * 33})],
+                 2, id="group-33-factors"),
+    pytest.param(["group", "--group", json.dumps({"components": [{"series": "A", "rank": 1}] * 32})],
+                 0, id="group-32-factors"),
     # Inputs within the limit whose exact results print past it.
     pytest.param(["extension", "--group", "SU(4)", "--b",
                   f'[[0, "1/{D1}", "1/{D2}"], ["-1/{D1}", 0, 0], ["-1/{D2}", 0, 0]]'], 0,

@@ -103,6 +103,12 @@ def root_data(draw):
         if fits:
             comps.append((series, draw(st.sampled_from(fits))))
             total += comps[-1][1]
+    return with_fundamental_group(draw, comps, kind)
+
+
+def with_fundamental_group(draw, comps, kind):
+    """build(comps, kind), drawing one or two center generators when `kind`
+    is "custom"."""
     if kind != "custom":
         return build(comps, kind)
     sc = build(comps)

@@ -3,10 +3,10 @@
 `perfbench/expected.json` maps each fixed benchmark job (its argv as JSON)
 to the sha256 of its stdout.  Each job runs here in-process; its output must
 hash to the same value, and it must write nothing to stderr.  The rank-15
-and rank-16 rows of `perfbench/cliffs.py`, which the timed workloads leave
-out, are pinned here too, and so are rows no benchmark job covers: torsor
-shifts, text `extension --b`, the text unavailable `langlands` report and
-`contcheck`.  The contcheck digests hold its float digits as this module's
+and rank-16 rows of `perfbench/cliffs.py` and its B4xC4, B3xC3xG2 and
+F4xG2xB2 `langlands` rows, which the timed workloads leave out, are pinned
+here too, and so are rows no benchmark job covers: torsor shifts, text
+`extension --b`, the text unavailable `langlands` report and `contcheck`.  The contcheck digests hold its float digits as this module's
 standard-library arithmetic gives them on CPython for x86-64 Linux.
 
 Every report of every pinned row must be plain JSON data (dict, list, str,
@@ -73,6 +73,16 @@ CLIFF_DIGESTS = {
         "4907b8ed7c1a899fbc57f838d9460c7f94faaee15e4266b2195a6608b420b73e",
     ("twist", "--group", "Spin(32)", "--twist", "level:1"):
         "f195ffb1b4fc1bd177c7f2617c31a882f5f7e72f1345f6f00c0a546cb34294ce",
+    # Cross-matched B_n/C_n products, recorded when the Langlands twist was
+    # still found by a product Weyl search.
+    ("langlands", "--group", '{"components":[{"series":"B","rank":4},{"series":"C","rank":4}]}'):
+        "7bb36d4db5470c745b5ecb1dc8d1d3a954d9d62bf6e0554e2ca6c949170b0033",
+    ("langlands", "--group",
+     '{"components":[{"series":"B","rank":3},{"series":"C","rank":3},{"series":"G","rank":2}]}'):
+        "cf3699b8e1f87769b4b091c13b07af97e3903643ded1545b517eecdf95d944c6",
+    ("langlands", "--group",
+     '{"components":[{"series":"F","rank":4},{"series":"G","rank":2},{"series":"B","rank":2}]}'):
+        "2b7c78825bdb9d87de740705974c67ab3100cab786ddf52a064e93ba627d6fae",
 }
 
 

@@ -16,7 +16,6 @@ from tdual_lie.rootdata import (
     langlands_dual,
     named_group,
     require_phi,
-    weyl_elements_on_coweights,
 )
 from tdual_lie.zlinalg import IntMatrix, Lattice
 
@@ -296,6 +295,26 @@ def test_find_phi_matches_search_table(comps):
     for rd in (build(comps), langlands_dual(build(comps, "adjoint"))):
         perm = find_phi(rd)
         assert perm is not None and perm == find_phi_by_search(rd)
+
+
+def weyl_elements_on_coweights(rd):
+    """Weyl elements as coweight-coordinate matrices, in BFS word order, the
+    identity first: the oracle for the closed-form Langlands transport."""
+    gens = [rd.reflection_on_coweights(i) for i in range(rd.rank)]
+    ident = IntMatrix.identity(rd.rank)
+    seen = {ident}
+    frontier = [ident]
+    yield ident
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                u = g @ w
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+                    yield u
+        frontier = nxt
 
 
 def test_weyl_enumeration_sizes():

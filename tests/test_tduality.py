@@ -3,13 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdual_lie.errors import NotACycle, Unavailable
-from tdual_lie.flagcoh import chern_classes
-from tdual_lie.rootdata import named_group
+from tdual_lie.flagcoh import build_complex, chern_classes
+from tdual_lie.rootdata import build, langlands_dual, named_group, require_phi
 from tdual_lie.tduality import (
     ShiftMatrix,
     TwistClass,
+    _langlands_transport,
     bfield_shift,
     dual_chern,
     langlands_twist,
@@ -19,6 +22,9 @@ from tdual_lie.tduality import (
     verify_langlands_tdual,
 )
 from tdual_lie.zlinalg import IntMatrix, Lattice
+
+from test_flagcoh import with_fundamental_group
+from test_rootdata import weyl_elements_on_coweights
 
 
 def test_dual_chern_zero():
@@ -195,12 +201,76 @@ def test_verify_langlands_all_supported():
 
 
 def test_langlands_cross_matched_bc_pair():
-    # A lone B3 is obstructed, but B3 x C3 maps onto its dual (C3 x B3)
-    # through the factor swap; the verification goes through.
-    from tdual_lie.rootdata import build
+    """A lone B_n is obstructed, but B_n x C_n maps onto its dual C_n x B_n
+    through the factor swap, and the verification goes through.  Only B3 x C3
+    is in reach of the product-BFS oracle: on the larger groups the twist is
+    defined by the closed-form rule of `_langlands_transport`."""
+    for comps in ([("B", 3), ("C", 3)], [("B", 5), ("C", 5)], [("B", 8), ("C", 8)],
+                  [("B", 3), ("C", 3), ("B", 3), ("C", 3)]):
+        rep = verify_langlands_tdual(build(comps))
+        assert rep["available"] and rep["match"], comps
 
-    rep = verify_langlands_tdual(build([("B", 3), ("C", 3)]))
-    assert rep["available"] and rep["match"]
+
+def first_bfs_cycle(rd):
+    """The first Weyl element, in product-BFS word order, whose transport
+    through the Dynkin isomorphism passes the cycle test."""
+    cx = build_complex(rd)
+    pullback = permutation_matrix(require_phi(rd))
+    for w in weyl_elements_on_coweights(rd):
+        if cx.is_cycle(pullback @ w @ rd.integral.basis):
+            return w
+    raise AssertionError(f"no Weyl element gives a cycle for {rd.label}")
+
+
+def permutation_matrix(perm):
+    return IntMatrix([[int(p == j) for j in range(len(perm))] for p in perm], cols=len(perm))
+
+
+# Factors with a Dynkin isomorphism onto their own dual, by Weyl group order.
+SELF_DUAL = {("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("D", 4): 192, ("B", 2): 8, ("G", 2): 12,
+             ("F", 4): 1152}
+MAX_WEYL_ORDER = 5000  # the oracle then tries at most ~1,700 elements, ~0.7 s
+
+
+@st.composite
+def dualizable_data(draw):
+    """Products of rank <= 8 and |W| <= MAX_WEYL_ORDER that map onto their
+    Langlands dual: half of them hold B3 and C3 in either order, the rest of
+    the factors are simply laced, B2, G2 or F4, each at a drawn position, and
+    the fundamental group is simply connected, adjoint or custom.  Half are
+    then replaced by their dual, where B2 and G2 list the short root first."""
+    comps, order = [], 1
+    if draw(st.booleans()):
+        comps, order = list(draw(st.permutations([("B", 3), ("C", 3)]))), 48 * 48
+    while not comps or draw(st.booleans()):
+        rank = sum(r for _, r in comps)
+        fits = [f for f, k in SELF_DUAL.items()
+                if rank + f[1] <= 8 and order * k <= MAX_WEYL_ORDER]
+        if not fits:
+            break
+        factor = draw(st.sampled_from(fits))
+        comps.insert(draw(st.integers(0, len(comps))), factor)
+        order *= SELF_DUAL[factor]
+    kind = draw(st.sampled_from(["simply_connected", "adjoint", "custom"]))
+    rd = with_fundamental_group(draw, comps, kind)
+    return langlands_dual(rd) if draw(st.booleans()) else rd
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(dualizable_data())
+def test_langlands_transport_is_first_bfs_cycle(rd):
+    assert _langlands_transport(rd) == permutation_matrix(require_phi(rd)) @ first_bfs_cycle(rd)
+
+
+@pytest.mark.parametrize("comps", [
+    [("F", 4), ("G", 2)], [("G", 2), ("F", 4)], [("F", 4), ("B", 2)], [("E", 6), ("G", 2)],
+    [("D", 4), ("B", 2), ("G", 2)],
+], ids=["F4xG2", "G2xF4", "F4xB2", "E6xG2", "D4xB2xG2"])
+def test_langlands_transport_is_first_bfs_cycle_table(comps):
+    """Products past MAX_WEYL_ORDER whose BFS still ends early, and the
+    Langlands dual of each adjoint form."""
+    for rd in (build(comps), langlands_dual(build(comps, "adjoint"))):
+        assert _langlands_transport(rd) == permutation_matrix(require_phi(rd)) @ first_bfs_cycle(rd)
 
 
 def test_langlands_roundtrip_lens():
