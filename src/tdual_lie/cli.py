@@ -23,7 +23,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import contcheck as cont
@@ -55,20 +54,6 @@ CONVENTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    verb: str
-    groups: tuple[str, ...]
-    level: int
-    twist_spec: str | None
-    shift_spec: str | None
-    b_spec: str | None
-    expect: str | None
-    fmt: str
-    output: str | None
-    grid: int | None  # contcheck only
-
-
 def _contcheck_grid(flag: int | None) -> int:
     """--grid, else TDUAL_PRECISION, else the default: an integer from
     `contcheck.MIN_GRID` to `contcheck.MAX_GRID`."""
@@ -93,11 +78,14 @@ def _nonnegative_level(level: int, what: str) -> int:
     return level
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
+    """The parsed command line, with `groups` (a tuple of specs), a checked
+    `level` and, for contcheck, the resolved `grid` filled in."""
     parser = argparse.ArgumentParser(
         prog="tdual",
         description="Topological T-duality data for compact semisimple Lie groups.",
     )
+    parser.set_defaults(level=1, twist=None, shift=None, b=None, grid=None)
     sub = parser.add_subparsers(dest="verb", required=True)
     needs_group = {}
     for verb in VERBS:
@@ -127,28 +115,20 @@ def parse_args(argv) -> RunConfig:
             p.add_argument("--grid", type=int, default=None)
 
     ns = parser.parse_args(argv)
-    groups: tuple[str, ...] = ()
+    ns.groups = ()
     if needs_group.get(ns.verb):
         if ns.group and ns.group_list:
             raise UsageError("--group and --group-list are mutually exclusive")
         if ns.group:
-            groups = (ns.group,)
+            ns.groups = (ns.group,)
         elif ns.group_list:
-            groups = tuple(s.strip() for s in ns.group_list.split(",") if s.strip())
-        if not groups:
+            ns.groups = tuple(s.strip() for s in ns.group_list.split(",") if s.strip())
+        if not ns.groups:
             raise UsageError(f"verb {ns.verb!r} needs --group or --group-list")
-    return RunConfig(
-        verb=ns.verb,
-        groups=groups,
-        level=_nonnegative_level(getattr(ns, "level", 1), "--level"),
-        twist_spec=getattr(ns, "twist", None),
-        shift_spec=getattr(ns, "shift", None),
-        b_spec=getattr(ns, "b", None),
-        expect=ns.expect,
-        fmt=ns.format,
-        output=ns.output,
-        grid=_contcheck_grid(ns.grid) if ns.verb == "contcheck" else None,
-    )
+    _nonnegative_level(ns.level, "--level")
+    if ns.verb == "contcheck":
+        ns.grid = _contcheck_grid(ns.grid)
+    return ns
 
 
 # -- input parsing -----------------------------------------------------------
@@ -360,7 +340,7 @@ _EXPECT_TESTS = {
 }
 
 
-def run(config: RunConfig) -> tuple[int, dict]:
+def run(config: argparse.Namespace) -> tuple[int, dict]:
     """Execute a parsed command; returns (exit code, report)."""
     reports = []
     if config.verb == "contcheck":
@@ -369,14 +349,14 @@ def run(config: RunConfig) -> tuple[int, dict]:
         for spec in config.groups:
             rd = resolve_group(spec)
             if config.verb in ("twist", "dualize"):
-                shift = resolve_shift(rd, config.shift_spec) if config.shift_spec else None
+                shift = resolve_shift(rd, config.shift) if config.shift else None
                 try:
-                    twist = resolve_twist(rd, config.twist_spec)
+                    twist = resolve_twist(rd, config.twist)
                 except Unavailable as exc:
                     reports.append({"group": rd.label, "available": False,
                                     "reason": str(exc)})
                     continue
-            b = resolve_commutator(config.b_spec) if config.b_spec else None
+            b = resolve_commutator(config.b) if config.b else None
             with _exact_output():
                 if config.verb == "group":
                     reports.append(report_group(rd))
@@ -441,7 +421,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with _exact_output():
-        if config.fmt == "json":
+        if config.format == "json":
             text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         else:
             text = render_text(payload)

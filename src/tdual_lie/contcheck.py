@@ -26,12 +26,12 @@ import math
 import operator
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 
 from .errors import InadmissibleCutoff
+from .zlinalg import Record
 
 DEFAULT_GRID = 8192
 MIN_GRID = 844  # every standard cutoff passes from here to 8192 (wiggle fails at 843)
@@ -41,8 +41,7 @@ FLAT_TOL = 1e-12
 BUMP_TABLE = 4096  # intervals of the tabulated bump integral
 
 
-@dataclass(frozen=True)
-class Cutoff:
+class Cutoff(Record):
     """Sampled profile chi on a uniform grid over [0, 1].
 
     Admissible profiles satisfy chi(0)=0, chi(1)=1 and are constant on the
@@ -50,9 +49,10 @@ class Cutoff:
     integrating numerically sees a function that is flat at the boundary.
     """
 
-    name: str
-    ts: tuple[float, ...]
-    values: tuple[float, ...]
+    _fields = ("name", "ts", "values")
+
+    def __init__(self, name: str, ts: tuple[float, ...], values: tuple[float, ...]):
+        self.name, self.ts, self.values = name, ts, values
 
     def validate(self) -> None:
         n = len(self.ts)

@@ -22,7 +22,6 @@ lexicographically (character index major), monomials w_i w_j use i <= j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -32,6 +31,7 @@ from .zlinalg import (
     FgAbGroup,
     IntMatrix,
     Lattice,
+    Record,
     column_hermite_form,
     hstack,
     image_basis,
@@ -41,18 +41,23 @@ from .zlinalg import (
 )
 
 
-@dataclass(frozen=True)
-class LssComplex:
-    """The assembled three-term complex for one root datum."""
+class LssComplex(Record):
+    """The assembled three-term complex for one root datum: `char_basis`
+    (columns: characters in weight coords), d20: wedge^2(chars) -> chars (x)
+    weights, d21_raw: chars (x) weights -> sym^2(weights), the Weyl-invariant
+    sublattice of sym^2(weights), and whether r has full rank n (see
+    build_complex)."""
 
-    rd: RootDatum
-    char_basis: IntMatrix          # columns: character basis in weight coords
-    wedge_pairs: tuple[tuple[int, int], ...]
-    mono_pairs: tuple[tuple[int, int], ...]
-    d20: IntMatrix                 # wedge^2(chars) -> chars (x) weights
-    d21_raw: IntMatrix             # chars (x) weights -> sym^2(weights)
-    invariants: Lattice            # Weyl-invariant sublattice of sym^2(weights)
-    injective: bool                # r has full rank n; see build_complex
+    _fields = ("rd", "char_basis", "wedge_pairs", "mono_pairs", "d20", "d21_raw", "invariants",
+               "injective")
+
+    def __init__(self, rd: RootDatum, char_basis: IntMatrix,
+                 wedge_pairs: tuple[tuple[int, int], ...], mono_pairs: tuple[tuple[int, int], ...],
+                 d20: IntMatrix, d21_raw: IntMatrix, invariants: Lattice, injective: bool):
+        self.rd, self.char_basis, self.wedge_pairs, self.mono_pairs = (
+            rd, char_basis, wedge_pairs, mono_pairs)
+        self.d20, self.d21_raw, self.invariants, self.injective = (
+            d20, d21_raw, invariants, injective)
 
     @property
     def rank(self) -> int:

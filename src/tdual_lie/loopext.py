@@ -13,21 +13,19 @@ Values in Q/Z are reduced fractions in [0, 1); everything is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, InvalidCommutator, RequiresExplicitB
 from .rootdata import RootDatum, all_coroots, basic_form, form_pairing
-from .zlinalg import IntMatrix, Lattice, solve_columns
+from .zlinalg import IntMatrix, Lattice, Record, solve_columns
 
 
 def _mod1(x: Fraction) -> Fraction:
     return x - Fraction(x.numerator // x.denominator)
 
 
-@dataclass(frozen=True)
-class CommutatorMap:
+class CommutatorMap(Record):
     """Antisymmetric bi-additive Q/Z-valued form on the integral lattice.
 
     `values[i][j]` is b(e_i, e_j) for the lattice's basis, represented in
@@ -35,10 +33,10 @@ class CommutatorMap:
     because b is a homomorphism on the exterior square.
     """
 
-    lattice: Lattice
-    values: tuple[tuple[Fraction, ...], ...]
+    _fields = ("lattice", "values")
 
-    def __post_init__(self):
+    def __init__(self, lattice: Lattice, values: tuple[tuple[Fraction, ...], ...]):
+        self.lattice, self.values = lattice, values
         n = self.lattice.rank
         if len(self.values) != n or any(len(r) != n for r in self.values):
             raise DimensionMismatch("commutator matrix size must match lattice rank")

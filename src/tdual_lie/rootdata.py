@@ -27,7 +27,6 @@ the lattice with basis B contains the coroots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -42,6 +41,7 @@ from .zlinalg import (
     FgAbGroup,
     IntMatrix,
     Lattice,
+    Record,
     block_diag,
     column_hermite_form,
     contains_columns,
@@ -106,8 +106,7 @@ def _dual_series(series: str, rank: int) -> tuple[str, int]:
     return (series, rank)
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Record):
     """A compact semisimple group presented through its lattices.
 
     `integral` is the integral lattice of the chosen maximal torus, sitting
@@ -118,13 +117,12 @@ class RootDatum:
     otherwise.
     """
 
-    components: tuple[tuple[str, int], ...]
-    cartan: IntMatrix
-    integral: Lattice
-    label: str
-    fundamental_group: str = "simply_connected"
+    _fields = ("components", "cartan", "integral", "label", "fundamental_group")
 
-    def __post_init__(self):
+    def __init__(self, components: tuple[tuple[str, int], ...], cartan: IntMatrix,
+                 integral: Lattice, label: str, fundamental_group: str = "simply_connected"):
+        self.components, self.cartan, self.integral = components, cartan, integral
+        self.label, self.fundamental_group = label, fundamental_group
         n = self.rank
         if self.cartan.rows != n or self.cartan.cols != n:
             raise InvalidSeries("Cartan matrix size does not match total rank")

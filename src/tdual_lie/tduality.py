@@ -16,7 +16,6 @@ chat_k = u(lambda_k) for the fixed integral-lattice basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DimensionMismatch, NotACycle
@@ -26,6 +25,7 @@ from .zlinalg import (
     FgAbGroup,
     IntMatrix,
     Lattice,
+    Record,
     column_hermite_form,
     image_basis,
     subquotient,
@@ -37,14 +37,13 @@ TWIST_BASIS_CONVENTION = (
 )
 
 
-@dataclass(frozen=True)
-class TwistClass:
+class TwistClass(Record):
     """Hom-lattice twist representative u: integral lattice -> weights."""
 
-    rd: RootDatum
-    matrix: IntMatrix
+    _fields = ("rd", "matrix")
 
-    def __post_init__(self):
+    def __init__(self, rd: RootDatum, matrix: IntMatrix):
+        self.rd, self.matrix = rd, matrix
         n = self.rd.rank
         if self.matrix.rows != n or self.matrix.cols != n:
             raise DimensionMismatch("twist matrix must be rank x rank")
@@ -75,14 +74,13 @@ def dual_chern(twist: TwistClass) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ShiftMatrix:
+class ShiftMatrix(Record):
     """Strictly upper-triangular integer matrix of torsor-shift coefficients."""
 
-    entries: IntMatrix
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        m = self.entries
+    def __init__(self, entries: IntMatrix):
+        self.entries = m = entries
         if m.rows != m.cols:
             raise DimensionMismatch("shift matrix must be square")
         for i in range(m.rows):

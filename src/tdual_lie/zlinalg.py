@@ -10,7 +10,8 @@ The module provides:
   * image_basis / kernel_of_matrix / subquotient -- the pieces every
     cohomology group in the package is assembled from,
   * pair_basis      -- the lexicographic index pairs (i<j for wedge^2, i<=j
-    for sym^2) that fix the bases of the degree-2 lattices.
+    for sym^2) that fix the bases of the degree-2 lattices,
+  * Record          -- the value-class base of the package's plain classes.
 
 One elimination core computes a transform only where a caller reads it:
 
@@ -35,16 +36,39 @@ generator lifts reduced to a fixed representative modulo the inner lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from math import prod
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotCompatible, NotSublattice
 
 _PRIME = (1 << 61) - 1  # modulus of the rank certificate
+
+
+class Record:
+    """Field-wise, class-exact `==` and `hash` and a short repr over the
+    attributes named in `_fields`.  Instances are values: nothing assigns to
+    these attributes after `__init__`, though nothing stops it.  `_key`, the
+    getter of those attributes, is built once per subclass."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields if f[0] != "_")
+        return f"{type(self).__name__}({shown})"
 
 
 class IntMatrix:
@@ -455,19 +479,17 @@ def contains_columns(basis: IntMatrix, targets: IntMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """Free Z-module with a chosen basis inside Z^ambient_dim.
 
     The basis matrix has the basis vectors as columns; they must be linearly
     independent over Q.  Its Hermite form and solve data are cached.
     """
 
-    ambient_dim: int
-    basis: IntMatrix
-    label: str = ""
+    _fields = ("ambient_dim", "basis", "label")
 
-    def __post_init__(self):
+    def __init__(self, ambient_dim: int, basis: IntMatrix, label: str = ""):
+        self.ambient_dim, self.basis, self.label = ambient_dim, basis, label
         if self.basis.rows != self.ambient_dim:
             raise DimensionMismatch("basis rows must equal ambient dimension")
         if self.basis.cols and self.basis.rank() != self.basis.cols:
@@ -535,8 +557,7 @@ def kernel_of_matrix(m: IntMatrix) -> IntMatrix:
     return column_hermite_form(_from_columns([row[n:] for row in rows[len(pivots):]], k))
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(Record):
     """Finitely generated abelian group presented as outer/inner lattices.
 
     Stored as invariant factors d1 | d2 | ... (each >= 2) plus a free rank,
@@ -546,12 +567,12 @@ class FgAbGroup:
     object (fields prefixed with an underscore).
     """
 
-    free_rank: int
-    torsion: tuple[int, ...]
-    generator_lifts: IntMatrix
-    _outer: Lattice = field(repr=False)
-    _row_transform: IntMatrix = field(repr=False)
-    _diag: tuple[int, ...] = field(repr=False)
+    _fields = ("free_rank", "torsion", "generator_lifts", "_outer", "_row_transform", "_diag")
+
+    def __init__(self, free_rank: int, torsion: tuple[int, ...], generator_lifts: IntMatrix,
+                 _outer: Lattice, _row_transform: IntMatrix, _diag: tuple[int, ...]):
+        self.free_rank, self.torsion, self.generator_lifts = free_rank, torsion, generator_lifts
+        self._outer, self._row_transform, self._diag = _outer, _row_transform, _diag
 
     @property
     def invariant_factors(self) -> list[int]:

@@ -25,7 +25,7 @@ def test_parse_examples():
     assert cfg.verb == "cohomology" and cfg.groups == ("SU(3)",)
 
     cfg = parse_args(["dualize", "--group", "SU(2)", "--twist", "level:1"])
-    assert cfg.twist_spec == "level:1"
+    assert cfg.twist == "level:1"
 
     cfg = parse_args(["langlands", "--group", "B3"])
     assert cfg.verb == "langlands"
@@ -314,6 +314,19 @@ def test_numpy_never_loaded():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_dataclasses():
+    """`import tdual_lie.cli` loads neither `dataclasses` nor `inspect`, which
+    `dataclasses` pulls in: together they were about 20 ms of every command's
+    start-up.  -S keeps site `.pth` files from importing them first."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    script = "import tdual_lie.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 HUGE = "9" * 5000

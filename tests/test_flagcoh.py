@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +232,46 @@ def test_h3_rank_counts_factors(rd):
         if datum.is_simply_connected():
             g = h3_group(datum)
             assert g.free_rank == len(datum.components) and g.torsion == (), datum.label
+
+
+def invariant_factors(orders) -> list[int]:
+    """Invariant factors d1 | d2 | ... of the sum of Z/a over `orders`:
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), applied to every pair in order,
+    leaves a divisor chain; the 1s are dropped."""
+    a = list(orders)
+    for i, j in combinations(range(len(a)), 2):
+        g = gcd(a[i], a[j])
+        a[i], a[j] = g, a[i] * a[j] // g
+    return [d for d in a if d > 1]
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(root_data())
+def test_h3_torsion_is_wedge2_pi1(rd):
+    """H^3(K) = Z^f + wedge^2 pi_1 and H^2(K) = pi_1, f the number of simple
+    factors, on random root data and their Langlands duals.
+
+    The universal cover of K has H_1 = H_2 = 0, so the Cartan-Leray spectral
+    sequence of the covering gives H_2(K) = H_2(pi_1; Z), which for a finite
+    abelian group is wedge^2 pi_1 (Brown, Cohomology of Groups, V.6); the
+    torsion of H^3(K) is Ext(H_2(K), Z).  For pi_1 = Z/d_1 + ... + Z/d_m,
+    wedge^2 pi_1 is the sum of Z/gcd(d_i, d_j) over i < j.
+    """
+    for datum in (rd, langlands_dual(rd)):
+        pi1 = fundamental_group_of(datum).torsion
+        report = cohomology(datum)
+        assert report["H3_K"]["free_rank"] == len(datum.components), datum.label
+        wedge2 = [gcd(a, b) for a, b in combinations(pi1, 2)]
+        assert report["H3_K"]["invariant_factors"] == invariant_factors(wedge2), datum.label
+        assert report["H2_K"]["free_rank"] == 0, datum.label
+        assert report["H2_K"]["invariant_factors"] == list(pi1), datum.label
+
+
+def test_invariant_factors_helper():
+    assert invariant_factors([2, 2, 2]) == [2, 2, 2]
+    assert invariant_factors([4, 6]) == [2, 12]
+    assert invariant_factors([1, 3, 1]) == [3]
+    assert invariant_factors([]) == []
 
 
 def test_complex_ranks():

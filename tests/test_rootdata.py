@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from tdual_lie.errors import InvalidCenterSubgroup, InvalidSeries, NotBetweenLattices, Unavailable
+from tdual_lie.flagcoh import build_complex
 from tdual_lie.rootdata import (
     RootDatum,
     all_coroots,
@@ -17,6 +18,7 @@ from tdual_lie.rootdata import (
     named_group,
     require_phi,
 )
+from tdual_lie.tduality import TwistClass
 from tdual_lie.zlinalg import IntMatrix, Lattice
 
 from test_flagcoh import root_data
@@ -321,6 +323,24 @@ def test_weyl_enumeration_sizes():
     assert sum(1 for _ in weyl_elements_on_coweights(named_group("A2"))) == 6
     assert sum(1 for _ in weyl_elements_on_coweights(named_group("B2"))) == 8
     assert sum(1 for _ in weyl_elements_on_coweights(named_group("G2"))) == 12
+
+
+def test_value_semantics():
+    """Equal fields give equal objects with equal hashes, of one class only:
+    the contract of every lru_cache keyed on a RootDatum."""
+    named, built = named_group("SU(3)"), build([("A", 2)], label="SU(3)")
+    assert named is not built and named == built and hash(named) == hash(built)
+    basis = IntMatrix.identity(2)
+    assert Lattice(2, basis, "a") != Lattice(2, basis, "b")
+    assert Lattice(2, basis) == Lattice(2, basis, label="")
+    twist = TwistClass(named, named.cartan)
+    assert twist != (named, named.cartan) and (named, named.cartan) != twist
+    assert (repr(Lattice(1, IntMatrix([[2]]), "x"))
+            == "Lattice(ambient_dim=1, basis=IntMatrix([[2]]), label='x')")
+    build_complex(named)
+    hits = build_complex.cache_info().hits
+    build_complex(built)
+    assert build_complex.cache_info().hits == hits + 1
 
 
 def test_named_vs_json_style_build():
