@@ -199,7 +199,10 @@ def resolve_group(spec: str) -> RootDatum:
             for gen in gens:
                 for x in gen:
                     _exact_int(x, "fundamental_group generator entry")
-        return build(comps, fg, label=data.get("label"))
+        label = data.get("label")
+        if label is not None and type(label) is not str:
+            raise UsageError(f"label must be a string, got {quote(json.dumps(label), str)}")
+        return build(comps, fg, label=label)
     return named_group(spec)
 
 

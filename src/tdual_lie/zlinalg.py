@@ -5,7 +5,7 @@ without bound (Smith normal form blows up fixed-width arithmetic quickly).
 The module provides:
 
   * IntMatrix       -- immutable arbitrary-precision integer matrices,
-  * smith_normal_form / column_hermite_form -- normal forms,
+  * smith_normal_form (U and D) / column_hermite_form -- normal forms,
   * Lattice         -- free Z-modules with chosen bases,
   * image_basis / kernel_of_matrix / subquotient -- the pieces every
     cohomology group in the package is assembled from,
@@ -24,14 +24,16 @@ One elimination core computes a transform only where a caller reads it:
     mod the prime 2^61 - 1, which keeps entries bounded: full rank mod p
     certifies full rank over Z, a lower rank falls back to exact
     elimination.
-  * `_smith` builds U with U m V = D, and U^-1 (subquotient) or V
-    (smith_normal_form) only on request.
+  * smith_normal_form tracks U alone, with U m V = D for a V it never
+    builds; subquotient keeps U for coords and solves U x = e_j for a
+    torsion generator's lift only when torsion_generators asks.
   * A Lattice caches its Hermite basis, pivots and transform on first use
     for coords, contains, reduce_mod, same_lattice and subquotient.
 
 Canonical forms: sublattices are compared through the column-style Hermite
 form (unique), and subquotients report invariant factors d1 | d2 | ... with
-generator lifts reduced to a fixed representative modulo the inner lattice.
+torsion generator lifts reduced to a fixed representative modulo the inner
+lattice.
 """
 
 from __future__ import annotations
@@ -358,37 +360,19 @@ def _solve(data, targets: Iterable[Sequence[int]]) -> list[list[int]] | None:
     return out
 
 
-def _smith(m: IntMatrix, inverse: bool = False, right: bool = False):
-    """(U, D, V, U^-1) with U*m*V = D in Smith normal form.  V is None
-    unless `right`, U^-1 None unless `inverse`."""
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """(U, D) with U*m*V = D for some unimodular V, U unimodular and D
+    diagonal with nonnegative entries d1 | d2 | ..., zeros last.
+
+    Only U is tracked, as the trailing entries of the rows of [m | U];
+    column operations touch the m part alone.
+    """
     R, C = m.rows, m.cols
-    a = [list(r) + e for r, e in zip(m, _identity_lists(R))]  # rows of [m | U]
-    ut = _identity_lists(R) if inverse else None  # rows: the columns of U^-1
-    vt = _identity_lists(C) if right else None  # rows: the columns of V
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        if ut is not None:
-            ut[i], ut[j] = ut[j], ut[i]
-
-    def row_addmul(i, j, q):
-        # row_i += q * row_j; the inverse transform is col_j -= q * col_i.
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        if ut is not None:
-            ut[j] = [x - q * y for x, y in zip(ut[j], ut[i])]
+    a = [list(r) + e for r, e in zip(m, _identity_lists(R))]
 
     def col_swap(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
-        if vt is not None:
-            vt[i], vt[j] = vt[j], vt[i]
-
-    def col_addmul(i, j, q):
-        # col_i += q * col_j.
-        for r in a:
-            r[i] += q * r[j]
-        if vt is not None:
-            vt[i] = [x + q * y for x, y in zip(vt[i], vt[j])]
 
     for t in range(min(R, C)):
         # The first pivot of least absolute value in the trailing block.
@@ -396,8 +380,7 @@ def _smith(m: IntMatrix, inverse: bool = False, right: bool = False):
         if not nonzero:
             break
         _, pi, pj = min(nonzero)
-        if pi != t:
-            row_swap(t, pi)
+        a[t], a[pi] = a[pi], a[t]
         if pj != t:
             col_swap(t, pj)
         while True:
@@ -405,15 +388,18 @@ def _smith(m: IntMatrix, inverse: bool = False, right: bool = False):
             dirty = False
             for i in range(R):
                 if i != t and a[i][t]:
-                    row_addmul(i, t, -(a[i][t] // a[t][t]))
+                    q = a[i][t] // a[t][t]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                     if a[i][t]:
-                        row_swap(t, i)
+                        a[t], a[i] = a[i], a[t]
                         dirty = True
             if dirty:
                 continue
             for j in range(C):
                 if j != t and a[t][j]:
-                    col_addmul(j, t, -(a[t][j] // a[t][t]))
+                    q = a[t][j] // a[t][t]
+                    for r in a:
+                        r[j] -= q * r[t]
                     if a[t][j]:
                         col_swap(t, j)
                         dirty = True
@@ -424,25 +410,11 @@ def _smith(m: IntMatrix, inverse: bool = False, right: bool = False):
                         if any(a[i][j] % a[t][t] for j in range(t + 1, C))), None)
             if fix is None:
                 break
-            row_addmul(t, fix, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[fix])]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            if ut is not None:
-                ut[t] = [-x for x in ut[t]]
 
-    return (
-        IntMatrix._of((r[C:] for r in a), R),
-        IntMatrix._of((r[:C] for r in a), C),
-        None if vt is None else _from_columns(vt, C),
-        None if ut is None else _from_columns(ut, R),
-    )
-
-
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: U*m*V = D, U and V unimodular, D diagonal with
-    positive entries satisfying d1 | d2 | ...."""
-    u, d, v, _ = _smith(m, right=True)
-    return u, d, v
+    return IntMatrix._of((r[C:] for r in a), R), IntMatrix._of((r[:C] for r in a), C)
 
 
 def column_hermite_form(m: IntMatrix) -> IntMatrix:
@@ -560,19 +532,19 @@ def kernel_of_matrix(m: IntMatrix) -> IntMatrix:
 class FgAbGroup(Record):
     """Finitely generated abelian group presented as outer/inner lattices.
 
-    Stored as invariant factors d1 | d2 | ... (each >= 2) plus a free rank,
-    with generator lifts in the common ambient space: free generators first,
-    then torsion generators aligned with the factor list.  The presentation
-    data needed to take coordinates of further elements is kept on the
-    object (fields prefixed with an underscore).
+    Stored as invariant factors d1 | d2 | ... (each >= 2) plus a free rank.
+    The presentation (both lattices, the Smith row transform U of the
+    relations in outer-basis coordinates, and its diagonal) is kept on the
+    object, in the fields prefixed with an underscore, for coords and
+    torsion_generators.
     """
 
-    _fields = ("free_rank", "torsion", "generator_lifts", "_outer", "_row_transform", "_diag")
+    _fields = ("free_rank", "torsion", "_outer", "_inner", "_row_transform", "_diag")
 
-    def __init__(self, free_rank: int, torsion: tuple[int, ...], generator_lifts: IntMatrix,
-                 _outer: Lattice, _row_transform: IntMatrix, _diag: tuple[int, ...]):
-        self.free_rank, self.torsion, self.generator_lifts = free_rank, torsion, generator_lifts
-        self._outer, self._row_transform, self._diag = _outer, _row_transform, _diag
+    def __init__(self, free_rank: int, torsion: tuple[int, ...], _outer: Lattice,
+                 _inner: Lattice, _row_transform: IntMatrix, _diag: tuple[int, ...]):
+        self.free_rank, self.torsion, self._outer = free_rank, torsion, _outer
+        self._inner, self._row_transform, self._diag = _inner, _row_transform, _diag
 
     @property
     def invariant_factors(self) -> list[int]:
@@ -584,7 +556,16 @@ class FgAbGroup(Record):
         return 0 if self.free_rank else prod(self.torsion)
 
     def torsion_generators(self) -> list[tuple[int, ...]]:
-        return [self.generator_lifts.column(self.free_rank + j) for j in range(len(self.torsion))]
+        """Ambient lifts of the torsion generators, aligned with `torsion`.
+
+        The j-th Smith generator is the outer-basis vector x with U x = e_j
+        (column j of U^-1), reduced to its fixed representative modulo the
+        inner lattice.
+        """
+        n = len(self._diag)
+        units = ([int(i == j) for i in range(n)] for j in range(n) if self._diag[j] >= 2)
+        xs = _solve(_hermite_data(self._row_transform), units)
+        return [self._inner.reduce_mod(self._outer.basis.apply(x)) for x in xs]
 
     def coords(self, vec: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(free, torsion) coordinates of an ambient vector's class.
@@ -607,7 +588,7 @@ class FgAbGroup(Record):
 
 
 def subquotient(inner: Lattice, outer: Lattice) -> FgAbGroup:
-    """Invariant-factor decomposition of outer/inner with generator lifts.
+    """Invariant-factor decomposition of outer/inner.
 
     Raises NotSublattice unless inner is contained in outer.
     """
@@ -616,20 +597,10 @@ def subquotient(inner: Lattice, outer: Lattice) -> FgAbGroup:
     rel = _solve(outer._hermite, inner.basis.columns())
     if rel is None:
         raise NotSublattice("inner lattice is not contained in the outer one")
-    u, d, _, ui = _smith(_from_columns(rel, outer.rank), inverse=True)
-    n_out = outer.rank
-    diag = tuple(d[i, i] if i < min(d.rows, d.cols) else 0 for i in range(n_out))
-    rank = sum(1 for x in diag if x != 0)
-    gens_outer = outer.basis @ ui  # columns: generators in ambient coordinates
-    free_cols = [gens_outer.column(j) for j in range(rank, n_out)]
-    tors_cols = [gens_outer.column(j) for j in range(rank) if diag[j] >= 2]
-    torsion = tuple(x for x in diag[:rank] if x >= 2)
-    if inner.rank:
-        free_cols = [inner.reduce_mod(c) for c in free_cols]
-        tors_cols = [inner.reduce_mod(c) for c in tors_cols]
-    lifts = _from_columns(free_cols + tors_cols, outer.ambient_dim)
-    return FgAbGroup(free_rank=n_out - rank, torsion=torsion, generator_lifts=lifts,
-                     _outer=outer, _row_transform=u, _diag=diag)
+    u, d = smith_normal_form(_from_columns(rel, outer.rank))
+    diag = tuple(d[i, i] if i < d.cols else 0 for i in range(outer.rank))
+    return FgAbGroup(free_rank=diag.count(0), torsion=tuple(x for x in diag if x >= 2),
+                     _outer=outer, _inner=inner, _row_transform=u, _diag=diag)
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,20 @@ def test_generator_float_entry_rejected(capsys):
     _usage_error(capsys, ["group", "--group", spec])
 
 
+@pytest.mark.parametrize("label", ["5", "[1, 2]", "true"])
+@pytest.mark.parametrize("verb", ["group", "langlands"])
+def test_non_string_label_rejected(capsys, verb, label):
+    spec = '{"components": [{"series": "A", "rank": 1}], "label": %s}' % label
+    _usage_error(capsys, [verb, "--group", spec])
+
+
+def test_null_label_keeps_generic_label():
+    spec = '{"components": [{"series": "A", "rank": 1}], "label": null}'
+    code, payload = run_json(["group", "--group", spec])
+    assert code == 0
+    assert payload["reports"][0]["group"] == "A1"
+
+
 def test_missing_input_file(capsys, tmp_path):
     missing = tmp_path / "absent.json"
     _usage_error(capsys, ["group", "--group", f"@{missing}"])

@@ -108,6 +108,22 @@ UNBENCHED_DIGESTS = {
         "adb400352c607acd0dfbafe87beeefb75949790c2ceb3ce4f65c4cd39f5bfc59",
     ("extension", "--group", "SU(3)", "--b", '[[0,"1/3"],["2/3",0]]'):
         "2f206df3aa12adf067853a46edb771103b96855d6d89b479a75fb8bdb6bdbead",
+    # Quotients whose integral bases are built from the center's torsion
+    # lifts, and an h3_class torsion part ([1, 0, 1]) read through the
+    # Smith transform U.
+    ("group", "--group",
+     '{"components":[{"series":"D","rank":4}],"fundamental_group":{"generators":[[1,1]]}}'):
+        "68be9dcd0c5980b8e290bf97516cc7b1b5b6bb0f1ce2ce036cbb716a6735daa2",
+    ("group", "--group",
+     '{"components":[{"series":"A","rank":3},{"series":"A","rank":1}],'
+     '"fundamental_group":{"generators":[[2,1]]}}'):
+        "15ca2583c96692f30a7500c907fca700961e1468527bfe7c57db68a0630c294f",
+    ("dualize", "--group",
+     '{"components":[{"series":"A","rank":1},{"series":"A","rank":1},{"series":"A","rank":1}],'
+     '"fundamental_group":"adjoint"}',
+     "--twist", "[[1,1,0],[-1,0,1],[0,-1,3]]", "--shift", "[[0,1,1],[0,0,1],[0,0,0]]",
+     "--format", "json"):
+        "aa0959aed7370dba8b288829d2291621baf267de308801b3f67f668faad6e746",
     ("langlands", "--group", "B3"):
         "2f81bebc6f4bbef9e0488fb2efb1a22da38add80c93914a5280c83ef25372b13",
     ("contcheck", "--format", "json"):

@@ -122,6 +122,13 @@ def test_subquotient_invariant_factors(outer_basis, data):
     factors = _nonzero_invariant_factors(rel)
     assert g.torsion == tuple(d for d in factors if d >= 2)
     assert g.free_rank == k - len(factors)
+    # Each torsion lift lies in outer, is its own representative modulo
+    # inner, and has the j-th unit vector as its coordinates.
+    for j, lift in enumerate(g.torsion_generators()):
+        assert outer.contains(lift)
+        assert inner.reduce_mod(lift) == lift
+        unit = tuple(int(i == j) for i in range(len(g.torsion)))
+        assert g.coords(lift) == ((0,) * g.free_rank, unit)
 
 
 def test_rank_falls_back_when_the_prime_divides():

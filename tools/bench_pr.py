@@ -11,6 +11,12 @@ BENCH_<N>.json, in the root of the change's checkout, holds every run (its
 metrics and fail_ratio), and per end-to-end metric each side's median,
 quartiles and IQR and the number of pairs the change won (strictly better
 in the metric's direction).
+
+Before the workloads, once per pair and in the same alternating order, both
+checkouts run `perfbench/cliffs.py`, the untimed report of the rows too slow
+for the workloads.  BENCH_<N>.json keeps each cliff row's wall_s, sha256 and
+layer split, and per row each side's median wall_s and the change's wins; a
+row whose stdout digest differs between the two checkouts stops the script.
 """
 
 from __future__ import annotations
@@ -38,6 +44,35 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "fail_ratio": details["fail_ratio"]["value"],
             "environment": details["environment"]}
+
+
+def run_cliffs(root: Path) -> list[dict]:
+    """One `perfbench/cliffs.py` run in `root`: per row its argv, status,
+    wall_s, sha256 and layers."""
+    argv = [sys.executable, "perfbench/cliffs.py"]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"bench_pr: perfbench/cliffs.py in {root} exited "
+                         f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
+    keep = ("argv", "status", "wall_s", "sha256", "layers")
+    return [{k: row.get(k) for k in keep}
+            for row in map(json.loads, filter(lambda line: line.startswith("{"),
+                                              proc.stdout.splitlines()))]
+
+
+def summarize_cliffs(pairs: list[dict]) -> dict:
+    """Per cliff row (its argv joined by spaces): the digest both sides
+    printed, each side's median wall_s and the change's wins."""
+    out = {}
+    for i, row in enumerate(pairs[0]["parent"]):
+        walls = {side: [p[side][i]["wall_s"] for p in pairs] for side in ("parent", "change")}
+        timed = all(w is not None for ws in walls.values() for w in ws)
+        out[" ".join(row["argv"])] = {
+            "sha256": row["sha256"], "pairs": len(pairs),
+            "wins": sum(c < p for p, c in zip(walls["parent"], walls["change"])) if timed else None,
+            **{side: {"median_wall_s": statistics.median(ws) if timed else None}
+               for side, ws in walls.items()}}
+    return out
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -75,6 +110,17 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": CHANGE}
     report = {"pr": args.pr, "parent": str(roots["parent"]), "pairs": args.pairs,
               "command": spec["command"] + ["--trace", "0"], "workloads": {}}
+    cliff_pairs = []
+    for k in range(args.pairs):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        pair = {"first": order[0], **{side: run_cliffs(roots[side]) for side in order}}
+        differ = [" ".join(p["argv"]) for p, c in zip(pair["parent"], pair["change"])
+                  if (p["argv"], p["sha256"]) != (c["argv"], c["sha256"])]
+        if differ or len(pair["parent"]) != len(pair["change"]):
+            raise SystemExit(f"bench_pr: cliff stdout digests differ in pair {k + 1}: {differ}")
+        cliff_pairs.append(pair)
+        print(f"bench_pr: cliffs pair {k + 1}/{args.pairs} done", file=sys.stderr)
+    report["cliffs"] = {"summary": summarize_cliffs(cliff_pairs), "runs": cliff_pairs}
     for workload in (w["name"] for w in spec["workloads"]):
         pairs = []
         for k in range(args.pairs):
