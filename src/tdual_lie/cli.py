@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import contcheck as cont
 from . import flagcoh, loopext, tduality
-from .errors import RequiresExplicitB, TdualError, Unavailable, UsageError, quote
+from .errors import RequiresExplicitB, TdualError, Unavailable, UsageError, ascii_int, quote
 from .rootdata import (
     RootDatum,
     all_roots,
@@ -54,19 +54,23 @@ CONVENTIONS = {
 }
 
 
-def _contcheck_grid(flag: int | None) -> int:
+def _flag_int(text: str, what: str, signed: bool = False) -> int:
+    """A flag's integer, taken exactly as written (see `ascii_int`)."""
+    try:
+        return ascii_int(text, signed)
+    except ValueError as exc:
+        raise UsageError(f"{what} must be written in ASCII digits, got {quote(text)}") from exc
+
+
+def _contcheck_grid(flag: str | None) -> int:
     """--grid, else TDUAL_PRECISION, else the default: an integer from
     `contcheck.MIN_GRID` to `contcheck.MAX_GRID`."""
-    if flag is not None:
-        what, val = "--grid", flag
-    else:
-        raw = os.environ.get("TDUAL_PRECISION")
+    what, raw = "--grid", flag
+    if flag is None:
+        what, raw = "TDUAL_PRECISION", os.environ.get("TDUAL_PRECISION")
         if raw is None:
             return cont.DEFAULT_GRID
-        try:
-            what, val = "TDUAL_PRECISION", int(raw)
-        except ValueError as exc:
-            raise UsageError(f"TDUAL_PRECISION must be an integer, got {raw!r}") from exc
+    val = _flag_int(raw, what)
     if not cont.MIN_GRID <= val <= cont.MAX_GRID:
         raise UsageError(f"{what} must be from {cont.MIN_GRID} to {cont.MAX_GRID}, got {val}")
     return val
@@ -85,7 +89,7 @@ def parse_args(argv) -> argparse.Namespace:
         prog="tdual",
         description="Topological T-duality data for compact semisimple Lie groups.",
     )
-    parser.set_defaults(level=1, twist=None, shift=None, b=None, grid=None)
+    parser.set_defaults(level="1", twist=None, shift=None, b=None, grid=None)
     sub = parser.add_subparsers(dest="verb", required=True)
     needs_group = {}
     for verb in VERBS:
@@ -108,11 +112,11 @@ def parse_args(argv) -> argparse.Namespace:
             p.add_argument("--shift", default=None,
                            help="strictly upper-triangular integer matrix (JSON or @path)")
         if verb == "extension":
-            p.add_argument("--level", type=int, default=1)
+            p.add_argument("--level", default="1")
             p.add_argument("--b", default=None,
                            help="explicit commutator matrix of rationals (JSON or @path)")
         if verb == "contcheck":
-            p.add_argument("--grid", type=int, default=None)
+            p.add_argument("--grid", default=None)
 
     ns = parser.parse_args(argv)
     ns.groups = ()
@@ -125,7 +129,7 @@ def parse_args(argv) -> argparse.Namespace:
             ns.groups = tuple(s.strip() for s in ns.group_list.split(",") if s.strip())
         if not ns.groups:
             raise UsageError(f"verb {ns.verb!r} needs --group or --group-list")
-    _nonnegative_level(ns.level, "--level")
+    ns.level = _nonnegative_level(_flag_int(ns.level, "--level", signed=True), "--level")
     if ns.verb == "contcheck":
         ns.grid = _contcheck_grid(ns.grid)
     return ns
@@ -169,6 +173,14 @@ def _exact_int(value, what: str) -> int:
     return value
 
 
+def _exact_str(value, what: str) -> str:
+    """A JSON string; a number, list or anything else is refused, not glued
+    into a name."""
+    if type(value) is not str:
+        raise UsageError(f"{what} must be a string, got {quote(json.dumps(value), str)}")
+    return value
+
+
 def _exact_rational(value, what: str) -> Fraction:
     """A JSON integer, or a string Fraction reads exactly ("1/2", "-3", "0.25");
     a float, bool, exponent ("1e-9": unbounded cost) or anything else is refused."""
@@ -187,7 +199,8 @@ def resolve_group(spec: str) -> RootDatum:
     if spec.startswith("{") or spec.startswith("@"):
         data = _load_json(spec)
         try:
-            comps = [(c["series"], _exact_int(c["rank"], "components[].rank"))
+            comps = [(_exact_str(c["series"], "components[].series"),
+                      _exact_int(c["rank"], "components[].rank"))
                      for c in data["components"]]
         except (KeyError, TypeError) as exc:
             raise UsageError(f"root-datum JSON needs components[].series/.rank: {exc}") from exc
@@ -200,8 +213,8 @@ def resolve_group(spec: str) -> RootDatum:
                 for x in gen:
                     _exact_int(x, "fundamental_group generator entry")
         label = data.get("label")
-        if label is not None and type(label) is not str:
-            raise UsageError(f"label must be a string, got {quote(json.dumps(label), str)}")
+        if label is not None:
+            _exact_str(label, "label")
         return build(comps, fg, label=label)
     return named_group(spec)
 
@@ -211,7 +224,7 @@ def resolve_twist(rd: RootDatum, spec: str) -> tduality.TwistClass:
         return tduality.langlands_twist(rd)
     if spec.startswith("level:"):
         try:
-            level = int(spec.split(":", 1)[1])
+            level = ascii_int(spec.split(":", 1)[1], signed=True)
         except ValueError as exc:
             raise UsageError(f"malformed level twist {quote(spec)}") from exc
         return tduality.level_twist(rd, _nonnegative_level(level, "twist level"))

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the helpers that read
+user input into them."""
 
 QUOTE_LIMIT = 60  # characters of user input an error message repeats
 
@@ -9,6 +10,18 @@ def quote(text: str, show=repr) -> str:
     if len(text) <= QUOTE_LIMIT:
         return show(text)
     return f"{show(text[:QUOTE_LIMIT])}... ({len(text)} characters)"
+
+
+def ascii_int(text: str, signed: bool = False) -> int:
+    """int(text) for text of ASCII digits, after one "-" when `signed`.
+
+    int() alone also takes "_", "+", surrounding spaces and other scripts'
+    digits; here they raise ValueError, like text that is no integer.
+    """
+    digits = text[1:] if signed and text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not written in ASCII digits: {quote(text)}")
+    return int(text)  # ValueError past Python's 4300-digit limit
 
 
 class TdualError(Exception):

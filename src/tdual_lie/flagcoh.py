@@ -15,6 +15,11 @@ The complex also yields H^1 and H^2 of the group (edge terms), H^2 and H^4
 of the base, the Chern classes of K -> B, and the cycle test deciding which
 hom-lattice elements represent degree-3 classes.
 
+A middle-term element is a twist: an n x n matrix u from integral-lattice
+to weight coordinates.  With X the character basis (columns in weight
+coordinates), the cycle test and the boundary map are matrix algebra on u
+and X; only the H^3 presentation flattens u into the n^2 tensor coordinates.
+
 Basis conventions are fixed once: the character lattice carries the basis
 dual to the integral lattice's preferred basis, tensor bases are ordered
 lexicographically (character index major), monomials w_i w_j use i <= j.
@@ -23,6 +28,7 @@ lexicographically (character index major), monomials w_i w_j use i <= j.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 
 from .errors import DimensionMismatch, NotACycle
@@ -31,7 +37,6 @@ from .zlinalg import (
     FgAbGroup,
     IntMatrix,
     Lattice,
-    Record,
     column_hermite_form,
     hstack,
     image_basis,
@@ -41,96 +46,25 @@ from .zlinalg import (
 )
 
 
-class LssComplex(Record):
-    """The assembled three-term complex for one root datum: `char_basis`
-    (columns: characters in weight coords), d20: wedge^2(chars) -> chars (x)
-    weights, d21_raw: chars (x) weights -> sym^2(weights), the Weyl-invariant
-    sublattice of sym^2(weights), and whether r has full rank n (see
-    build_complex)."""
-
-    _fields = ("rd", "char_basis", "wedge_pairs", "mono_pairs", "d20", "d21_raw", "invariants",
-               "injective")
-
-    def __init__(self, rd: RootDatum, char_basis: IntMatrix,
-                 wedge_pairs: tuple[tuple[int, int], ...], mono_pairs: tuple[tuple[int, int], ...],
-                 d20: IntMatrix, d21_raw: IntMatrix, invariants: Lattice, injective: bool):
-        self.rd, self.char_basis, self.wedge_pairs, self.mono_pairs = (
-            rd, char_basis, wedge_pairs, mono_pairs)
-        self.d20, self.d21_raw, self.invariants, self.injective = (
-            d20, d21_raw, invariants, injective)
-
-    @property
-    def rank(self) -> int:
-        return self.rd.rank
-
-    def c0_rank(self) -> int:
-        return len(self.wedge_pairs)
-
-    def c1_rank(self) -> int:
-        return self.rank * self.rank
-
-    def sym2_rank(self) -> int:
-        return len(self.mono_pairs)
-
-    # -- twist plumbing ------------------------------------------------------
-
-    def twist_coords(self, u: IntMatrix) -> tuple[int, ...]:
-        """Tensor coordinates of a hom-lattice element.
-
-        `u` sends integral-lattice basis coordinates to weight coordinates;
-        because the character basis is dual to the integral basis, the
-        coefficient of x_a (x) w_b is simply u[b, a].
-        """
-        n = self.rank
-        if u.rows != n or u.cols != n:
-            raise DimensionMismatch(f"twist matrix must be {n}x{n} for {self.rd.label}")
-        return tuple(u[b, a] for a in range(n) for b in range(n))
-
-    def is_cycle(self, u: IntMatrix) -> bool:
-        """True when the symmetrized quadratic form of u is Weyl-invariant."""
-        return self.invariants.contains(self.d21_raw.apply(self.twist_coords(u)))
-
-    def boundary_of(self, wedge_coeffs) -> IntMatrix:
-        """Twist matrix of the boundary of an element of wedge^2(chars)."""
-        n = self.rank
-        col = self.d20 @ IntMatrix.from_columns([tuple(wedge_coeffs)])
-        return IntMatrix([[col[a * n + b, 0] for a in range(n)] for b in range(n)], cols=n)
-
-
-@lru_cache(maxsize=None)
-def build_complex(rd: RootDatum) -> LssComplex:
-    """Assemble both differentials in the fixed bases and sanity-check them."""
+def is_cycle(rd: RootDatum, u: IntMatrix) -> bool:
+    """True when the twist u (integral-lattice coordinates to weight
+    coordinates) is a cycle: the second differential sends it to the
+    quadratic polynomial of M = X u^T, which must be Weyl-invariant."""
     n = rd.rank
-    x = rd.char_lattice().basis
-    wedge = tuple(pair_basis(n, strict=True))
-    mono = tuple(pair_basis(n, strict=False))
-    mono_index = {p: k for k, p in enumerate(mono)}
+    if u.rows != n or u.cols != n:
+        raise DimensionMismatch(f"twist matrix must be {n}x{n} for {rd.label}")
+    m = rd.char_lattice().basis @ u.transpose()
+    poly = [m[i, i] if i == j else m[i, j] + m[j, i] for i, j in pair_basis(n, strict=False)]
+    return sym_invariants(rd).contains(poly)
 
-    d20 = [[0] * len(wedge) for _ in range(n * n)]
-    for col, (a, b) in enumerate(wedge):
-        for j in range(n):
-            d20[b * n + j][col] += x[j, a]
-            d20[a * n + j][col] -= x[j, b]
 
-    d21 = [[0] * (n * n) for _ in range(len(mono))]
-    for a in range(n):
-        for j in range(n):
-            col = a * n + j
-            for i in range(n):
-                coeff = x[i, a]
-                if coeff:
-                    d21[mono_index[(min(i, j), max(i, j))]][col] += coeff
+def boundary(rd: RootDatum, s: IntMatrix) -> IntMatrix:
+    """Twist matrix of the boundary of sum_{a<b} s_ab x_a ^ x_b.
 
-    d20_m = IntMatrix(d20, cols=len(wedge))
-    d21_m = IntMatrix(d21, cols=n * n)
-    # The composite is exactly zero in sym^2 (the product is commutative).
-    assert d21_m @ d20_m == IntMatrix.zero(len(mono), len(wedge)), "complex is not a complex"
-
-    inv = sym_invariants(rd)
-    # The one fact every vanishing graded piece reads: restriction r, the
-    # columns of x, is injective (see dualizability_report).
-    return LssComplex(rd=rd, char_basis=x, wedge_pairs=wedge, mono_pairs=mono,
-                      d20=d20_m, d21_raw=d21_m, invariants=inv, injective=x.rank() == n)
+    d(x_a ^ x_b) = x_b (x) r(x_a) - x_a (x) r(x_b) is X(E_ab - E_ba), so the
+    sum is X(S - S^T); only the antisymmetric part of s counts.
+    """
+    return rd.char_lattice().basis @ (s - s.transpose())
 
 
 @lru_cache(maxsize=None)
@@ -160,42 +94,62 @@ def sym_invariants(rd: RootDatum) -> Lattice:
 # ---------------------------------------------------------------------------
 
 
-def _cycles_lattice(cx: LssComplex) -> Lattice:
-    """Kernel of the second differential into the invariant quotient."""
-    n2 = cx.c1_rank()
-    ker = kernel_of_matrix(hstack(cx.d21_raw, cx.invariants.basis.scale(-1)))
-    proj = IntMatrix([list(ker.row(i)) for i in range(n2)], cols=ker.cols)
-    return Lattice(n2, column_hermite_form(proj), label="degree-3 cycles")
+def _flat(columns) -> tuple[int, ...]:
+    """Tensor coordinates of a twist given by its columns: coordinate a*n + b,
+    on x_a (x) w_b, holds u[b, a], as the character basis is dual to the
+    integral basis."""
+    return tuple(chain.from_iterable(columns))
+
+
+def boundary_lattice(rd: RootDatum) -> Lattice:
+    """The boundaries in tensor coordinates: X(E_ab - E_ba), a < b, has
+    column b equal to x_a and column a equal to -x_b."""
+    n, x = rd.rank, rd.char_lattice().basis.columns()
+    gens = []
+    for a, b in pair_basis(n, strict=True):
+        cols = [(0,) * n] * n
+        cols[a], cols[b] = tuple(-v for v in x[b]), x[a]
+        gens.append(_flat(cols))
+    return image_basis(IntMatrix.from_columns(gens, rows=n * n))
+
+
+def _cycles_lattice(rd: RootDatum) -> Lattice:
+    """Kernel of the second differential into the invariant quotient, in
+    tensor coordinates: x_a (x) w_j maps to sum_i x_ia w_i w_j."""
+    n, x = rd.rank, rd.char_lattice().basis.columns()
+    mono = {p: k for k, p in enumerate(pair_basis(n, strict=False))}
+    d21 = []
+    for a in range(n):
+        for j in range(n):
+            col = [0] * len(mono)
+            for i in range(n):
+                col[mono[min(i, j), max(i, j)]] = x[a][i]
+            d21.append(col)
+    ker = kernel_of_matrix(hstack(IntMatrix.from_columns(d21), sym_invariants(rd).basis.scale(-1)))
+    proj = IntMatrix([list(ker.row(i)) for i in range(n * n)], cols=ker.cols)
+    return Lattice(n * n, column_hermite_form(proj), label="degree-3 cycles")
 
 
 @lru_cache(maxsize=None)
 def h3_group(rd: RootDatum) -> FgAbGroup:
-    """H^3 of the group: cycles modulo boundaries, with generator lifts in
-    tensor coordinates on chars (x) weights."""
-    cx = build_complex(rd)
-    return subquotient(image_basis(cx.d20), _cycles_lattice(cx))
+    """H^3 of the group: cycles modulo boundaries, in tensor coordinates on
+    chars (x) weights."""
+    return subquotient(boundary_lattice(rd), _cycles_lattice(rd))
 
 
 def h2_of_K(rd: RootDatum) -> FgAbGroup:
     """H^2 of the group: cokernel of the character restriction map.
 
     The other graded piece, the kernel of the wedge-square differential,
-    vanishes because restriction is injective (see dualizability_report);
-    that is asserted loudly rather than silently extending the answer.
+    vanishes because restriction is injective (see dualizability_report).
     """
-    cx = build_complex(rd)
-    if not cx.injective:
-        raise AssertionError(
-            "kernel of the wedge-square differential is nonzero; the edge "
-            "extension for H^2 would be ambiguous")
-    inner = Lattice(rd.rank, column_hermite_form(cx.char_basis), "characters")
+    inner = Lattice(rd.rank, column_hermite_form(rd.char_lattice().basis), "characters")
     return subquotient(inner, Lattice.standard(rd.rank, "weights"))
 
 
 def h1_of_K(rd: RootDatum) -> FgAbGroup:
     """H^1 of the group: kernel of character restriction, zero for
     semisimple input (the restriction is injective)."""
-    assert build_complex(rd).injective, "character restriction unexpectedly has a kernel"
     return subquotient(Lattice.zero(0), Lattice.standard(0))
 
 
@@ -206,9 +160,8 @@ def h2_of_B(rd: RootDatum) -> FgAbGroup:
 
 def h4_of_B(rd: RootDatum) -> FgAbGroup:
     """H^4 of the flag manifold: sym^2 of the weights mod Weyl invariants."""
-    cx = build_complex(rd)
-    full = Lattice.standard(cx.sym2_rank(), "sym2 weights")
-    return subquotient(cx.invariants, full)
+    inv = sym_invariants(rd)
+    return subquotient(inv, Lattice.standard(inv.ambient_dim, "sym2 weights"))
 
 
 def chern_classes(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
@@ -221,10 +174,9 @@ def chern_classes(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
 
 def class_in_h3(rd: RootDatum, u: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(free, torsion) coordinates of [u] in the presentation of H^3."""
-    cx = build_complex(rd)
-    if not cx.is_cycle(u):
+    if not is_cycle(rd, u):
         raise NotACycle(f"twist is not a cycle for {rd.label}")
-    return h3_group(rd).coords(cx.twist_coords(u))
+    return h3_group(rd).coords(_flat(u.columns()))
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +198,10 @@ def dualizability_report(rd: RootDatum) -> dict:
     m o Delta_k = k * id, so Delta_k is injective over Q.  Each composite
     is then injective over Q whenever r is, and a map of free Z-modules
     that is injective over Q has zero kernel.  So both kernels, and
-    H^1 = ker r, vanish once the character basis has full rank, which
-    build_complex records as `injective`.
+    H^1 = ker r, vanish once the character basis X has full rank, which
+    the Lattice constructor checks whenever `rd.char_lattice()` is built.
     """
-    cx = build_complex(rd)
-    if not cx.injective:
-        raise AssertionError("character restriction has a kernel; the (0,3) "
-                             "graded piece is not certified")
+    rd.char_lattice()  # raises DimensionMismatch unless X has full rank
     return {
         "group": rd.label,
         "dualizable": True,

@@ -35,6 +35,7 @@ from .errors import (
     InvalidSeries,
     NotBetweenLattices,
     Unavailable,
+    ascii_int,
     quote,
 )
 from .zlinalg import (
@@ -374,8 +375,8 @@ def named_group(name: str) -> RootDatum:
 
 def _name_int(name: str, digits: str) -> int:
     try:
-        return int(digits)
-    except ValueError as exc:  # not an integer, or past Python's 4300-digit limit
+        return ascii_int(digits)
+    except ValueError as exc:  # not ASCII digits, or past Python's 4300-digit limit
         raise InvalidSeries(f"cannot parse group name {quote(name)}") from exc
 
 

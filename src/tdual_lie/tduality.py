@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DimensionMismatch, NotACycle
-from .flagcoh import build_complex, class_in_h3
+from .flagcoh import boundary, boundary_lattice, class_in_h3, is_cycle
 from .rootdata import RootDatum, form_pairing, langlands_dual, require_phi
 from .zlinalg import (
     FgAbGroup,
@@ -27,7 +27,6 @@ from .zlinalg import (
     Lattice,
     Record,
     column_hermite_form,
-    image_basis,
     subquotient,
 )
 
@@ -49,7 +48,7 @@ class TwistClass(Record):
             raise DimensionMismatch("twist matrix must be rank x rank")
 
     def is_cycle(self) -> bool:
-        return build_complex(self.rd).is_cycle(self.matrix)
+        return is_cycle(self.rd, self.matrix)
 
     def h3_class(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return class_in_h3(self.rd, self.matrix)
@@ -132,16 +131,13 @@ def reduction_torsor_shift(twist: TwistClass, shift: ShiftMatrix) -> TwistClass:
     data moves by `bfield_shift`."""
     if not twist.is_cycle():
         raise NotACycle(f"twist is not a cycle for {twist.rd.label}")
-    cx = build_complex(twist.rd)
-    coeffs = [shift.entries[i, j] for (i, j) in cx.wedge_pairs]
-    return TwistClass(twist.rd, twist.matrix + cx.boundary_of(coeffs))
+    return TwistClass(twist.rd, twist.matrix + boundary(twist.rd, shift.entries))
 
 
 def reduction_torsor_group(rd: RootDatum) -> FgAbGroup:
     """The group acting simply transitively on reductions with a fixed
     class: boundaries inside the hom lattice (free, of wedge-square rank)."""
-    cx = build_complex(rd)
-    return subquotient(Lattice.zero(cx.c1_rank()), image_basis(cx.d20))
+    return subquotient(Lattice.zero(rd.rank ** 2), boundary_lattice(rd))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +186,7 @@ def _langlands_transport(rd: RootDatum) -> IntMatrix:
             flip.update(range(lo, hi))
     transport = IntMatrix([[-x for x in w.row(p)] if p in flip else w.row(p) for p in perm],
                           cols=rd.rank)
-    if not build_complex(rd).is_cycle(transport @ rd.integral.basis):
+    if not is_cycle(rd, transport @ rd.integral.basis):
         raise AssertionError(f"the Langlands transport rule gives no cycle for {rd.label}")
     return transport
 

@@ -178,9 +178,10 @@ def test_contcheck_grid_env(monkeypatch):
     monkeypatch.setenv("TDUAL_PRECISION", "4096")
     cfg = parse_args(["contcheck"])
     assert cfg.grid == 4096
-    monkeypatch.setenv("TDUAL_PRECISION", "oops")
-    with pytest.raises(UsageError):
-        parse_args(["contcheck"])
+    for raw in ("oops", " 8192 ", "8_192"):
+        monkeypatch.setenv("TDUAL_PRECISION", raw)
+        with pytest.raises(UsageError):
+            parse_args(["contcheck"])
 
 
 def _usage_error(capsys, argv, prefix="usage error:"):
@@ -207,6 +208,16 @@ def test_shift_float_entry_rejected(capsys):
 
 def test_component_rank_must_be_integer(capsys):
     _usage_error(capsys, ["group", "--group", '{"components": [{"series": "A", "rank": "x"}]}'])
+
+
+@pytest.mark.parametrize("series", ["5", '["A"]'])
+def test_component_series_must_be_string(capsys, series):
+    """A series that is not a JSON string is refused as written, not glued
+    to the rank into a type name such as "51"."""
+    capsys.readouterr()
+    assert main(["group", "--group", '{"components": [{"series": %s, "rank": 1}]}' % series]) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: components[].series must be a string, got {series}\n")
 
 
 def test_generator_float_entry_rejected(capsys):
@@ -395,6 +406,22 @@ FUZZ_CASES = [
                  2, id="group-33-factors"),
     pytest.param(["group", "--group", json.dumps({"components": [{"series": "A", "rank": 1}] * 32})],
                  0, id="group-32-factors"),
+    # A JSON series that is not a string.
+    pytest.param(["group", "--group", '{"components": [{"series": 5, "rank": 1}]}'], 2,
+                 id="group-series-number"),
+    pytest.param(["group", "--group", '{"components": [{"series": ["A"], "rank": 1}]}'], 2,
+                 id="group-series-list"),
+    # Integers in names and flags are ASCII digits as written, not what int() takes.
+    pytest.param(["group", "--group", "SU(1_6)"], 2, id="group-name-underscore"),
+    pytest.param(["group", "--group", "SU( 4 )"], 2, id="group-name-spaces"),
+    pytest.param(["group", "--group", "SU(+4)"], 2, id="group-name-plus"),
+    pytest.param(["group", "--group", "SU(\u0664)"], 2, id="group-name-arabic-indic"),
+    pytest.param(["group", "--group", "A\u0663"], 2, id="group-series-arabic-indic"),
+    pytest.param(["twist", "--group", "SU(2)", "--twist", "level:1_0"], 2,
+                 id="twist-level-underscore"),
+    pytest.param(["extension", "--group", "SU(2)", "--level", "1_0"], 2,
+                 id="level-flag-underscore"),
+    pytest.param(["contcheck", "--grid", "8_192"], 2, id="grid-underscore"),
     # Inputs within the limit whose exact results print past it.
     pytest.param(["extension", "--group", "SU(4)", "--b",
                   f'[[0, "1/{D1}", "1/{D2}"], ["-1/{D1}", 0, 0], ["-1/{D2}", 0, 0]]'], 0,

@@ -12,7 +12,7 @@ from sympy import Matrix
 
 from tdual_lie.errors import NotACycle
 from tdual_lie.flagcoh import (
-    build_complex,
+    boundary,
     chern_classes,
     class_in_h3,
     cohomology,
@@ -20,6 +20,7 @@ from tdual_lie.flagcoh import (
     h2_of_K,
     h3_group,
     h4_of_B,
+    is_cycle,
     sym_invariants,
 )
 from tdual_lie.loopext import admissibility_check, commutator_from_matrix
@@ -35,7 +36,15 @@ from tdual_lie.rootdata import (
     named_group,
 )
 from tdual_lie.tduality import level_twist
-from tdual_lie.zlinalg import IntMatrix, kernel_of_matrix
+from tdual_lie.zlinalg import (
+    IntMatrix,
+    Lattice,
+    column_hermite_form,
+    hstack,
+    image_basis,
+    kernel_of_matrix,
+    pair_basis,
+)
 
 from test_zlinalg import sym2_matrix
 
@@ -67,15 +76,15 @@ def invariants_by_reflection_kernel(rd) -> IntMatrix:
     return kernel_of_matrix(IntMatrix(stacked, cols=dim))
 
 
-def wedge3_differential(cx) -> IntMatrix:
+def wedge3_differential(rd) -> IntMatrix:
     """Degree-2 differential on wedge^3 of the characters.
 
     Antiderivation rule: x^y^z maps to r(x)(x)(y^z) - r(y)(x)(x^z)
     + r(z)(x)(x^y) inside weights (x) wedge^2(chars).
     """
-    n = cx.rank
-    x = cx.char_basis
-    wedge2 = list(cx.wedge_pairs)
+    n = rd.rank
+    x = rd.char_lattice().basis
+    wedge2 = pair_basis(n, strict=True)
     w2_index = {p: k for k, p in enumerate(wedge2)}
     triples = [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)]
     rows = n * len(wedge2)
@@ -86,6 +95,60 @@ def wedge3_differential(cx) -> IntMatrix:
             out[i * len(wedge2) + w2_index[(a, c)]][col] -= x[i, b]
             out[i * len(wedge2) + w2_index[(a, b)]][col] += x[i, c]
     return IntMatrix(out, cols=len(triples))
+
+
+# -- the complex in tensor coordinates, the oracle of the matrix form ---------
+
+
+def tensor_complex(rd) -> tuple[IntMatrix, IntMatrix]:
+    """(d20, d21_raw) as dense matrices built from index tables: d20 on
+    wedge^2(chars) -> chars (x) weights, d21_raw on chars (x) weights ->
+    sym^2(weights), with x_a (x) w_j at a*n + j and the pair_basis orders."""
+    n = rd.rank
+    x = rd.char_lattice().basis
+    wedge = pair_basis(n, strict=True)
+    mono = pair_basis(n, strict=False)
+    mono_index = {p: k for k, p in enumerate(mono)}
+    d20 = [[0] * len(wedge) for _ in range(n * n)]
+    for col, (a, b) in enumerate(wedge):
+        for j in range(n):
+            d20[b * n + j][col] += x[j, a]
+            d20[a * n + j][col] -= x[j, b]
+    d21 = [[0] * (n * n) for _ in range(len(mono))]
+    for a in range(n):
+        for j in range(n):
+            for i in range(n):
+                d21[mono_index[(min(i, j), max(i, j))]][a * n + j] += x[i, a]
+    return IntMatrix(d20, cols=len(wedge)), IntMatrix(d21, cols=n * n)
+
+
+def twist_coords(u: IntMatrix) -> tuple[int, ...]:
+    """Tensor coordinates of a twist: x_a (x) w_b carries u[b, a]."""
+    n = u.rows
+    return tuple(u[b, a] for a in range(n) for b in range(n))
+
+
+def boundary_of(d20: IntMatrix, n: int, wedge_coeffs) -> IntMatrix:
+    """Twist matrix of the boundary of an element of wedge^2(chars)."""
+    col = d20.apply(tuple(wedge_coeffs))
+    return IntMatrix([[col[a * n + b] for a in range(n)] for b in range(n)], cols=n)
+
+
+def oracle_is_cycle(rd, d21: IntMatrix, u: IntMatrix) -> bool:
+    return sym_invariants(rd).contains(d21.apply(twist_coords(u)))
+
+
+def oracle_cycles(rd, d21: IntMatrix) -> Lattice:
+    """Kernel of d21_raw into sym^2(weights) / invariants."""
+    n2 = d21.cols
+    ker = kernel_of_matrix(hstack(d21, sym_invariants(rd).basis.scale(-1)))
+    proj = IntMatrix([list(ker.row(i)) for i in range(n2)], cols=ker.cols)
+    return Lattice(n2, column_hermite_form(proj), label="degree-3 cycles")
+
+
+def random_shift(rng, n, lo, hi) -> IntMatrix:
+    """Strictly upper-triangular matrix, one draw per pair in pair_basis order."""
+    return IntMatrix([[rng.randint(lo, hi) if a < b else 0 for b in range(n)] for a in range(n)])
 
 
 @st.composite
@@ -202,13 +265,46 @@ def test_vanishing_pieces_match_kernels(rd):
     differential, d20 and the character basis have zero kernel, on random
     root data and on their Langlands duals."""
     for datum in (rd, langlands_dual(rd)):
-        cx = build_complex(datum)
-        assert cx.injective, datum.label
+        x = datum.char_lattice().basis
+        assert x.rank() == datum.rank, datum.label
         if datum.rank >= 3:
-            assert kernel_of_matrix(wedge3_differential(cx)).cols == 0, datum.label
-        assert kernel_of_matrix(cx.d20).cols == 0, datum.label
-        assert kernel_of_matrix(cx.char_basis).cols == 0, datum.label
+            assert kernel_of_matrix(wedge3_differential(datum)).cols == 0, datum.label
+        assert kernel_of_matrix(tensor_complex(datum)[0]).cols == 0, datum.label
+        assert kernel_of_matrix(x).cols == 0, datum.label
         assert dualizability_report(datum)["wedge3_kernel_rank"] == 0, datum.label
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(root_data(), st.integers(0, 4), st.data())
+def test_matrix_complex_matches_tensor_oracle(rd, level, data):
+    """The n x n matrix form of the complex against the tensor-coordinate
+    build, on random root data and on their Langlands duals: the cycle test
+    on level twists, on level twists moved by boundaries and on random
+    matrices; the boundary map; both lattices of the H^3 presentation, and
+    the class of each cycle basis vector read back as a twist; and
+    d21 o d20 = 0."""
+    for datum in (rd, langlands_dual(rd)):
+        n = datum.rank
+        d20, d21 = tensor_complex(datum)
+        assert d21 @ d20 == IntMatrix.zero(d21.rows, d20.cols), datum.label
+        ints = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        u = level_twist(datum, level).matrix
+        assert is_cycle(datum, u) and oracle_is_cycle(datum, d21, u), datum.label
+        for _ in range(3):
+            s = IntMatrix(data.draw(st.lists(ints, min_size=n, max_size=n)))
+            coeffs = [s[a, b] - s[b, a] for a, b in pair_basis(n, strict=True)]
+            assert boundary(datum, s) == boundary_of(d20, n, coeffs), datum.label
+            moved = u + boundary(datum, s)
+            assert is_cycle(datum, moved) and oracle_is_cycle(datum, d21, moved), datum.label
+            v = IntMatrix(data.draw(st.lists(ints, min_size=n, max_size=n)))
+            assert is_cycle(datum, v) == oracle_is_cycle(datum, d21, v), (datum.label, v)
+        g = h3_group(datum)
+        cycles = oracle_cycles(datum, d21)
+        assert g._inner.basis == image_basis(d20).basis, datum.label
+        assert g._outer == cycles, datum.label
+        for c in cycles.basis.columns():
+            z = IntMatrix([[c[a * n + b] for a in range(n)] for b in range(n)], cols=n)
+            assert is_cycle(datum, z) and class_in_h3(datum, z) == g.coords(c), datum.label
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -275,25 +371,27 @@ def test_invariant_factors_helper():
 
 
 def test_complex_ranks():
-    a1 = build_complex(named_group("SU(2)"))
-    assert a1.c0_rank() == 0 and a1.c1_rank() == 1
+    d20, d21 = tensor_complex(named_group("SU(2)"))
+    assert d20.cols == 0 and d21.cols == 1
     su2, so3 = h4_of_B(named_group("SU(2)")), h4_of_B(named_group("SO(3)"))
     assert (su2.free_rank, su2.torsion) == (so3.free_rank, so3.torsion)
 
-    so3 = build_complex(named_group("SO(3)"))
-    assert so3.char_basis == IntMatrix([[2]])  # restriction is times 2
+    # restriction is times 2
+    assert named_group("SO(3)").char_lattice().basis == IntMatrix([[2]])
 
-    a2 = build_complex(named_group("SU(3)"))
-    assert a2.c0_rank() == 1 and a2.c1_rank() == 4
+    a2 = named_group("SU(3)")
+    d20, d21 = tensor_complex(a2)
+    assert d20.cols == 1 and d21.cols == 4
     # quotient sym^2 / invariants has rank 3 - 1 = 2
-    assert a2.sym2_rank() - a2.invariants.rank == 2
+    assert d21.rows - sym_invariants(a2).rank == 2
 
 
 def test_complex_is_complex_everywhere():
     names = ["SU(2)", "SO(3)", "PSU(3)", "SU(4)", "SU(5)", "Spin(5)", "Sp(3)",
              "Spin(8)", "G2", "F4"]
     for name in names:
-        build_complex(named_group(name))  # asserts d21 o d20 = 0 internally
+        d20, d21 = tensor_complex(named_group(name))
+        assert d21 @ d20 == IntMatrix.zero(d21.rows, d20.cols), name
 
 
 def test_h3_examples():
@@ -365,34 +463,30 @@ def test_chern_classes():
 
 
 def test_is_cycle_su2_all_k():
-    cx = build_complex(named_group("SU(2)"))
+    su2 = named_group("SU(2)")
     for k in range(-3, 4):
-        assert cx.is_cycle(IntMatrix([[k]]))
+        assert is_cycle(su2, IntMatrix([[k]]))
 
 
 def test_is_cycle_su3():
     rd = named_group("SU(3)")
-    cx = build_complex(rd)
-    assert cx.is_cycle(level_twist_matrix(rd, 1))
-    assert cx.is_cycle(level_twist_matrix(rd, 2))
+    assert is_cycle(rd, level_twist_matrix(rd, 1))
+    assert is_cycle(rd, level_twist_matrix(rd, 2))
     # x_1 (x) w_1 alone is not Weyl-invariant after symmetrization.
-    assert not cx.is_cycle(IntMatrix([[1, 0], [0, 0]]))
+    assert not is_cycle(rd, IntMatrix([[1, 0], [0, 0]]))
 
 
 def test_cycle_invariant_under_boundaries():
     rd = named_group("SU(3)")
-    cx = build_complex(rd)
     rng = random.Random(8)
     u = level_twist_matrix(rd, 1)
     for _ in range(20):
-        coeffs = [rng.randint(-3, 3) for _ in range(cx.c0_rank())]
-        moved = u + cx.boundary_of(coeffs)
-        assert cx.is_cycle(moved)
+        moved = u + boundary(rd, random_shift(rng, 2, -3, 3))
+        assert is_cycle(rd, moved)
         assert class_in_h3(rd, moved) == class_in_h3(rd, u)
     bad = IntMatrix([[1, 0], [0, 0]])
     for _ in range(5):
-        coeffs = [rng.randint(-3, 3) for _ in range(cx.c0_rank())]
-        assert not cx.is_cycle(bad + cx.boundary_of(coeffs))
+        assert not is_cycle(rd, bad + boundary(rd, random_shift(rng, 2, -3, 3)))
 
 
 def test_class_in_h3_su2():
@@ -419,39 +513,36 @@ def test_quadratic_form_route_agrees():
     rng = random.Random(12)
     for name in ["SU(2)", "SU(3)", "SO(3)", "PSU(3)", "Spin(5)"]:
         rd = named_group(name)
-        cx = build_complex(rd)
+        inv = sym_invariants(rd)
         n = rd.rank
         for _ in range(25):
             u = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
             # v = u o iota on the coroot basis, in weight coordinates.
             coroots_in_lam = solve_columns(rd.integral.basis, rd.cartan)
             v = u @ coroots_in_lam
-            coeffs = [0] * cx.sym2_rank()
-            for idx, (i, j) in enumerate(cx.mono_pairs):
-                coeffs[idx] = v[i, j] + v[j, i] if i != j else v[i, i]
+            coeffs = [v[i, j] + v[j, i] if i != j else v[i, i]
+                      for i, j in pair_basis(n, strict=False)]
             target = IntMatrix.from_columns([tuple(coeffs)])
-            if cx.invariants.rank:
-                poly_route = solve_columns(cx.invariants.basis, target) is not None
+            if inv.rank:
+                poly_route = solve_columns(inv.basis, target) is not None
             else:
                 poly_route = all(x == 0 for x in target.column(0))
-            assert poly_route == cx.is_cycle(u), (name, u)
+            assert poly_route == is_cycle(rd, u), (name, u)
 
 
 def test_dualizability_reports():
     rng = random.Random(5)
     for name in ["SU(3)", "SO(3)"]:
         rd = named_group(name)
-        cx = build_complex(rd)
         base = level_twist_matrix(rd, 1)
         for trial in range(10):
             k = rng.randint(-3, 3)
-            coeffs = [rng.randint(-2, 2) for _ in range(cx.c0_rank())]
-            u = base.scale(k) + cx.boundary_of(coeffs)
-            assert cx.is_cycle(u)
+            u = base.scale(k) + boundary(rd, random_shift(rng, rd.rank, -2, 2))
+            assert is_cycle(rd, u)
         assert dualizability_report(rd)["dualizable"]
-    su2 = build_complex(named_group("SU(2)"))
+    su2 = named_group("SU(2)")
     for k in (-2, 0, 1, 5):
-        assert su2.is_cycle(IntMatrix([[k]]))
+        assert is_cycle(su2, IntMatrix([[k]]))
     assert dualizability_report(named_group("SU(2)"))["dualizable"]
     big = dualizability_report(named_group("SU(4)"))
     assert big["dualizable"] and big["wedge3_kernel_rank"] == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from tdual_lie.errors import InvalidCenterSubgroup, InvalidSeries, NotBetweenLattices, Unavailable
-from tdual_lie.flagcoh import build_complex
+from tdual_lie.flagcoh import h3_group
 from tdual_lie.rootdata import (
     RootDatum,
     all_coroots,
@@ -337,10 +337,10 @@ def test_value_semantics():
     assert twist != (named, named.cartan) and (named, named.cartan) != twist
     assert (repr(Lattice(1, IntMatrix([[2]]), "x"))
             == "Lattice(ambient_dim=1, basis=IntMatrix([[2]]), label='x')")
-    build_complex(named)
-    hits = build_complex.cache_info().hits
-    build_complex(built)
-    assert build_complex.cache_info().hits == hits + 1
+    h3_group(named)
+    hits = h3_group.cache_info().hits
+    h3_group(built)
+    assert h3_group.cache_info().hits == hits + 1
 
 
 def test_named_vs_json_style_build():
