@@ -18,17 +18,17 @@ hom-lattice elements represent degree-3 classes.
 A middle-term element is a twist: an n x n matrix u from integral-lattice
 to weight coordinates.  With X the character basis (columns in weight
 coordinates), the cycle test and the boundary map are matrix algebra on u
-and X; only the H^3 presentation flattens u into the n^2 tensor coordinates.
+and X, and H^3 is presented through the Smith form U X V = diag(d) (see
+`h3_group`), so nothing is indexed by the n^2 tensor coordinates.
 
 Basis conventions are fixed once: the character lattice carries the basis
-dual to the integral lattice's preferred basis, tensor bases are ordered
-lexicographically (character index major), monomials w_i w_j use i <= j.
+dual to the integral lattice's preferred basis, and monomials w_i w_j and
+wedges x_i ^ x_j are ordered lexicographically with i <= j and i < j.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 from math import gcd
 
 from .errors import DimensionMismatch, NotACycle
@@ -38,24 +38,30 @@ from .zlinalg import (
     IntMatrix,
     Lattice,
     column_hermite_form,
-    hstack,
-    image_basis,
     kernel_of_matrix,
     pair_basis,
+    smith_normal_form,
     subquotient,
 )
 
 
-def is_cycle(rd: RootDatum, u: IntMatrix) -> bool:
-    """True when the twist u (integral-lattice coordinates to weight
-    coordinates) is a cycle: the second differential sends it to the
-    quadratic polynomial of M = X u^T, which must be Weyl-invariant."""
+def _invariant_coords(rd: RootDatum, u: IntMatrix) -> tuple[IntMatrix, tuple[int, ...] | None]:
+    """M = X u^T for the twist u (integral-lattice coordinates to weight
+    coordinates), and the `sym_invariants` coordinates of its quadratic
+    polynomial (M_ii on w_i^2, M_ij + M_ji on w_i w_j), None when that
+    polynomial is not Weyl-invariant."""
     n = rd.rank
     if u.rows != n or u.cols != n:
         raise DimensionMismatch(f"twist matrix must be {n}x{n} for {rd.label}")
     m = rd.char_lattice().basis @ u.transpose()
     poly = [m[i, i] if i == j else m[i, j] + m[j, i] for i, j in pair_basis(n, strict=False)]
-    return sym_invariants(rd).contains(poly)
+    return m, sym_invariants(rd).coords(poly)
+
+
+def is_cycle(rd: RootDatum, u: IntMatrix) -> bool:
+    """True when the twist u is a cycle: the second differential sends it to
+    the quadratic polynomial of M = X u^T, which must be Weyl-invariant."""
+    return _invariant_coords(rd, u)[1] is not None
 
 
 def boundary(rd: RootDatum, s: IntMatrix) -> IntMatrix:
@@ -94,47 +100,48 @@ def sym_invariants(rd: RootDatum) -> Lattice:
 # ---------------------------------------------------------------------------
 
 
-def _flat(columns) -> tuple[int, ...]:
-    """Tensor coordinates of a twist given by its columns: coordinate a*n + b,
-    on x_a (x) w_b, holds u[b, a], as the character basis is dual to the
-    integral basis."""
-    return tuple(chain.from_iterable(columns))
-
-
-def boundary_lattice(rd: RootDatum) -> Lattice:
-    """The boundaries in tensor coordinates: X(E_ab - E_ba), a < b, has
-    column b equal to x_a and column a equal to -x_b."""
-    n, x = rd.rank, rd.char_lattice().basis.columns()
-    gens = []
-    for a, b in pair_basis(n, strict=True):
-        cols = [(0,) * n] * n
-        cols[a], cols[b] = tuple(-v for v in x[b]), x[a]
-        gens.append(_flat(cols))
-    return image_basis(IntMatrix.from_columns(gens, rows=n * n))
-
-
-def _cycles_lattice(rd: RootDatum) -> Lattice:
-    """Kernel of the second differential into the invariant quotient, in
-    tensor coordinates: x_a (x) w_j maps to sum_i x_ia w_i w_j."""
-    n, x = rd.rank, rd.char_lattice().basis.columns()
-    mono = {p: k for k, p in enumerate(pair_basis(n, strict=False))}
-    d21 = []
-    for a in range(n):
-        for j in range(n):
-            col = [0] * len(mono)
-            for i in range(n):
-                col[mono[min(i, j), max(i, j)]] = x[a][i]
-            d21.append(col)
-    ker = kernel_of_matrix(hstack(IntMatrix.from_columns(d21), sym_invariants(rd).basis.scale(-1)))
-    proj = IntMatrix([list(ker.row(i)) for i in range(n * n)], cols=ker.cols)
-    return Lattice(n * n, column_hermite_form(proj), label="degree-3 cycles")
+@lru_cache(maxsize=None)
+def _smith_frame(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """(U, d, P): U X V = diag(d) is the Smith form of the character basis,
+    and P lists the pairs i < j with gcd(d_i, d_j) > 1."""
+    u, dm = smith_normal_form(rd.char_lattice().basis)
+    d = tuple(dm[i, i] for i in range(rd.rank))
+    return u, d, tuple((i, j) for i, j in pair_basis(rd.rank, strict=True) if gcd(d[i], d[j]) > 1)
 
 
 @lru_cache(maxsize=None)
 def h3_group(rd: RootDatum) -> FgAbGroup:
-    """H^3 of the group: cycles modulo boundaries, in tensor coordinates on
-    chars (x) weights."""
-    return subquotient(boundary_lattice(rd), _cycles_lattice(rd))
+    """H^3 of the group: cycles modulo boundaries, in the coordinates (c, y)
+    of `class_in_h3`.
+
+    Put N = U M U^T for M = X u^T.  The twist u = (X^-1 M)^T is integral
+    exactly when row i of N is divisible by d_i, and a cycle exactly when
+    N + N^T = U (2 S_c) U^T = 2T(c), S_c the symmetric matrix of the
+    invariant polynomial with coordinates c.  So c and y_ij = N_ij (i < j)
+    fix N, subject to T(c)_ii = 0 mod d_i, y_ij = 0 mod d_i and
+    2T(c)_ij = y_ij mod d_j.  Row j of U, read as a coroot, pairs with every
+    character into d_j Z (U X = D V^-1), so it is d_j times a coweight; and
+    2 S_c, a sum of forms 2G/g with g | G_aa = 2 eps_a, pairs coroots with
+    coweights into Z.  So 2T(c)_ij = 0 mod d_j, and as d_i | d_j the pair
+    congruences are y_ij = 0 mod d_j.  The boundaries are the N = D A D, A
+    integral and antisymmetric: y_ij in d_i d_j Z.  Pairs with gcd(d_i, d_j)
+    = 1 carry no class, so only those in P keep a coordinate.  T(c)_ii, the
+    invariant polynomial's value on row i of U, gives one kernel row (with a
+    slack column) per d_i > 1.
+    """
+    U, d, pairs = _smith_frame(rd)
+    inv, mono = sym_invariants(rd), pair_basis(rd.rank, strict=False)
+    f, dim, torsion = inv.rank, inv.rank + len(pairs), [i for i in range(rd.rank) if d[i] > 1]
+    rows = [[sum(v * U[i, a] * U[i, b] for v, (a, b) in zip(poly, mono))
+             for poly in inv.basis.columns()] + [d[i] if i == t else 0 for t in torsion]
+            for i in torsion]
+    ker = kernel_of_matrix(IntMatrix(rows, cols=f + len(torsion)))
+    eye = IntMatrix.identity(dim).tolist()[f:]
+    cycles = [c[:f] + (0,) * len(pairs) for c in ker.columns()]
+    cycles += [[d[j] * x for x in e] for e, (_, j) in zip(eye, pairs)]
+    boundaries = [[d[i] * d[j] * x for x in e] for e, (i, j) in zip(eye, pairs)]
+    return subquotient(Lattice(dim, IntMatrix.from_columns(boundaries, rows=dim), "boundaries"),
+                       Lattice(dim, column_hermite_form(IntMatrix.from_columns(cycles)), "cycles"))
 
 
 def h2_of_K(rd: RootDatum) -> FgAbGroup:
@@ -173,10 +180,15 @@ def chern_classes(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
 
 
 def class_in_h3(rd: RootDatum, u: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(free, torsion) coordinates of [u] in the presentation of H^3."""
-    if not is_cycle(rd, u):
+    """(free, torsion) coordinates of [u] in the presentation of H^3: the
+    class of (c, y), c the invariant coordinates of u and y the entries
+    N_ij, (i, j) in P, of N = U X u^T U^T."""
+    m, c = _invariant_coords(rd, u)
+    if c is None:
         raise NotACycle(f"twist is not a cycle for {rd.label}")
-    return h3_group(rd).coords(_flat(u.columns()))
+    U, _, pairs = _smith_frame(rd)
+    nm = U @ m @ U.transpose()
+    return h3_group(rd).coords(c + tuple(nm[i, j] for i, j in pairs))
 
 
 # ---------------------------------------------------------------------------

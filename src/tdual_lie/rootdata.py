@@ -265,7 +265,7 @@ def basic_form(rd: RootDatum, level: int) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-MAX_RANK = 32  # total rank; bounds the cost of every verb (the complex has rank^2 columns)
+MAX_RANK = 32  # total rank; bounds the cost of every verb (its matrices are rank x rank)
 
 
 def build(series_list: Sequence[tuple[str, int]], fundamental_group="simply_connected",
@@ -279,9 +279,11 @@ def build(series_list: Sequence[tuple[str, int]], fundamental_group="simply_conn
     """
     comps = []
     for series, rank in series_list:
-        series = str(series).upper()
-        _check_series(series, int(rank))
-        comps.append((series, int(rank)))
+        if type(series) is not str or type(rank) is not int:
+            raise InvalidSeries("a simple factor needs a str series and an int rank")
+        series = series.upper()
+        _check_series(series, rank)
+        comps.append((series, rank))
     if not comps:
         raise InvalidSeries("a semisimple group needs at least one simple factor")
     if sum(r for _, r in comps) > MAX_RANK:  # checked before anything rank x rank exists

@@ -19,16 +19,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DimensionMismatch, NotACycle
-from .flagcoh import boundary, boundary_lattice, class_in_h3, is_cycle
+from .flagcoh import boundary, class_in_h3, is_cycle
 from .rootdata import RootDatum, form_pairing, langlands_dual, require_phi
-from .zlinalg import (
-    FgAbGroup,
-    IntMatrix,
-    Lattice,
-    Record,
-    column_hermite_form,
-    subquotient,
-)
+from .zlinalg import IntMatrix, Record, column_hermite_form
 
 TWIST_BASIS_CONVENTION = (
     "chat_k = u(lambda_k) in weight coordinates; lambda_k = preferred basis "
@@ -132,12 +125,6 @@ def reduction_torsor_shift(twist: TwistClass, shift: ShiftMatrix) -> TwistClass:
     if not twist.is_cycle():
         raise NotACycle(f"twist is not a cycle for {twist.rd.label}")
     return TwistClass(twist.rd, twist.matrix + boundary(twist.rd, shift.entries))
-
-
-def reduction_torsor_group(rd: RootDatum) -> FgAbGroup:
-    """The group acting simply transitively on reductions with a fixed
-    class: boundaries inside the hom lattice (free, of wedge-square rank)."""
-    return subquotient(Lattice.zero(rd.rank ** 2), boundary_lattice(rd))
 
 
 # ---------------------------------------------------------------------------

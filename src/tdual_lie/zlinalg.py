@@ -7,8 +7,8 @@ The module provides:
   * IntMatrix       -- immutable arbitrary-precision integer matrices,
   * smith_normal_form (U and D) / column_hermite_form -- normal forms,
   * Lattice         -- free Z-modules with chosen bases,
-  * image_basis / kernel_of_matrix / subquotient -- the pieces every
-    cohomology group in the package is assembled from,
+  * kernel_of_matrix / subquotient -- the pieces every cohomology group
+    in the package is assembled from,
   * pair_basis      -- the lexicographic index pairs (i<j for wedge^2, i<=j
     for sym^2) that fix the bases of the degree-2 lattices,
   * Record          -- the value-class base of the package's plain classes.
@@ -511,11 +511,6 @@ class Lattice(Record):
             if q:
                 out[c:] = [x - q * y for x, y in zip(out[c:], row[c:n])]
         return tuple(out)
-
-
-def image_basis(m: IntMatrix) -> Lattice:
-    """Canonical basis of the sublattice of Z^rows spanned by the columns of m."""
-    return Lattice(m.rows, column_hermite_form(m))
 
 
 def kernel_of_matrix(m: IntMatrix) -> IntMatrix:

@@ -41,9 +41,9 @@ from tdual_lie.zlinalg import (
     Lattice,
     column_hermite_form,
     hstack,
-    image_basis,
     kernel_of_matrix,
     pair_basis,
+    subquotient,
 )
 
 from test_zlinalg import sym2_matrix
@@ -128,10 +128,14 @@ def twist_coords(u: IntMatrix) -> tuple[int, ...]:
     return tuple(u[b, a] for a in range(n) for b in range(n))
 
 
+def as_twist(c, n: int) -> IntMatrix:
+    """The twist matrix with tensor coordinates c (see twist_coords)."""
+    return IntMatrix([[c[a * n + b] for a in range(n)] for b in range(n)], cols=n)
+
+
 def boundary_of(d20: IntMatrix, n: int, wedge_coeffs) -> IntMatrix:
     """Twist matrix of the boundary of an element of wedge^2(chars)."""
-    col = d20.apply(tuple(wedge_coeffs))
-    return IntMatrix([[col[a * n + b] for a in range(n)] for b in range(n)], cols=n)
+    return as_twist(d20.apply(tuple(wedge_coeffs)), n)
 
 
 def oracle_is_cycle(rd, d21: IntMatrix, u: IntMatrix) -> bool:
@@ -274,15 +278,24 @@ def test_vanishing_pieces_match_kernels(rd):
         assert dualizability_report(datum)["wedge3_kernel_rank"] == 0, datum.label
 
 
+def generates(classes, r: int, torsion) -> bool:
+    """True when the (free, torsion) class coordinates generate the group
+    Z^r + Z/t_1 + ... + Z/t_m: with the relations t_k e_(r+k) they must
+    span Z^(r+m)."""
+    m = len(torsion)
+    relations = [[t if i == r + k else 0 for i in range(r + m)] for k, t in enumerate(torsion)]
+    span = IntMatrix.from_columns([f + t for f, t in classes] + relations, rows=r + m)
+    return column_hermite_form(span) == IntMatrix.identity(r + m)
+
+
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(root_data(), st.integers(0, 4), st.data())
 def test_matrix_complex_matches_tensor_oracle(rd, level, data):
     """The n x n matrix form of the complex against the tensor-coordinate
     build, on random root data and on their Langlands duals: the cycle test
     on level twists, on level twists moved by boundaries and on random
-    matrices; the boundary map; both lattices of the H^3 presentation, and
-    the class of each cycle basis vector read back as a twist; and
-    d21 o d20 = 0."""
+    matrices; the boundary map; d21 o d20 = 0; and H^3 (see
+    check_h3_against_tensor_oracle)."""
     for datum in (rd, langlands_dual(rd)):
         n = datum.rank
         d20, d21 = tensor_complex(datum)
@@ -298,13 +311,53 @@ def test_matrix_complex_matches_tensor_oracle(rd, level, data):
             assert is_cycle(datum, moved) and oracle_is_cycle(datum, d21, moved), datum.label
             v = IntMatrix(data.draw(st.lists(ints, min_size=n, max_size=n)))
             assert is_cycle(datum, v) == oracle_is_cycle(datum, d21, v), (datum.label, v)
-        g = h3_group(datum)
-        cycles = oracle_cycles(datum, d21)
-        assert g._inner.basis == image_basis(d20).basis, datum.label
-        assert g._outer == cycles, datum.label
-        for c in cycles.basis.columns():
-            z = IntMatrix([[c[a * n + b] for a in range(n)] for b in range(n)], cols=n)
-            assert is_cycle(datum, z) and class_in_h3(datum, z) == g.coords(c), datum.label
+        check_h3_against_tensor_oracle(datum)
+
+
+def check_h3_against_tensor_oracle(rd):
+    """The oracle H^3 is the subquotient of the tensor cycles by the tensor
+    boundaries.  It has the invariants of `h3_group`, `class_in_h3` vanishes
+    on each oracle boundary generator, and the classes of the oracle cycle
+    basis generate `h3_group`.  So `class_in_h3` induces a surjection
+    between isomorphic finitely generated abelian groups, which is an
+    isomorphism."""
+    n = rd.rank
+    d20, d21 = tensor_complex(rd)
+    g = h3_group(rd)
+    cycles = oracle_cycles(rd, d21)
+    oracle = subquotient(Lattice(n * n, column_hermite_form(d20)), cycles)
+    assert (g.free_rank, g.torsion) == (oracle.free_rank, oracle.torsion), rd.label
+    zero = ((0,) * g.free_rank, (0,) * len(g.torsion))
+    for c in d20.columns():
+        assert class_in_h3(rd, as_twist(c, n)) == zero, rd.label
+    classes = [class_in_h3(rd, as_twist(c, n)) for c in cycles.basis.columns()]
+    assert generates(classes, g.free_rank, g.torsion), rd.label
+
+
+@pytest.mark.parametrize("comps, fundamental_group", [
+    ([("A", 1), ("A", 3)], "adjoint"),  # pi_1 = Z/2 + Z/4
+    ([("A", 2), ("A", 5)], "adjoint"),  # Z/3 + Z/6
+    ([("A", 1)] * 3, "adjoint"),
+    ([("D", 4)], "adjoint"),
+    ([("D", 6)], "adjoint"),
+    ([("A", 1), ("A", 1)], {"generators": [[1, 1]]}),
+    ([("A", 3), ("A", 1)], {"generators": [[2, 1]]}),
+    ([("B", 3), ("C", 3)], "adjoint"),
+])
+def test_h3_of_quotients_matches_tensor_oracle(comps, fundamental_group):
+    """Products whose fundamental groups have several invariant factors,
+    some of them distinct, which random draws reach only now and then."""
+    check_h3_against_tensor_oracle(build(comps, fundamental_group))
+
+
+def test_generates_helper():
+    assert generates([((1,), ())], 1, ())
+    assert not generates([((2,), ())], 1, ())
+    assert generates([((2,), (1,)), ((3,), (0,))], 1, (2,))
+    assert not generates([((2,), (0,)), ((3,), (1,))], 1, (2,))
+    assert not generates([((1,), (0,))], 1, (2,))
+    assert generates([((), (1,))], 0, (2,))
+    assert not generates([((), (2,))], 0, (4,))
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -497,6 +550,23 @@ def test_class_in_h3_su2():
         assert [abs(x) for x in free] == [abs(k)]
     zero_free, zero_tors = class_in_h3(rd, IntMatrix([[0]]))
     assert zero_free == (0,) and zero_tors == ()
+
+
+@pytest.mark.parametrize("comps, fundamental_group, twist, expected", [
+    ([("A", 1), ("A", 1)], {"generators": [[1, 1]]}, None, ((2, 0), ())),  # SO(4); was (2, -2)
+    ([("A", 3), ("A", 1)], {"generators": [[2, 1]]}, None, ((2, 1), ())),  # was (3, 2)
+    ([("B", 3), ("C", 3)], "adjoint", None, ((1, 2), (0,))),
+    ([("D", 4)], "adjoint", None, ((2,), (1,))),
+    # A torsion coordinate mod 3 reads y = N_23 = 6, not N_32 = -6.
+    ([("A", 2), ("A", 2)], "adjoint", [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]],
+     ((0, 0), (2,))),
+])
+def test_class_of_quotients(comps, fundamental_group, twist, expected):
+    """Classes of non-simply-connected products, at `level:1` when no twist
+    is given, in the Smith coordinates of the (c, y) presentation."""
+    rd = build(comps, fundamental_group)
+    u = level_twist(rd, 1).matrix if twist is None else IntMatrix(twist)
+    assert class_in_h3(rd, u) == expected
 
 
 def test_class_in_h3_requires_cycle():

@@ -109,8 +109,8 @@ UNBENCHED_DIGESTS = {
     ("extension", "--group", "SU(3)", "--b", '[[0,"1/3"],["2/3",0]]'):
         "2f206df3aa12adf067853a46edb771103b96855d6d89b479a75fb8bdb6bdbead",
     # Quotients whose integral bases are built from the center's torsion
-    # lifts, and an h3_class torsion part ([1, 0, 1]) read through the
-    # Smith transform U.
+    # lifts, and an adjoint A1^3 h3_class, free [1, 0, 3] and torsion
+    # [1, 0, 1], in the Smith coordinates of the (c, y) presentation.
     ("group", "--group",
      '{"components":[{"series":"D","rank":4}],"fundamental_group":{"generators":[[1,1]]}}'):
         "68be9dcd0c5980b8e290bf97516cc7b1b5b6bb0f1ce2ce036cbb716a6735daa2",
@@ -123,7 +123,7 @@ UNBENCHED_DIGESTS = {
      '"fundamental_group":"adjoint"}',
      "--twist", "[[1,1,0],[-1,0,1],[0,-1,3]]", "--shift", "[[0,1,1],[0,0,1],[0,0,0]]",
      "--format", "json"):
-        "aa0959aed7370dba8b288829d2291621baf267de308801b3f67f668faad6e746",
+        "60fc28ab04c97f6eafaf6c1f970aa2dea97b506a514c5afa419ae6b31a078eb1",
     ("langlands", "--group", "B3"):
         "2f81bebc6f4bbef9e0488fb2efb1a22da38add80c93914a5280c83ef25372b13",
     ("contcheck", "--format", "json"):

@@ -59,6 +59,20 @@ def test_series_validation():
         named_group("Spin(6)")
 
 
+@pytest.mark.parametrize("comps", [
+    [("A", 2.7)], [("A", True)], [("A", "2")], [("A", None)], [(5, 2)], [(["A"], 2)], [(b"A", 2)],
+])
+def test_build_refuses_factors_that_are_not_a_string_and_an_int(comps):
+    """A rank is taken exactly, never truncated (2.7 is not 2) or read off a
+    bool, and a series is never stringified."""
+    with pytest.raises(InvalidSeries):
+        build(comps)
+
+
+def test_build_upper_cases_the_series():
+    assert build([("d", 4)]) == build([("D", 4)])
+
+
 def test_root_counts():
     for name, count in [("A1", 2), ("A2", 6), ("G2", 12), ("B2", 8),
                         ("A3", 12), ("D4", 24), ("F4", 48)]:

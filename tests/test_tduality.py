@@ -17,13 +17,12 @@ from tdual_lie.tduality import (
     dual_chern,
     langlands_twist,
     level_twist,
-    reduction_torsor_group,
     reduction_torsor_shift,
     verify_langlands_tdual,
 )
-from tdual_lie.zlinalg import IntMatrix, Lattice
+from tdual_lie.zlinalg import IntMatrix, Lattice, column_hermite_form, subquotient
 
-from test_flagcoh import with_fundamental_group
+from test_flagcoh import tensor_complex, with_fundamental_group
 from test_rootdata import weyl_elements_on_coweights
 
 
@@ -144,12 +143,18 @@ def test_reduction_torsor_shift_zero():
     assert moved.matrix == base.matrix
 
 
-def test_reduction_torsor_group_rank():
-    # Free of wedge-square rank: 0 for rank 1, 1 for rank 2, 3 for rank 3.
-    assert reduction_torsor_group(named_group("SU(2)")).free_rank == 0
-    assert reduction_torsor_group(named_group("SU(3)")).free_rank == 1
-    assert reduction_torsor_group(named_group("SU(4)")).free_rank == 3
-    assert reduction_torsor_group(named_group("SU(3)")).torsion == ()
+def test_reduction_torsor_group_is_free_of_wedge2_rank():
+    """The group acting simply transitively on the reductions of a fixed
+    class is the boundary lattice, the image of d20 in tensor coordinates.
+    X has full rank, so d20 is injective and that group is free of rank
+    C(n, 2)."""
+    for rd in [named_group("SU(2)"), named_group("SU(3)"), named_group("SU(4)"),
+               named_group("SO(3)"), named_group("PSU(4)"), named_group("Spin(8)"),
+               named_group("G2"), build([("A", 1)] * 3, "adjoint")]:
+        n = rd.rank
+        boundaries = Lattice(n * n, column_hermite_form(tensor_complex(rd)[0]))
+        group = subquotient(Lattice.zero(n * n), boundaries)
+        assert (group.free_rank, group.torsion) == (n * (n - 1) // 2, ()), rd.label
 
 
 def test_langlands_twist_su2():
