@@ -356,36 +356,50 @@ _EXPECT_TESTS = {
 }
 
 
+def _error_line(exc: TdualError) -> str:
+    return f"{'usage error' if isinstance(exc, UsageError) else 'error'}: {exc}"
+
+
+def report_for(config: argparse.Namespace, spec: str) -> dict:
+    """The report of `config.verb` on the group `spec`."""
+    rd = resolve_group(spec)
+    if config.verb in ("twist", "dualize"):
+        shift = resolve_shift(rd, config.shift) if config.shift else None
+        try:
+            twist = resolve_twist(rd, config.twist)
+        except Unavailable as exc:
+            return {"group": rd.label, "available": False, "reason": str(exc)}
+    b = resolve_commutator(config.b) if config.b else None
+    with _exact_output():
+        if config.verb == "group":
+            return report_group(rd)
+        if config.verb == "cohomology":
+            return flagcoh.cohomology(rd)
+        if config.verb in ("twist", "dualize"):  # `twist` takes no --shift
+            return report_dualize(rd, twist, shift)
+        if config.verb == "langlands":
+            return report_langlands(rd)
+        return report_extension(rd, config.level, b)
+
+
 def run(config: argparse.Namespace) -> tuple[int, dict]:
-    """Execute a parsed command; returns (exit code, report)."""
-    reports = []
+    """Execute a parsed command; returns (exit code, report).
+
+    In a --group-list batch a group that fails gets a {"group", "error"}
+    record in its place, its error line goes to stderr and the exit code is 2.
+    """
+    reports, failed = [], False
     if config.verb == "contcheck":
         reports.append(cont.continuum_summary(config.grid))
-    else:
-        for spec in config.groups:
-            rd = resolve_group(spec)
-            if config.verb in ("twist", "dualize"):
-                shift = resolve_shift(rd, config.shift) if config.shift else None
-                try:
-                    twist = resolve_twist(rd, config.twist)
-                except Unavailable as exc:
-                    reports.append({"group": rd.label, "available": False,
-                                    "reason": str(exc)})
-                    continue
-            b = resolve_commutator(config.b) if config.b else None
-            with _exact_output():
-                if config.verb == "group":
-                    reports.append(report_group(rd))
-                elif config.verb == "cohomology":
-                    reports.append(flagcoh.cohomology(rd))
-                elif config.verb == "twist":
-                    reports.append(report_twist(rd, twist))
-                elif config.verb == "dualize":
-                    reports.append(report_dualize(rd, twist, shift))
-                elif config.verb == "langlands":
-                    reports.append(report_langlands(rd))
-                elif config.verb == "extension":
-                    reports.append(report_extension(rd, config.level, b))
+    for spec in config.groups:
+        try:
+            reports.append(report_for(config, spec))
+        except TdualError as exc:
+            if config.group_list is None:
+                raise
+            print(_error_line(exc), file=sys.stderr)
+            reports.append({"group": spec, "error": str(exc)})
+            failed = True
 
     payload = {
         "schema": SCHEMA,
@@ -401,7 +415,7 @@ def run(config: argparse.Namespace) -> tuple[int, dict]:
             code = 1
         else:
             payload["expect"] = {"asserted": config.expect, "satisfied": True}
-    return code, payload
+    return (2 if failed else code), payload
 
 
 def render_text(payload: dict) -> str:
@@ -430,11 +444,8 @@ def main(argv=None) -> int:
     try:
         config = parse_args(argv if argv is not None else sys.argv[1:])
         code, payload = run(config)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except TdualError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_error_line(exc), file=sys.stderr)
         return 2
     with _exact_output():
         if config.format == "json":

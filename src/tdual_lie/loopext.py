@@ -14,6 +14,7 @@ Values in Q/Z are reduced fractions in [0, 1); everything is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import DimensionMismatch, InvalidCommutator, RequiresExplicitB
@@ -49,16 +50,6 @@ class CommutatorMap(Record):
                     raise InvalidCommutator("values must be reduced into [0, 1)")
                 if _mod1(v + self.values[j][i]) != 0:
                     raise InvalidCommutator("commutator map must be antisymmetric mod 1")
-
-    def value(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
-        """b(x, y) in [0,1) for x, y in basis coordinates."""
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.values[i]
-            total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj != 0)
-        return _mod1(total)
 
     def first_nonzero(self) -> tuple[int, int, Fraction] | None:
         for i, row in enumerate(self.values):
@@ -134,7 +125,11 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
     Every coroot is solved once, in the integral basis and in the coroot
     basis; with c its coroot coordinates, the symmetric form gives
     <lambda_k, H> = sum_i c_i <H_i, lambda_k>, from `form_pairing` in
-    integers."""
+    integers.  Row k of b times D_k, the lcm of its denominators, is an
+    integer row; its product x with the integral coordinates of H is
+    D_k b(lambda_k, H) mod D_k, so the rule reads
+    2 (x mod D_k) = D_k (<lambda_k, H> mod 2).  Only a violation builds a
+    Fraction, to word it."""
     n = rd.rank
     pairing = form_pairing(rd, level, rd.integral.basis)
     det = abs(rd.cartan.det())
@@ -146,17 +141,17 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
     coroots = all_coroots(rd)
     targets = IntMatrix.from_columns(coroots, rows=n)
     coords = solve_columns(rd.integral.basis, targets)
-    in_coroots = solve_columns(rd.cartan, targets)
-    values = in_coroots.transpose() @ pairing
+    pairs = pairing.transpose() @ solve_columns(rd.cartan, targets)
+    scales = [lcm(*(v.denominator for v in row)) for row in b.values]
+    scaled = IntMatrix([v.numerator * (d // v.denominator) for v in row]
+                       for d, row in zip(scales, b.values))
     half = []
-    for k in range(n):
-        e_k = [1 if t == k else 0 for t in range(n)]
-        for h, coroot in enumerate(coroots):
-            got = b.value(e_k, coords.column(h))
-            want = Fraction(values[h, k] % 2, 2)
-            if got != want:
-                half.append(
-                    f"b(basis_{k}, coroot {coroot}) = {got} but [<.,.>/2] = {want}")
+    for k, (d, xs, ws) in enumerate(zip(scales, scaled @ coords, pairs)):
+        for coroot, x, w in zip(coroots, xs, ws):
+            x, w = x % d, w % 2
+            if 2 * x != d * w:
+                half.append(f"b(basis_{k}, coroot {coroot}) = {Fraction(x, d)} "
+                            f"but [<.,.>/2] = {Fraction(w, 2)}")
     return {
         "passed": not integrality and not half,
         "integrality_violations": integrality,

@@ -169,12 +169,6 @@ class RootDatum(Record):
     def coroot_lattice(self) -> Lattice:
         return Lattice(self.rank, self.cartan, "coroots")
 
-    def weight_lattice(self) -> Lattice:
-        return Lattice.standard(self.rank, "weights")
-
-    def root_lattice(self) -> Lattice:
-        return Lattice(self.rank, self.cartan.transpose(), "roots")
-
     def char_lattice(self) -> Lattice:
         """Character lattice of the torus, with the basis dual to `integral`.
 
@@ -206,10 +200,6 @@ class RootDatum(Record):
         return tuple(out)
 
     # -- Weyl group -------------------------------------------------------------
-
-    def reflection_on_weights(self, i: int) -> IntMatrix:
-        """Simple reflection s_i on fundamental-weight coordinates."""
-        return _reflection(self.rank, self.cartan.row(i), i)
 
     def reflection_on_coweights(self, i: int) -> IntMatrix:
         """Simple reflection s_i on fundamental-coweight coordinates."""
@@ -425,31 +415,34 @@ _NAMED_MAKERS = {"SU": _make_su, "PSU": _make_psu, "Spin": _make_spin, "SO": _ma
 @lru_cache(maxsize=None)
 def all_roots(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     """Every root, as weight-coordinate vectors, sorted."""
-    n = rd.rank
-    return _orbit([rd.cartan.row(i) for i in range(n)],
-                  [rd.reflection_on_weights(i) for i in range(n)])
+    return _orbit([rd.cartan.row(i) for i in range(rd.rank)])
 
 
 @lru_cache(maxsize=None)
 def all_coroots(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     """Every coroot, as coweight-coordinate vectors, sorted."""
-    n = rd.rank
-    return _orbit([rd.cartan.column(i) for i in range(n)],
-                  [rd.reflection_on_coweights(i) for i in range(n)])
+    return _orbit([rd.cartan.column(i) for i in range(rd.rank)])
 
 
-def _orbit(seeds, reflections) -> tuple[tuple[int, ...], ...]:
-    """The orbit of `seeds` under the group the `reflections` generate, sorted."""
-    seen = set(seeds)
+def _orbit(simple) -> tuple[tuple[int, ...], ...]:
+    """The orbit of the `simple` roots under the simple reflections, sorted.
+
+    Entry i of a vector is its pairing with the i-th simple coroot (weight
+    coordinates) or root (coweight coordinates), so s_i(v) = v - v_i *
+    simple[i]: O(n) per step, and nothing to do when v_i = 0.
+    """
+    seen = set(simple)
     frontier = list(seen)
     while frontier:
         nxt = []
         for v in frontier:
-            for s in reflections:
-                w = s.apply(v)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
+            for i, a in enumerate(simple):
+                c = v[i]
+                if c:
+                    w = tuple(x - c * y for x, y in zip(v, a))
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
         frontier = nxt
     return tuple(sorted(seen))
 

@@ -47,6 +47,8 @@ def test_group_report():
     assert rep["rank"] == 2
     assert rep["center"]["invariant_factors"] == [3]
     assert rep["root_count"] == 6
+    code, payload = run_json(["group", "--group", "Spin(64)"])
+    assert code == 0 and payload["reports"][0]["root_count"] == 1984
 
 
 def test_cohomology_so3():
@@ -121,6 +123,31 @@ def test_group_list_batch():
     code, payload = run_json(["cohomology", "--group-list", "SU(2),SO(3)"])
     assert code == 0
     assert len(payload["reports"]) == 2
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["group", "--group-list", "SU(2),Q7,SU(3)"], "error: unknown group name 'Q7'"),
+    (["twist", "--group-list", "SU(2),SU(3),SO(3)", "--twist", "[[1]]"],
+     "usage error: malformed twist matrix '[[1]]': twist matrix must be rank x rank"),
+], ids=["unknown-group", "twist-of-wrong-size"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_group_list_keeps_the_reports_around_a_bad_group(capsys, argv, line, fmt):
+    """A group that fails in a batch gets a {"group", "error"} record in its
+    place, between the reports of the others; stderr keeps its one-line
+    message and the exit code is 2."""
+    capsys.readouterr()
+    assert main(argv + ["--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert err == line + "\n"
+    message = line.split(": ", 1)[1]
+    specs = argv[argv.index("--group-list") + 1].split(",")
+    if fmt == "json":
+        reports = json.loads(out)["reports"]
+        assert [r["group"] for r in reports] == specs
+        assert reports[1] == {"group": specs[1], "error": message}
+        assert all("error" not in r for r in (reports[0], reports[2]))
+    else:
+        assert f"-- report 1 --\ngroup: {specs[1]}\nerror: {message}\n-- report 2 --\n" in out
 
 
 def test_json_group_spec(tmp_path):

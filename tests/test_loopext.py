@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdual_lie.cli import resolve_group
 from tdual_lie.errors import RequiresExplicitB
@@ -14,7 +16,82 @@ from tdual_lie.loopext import (
     fibrewise_trivializable,
     lift_commutator,
 )
-from tdual_lie.rootdata import build, named_group
+from tdual_lie.rootdata import all_coroots, build, form_pairing, langlands_dual, named_group
+from tdual_lie.zlinalg import IntMatrix, solve_columns
+
+from test_flagcoh import root_data
+
+
+def fraction_value(b, x, y):
+    """b(x, y) in [0, 1) for x, y in basis coordinates, summed in Fractions."""
+    total = Fraction(0)
+    for xi, row in zip(x, b.values):
+        if xi:
+            total += xi * sum(v * yj for v, yj in zip(row, y) if yj)
+    return total % 1
+
+
+def admissibility_by_fractions(rd, level, b):
+    """The admissibility report with every b(lambda_k, H) from
+    `fraction_value`, basis vector by coroot: the oracle for the integer
+    route of `admissibility_check`."""
+    n = rd.rank
+    pairing = form_pairing(rd, level, rd.integral.basis)
+    det = abs(rd.cartan.det())
+    gram = rd.integral.basis.transpose() @ solve_columns(rd.cartan.transpose(), pairing.scale(det))
+    integrality = [
+        f"<lambda_{j}, lambda_{k}> = {Fraction(gram[j, k], det)} is not an integer"
+        for j in range(n) for k in range(j, n) if gram[j, k] % det
+    ]
+    coroots = all_coroots(rd)
+    targets = IntMatrix.from_columns(coroots, rows=n)
+    coords = solve_columns(rd.integral.basis, targets)
+    values = solve_columns(rd.cartan, targets).transpose() @ pairing
+    half = []
+    for k in range(n):
+        e_k = [1 if t == k else 0 for t in range(n)]
+        for h, coroot in enumerate(coroots):
+            got = fraction_value(b, e_k, coords.column(h))
+            want = Fraction(values[h, k] % 2, 2)
+            if got != want:
+                half.append(f"b(basis_{k}, coroot {coroot}) = {got} but [<.,.>/2] = {want}")
+    return {
+        "passed": not integrality and not half,
+        "integrality_violations": integrality,
+        "half_pairing_violations": half,
+    }
+
+
+ADJOINT_BCFG = [("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("F", 4), ("G", 2)]
+
+
+@st.composite
+def loop_data(draw):
+    """(rd, level, b): half the time an adjoint B, C, F or G group, else any
+    `root_data()`, then half the time its Langlands dual, whose Cartan
+    matrix is the transpose; a level from 1 to 3; b with denominators in
+    {1, 2, 3, 4, 6}."""
+    if draw(st.booleans()):
+        rd = build([draw(st.sampled_from(ADJOINT_BCFG))], "adjoint")
+    else:
+        rd = draw(root_data())
+    if draw(st.booleans()):
+        rd = langlands_dual(rd)
+    n = rd.rank
+    entries = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 2, 3, 4, 6])))
+            entries[i][j], entries[j][i] = x, -x
+    return rd, draw(st.integers(1, 3)), commutator_from_matrix(rd, entries)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(loop_data())
+def test_admissibility_matches_fraction_route(data):
+    """The same report, violation strings and their order included."""
+    rd, level, b = data
+    assert admissibility_check(rd, level, b) == admissibility_by_fractions(rd, level, b)
 
 
 def level_commutator(name, level):
@@ -67,7 +144,7 @@ def test_biadditive():
         xp = [rng.randint(-4, 4) for _ in range(n)]
         y = [rng.randint(-4, 4) for _ in range(n)]
         s = [a + c for a, c in zip(x, xp)]
-        assert b.value(s, y) == (b.value(x, y) + b.value(xp, y)) % 1
+        assert fraction_value(b, s, y) == (fraction_value(b, x, y) + fraction_value(b, xp, y)) % 1
 
 
 def test_antisymmetric_on_vectors():
@@ -76,8 +153,8 @@ def test_antisymmetric_on_vectors():
     for _ in range(30):
         x = [rng.randint(-3, 3) for _ in range(2)]
         y = [rng.randint(-3, 3) for _ in range(2)]
-        assert (b.value(x, y) + b.value(y, x)) % 1 == 0
-        assert b.value(x, x) == 0
+        assert (fraction_value(b, x, y) + fraction_value(b, y, x)) % 1 == 0
+        assert fraction_value(b, x, x) == 0
 
 
 def test_lift_examples():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from tdual_lie.errors import InvalidCenterSubgroup, InvalidSeries, NotBetweenLattices, Unavailable
 from tdual_lie.flagcoh import h3_group
 from tdual_lie.rootdata import (
+    MAX_RANK,
     RootDatum,
     all_coroots,
     all_roots,
@@ -21,7 +22,17 @@ from tdual_lie.rootdata import (
 from tdual_lie.tduality import TwistClass
 from tdual_lie.zlinalg import IntMatrix, Lattice
 
-from test_flagcoh import root_data
+from test_flagcoh import reflection_matrix, root_data
+
+
+def weight_lattice(rd) -> Lattice:
+    """The weights, Z^n in fundamental-weight coordinates."""
+    return Lattice.standard(rd.rank, "weights")
+
+
+def root_lattice(rd) -> Lattice:
+    """The roots, spanned by the rows of the Cartan matrix."""
+    return Lattice(rd.rank, rd.cartan.transpose(), "roots")
 
 
 def test_su2_lattices():
@@ -74,11 +85,51 @@ def test_build_upper_cases_the_series():
 
 
 def test_root_counts():
-    for name, count in [("A1", 2), ("A2", 6), ("G2", 12), ("B2", 8),
-                        ("A3", 12), ("D4", 24), ("F4", 48)]:
-        rd = named_group(name)
-        assert len(all_roots(rd)) == count, name
-        assert len(all_coroots(rd)) == count, name
+    """|Phi| from the classification for every simple type up to the rank cap,
+    and as many coroots.  Uncached, so the session keeps none of them."""
+    counts = {("E", 6): 72, ("E", 7): 126, ("E", 8): 240, ("F", 4): 48, ("G", 2): 12}
+    top = MAX_RANK + 1
+    counts.update({("A", n): n * (n + 1) for n in range(1, top)})
+    counts.update({(s, n): 2 * n * n for s, lo in (("B", 2), ("C", 3)) for n in range(lo, top)})
+    counts.update({("D", n): 2 * n * (n - 1) for n in range(4, top)})
+    assert len(counts) == 32 + 31 + 30 + 29 + 5
+    for factor, count in counts.items():
+        rd = build([factor])
+        assert len(all_roots.__wrapped__(rd)) == count == len(all_coroots.__wrapped__(rd)), factor
+
+
+def orbit_by_reflection_matrices(simple):
+    """The orbit of the `simple` roots by BFS over n x n reflection matrices,
+    sorted: the oracle for the O(n) reflections of `all_roots` (rows of the
+    Cartan matrix) and `all_coroots` (its columns)."""
+    reflections = [reflection_matrix(a, i) for i, a in enumerate(simple)]
+    seen = set(simple)
+    frontier = list(seen)
+    while frontier:
+        new = {s.apply(v) for v in frontier for s in reflections} - seen
+        seen |= new
+        frontier = list(new)
+    return tuple(sorted(seen))
+
+
+def check_root_orbits(rd):
+    n = rd.rank
+    assert all_roots(rd) == orbit_by_reflection_matrices([rd.cartan.row(i) for i in range(n)])
+    assert all_coroots(rd) == orbit_by_reflection_matrices([rd.cartan.column(i) for i in range(n)])
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(root_data())
+def test_root_orbits_match_reflection_matrix_bfs(rd):
+    """On random root data and on their Langlands duals (transposed Cartan)."""
+    for datum in (rd, langlands_dual(rd)):
+        check_root_orbits(datum)
+
+
+@pytest.mark.parametrize("name", ["E8", "F4", "G2"])
+def test_root_orbits_match_reflection_matrix_bfs_exceptional(name):
+    check_root_orbits(named_group(name))
+    check_root_orbits(langlands_dual(named_group(name)))
 
 
 def test_g2_long_short():
@@ -86,7 +137,7 @@ def test_g2_long_short():
     # and the short alpha_2 each sweep out six roots, together all twelve.
     g2 = named_group("G2")
     assert g2.epsilons() == (1, 3)
-    reflections = [g2.reflection_on_weights(i) for i in range(2)]
+    reflections = [reflection_matrix(g2.cartan.row(i), i) for i in range(2)]
 
     def orbit(root):
         seen, frontier = {root}, [root]
@@ -161,9 +212,9 @@ def test_dual_lattice_examples():
     assert so3.char_lattice().basis == IntMatrix([[2]])
 
     su3 = named_group("SU(3)")
-    assert su3.char_lattice().same_lattice(su3.weight_lattice())
+    assert su3.char_lattice().same_lattice(weight_lattice(su3))
     # Index of the root lattice in the weight lattice is det(Cartan) = 3.
-    assert abs(su3.root_lattice().basis.det()) == 3
+    assert abs(root_lattice(su3).basis.det()) == 3
 
     # 4 * coweights misses the coroots 2 * coweights: no integral dual basis.
     with pytest.raises(NotBetweenLattices):
@@ -175,9 +226,9 @@ def test_char_lattice_endpoints():
     # Simply connected: characters = weights; adjoint: characters = roots.
     for n in (2, 3, 4):
         sc = named_group(f"SU({n})")
-        assert sc.char_lattice().same_lattice(sc.weight_lattice())
+        assert sc.char_lattice().same_lattice(weight_lattice(sc))
         ad = named_group(f"PSU({n})")
-        assert ad.char_lattice().same_lattice(ad.root_lattice())
+        assert ad.char_lattice().same_lattice(root_lattice(ad))
 
 
 def test_center_orders():

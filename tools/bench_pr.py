@@ -17,18 +17,36 @@ checkouts run `perfbench/cliffs.py`, the untimed report of the rows too slow
 for the workloads.  BENCH_<N>.json keeps each cliff row's wall_s, sha256 and
 layer split, and per row each side's median wall_s and the change's wins; a
 row whose stdout digest differs between the two checkouts stops the script.
+
+Right after the cliffs, in the same order, both checkouts run each of
+RANK_CAP_ROWS once: `group`, `cohomology`, `twist level:1` and `dualize
+level:1` on the five rank-32 groups and `extension --level 1` where b needs
+no input, the rows no workload or cliff runs at the rank cap.  Each is one
+`tdual` process with only the checkout's `src` on its path; BENCH_<N>.json
+keeps the same per-row figures as for the cliffs (no layer split), and a
+digest difference stops the script in the same way.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 CHANGE = Path(__file__).resolve().parents[1]
+ENTRY = "import sys; from tdual_lie.cli import main; sys.exit(main())"
+RANK_CAP_ROWS = tuple(
+    (verb, "--group", group, *extra)
+    for group in ("PSU(33)", "SU(33)", "Spin(64)", "Spin(65)", "Sp(32)")
+    for verb, extra in (("cohomology", ()), ("twist", ("--twist", "level:1")),
+                        ("dualize", ("--twist", "level:1")), ("group", ()))
+) + tuple(("extension", "--group", group, "--level", "1") for group in ("SU(33)", "Spin(64)"))
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -60,9 +78,27 @@ def run_cliffs(root: Path) -> list[dict]:
                                               proc.stdout.splitlines()))]
 
 
-def summarize_cliffs(pairs: list[dict]) -> dict:
-    """Per cliff row (its argv joined by spaces): the digest both sides
-    printed, each side's median wall_s and the change's wins."""
+def run_rank_cap(root: Path) -> list[dict]:
+    """Each of RANK_CAP_ROWS once in `root`, with its PYTHON* and TDUAL_*
+    settings stripped as perfbench strips them: per row its argv, status,
+    wall_s and sha256."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("TDUAL_", "PYTHON")) or k == "PYTHONHOME"}
+    env.update(PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    rows = []
+    for argv in RANK_CAP_ROWS:
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], cwd=root, env=env,
+                              stdin=subprocess.DEVNULL, capture_output=True)
+        rows.append({"argv": list(argv), "status": f"exit {proc.returncode}",
+                     "wall_s": time.perf_counter() - start,
+                     "sha256": hashlib.sha256(proc.stdout).hexdigest()})
+    return rows
+
+
+def summarize_rows(pairs: list[dict]) -> dict:
+    """Per cliff or rank-cap row (its argv joined by spaces): the digest both
+    sides printed, each side's median wall_s and the change's wins."""
     out = {}
     for i, row in enumerate(pairs[0]["parent"]):
         walls = {side: [p[side][i]["wall_s"] for p in pairs] for side in ("parent", "change")}
@@ -110,17 +146,20 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": CHANGE}
     report = {"pr": args.pr, "parent": str(roots["parent"]), "pairs": args.pairs,
               "command": spec["command"] + ["--trace", "0"], "workloads": {}}
-    cliff_pairs = []
+    rows = {"cliffs": (run_cliffs, []), "rank_cap": (run_rank_cap, [])}
+    key = ("argv", "status", "sha256")
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        pair = {"first": order[0], **{side: run_cliffs(roots[side]) for side in order}}
-        differ = [" ".join(p["argv"]) for p, c in zip(pair["parent"], pair["change"])
-                  if (p["argv"], p["sha256"]) != (c["argv"], c["sha256"])]
-        if differ or len(pair["parent"]) != len(pair["change"]):
-            raise SystemExit(f"bench_pr: cliff stdout digests differ in pair {k + 1}: {differ}")
-        cliff_pairs.append(pair)
-        print(f"bench_pr: cliffs pair {k + 1}/{args.pairs} done", file=sys.stderr)
-    report["cliffs"] = {"summary": summarize_cliffs(cliff_pairs), "runs": cliff_pairs}
+        for name, (runner, pairs) in rows.items():
+            pair = {"first": order[0], **{side: runner(roots[side]) for side in order}}
+            differ = [" ".join(p["argv"]) for p, c in zip(pair["parent"], pair["change"])
+                      if [p.get(x) for x in key] != [c.get(x) for x in key]]
+            if differ or len(pair["parent"]) != len(pair["change"]):
+                raise SystemExit(f"bench_pr: {name} stdout digests differ in pair {k + 1}: {differ}")
+            pairs.append(pair)
+            print(f"bench_pr: {name} pair {k + 1}/{args.pairs} done", file=sys.stderr)
+    for name, (_, pairs) in rows.items():
+        report[name] = {"summary": summarize_rows(pairs), "runs": pairs}
     for workload in (w["name"] for w in spec["workloads"]):
         pairs = []
         for k in range(args.pairs):
