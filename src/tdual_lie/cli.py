@@ -18,12 +18,12 @@ error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
+from types import SimpleNamespace
 
 from . import contcheck as cont
 from . import flagcoh, loopext, tduality
@@ -39,7 +39,6 @@ from .rootdata import (
 from .zlinalg import IntMatrix
 
 SCHEMA = "tdual-lie/1"
-VERBS = ("group", "cohomology", "twist", "dualize", "langlands", "extension", "contcheck")
 
 CONVENTIONS = {
     "cartan": "cartan[i][j] = <alpha_i, alpha_j^vee>",
@@ -82,51 +81,105 @@ def _nonnegative_level(level: int, what: str) -> int:
     return level
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """The parsed command line, with `groups` (a tuple of specs), a checked
-    `level` and, for contcheck, the resolved `grid` filled in."""
-    parser = argparse.ArgumentParser(
-        prog="tdual",
-        description="Topological T-duality data for compact semisimple Lie groups.",
-    )
-    parser.set_defaults(level="1", twist=None, shift=None, b=None, grid=None)
-    sub = parser.add_subparsers(dest="verb", required=True)
-    needs_group = {}
-    for verb in VERBS:
-        p = sub.add_parser(verb)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--output", default=None)
-        p.add_argument("--expect", default=None,
-                       choices=("trivializable", "not-trivializable", "match",
-                                "available", "dualizable", "cycle", "pass"))
-        if verb != "contcheck":
-            p.add_argument("--group", "-g", default=None,
-                           help="named group, inline JSON, or @path to a JSON root datum")
-            p.add_argument("--group-list", default=None,
-                           help="comma-separated group specs (batch mode)")
-            needs_group[verb] = True
-        if verb in ("twist", "dualize"):
-            p.add_argument("--twist", required=True,
-                           help='twist spec: "langlands", "level:K", inline JSON matrix, or @path')
-        if verb == "dualize":
-            p.add_argument("--shift", default=None,
-                           help="strictly upper-triangular integer matrix (JSON or @path)")
-        if verb == "extension":
-            p.add_argument("--level", default="1")
-            p.add_argument("--b", default=None,
-                           help="explicit commutator matrix of rationals (JSON or @path)")
-        if verb == "contcheck":
-            p.add_argument("--grid", default=None)
+_EXPECT_TESTS = {
+    "trivializable": lambda r: r.get("trivializable") is True,
+    "not-trivializable": lambda r: r.get("trivializable") is False,
+    "match": lambda r: r.get("match") is True,
+    "available": lambda r: r.get("available") is True,
+    "dualizable": lambda r: r.get("dualizable") is True,
+    "cycle": lambda r: r.get("twist_is_cycle") is True,
+    "pass": lambda r: r.get("passed") is True,
+}
 
-    ns = parser.parse_args(argv)
+# Each verb's flags and the values each takes (None: any string).  Every flag
+# takes one value, as `--flag value` or `--flag=value`; names match exactly.
+# --twist is required by the verbs that take it.
+_COMMON = {"--format": ("text", "json"), "--output": None, "--expect": tuple(_EXPECT_TESTS)}
+_GROUPS = {**_COMMON, "--group": None, "--group-list": None}
+FLAGS = {
+    "group": _GROUPS,
+    "cohomology": _GROUPS,
+    "twist": {**_GROUPS, "--twist": None},
+    "dualize": {**_GROUPS, "--twist": None, "--shift": None},
+    "langlands": _GROUPS,
+    "extension": {**_GROUPS, "--level": None, "--b": None},
+    "contcheck": {**_COMMON, "--grid": None},
+}
+_ALIASES = {"-g": "--group"}
+_DEFAULTS = {"format": "text", "level": "1", "twist": None, "shift": None, "b": None, "grid": None}
+_SPACE = re.compile(r"\s*")
+_JSON = json.JSONDecoder()
+
+
+def _help(verb: str | None):
+    """Print the verbs, or the flags of `verb`, from `FLAGS` and exit 0."""
+    lines = [f"usage: tdual {verb or '{' + ','.join(FLAGS) + '}'} [--FLAG VALUE]..."]
+    for flag, choices in FLAGS.get(verb, {}).items():
+        alias = "".join(f", {a}" for a, f in _ALIASES.items() if f == flag)
+        lines.append(f"  {flag}{alias} {'{' + ','.join(choices) + '}' if choices else 'VALUE'}"
+                     f"{' (required)' * (flag == '--twist')}")
+    print(*lines, sep="\n")
+    raise SystemExit(0)
+
+
+def _split_specs(text: str) -> tuple[str, ...]:
+    """The specs of a --group-list: split at commas, except that a spec that
+    starts with "{" runs to the end of its JSON value.  A spec whose JSON does
+    not parse ends at the next comma, and `resolve_group` refuses it."""
+    specs, start = [], 0
+    while start <= len(text):
+        lead = _SPACE.match(text, start).end()
+        end = text.find(",", lead)
+        if text.startswith("{", lead):
+            try:
+                end = text.find(",", _JSON.raw_decode(text, lead)[1])
+            except (ValueError, RecursionError):
+                pass
+        end = len(text) if end < 0 else end
+        specs.append(text[start:end].strip())
+        start = end + 1
+    return tuple(s for s in specs if s)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command line read against `FLAGS`, with a field per flag,
+    `groups` (a tuple of specs), a checked `level` and, for contcheck, the
+    resolved `grid`; whatever the table does not take is a UsageError."""
+    verb, *rest = argv or [None]
+    if verb in ("-h", "--help"):
+        _help(None)
+    if verb not in FLAGS:
+        what = f"unknown verb {quote(verb)}" if verb is not None else "no verb"
+        raise UsageError(f"{what}; choose from {', '.join(FLAGS)}")
+    flags, given, args = FLAGS[verb], {}, iter(rest)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            _help(verb)
+        flag, eq, value = arg.partition("=")
+        flag = _ALIASES.get(flag, flag)
+        if flag not in flags:
+            raise UsageError(f"{verb} takes no {'flag' if flag.startswith('-') else 'argument'} "
+                             f"{quote(arg)}; its flags: {', '.join(flags)}")
+        if not eq and (value := next(args, None)) is None:
+            raise UsageError(f"{flag} needs a value")
+        if flags[flag] is not None and value not in flags[flag]:
+            raise UsageError(f"{flag} must be one of {', '.join(flags[flag])}, got {quote(value)}")
+        dest = flag[2:].replace("-", "_")
+        if dest in given:
+            raise UsageError(f"{flag} is given twice")
+        given[dest] = value
+    if "--twist" in flags and "twist" not in given:
+        raise UsageError(f"{verb} needs --twist")
+    ns = SimpleNamespace(**{**dict.fromkeys(f[2:].replace("-", "_") for f in flags),
+                            **_DEFAULTS, "verb": verb, **given})
     ns.groups = ()
-    if needs_group.get(ns.verb):
+    if "--group" in flags:
         if ns.group and ns.group_list:
             raise UsageError("--group and --group-list are mutually exclusive")
         if ns.group:
             ns.groups = (ns.group,)
         elif ns.group_list:
-            ns.groups = tuple(s.strip() for s in ns.group_list.split(",") if s.strip())
+            ns.groups = _split_specs(ns.group_list)
         if not ns.groups:
             raise UsageError(f"verb {ns.verb!r} needs --group or --group-list")
     ns.level = _nonnegative_level(_flag_int(ns.level, "--level", signed=True), "--level")
@@ -162,7 +215,7 @@ def _load_json(spec: str):
             raise UsageError(f"cannot read {quote(spec[1:])}: {exc}") from exc
     try:
         return json.loads(text)
-    except ValueError as exc:  # malformed, or an integer literal over the digit limit
+    except (ValueError, RecursionError) as exc:  # malformed, too deep, or past the digit limit
         raise UsageError(f"malformed JSON in {quote(spec)}: {exc}") from exc
 
 
@@ -184,6 +237,7 @@ def _exact_str(value, what: str) -> str:
 def _exact_rational(value, what: str) -> Fraction:
     """A JSON integer, or a string Fraction reads exactly ("1/2", "-3", "0.25");
     a float, bool, exponent ("1e-9": unbounded cost) or anything else is refused."""
+    from fractions import Fraction  # only `extension --b` builds one
     if type(value) is int:
         return Fraction(value)
     if isinstance(value, str) and "e" not in value.lower():
@@ -345,22 +399,11 @@ def _jsonable(x):
 # -- driving -------------------------------------------------------------------
 
 
-_EXPECT_TESTS = {
-    "trivializable": lambda r: r.get("trivializable") is True,
-    "not-trivializable": lambda r: r.get("trivializable") is False,
-    "match": lambda r: r.get("match") is True,
-    "available": lambda r: r.get("available") is True,
-    "dualizable": lambda r: r.get("dualizable") is True,
-    "cycle": lambda r: r.get("twist_is_cycle") is True,
-    "pass": lambda r: r.get("passed") is True,
-}
-
-
 def _error_line(exc: TdualError) -> str:
     return f"{'usage error' if isinstance(exc, UsageError) else 'error'}: {exc}"
 
 
-def report_for(config: argparse.Namespace, spec: str) -> dict:
+def report_for(config: SimpleNamespace, spec: str) -> dict:
     """The report of `config.verb` on the group `spec`."""
     rd = resolve_group(spec)
     if config.verb in ("twist", "dualize"):
@@ -382,7 +425,7 @@ def report_for(config: argparse.Namespace, spec: str) -> dict:
         return report_extension(rd, config.level, b)
 
 
-def run(config: argparse.Namespace) -> tuple[int, dict]:
+def run(config: SimpleNamespace) -> tuple[int, dict]:
     """Execute a parsed command; returns (exit code, report).
 
     In a --group-list batch a group that fails gets a {"group", "error"}

@@ -26,7 +26,6 @@ import math
 import operator
 from bisect import bisect_right
 from collections import defaultdict
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 
@@ -246,7 +245,8 @@ _PERMUTATIONS = (((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1),
 
 
 def _max_abs(values, denominator: int = 1) -> float:
-    return float(Fraction(max(map(abs, values), default=0), denominator))
+    # int / int is correctly rounded, so this is float(Fraction(max, denominator))
+    return max(map(abs, values), default=0) / denominator
 
 
 def check_c_form(sc: StructureConstants, tolerance: float = 1e-12) -> dict:

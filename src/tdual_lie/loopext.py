@@ -8,14 +8,15 @@ extension is b = [k/2 * <.,.>] on the coroot basis; in every other case the
 formula is not asserted and an explicit b must be supplied (and can be
 checked for admissibility against the invariant form).
 
-Values in Q/Z are reduced fractions in [0, 1); everything is exact.
+Values in Q/Z are reduced fractions in [0, 1); everything is exact.  The
+functions that build a Fraction import `fractions`, so that no verb but
+`extension` loads it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Sequence
 from math import lcm
-from typing import Sequence
 
 from .errors import DimensionMismatch, InvalidCommutator, RequiresExplicitB
 from .rootdata import RootDatum, all_coroots, basic_form, form_pairing
@@ -23,7 +24,7 @@ from .zlinalg import IntMatrix, Lattice, Record, solve_columns
 
 
 def _mod1(x: Fraction) -> Fraction:
-    return x - Fraction(x.numerator // x.denominator)
+    return x - x.numerator // x.denominator
 
 
 class CommutatorMap(Record):
@@ -71,6 +72,7 @@ def commutator_from_level(rd: RootDatum, level: int) -> CommutatorMap:
     if not rd.is_simply_connected():
         raise RequiresExplicitB(
             f"{rd.label} is not simply connected; supply the commutator map explicitly")
+    from fractions import Fraction
     n = rd.rank
     g = basic_form(rd, level)
     values = tuple(
@@ -130,6 +132,7 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
     D_k b(lambda_k, H) mod D_k, so the rule reads
     2 (x mod D_k) = D_k (<lambda_k, H> mod 2).  Only a violation builds a
     Fraction, to word it."""
+    from fractions import Fraction
     n = rd.rank
     pairing = form_pairing(rd, level, rd.integral.basis)
     det = abs(rd.cartan.det())
@@ -161,6 +164,7 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
 
 def commutator_from_matrix(rd: RootDatum, entries: Sequence[Sequence]) -> CommutatorMap:
     """Build a commutator map from rational entries (e.g. CLI "1/2" strings)."""
+    from fractions import Fraction
     n = rd.rank
     vals = tuple(
         tuple(_mod1(Fraction(x)) for x in row) for row in entries

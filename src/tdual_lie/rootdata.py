@@ -27,8 +27,8 @@ the lattice with basis B contains the coroots.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from .errors import (
     InvalidCenterSubgroup,

@@ -38,11 +38,11 @@ lattice.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain
 from math import prod
 from operator import attrgetter, mul
-from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotCompatible, NotSublattice
 

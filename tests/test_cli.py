@@ -1,5 +1,6 @@
 """Command-line surface: parsing, reports, determinism, exit codes."""
 
+import argparse
 import json
 import os
 import re
@@ -10,7 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from tdual_lie.cli import main, parse_args, run
+from tdual_lie.cli import (
+    _EXPECT_TESTS,
+    FLAGS,
+    _contcheck_grid,
+    _flag_int,
+    _nonnegative_level,
+    main,
+    parse_args,
+    run,
+)
 from tdual_lie.errors import UsageError
 from tdual_lie.flagcoh import h3_group
 
@@ -22,7 +32,7 @@ def run_json(argv):
     return code, json.loads(json.dumps(payload, sort_keys=True))
 
 
-def test_parse_examples():
+def test_parse_examples(capsys):
     cfg = parse_args(["cohomology", "--group", "SU(3)"])
     assert cfg.verb == "cohomology" and cfg.groups == ("SU(3)",)
 
@@ -32,12 +42,122 @@ def test_parse_examples():
     cfg = parse_args(["langlands", "--group", "B3"])
     assert cfg.verb == "langlands"
 
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["frobnicate"])
-    assert exc.value.code == 2
+    # An unknown verb is a usage error with one line, not a block of usage.
+    capsys.readouterr()
+    assert main(["frobnicate"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
     with pytest.raises(UsageError):
         parse_args(["cohomology"])  # no group
+
+
+def argparse_oracle(argv) -> argparse.Namespace:
+    """The argparse reader the flag table replaced: the same fields, checks
+    and defaults, kept as the oracle of `parse_args`."""
+    parser = argparse.ArgumentParser(prog="tdual")
+    parser.set_defaults(level="1", twist=None, shift=None, b=None, grid=None)
+    sub = parser.add_subparsers(dest="verb", required=True)
+    needs_group = {}
+    for verb in FLAGS:
+        p = sub.add_parser(verb)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--output", default=None)
+        p.add_argument("--expect", default=None, choices=tuple(_EXPECT_TESTS))
+        if verb != "contcheck":
+            p.add_argument("--group", "-g", default=None)
+            p.add_argument("--group-list", default=None)
+            needs_group[verb] = True
+        if verb in ("twist", "dualize"):
+            p.add_argument("--twist", required=True)
+        if verb == "dualize":
+            p.add_argument("--shift", default=None)
+        if verb == "extension":
+            p.add_argument("--level", default="1")
+            p.add_argument("--b", default=None)
+        if verb == "contcheck":
+            p.add_argument("--grid", default=None)
+
+    ns = parser.parse_args(argv)
+    ns.groups = ()
+    if needs_group.get(ns.verb):
+        if ns.group and ns.group_list:
+            raise UsageError("--group and --group-list are mutually exclusive")
+        if ns.group:
+            ns.groups = (ns.group,)
+        elif ns.group_list:
+            ns.groups = tuple(s.strip() for s in ns.group_list.split(",") if s.strip())
+        if not ns.groups:
+            raise UsageError(f"verb {ns.verb!r} needs --group or --group-list")
+    ns.level = _nonnegative_level(_flag_int(ns.level, "--level", signed=True), "--level")
+    if ns.verb == "contcheck":
+        ns.grid = _contcheck_grid(ns.grid)
+    return ns
+
+
+SAMPLE_VALUES = {"--output": "out.json", "--group": "SU(3)", "--group-list": "SU(2), SO(3),,B3",
+                 "--twist": "level:2", "--shift": "[[0, 1], [0, 0]]", "--level": "3",
+                 "--b": '[[0, "1/2"], ["1/2", 0]]', "--grid": "2048"}
+
+
+def _valid_argvs():
+    """Every verb alone, then with each of its flags and each value it
+    takes (as `--flag value` and `--flag=value`), plus `-g` and all flags
+    at once."""
+    for verb, flags in FLAGS.items():
+        base = [verb] + (["--twist", "level:1"] if "--twist" in flags else [])
+        group = ["--group", "G2"] if "--group" in flags else []
+        yield base + group
+        for flag, choices in flags.items():
+            rest = base + ([] if flag.startswith("--group") else group)
+            if flag == "--twist":
+                rest = [verb] + group
+            for value in choices or (SAMPLE_VALUES[flag],):
+                yield rest + [flag, value]
+                yield rest + [f"{flag}={value}"]
+        if group:
+            yield [verb, "-g", "SU(2)"] + base[1:]
+            yield [verb, "-g=SU(2)"] + base[1:]
+        everything = [verb] + [a for f, c in flags.items() if f != "--group-list"
+                               for a in (f, c[-1] if c else SAMPLE_VALUES[f])]
+        yield everything
+
+
+VALID_ARGVS = list(_valid_argvs())
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+def test_flag_table_matches_argparse(argv):
+    assert vars(parse_args(argv)) == vars(argparse_oracle(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["extension", "--group", "SU(2)", "--level", "-1"],
+    ["extension", "--group", "SU(2)", "--level=-1"],
+    ["group", "--group", "SU(2)", "--group-list", "SO(3)"],
+    ["group", "--group-list", " , "],
+], ids=" ".join)
+def test_flag_table_refuses_what_argparse_refused(argv):
+    with pytest.raises(UsageError):
+        argparse_oracle(argv)
+    with pytest.raises(UsageError):
+        parse_args(argv)
+
+
+def test_help_lists_verbs_and_flags(capsys):
+    """--help prints the verbs, or a verb's flags, from the flag table and
+    exits 0."""
+    for argv in (["--help"], ["-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(verb in out for verb in FLAGS)
+    for verb, flags in FLAGS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(flag in out for flag in flags) and (", -g " in out) == ("--group" in flags)
 
 
 def test_group_report():
@@ -371,16 +491,58 @@ def test_numpy_never_loaded():
 
 
 def test_import_loads_no_dataclasses():
-    """`import tdual_lie.cli` loads neither `dataclasses` nor `inspect`, which
-    `dataclasses` pulls in: together they were about 20 ms of every command's
-    start-up.  -S keeps site `.pth` files from importing them first."""
+    """`import tdual_lie.cli` loads none of `dataclasses` and `inspect`
+    (about 20 ms of every command's start-up), `argparse` and `gettext`
+    (the flag table reads argv), `fractions` and `decimal` (only the
+    `extension` verb builds a Fraction) or `typing` (annotations come from
+    `collections.abc`).  It does load all seven layer modules, which the
+    traced benchmark reads from `sys.modules`, and a `group` run still
+    leaves `fractions` unloaded.  -S keeps site `.pth` files from importing
+    any of them first."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    script = "import tdual_lie.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    script = (
+        "import contextlib, io, sys\n"
+        "import tdual_lie.cli\n"
+        "unwanted = {'dataclasses', 'inspect', 'argparse', 'gettext', 'fractions', 'decimal',\n"
+        "            'typing'}\n"
+        "print(sorted(unwanted & set(sys.modules)))\n"
+        "layers = ('cli', 'rootdata', 'zlinalg', 'flagcoh', 'tduality', 'loopext', 'contcheck')\n"
+        "print([m for m in layers if f'tdual_lie.{m}' not in sys.modules])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert tdual_lie.cli.main(['group', '--group', 'SU(2)']) == 0\n"
+        "print('fractions' in sys.modules)\n"
+    )
     proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\nFalse\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_group_list_takes_inline_json(capsys, fmt):
+    """A --group-list spec that starts with "{" runs to the end of its JSON
+    value, so its commas do not split it."""
+    spec = '{"components": [{"series": "A", "rank": 1}], "label": "x,y"}'
+    capsys.readouterr()
+    assert main(["group", "--group-list", f" {spec} ,SU(2)", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert [r["group"] for r in json.loads(out)["reports"]] == ["x,y", "SU(2)"]
+    else:
+        assert out.count("-- report") == 2 and "group: x,y\n" in out
+
+
+def test_group_list_malformed_json_ends_at_a_comma(capsys):
+    """JSON that does not parse is a spec up to the next comma, refused as a
+    --group of the same text would be; the groups after it still report."""
+    capsys.readouterr()
+    assert main(["group", "--group-list", '{"components": [x,SU(2)', "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("""usage error: malformed JSON in '{"components": [x'""")
+    assert err.count("\n") == 1
+    reports = json.loads(out)["reports"]
+    assert [r["group"] for r in reports] == ['{"components": [x', "SU(2)"]
 
 
 HUGE = "9" * 5000
@@ -457,6 +619,21 @@ FUZZ_CASES = [
                  id="b-long-result"),
     pytest.param(["dualize", "--group", "SU(3)", "--twist", "level:1",
                   "--shift", f"[[0, {10 ** 3000 - 1}], [0, 0]]"], 0, id="shift-long-result"),
+    # The command line itself: flags are read from the table as written.
+    pytest.param([], 2, id="no-verb"),
+    pytest.param(["frobnicate"], 2, id="unknown-verb"),
+    pytest.param(["group", "--group", "SU(2)", "--colour", "red"], 2, id="unknown-flag"),
+    pytest.param(["group", "--group", "SU(2)", "--form", "json"], 2, id="flag-abbreviated"),
+    pytest.param(["group", "--group", "SU(2)", "--format", "xml"], 2, id="format-xml"),
+    pytest.param(["group", "--group"], 2, id="flag-without-value"),
+    pytest.param(["group", "--group", "SU(2)", "--group", "SU(3)"], 2, id="group-twice"),
+    pytest.param(["group", "--group", "SU(2)", "SU(3)"], 2, id="stray-positional"),
+    pytest.param(["twist", "--group", "SU(2)"], 2, id="twist-missing"),
+    pytest.param(["contcheck", "--group", "SU(2)"], 2, id="contcheck-group"),
+    # JSON nested past the recursion limit is malformed input, not a traceback.
+    pytest.param(["group", "--group", "{\"a\": " + "[" * 100000], 2, id="group-json-deep"),
+    pytest.param(["group", "--group-list", "SU(2),{\"a\": " + "[" * 100000], 2,
+                 id="group-list-json-deep"),
 ]
 
 

@@ -2,8 +2,11 @@
 
 import math
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdual_lie.contcheck import (
     Cutoff,
@@ -13,6 +16,7 @@ from tdual_lie.contcheck import (
     cutoff_cubic,
     cutoff_integral,
     cutoff_overshoot,
+    _max_abs,
     standard_cutoffs,
 )
 from tdual_lie.errors import InadmissibleCutoff
@@ -130,3 +134,12 @@ def test_c_form_residuals_exactly_zero():
         assert len(residuals) == (5 if name == "su4" else 4)
         assert residuals == [0.0] * len(residuals), row
 
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.integers(-(10 ** 40), 10 ** 40) | st.integers(-1000, 1000), max_size=6),
+       st.integers(1, 10 ** 30) | st.integers(1, 64))
+def test_max_abs_is_the_rounded_fraction(values, denominator):
+    """Int true division is correctly rounded, so `_max_abs` gives the float
+    nearest max|v| / denominator, as float(Fraction(...)) does."""
+    assert _max_abs(iter(values), denominator) == float(
+        Fraction(max(map(abs, values), default=0), denominator))

@@ -25,6 +25,12 @@ no input, the rows no workload or cliff runs at the rank cap.  Each is one
 `tdual` process with only the checkout's `src` on its path; BENCH_<N>.json
 keeps the same per-row figures as for the cliffs (no layer split), and a
 digest difference stops the script in the same way.
+
+After the rank-cap rows, in the same order, both checkouts time STARTUP_SPAWNS
+fresh processes of each of STARTUP_ROWS: `import tdual_lie.cli` alone and
+`group --group SU(2)`.  BENCH_<N>.json keeps, under `startup`, each side's
+raw median wall_s per pair (not calibrated, unlike perfbench's `setup_s`)
+and per row each side's median over the pairs and the change's wins.
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ from pathlib import Path
 
 CHANGE = Path(__file__).resolve().parents[1]
 ENTRY = "import sys; from tdual_lie.cli import main; sys.exit(main())"
+STARTUP_ROWS = {"import": ("-c", "import tdual_lie.cli"),
+                "group SU(2)": ("-c", ENTRY, "group", "--group", "SU(2)")}
+STARTUP_SPAWNS = 20
 RANK_CAP_ROWS = tuple(
     (verb, "--group", group, *extra)
     for group in ("PSU(33)", "SU(33)", "Spin(64)", "Spin(65)", "Sp(32)")
@@ -78,13 +87,19 @@ def run_cliffs(root: Path) -> list[dict]:
                                               proc.stdout.splitlines()))]
 
 
-def run_rank_cap(root: Path) -> list[dict]:
-    """Each of RANK_CAP_ROWS once in `root`, with its PYTHON* and TDUAL_*
-    settings stripped as perfbench strips them: per row its argv, status,
-    wall_s and sha256."""
+def job_env(root: Path) -> dict:
+    """This process's environment with its PYTHON* and TDUAL_* settings
+    stripped as perfbench strips them, and only `root`'s `src` on the path."""
     env = {k: v for k, v in os.environ.items()
            if not k.startswith(("TDUAL_", "PYTHON")) or k == "PYTHONHOME"}
     env.update(PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    return env
+
+
+def run_rank_cap(root: Path) -> list[dict]:
+    """Each of RANK_CAP_ROWS once in `root`, in `job_env`: per row its argv,
+    status, wall_s and sha256."""
+    env = job_env(root)
     rows = []
     for argv in RANK_CAP_ROWS:
         start = time.perf_counter()
@@ -94,6 +109,37 @@ def run_rank_cap(root: Path) -> list[dict]:
                      "wall_s": time.perf_counter() - start,
                      "sha256": hashlib.sha256(proc.stdout).hexdigest()})
     return rows
+
+
+def run_startup(root: Path) -> dict:
+    """Per row of STARTUP_ROWS, the median wall_s of STARTUP_SPAWNS fresh
+    processes in `root`, in `job_env`."""
+    env, out = job_env(root), {}
+    for name, argv in STARTUP_ROWS.items():
+        walls = []
+        for _ in range(STARTUP_SPAWNS):
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, *argv], cwd=root, env=env,
+                                  stdin=subprocess.DEVNULL, capture_output=True)
+            walls.append(time.perf_counter() - start)
+            if proc.returncode != 0:
+                raise SystemExit(f"bench_pr: startup row {name!r} in {root} exited "
+                                 f"{proc.returncode}: {proc.stderr.decode().strip()[-500:]}")
+        out[name] = statistics.median(walls)
+    return out
+
+
+def summarize_startup(pairs: list[dict]) -> dict:
+    """Per startup row: each side's median over the pairs and the change's
+    wins."""
+    out = {}
+    for name in STARTUP_ROWS:
+        walls = {side: [p[side][name] for p in pairs] for side in ("parent", "change")}
+        out[name] = {"pairs": len(pairs),
+                     "wins": sum(c < p for p, c in zip(walls["parent"], walls["change"])),
+                     **{side: {"median_wall_s": statistics.median(ws)}
+                        for side, ws in walls.items()}}
+    return out
 
 
 def summarize_rows(pairs: list[dict]) -> dict:
@@ -148,6 +194,7 @@ def main(argv=None) -> int:
               "command": spec["command"] + ["--trace", "0"], "workloads": {}}
     rows = {"cliffs": (run_cliffs, []), "rank_cap": (run_rank_cap, [])}
     key = ("argv", "status", "sha256")
+    startup = []
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for name, (runner, pairs) in rows.items():
@@ -158,8 +205,11 @@ def main(argv=None) -> int:
                 raise SystemExit(f"bench_pr: {name} stdout digests differ in pair {k + 1}: {differ}")
             pairs.append(pair)
             print(f"bench_pr: {name} pair {k + 1}/{args.pairs} done", file=sys.stderr)
+        startup.append({"first": order[0], **{side: run_startup(roots[side]) for side in order}})
     for name, (_, pairs) in rows.items():
         report[name] = {"summary": summarize_rows(pairs), "runs": pairs}
+    report["startup"] = {"spawns": STARTUP_SPAWNS, "summary": summarize_startup(startup),
+                         "runs": startup}
     for workload in (w["name"] for w in spec["workloads"]):
         pairs = []
         for k in range(args.pairs):
