@@ -312,6 +312,7 @@ def resolve_shift(rd: RootDatum, spec: str) -> tduality.ShiftMatrix:
 
 
 def report_group(rd: RootDatum) -> dict:
+    z, pi1 = center(rd), fundamental_group_of(rd)
     return {
         "group": rd.label,
         "components": [[s, r] for s, r in rd.components],
@@ -321,8 +322,8 @@ def report_group(rd: RootDatum) -> dict:
         "simply_laced": rd.is_simply_laced(),
         "integral_basis": rd.integral.basis.tolist(),
         "character_basis": rd.char_lattice().basis.tolist(),
-        "center": flagcoh.group_dict(center(rd)),
-        "fundamental_group": flagcoh.group_dict(fundamental_group_of(rd)),
+        "center": flagcoh.group_dict(z.free_rank, z.torsion),
+        "fundamental_group": flagcoh.group_dict(pi1.free_rank, pi1.torsion),
         "root_count": len(all_roots(rd)),
     }
 

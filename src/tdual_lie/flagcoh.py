@@ -11,9 +11,11 @@ d(x (x) w) = r(x) * w, where r is restriction of characters along the
 inclusion of the coroot lattice into the integral lattice (in our
 coordinates r is literally "read the character in weight coordinates").
 
-The complex also yields H^1 and H^2 of the group (edge terms), H^2 and H^4
-of the base, the Chern classes of K -> B, and the cycle test deciding which
-hom-lattice elements represent degree-3 classes.
+The complex also yields the Chern classes of K -> B and the cycle test
+deciding which hom-lattice elements represent degree-3 classes.  The other
+groups `cohomology` reports need no complex: H^1 of the group vanishes and
+H^2 is coker X, read off the Smith form of X; the base has free cohomology
+in even degrees, H^2 the weights and H^4 sym^2(weights) / invariants.
 
 A middle-term element is a twist: an n x n matrix u from integral-lattice
 to weight coordinates.  With X the character basis (columns in weight
@@ -28,6 +30,7 @@ wedges x_i ^ x_j are ordered lexicographically with i <= j and i < j.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 from math import gcd
 
@@ -144,33 +147,6 @@ def h3_group(rd: RootDatum) -> FgAbGroup:
                        Lattice(dim, column_hermite_form(IntMatrix.from_columns(cycles)), "cycles"))
 
 
-def h2_of_K(rd: RootDatum) -> FgAbGroup:
-    """H^2 of the group: cokernel of the character restriction map.
-
-    The other graded piece, the kernel of the wedge-square differential,
-    vanishes because restriction is injective (see dualizability_report).
-    """
-    inner = Lattice(rd.rank, column_hermite_form(rd.char_lattice().basis), "characters")
-    return subquotient(inner, Lattice.standard(rd.rank, "weights"))
-
-
-def h1_of_K(rd: RootDatum) -> FgAbGroup:
-    """H^1 of the group: kernel of character restriction, zero for
-    semisimple input (the restriction is injective)."""
-    return subquotient(Lattice.zero(0), Lattice.standard(0))
-
-
-def h2_of_B(rd: RootDatum) -> FgAbGroup:
-    """H^2 of the flag manifold: free on the weight lattice."""
-    return subquotient(Lattice.zero(rd.rank), Lattice.standard(rd.rank, "weights"))
-
-
-def h4_of_B(rd: RootDatum) -> FgAbGroup:
-    """H^4 of the flag manifold: sym^2 of the weights mod Weyl invariants."""
-    inv = sym_invariants(rd)
-    return subquotient(inv, Lattice.standard(inv.ambient_dim, "sym2 weights"))
-
-
 def chern_classes(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     """Chern classes of K -> B: c_k is the restriction of the k-th character
     basis vector, in weight coordinates through the transgression
@@ -233,32 +209,37 @@ def dualizability_report(rd: RootDatum) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def group_dict(g: FgAbGroup) -> dict:
-    """JSON rendering of a finitely generated abelian group."""
-    return {"free_rank": g.free_rank, "invariant_factors": list(g.torsion),
-            "pretty": g.describe()}
+def group_dict(free_rank: int, torsion: Iterable[int] = ()) -> dict:
+    """JSON rendering of the group Z^free_rank + Z/t_1 + Z/t_2 + ..."""
+    torsion = list(torsion)
+    parts = ["Z"] * free_rank + [f"Z/{d}" for d in torsion]
+    return {"free_rank": free_rank, "invariant_factors": torsion,
+            "pretty": " + ".join(parts) if parts else "0"}
 
 
 def cohomology(rd: RootDatum) -> dict:
-    h4b = h4_of_B(rd)
-    notes = [
-        "H^3 of the group is presented by hom-lattice representatives "
-        "(second filtration step); see the dualizability report",
-        "H^2 of the group is the cokernel of character restriction "
-        "(the degree-(0,2) edge piece vanishes)",
-    ]
-    if h4b.torsion:
-        notes.append(
-            "H^4 of the base has torsion, contradicting torsion-freeness of "
-            "flag-manifold cohomology; this flags an internal discrepancy")
+    """H^1..H^3 of the group and H^2, H^4 of the base, read off data already
+    in hand.  Restriction X is injective (see dualizability_report), so H^1
+    = 0 and H^2 = coker X, whose invariant factors are the entries >= 2 of
+    the Smith form behind `h3_group`.  The flag manifold has free cohomology
+    concentrated in even degrees (Bott-Samelson), with H^2 the weights and
+    H^4 sym^2 of the weights modulo the invariants; `sym_invariants` is
+    saturated, so that quotient is free of rank the codimension and
+    `H4_B_torsion_discrepancy` is always false."""
+    inv, h3 = sym_invariants(rd), h3_group(rd)
     return {
         "group": rd.label,
-        "H1_K": group_dict(h1_of_K(rd)),
-        "H2_K": group_dict(h2_of_K(rd)),
-        "H3_K": group_dict(h3_group(rd)),
-        "H2_B": group_dict(h2_of_B(rd)),
-        "H4_B": group_dict(h4b),
+        "H1_K": group_dict(0),
+        "H2_K": group_dict(0, [d for d in _smith_frame(rd)[1] if d >= 2]),
+        "H3_K": group_dict(h3.free_rank, h3.torsion),
+        "H2_B": group_dict(rd.rank),
+        "H4_B": group_dict(inv.ambient_dim - inv.rank),
         "chern_classes": [list(c) for c in chern_classes(rd)],
-        "filtration_notes": notes,
-        "H4_B_torsion_discrepancy": bool(h4b.torsion),
+        "filtration_notes": [
+            "H^3 of the group is presented by hom-lattice representatives "
+            "(second filtration step); see the dualizability report",
+            "H^2 of the group is the cokernel of character restriction "
+            "(the degree-(0,2) edge piece vanishes)",
+        ],
+        "H4_B_torsion_discrepancy": False,
     }

@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from math import lcm
 
 from .errors import DimensionMismatch, InvalidCommutator, RequiresExplicitB
-from .rootdata import RootDatum, all_coroots, basic_form, form_pairing
+from .rootdata import RootDatum, all_coroots, basic_form, center, form_pairing
 from .zlinalg import IntMatrix, Lattice, Record, solve_columns
 
 
@@ -121,8 +121,10 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
 
     With B the integral basis, A the Cartan matrix and P = form_pairing(B),
     the Gram matrix on Lambda is B^T A^-T P.  N A^-T is integral for
-    N = |det A|, so A^T Y = N P has an integer solution, and N <lambda_j,
-    lambda_k> = (B^T Y)[j, k] is checked for divisibility by N.
+    N = |det A|, the order of the center of the simply connected form (read
+    as `center(rd).order()`, cached), so A^T Y = N P has an integer
+    solution, and N <lambda_j, lambda_k> = (B^T Y)[j, k] is checked for
+    divisibility by N.
 
     Every coroot is solved once, in the integral basis and in the coroot
     basis; with c its coroot coordinates, the symmetric form gives
@@ -135,7 +137,7 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
     from fractions import Fraction
     n = rd.rank
     pairing = form_pairing(rd, level, rd.integral.basis)
-    det = abs(rd.cartan.det())
+    det = center(rd).order()
     gram = rd.integral.basis.transpose() @ solve_columns(rd.cartan.transpose(), pairing.scale(det))
     integrality = [
         f"<lambda_{j}, lambda_{k}> = {Fraction(gram[j, k], det)} is not an integer"

@@ -263,9 +263,9 @@ def build(series_list: Sequence[tuple[str, int]], fundamental_group="simply_conn
     """Assemble a root datum from simple factors and a fundamental group.
 
     `fundamental_group` is "simply_connected" (integral = coroot lattice),
-    "adjoint" (integral = coweight lattice), or {"generators": [...]} where
-    each generator is a coordinate vector over the cyclic factors of the
-    product center (one coordinate per cyclic factor, factor by factor).
+    "adjoint" (integral = coweight lattice), or {"generators": [...]}, a list
+    of generators, each a list of ints: its coordinates over the cyclic
+    factors of the product center (one per cyclic factor, factor by factor).
     """
     comps = []
     for series, rank in series_list:
@@ -329,6 +329,8 @@ def center_product_generators(components, cartan) -> list[tuple[int, tuple[int, 
 
 
 def _center_subgroup_lifts(components, cartan, generators) -> IntMatrix:
+    if type(generators) is not list or any(type(gen) is not list for gen in generators):
+        raise InvalidCenterSubgroup("center subgroup generators must be a list of integer lists")
     cyclic = center_product_generators(components, cartan)
     cols = []
     for gen in generators:
@@ -336,13 +338,11 @@ def _center_subgroup_lifts(components, cartan, generators) -> IntMatrix:
             raise InvalidCenterSubgroup(
                 f"generator {quote(repr(gen), str)} needs {len(cyclic)} coordinates "
                 f"(one per cyclic factor of the center)")
-        try:
-            coeffs = [int(x) for x in gen]
-        except (TypeError, ValueError) as exc:
+        if any(type(x) is not int for x in gen):
             raise InvalidCenterSubgroup(
-                f"non-integer generator entry in {quote(repr(gen), str)}") from exc
+                f"non-integer generator entry in {quote(repr(gen), str)}")
         col = [0] * cartan.rows
-        for a, (_, lift) in zip(coeffs, cyclic):
+        for a, (_, lift) in zip(gen, cyclic):
             for i in range(cartan.rows):
                 col[i] += a * lift[i]
         cols.append(tuple(col))

@@ -7,8 +7,8 @@ The module provides:
   * IntMatrix       -- immutable arbitrary-precision integer matrices,
   * smith_normal_form (U and D) / column_hermite_form -- normal forms,
   * Lattice         -- free Z-modules with chosen bases,
-  * kernel_of_matrix / subquotient -- the pieces every cohomology group
-    in the package is assembled from,
+  * kernel_of_matrix / subquotient -- kernels, and finitely generated
+    abelian groups presented as outer/inner lattices,
   * pair_basis      -- the lexicographic index pairs (i<j for wedge^2, i<=j
     for sym^2) that fix the bases of the degree-2 lattices,
   * Record          -- the value-class base of the package's plain classes.
@@ -19,11 +19,8 @@ One elimination core computes a transform only where a caller reads it:
     lets trailing entries ride along to record a column transform T.
     column_hermite_form tracks none; kernel_of_matrix tracks T and keeps
     the columns of T whose image ends up zero, which span the saturated
-    kernel; solve_columns keeps H = B T together with T.
-  * Rank, and so the independence check of every Lattice, is elimination
-    mod the prime 2^61 - 1, which keeps entries bounded: full rank mod p
-    certifies full rank over Z, a lower rank falls back to exact
-    elimination.
+    kernel; solve_columns keeps H = B T together with T.  Rank, and so the
+    independence check of every Lattice, is the number of its pivots.
   * smith_normal_form tracks U alone, with U m V = D for a V it never
     builds; subquotient keeps U for coords and solves U x = e_j for a
     torsion generator's lift only when torsion_generators asks.
@@ -45,8 +42,6 @@ from math import prod
 from operator import attrgetter, mul
 
 from .errors import DimensionMismatch, NotCompatible, NotSublattice
-
-_PRIME = (1 << 61) - 1  # modulus of the rank certificate
 
 
 class Record:
@@ -195,39 +190,10 @@ class IntMatrix:
             raise DimensionMismatch("vector length does not match column count")
         return tuple(sum(map(mul, row, vec)) for row in self._rows)
 
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise DimensionMismatch("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self._rows]
-        sign = prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     def rank(self) -> int:
-        """Rank over Q: elimination mod a large prime, exact elimination
-        only when that falls short of full rank."""
+        """Rank over Q, by exact elimination."""
         vectors = self._rows if self.rows <= self.cols else self.columns()
-        r = _rank_mod_p(vectors)
-        if r < min(self._shape):
-            r = len(_echelon([list(v) for v in vectors], len(vectors[0])))
-        return r
+        return len(_echelon([list(v) for v in vectors], len(vectors[0]))) if vectors else 0
 
 
 def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -257,27 +223,6 @@ def _from_columns(columns: Sequence[Sequence[int]], rows: int) -> IntMatrix:
 # ---------------------------------------------------------------------------
 # The elimination core
 # ---------------------------------------------------------------------------
-
-
-def _rank_mod_p(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank of the vectors over Z/p.  Never above the rank over Q, and equal
-    to it unless p divides every nonzero maximal minor."""
-    a = [[x % _PRIME for x in v] for v in vectors]
-    rank = 0
-    for c in range(len(a[0]) if a else 0):
-        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        tail = a[rank][c:]
-        inv = pow(tail[0], -1, _PRIME)
-        for i in range(rank + 1, len(a)):
-            f = a[i][c]
-            if f:
-                f = f * inv % _PRIME
-                a[i][c:] = [(x - f * y) % _PRIME for x, y in zip(a[i][c:], tail)]
-        rank += 1
-    return rank
 
 
 def _echelon(rows: list[list[int]], width: int) -> list[int]:
@@ -479,10 +424,6 @@ class Lattice(Record):
     def standard(cls, n: int, label: str = "") -> "Lattice":
         return cls(n, IntMatrix.identity(n), label)
 
-    @classmethod
-    def zero(cls, ambient_dim: int, label: str = "") -> "Lattice":
-        return cls(ambient_dim, IntMatrix.zero(ambient_dim, 0), label)
-
     def same_lattice(self, other: "Lattice") -> bool:
         if self.ambient_dim != other.ambient_dim or self.rank != other.rank:
             return False
@@ -541,11 +482,6 @@ class FgAbGroup(Record):
         self.free_rank, self.torsion, self._outer = free_rank, torsion, _outer
         self._inner, self._row_transform, self._diag = _inner, _row_transform, _diag
 
-    @property
-    def invariant_factors(self) -> list[int]:
-        """Invariant factor list, torsion then 0s for the free part."""
-        return list(self.torsion) + [0] * self.free_rank
-
     def order(self) -> int:
         """Group order (0 for infinite)."""
         return 0 if self.free_rank else prod(self.torsion)
@@ -576,10 +512,6 @@ class FgAbGroup(Record):
         free = tuple(cc[i] for i in range(rank, self._outer.rank))
         tors = tuple(cc[i] % self._diag[i] for i in range(rank) if self._diag[i] >= 2)
         return free, tors
-
-    def describe(self) -> str:
-        parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
-        return " + ".join(parts) if parts else "0"
 
 
 def subquotient(inner: Lattice, outer: Lattice) -> FgAbGroup:

@@ -20,6 +20,7 @@ from tdual_lie.rootdata import all_coroots, build, form_pairing, langlands_dual,
 from tdual_lie.zlinalg import IntMatrix, solve_columns
 
 from test_flagcoh import root_data
+from test_zlinalg import bareiss_det
 
 
 def fraction_value(b, x, y):
@@ -37,7 +38,7 @@ def admissibility_by_fractions(rd, level, b):
     route of `admissibility_check`."""
     n = rd.rank
     pairing = form_pairing(rd, level, rd.integral.basis)
-    det = abs(rd.cartan.det())
+    det = abs(bareiss_det(rd.cartan))
     gram = rd.integral.basis.transpose() @ solve_columns(rd.cartan.transpose(), pairing.scale(det))
     integrality = [
         f"<lambda_{j}, lambda_{k}> = {Fraction(gram[j, k], det)} is not an integer"

@@ -23,6 +23,7 @@ from tdual_lie.tduality import TwistClass
 from tdual_lie.zlinalg import IntMatrix, Lattice
 
 from test_flagcoh import reflection_matrix, root_data
+from test_zlinalg import bareiss_det
 
 
 def weight_lattice(rd) -> Lattice:
@@ -200,7 +201,7 @@ def test_basic_form_symmetric_positive():
     for name in ["B3", "C3", "F4", "G2", "E6"]:
         g = basic_form(named_group(name), 1)
         assert g == g.transpose()
-        assert g.det() > 0
+        assert bareiss_det(g) > 0
 
 
 def test_dual_lattice_examples():
@@ -214,7 +215,7 @@ def test_dual_lattice_examples():
     su3 = named_group("SU(3)")
     assert su3.char_lattice().same_lattice(weight_lattice(su3))
     # Index of the root lattice in the weight lattice is det(Cartan) = 3.
-    assert abs(root_lattice(su3).basis.det()) == 3
+    assert abs(bareiss_det(root_lattice(su3).basis)) == 3
 
     # 4 * coweights misses the coroots 2 * coweights: no integral dual basis.
     with pytest.raises(NotBetweenLattices):
@@ -249,8 +250,11 @@ def test_custom_fundamental_group():
     assert not rd.is_simply_connected()
     with pytest.raises(InvalidCenterSubgroup):
         build([("A", 1), ("A", 1)], {"generators": [[1]]})
-    with pytest.raises(InvalidCenterSubgroup):
-        build([("A", 1)], {"generators": [["x"]]})
+    # An entry must be an int: 1.7, "1" and True are refused, not truncated
+    # or parsed into the quotient by 1; the generators must be a list of lists.
+    for bad in ([["x"]], [[1.7]], [["1"]], [[True]], 5):
+        with pytest.raises(InvalidCenterSubgroup):
+            build([("A", 1)], {"generators": bad})
 
 
 def test_langlands_dual_examples():

@@ -11,10 +11,8 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
 from tdual_lie.zlinalg import (
-    _PRIME,
     IntMatrix,
     Lattice,
-    _rank_mod_p,
     kernel_of_matrix,
     solve_columns,
     subquotient,
@@ -131,14 +129,15 @@ def test_subquotient_invariant_factors(outer_basis, data):
         assert g.coords(lift) == ((0,) * g.free_rank, unit)
 
 
-def test_rank_falls_back_when_the_prime_divides():
-    p = IntMatrix([[_PRIME]])
-    assert _rank_mod_p(p) == 0
+def test_rank_is_exact_where_a_large_prime_divides():
+    """Matrices whose rank drops mod the prime 2^61 - 1 keep their rank over
+    Q: the rank is exact elimination, with no modular shortcut."""
+    prime = (1 << 61) - 1
+    p = IntMatrix([[prime]])
     assert p.rank() == 1
     assert kernel_of_matrix(p).cols == 0
     # Rank 2 over Z, rank 1 mod p: det = p.
-    m = IntMatrix([[1, 1], [1, 1 + _PRIME]])
-    assert _rank_mod_p(m) == 1
+    m = IntMatrix([[1, 1], [1, 1 + prime]])
     assert m.rank() == 2
     assert Lattice(2, m).rank == 2
     assert kernel_of_matrix(m).cols == 0
