@@ -109,6 +109,7 @@ _ALIASES = {"-g": "--group"}
 _DEFAULTS = {"format": "text", "level": "1", "twist": None, "shift": None, "b": None, "grid": None}
 _SPACE = re.compile(r"\s*")
 _JSON = json.JSONDecoder()
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 
 def _help(verb: str | None):
@@ -125,16 +126,20 @@ def _help(verb: str | None):
 def _split_specs(text: str) -> tuple[str, ...]:
     """The specs of a --group-list: split at commas, except that a spec that
     starts with "{" runs to the end of its JSON value.  A spec whose JSON does
-    not parse ends at the next comma, and `resolve_group` refuses it."""
-    specs, start = [], 0
+    not parse ends at the next comma, and `resolve_group` refuses it.  So does
+    a spec that starts before the point where such a parse failed (anywhere,
+    when it hit the nesting or digit limit, which give no point): it is not
+    parsed again, so the decoder reads each character at most once."""
+    specs, start, parsed = [], 0, 0
     while start <= len(text):
         lead = _SPACE.match(text, start).end()
         end = text.find(",", lead)
-        if text.startswith("{", lead):
+        if text.startswith("{", lead) and lead >= parsed:
             try:
-                end = text.find(",", _JSON.raw_decode(text, lead)[1])
-            except (ValueError, RecursionError):
-                pass
+                parsed = _JSON.raw_decode(text, lead)[1]
+                end = text.find(",", parsed)
+            except (ValueError, RecursionError) as exc:
+                parsed = getattr(exc, "pos", len(text))
         end = len(text) if end < 0 else end
         specs.append(text[start:end].strip())
         start = end + 1
@@ -234,17 +239,21 @@ def _exact_str(value, what: str) -> str:
     return value
 
 
-def _exact_rational(value, what: str) -> Fraction:
-    """A JSON integer, or a string Fraction reads exactly ("1/2", "-3", "0.25");
-    a float, bool, exponent ("1e-9": unbounded cost) or anything else is refused."""
-    from fractions import Fraction  # only `extension --b` builds one
+def _exact_rational(value, what: str) -> tuple[int, int]:
+    """A JSON integer or a string -?D+(/D+|.D+)? of ASCII digits D ("1/2",
+    "-3", "0.25") as the pair (p, q), q > 0, of p/q; anything else (a float,
+    "1/0", "1e-9", "+1", "1_0", " 1", other scripts' digits, a number past
+    the 4300-digit limit) is refused."""
     if type(value) is int:
-        return Fraction(value)
-    if isinstance(value, str) and "e" not in value.lower():
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
+        return value, 1
+    match = _RATIONAL.fullmatch(value) if type(value) is str else None
+    try:
+        if match and match[3]:
+            return int(match[1] + match[3]), 10 ** len(match[3])
+        if match and int(match[2] or 1):
+            return int(match[1]), int(match[2] or 1)
+    except ValueError:  # past the digit limit
+        pass
     raise UsageError(f'{what} must be an integer or a rational string such as "1/2", '
                      f"got {quote(json.dumps(value), str)}")
 
@@ -289,7 +298,7 @@ def resolve_twist(rd: RootDatum, spec: str) -> tduality.TwistClass:
         raise UsageError(f"malformed twist matrix {quote(spec)}: {exc}") from exc
 
 
-def resolve_commutator(spec: str) -> list[list[Fraction]]:
+def resolve_commutator(spec: str) -> list[list[tuple[int, int]]]:
     rows = _load_json(spec)
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise UsageError(f"--b must be a JSON list of rows, got {quote(spec)}")
@@ -372,7 +381,8 @@ def report_langlands(rd: RootDatum) -> dict:
         }
 
 
-def report_extension(rd: RootDatum, level: int, b_rows: list[list[Fraction]] | None) -> dict:
+def report_extension(rd: RootDatum, level: int,
+                     b_rows: list[list[tuple[int, int]]] | None) -> dict:
     out: dict = {"group": rd.label, "level": level}
     try:
         if b_rows is not None:
@@ -384,7 +394,7 @@ def report_extension(rd: RootDatum, level: int, b_rows: list[list[Fraction]] | N
         out["reason"] = str(exc)
         return out
     out.update(loopext.fibrewise_trivializable(b))
-    out["lift"] = [[str(v) for v in row] for row in loopext.lift_commutator(b)]
+    out["lift"] = [[loopext.ratio(*v) for v in row] for row in loopext.lift_commutator(b)]
     out["admissibility"] = loopext.admissibility_check(rd, level, b)
     return out
 

@@ -137,8 +137,6 @@ class RootDatum(Record):
                         raise InvalidSeries("not a Cartan matrix of finite type")
         if not contains_columns(self.integral.basis, self.coroot_lattice().basis):
             raise NotBetweenLattices("integral lattice does not contain the coroots")
-        if not contains_columns(IntMatrix.identity(n), self.integral.basis):
-            raise NotBetweenLattices("integral lattice is not inside the coweights")
 
     # -- ranks and factors ---------------------------------------------------
 
@@ -198,22 +196,6 @@ class RootDatum(Record):
                         frontier.append(j)
             out += [max(length.values()) // length[i] for i in range(lo, hi)]
         return tuple(out)
-
-    # -- Weyl group -------------------------------------------------------------
-
-    def reflection_on_coweights(self, i: int) -> IntMatrix:
-        """Simple reflection s_i on fundamental-coweight coordinates."""
-        return _reflection(self.rank, self.cartan.column(i), i)
-
-
-def _reflection(n: int, root_coords: Sequence[int], i: int) -> IntMatrix:
-    # s_i(x) = x - x_i * root, i.e. I minus the outer product root * e_i^T.
-    rows = []
-    for r in range(n):
-        row = [1 if r == c else 0 for c in range(n)]
-        row[i] -= root_coords[r]
-        rows.append(row)
-    return IntMatrix(rows, cols=n)
 
 
 def _dual_basis_matrix(cartan: IntMatrix, lattice_basis: IntMatrix) -> IntMatrix:
@@ -415,36 +397,44 @@ _NAMED_MAKERS = {"SU": _make_su, "PSU": _make_psu, "Spin": _make_spin, "SO": _ma
 @lru_cache(maxsize=None)
 def all_roots(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     """Every root, as weight-coordinate vectors, sorted."""
-    return _orbit([rd.cartan.row(i) for i in range(rd.rank)])
+    return tuple(_orbit([rd.cartan.row(i) for i in range(rd.rank)]))
 
 
 @lru_cache(maxsize=None)
-def all_coroots(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
-    """Every coroot, as coweight-coordinate vectors, sorted."""
+def all_coroots(rd: RootDatum) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Every coroot, as coweight-coordinate vectors in sorted order, each
+    mapped to its coordinates c over the simple coroots (H = A c)."""
     return _orbit([rd.cartan.column(i) for i in range(rd.rank)])
 
 
-def _orbit(simple) -> tuple[tuple[int, ...], ...]:
-    """The orbit of the `simple` roots under the simple reflections, sorted.
+def _orbit(simple) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The orbit of the `simple` roots under the simple reflections, in
+    sorted order, each vector mapped to its coordinates over `simple`.
 
     Entry i of a vector is its pairing with the i-th simple coroot (weight
     coordinates) or root (coweight coordinates), so s_i(v) = v - v_i *
-    simple[i]: O(n) per step, and nothing to do when v_i = 0.
+    simple[i], which lowers coordinate i by v_i and leaves the others: O(n)
+    per step.  Only the raising steps (v_i < 0) are taken: every positive
+    root above a simple one is s_i of a lower positive root v with v_i < 0,
+    so they reach the positive roots, and the negative ones are their
+    negatives.
     """
-    seen = set(simple)
+    seen = {a: tuple(int(j == i) for j in range(len(simple))) for i, a in enumerate(simple)}
     frontier = list(seen)
     while frontier:
         nxt = []
         for v in frontier:
             for i, a in enumerate(simple):
                 c = v[i]
-                if c:
+                if c < 0:
                     w = tuple(x - c * y for x, y in zip(v, a))
                     if w not in seen:
-                        seen.add(w)
+                        seen[w] = (*seen[v][:i], seen[v][i] - c, *seen[v][i + 1:])
                         nxt.append(w)
         frontier = nxt
-    return tuple(sorted(seen))
+    for v, c in list(seen.items()):
+        seen[tuple(-x for x in v)] = tuple(-x for x in c)
+    return {v: seen[v] for v in sorted(seen)}
 
 
 @lru_cache(maxsize=None)

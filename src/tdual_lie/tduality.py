@@ -164,14 +164,16 @@ def _langlands_transport(rd: RootDatum) -> IntMatrix:
     property test against that BFS carries it.
     """
     perm = require_phi(rd)
-    w = IntMatrix.identity(rd.rank)
+    w = IntMatrix.identity(rd.rank).tolist()
     flip = set()
     for lo, hi, series, r in rd.factor_ranges():
         for i in _SELF_DUAL_WORDS.get((series, r), ()):
-            w = w @ rd.reflection_on_coweights(lo + i)
+            a = rd.cartan.column(lo + i)  # w s_i = w - (w a_i) e_i^T changes one column
+            for row in w:
+                row[lo + i] -= sum(x * y for x, y in zip(row, a))
         if series in "BC" and r > 2 and perm[lo] > lo:
             flip.update(range(lo, hi))
-    transport = IntMatrix([[-x for x in w.row(p)] if p in flip else w.row(p) for p in perm],
+    transport = IntMatrix([[-x for x in w[p]] if p in flip else w[p] for p in perm],
                           cols=rd.rank)
     if not is_cycle(rd, transport @ rd.integral.basis):
         raise AssertionError(f"the Langlands transport rule gives no cycle for {rd.label}")

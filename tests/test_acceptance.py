@@ -27,6 +27,7 @@ from tdual_lie.tduality import (
 )
 from tdual_lie.zlinalg import IntMatrix, Lattice, subquotient
 
+from test_flagcoh import reflection_matrix
 from test_zlinalg import bareiss_det
 
 
@@ -60,7 +61,7 @@ def test_c02_nonsimply_connected_cohomology():
 def test_c03_flag_degree_four():
     with criterion(3, "rank H^4(B) matches the Weyl length-2 count; torsion-free"):
         def length2_count(rd):
-            gens = [rd.reflection_on_coweights(i) for i in range(rd.rank)]
+            gens = [reflection_matrix(rd.cartan.column(i), i) for i in range(rd.rank)]
             ident = IntMatrix.identity(rd.rank)
             depth = {ident: 0}
             frontier = [ident]

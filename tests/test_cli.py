@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from tdual_lie import cli
 from tdual_lie.cli import (
     _EXPECT_TESTS,
     FLAGS,
@@ -455,6 +456,13 @@ def test_negative_level_rejected(capsys, argv):
     ("5", "usage error:"),
     ('[["1/2", 0], [0, 0]]', "error:"),  # nonzero diagonal
     ('[[0, "1/2"], ["1/3", 0]]', "error:"),  # not antisymmetric mod 1
+    # Entries are -?D+(/D+|.D+)? in ASCII digits D, not whatever Fraction() reads.
+    ('[[0, "\u0661/\u0662"], ["1/2", 0]]', "usage error:"),
+    ('[[0, "1_1/2"], ["1/2", 0]]', "usage error:"),
+    ('[[0, "+1/2"], ["1/2", 0]]', "usage error:"),
+    ('[[0, ".5"], ["1/2", 0]]', "usage error:"),
+    ('[[0, "5."], [0, 0]]', "usage error:"),
+    ('[[0, " 1/2"], ["1/2", 0]]', "usage error:"),
 ])
 def test_commutator_entries_taken_exactly(capsys, b, prefix):
     _usage_error(capsys, ["extension", "--group", "SU(3)", "--b", b], prefix)
@@ -465,6 +473,20 @@ def test_commutator_rational_strings_accepted():
                               "--b", '[[0, "-1/2"], ["1/2", 0]]'])
     assert code == 0
     assert payload["reports"][0]["witness_value"] == "1/2"
+
+
+@pytest.mark.parametrize("b, witness", [
+    ('[[0, "0.5"], ["-1/2", 0]]', "1/2"),
+    ('[[0, "12/24"], ["-0.50", 0]]', "1/2"),
+    ('[[0, "-3"], [3, 0]]', None),
+    ('[[0, "-7/3"], ["1/3", 0]]', "2/3"),
+])
+def test_commutator_decimal_and_unreduced_strings_accepted(b, witness):
+    """Decimals, signs, whole numbers and fractions not in lowest terms are
+    read exactly and written in lowest terms."""
+    code, payload = run_json(["extension", "--group", "SU(3)", "--b", b])
+    assert code == 0
+    assert payload["reports"][0]["witness_value"] == witness
 
 
 def test_numpy_never_loaded():
@@ -493,30 +515,34 @@ def test_numpy_never_loaded():
 def test_import_loads_no_dataclasses():
     """`import tdual_lie.cli` loads none of `dataclasses` and `inspect`
     (about 20 ms of every command's start-up), `argparse` and `gettext`
-    (the flag table reads argv), `fractions` and `decimal` (only the
-    `extension` verb builds a Fraction) or `typing` (annotations come from
+    (the flag table reads argv), `fractions`, `decimal` and `numbers` (Q/Z
+    values are integer pairs) or `typing` (annotations come from
     `collections.abc`).  It does load all seven layer modules, which the
-    traced benchmark reads from `sys.modules`, and a `group` run still
-    leaves `fractions` unloaded.  -S keeps site `.pth` files from importing
-    any of them first."""
+    traced benchmark reads from `sys.modules`.  A `group` run, `extension
+    --level 1` and `extension --b` still leave `fractions`, `decimal` and
+    `numbers` unloaded.  -S keeps site `.pth` files from importing any of
+    them first."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     script = (
         "import contextlib, io, sys\n"
         "import tdual_lie.cli\n"
-        "unwanted = {'dataclasses', 'inspect', 'argparse', 'gettext', 'fractions', 'decimal',\n"
-        "            'typing'}\n"
+        "exact = {'fractions', 'decimal', 'numbers'}\n"
+        "unwanted = {'dataclasses', 'inspect', 'argparse', 'gettext', 'typing'} | exact\n"
         "print(sorted(unwanted & set(sys.modules)))\n"
         "layers = ('cli', 'rootdata', 'zlinalg', 'flagcoh', 'tduality', 'loopext', 'contcheck')\n"
         "print([m for m in layers if f'tdual_lie.{m}' not in sys.modules])\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert tdual_lie.cli.main(['group', '--group', 'SU(2)']) == 0\n"
-        "print('fractions' in sys.modules)\n"
+        "    assert tdual_lie.cli.main(['extension', '--group', 'SU(3)', '--level', '1']) == 0\n"
+        "    assert tdual_lie.cli.main(['extension', '--group', 'Spin(5)',\n"
+        "                               '--b', '[[0, \"1/2\"], [\"0.5\", 0]]']) == 0\n"
+        "print(sorted(exact & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n[]\nFalse\n"
+    assert proc.stdout == "[]\n[]\n[]\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -543,6 +569,52 @@ def test_group_list_malformed_json_ends_at_a_comma(capsys):
     assert err.count("\n") == 1
     reports = json.loads(out)["reports"]
     assert [r["group"] for r in reports] == ['{"components": [x', "SU(2)"]
+
+
+class CountingDecoder:
+    """Stand-in for `cli._JSON` that adds up the characters its raw_decode
+    calls read: to the end of the value, or to where the parse failed (to
+    the end of the text after an unterminated string, or when the failure
+    gives no position)."""
+
+    def __init__(self):
+        self.read = 0
+
+    def raw_decode(self, text, idx):
+        try:
+            value, end = json.JSONDecoder().raw_decode(text, idx)
+        except json.JSONDecodeError as exc:
+            unterminated = exc.msg.startswith("Unterminated string")
+            self.read += (len(text) if unterminated else exc.pos + 1) - idx
+            raise
+        except (ValueError, RecursionError):
+            self.read += len(text) - idx
+            raise
+        self.read += end - idx
+        return value, end
+
+
+@pytest.mark.parametrize("text", [
+    '{"x": [1,' * 12000,
+    '{"x": [1,' * 200 + "x",
+    '{"x": [1,' * 200 + '"',
+], ids=["past-depth-limit", "bad-value", "unterminated-string"])
+def test_group_list_split_reads_each_character_once(capsys, monkeypatch, text):
+    """Every spec here is JSON that does not parse and starts inside the
+    text an earlier spec's parse read, so the split decodes none of them
+    again: it reads at most len(text) characters in all.  Each spec is then
+    refused with the line a --group of it prints, in order, with exit 2."""
+    specs = [spec for spec in text.split(",") if spec]
+    lines = {}
+    for spec in set(specs):
+        capsys.readouterr()
+        assert main(["group", "--group", spec]) == 2
+        lines[spec] = capsys.readouterr().err
+    decoder = CountingDecoder()
+    monkeypatch.setattr(cli, "_JSON", decoder)
+    assert main(["group", "--group-list", text]) == 2
+    assert capsys.readouterr().err == "".join(lines[spec] for spec in specs)
+    assert decoder.read <= len(text)
 
 
 HUGE = "9" * 5000

@@ -211,17 +211,17 @@ def test_integer_form_route_matches_rationals(rd, level, data):
     got = _int_matrix((a.inv() * h).T) @ form_pairing(rd, level, rd.integral.basis)
     assert got.transpose() == _int_matrix(want)
     # The whole report, against b(lambda_k, H) = [<lambda_k, H>/2] over Q.
-    entries = [[Fraction(0)] * n for _ in range(n)]
+    entries = [[(0, 1)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            x = data.draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3)]))
-            entries[i][j], entries[j][i] = x, -x
+            p, q = data.draw(st.sampled_from([(0, 1), (1, 2), (1, 3)]))
+            entries[i][j], entries[j][i] = (p, q), (-p, q)
     comm = commutator_from_matrix(rd, entries)
     coords = b.inv() * h
     expected = []
     for k in range(n):
         for t, coroot in enumerate(coroots):
-            have = sum(v * int(y) for v, y in zip(comm.values[k], coords.col(t))) % 1
+            have = sum(Fraction(*v) * int(y) for v, y in zip(comm.values[k], coords.col(t))) % 1
             half = Fraction(int(want[k, t]) % 2, 2)
             if have != half:
                 expected.append(f"b(basis_{k}, coroot {coroot}) = {have} but [<.,.>/2] = {half}")
@@ -480,7 +480,7 @@ def test_h2_examples():
 
 def coxeter_length_count(rd, target):
     """Number of Weyl elements of length `target`, by BFS word length."""
-    gens = [rd.reflection_on_coweights(i) for i in range(rd.rank)]
+    gens = [reflection_matrix(rd.cartan.column(i), i) for i in range(rd.rank)]
     ident = IntMatrix.identity(rd.rank)
     depth = {ident: 0}
     frontier = [ident]

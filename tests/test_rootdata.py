@@ -114,9 +114,13 @@ def orbit_by_reflection_matrices(simple):
 
 
 def check_root_orbits(rd):
+    """Both orbits against the matrix BFS, and each coroot's coordinates c
+    over the simple coroots against H = A c."""
     n = rd.rank
     assert all_roots(rd) == orbit_by_reflection_matrices([rd.cartan.row(i) for i in range(n)])
-    assert all_coroots(rd) == orbit_by_reflection_matrices([rd.cartan.column(i) for i in range(n)])
+    coroots = all_coroots(rd)
+    assert tuple(coroots) == orbit_by_reflection_matrices([rd.cartan.column(i) for i in range(n)])
+    assert all(rd.cartan.apply(c) == h for h, c in coroots.items())
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -371,7 +375,7 @@ def test_find_phi_matches_search_table(comps):
 def weyl_elements_on_coweights(rd):
     """Weyl elements as coweight-coordinate matrices, in BFS word order, the
     identity first: the oracle for the closed-form Langlands transport."""
-    gens = [rd.reflection_on_coweights(i) for i in range(rd.rank)]
+    gens = [reflection_matrix(rd.cartan.column(i), i) for i in range(rd.rank)]
     ident = IntMatrix.identity(rd.rank)
     seen = {ident}
     frontier = [ident]
