@@ -2,20 +2,25 @@
 
 import math
 import time
+import tracemalloc
+from bisect import bisect_right
+from collections import defaultdict
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdual_lie.contcheck import (
+    BUMP_TABLE,
     Cutoff,
     StructureConstants,
+    _bump_integral,
+    _bump_table,
     check_c_form,
     continuum_summary,
-    cutoff_cubic,
     cutoff_integral,
-    cutoff_overshoot,
     _max_abs,
     standard_cutoffs,
 )
@@ -36,7 +41,8 @@ def test_cutoff_independence():
 
 
 def test_nonmonotone_profile_is_nonmonotone():
-    c = cutoff_overshoot()
+    c = standard_cutoffs()[-1]
+    assert c.name == "non-monotone wiggle"
     diffs = [b - a for a, b in zip(c.values, c.values[1:])]
     assert any(d < 0 for d in diffs) and any(d > 0 for d in diffs)
     assert abs(cutoff_integral(c) - EXPECTED) < 1e-9
@@ -60,7 +66,9 @@ def test_quadrature_convergence_order():
     """Richardson-style order estimate: error should drop at order >= 2."""
     errs = []
     for n in (64, 128, 256):
-        errs.append(abs(cutoff_integral(cutoff_cubic(n)) - EXPECTED))
+        cubic = standard_cutoffs(n)[0]
+        assert cubic.name == "cubic smoothstep"
+        errs.append(abs(cutoff_integral(cubic) - EXPECTED))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)
               if errs[i + 1] > 1e-15]
     assert orders, "errors already at machine precision; lower the base grid"
@@ -143,3 +151,109 @@ def test_max_abs_is_the_rounded_fraction(values, denominator):
     nearest max|v| / denominator, as float(Fraction(...)) does."""
     assert _max_abs(iter(values), denominator) == float(
         Fraction(max(map(abs, values), default=0), denominator))
+
+
+def _trace(*mats: dict) -> int:
+    """tr(M_1 ... M_k) for sparse integer matrices {(row, col): entry}."""
+    paths = [(i, j, a) for (i, j), a in mats[0].items()]
+    for m in mats[1:]:
+        paths = [(i, l, a * b) for i, j, a in paths for (k, l), b in m.items() if j == k]
+    return sum(a for i, j, a in paths if i == j)
+
+
+def _fraction_inverse(rows: list[list[int]]) -> list[list[Fraction]]:
+    """Gauss-Jordan inverse of an invertible integer matrix."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col])
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                m[r] = [x - m[r][col] * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def _triple_product_constants(algebra: str) -> tuple[dict, dict]:
+    """(c, f) of su(n) by brute force: c[a, b, d] from the two triple
+    products tr(X_a X_b X_d) and tr(X_b X_a X_d) over every (a, b, d), and
+    f = denominator * Gram^-1 c with the Gram matrix inverted in fractions."""
+    n = int(algebra[2:])
+    basis = [(1, {(l, l): 1, (l + 1, l + 1): -1}) for l in range(n - 1)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            basis += [(0, {(j, k): 1, (k, j): -1}), (1, {(j, k): 1, (k, j): 1})]
+    re_i = (1, 0, -1, 0)
+    c = {}
+    for (a, (p, x)), (b, (q, y)), (d, (s, z)) in product(enumerate(basis), repeat=3):
+        val = -re_i[(p + q + s) % 4] * (_trace(x, y, z) - _trace(y, x, z))
+        if val:
+            c[a, b, d] = val
+    gram = [[-re_i[(p + q) % 4] * _trace(x, y) for q, y in basis] for p, x in basis]
+    inv = _fraction_inverse(gram)
+    f: dict = defaultdict(int)
+    for (a, b, e), val in c.items():
+        for d in range(len(basis)):
+            f[a, b, d] += 2 * n * inv[d][e] * val
+    assert all(val.denominator == 1 for val in f.values())
+    return c, {key: int(val) for key, val in f.items() if val}
+
+
+@pytest.mark.parametrize("algebra", ["su2", "su3", "su4"])
+def test_structure_constants_match_triple_products(algebra):
+    """The commutator route gives the brute-force c and f, item order included."""
+    sc = StructureConstants(algebra)
+    c, f = _triple_product_constants(algebra)
+    assert sc.denominator == 2 * int(algebra[2:])
+    assert list(sc.c.items()) == list(c.items())
+    assert list(sc.f.items()) == list(f.items())
+
+
+def _bisect_bump(x: float) -> tuple[int, float]:
+    """The table interval holding x, found by bisection, and the linear
+    interpolation of the bump integral in it."""
+    s, cum, _ = _bump_table()
+    k = min(bisect_right(s, x), BUMP_TABLE) - 1
+    return k, cum[k] + (x - s[k]) * (cum[k + 1] - cum[k]) * BUMP_TABLE
+
+
+def _assert_bump_index(x: float) -> None:
+    k, value = _bisect_bump(x)
+    assert min(int(x * BUMP_TABLE), BUMP_TABLE - 1) == k, x
+    assert list(_bump_integral([x])) == [value], x
+
+
+def test_bump_index_at_every_table_node():
+    """0, 1, every node k/4096 and both float neighbours of each that lie in
+    [0, 1]: the table index is int(x * BUMP_TABLE), capped at the last interval."""
+    nodes = [k / BUMP_TABLE for k in range(BUMP_TABLE + 1)]
+    xs = {y for x in nodes for y in (math.nextafter(x, -1.0), x, math.nextafter(x, 2.0))}
+    for x in sorted(y for y in xs if 0.0 <= y <= 1.0):
+        _assert_bump_index(x)
+    assert list(_bump_integral([0.0, 1.0])) == [0.0, 1.0]
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(st.floats(0.0, 1.0))
+def test_bump_index_is_the_bisection(x):
+    _assert_bump_index(x)
+
+
+def _traced_peak(grid: int) -> int:
+    continuum_summary(844)  # the bump table is cached once per process
+    tracemalloc.start()
+    try:
+        continuum_summary(grid)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_continuum_summary_memory():
+    """One cutoff is held at a time: the traced peak is about 100 bytes per
+    grid point.  Holding all six profiles on one shared grid takes about 230,
+    and six grids with their derivative lists about 480."""
+    assert _traced_peak(16384) <= 4_000_000
+    assert _traced_peak(131072) <= 150 * 131072

@@ -130,6 +130,13 @@ UNBENCHED_DIGESTS = {
         "9d2d4f8d79bee64d7045d59850b0bfb44915b37a6f45a9a9f7e6c848cd0babac",
     ("contcheck",):
         "aba002f735a8afaa4c12d2f75dccaa8a77d2a7bf469c27b8bcddf679c747cf6e",
+    # The smallest and largest grids and the benchmark's 16384.
+    ("contcheck", "--grid", "844", "--format", "json"):
+        "9a4a72fc1920b30fe8be2311cad0c2ab0dee18aee4a2e8b551c85f3ffba7dfcc",
+    ("contcheck", "--grid", "16384", "--format", "json"):
+        "0160f817f8bfed23a4b3ca5c0c30f8ce57972962790b07aa1bf3fbd5b3985ccd",
+    ("contcheck", "--grid", "131072", "--format", "json"):
+        "894b7868468d6c5d1c91255d7c47ab4538b6c7a108e795fb3402e4c3d466ff48",
 }
 
 

@@ -21,12 +21,17 @@ row whose stdout digest differs between the two checkouts stops the script.
 Right after the cliffs, in the same order, both checkouts run each of
 RANK_CAP_ROWS once: `group`, `cohomology`, `twist level:1` and `dualize
 level:1` on the five rank-32 groups and `extension --level 1` where b needs
-no input, the rows no workload or cliff runs at the rank cap.  Each is one
-`tdual` process with only the checkout's `src` on its path; BENCH_<N>.json
-keeps the same per-row figures as for the cliffs (no layer split), and a
-digest difference stops the script in the same way.
+no input, the rows no workload or cliff runs at the rank cap.  Then they
+run each of CONTCHECK_ROWS once: `contcheck --grid 16384` and `--grid
+131072` in JSON, the verb's largest memory.  Each is one `tdual` process
+with only the checkout's `src` on its path.  BENCH_<N>.json keeps the same
+per-row figures as for the cliffs (no layer split), plus the child's
+`ru_maxrss` from `os.wait4` as maxrss_mb and each side's median of it; a
+digest difference stops the script in the same way.  maxrss_mb is floored
+at this script's own RSS, since a child's high-water mark starts from the
+process it was forked from.
 
-After the rank-cap rows, in the same order, both checkouts time STARTUP_SPAWNS
+After those rows, in the same order, both checkouts time STARTUP_SPAWNS
 fresh processes of each of STARTUP_ROWS: `import tdual_lie.cli` alone and
 `group --group SU(2)`.  BENCH_<N>.json keeps, under `startup`, each side's
 raw median wall_s per pair (not calibrated, unlike perfbench's `setup_s`)
@@ -36,6 +41,7 @@ and per row each side's median over the pairs and the change's wins.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -56,6 +62,8 @@ RANK_CAP_ROWS = tuple(
     for verb, extra in (("cohomology", ()), ("twist", ("--twist", "level:1")),
                         ("dualize", ("--twist", "level:1")), ("group", ()))
 ) + tuple(("extension", "--group", group, "--level", "1") for group in ("SU(33)", "Spin(64)"))
+CONTCHECK_ROWS = tuple(("contcheck", "--grid", grid, "--format", "json")
+                       for grid in ("16384", "131072"))
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -96,19 +104,26 @@ def job_env(root: Path) -> dict:
     return env
 
 
-def run_rank_cap(root: Path) -> list[dict]:
-    """Each of RANK_CAP_ROWS once in `root`, in `job_env`: per row its argv,
-    status, wall_s and sha256."""
+def run_rows(root: Path, rows: tuple) -> list[dict]:
+    """Each argv of `rows` once in `root`, as one `tdual` process in
+    `job_env`: per row its argv, status, wall_s, sha256 and the child's
+    ru_maxrss in MB (maxrss_mb)."""
     env = job_env(root)
-    rows = []
-    for argv in RANK_CAP_ROWS:
+    out = []
+    for argv in rows:
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], cwd=root, env=env,
-                              stdin=subprocess.DEVNULL, capture_output=True)
-        rows.append({"argv": list(argv), "status": f"exit {proc.returncode}",
-                     "wall_s": time.perf_counter() - start,
-                     "sha256": hashlib.sha256(proc.stdout).hexdigest()})
-    return rows
+        proc = subprocess.Popen([sys.executable, "-c", ENTRY, *argv], cwd=root, env=env,
+                                stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL)
+        with proc.stdout:
+            stdout = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall_s = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.append({"argv": list(argv), "status": f"exit {proc.returncode}", "wall_s": wall_s,
+                    "sha256": hashlib.sha256(stdout).hexdigest(),
+                    "maxrss_mb": usage.ru_maxrss / 1024.0})
+    return out
 
 
 def run_startup(root: Path) -> dict:
@@ -143,17 +158,22 @@ def summarize_startup(pairs: list[dict]) -> dict:
 
 
 def summarize_rows(pairs: list[dict]) -> dict:
-    """Per cliff or rank-cap row (its argv joined by spaces): the digest both
-    sides printed, each side's median wall_s and the change's wins."""
+    """Per cliff, rank-cap or contcheck row (its argv joined by spaces): the
+    digest both sides printed, each side's median wall_s (and maxrss_mb where
+    the row has it) and the change's wins in wall_s."""
     out = {}
     for i, row in enumerate(pairs[0]["parent"]):
         walls = {side: [p[side][i]["wall_s"] for p in pairs] for side in ("parent", "change")}
         timed = all(w is not None for ws in walls.values() for w in ws)
-        out[" ".join(row["argv"])] = {
+        out[" ".join(row["argv"])] = summary = {
             "sha256": row["sha256"], "pairs": len(pairs),
             "wins": sum(c < p for p, c in zip(walls["parent"], walls["change"])) if timed else None,
             **{side: {"median_wall_s": statistics.median(ws) if timed else None}
                for side, ws in walls.items()}}
+        if "maxrss_mb" in row:
+            for side in ("parent", "change"):
+                summary[side]["median_maxrss_mb"] = statistics.median(
+                    p[side][i]["maxrss_mb"] for p in pairs)
     return out
 
 
@@ -192,7 +212,9 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": CHANGE}
     report = {"pr": args.pr, "parent": str(roots["parent"]), "pairs": args.pairs,
               "command": spec["command"] + ["--trace", "0"], "workloads": {}}
-    rows = {"cliffs": (run_cliffs, []), "rank_cap": (run_rank_cap, [])}
+    rows = {"cliffs": (run_cliffs, []),
+            "rank_cap": (functools.partial(run_rows, rows=RANK_CAP_ROWS), []),
+            "contcheck": (functools.partial(run_rows, rows=CONTCHECK_ROWS), [])}
     key = ("argv", "status", "sha256")
     startup = []
     for k in range(args.pairs):
