@@ -30,11 +30,11 @@ from . import flagcoh, loopext, tduality
 from .errors import RequiresExplicitB, TdualError, Unavailable, UsageError, ascii_int, quote
 from .rootdata import (
     RootDatum,
-    all_roots,
     build,
     center,
     fundamental_group_of,
     named_group,
+    root_count,
 )
 from .zlinalg import IntMatrix
 
@@ -333,7 +333,7 @@ def report_group(rd: RootDatum) -> dict:
         "character_basis": rd.char_lattice().basis.tolist(),
         "center": flagcoh.group_dict(z.free_rank, z.torsion),
         "fundamental_group": flagcoh.group_dict(pi1.free_rank, pi1.torsion),
-        "root_count": len(all_roots(rd)),
+        "root_count": root_count(rd),
     }
 
 

@@ -23,7 +23,6 @@ into the exact lattice code.
 from __future__ import annotations
 
 import math
-import operator
 from collections import defaultdict
 from collections.abc import Iterator
 from functools import lru_cache
@@ -41,29 +40,24 @@ BUMP_TABLE = 4096  # intervals of the tabulated bump integral
 
 
 class Cutoff(Record):
-    """Sampled profile chi on a uniform grid over [0, 1].
+    """Sampled profile chi on the uniform grid t_i = i/(len(values) - 1)
+    over [0, 1].
 
     Admissible profiles satisfy chi(0)=0, chi(1)=1 and are constant on the
     first and last 5% of samples (plateaus), so that differentiating and
     integrating numerically sees a function that is flat at the boundary.
     """
 
-    _fields = ("name", "ts", "values")
+    _fields = ("name", "values")
 
-    def __init__(self, name: str, ts: tuple[float, ...], values: tuple[float, ...]):
-        self.name, self.ts, self.values = name, ts, values
+    def __init__(self, name: str, values: tuple[float, ...]):
+        self.name, self.values = name, values
 
     def validate(self) -> None:
-        ts, values = self.ts, self.values
-        n = len(ts)
-        if n != len(values) or n < 16:
+        values = self.values
+        n = len(values)
+        if n < 16:
             raise InadmissibleCutoff(f"{self.name}: need a grid of at least 16 samples")
-        h = ts[1] - ts[0]
-        if (max(map(operator.sub, islice(ts, 1, None), ts)) - h > 1e-12
-                or h - min(map(operator.sub, islice(ts, 1, None), ts)) > 1e-12):
-            raise InadmissibleCutoff(f"{self.name}: grid must be uniform")
-        if abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
-            raise InadmissibleCutoff(f"{self.name}: grid must span [0, 1]")
         if abs(values[0]) > FLAT_TOL or abs(values[-1] - 1.0) > FLAT_TOL:
             raise InadmissibleCutoff(f"{self.name}: chi(0)=0 and chi(1)=1 are required")
         k = max(2, int(PLATEAU_FRACTION * n))
@@ -139,20 +133,20 @@ def iter_cutoffs(n: int = DEFAULT_GRID) -> Iterator[Cutoff]:
     ts = tuple([i / n for i in range(n + 1)])
     a, b = PLATEAU_FRACTION, 1.0 - PLATEAU_FRACTION
     tau = list(_ramp(ts, a, b - a))
-    yield Cutoff("cubic smoothstep", ts, tuple([x * x * (3.0 - 2.0 * x) for x in tau]))
-    yield Cutoff("quintic smoothstep", ts,
+    yield Cutoff("cubic smoothstep", tuple([x * x * (3.0 - 2.0 * x) for x in tau]))
+    yield Cutoff("quintic smoothstep",
                  tuple([x**3 * (10.0 - 15.0 * x + 6.0 * x * x) for x in tau]))
-    yield Cutoff("septic smoothstep", ts,
+    yield Cutoff("septic smoothstep",
                  tuple([x**4 * (35.0 - 84.0 * x + 70.0 * x**2 - 20.0 * x**3) for x in tau]))
     base = tuple(_bump_integral(tau))
     del tau
-    yield Cutoff("mollified step", ts, base)
+    yield Cutoff("mollified step", base)
     # Climb to 0.6, sit on an interior plateau, then climb to 1.
-    yield Cutoff("plateaued ramp", ts, tuple(
+    yield Cutoff("plateaued ramp", tuple(
         0.6 * lo + 0.4 * hi for lo, hi in zip(_bump_integral(_ramp(ts, 0.05, 0.30)),
                                               _bump_integral(_ramp(ts, 0.60, 0.35)))))
     # Non-monotone: a smooth interior wiggle on top of the step.
-    yield Cutoff("non-monotone wiggle", ts, tuple(
+    yield Cutoff("non-monotone wiggle", tuple(
         y + 0.6 * _bump(16.0 * (x * (1.0 - x)) ** 2) * math.sin(6.0 * math.pi * t)
         for t, y, x in zip(ts, base, _ramp(ts, 0.25, 0.5))))
 

@@ -6,7 +6,8 @@ the extension is trivial exactly when b vanishes.  For a simply connected,
 simply laced group at level k the commutator map of the pulled-back
 extension is b = [k/2 * <.,.>] on the coroot basis; in every other case the
 formula is not asserted and an explicit b must be supplied (and can be
-checked for admissibility against the invariant form).
+checked for admissibility against the invariant form, on the simple coroots
+alone, since both sides of the rule are additive).
 
 A value in Q/Z is the reduced integer pair (p, q) with 0 <= p < q that
 `mod1` builds, and `ratio` writes a pair as "p/q" in lowest terms ("0",
@@ -19,7 +20,7 @@ from collections.abc import Sequence
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, InvalidCommutator, RequiresExplicitB
-from .rootdata import RootDatum, all_coroots, basic_form, center, form_pairing
+from .rootdata import RootDatum, basic_form, center, form_pairing
 from .zlinalg import IntMatrix, Lattice, Record, solve_columns
 
 
@@ -125,13 +126,17 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
     solution, and N <lambda_j, lambda_k> = (B^T Y)[j, k] is checked for
     divisibility by N.
 
-    The orbit walk of `all_coroots` gives each coroot H its coordinates c
-    over the simple coroots, so no coroot is solved for: the symmetric form
-    gives <lambda_k, H> = sum_i c_i <H_i, lambda_k> = (P^T c)_k, and H has
-    integral coordinates X^T c, with X the character basis (B X^T = A).
-    Row k of b times D_k, the lcm of its denominators, is an integer row;
-    its product x with the integral coordinates of H is D_k b(lambda_k, H)
-    mod D_k, so the rule reads 2 (x mod D_k) = D_k (<lambda_k, H> mod 2)."""
+    Both sides of the half-pairing rule are additive in H mod 1, and every
+    coroot is an integer combination of the simple coroots H_i, so the rule
+    holds on every coroot exactly when it holds on the H_i.  Those are the
+    only coroots checked: a basis vector that breaks the rule on some coroot
+    breaks it on some H_i, so the list is a complete witness.
+    <lambda_k, H_i> = P[i, k], and H_i has integral coordinates column i of
+    X^T, with X the character basis (B X^T = A).  Row k of b times D_k, the
+    lcm of its denominators, is an integer row; its product x with those
+    coordinates is D_k b(lambda_k, H_i) mod D_k, so the rule reads
+    2 (x mod D_k) = D_k (<lambda_k, H_i> mod 2).  Violations are listed by
+    basis vector, then by coroot in sorted coweight coordinates."""
     n = rd.rank
     pairing = form_pairing(rd, level, rd.integral.basis)
     det = center(rd).order()
@@ -140,15 +145,14 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
         f"<lambda_{j}, lambda_{k}> = {ratio(gram[j, k], det)} is not an integer"
         for j in range(n) for k in range(j, n) if gram[j, k] % det
     ]
-    coroots = all_coroots(rd)
-    simple_coords = IntMatrix.from_columns(coroots.values(), rows=n)
+    coroots = sorted(enumerate(rd.cartan.columns()), key=lambda col: col[1])
     scales = [lcm(*(q for _, q in row)) for row in b.values]
     scaled = IntMatrix([p * (d // q) for p, q in row] for d, row in zip(scales, b.values))
-    products = (scaled @ rd.char_lattice().basis.transpose()) @ simple_coords
+    products = scaled @ rd.char_lattice().basis.transpose()
     half = []
-    for k, (d, xs, ws) in enumerate(zip(scales, products, pairing.transpose() @ simple_coords)):
-        for coroot, x, w in zip(coroots, xs, ws):
-            x, w = x % d, w % 2
+    for k, (d, xs, ws) in enumerate(zip(scales, products, pairing.transpose())):
+        for i, coroot in coroots:
+            x, w = xs[i] % d, ws[i] % 2
             if 2 * x != d * w:
                 half.append(f"b(basis_{k}, coroot {coroot}) = {ratio(x, d)} "
                             f"but [<.,.>/2] = {ratio(w, 2)}")

@@ -394,47 +394,14 @@ _NAMED_MAKERS = {"SU": _make_su, "PSU": _make_psu, "Spin": _make_spin, "SO": _ma
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def all_roots(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
-    """Every root, as weight-coordinate vectors, sorted."""
-    return tuple(_orbit([rd.cartan.row(i) for i in range(rd.rank)]))
+_ROOT_COUNTS = {"A": lambda n: n * (n + 1), "B": lambda n: 2 * n * n, "C": lambda n: 2 * n * n,
+                "D": lambda n: 2 * n * (n - 1), "E": {6: 72, 7: 126, 8: 240}.get,
+                "F": lambda n: 48, "G": lambda n: 12}
 
 
-@lru_cache(maxsize=None)
-def all_coroots(rd: RootDatum) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Every coroot, as coweight-coordinate vectors in sorted order, each
-    mapped to its coordinates c over the simple coroots (H = A c)."""
-    return _orbit([rd.cartan.column(i) for i in range(rd.rank)])
-
-
-def _orbit(simple) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The orbit of the `simple` roots under the simple reflections, in
-    sorted order, each vector mapped to its coordinates over `simple`.
-
-    Entry i of a vector is its pairing with the i-th simple coroot (weight
-    coordinates) or root (coweight coordinates), so s_i(v) = v - v_i *
-    simple[i], which lowers coordinate i by v_i and leaves the others: O(n)
-    per step.  Only the raising steps (v_i < 0) are taken: every positive
-    root above a simple one is s_i of a lower positive root v with v_i < 0,
-    so they reach the positive roots, and the negative ones are their
-    negatives.
-    """
-    seen = {a: tuple(int(j == i) for j in range(len(simple))) for i, a in enumerate(simple)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i, a in enumerate(simple):
-                c = v[i]
-                if c < 0:
-                    w = tuple(x - c * y for x, y in zip(v, a))
-                    if w not in seen:
-                        seen[w] = (*seen[v][:i], seen[v][i] - c, *seen[v][i + 1:])
-                        nxt.append(w)
-        frontier = nxt
-    for v, c in list(seen.items()):
-        seen[tuple(-x for x in v)] = tuple(-x for x in c)
-    return {v: seen[v] for v in sorted(seen)}
+def root_count(rd: RootDatum) -> int:
+    """|Phi|, summed over the simple factors from the classification."""
+    return sum(_ROOT_COUNTS[s](r) for s, r in rd.components)
 
 
 @lru_cache(maxsize=None)

@@ -53,13 +53,12 @@ def test_inadmissible_profiles_rejected():
     ts = tuple(i / n for i in range(n + 1))
     ramp = ts  # no plateaus
     with pytest.raises(InadmissibleCutoff):
-        cutoff_integral(Cutoff("ramp", ts, ramp))
+        cutoff_integral(Cutoff("ramp", ramp))
     wrong_end = tuple(0.5 * t for t in ts)
     with pytest.raises(InadmissibleCutoff):
-        cutoff_integral(Cutoff("wrong end", ts, wrong_end))
-    nonuniform = tuple(t * t for t in ts)
+        cutoff_integral(Cutoff("wrong end", wrong_end))
     with pytest.raises(InadmissibleCutoff):
-        cutoff_integral(Cutoff("bad grid", nonuniform, ts))
+        cutoff_integral(Cutoff("too short", (0.0,) * 8 + (1.0,) * 7))
 
 
 def test_quadrature_convergence_order():

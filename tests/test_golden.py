@@ -106,8 +106,9 @@ UNBENCHED_DIGESTS = {
         "55de8bb432e036756fa6605d8673455f7b4863e8e1484dcfc06c26d4152abf15",
     ("extension", "--group", "G2"):
         "adb400352c607acd0dfbafe87beeefb75949790c2ceb3ce4f65c4cd39f5bfc59",
+    # Half-pairing violations listed at the simple coroots only.
     ("extension", "--group", "SU(3)", "--b", '[[0,"1/3"],["2/3",0]]'):
-        "2f206df3aa12adf067853a46edb771103b96855d6d89b479a75fb8bdb6bdbead",
+        "862631d3ba9561c1e4e0270119da70ed7fcb46acf02286067eca0befc48abecb",
     # Quotients whose integral bases are built from the center's torsion
     # lifts, and an adjoint A1^3 h3_class, free [1, 0, 3] and torsion
     # [1, 0, 1], in the Smith coordinates of the (c, y) presentation.

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +19,10 @@ from tdual_lie.loopext import (
     lift_commutator,
     mod1,
 )
-from tdual_lie.rootdata import all_coroots, build, form_pairing, langlands_dual, named_group
+from tdual_lie.rootdata import build, center, form_pairing, langlands_dual, named_group
 from tdual_lie.zlinalg import IntMatrix, solve_columns
 
-from test_flagcoh import root_data
+from test_flagcoh import orbit_by_reflection_matrices, root_data
 from test_zlinalg import bareiss_det
 
 
@@ -42,8 +43,8 @@ def fraction_value(values, x, y):
 
 def admissibility_by_fractions(rd, level, values):
     """The admissibility report with every b(lambda_k, H) from
-    `fraction_value`, basis vector by coroot, each coroot solved for in the
-    integral and coroot bases: the oracle for the integer route of
+    `fraction_value`, basis vector by simple coroot, each coroot solved for
+    in the integral and coroot bases: the oracle for the integer route of
     `admissibility_check`."""
     n = rd.rank
     pairing = form_pairing(rd, level, rd.integral.basis)
@@ -53,7 +54,7 @@ def admissibility_by_fractions(rd, level, values):
         f"<lambda_{j}, lambda_{k}> = {Fraction(gram[j, k], det)} is not an integer"
         for j in range(n) for k in range(j, n) if gram[j, k] % det
     ]
-    coroots = tuple(all_coroots(rd))
+    coroots = tuple(sorted(rd.cartan.columns()))
     targets = IntMatrix.from_columns(coroots, rows=n)
     coords = solve_columns(rd.integral.basis, targets)
     forms = solve_columns(rd.cartan, targets).transpose() @ pairing
@@ -65,6 +66,39 @@ def admissibility_by_fractions(rd, level, values):
             want = Fraction(forms[h, k] % 2, 2)
             if got != want:
                 half.append(f"b(basis_{k}, coroot {coroot}) = {got} but [<.,.>/2] = {want}")
+    return {
+        "passed": not integrality and not half,
+        "integrality_violations": integrality,
+        "half_pairing_violations": half,
+    }
+
+
+def admissibility_on_every_coroot(rd, level, b, keep=lambda coroot: True):
+    """The admissibility report over the coroots of the reflection BFS that
+    `keep` accepts, in sorted order: the n x |Phi^vee| integer route that
+    `admissibility_check` took before it read the simple coroots alone.
+    A coroot H = A c has integral coordinates X^T c, with X the character
+    basis, and <lambda_k, H> = (P^T c)_k for P the form pairing."""
+    n = rd.rank
+    pairing = form_pairing(rd, level, rd.integral.basis)
+    det = center(rd).order()
+    gram = rd.integral.basis.transpose() @ solve_columns(rd.cartan.transpose(), pairing.scale(det))
+    integrality = [
+        f"<lambda_{j}, lambda_{k}> = {loopext.ratio(gram[j, k], det)} is not an integer"
+        for j in range(n) for k in range(j, n) if gram[j, k] % det
+    ]
+    coroots = [h for h in orbit_by_reflection_matrices(rd.cartan.columns()) if keep(h)]
+    simple_coords = solve_columns(rd.cartan, IntMatrix.from_columns(coroots, rows=n))
+    scales = [lcm(*(q for _, q in row)) for row in b.values]
+    scaled = IntMatrix([p * (d // q) for p, q in row] for d, row in zip(scales, b.values))
+    products = (scaled @ rd.char_lattice().basis.transpose()) @ simple_coords
+    half = []
+    for k, (d, xs, ws) in enumerate(zip(scales, products, pairing.transpose() @ simple_coords)):
+        for coroot, x, w in zip(coroots, xs, ws):
+            x, w = x % d, w % 2
+            if 2 * x != d * w:
+                half.append(f"b(basis_{k}, coroot {coroot}) = {loopext.ratio(x, d)} "
+                            f"but [<.,.>/2] = {loopext.ratio(w, 2)}")
     return {
         "passed": not integrality and not half,
         "integrality_violations": integrality,
@@ -141,10 +175,39 @@ def test_extension_report_matches_fraction_route(data):
     assert list(got.items()) == list(want.items())
 
 
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(loop_data(), st.booleans())
+def test_simple_coroots_decide_admissibility(data, from_level):
+    """The verdict of the check on every coroot, and exactly its violations
+    at the simple coroots, in its order.  b is drawn, or the level formula's
+    where that is asserted."""
+    rd, level, entries = data
+    if from_level and rd.is_simply_laced() and rd.is_simply_connected():
+        b = commutator_from_level(rd, level)
+    else:
+        b = commutator_from_matrix(rd, entries)
+    got, every = admissibility_check(rd, level, b), admissibility_on_every_coroot(rd, level, b)
+    assert got["passed"] == every["passed"]
+    assert got["integrality_violations"] == every["integrality_violations"]
+    simple = set(rd.cartan.columns()).__contains__
+    assert got == admissibility_on_every_coroot(rd, level, b, keep=simple)
+
+
+def test_violations_at_most_rank_squared_at_the_cap():
+    """Spin(64) with b = 1/2 off the diagonal breaks the rule on 32404
+    (basis vector, coroot) pairs; only the simple coroots are listed."""
+    rd = named_group("Spin(64)")
+    half = [[(int(i != j), 2) for j in range(rd.rank)] for i in range(rd.rank)]
+    report = admissibility_check(rd, 1, commutator_from_matrix(rd, half))
+    assert not report["passed"]
+    assert 0 < len(report["half_pairing_violations"]) <= rd.rank ** 2
+
+
 @pytest.mark.parametrize("name", ["E8", "Spin(16)", "SU(10)", "PSU(6)", "Sp(4)"])
 def test_admissibility_solves_at_most_rank_columns(monkeypatch, name):
-    """Every coroot's coordinates come from the orbit walk, so no solve
-    takes more right-hand sides than the rank."""
+    """Only the simple coroots are checked, and their coordinates are read
+    off the character basis, so no solve takes more right-hand sides than
+    the rank."""
     rd, widths = resolve_group(name), []
 
     def counted(basis, targets):

@@ -6,10 +6,7 @@ from hypothesis import given, settings
 from tdual_lie.errors import InvalidCenterSubgroup, InvalidSeries, NotBetweenLattices, Unavailable
 from tdual_lie.flagcoh import h3_group
 from tdual_lie.rootdata import (
-    MAX_RANK,
     RootDatum,
-    all_coroots,
-    all_roots,
     basic_form,
     build,
     center,
@@ -18,11 +15,12 @@ from tdual_lie.rootdata import (
     langlands_dual,
     named_group,
     require_phi,
+    root_count,
 )
 from tdual_lie.tduality import TwistClass
 from tdual_lie.zlinalg import IntMatrix, Lattice
 
-from test_flagcoh import reflection_matrix, root_data
+from test_flagcoh import orbit_by_reflection_matrices, reflection_matrix, root_data
 from test_zlinalg import bareiss_det
 
 
@@ -86,55 +84,34 @@ def test_build_upper_cases_the_series():
 
 
 def test_root_counts():
-    """|Phi| from the classification for every simple type up to the rank cap,
-    and as many coroots.  Uncached, so the session keeps none of them."""
-    counts = {("E", 6): 72, ("E", 7): 126, ("E", 8): 240, ("F", 4): 48, ("G", 2): 12}
-    top = MAX_RANK + 1
-    counts.update({("A", n): n * (n + 1) for n in range(1, top)})
-    counts.update({(s, n): 2 * n * n for s, lo in (("B", 2), ("C", 3)) for n in range(lo, top)})
-    counts.update({("D", n): 2 * n * (n - 1) for n in range(4, top)})
-    assert len(counts) == 32 + 31 + 30 + 29 + 5
-    for factor, count in counts.items():
-        rd = build([factor])
-        assert len(all_roots.__wrapped__(rd)) == count == len(all_coroots.__wrapped__(rd)), factor
+    """|Phi| from the classification for every simple type up to rank 12,
+    against the sizes of the root and coroot orbits of the reflection BFS."""
+    types = [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    types += [(s, n) for s, lo in (("A", 1), ("B", 2), ("C", 3), ("D", 4)) for n in range(lo, 13)]
+    for factor in types:
+        check_root_count(build([factor]))
 
 
-def orbit_by_reflection_matrices(simple):
-    """The orbit of the `simple` roots by BFS over n x n reflection matrices,
-    sorted: the oracle for the O(n) reflections of `all_roots` (rows of the
-    Cartan matrix) and `all_coroots` (its columns)."""
-    reflections = [reflection_matrix(a, i) for i, a in enumerate(simple)]
-    seen = set(simple)
-    frontier = list(seen)
-    while frontier:
-        new = {s.apply(v) for v in frontier for s in reflections} - seen
-        seen |= new
-        frontier = list(new)
-    return tuple(sorted(seen))
-
-
-def check_root_orbits(rd):
-    """Both orbits against the matrix BFS, and each coroot's coordinates c
-    over the simple coroots against H = A c."""
-    n = rd.rank
-    assert all_roots(rd) == orbit_by_reflection_matrices([rd.cartan.row(i) for i in range(n)])
-    coroots = all_coroots(rd)
-    assert tuple(coroots) == orbit_by_reflection_matrices([rd.cartan.column(i) for i in range(n)])
-    assert all(rd.cartan.apply(c) == h for h, c in coroots.items())
+def check_root_count(rd):
+    """root_count against the BFS orbits of the simple roots (rows of the
+    Cartan matrix) and of the simple coroots (its columns)."""
+    roots = orbit_by_reflection_matrices([rd.cartan.row(i) for i in range(rd.rank)])
+    assert root_count(rd) == len(roots) == len(orbit_by_reflection_matrices(rd.cartan.columns()))
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(root_data())
 def test_root_orbits_match_reflection_matrix_bfs(rd):
-    """On random root data and on their Langlands duals (transposed Cartan)."""
+    """The root count of random products, summed over their factors, and of
+    their Langlands duals (transposed Cartan), against the BFS orbits."""
     for datum in (rd, langlands_dual(rd)):
-        check_root_orbits(datum)
+        check_root_count(datum)
 
 
 @pytest.mark.parametrize("name", ["E8", "F4", "G2"])
 def test_root_orbits_match_reflection_matrix_bfs_exceptional(name):
-    check_root_orbits(named_group(name))
-    check_root_orbits(langlands_dual(named_group(name)))
+    check_root_count(named_group(name))
+    check_root_count(langlands_dual(named_group(name)))
 
 
 def test_g2_long_short():
@@ -155,7 +132,7 @@ def test_g2_long_short():
     longs, shorts = orbit(g2.cartan.row(0)), orbit(g2.cartan.row(1))
     assert len(longs) == 6 and len(shorts) == 6
     assert longs.isdisjoint(shorts)
-    assert longs | shorts == set(all_roots(g2))
+    assert len(longs | shorts) == root_count(g2)
 
 
 def test_basic_form_examples():
