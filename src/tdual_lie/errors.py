@@ -32,10 +32,6 @@ class NotSublattice(TdualError):
     """The claimed inner lattice is not contained in the outer one."""
 
 
-class NotCompatible(TdualError):
-    """A map does not respect the presentations of the given subquotients."""
-
-
 class NotBetweenLattices(TdualError):
     """A lattice does not sit between the coroot and coweight lattices."""
 

@@ -20,8 +20,11 @@ in even degrees, H^2 the weights and H^4 sym^2(weights) / invariants.
 A middle-term element is a twist: an n x n matrix u from integral-lattice
 to weight coordinates.  With X the character basis (columns in weight
 coordinates), the cycle test and the boundary map are matrix algebra on u
-and X, and H^3 is presented through the Smith form U X V = diag(d) (see
-`h3_group`), so nothing is indexed by the n^2 tensor coordinates.
+and X.  H^3 = K + sum of Z/d_i over the pairs i < j with d_i > 1 is read
+off the one Smith form U X V = diag(d) (see `_smith_frame`), so nothing is
+indexed by the n^2 tensor coordinates and no second normal form is taken.
+Free class coordinates are rotated left by the number of pairs, the order
+a former second Smith form gave them, so printed classes stay unchanged.
 
 Basis conventions are fixed once: the character lattice carries the basis
 dual to the integral lattice's preferred basis, and monomials w_i w_j and
@@ -30,6 +33,7 @@ wedges x_i ^ x_j are ordered lexicographically with i <= j and i < j.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
 from math import gcd
@@ -37,14 +41,12 @@ from math import gcd
 from .errors import DimensionMismatch, NotACycle
 from .rootdata import RootDatum, form_pairing
 from .zlinalg import (
-    FgAbGroup,
     IntMatrix,
     Lattice,
     column_hermite_form,
     kernel_of_matrix,
     pair_basis,
     smith_normal_form,
-    subquotient,
 )
 
 
@@ -103,48 +105,53 @@ def sym_invariants(rd: RootDatum) -> Lattice:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _smith_frame(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """(U, d, P): U X V = diag(d) is the Smith form of the character basis,
-    and P lists the pairs i < j with gcd(d_i, d_j) > 1."""
-    u, dm = smith_normal_form(rd.char_lattice().basis)
-    d = tuple(dm[i, i] for i in range(rd.rank))
-    return u, d, tuple((i, j) for i, j in pair_basis(rd.rank, strict=True) if gcd(d[i], d[j]) > 1)
+H3Group = namedtuple("H3Group", "free_rank torsion")
 
 
 @lru_cache(maxsize=None)
-def h3_group(rd: RootDatum) -> FgAbGroup:
-    """H^3 of the group: cycles modulo boundaries, in the coordinates (c, y)
-    of `class_in_h3`.
+def _smith_frame(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple[int, int], ...],
+                                          Lattice]:
+    """(U, d, P, K): U X V = diag(d) is the Smith form of the character
+    basis, P lists the pairs i < j with d_i > 1 (the pairs with gcd(d_i,
+    d_j) > 1, as d_i | d_j), and K is the lattice of invariant coordinates c
+    with T(c)_ii = 0 mod d_i, in Hermite form.
 
     Put N = U M U^T for M = X u^T.  The twist u = (X^-1 M)^T is integral
     exactly when row i of N is divisible by d_i, and a cycle exactly when
     N + N^T = U (2 S_c) U^T = 2T(c), S_c the symmetric matrix of the
-    invariant polynomial with coordinates c.  So c and y_ij = N_ij (i < j)
-    fix N, subject to T(c)_ii = 0 mod d_i, y_ij = 0 mod d_i and
-    2T(c)_ij = y_ij mod d_j.  Row j of U, read as a coroot, pairs with every
-    character into d_j Z (U X = D V^-1), so it is d_j times a coweight; and
-    2 S_c, a sum of forms 2G/g with g | G_aa = 2 eps_a, pairs coroots with
-    coweights into Z.  So 2T(c)_ij = 0 mod d_j, and as d_i | d_j the pair
-    congruences are y_ij = 0 mod d_j.  The boundaries are the N = D A D, A
-    integral and antisymmetric: y_ij in d_i d_j Z.  Pairs with gcd(d_i, d_j)
-    = 1 carry no class, so only those in P keep a coordinate.  T(c)_ii, the
-    invariant polynomial's value on row i of U, gives one kernel row (with a
-    slack column) per d_i > 1.
+    invariant polynomial with coordinates c.  So c and N_ij (i < j) fix N,
+    subject to T(c)_ii = 0 mod d_i, N_ij = 0 mod d_i and 2T(c)_ij = N_ij
+    mod d_j.  Row j of U, read as a coroot, pairs with every character into
+    d_j Z (U X = D V^-1), so it is d_j times a coweight; and 2 S_c, a sum of
+    forms 2G/g with g | G_aa = 2 eps_a, pairs coroots with coweights into
+    Z.  So 2T(c)_ij = 0 mod d_j, and as d_i | d_j the pair congruences are
+    N_ij = 0 mod d_j.  The boundaries are the N = D A D, A integral and
+    antisymmetric: N_ij in d_i d_j Z.  So the cycles modulo the boundaries
+    split as K + sum over P of d_j Z / d_i d_j Z, and pairs with d_i = 1
+    carry no class.  T(c)_ii, the invariant polynomial's value on row i of
+    U, gives one kernel row (with a slack column) per d_i > 1; each value
+    sums over the nonzero monomials of its invariant only.
     """
-    U, d, pairs = _smith_frame(rd)
-    inv, mono = sym_invariants(rd), pair_basis(rd.rank, strict=False)
-    f, dim, torsion = inv.rank, inv.rank + len(pairs), [i for i in range(rd.rank) if d[i] > 1]
-    rows = [[sum(v * U[i, a] * U[i, b] for v, (a, b) in zip(poly, mono))
-             for poly in inv.basis.columns()] + [d[i] if i == t else 0 for t in torsion]
-            for i in torsion]
+    U, dm = smith_normal_form(rd.char_lattice().basis)
+    n, inv = rd.rank, sym_invariants(rd)
+    d = tuple(dm[i, i] for i in range(n))
+    f, torsion = inv.rank, [i for i in range(n) if d[i] > 1]
+    polys = [[(v, a, b) for v, (a, b) in zip(col, pair_basis(n, strict=False)) if v]
+             for col in inv.basis.columns()]
+    rows = [[sum(v * U[i, a] * U[i, b] for v, a, b in poly) for poly in polys]
+            + [d[i] if i == t else 0 for t in torsion] for i in torsion]
     ker = kernel_of_matrix(IntMatrix(rows, cols=f + len(torsion)))
-    eye = IntMatrix.identity(dim).tolist()[f:]
-    cycles = [c[:f] + (0,) * len(pairs) for c in ker.columns()]
-    cycles += [[d[j] * x for x in e] for e, (_, j) in zip(eye, pairs)]
-    boundaries = [[d[i] * d[j] * x for x in e] for e, (i, j) in zip(eye, pairs)]
-    return subquotient(Lattice(dim, IntMatrix.from_columns(boundaries, rows=dim), "boundaries"),
-                       Lattice(dim, column_hermite_form(IntMatrix.from_columns(cycles)), "cycles"))
+    free = IntMatrix.from_columns([c[:f] for c in ker.columns()], rows=f)
+    pairs = tuple((i, j) for i, j in pair_basis(n, strict=True) if d[i] > 1)
+    return U, d, pairs, Lattice(f, column_hermite_form(free), "H3 free part")
+
+
+def h3_group(rd: RootDatum) -> H3Group:
+    """H^3 of the group, K + sum over (i, j) in P of Z/d_i (see
+    `_smith_frame`): free of rank f, the number of simple factors, with
+    torsion wedge^2 pi_1.  The d_i over P, in order, are a divisor chain."""
+    _, d, pairs, free = _smith_frame(rd)
+    return H3Group(free.rank, tuple(d[i] for i, _ in pairs))
 
 
 def chern_classes(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
@@ -156,15 +163,18 @@ def chern_classes(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
 
 
 def class_in_h3(rd: RootDatum, u: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(free, torsion) coordinates of [u] in the presentation of H^3: the
-    class of (c, y), c the invariant coordinates of u and y the entries
-    N_ij, (i, j) in P, of N = U X u^T U^T."""
+    """(free, torsion) coordinates of [u] in H^3 = K + sum over P of Z/d_i
+    (see `_smith_frame`): the K coordinates of c, the invariant coordinates
+    of u, rotated left by |P| places (the order a former second Smith form
+    gave them), and N_ij / d_j mod d_i over (i, j) in P, N = U X u^T U^T."""
     m, c = _invariant_coords(rd, u)
     if c is None:
         raise NotACycle(f"twist is not a cycle for {rd.label}")
-    U, _, pairs = _smith_frame(rd)
+    U, d, pairs, free = _smith_frame(rd)
     nm = U @ m @ U.transpose()
-    return h3_group(rd).coords(c + tuple(nm[i, j] for i, j in pairs))
+    kc, f = free.coords(c), free.rank
+    return (tuple(kc[(len(pairs) + s) % f] for s in range(f)),
+            tuple(nm[i, j] // d[j] % d[i] for i, j in pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ One elimination core computes a transform only where a caller reads it:
     kernel; solve_columns keeps H = B T together with T.  Rank, and so the
     independence check of every Lattice, is the number of its pivots.
   * smith_normal_form tracks U alone, with U m V = D for a V it never
-    builds; subquotient keeps U for coords and solves U x = e_j for a
-    torsion generator's lift only when torsion_generators asks.
+    builds; subquotient keeps U and solves U x = e_j for a torsion
+    generator's lift only when torsion_generators asks.
   * A Lattice caches its Hermite basis, pivots and transform on first use
     for coords, contains, reduce_mod, same_lattice and subquotient.
 
@@ -41,7 +41,7 @@ from itertools import chain
 from math import prod
 from operator import attrgetter, mul
 
-from .errors import DimensionMismatch, NotCompatible, NotSublattice
+from .errors import DimensionMismatch, NotSublattice
 
 
 class Record:
@@ -471,8 +471,7 @@ class FgAbGroup(Record):
     Stored as invariant factors d1 | d2 | ... (each >= 2) plus a free rank.
     The presentation (both lattices, the Smith row transform U of the
     relations in outer-basis coordinates, and its diagonal) is kept on the
-    object, in the fields prefixed with an underscore, for coords and
-    torsion_generators.
+    object, in the fields prefixed with an underscore, for torsion_generators.
     """
 
     _fields = ("free_rank", "torsion", "_outer", "_inner", "_row_transform", "_diag")
@@ -497,21 +496,6 @@ class FgAbGroup(Record):
         units = ([int(i == j) for i in range(n)] for j in range(n) if self._diag[j] >= 2)
         xs = _solve(_hermite_data(self._row_transform), units)
         return [self._inner.reduce_mod(self._outer.basis.apply(x)) for x in xs]
-
-    def coords(self, vec: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(free, torsion) coordinates of an ambient vector's class.
-
-        Torsion coordinates are reduced into [0, d).  Raises NotCompatible
-        if the vector is not in the outer lattice.
-        """
-        c = self._outer.coords(vec)
-        if c is None:
-            raise NotCompatible("element lies outside the outer lattice")
-        cc = self._row_transform.apply(c)
-        rank = sum(1 for d in self._diag if d != 0)
-        free = tuple(cc[i] for i in range(rank, self._outer.rank))
-        tors = tuple(cc[i] % self._diag[i] for i in range(rank) if self._diag[i] >= 2)
-        return free, tors
 
 
 def subquotient(inner: Lattice, outer: Lattice) -> FgAbGroup:

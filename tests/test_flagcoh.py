@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 
+from tdual_lie import flagcoh, zlinalg
 from tdual_lie.errors import NotACycle
 from tdual_lie.flagcoh import (
+    _smith_frame,
     boundary,
     chern_classes,
     class_in_h3,
@@ -40,6 +42,7 @@ from tdual_lie.zlinalg import (
     hstack,
     kernel_of_matrix,
     pair_basis,
+    smith_normal_form,
     subquotient,
 )
 
@@ -366,11 +369,111 @@ def check_h3_against_tensor_oracle(rd):
     ([("A", 1), ("A", 1)], {"generators": [[1, 1]]}),
     ([("A", 3), ("A", 1)], {"generators": [[2, 1]]}),
     ([("B", 3), ("C", 3)], "adjoint"),
+    ([("A", 2), ("A", 2)], "adjoint"),  # Z/3 + Z/3
 ])
 def test_h3_of_quotients_matches_tensor_oracle(comps, fundamental_group):
     """Products whose fundamental groups have several invariant factors,
-    some of them distinct, which random draws reach only now and then."""
-    check_h3_against_tensor_oracle(build(comps, fundamental_group))
+    some of them distinct or above 2, which random draws reach only now and
+    then: against the tensor oracle and the (c, y) subquotient."""
+    rd = build(comps, fundamental_group)
+    rng = random.Random(len(comps) * 100 + rd.rank)
+    check_h3_against_tensor_oracle(rd)
+    check_h3_against_subquotient(rd, lambda k: [rng.randint(-3, 3) for _ in range(k)])
+
+
+# -- H^3 as cycles modulo boundaries in (c, y), the reference of the closed form
+
+
+def subquotient_coords(g, vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(free, torsion) coordinates of the class of an ambient vector in the
+    subquotient g: its outer-basis coordinates through g's Smith row
+    transform, free where the Smith diagonal is 0 and reduced mod each
+    diagonal entry >= 2 elsewhere."""
+    cc = g._row_transform.apply(g._outer.coords(vec))
+    rank = sum(1 for d in g._diag if d)
+    return tuple(cc[rank:]), tuple(x % d for x, d in zip(cc, g._diag) if d >= 2)
+
+
+def h3_by_subquotient(rd):
+    """(H^3, its coordinates): H^3 as a subquotient in the coordinates
+    (c, y), c the invariant coordinates of a twist u and y_ij = N_ij for
+    the pairs i < j with gcd(d_i, d_j) > 1, N = U X u^T U^T, U X V =
+    diag(d).  Cycles are the (c, 0) with T(c)_ii = 0 mod d_i, T(c) = U S_c
+    U^T from the dense sum over all monomials, and the d_j e_ij; boundaries
+    are the d_i d_j e_ij.  A second Smith form, on f + |P| coordinates,
+    splits the quotient."""
+    n = rd.rank
+    U, dm = smith_normal_form(rd.char_lattice().basis)
+    d = [dm[i, i] for i in range(n)]
+    pairs = [(i, j) for i, j in pair_basis(n, strict=True) if gcd(d[i], d[j]) > 1]
+    inv, mono = sym_invariants(rd), pair_basis(n, strict=False)
+    f, dim, torsion = inv.rank, inv.rank + len(pairs), [i for i in range(n) if d[i] > 1]
+    rows = [[sum(v * U[i, a] * U[i, b] for v, (a, b) in zip(poly, mono))
+             for poly in inv.basis.columns()] + [d[i] if i == t else 0 for t in torsion]
+            for i in torsion]
+    ker = kernel_of_matrix(IntMatrix(rows, cols=f + len(torsion)))
+    eye = IntMatrix.identity(dim).tolist()[f:]
+    cycles = [c[:f] + (0,) * len(pairs) for c in ker.columns()]
+    cycles += [[d[j] * x for x in e] for e, (_, j) in zip(eye, pairs)]
+    boundaries = [[d[i] * d[j] * x for x in e] for e, (i, j) in zip(eye, pairs)]
+    g = subquotient(Lattice(dim, IntMatrix.from_columns(boundaries, rows=dim)),
+                    Lattice(dim, column_hermite_form(IntMatrix.from_columns(cycles))))
+
+    def coords(u):
+        m = rd.char_lattice().basis @ u.transpose()
+        poly = [m[i, i] if i == j else m[i, j] + m[j, i] for i, j in mono]
+        nm = U @ m @ U.transpose()
+        return subquotient_coords(g, inv.coords(poly) + tuple(nm[i, j] for i, j in pairs))
+
+    return g, coords
+
+
+def check_h3_against_subquotient(rd, draw_ints):
+    """`h3_group` and `class_in_h3` against the (c, y) subquotient: the same
+    invariants, and the same coordinates on random cycles, each a
+    combination of the tensor-oracle cycle basis plus a boundary.
+    `draw_ints(k)` gives k integers in [-3, 3]."""
+    n = rd.rank
+    g, coords = h3_by_subquotient(rd)
+    assert tuple(h3_group(rd)) == (g.free_rank, g.torsion), rd.label
+    basis = oracle_cycles(rd, tensor_complex(rd)[1]).basis
+    for _ in range(3):
+        s = draw_ints(n * n)
+        u = (as_twist(basis.apply(draw_ints(basis.cols)), n)
+             + boundary(rd, IntMatrix([s[k:k + n] for k in range(0, n * n, n)])))
+        assert class_in_h3(rd, u) == coords(u), (rd.label, u)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(root_data(), st.data())
+def test_h3_closed_form_matches_subquotient_route(rd, data):
+    """The closed form against the (c, y) subquotient on random root data and
+    their Langlands duals (see check_h3_against_subquotient)."""
+    def draw_ints(k):
+        return data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+
+    for datum in (rd, langlands_dual(rd)):
+        check_h3_against_subquotient(datum, draw_ints)
+
+
+def test_one_smith_form_per_group(monkeypatch):
+    """`cohomology` and `class_in_h3` on adjoint A1^4, whose six pairs of
+    Smith invariants all carry a Z/2, share one Smith form: the one of the
+    character basis, with none taken inside `zlinalg` on their behalf."""
+    rd = build([("A", 1)] * 4, "adjoint")
+    u = level_twist(rd, 1).matrix
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(flagcoh, "smith_normal_form", counted)
+    monkeypatch.setattr(zlinalg, "smith_normal_form", counted)
+    _smith_frame.cache_clear()
+    cohomology(rd)
+    class_in_h3(rd, u)
+    assert calls == [rd.char_lattice().basis]
 
 
 def test_generates_helper():
@@ -621,7 +724,7 @@ def test_class_in_h3_su2():
 ])
 def test_class_of_quotients(comps, fundamental_group, twist, expected):
     """Classes of non-simply-connected products, at `level:1` when no twist
-    is given, in the Smith coordinates of the (c, y) presentation."""
+    is given, in the coordinates of `class_in_h3`."""
     rd = build(comps, fundamental_group)
     u = level_twist(rd, 1).matrix if twist is None else IntMatrix(twist)
     assert class_in_h3(rd, u) == expected

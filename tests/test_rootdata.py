@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from tdual_lie.errors import InvalidCenterSubgroup, InvalidSeries, NotBetweenLattices, Unavailable
-from tdual_lie.flagcoh import h3_group
+from tdual_lie.flagcoh import _smith_frame
 from tdual_lie.rootdata import (
     RootDatum,
     basic_form,
@@ -387,10 +387,10 @@ def test_value_semantics():
     assert twist != (named, named.cartan) and (named, named.cartan) != twist
     assert (repr(Lattice(1, IntMatrix([[2]]), "x"))
             == "Lattice(ambient_dim=1, basis=IntMatrix([[2]]), label='x')")
-    h3_group(named)
-    hits = h3_group.cache_info().hits
-    h3_group(built)
-    assert h3_group.cache_info().hits == hits + 1
+    _smith_frame(named)
+    hits = _smith_frame.cache_info().hits
+    _smith_frame(built)
+    assert _smith_frame.cache_info().hits == hits + 1
 
 
 def test_named_vs_json_style_build():

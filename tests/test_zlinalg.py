@@ -250,14 +250,6 @@ def test_subquotient_order_vs_coset_enumeration():
         done += 1
 
 
-def test_subquotient_coords_well_defined():
-    inner = Lattice(2, IntMatrix([[2, 0], [0, 3]]))
-    g = subquotient(inner, Lattice.standard(2))
-    a = g.coords((1, 1))
-    b = g.coords((3, 4))  # differs by (2,0)+(0,3), the same class
-    assert a == b
-
-
 def test_functor_examples():
     assert square_power(IntMatrix.identity(2), strict=True) == IntMatrix.identity(1)
     assert sym2_matrix(IntMatrix.identity(2)) == IntMatrix.identity(3)

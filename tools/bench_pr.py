@@ -21,12 +21,11 @@ row whose stdout digest differs between the two checkouts stops the script.
 Right after the cliffs, in the same order, both checkouts run each of
 RANK_CAP_ROWS once: `group`, `cohomology`, `twist level:1` and `dualize
 level:1` on the five rank-32 groups, `extension --level 1` where b needs
-no input, and `cohomology` and `twist level:1` on adjoint A1^32, the rows
-no workload or cliff runs at the rank cap.  Adjoint A1^32 is the slowest
-group at the cap: its character basis is 2I, so all 496 pairs of Smith
-invariants share the factor 2, and `h3_group` takes a Smith form on 528
-coordinates, one per invariant and one per pair (about 2.7 s per verb,
-against about 0.1 s on the named groups).  Then they run each of
+no input, and `cohomology`, `twist level:1` and `dualize level:1` with a
+zero shift on adjoint A1^32, the rows no workload or cliff runs at the rank
+cap.  Adjoint A1^32 has the most H^3 torsion at the cap: its character
+basis is 2I, so each of its 496 pairs of Smith invariants adds a Z/2, and
+`class_in_h3` reads one torsion coordinate per pair.  Then they run each of
 CONTCHECK_ROWS once: `contcheck --grid 16384` and `--grid
 131072` in JSON, the verb's largest memory.  Each is one `tdual` process
 with only the checkout's `src` on its path.  BENCH_<N>.json keeps the same
@@ -70,7 +69,9 @@ RANK_CAP_ROWS = tuple(
                         ("dualize", ("--twist", "level:1")), ("group", ()))
 ) + tuple(("extension", "--group", group, "--level", "1") for group in ("SU(33)", "Spin(64)")
         ) + (("cohomology", "--group", ADJOINT_A1_32),
-             ("twist", "--group", ADJOINT_A1_32, "--twist", "level:1"))
+             ("twist", "--group", ADJOINT_A1_32, "--twist", "level:1"),
+             ("dualize", "--group", ADJOINT_A1_32, "--twist", "level:1",
+              "--shift", json.dumps([[0] * 32] * 32, separators=(",", ":"))))
 CONTCHECK_ROWS = tuple(("contcheck", "--grid", grid, "--format", "json")
                        for grid in ("16384", "131072"))
 
