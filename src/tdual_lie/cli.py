@@ -258,16 +258,28 @@ def _exact_rational(value, what: str) -> tuple[int, int]:
                      f"got {quote(json.dumps(value), str)}")
 
 
+def _known_keys(value, keys: tuple[str, ...], where: str) -> None:
+    """Refuse a JSON object with a key outside `keys`, rather than ignore it."""
+    if isinstance(value, dict):
+        for key in value:
+            if key not in keys:
+                raise UsageError(f"unknown key {quote(key)} in {where}")
+
+
 def resolve_group(spec: str) -> RootDatum:
     if spec.startswith("{") or spec.startswith("@"):
         data = _load_json(spec)
+        _known_keys(data, ("components", "fundamental_group", "label"), "root-datum JSON")
         try:
+            for c in data["components"]:
+                _known_keys(c, ("series", "rank"), "components[]")
             comps = [(_exact_str(c["series"], "components[].series"),
                       _exact_int(c["rank"], "components[].rank"))
                      for c in data["components"]]
         except (KeyError, TypeError) as exc:
             raise UsageError(f"root-datum JSON needs components[].series/.rank: {exc}") from exc
         fg = data.get("fundamental_group", "simply_connected")
+        _known_keys(fg, ("generators",), "fundamental_group")
         if isinstance(fg, dict) and "generators" in fg:
             gens = fg["generators"]
             if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
@@ -321,7 +333,6 @@ def resolve_shift(rd: RootDatum, spec: str) -> tduality.ShiftMatrix:
 
 
 def report_group(rd: RootDatum) -> dict:
-    z, pi1 = center(rd), fundamental_group_of(rd)
     return {
         "group": rd.label,
         "components": [[s, r] for s, r in rd.components],
@@ -331,8 +342,8 @@ def report_group(rd: RootDatum) -> dict:
         "simply_laced": rd.is_simply_laced(),
         "integral_basis": rd.integral.basis.tolist(),
         "character_basis": rd.char_lattice().basis.tolist(),
-        "center": flagcoh.group_dict(z.free_rank, z.torsion),
-        "fundamental_group": flagcoh.group_dict(pi1.free_rank, pi1.torsion),
+        "center": flagcoh.group_dict(0, center(rd)),
+        "fundamental_group": flagcoh.group_dict(0, fundamental_group_of(rd)),
         "root_count": root_count(rd),
     }
 

@@ -28,10 +28,6 @@ class TdualError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotSublattice(TdualError):
-    """The claimed inner lattice is not contained in the outer one."""
-
-
 class NotBetweenLattices(TdualError):
     """A lattice does not sit between the coroot and coweight lattices."""
 

@@ -39,15 +39,8 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import DimensionMismatch, NotACycle
-from .rootdata import RootDatum, form_pairing
-from .zlinalg import (
-    IntMatrix,
-    Lattice,
-    column_hermite_form,
-    kernel_of_matrix,
-    pair_basis,
-    smith_normal_form,
-)
+from .rootdata import RootDatum, character_smith, form_pairing, fundamental_group_of
+from .zlinalg import IntMatrix, Lattice, column_hermite_form, kernel_of_matrix, pair_basis
 
 
 def _invariant_coords(rd: RootDatum, u: IntMatrix) -> tuple[IntMatrix, tuple[int, ...] | None]:
@@ -112,9 +105,9 @@ H3Group = namedtuple("H3Group", "free_rank torsion")
 def _smith_frame(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple[int, int], ...],
                                           Lattice]:
     """(U, d, P, K): U X V = diag(d) is the Smith form of the character
-    basis, P lists the pairs i < j with d_i > 1 (the pairs with gcd(d_i,
-    d_j) > 1, as d_i | d_j), and K is the lattice of invariant coordinates c
-    with T(c)_ii = 0 mod d_i, in Hermite form.
+    basis (`character_smith`), P lists the pairs i < j with d_i > 1 (the
+    pairs with gcd(d_i, d_j) > 1, as d_i | d_j), and K is the lattice of
+    invariant coordinates c with T(c)_ii = 0 mod d_i, in Hermite form.
 
     Put N = U M U^T for M = X u^T.  The twist u = (X^-1 M)^T is integral
     exactly when row i of N is divisible by d_i, and a cycle exactly when
@@ -132,9 +125,8 @@ def _smith_frame(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple
     U, gives one kernel row (with a slack column) per d_i > 1; each value
     sums over the nonzero monomials of its invariant only.
     """
-    U, dm = smith_normal_form(rd.char_lattice().basis)
+    U, d = character_smith(rd)
     n, inv = rd.rank, sym_invariants(rd)
-    d = tuple(dm[i, i] for i in range(n))
     f, torsion = inv.rank, [i for i in range(n) if d[i] > 1]
     polys = [[(v, a, b) for v, (a, b) in zip(col, pair_basis(n, strict=False)) if v]
              for col in inv.basis.columns()]
@@ -230,17 +222,17 @@ def group_dict(free_rank: int, torsion: Iterable[int] = ()) -> dict:
 def cohomology(rd: RootDatum) -> dict:
     """H^1..H^3 of the group and H^2, H^4 of the base, read off data already
     in hand.  Restriction X is injective (see dualizability_report), so H^1
-    = 0 and H^2 = coker X, whose invariant factors are the entries >= 2 of
-    the Smith form behind `h3_group`.  The flag manifold has free cohomology
-    concentrated in even degrees (Bott-Samelson), with H^2 the weights and
-    H^4 sym^2 of the weights modulo the invariants; `sym_invariants` is
-    saturated, so that quotient is free of rank the codimension and
-    `H4_B_torsion_discrepancy` is always false."""
+    = 0 and H^2 = coker X, whose invariant factors are those of pi_1, read
+    off the Smith form behind `h3_group`.  The flag manifold has free
+    cohomology concentrated in even degrees (Bott-Samelson), with H^2 the
+    weights and H^4 sym^2 of the weights modulo the invariants;
+    `sym_invariants` is saturated, so that quotient is free of rank the
+    codimension and `H4_B_torsion_discrepancy` is always false."""
     inv, h3 = sym_invariants(rd), h3_group(rd)
     return {
         "group": rd.label,
         "H1_K": group_dict(0),
-        "H2_K": group_dict(0, [d for d in _smith_frame(rd)[1] if d >= 2]),
+        "H2_K": group_dict(0, fundamental_group_of(rd)),
         "H3_K": group_dict(h3.free_rank, h3.torsion),
         "H2_B": group_dict(rd.rank),
         "H4_B": group_dict(inv.ambient_dim - inv.rank),

@@ -17,7 +17,7 @@ A value in Q/Z is the reduced integer pair (p, q) with 0 <= p < q that
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import DimensionMismatch, InvalidCommutator, RequiresExplicitB
 from .rootdata import RootDatum, basic_form, center, form_pairing
@@ -122,7 +122,7 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
     With B the integral basis, A the Cartan matrix and P = form_pairing(B),
     the Gram matrix on Lambda is B^T A^-T P.  N A^-T is integral for
     N = |det A|, the order of the center of the simply connected form (read
-    as `center(rd).order()`, cached), so A^T Y = N P has an integer
+    as `prod(center(rd))`, cached), so A^T Y = N P has an integer
     solution, and N <lambda_j, lambda_k> = (B^T Y)[j, k] is checked for
     divisibility by N.
 
@@ -139,7 +139,7 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
     basis vector, then by coroot in sorted coweight coordinates."""
     n = rd.rank
     pairing = form_pairing(rd, level, rd.integral.basis)
-    det = center(rd).order()
+    det = prod(center(rd))
     gram = rd.integral.basis.transpose() @ solve_columns(rd.cartan.transpose(), pairing.scale(det))
     integrality = [
         f"<lambda_{j}, lambda_{k}> = {ratio(gram[j, k], det)} is not an integer"

@@ -39,7 +39,6 @@ from .errors import (
     quote,
 )
 from .zlinalg import (
-    FgAbGroup,
     IntMatrix,
     Lattice,
     Record,
@@ -47,8 +46,8 @@ from .zlinalg import (
     column_hermite_form,
     contains_columns,
     hstack,
+    smith_normal_form,
     solve_columns,
-    subquotient,
 )
 
 
@@ -135,7 +134,7 @@ class RootDatum(Record):
                     cij, cji = self.cartan[i, j], self.cartan[j, i]
                     if cij > 0 or cij * cji not in (0, 1, 2, 3):
                         raise InvalidSeries("not a Cartan matrix of finite type")
-        if not contains_columns(self.integral.basis, self.coroot_lattice().basis):
+        if not contains_columns(self.integral.basis, self.cartan):
             raise NotBetweenLattices("integral lattice does not contain the coroots")
 
     # -- ranks and factors ---------------------------------------------------
@@ -160,9 +159,6 @@ class RootDatum(Record):
         return self.integral.same_lattice(self.coroot_lattice())
 
     # -- lattices --------------------------------------------------------------
-
-    def coweight_lattice(self) -> Lattice:
-        return Lattice.standard(self.rank, "coweights")
 
     def coroot_lattice(self) -> Lattice:
         return Lattice(self.rank, self.cartan, "coroots")
@@ -294,18 +290,17 @@ def center_product_generators(components, cartan) -> list[tuple[int, tuple[int, 
     """Cyclic generators of the product center, with coweight-coordinate lifts.
 
     Returns [(order, lift)] ordered factor by factor; D_even contributes two
-    entries, every other simple factor at most one.
+    entries, every other simple factor at most one.  With U A V = diag(d)
+    the Smith form of a factor's Cartan block, coweights mod coroots is the
+    sum of the Z/d_j, and U^-1 e_j lifts the generator of Z/d_j.  A lift is
+    fixed only modulo the coroots, which `build` adds to it anyway.
     """
-    out = []
-    start = 0
+    out, start = [], 0
     for series, r in components:
-        block = IntMatrix(cartan_block(series, r))
-        zf = subquotient(Lattice(r, block, "coroots"), Lattice.standard(r))
-        for order, lift in zip(zf.torsion, zf.torsion_generators()):
-            full = [0] * cartan.rows
-            for i, x in enumerate(lift):
-                full[start + i] = x
-            out.append((order, tuple(full)))
+        u, d = smith_normal_form(IntMatrix(cartan_block(series, r)))
+        lifts = solve_columns(u, IntMatrix.identity(r))
+        out += [(d[j, j], (0,) * start + lifts.column(j) + (0,) * (cartan.rows - start - r))
+                for j in range(r) if d[j, j] >= 2]
         start += r
     return out
 
@@ -405,15 +400,28 @@ def root_count(rd: RootDatum) -> int:
 
 
 @lru_cache(maxsize=None)
-def center(rd: RootDatum) -> FgAbGroup:
-    """The center of the simply connected form, as coweights mod coroots."""
-    return subquotient(rd.coroot_lattice(), rd.coweight_lattice())
+def center(rd: RootDatum) -> tuple[int, ...]:
+    """Invariant factors of the center of the simply connected form: the
+    coweights mod the coroots, coker A, read off the Smith form of A.  The
+    free rank is 0, as A is nonsingular."""
+    d = smith_normal_form(rd.cartan)[1]
+    return tuple(d[i, i] for i in range(rd.rank) if d[i, i] >= 2)
 
 
 @lru_cache(maxsize=None)
-def fundamental_group_of(rd: RootDatum) -> FgAbGroup:
-    """pi_1 of the group: integral lattice mod coroot lattice."""
-    return subquotient(rd.coroot_lattice(), rd.integral)
+def character_smith(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...]]:
+    """(U, d) with U X V = diag(d) for some unimodular V: the Smith form of
+    the character basis X, taken once per datum for pi_1 and for H^2 and
+    H^3 downstream."""
+    u, dm = smith_normal_form(rd.char_lattice().basis)
+    return u, tuple(dm[i, i] for i in range(rd.rank))
+
+
+def fundamental_group_of(rd: RootDatum) -> tuple[int, ...]:
+    """Invariant factors of pi_1: the integral lattice mod the coroots.  In
+    integral-basis coordinates the simple coroots are the columns of X^T
+    (B X^T = A), so pi_1 = coker X^T, whose invariant factors are X's."""
+    return tuple(x for x in character_smith(rd)[1] if x >= 2)
 
 
 _DUAL_LABELS = {"SU": "PSU", "PSU": "SU"}

@@ -7,8 +7,8 @@ The module provides:
   * IntMatrix       -- immutable arbitrary-precision integer matrices,
   * smith_normal_form (U and D) / column_hermite_form -- normal forms,
   * Lattice         -- free Z-modules with chosen bases,
-  * kernel_of_matrix / subquotient -- kernels, and finitely generated
-    abelian groups presented as outer/inner lattices,
+  * kernel_of_matrix / solve_columns -- saturated kernels and integer
+    solves (sublattice membership),
   * pair_basis      -- the lexicographic index pairs (i<j for wedge^2, i<=j
     for sym^2) that fix the bases of the degree-2 lattices,
   * Record          -- the value-class base of the package's plain classes.
@@ -22,15 +22,13 @@ One elimination core computes a transform only where a caller reads it:
     kernel; solve_columns keeps H = B T together with T.  Rank, and so the
     independence check of every Lattice, is the number of its pivots.
   * smith_normal_form tracks U alone, with U m V = D for a V it never
-    builds; subquotient keeps U and solves U x = e_j for a torsion
-    generator's lift only when torsion_generators asks.
+    builds.  The finite groups the package reports are cokernels of square
+    nonsingular matrices, so their invariant factors are read off D.
   * A Lattice caches its Hermite basis, pivots and transform on first use
-    for coords, contains, reduce_mod, same_lattice and subquotient.
+    for coords and same_lattice.
 
 Canonical forms: sublattices are compared through the column-style Hermite
-form (unique), and subquotients report invariant factors d1 | d2 | ... with
-torsion generator lifts reduced to a fixed representative modulo the inner
-lattice.
+form (unique).
 """
 
 from __future__ import annotations
@@ -38,10 +36,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain
-from math import prod
 from operator import attrgetter, mul
 
-from .errors import DimensionMismatch, NotSublattice
+from .errors import DimensionMismatch
 
 
 class Record:
@@ -420,38 +417,16 @@ class Lattice(Record):
     def rank(self) -> int:
         return self.basis.cols
 
-    @classmethod
-    def standard(cls, n: int, label: str = "") -> "Lattice":
-        return cls(n, IntMatrix.identity(n), label)
-
     def same_lattice(self, other: "Lattice") -> bool:
         if self.ambient_dim != other.ambient_dim or self.rank != other.rank:
             return False
         n = self.ambient_dim
         return all(a[:n] == b[:n] for a, b in zip(self._hermite[0], other._hermite[0]))
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        return _solve(self._hermite, [vec]) is not None
-
     def coords(self, vec: Sequence[int]) -> tuple[int, ...] | None:
         """Basis coordinates of an ambient vector, or None if outside."""
         sol = _solve(self._hermite, [vec])
         return None if sol is None else tuple(sol[0])
-
-    def reduce_mod(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Canonical representative of vec modulo this lattice.
-
-        Reduction against the Hermite basis from the top pivot down; the
-        result is the unique representative with coordinates in [0, pivot)
-        at every pivot position.
-        """
-        rows, pivots, n, _ = self._hermite
-        out = list(vec)
-        for row, c in zip(rows, pivots):
-            q = out[c] // row[c]
-            if q:
-                out[c:] = [x - q * y for x, y in zip(out[c:], row[c:n])]
-        return tuple(out)
 
 
 def kernel_of_matrix(m: IntMatrix) -> IntMatrix:
@@ -463,55 +438,6 @@ def kernel_of_matrix(m: IntMatrix) -> IntMatrix:
     """
     rows, pivots, n, k = _hermite_data(m)
     return column_hermite_form(_from_columns([row[n:] for row in rows[len(pivots):]], k))
-
-
-class FgAbGroup(Record):
-    """Finitely generated abelian group presented as outer/inner lattices.
-
-    Stored as invariant factors d1 | d2 | ... (each >= 2) plus a free rank.
-    The presentation (both lattices, the Smith row transform U of the
-    relations in outer-basis coordinates, and its diagonal) is kept on the
-    object, in the fields prefixed with an underscore, for torsion_generators.
-    """
-
-    _fields = ("free_rank", "torsion", "_outer", "_inner", "_row_transform", "_diag")
-
-    def __init__(self, free_rank: int, torsion: tuple[int, ...], _outer: Lattice,
-                 _inner: Lattice, _row_transform: IntMatrix, _diag: tuple[int, ...]):
-        self.free_rank, self.torsion, self._outer = free_rank, torsion, _outer
-        self._inner, self._row_transform, self._diag = _inner, _row_transform, _diag
-
-    def order(self) -> int:
-        """Group order (0 for infinite)."""
-        return 0 if self.free_rank else prod(self.torsion)
-
-    def torsion_generators(self) -> list[tuple[int, ...]]:
-        """Ambient lifts of the torsion generators, aligned with `torsion`.
-
-        The j-th Smith generator is the outer-basis vector x with U x = e_j
-        (column j of U^-1), reduced to its fixed representative modulo the
-        inner lattice.
-        """
-        n = len(self._diag)
-        units = ([int(i == j) for i in range(n)] for j in range(n) if self._diag[j] >= 2)
-        xs = _solve(_hermite_data(self._row_transform), units)
-        return [self._inner.reduce_mod(self._outer.basis.apply(x)) for x in xs]
-
-
-def subquotient(inner: Lattice, outer: Lattice) -> FgAbGroup:
-    """Invariant-factor decomposition of outer/inner.
-
-    Raises NotSublattice unless inner is contained in outer.
-    """
-    if inner.ambient_dim != outer.ambient_dim:
-        raise NotSublattice("ambient dimensions differ")
-    rel = _solve(outer._hermite, inner.basis.columns())
-    if rel is None:
-        raise NotSublattice("inner lattice is not contained in the outer one")
-    u, d = smith_normal_form(_from_columns(rel, outer.rank))
-    diag = tuple(d[i, i] if i < d.cols else 0 for i in range(outer.rank))
-    return FgAbGroup(free_rank=diag.count(0), torsion=tuple(x for x in diag if x >= 2),
-                     _outer=outer, _inner=inner, _row_transform=u, _diag=diag)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ from tdual_lie.tduality import (
     level_twist,
     verify_langlands_tdual,
 )
-from tdual_lie.zlinalg import IntMatrix, Lattice, subquotient
+from tdual_lie.zlinalg import IntMatrix, Lattice
 
 from test_flagcoh import reflection_matrix
-from test_zlinalg import bareiss_det
+from test_zlinalg import bareiss_det, standard_lattice, subquotient
 
 
 @contextmanager
@@ -175,7 +175,7 @@ def test_c08_normal_form_substrate():
             assert diag[:len(nz)] == nz
             assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
             if rows == cols and 0 != abs(bareiss_det(m)) <= 50 and checked_orders < 25:
-                order = subquotient(Lattice(rows, m), Lattice.standard(rows)).order()
+                order = subquotient(Lattice(rows, m), standard_lattice(rows)).order()
                 assert order == abs(bareiss_det(m)) == _coset_count(m)
                 checked_orders += 1
         assert checked_orders >= 10

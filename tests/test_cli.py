@@ -24,6 +24,7 @@ from tdual_lie.cli import (
 )
 from tdual_lie.errors import UsageError
 from tdual_lie.flagcoh import _smith_frame
+from tdual_lie.rootdata import character_smith
 
 
 def run_json(argv):
@@ -335,12 +336,14 @@ def test_contcheck_grid_env(monkeypatch):
 
 
 def _usage_error(capsys, argv, prefix="usage error:"):
-    """Exit code 2 with a single `usage error:` (or other `prefix`) line on stderr."""
+    """Exit code 2 with a single `usage error:` (or other `prefix`) line on
+    stderr, which is returned."""
     capsys.readouterr()
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err
 
 
 def test_twist_float_entry_rejected(capsys):
@@ -380,6 +383,22 @@ def test_generator_float_entry_rejected(capsys):
 def test_non_string_label_rejected(capsys, verb, label):
     spec = '{"components": [{"series": "A", "rank": 1}], "label": %s}' % label
     _usage_error(capsys, [verb, "--group", spec])
+
+
+@pytest.mark.parametrize("spec, key", [
+    ('{"components": [{"series": "A", "rank": 1}], "fundamental_group": "adjoint", '
+     '"extra": 1}', "extra"),
+    ('{"components": [{"series": "A", "rank": 1, "level": 2}]}', "level"),
+    ('{"components": [{"series": "A", "rank": 1}], '
+     '"fundamental_group": {"generators": [[1]], "order": 2}}', "order"),
+    ('{"components": [{"series": "A", "rank": 1}], "fundamental_group": {"gens": [[1]]}}',
+     "gens"),
+])
+def test_unknown_json_key_rejected(capsys, spec, key):
+    """A root-datum JSON key outside components, fundamental_group and label,
+    series and rank in a component, or generators in a fundamental_group
+    object is named in the one usage-error line, not ignored."""
+    assert f"unknown key '{key}'" in _usage_error(capsys, ["group", "--group", spec])
 
 
 def test_null_label_keeps_generic_label():
@@ -702,6 +721,14 @@ FUZZ_CASES = [
     pytest.param(["group", "--group", "SU(2)", "SU(3)"], 2, id="stray-positional"),
     pytest.param(["twist", "--group", "SU(2)"], 2, id="twist-missing"),
     pytest.param(["contcheck", "--group", "SU(2)"], 2, id="contcheck-group"),
+    # A root-datum JSON key outside the contract is refused, not ignored.
+    pytest.param(["group", "--group", '{"components": [{"series": "A", "rank": 2}], '
+                  '"fundamental_group": "adjoint", "extra": 1}'], 2, id="group-json-extra-key"),
+    pytest.param(["group", "--group", '{"components": [{"series": "A", "rank": 2, "extra": 1}]}'],
+                 2, id="group-json-component-extra-key"),
+    pytest.param(["group", "--group", '{"components": [{"series": "A", "rank": 1}], '
+                  '"fundamental_group": {"generators": [[1]], "extra": 1}}'], 2,
+                 id="group-json-fundamental-group-extra-key"),
     # JSON nested past the recursion limit is malformed input, not a traceback.
     pytest.param(["group", "--group", "{\"a\": " + "[" * 100000], 2, id="group-json-deep"),
     pytest.param(["group", "--group-list", "SU(2),{\"a\": " + "[" * 100000], 2,
@@ -751,6 +778,7 @@ def test_h3_verbs_at_the_rank_cap_under_two_seconds(argv):
     Smith-form cache is emptied first, so that no earlier test pays the
     cost."""
     _smith_frame.cache_clear()
+    character_smith.cache_clear()
     start = time.monotonic()
     assert main(argv) == 0
     assert time.monotonic() - start < 2.0

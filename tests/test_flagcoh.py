@@ -3,14 +3,15 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 
-from tdual_lie import flagcoh, zlinalg
+from tdual_lie import rootdata, zlinalg
+from tdual_lie.cli import report_group
 from tdual_lie.errors import NotACycle
 from tdual_lie.flagcoh import (
     _smith_frame,
@@ -29,6 +30,7 @@ from tdual_lie.rootdata import (
     build,
     center,
     center_product_generators,
+    character_smith,
     form_pairing,
     fundamental_group_of,
     langlands_dual,
@@ -43,10 +45,9 @@ from tdual_lie.zlinalg import (
     kernel_of_matrix,
     pair_basis,
     smith_normal_form,
-    subquotient,
 )
 
-from test_zlinalg import bareiss_det, sym2_matrix
+from test_zlinalg import bareiss_det, standard_lattice, subquotient, sym2_matrix
 
 
 def _sympy(m: IntMatrix) -> Matrix:
@@ -161,7 +162,7 @@ def boundary_of(d20: IntMatrix, n: int, wedge_coeffs) -> IntMatrix:
 
 
 def oracle_is_cycle(rd, d21: IntMatrix, u: IntMatrix) -> bool:
-    return sym_invariants(rd).contains(d21.apply(twist_coords(u)))
+    return sym_invariants(rd).coords(d21.apply(twist_coords(u))) is not None
 
 
 def oracle_cycles(rd, d21: IntMatrix) -> Lattice:
@@ -459,21 +460,39 @@ def test_h3_closed_form_matches_subquotient_route(rd, data):
 def test_one_smith_form_per_group(monkeypatch):
     """`cohomology` and `class_in_h3` on adjoint A1^4, whose six pairs of
     Smith invariants all carry a Z/2, share one Smith form: the one of the
-    character basis, with none taken inside `zlinalg` on their behalf."""
-    rd = build([("A", 1)] * 4, "adjoint")
-    u = level_twist(rd, 1).matrix
+    character basis, with none taken inside `zlinalg` on their behalf.
+    `group` takes two, of the Cartan matrix A and of the character basis X
+    (on adjoint B3, where they differ), and `cohomology` and `class_in_h3`
+    then take none."""
     calls = []
 
     def counted(m):
         calls.append(m)
         return smith_normal_form(m)
 
-    monkeypatch.setattr(flagcoh, "smith_normal_form", counted)
+    def fresh():
+        calls.clear()
+        for cache in (_smith_frame, character_smith, center):
+            cache.cache_clear()
+
+    monkeypatch.setattr(rootdata, "smith_normal_form", counted)
     monkeypatch.setattr(zlinalg, "smith_normal_form", counted)
-    _smith_frame.cache_clear()
+    rd = build([("A", 1)] * 4, "adjoint")
+    u = level_twist(rd, 1).matrix
+    fresh()
     cohomology(rd)
     class_in_h3(rd, u)
     assert calls == [rd.char_lattice().basis]
+
+    rd = build([("B", 3)], "adjoint")
+    u = level_twist(rd, 2).matrix
+    assert rd.cartan != rd.char_lattice().basis
+    fresh()
+    report_group(rd)
+    assert calls == [rd.cartan, rd.char_lattice().basis]
+    cohomology(rd)
+    class_in_h3(rd, u)
+    assert len(calls) == 2
 
 
 def test_generates_helper():
@@ -494,8 +513,8 @@ def test_center_order_is_cartan_determinant(rd):
     dual = langlands_dual(rd)
     det = abs(bareiss_det(rd.cartan))
     for datum in (rd, dual):
-        assert center(datum).order() == det, datum.label
-    assert fundamental_group_of(rd).order() * fundamental_group_of(dual).order() == det
+        assert prod(center(datum)) == det, datum.label
+    assert prod(fundamental_group_of(rd)) * prod(fundamental_group_of(dual)) == det
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -533,7 +552,7 @@ def test_h3_torsion_is_wedge2_pi1(rd):
     wedge^2 pi_1 is the sum of Z/gcd(d_i, d_j) over i < j.
     """
     for datum in (rd, langlands_dual(rd)):
-        pi1 = fundamental_group_of(datum).torsion
+        pi1 = fundamental_group_of(datum)
         report = cohomology(datum)
         assert report["H3_K"]["free_rank"] == len(datum.components), datum.label
         wedge2 = [gcd(a, b) for a, b in combinations(pi1, 2)]
@@ -647,10 +666,10 @@ def cohomology_by_subquotients(rd) -> dict:
     chars = Lattice(n, column_hermite_form(rd.char_lattice().basis))
     zero = Lattice(n, IntMatrix.zero(n, 0))
     groups = {
-        "H1_K": subquotient(Lattice(0, IntMatrix.zero(0, 0)), Lattice.standard(0)),
-        "H2_K": subquotient(chars, Lattice.standard(n)),
-        "H2_B": subquotient(zero, Lattice.standard(n)),
-        "H4_B": subquotient(inv, Lattice.standard(inv.ambient_dim)),
+        "H1_K": subquotient(Lattice(0, IntMatrix.zero(0, 0)), standard_lattice(0)),
+        "H2_K": subquotient(chars, standard_lattice(n)),
+        "H2_B": subquotient(zero, standard_lattice(n)),
+        "H4_B": subquotient(inv, standard_lattice(inv.ambient_dim)),
     }
     return {key: (g.free_rank, list(g.torsion)) for key, g in groups.items()}
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -81,7 +81,7 @@ def admissibility_on_every_coroot(rd, level, b, keep=lambda coroot: True):
     basis, and <lambda_k, H> = (P^T c)_k for P the form pairing."""
     n = rd.rank
     pairing = form_pairing(rd, level, rd.integral.basis)
-    det = center(rd).order()
+    det = prod(center(rd))
     gram = rd.integral.basis.transpose() @ solve_columns(rd.cartan.transpose(), pairing.scale(det))
     integrality = [
         f"<lambda_{j}, lambda_{k}> = {loopext.ratio(gram[j, k], det)} is not an integer"

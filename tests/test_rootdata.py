@@ -9,7 +9,9 @@ from tdual_lie.rootdata import (
     RootDatum,
     basic_form,
     build,
+    cartan_block,
     center,
+    center_product_generators,
     find_phi,
     fundamental_group_of,
     langlands_dual,
@@ -18,15 +20,15 @@ from tdual_lie.rootdata import (
     root_count,
 )
 from tdual_lie.tduality import TwistClass
-from tdual_lie.zlinalg import IntMatrix, Lattice
+from tdual_lie.zlinalg import IntMatrix, Lattice, column_hermite_form, hstack
 
 from test_flagcoh import orbit_by_reflection_matrices, reflection_matrix, root_data
-from test_zlinalg import bareiss_det
+from test_zlinalg import bareiss_det, standard_lattice, subquotient
 
 
 def weight_lattice(rd) -> Lattice:
     """The weights, Z^n in fundamental-weight coordinates."""
-    return Lattice.standard(rd.rank, "weights")
+    return standard_lattice(rd.rank, "weights")
 
 
 def root_lattice(rd) -> Lattice:
@@ -48,7 +50,7 @@ def test_so3_lattices():
     # Characters = root lattice, index 2 in the weight lattice.
     assert so3.char_lattice().basis == IntMatrix([[2]])
     assert not so3.is_simply_connected()
-    assert fundamental_group_of(so3).torsion == (2,)
+    assert fundamental_group_of(so3) == (2,)
 
 
 def test_b3_c3_transposed():
@@ -214,20 +216,48 @@ def test_char_lattice_endpoints():
 
 
 def test_center_orders():
-    assert center(named_group("SU(4)")).torsion == (4,)
-    assert center(named_group("E6")).torsion == (3,)
-    assert center(named_group("E7")).torsion == (2,)
-    assert center(named_group("E8")).torsion == ()
-    assert center(named_group("G2")).torsion == ()
-    assert center(named_group("F4")).torsion == ()
-    assert center(named_group("Spin(8)")).torsion == (2, 2)
-    assert center(named_group("Spin(7)")).torsion == (2,)
+    assert center(named_group("SU(4)")) == (4,)
+    assert center(named_group("E6")) == (3,)
+    assert center(named_group("E7")) == (2,)
+    assert center(named_group("E8")) == ()
+    assert center(named_group("G2")) == ()
+    assert center(named_group("F4")) == ()
+    assert center(named_group("Spin(8)")) == (2, 2)
+    assert center(named_group("Spin(7)")) == (2,)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(root_data())
+def test_center_and_pi1_match_subquotient_oracle(rd):
+    """`center` and `fundamental_group_of`, read off Smith diagonals, against
+    the subquotients coweights / coroots and integral lattice / coroots, on
+    random root data and their Langlands duals.  Each lift of
+    `center_product_generators` has the order of the oracle's generator, and
+    spans with the coroots the lattice that the oracle's lift does."""
+    for datum in (rd, langlands_dual(rd)):
+        n, coroots = datum.rank, datum.coroot_lattice()
+        z, pi1 = subquotient(coroots, standard_lattice(n)), subquotient(coroots, datum.integral)
+        assert (z.free_rank, pi1.free_rank) == (0, 0), datum.label
+        assert center(datum) == z.torsion, datum.label
+        assert fundamental_group_of(datum) == pi1.torsion, datum.label
+        oracle = []
+        for lo, hi, series, r in datum.factor_ranges():
+            g = subquotient(Lattice(r, IntMatrix(cartan_block(series, r))), standard_lattice(r))
+            oracle += [(d, (0,) * lo + lift + (0,) * (n - hi))
+                       for d, lift in zip(g.torsion, g.torsion_generators())]
+        got = center_product_generators(datum.components, datum.cartan)
+        assert [d for d, _ in got] == [d for d, _ in oracle], datum.label
+        for (d, lift), (_, want) in zip(got, oracle):
+            span = column_hermite_form(hstack(datum.cartan, IntMatrix.from_columns([lift])))
+            assert span == column_hermite_form(hstack(datum.cartan,
+                                                      IntMatrix.from_columns([want]))), datum.label
+            assert subquotient(coroots, Lattice(n, span)).order() == d, datum.label
 
 
 def test_custom_fundamental_group():
     # SO(4)-style quotient of SU(2) x SU(2) by the diagonal center element.
     rd = build([("A", 1), ("A", 1)], {"generators": [[1, 1]]})
-    assert fundamental_group_of(rd).torsion == (2,)
+    assert fundamental_group_of(rd) == (2,)
     assert not rd.is_simply_connected()
     with pytest.raises(InvalidCenterSubgroup):
         build([("A", 1), ("A", 1)], {"generators": [[1]]})
@@ -242,11 +272,11 @@ def test_langlands_dual_examples():
     su2 = named_group("SU(2)")
     dual = langlands_dual(su2)
     assert dual.label == "SO(3)"
-    assert dual.integral.same_lattice(dual.coweight_lattice())
+    assert dual.integral.same_lattice(standard_lattice(dual.rank))
 
     su3 = named_group("SU(3)")
     assert langlands_dual(su3).label == "PSU(3)"
-    assert fundamental_group_of(langlands_dual(su3)).torsion == (3,)
+    assert fundamental_group_of(langlands_dual(su3)) == (3,)
 
     g2 = named_group("G2")
     assert langlands_dual(g2).components == (("G", 2),)

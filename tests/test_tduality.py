@@ -20,11 +20,11 @@ from tdual_lie.tduality import (
     reduction_torsor_shift,
     verify_langlands_tdual,
 )
-from tdual_lie.zlinalg import IntMatrix, Lattice, column_hermite_form, subquotient
+from tdual_lie.zlinalg import IntMatrix, Lattice, column_hermite_form
 
 from test_flagcoh import tensor_complex, with_fundamental_group
 from test_rootdata import weyl_elements_on_coweights
-from test_zlinalg import bareiss_det
+from test_zlinalg import bareiss_det, standard_lattice, subquotient
 
 
 def test_dual_chern_zero():
@@ -197,7 +197,7 @@ def test_verify_langlands_examples():
     repg = verify_langlands_tdual(named_group("G2"))
     assert repg["match"]
     image = Lattice(2, IntMatrix(repg["dual_chern_lattice"]))
-    assert image.same_lattice(Lattice.standard(2))  # the weight lattice
+    assert image.same_lattice(standard_lattice(2))  # the weight lattice
 
 
 def test_verify_langlands_all_supported():

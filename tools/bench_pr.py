@@ -21,11 +21,14 @@ row whose stdout digest differs between the two checkouts stops the script.
 Right after the cliffs, in the same order, both checkouts run each of
 RANK_CAP_ROWS once: `group`, `cohomology`, `twist level:1` and `dualize
 level:1` on the five rank-32 groups, `extension --level 1` where b needs
-no input, and `cohomology`, `twist level:1` and `dualize level:1` with a
-zero shift on adjoint A1^32, the rows no workload or cliff runs at the rank
-cap.  Adjoint A1^32 has the most H^3 torsion at the cap: its character
-basis is 2I, so each of its 496 pairs of Smith invariants adds a Z/2, and
-`class_in_h3` reads one torsion coordinate per pair.  Then they run each of
+no input, `cohomology`, `twist level:1` and `dualize level:1` with a zero
+shift on adjoint A1^32, and `group` on adjoint A1^32 and on its quotient
+by the diagonal Z/2, the rows no workload or cliff runs at the rank cap.
+Adjoint A1^32 has the most H^3 torsion at the cap: its character basis is
+2I, so each of its 496 pairs of Smith invariants adds a Z/2, and
+`class_in_h3` reads one torsion coordinate per pair.  The two `group` rows
+have the most cyclic center factors at the cap, 32 copies of Z/2, so they
+time the center's Smith form and the 32 generator lifts of a quotient.  Then they run each of
 CONTCHECK_ROWS once: `contcheck --grid 16384` and `--grid
 131072` in JSON, the verb's largest memory.  Each is one `tdual` process
 with only the checkout's `src` on its path.  BENCH_<N>.json keeps the same
@@ -62,6 +65,9 @@ STARTUP_ROWS = {"import": ("-c", "import tdual_lie.cli"),
 STARTUP_SPAWNS = 20
 ADJOINT_A1_32 = json.dumps({"components": [{"series": "A", "rank": 1}] * 32,
                             "fundamental_group": "adjoint"}, separators=(",", ":"))
+DIAGONAL_A1_32 = json.dumps({"components": [{"series": "A", "rank": 1}] * 32,
+                             "fundamental_group": {"generators": [[1] * 32]}},
+                            separators=(",", ":"))
 RANK_CAP_ROWS = tuple(
     (verb, "--group", group, *extra)
     for group in ("PSU(33)", "SU(33)", "Spin(64)", "Spin(65)", "Sp(32)")
@@ -71,7 +77,8 @@ RANK_CAP_ROWS = tuple(
         ) + (("cohomology", "--group", ADJOINT_A1_32),
              ("twist", "--group", ADJOINT_A1_32, "--twist", "level:1"),
              ("dualize", "--group", ADJOINT_A1_32, "--twist", "level:1",
-              "--shift", json.dumps([[0] * 32] * 32, separators=(",", ":"))))
+              "--shift", json.dumps([[0] * 32] * 32, separators=(",", ":"))),
+             ("group", "--group", ADJOINT_A1_32), ("group", "--group", DIAGONAL_A1_32))
 CONTCHECK_ROWS = tuple(("contcheck", "--grid", grid, "--format", "json")
                        for grid in ("16384", "131072"))
 
