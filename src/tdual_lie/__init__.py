@@ -11,14 +11,13 @@ su(n) structure constants); it never feeds back into the exact code.
 
 from .errors import TdualError
 from .rootdata import RootDatum, basic_form, build, langlands_dual, named_group
-from .tduality import TwistClass, dual_chern, langlands_twist, verify_langlands_tdual
+from .tduality import dual_chern, langlands_twist, verify_langlands_tdual
 
 __version__ = "0.1.0"
 
 __all__ = [
     "TdualError",
     "RootDatum",
-    "TwistClass",
     "basic_form",
     "build",
     "dual_chern",

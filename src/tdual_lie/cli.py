@@ -32,6 +32,7 @@ from .rootdata import (
     RootDatum,
     build,
     center,
+    character_basis,
     fundamental_group_of,
     named_group,
     root_count,
@@ -294,7 +295,15 @@ def resolve_group(spec: str) -> RootDatum:
     return named_group(spec)
 
 
-def resolve_twist(rd: RootDatum, spec: str) -> tduality.TwistClass:
+def _json_rows(spec: str, what: str) -> list[list]:
+    """The JSON value of `spec`, which must be a list of lists."""
+    rows = _load_json(spec)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise UsageError(f"{what} must be a JSON list of rows, got {quote(spec)}")
+    return rows
+
+
+def resolve_twist(rd: RootDatum, spec: str) -> IntMatrix:
     if spec == "langlands":
         return tduality.langlands_twist(rd)
     if spec.startswith("level:"):
@@ -303,29 +312,29 @@ def resolve_twist(rd: RootDatum, spec: str) -> tduality.TwistClass:
         except ValueError as exc:
             raise UsageError(f"malformed level twist {quote(spec)}") from exc
         return tduality.level_twist(rd, _nonnegative_level(level, "twist level"))
-    rows = _load_json(spec)
+    rows = _json_rows(spec, "--twist")
     try:
-        return tduality.TwistClass(rd, IntMatrix(rows))
-    except (TdualError, TypeError, ValueError) as exc:
+        u = IntMatrix(rows)
+    except (TdualError, TypeError) as exc:
         raise UsageError(f"malformed twist matrix {quote(spec)}: {exc}") from exc
+    if u.rows != rd.rank or u.cols != rd.rank:
+        raise UsageError(f"malformed twist matrix {quote(spec)}: twist matrix must be rank x rank")
+    return u
 
 
 def resolve_commutator(spec: str) -> list[list[tuple[int, int]]]:
-    rows = _load_json(spec)
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise UsageError(f"--b must be a JSON list of rows, got {quote(spec)}")
-    return [[_exact_rational(x, "--b entry") for x in row] for row in rows]
+    return [[_exact_rational(x, "--b entry") for x in row] for row in _json_rows(spec, "--b")]
 
 
-def resolve_shift(rd: RootDatum, spec: str) -> tduality.ShiftMatrix:
-    rows = _load_json(spec)
+def resolve_shift(rd: RootDatum, spec: str) -> IntMatrix:
+    rows = _json_rows(spec, "--shift")
     try:
-        shift = tduality.ShiftMatrix.from_rows(rows)
-    except (TdualError, TypeError, ValueError) as exc:
+        shift = tduality.shift_matrix(IntMatrix(rows))
+    except (TdualError, TypeError) as exc:
         raise UsageError(f"malformed shift matrix {quote(spec)}: {exc}") from exc
-    if shift.entries.rows != rd.rank:
+    if shift.rows != rd.rank:
         raise UsageError(f"shift matrix must be {rd.rank}x{rd.rank} for {rd.label}, "
-                         f"got {shift.entries.rows}x{shift.entries.cols}")
+                         f"got {shift.rows}x{shift.cols}")
     return shift
 
 
@@ -341,41 +350,40 @@ def report_group(rd: RootDatum) -> dict:
         "simply_connected": rd.is_simply_connected(),
         "simply_laced": rd.is_simply_laced(),
         "integral_basis": rd.integral.basis.tolist(),
-        "character_basis": rd.char_lattice().basis.tolist(),
+        "character_basis": character_basis(rd).tolist(),
         "center": flagcoh.group_dict(0, center(rd)),
         "fundamental_group": flagcoh.group_dict(0, fundamental_group_of(rd)),
         "root_count": root_count(rd),
     }
 
 
-def report_twist(rd: RootDatum, twist: tduality.TwistClass) -> dict:
+def report_twist(rd: RootDatum, u: IntMatrix) -> dict:
     out = {
         "group": rd.label,
-        "twist": twist.matrix.tolist(),
-        "twist_is_cycle": twist.is_cycle(),
+        "twist": u.tolist(),
+        "twist_is_cycle": flagcoh.is_cycle(rd, u),
     }
     if out["twist_is_cycle"]:
-        out["h3_class"] = _h3_class(twist)
-        out.update(tduality.dual_chern(twist))
+        out["h3_class"] = _h3_class(rd, u)
+        out.update(tduality.dual_chern(rd, u))
     dual_rep = flagcoh.dualizability_report(rd)
     out["dualizable"] = dual_rep["dualizable"]
     out["dualizability_notes"] = dual_rep["notes"]
     return out
 
 
-def _h3_class(twist: tduality.TwistClass) -> dict:
-    free, tors = twist.h3_class()
+def _h3_class(rd: RootDatum, u: IntMatrix) -> dict:
+    free, tors = flagcoh.class_in_h3(rd, u)
     return {"free": list(free), "torsion": list(tors)}
 
 
-def report_dualize(rd: RootDatum, twist: tduality.TwistClass,
-                   shift: tduality.ShiftMatrix | None) -> dict:
-    out = report_twist(rd, twist)
+def report_dualize(rd: RootDatum, u: IntMatrix, shift: IntMatrix | None) -> dict:
+    out = report_twist(rd, u)
     if shift is not None and out["twist_is_cycle"]:
-        moved = tduality.reduction_torsor_shift(twist, shift)
-        out["shift"] = shift.entries.tolist()
-        out["shifted"] = {"shifted_twist": moved.matrix.tolist(), "h3_class": _h3_class(moved),
-                          **tduality.dual_chern(moved)}
+        moved = tduality.reduction_torsor_shift(rd, u, shift)
+        out["shift"] = shift.tolist()
+        out["shifted"] = {"shifted_twist": moved.tolist(), "h3_class": _h3_class(rd, moved),
+                          **tduality.dual_chern(rd, moved)}
     return out
 
 
@@ -388,7 +396,7 @@ def report_langlands(rd: RootDatum) -> dict:
             "available": False,
             "match": None,
             "reason": str(exc),
-            "evidence": _jsonable(exc.evidence),
+            "evidence": exc.evidence,
         }
 
 
@@ -408,14 +416,6 @@ def report_extension(rd: RootDatum, level: int,
     out["lift"] = [[loopext.ratio(*v) for v in row] for row in loopext.lift_commutator(b)]
     out["admissibility"] = loopext.admissibility_check(rd, level, b)
     return out
-
-
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
 
 
 # -- driving -------------------------------------------------------------------

@@ -19,12 +19,13 @@ in even degrees, H^2 the weights and H^4 sym^2(weights) / invariants.
 
 A middle-term element is a twist: an n x n matrix u from integral-lattice
 to weight coordinates.  With X the character basis (columns in weight
-coordinates), the cycle test and the boundary map are matrix algebra on u
-and X.  H^3 = K + sum of Z/d_i over the pairs i < j with d_i > 1 is read
-off the one Smith form U X V = diag(d) (see `_smith_frame`), so nothing is
-indexed by the n^2 tensor coordinates and no second normal form is taken.
-Free class coordinates are rotated left by the number of pairs, the order
-a former second Smith form gave them, so printed classes stay unchanged.
+coordinates, solved for once per datum by `rootdata.character_basis`), the
+cycle test and the boundary map are matrix algebra on u and X.  H^3 = K +
+sum of Z/d_i over the pairs i < j with d_i > 1 is read off the one Smith
+form U X V = diag(d) (see `_smith_frame`), so nothing is indexed by the n^2
+tensor coordinates and no second normal form is taken.  Free class
+coordinates are rotated left by the number of pairs, the order a former
+second Smith form gave them, so printed classes stay unchanged.
 
 Basis conventions are fixed once: the character lattice carries the basis
 dual to the integral lattice's preferred basis, and monomials w_i w_j and
@@ -39,7 +40,13 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import DimensionMismatch, NotACycle
-from .rootdata import RootDatum, character_smith, form_pairing, fundamental_group_of
+from .rootdata import (
+    RootDatum,
+    character_basis,
+    character_smith,
+    form_pairing,
+    fundamental_group_of,
+)
 from .zlinalg import IntMatrix, Lattice, column_hermite_form, kernel_of_matrix, pair_basis
 
 
@@ -51,7 +58,7 @@ def _invariant_coords(rd: RootDatum, u: IntMatrix) -> tuple[IntMatrix, tuple[int
     n = rd.rank
     if u.rows != n or u.cols != n:
         raise DimensionMismatch(f"twist matrix must be {n}x{n} for {rd.label}")
-    m = rd.char_lattice().basis @ u.transpose()
+    m = character_basis(rd) @ u.transpose()
     poly = [m[i, i] if i == j else m[i, j] + m[j, i] for i, j in pair_basis(n, strict=False)]
     return m, sym_invariants(rd).coords(poly)
 
@@ -68,7 +75,7 @@ def boundary(rd: RootDatum, s: IntMatrix) -> IntMatrix:
     d(x_a ^ x_b) = x_b (x) r(x_a) - x_a (x) r(x_b) is X(E_ab - E_ba), so the
     sum is X(S - S^T); only the antisymmetric part of s counts.
     """
-    return rd.char_lattice().basis @ (s - s.transpose())
+    return character_basis(rd) @ (s - s.transpose())
 
 
 @lru_cache(maxsize=None)
@@ -150,8 +157,7 @@ def chern_classes(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     """Chern classes of K -> B: c_k is the restriction of the k-th character
     basis vector, in weight coordinates through the transgression
     isomorphism."""
-    x = rd.char_lattice().basis
-    return tuple(x.column(j) for j in range(x.cols))
+    return tuple(character_basis(rd).columns())
 
 
 def class_in_h3(rd: RootDatum, u: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -188,10 +194,10 @@ def dualizability_report(rd: RootDatum) -> dict:
     m o Delta_k = k * id, so Delta_k is injective over Q.  Each composite
     is then injective over Q whenever r is, and a map of free Z-modules
     that is injective over Q has zero kernel.  So both kernels, and
-    H^1 = ker r, vanish once the character basis X has full rank, which
-    the Lattice constructor checks whenever `rd.char_lattice()` is built.
+    H^1 = ker r, vanish once the character basis X has full rank.  It has,
+    for every RootDatum: the integral basis B has n independent columns and
+    B X^T = A, which is nonsingular, so nothing is left to check.
     """
-    rd.char_lattice()  # raises DimensionMismatch unless X has full rank
     return {
         "group": rd.label,
         "dualizable": True,

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from math import gcd, lcm, prod
 
 from .errors import DimensionMismatch, InvalidCommutator, RequiresExplicitB
-from .rootdata import RootDatum, basic_form, center, form_pairing
+from .rootdata import RootDatum, basic_form, center, character_basis, form_pairing
 from .zlinalg import IntMatrix, Lattice, Record, solve_columns
 
 
@@ -148,7 +148,7 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
     coroots = sorted(enumerate(rd.cartan.columns()), key=lambda col: col[1])
     scales = [lcm(*(q for _, q in row)) for row in b.values]
     scaled = IntMatrix([p * (d // q) for p, q in row] for d, row in zip(scales, b.values))
-    products = scaled @ rd.char_lattice().basis.transpose()
+    products = scaled @ character_basis(rd).transpose()
     half = []
     for k, (d, xs, ws) in enumerate(zip(scales, products, pairing.transpose())):
         for i, coroot in coroots:
@@ -167,6 +167,4 @@ def commutator_from_matrix(rd: RootDatum, entries: Sequence[Sequence[tuple]]) ->
     """Build a commutator map from rational entries, each an integer pair
     (p, q) with q > 0 standing for p/q (as `cli` reads "1/2")."""
     vals = tuple(tuple(mod1(*x) for x in row) for row in entries)
-    if len(vals) != rd.rank:
-        raise DimensionMismatch("commutator matrix size must match the rank")
     return CommutatorMap(lattice=rd.integral, values=vals)

@@ -156,22 +156,9 @@ class RootDatum(Record):
         return all(e == 1 for e in self.epsilons())
 
     def is_simply_connected(self) -> bool:
-        return self.integral.same_lattice(self.coroot_lattice())
-
-    # -- lattices --------------------------------------------------------------
-
-    def coroot_lattice(self) -> Lattice:
-        return Lattice(self.rank, self.cartan, "coroots")
-
-    def char_lattice(self) -> Lattice:
-        """Character lattice of the torus, with the basis dual to `integral`.
-
-        Duality normalization: the k-th character basis vector pairs to
-        delta_{ik} with the i-th integral-lattice basis vector.  This is
-        what ties twist matrices to the degree-2 differential downstream.
-        """
-        return Lattice(self.rank, _dual_basis_matrix(self.cartan, self.integral.basis),
-                       "characters")
+        """The integral lattice contains the coroots (checked on construction),
+        so it is the coroot lattice exactly when the coroots contain it too."""
+        return contains_columns(self.cartan, self.integral.basis)
 
     def epsilons(self) -> tuple[int, ...]:
         """eps_i = (longest root length)^2 / (alpha_i length)^2 in its factor.
@@ -192,19 +179,6 @@ class RootDatum(Record):
                         frontier.append(j)
             out += [max(length.values()) // length[i] for i in range(lo, hi)]
         return tuple(out)
-
-
-def _dual_basis_matrix(cartan: IntMatrix, lattice_basis: IntMatrix) -> IntMatrix:
-    """Integer matrix whose columns are the basis of the dual lattice.
-
-    Column k is the character x_k with x_k^T A^{-1} lattice_basis = e_k^T,
-    i.e. X = A^T (B^{-1})^T, the transpose of the solution of B X^T = A.
-    That solution is integral exactly when the lattice contains the coroots.
-    """
-    sol = solve_columns(lattice_basis, cartan)
-    if sol is None:
-        raise NotBetweenLattices("dual basis is not integral; lattice misses coroots")
-    return sol.transpose()
 
 
 def form_pairing(rd: RootDatum, level: int, coweights: IntMatrix) -> IntMatrix:
@@ -409,11 +383,22 @@ def center(rd: RootDatum) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def character_basis(rd: RootDatum) -> IntMatrix:
+    """The character basis X of the torus, taken once per datum: column k,
+    in weight coordinates, is the character x_k with x_k^T A^-1 B = e_k^T,
+    the basis dual to the integral basis B.  This duality ties twist
+    matrices to the degree-2 differential downstream.  X is the transpose
+    of the solution of B X^T = A, integral because `RootDatum` checked that
+    the integral lattice contains the coroots."""
+    return solve_columns(rd.integral.basis, rd.cartan).transpose()
+
+
+@lru_cache(maxsize=None)
 def character_smith(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...]]:
     """(U, d) with U X V = diag(d) for some unimodular V: the Smith form of
     the character basis X, taken once per datum for pi_1 and for H^2 and
     H^3 downstream."""
-    u, dm = smith_normal_form(rd.char_lattice().basis)
+    u, dm = smith_normal_form(character_basis(rd))
     return u, tuple(dm[i, i] for i in range(rd.rank))
 
 
@@ -455,7 +440,7 @@ def langlands_dual(rd: RootDatum) -> RootDatum:
     return RootDatum(
         components=comps,
         cartan=rd.cartan.transpose(),
-        integral=Lattice(rd.rank, rd.char_lattice().basis, "integral lattice"),
+        integral=Lattice(rd.rank, character_basis(rd), "integral lattice"),
         label=_dual_label(rd),
         fundamental_group=fg,
     )
@@ -505,7 +490,8 @@ def require_phi(rd: RootDatum) -> tuple[int, ...]:
         raise Unavailable(
             f"{rd.label}: no Dynkin isomorphism onto the Langlands dual "
             f"(obstructing factors: {', '.join(bad) or 'none found by factor scan'})",
-            evidence={"components": rd.components, "dual": langlands_dual(rd).components},
+            evidence={"components": [list(c) for c in rd.components],
+                      "dual": [list(c) for c in langlands_dual(rd).components]},
         )
     return perm
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DimensionMismatch, NotACycle
-from .flagcoh import boundary, class_in_h3, is_cycle
-from .rootdata import RootDatum, form_pairing, langlands_dual, require_phi
-from .zlinalg import IntMatrix, Record, column_hermite_form
+from .flagcoh import boundary, is_cycle
+from .rootdata import RootDatum, character_basis, form_pairing, langlands_dual, require_phi
+from .zlinalg import IntMatrix, column_hermite_form
 
 TWIST_BASIS_CONVENTION = (
     "chat_k = u(lambda_k) in weight coordinates; lambda_k = preferred basis "
@@ -29,82 +29,43 @@ TWIST_BASIS_CONVENTION = (
 )
 
 
-class TwistClass(Record):
-    """Hom-lattice twist representative u: integral lattice -> weights."""
-
-    _fields = ("rd", "matrix")
-
-    def __init__(self, rd: RootDatum, matrix: IntMatrix):
-        self.rd, self.matrix = rd, matrix
-        n = self.rd.rank
-        if self.matrix.rows != n or self.matrix.cols != n:
-            raise DimensionMismatch("twist matrix must be rank x rank")
-
-    def is_cycle(self) -> bool:
-        return is_cycle(self.rd, self.matrix)
-
-    def h3_class(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return class_in_h3(self.rd, self.matrix)
-
-
-def level_twist(rd: RootDatum, level: int) -> TwistClass:
+def level_twist(rd: RootDatum, level: int) -> IntMatrix:
     """Twist induced by the invariant form: u = level * <., .> restricted to
     the integral lattice.  Always a cycle (the form is Weyl-invariant)."""
-    return TwistClass(rd, form_pairing(rd, level, rd.integral.basis))
+    return form_pairing(rd, level, rd.integral.basis)
 
 
-def dual_chern(twist: TwistClass) -> dict:
+def dual_chern(rd: RootDatum, u: IntMatrix) -> dict:
     """Chern data of the T-dual bundle attached to a cycle representative:
     the canonical image sublattice and the basis-convention Chern tuple."""
-    if not twist.is_cycle():
-        raise NotACycle(f"twist is not a cycle for {twist.rd.label}")
-    u = twist.matrix
+    if not is_cycle(rd, u):
+        raise NotACycle(f"twist is not a cycle for {rd.label}")
     return {
         "dual_chern_lattice": column_hermite_form(u).tolist(),
-        "dual_chern_classes": [list(u.column(k)) for k in range(u.cols)],
+        "dual_chern_classes": [list(col) for col in u.columns()],
         "basis_convention": TWIST_BASIS_CONVENTION,
     }
 
 
-class ShiftMatrix(Record):
-    """Strictly upper-triangular integer matrix of torsor-shift coefficients."""
-
-    _fields = ("entries",)
-
-    def __init__(self, entries: IntMatrix):
-        self.entries = m = entries
-        if m.rows != m.cols:
-            raise DimensionMismatch("shift matrix must be square")
-        for i in range(m.rows):
-            for j in range(m.cols):
-                if j <= i and m[i, j] != 0:
-                    raise DimensionMismatch("shift entries live strictly above the diagonal")
-
-    @classmethod
-    def from_rows(cls, rows) -> "ShiftMatrix":
-        return cls(IntMatrix(rows))
-
-    @classmethod
-    def zero(cls, n: int) -> "ShiftMatrix":
-        return cls(IntMatrix.zero(n, n))
-
-    def __add__(self, other: "ShiftMatrix") -> "ShiftMatrix":
-        return ShiftMatrix(self.entries + other.entries)
-
-    def __neg__(self) -> "ShiftMatrix":
-        return ShiftMatrix(self.entries.scale(-1))
+def shift_matrix(m: IntMatrix) -> IntMatrix:
+    """m, checked to be a square, strictly upper-triangular matrix of
+    torsor-shift coefficients."""
+    if m.rows != m.cols:
+        raise DimensionMismatch("shift matrix must be square")
+    if any(m[i, j] for i in range(m.rows) for j in range(i + 1)):
+        raise DimensionMismatch("shift entries live strictly above the diagonal")
+    return m
 
 
-def bfield_shift(chat: tuple[tuple[int, ...], ...], shift: ShiftMatrix,
+def bfield_shift(chat: tuple[tuple[int, ...], ...], shift: IntMatrix,
                  c: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Dual Chern classes after moving the reduction by the shift datum."""
-    n = len(chat)
-    if len(c) != n or shift.entries.rows != n:
+    n, b = len(chat), shift_matrix(shift)
+    if len(c) != n or b.rows != n:
         raise DimensionMismatch("shift and Chern data sizes disagree")
     dim = len(chat[0]) if n else 0
     if any(len(v) != dim for v in c):
         raise DimensionMismatch("Chern class vectors live in different spaces")
-    b = shift.entries
     out = []
     for k in range(n):
         acc = list(chat[k])
@@ -118,13 +79,13 @@ def bfield_shift(chat: tuple[tuple[int, ...], ...], shift: ShiftMatrix,
     return tuple(out)
 
 
-def reduction_torsor_shift(twist: TwistClass, shift: ShiftMatrix) -> TwistClass:
+def reduction_torsor_shift(rd: RootDatum, u: IntMatrix, shift: IntMatrix) -> IntMatrix:
     """Act on a reduction by a shift datum: u moves by the boundary of
     sum B_ij x_i ^ x_j, the degree-3 class stays put, and the dual Chern
     data moves by `bfield_shift`."""
-    if not twist.is_cycle():
-        raise NotACycle(f"twist is not a cycle for {twist.rd.label}")
-    return TwistClass(twist.rd, twist.matrix + boundary(twist.rd, shift.entries))
+    if not is_cycle(rd, u):
+        raise NotACycle(f"twist is not a cycle for {rd.label}")
+    return u + boundary(rd, shift_matrix(shift))
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +141,11 @@ def _langlands_transport(rd: RootDatum) -> IntMatrix:
     return transport
 
 
-def langlands_twist(rd: RootDatum) -> TwistClass:
+def langlands_twist(rd: RootDatum) -> IntMatrix:
     """The twist whose T-dual is the Langlands dual group: compose the
     inclusion of the integral lattice into the dual-side weight lattice with
     the Weyl-adjusted diagram-isomorphism pullback."""
-    return TwistClass(rd, _langlands_transport(rd) @ rd.integral.basis)
+    return _langlands_transport(rd) @ rd.integral.basis
 
 
 def verify_langlands_tdual(rd: RootDatum) -> dict:
@@ -196,15 +157,15 @@ def verify_langlands_tdual(rd: RootDatum) -> dict:
     both lattices.
     """
     twist = langlands_twist(rd)  # raises Unavailable without an isomorphism
-    mine = column_hermite_form(twist.matrix)
+    mine = column_hermite_form(twist)
     dual_rd = langlands_dual(rd)
-    expected = column_hermite_form(_langlands_transport(rd) @ dual_rd.char_lattice().basis)
+    expected = column_hermite_form(_langlands_transport(rd) @ character_basis(dual_rd))
     return {
         "group": rd.label,
         "dual_group": dual_rd.label,
         "available": True,
         "match": mine == expected,
-        "twist": twist.matrix.tolist(),
+        "twist": twist.tolist(),
         "dual_chern_lattice": mine.tolist(),
         "expected_lattice": expected.tolist(),
     }

@@ -25,7 +25,7 @@ One elimination core computes a transform only where a caller reads it:
     builds.  The finite groups the package reports are cokernels of square
     nonsingular matrices, so their invariant factors are read off D.
   * A Lattice caches its Hermite basis, pivots and transform on first use
-    for coords and same_lattice.
+    for coords.
 
 Canonical forms: sublattices are compared through the column-style Hermite
 form (unique).
@@ -416,12 +416,6 @@ class Lattice(Record):
     @property
     def rank(self) -> int:
         return self.basis.cols
-
-    def same_lattice(self, other: "Lattice") -> bool:
-        if self.ambient_dim != other.ambient_dim or self.rank != other.rank:
-            return False
-        n = self.ambient_dim
-        return all(a[:n] == b[:n] for a, b in zip(self._hermite[0], other._hermite[0]))
 
     def coords(self, vec: Sequence[int]) -> tuple[int, ...] | None:
         """Basis coordinates of an ambient vector, or None if outside."""

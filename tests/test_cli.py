@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tdual_lie import cli
+from tdual_lie import cli, rootdata
 from tdual_lie.cli import (
     _EXPECT_TESTS,
     FLAGS,
@@ -24,7 +24,8 @@ from tdual_lie.cli import (
 )
 from tdual_lie.errors import UsageError
 from tdual_lie.flagcoh import _smith_frame
-from tdual_lie.rootdata import character_smith
+from tdual_lie.rootdata import character_basis, character_smith
+from tdual_lie.zlinalg import solve_columns
 
 
 def run_json(argv):
@@ -487,6 +488,47 @@ def test_commutator_entries_taken_exactly(capsys, b, prefix):
     _usage_error(capsys, ["extension", "--group", "SU(3)", "--b", b], prefix)
 
 
+@pytest.mark.parametrize("b", ["[]", "[[0]]", '[[0, 0], ["1/2"]]'],
+                         ids=["empty", "short", "ragged"])
+def test_commutator_size_has_one_message(capsys, b):
+    """`CommutatorMap` alone checks the size of --b: an empty, short or
+    ragged matrix gets the one message."""
+    err = _usage_error(capsys, ["extension", "--group", "SU(3)", "--b", b], "error:")
+    assert err == "error: commutator matrix size must match lattice rank\n"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--twist", "5"), ("--twist", '{"a":1}'), ("--twist", '"ab"'), ("--twist", "[1, 2]"),
+    ("--shift", "5"), ("--shift", "[[0, 1], 0]"), ("--b", '{"a":1}'),
+])
+def test_matrix_flags_take_json_rows(capsys, flag, value):
+    """--twist, --shift and --b read their JSON through one reader, which
+    refuses anything but a list of rows before any entry is read."""
+    before = {"--twist": ["twist", "--group", "SU(3)"],
+              "--shift": ["dualize", "--group", "SU(3)", "--twist", "level:1"],
+              "--b": ["extension", "--group", "SU(3)"]}[flag]
+    err = _usage_error(capsys, before + [flag, value])
+    assert err == f"usage error: {flag} must be a JSON list of rows, got {value!r}\n"
+
+
+def test_dualize_solves_for_the_character_basis_once(monkeypatch, capsys):
+    """`dualize` with a level twist and a shift reads the character basis X
+    in `cli`, `flagcoh` and `tduality`, and solves B X^T = A for it once."""
+    calls = []
+
+    def counted(basis, targets):
+        calls.append((basis, targets))
+        return solve_columns(basis, targets)
+
+    monkeypatch.setattr(rootdata, "solve_columns", counted)
+    for cache in (character_basis, character_smith, _smith_frame):
+        cache.cache_clear()
+    rd = rootdata.named_group("SU(4)")
+    zero = json.dumps([[0] * 3] * 3)
+    assert main(["dualize", "--group", "SU(4)", "--twist", "level:1", "--shift", zero]) == 0
+    assert calls == [(rd.integral.basis, rd.cartan)]
+
+
 def test_commutator_rational_strings_accepted():
     code, payload = run_json(["extension", "--group", "SU(3)",
                               "--b", '[[0, "-1/2"], ["1/2", 0]]'])
@@ -655,6 +697,11 @@ FUZZ_CASES = [
                   "--shift", "[[0, 1, 0], [0, 0, 0], [0, 0, 0]]"], 2, id="shift-3x3-not-cycle"),
     pytest.param(["dualize", "--group", "SU(3)", "--twist", "level:1",
                   "--shift", "[[0, 1], [0, 0]]"], 0, id="shift-2x2"),
+    # --twist, --shift and --b must be JSON lists of rows.
+    pytest.param(["dualize", "--group", "SU(3)", "--twist", "level:1", "--shift", "5"], 2,
+                 id="shift-number"),
+    pytest.param(["twist", "--group", "SU(3)", "--twist", '{"a":1}'], 2, id="twist-object"),
+    pytest.param(["twist", "--group", "SU(3)", "--twist", '"ab"'], 2, id="twist-string"),
     pytest.param(["extension", "--group", "SU(2)", "--b", '[["1e-999999999"]]'], 2,
                  id="b-exponent-huge"),
     pytest.param(["extension", "--group", "SU(3)", "--b", '[[0, "1e-99999"], ["-1e-99999", 0]]'],
@@ -775,10 +822,10 @@ ADJOINT_A1_32 = json.dumps({"components": [{"series": "A", "rank": 1}] * 32,
 def test_h3_verbs_at_the_rank_cap_under_two_seconds(argv):
     """H^3 at total rank 32 is read off one n x n Smith form, so each verb
     runs in process within the 2.0 s bound of the other timing gates.  The
-    Smith-form cache is emptied first, so that no earlier test pays the
-    cost."""
-    _smith_frame.cache_clear()
-    character_smith.cache_clear()
+    caches of the Smith form and of the character basis are emptied first,
+    so that no earlier test pays the cost."""
+    for cache in (_smith_frame, character_smith, character_basis):
+        cache.cache_clear()
     start = time.monotonic()
     assert main(argv) == 0
     assert time.monotonic() - start < 2.0

@@ -30,6 +30,7 @@ from tdual_lie.rootdata import (
     build,
     center,
     center_product_generators,
+    character_basis,
     character_smith,
     form_pairing,
     fundamental_group_of,
@@ -106,7 +107,7 @@ def wedge3_differential(rd) -> IntMatrix:
     + r(z)(x)(x^y) inside weights (x) wedge^2(chars).
     """
     n = rd.rank
-    x = rd.char_lattice().basis
+    x = character_basis(rd)
     wedge2 = pair_basis(n, strict=True)
     w2_index = {p: k for k, p in enumerate(wedge2)}
     triples = [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)]
@@ -128,7 +129,7 @@ def tensor_complex(rd) -> tuple[IntMatrix, IntMatrix]:
     wedge^2(chars) -> chars (x) weights, d21_raw on chars (x) weights ->
     sym^2(weights), with x_a (x) w_j at a*n + j and the pair_basis orders."""
     n = rd.rank
-    x = rd.char_lattice().basis
+    x = character_basis(rd)
     wedge = pair_basis(n, strict=True)
     mono = pair_basis(n, strict=False)
     mono_index = {p: k for k, p in enumerate(mono)}
@@ -218,8 +219,8 @@ def test_integer_form_route_matches_rationals(rd, level, data):
     n = rd.rank
     a, b = _sympy(rd.cartan), _sympy(rd.integral.basis)
     g = _sympy(basic_form(rd, level))
-    assert level_twist(rd, level).matrix == level_twist_matrix(rd, level)
-    assert rd.char_lattice().basis == _int_matrix(a.T * b.inv().T)
+    assert level_twist(rd, level) == level_twist_matrix(rd, level)
+    assert character_basis(rd) == _int_matrix(a.T * b.inv().T)
     # <lambda_k, H> = (A^{-1} lambda_k)^T G (A^{-1} H) for every integral basis
     # vector lambda_k and every coroot H, as form_pairing gives it.
     coroots = orbit_by_reflection_matrices(rd.cartan.columns())
@@ -296,7 +297,7 @@ def test_vanishing_pieces_match_kernels(rd):
     differential, d20 and the character basis have zero kernel, on random
     root data and on their Langlands duals."""
     for datum in (rd, langlands_dual(rd)):
-        x = datum.char_lattice().basis
+        x = character_basis(datum)
         assert x.rank() == datum.rank, datum.label
         if datum.rank >= 3:
             assert kernel_of_matrix(wedge3_differential(datum)).cols == 0, datum.label
@@ -328,7 +329,7 @@ def test_matrix_complex_matches_tensor_oracle(rd, level, data):
         d20, d21 = tensor_complex(datum)
         assert d21 @ d20 == IntMatrix.zero(d21.rows, d20.cols), datum.label
         ints = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
-        u = level_twist(datum, level).matrix
+        u = level_twist(datum, level)
         assert is_cycle(datum, u) and oracle_is_cycle(datum, d21, u), datum.label
         for _ in range(3):
             s = IntMatrix(data.draw(st.lists(ints, min_size=n, max_size=n)))
@@ -404,7 +405,7 @@ def h3_by_subquotient(rd):
     are the d_i d_j e_ij.  A second Smith form, on f + |P| coordinates,
     splits the quotient."""
     n = rd.rank
-    U, dm = smith_normal_form(rd.char_lattice().basis)
+    U, dm = smith_normal_form(character_basis(rd))
     d = [dm[i, i] for i in range(n)]
     pairs = [(i, j) for i, j in pair_basis(n, strict=True) if gcd(d[i], d[j]) > 1]
     inv, mono = sym_invariants(rd), pair_basis(n, strict=False)
@@ -421,7 +422,7 @@ def h3_by_subquotient(rd):
                     Lattice(dim, column_hermite_form(IntMatrix.from_columns(cycles))))
 
     def coords(u):
-        m = rd.char_lattice().basis @ u.transpose()
+        m = character_basis(rd) @ u.transpose()
         poly = [m[i, i] if i == j else m[i, j] + m[j, i] for i, j in mono]
         nm = U @ m @ U.transpose()
         return subquotient_coords(g, inv.coords(poly) + tuple(nm[i, j] for i, j in pairs))
@@ -472,24 +473,24 @@ def test_one_smith_form_per_group(monkeypatch):
 
     def fresh():
         calls.clear()
-        for cache in (_smith_frame, character_smith, center):
+        for cache in (_smith_frame, character_smith, character_basis, center):
             cache.cache_clear()
 
     monkeypatch.setattr(rootdata, "smith_normal_form", counted)
     monkeypatch.setattr(zlinalg, "smith_normal_form", counted)
     rd = build([("A", 1)] * 4, "adjoint")
-    u = level_twist(rd, 1).matrix
+    u = level_twist(rd, 1)
     fresh()
     cohomology(rd)
     class_in_h3(rd, u)
-    assert calls == [rd.char_lattice().basis]
+    assert calls == [character_basis(rd)]
 
     rd = build([("B", 3)], "adjoint")
-    u = level_twist(rd, 2).matrix
-    assert rd.cartan != rd.char_lattice().basis
+    u = level_twist(rd, 2)
+    assert rd.cartan != character_basis(rd)
     fresh()
     report_group(rd)
-    assert calls == [rd.cartan, rd.char_lattice().basis]
+    assert calls == [rd.cartan, character_basis(rd)]
     cohomology(rd)
     class_in_h3(rd, u)
     assert len(calls) == 2
@@ -575,7 +576,7 @@ def test_complex_ranks():
     assert su2["H4_B"] == so3["H4_B"]
 
     # restriction is times 2
-    assert named_group("SO(3)").char_lattice().basis == IntMatrix([[2]])
+    assert character_basis(named_group("SO(3)")) == IntMatrix([[2]])
 
     a2 = named_group("SU(3)")
     d20, d21 = tensor_complex(a2)
@@ -663,7 +664,7 @@ def cohomology_by_subquotients(rd) -> dict:
     weights/characters, weights/0 and sym^2(weights)/invariants, each by
     its own Smith form.  Values are (free_rank, invariant_factors)."""
     n, inv = rd.rank, sym_invariants(rd)
-    chars = Lattice(n, column_hermite_form(rd.char_lattice().basis))
+    chars = Lattice(n, column_hermite_form(character_basis(rd)))
     zero = Lattice(n, IntMatrix.zero(n, 0))
     groups = {
         "H1_K": subquotient(Lattice(0, IntMatrix.zero(0, 0)), standard_lattice(0)),
@@ -745,7 +746,7 @@ def test_class_of_quotients(comps, fundamental_group, twist, expected):
     """Classes of non-simply-connected products, at `level:1` when no twist
     is given, in the coordinates of `class_in_h3`."""
     rd = build(comps, fundamental_group)
-    u = level_twist(rd, 1).matrix if twist is None else IntMatrix(twist)
+    u = level_twist(rd, 1) if twist is None else IntMatrix(twist)
     assert class_in_h3(rd, u) == expected
 
 

@@ -19,7 +19,14 @@ from tdual_lie.loopext import (
     lift_commutator,
     mod1,
 )
-from tdual_lie.rootdata import build, center, form_pairing, langlands_dual, named_group
+from tdual_lie.rootdata import (
+    build,
+    center,
+    character_basis,
+    form_pairing,
+    langlands_dual,
+    named_group,
+)
 from tdual_lie.zlinalg import IntMatrix, solve_columns
 
 from test_flagcoh import orbit_by_reflection_matrices, root_data
@@ -91,7 +98,7 @@ def admissibility_on_every_coroot(rd, level, b, keep=lambda coroot: True):
     simple_coords = solve_columns(rd.cartan, IntMatrix.from_columns(coroots, rows=n))
     scales = [lcm(*(q for _, q in row)) for row in b.values]
     scaled = IntMatrix([p * (d // q) for p, q in row] for d, row in zip(scales, b.values))
-    products = (scaled @ rd.char_lattice().basis.transpose()) @ simple_coords
+    products = (scaled @ character_basis(rd).transpose()) @ simple_coords
     half = []
     for k, (d, xs, ws) in enumerate(zip(scales, products, pairing.transpose() @ simple_coords)):
         for coroot, x, w in zip(coroots, xs, ws):

@@ -12,6 +12,7 @@ from tdual_lie.rootdata import (
     cartan_block,
     center,
     center_product_generators,
+    character_basis,
     find_phi,
     fundamental_group_of,
     langlands_dual,
@@ -19,7 +20,6 @@ from tdual_lie.rootdata import (
     require_phi,
     root_count,
 )
-from tdual_lie.tduality import TwistClass
 from tdual_lie.zlinalg import IntMatrix, Lattice, column_hermite_form, hstack
 
 from test_flagcoh import orbit_by_reflection_matrices, reflection_matrix, root_data
@@ -40,7 +40,7 @@ def test_su2_lattices():
     su2 = named_group("SU(2)")
     # Integral lattice = coroot lattice = 2 * coweights; characters = weights.
     assert su2.integral.basis == IntMatrix([[2]])
-    assert su2.char_lattice().basis == IntMatrix([[1]])
+    assert character_basis(su2) == IntMatrix([[1]])
     assert su2.is_simply_connected()
 
 
@@ -48,7 +48,7 @@ def test_so3_lattices():
     so3 = named_group("SO(3)")
     assert so3.integral.basis == IntMatrix([[1]])
     # Characters = root lattice, index 2 in the weight lattice.
-    assert so3.char_lattice().basis == IntMatrix([[2]])
+    assert character_basis(so3) == IntMatrix([[2]])
     assert not so3.is_simply_connected()
     assert fundamental_group_of(so3) == (2,)
 
@@ -190,13 +190,14 @@ def test_basic_form_symmetric_positive():
 def test_dual_lattice_examples():
     # The character lattice is the dual of the integral lattice.
     su2 = named_group("SU(2)")
-    assert su2.char_lattice().basis == IntMatrix([[1]])
+    assert character_basis(su2) == IntMatrix([[1]])
 
     so3 = named_group("SO(3)")
-    assert so3.char_lattice().basis == IntMatrix([[2]])
+    assert character_basis(so3) == IntMatrix([[2]])
 
     su3 = named_group("SU(3)")
-    assert su3.char_lattice().same_lattice(weight_lattice(su3))
+    assert column_hermite_form(character_basis(su3)) == \
+        column_hermite_form(weight_lattice(su3).basis)
     # Index of the root lattice in the weight lattice is det(Cartan) = 3.
     assert abs(bareiss_det(root_lattice(su3).basis)) == 3
 
@@ -210,9 +211,11 @@ def test_char_lattice_endpoints():
     # Simply connected: characters = weights; adjoint: characters = roots.
     for n in (2, 3, 4):
         sc = named_group(f"SU({n})")
-        assert sc.char_lattice().same_lattice(weight_lattice(sc))
+        assert column_hermite_form(character_basis(sc)) == \
+            column_hermite_form(weight_lattice(sc).basis)
         ad = named_group(f"PSU({n})")
-        assert ad.char_lattice().same_lattice(root_lattice(ad))
+        assert column_hermite_form(character_basis(ad)) == \
+            column_hermite_form(root_lattice(ad).basis)
 
 
 def test_center_orders():
@@ -235,7 +238,7 @@ def test_center_and_pi1_match_subquotient_oracle(rd):
     `center_product_generators` has the order of the oracle's generator, and
     spans with the coroots the lattice that the oracle's lift does."""
     for datum in (rd, langlands_dual(rd)):
-        n, coroots = datum.rank, datum.coroot_lattice()
+        n, coroots = datum.rank, Lattice(datum.rank, datum.cartan, "coroots")
         z, pi1 = subquotient(coroots, standard_lattice(n)), subquotient(coroots, datum.integral)
         assert (z.free_rank, pi1.free_rank) == (0, 0), datum.label
         assert center(datum) == z.torsion, datum.label
@@ -252,6 +255,17 @@ def test_center_and_pi1_match_subquotient_oracle(rd):
             assert span == column_hermite_form(hstack(datum.cartan,
                                                       IntMatrix.from_columns([want]))), datum.label
             assert subquotient(coroots, Lattice(n, span)).order() == d, datum.label
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(root_data())
+def test_simply_connected_matches_hermite_comparison(rd):
+    """`is_simply_connected`, one membership test, against the Hermite forms
+    of the integral and coroot lattices, on random root data and their
+    Langlands duals."""
+    for datum in (rd, langlands_dual(rd)):
+        same = column_hermite_form(datum.integral.basis) == column_hermite_form(datum.cartan)
+        assert datum.is_simply_connected() == same, datum.label
 
 
 def test_custom_fundamental_group():
@@ -272,7 +286,8 @@ def test_langlands_dual_examples():
     su2 = named_group("SU(2)")
     dual = langlands_dual(su2)
     assert dual.label == "SO(3)"
-    assert dual.integral.same_lattice(standard_lattice(dual.rank))
+    assert column_hermite_form(dual.integral.basis) == \
+        column_hermite_form(standard_lattice(dual.rank).basis)
 
     su3 = named_group("SU(3)")
     assert langlands_dual(su3).label == "PSU(3)"
@@ -293,7 +308,7 @@ def test_langlands_dual_involutive(rd):
     assert back.cartan == rd.cartan
     assert back.components == rd.components
     assert back.fundamental_group == rd.fundamental_group
-    assert back.integral.same_lattice(rd.integral)
+    assert column_hermite_form(back.integral.basis) == column_hermite_form(rd.integral.basis)
 
 
 def test_find_phi():
@@ -413,8 +428,8 @@ def test_value_semantics():
     basis = IntMatrix.identity(2)
     assert Lattice(2, basis, "a") != Lattice(2, basis, "b")
     assert Lattice(2, basis) == Lattice(2, basis, label="")
-    twist = TwistClass(named, named.cartan)
-    assert twist != (named, named.cartan) and (named, named.cartan) != twist
+    lattice = Lattice(2, basis)
+    assert lattice != (2, basis, "") and (2, basis, "") != lattice
     assert (repr(Lattice(1, IntMatrix([[2]]), "x"))
             == "Lattice(ambient_dim=1, basis=IntMatrix([[2]]), label='x')")
     _smith_frame(named)

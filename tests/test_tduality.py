@@ -6,18 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdual_lie.errors import NotACycle, Unavailable
-from tdual_lie.flagcoh import chern_classes, is_cycle
+from tdual_lie.errors import DimensionMismatch, NotACycle, Unavailable
+from tdual_lie.flagcoh import chern_classes, class_in_h3, is_cycle
 from tdual_lie.rootdata import build, langlands_dual, named_group, require_phi
 from tdual_lie.tduality import (
-    ShiftMatrix,
-    TwistClass,
     _langlands_transport,
     bfield_shift,
     dual_chern,
     langlands_twist,
     level_twist,
     reduction_torsor_shift,
+    shift_matrix,
     verify_langlands_tdual,
 )
 from tdual_lie.zlinalg import IntMatrix, Lattice, column_hermite_form
@@ -28,7 +27,7 @@ from test_zlinalg import bareiss_det, standard_lattice, subquotient
 
 
 def test_dual_chern_zero():
-    data = dual_chern(TwistClass(named_group("SU(2)"), IntMatrix.zero(1, 1)))
+    data = dual_chern(named_group("SU(2)"), IntMatrix.zero(1, 1))
     assert data["dual_chern_lattice"] == [[]]  # rank 0
     assert data["dual_chern_classes"] == [[0]]
 
@@ -36,11 +35,11 @@ def test_dual_chern_zero():
 def test_dual_chern_su2_lens_chain():
     rd = named_group("SU(2)")
     for k in (1, 2, 3):
-        data = dual_chern(TwistClass(rd, IntMatrix([[k]])))
+        data = dual_chern(rd, IntMatrix([[k]]))
         # Class-k twist dualizes to the lens-space bundle of index k.
         assert data["dual_chern_lattice"] == [[k]]
         assert subgroup_index(data["dual_chern_lattice"]) == k
-    assert dual_chern(level_twist(rd, 1))["dual_chern_lattice"] == [[2]]
+    assert dual_chern(rd, level_twist(rd, 1))["dual_chern_lattice"] == [[2]]
 
 
 def subgroup_index(basis_rows) -> int:
@@ -49,10 +48,10 @@ def subgroup_index(basis_rows) -> int:
 
 def test_dual_chern_depends_only_on_image():
     rd = named_group("SU(3)")
-    u = level_twist(rd, 1).matrix
+    u = level_twist(rd, 1)
     # Negation is a different cycle representative with the same image.
-    a = dual_chern(TwistClass(rd, u))
-    b = dual_chern(TwistClass(rd, u.scale(-1)))
+    a = dual_chern(rd, u)
+    b = dual_chern(rd, u.scale(-1))
     assert a["dual_chern_lattice"] == b["dual_chern_lattice"]
     assert a["dual_chern_classes"] != b["dual_chern_classes"]  # tuples are basis-dependent
 
@@ -60,16 +59,16 @@ def test_dual_chern_depends_only_on_image():
 def test_dual_chern_requires_cycle():
     rd = named_group("SU(3)")
     with pytest.raises(NotACycle):
-        dual_chern(TwistClass(rd, IntMatrix([[1, 0], [0, 0]])))
+        dual_chern(rd, IntMatrix([[1, 0], [0, 0]]))
 
 
 def test_bfield_shift_zero_and_k_instances():
     c = ((1, 0), (0, 1))
     chat = ((2, 3), (4, 5))
-    assert bfield_shift(chat, ShiftMatrix.zero(2), c) == chat
+    assert bfield_shift(chat, IntMatrix.zero(2, 2), c) == chat
 
     # One off-diagonal unit: chat_1' = chat_1 - c_2, chat_2' = chat_2 + c_1.
-    shift = ShiftMatrix.from_rows([[0, 1], [0, 0]])
+    shift = IntMatrix([[0, 1], [0, 0]])
     moved = bfield_shift(chat, shift, c)
     assert moved[0] == (2 - 0, 3 - 1)
     assert moved[1] == (4 + 1, 5 + 0)
@@ -84,7 +83,7 @@ def test_bfield_shift_additive_and_invertible():
         c, chat = mk(), mk()
         rows = [[rng.randint(-4, 4) if j > i else 0 for j in range(n)] for i in range(n)]
         rows2 = [[rng.randint(-4, 4) if j > i else 0 for j in range(n)] for i in range(n)]
-        b1, b2 = ShiftMatrix.from_rows(rows), ShiftMatrix.from_rows(rows2)
+        b1, b2 = IntMatrix(rows), IntMatrix(rows2)
         once = bfield_shift(bfield_shift(chat, b1, c), b2, c)
         combined = bfield_shift(chat, b1 + b2, c)
         assert once == combined
@@ -102,13 +101,13 @@ def test_reduction_torsor_shift_matches_formula():
         c = chern_classes(rd)
         for _ in range(20):
             rows = [[rng.randint(-3, 3) if j > i else 0 for j in range(n)] for i in range(n)]
-            shift = ShiftMatrix.from_rows(rows)
-            moved = reduction_torsor_shift(base, shift)
-            chat = tuple(map(tuple, dual_chern(base)["dual_chern_classes"]))
+            shift = IntMatrix(rows)
+            moved = reduction_torsor_shift(rd, base, shift)
+            chat = tuple(map(tuple, dual_chern(rd, base)["dual_chern_classes"]))
             predicted = bfield_shift(chat, shift, c)
-            assert dual_chern(moved)["dual_chern_classes"] == [list(v) for v in predicted]
+            assert dual_chern(rd, moved)["dual_chern_classes"] == [list(v) for v in predicted]
             # The degree-3 class is untouched by the torsor action.
-            assert moved.h3_class() == base.h3_class()
+            assert class_in_h3(rd, moved) == class_in_h3(rd, base)
 
 
 def test_torsor_shift_rank2_product_instantiation():
@@ -118,9 +117,9 @@ def test_torsor_shift_rank2_product_instantiation():
 
     rd = build([("A", 1), ("A", 1)])
     base = level_twist(rd, 1)  # chat = (2 w_1, 2 w_2); c = (w_1, w_2)
-    moved = reduction_torsor_shift(base, ShiftMatrix.from_rows([[0, 1], [0, 0]]))
-    assert dual_chern(base)["dual_chern_classes"] == [[2, 0], [0, 2]]
-    assert dual_chern(moved)["dual_chern_classes"] == [[2, -1], [1, 2]]
+    moved = reduction_torsor_shift(rd, base, IntMatrix([[0, 1], [0, 0]]))
+    assert dual_chern(rd, base)["dual_chern_classes"] == [[2, 0], [0, 2]]
+    assert dual_chern(rd, moved)["dual_chern_classes"] == [[2, -1], [1, 2]]
 
 
 def test_reduction_torsor_shift_additive():
@@ -131,17 +130,34 @@ def test_reduction_torsor_shift_additive():
     for _ in range(10):
         rows = [[rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
         rows2 = [[rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
-        b1, b2 = ShiftMatrix.from_rows(rows), ShiftMatrix.from_rows(rows2)
-        two_steps = reduction_torsor_shift(reduction_torsor_shift(base, b1), b2)
-        one_step = reduction_torsor_shift(base, b1 + b2)
-        assert two_steps.matrix == one_step.matrix
+        b1, b2 = IntMatrix(rows), IntMatrix(rows2)
+        two_steps = reduction_torsor_shift(rd, reduction_torsor_shift(rd, base, b1), b2)
+        one_step = reduction_torsor_shift(rd, base, b1 + b2)
+        assert two_steps == one_step
 
 
 def test_reduction_torsor_shift_zero():
     rd = named_group("SU(3)")
     base = level_twist(rd, 2)
-    moved = reduction_torsor_shift(base, ShiftMatrix.zero(2))
-    assert moved.matrix == base.matrix
+    moved = reduction_torsor_shift(rd, base, IntMatrix.zero(2, 2))
+    assert moved == base
+
+
+def test_shift_matrix_checks():
+    """A shift is square and strictly upper triangular; both functions that
+    take one check it."""
+    ok = IntMatrix([[0, 1], [0, 0]])
+    assert shift_matrix(ok) is ok
+    rd, c = named_group("SU(3)"), ((1, 0), (0, 1))
+    for bad, message in ((IntMatrix([[0, 1]]), "shift matrix must be square"),
+                         (IntMatrix([[0, 0], [1, 0]]),
+                          "shift entries live strictly above the diagonal"),
+                         (IntMatrix([[1, 0], [0, 0]]),
+                          "shift entries live strictly above the diagonal")):
+        for call in (lambda: shift_matrix(bad), lambda: bfield_shift(c, bad, c),
+                     lambda: reduction_torsor_shift(rd, level_twist(rd, 1), bad)):
+            with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+                call()
 
 
 def test_reduction_torsor_group_is_free_of_wedge2_rank():
@@ -161,20 +177,21 @@ def test_reduction_torsor_group_is_free_of_wedge2_rank():
 def test_langlands_twist_su2():
     rd = named_group("SU(2)")
     tw = langlands_twist(rd)
-    assert tw.matrix == IntMatrix([[2]])
-    assert tw.matrix == level_twist(rd, 1).matrix
+    assert tw == IntMatrix([[2]])
+    assert tw == level_twist(rd, 1)
 
 
 def test_langlands_twist_su3_gram():
     rd = named_group("SU(3)")
     tw = langlands_twist(rd)
-    assert tw.matrix == IntMatrix([[2, -1], [-1, 2]])
+    assert tw == IntMatrix([[2, -1], [-1, 2]])
 
 
 def test_langlands_twist_always_cycle():
     for name in ["SU(2)", "SU(3)", "SU(4)", "SU(5)", "SO(3)", "PSU(3)",
                  "Spin(5)", "Spin(8)", "G2", "F4", "E6"]:
-        assert langlands_twist(named_group(name)).is_cycle(), name
+        rd = named_group(name)
+        assert is_cycle(rd, langlands_twist(rd)), name
 
 
 def test_langlands_unavailable():
@@ -196,8 +213,8 @@ def test_verify_langlands_examples():
 
     repg = verify_langlands_tdual(named_group("G2"))
     assert repg["match"]
-    image = Lattice(2, IntMatrix(repg["dual_chern_lattice"]))
-    assert image.same_lattice(standard_lattice(2))  # the weight lattice
+    image = column_hermite_form(IntMatrix(repg["dual_chern_lattice"]))
+    assert image == column_hermite_form(standard_lattice(2).basis)  # the weight lattice
 
 
 def test_verify_langlands_all_supported():
@@ -282,7 +299,7 @@ def test_langlands_roundtrip_lens():
     # SO(3)'s Langlands twist is the generator and dualizes back to SU(2).
     rd = named_group("SO(3)")
     tw = langlands_twist(rd)
-    data = dual_chern(tw)
+    data = dual_chern(rd, tw)
     assert subgroup_index(data["dual_chern_lattice"]) == 1  # full weight lattice: dual is SU(2)
-    free, tors = tw.h3_class()
+    free, tors = class_in_h3(rd, tw)
     assert [abs(x) for x in free] == [1] and tors == ()
