@@ -349,7 +349,7 @@ def report_group(rd: RootDatum) -> dict:
         "cartan": rd.cartan.tolist(),
         "simply_connected": rd.is_simply_connected(),
         "simply_laced": rd.is_simply_laced(),
-        "integral_basis": rd.integral.basis.tolist(),
+        "integral_basis": rd.integral.tolist(),
         "character_basis": character_basis(rd).tolist(),
         "center": flagcoh.group_dict(0, center(rd)),
         "fundamental_group": flagcoh.group_dict(0, fundamental_group_of(rd)),

@@ -20,7 +20,11 @@ in even degrees, H^2 the weights and H^4 sym^2(weights) / invariants.
 A middle-term element is a twist: an n x n matrix u from integral-lattice
 to weight coordinates.  With X the character basis (columns in weight
 coordinates, solved for once per datum by `rootdata.character_basis`), the
-cycle test and the boundary map are matrix algebra on u and X.  H^3 = K +
+cycle test and the boundary map are matrix algebra on u and X.  A
+quadratic polynomial in the weights is held as its symmetric matrix S (the
+polynomial w^T S w / 2), and the invariants as one block F_k per simple
+factor (`invariant_forms`), so the cycle test reads one coordinate per
+factor off S and nothing is indexed by the n(n+1)/2 monomials.  H^3 = K +
 sum of Z/d_i over the pairs i < j with d_i > 1 is read off the one Smith
 form U X V = diag(d) (see `_smith_frame`), so nothing is indexed by the n^2
 tensor coordinates and no second normal form is taken.  Free class
@@ -28,8 +32,8 @@ coordinates are rotated left by the number of pairs, the order a former
 second Smith form gave them, so printed classes stay unchanged.
 
 Basis conventions are fixed once: the character lattice carries the basis
-dual to the integral lattice's preferred basis, and monomials w_i w_j and
-wedges x_i ^ x_j are ordered lexicographically with i <= j and i < j.
+dual to the integral lattice's preferred basis, and invariant coordinates
+follow the simple factors in order.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .errors import DimensionMismatch, NotACycle
 from .rootdata import (
@@ -47,20 +52,23 @@ from .rootdata import (
     form_pairing,
     fundamental_group_of,
 )
-from .zlinalg import IntMatrix, Lattice, column_hermite_form, kernel_of_matrix, pair_basis
+from .zlinalg import IntMatrix, block_diag, column_hermite_form, kernel_of_matrix, solve_columns
 
 
 def _invariant_coords(rd: RootDatum, u: IntMatrix) -> tuple[IntMatrix, tuple[int, ...] | None]:
     """M = X u^T for the twist u (integral-lattice coordinates to weight
-    coordinates), and the `sym_invariants` coordinates of its quadratic
-    polynomial (M_ii on w_i^2, M_ij + M_ji on w_i w_j), None when that
-    polynomial is not Weyl-invariant."""
+    coordinates), and the coordinates c of its quadratic polynomial (M_ii on
+    w_i^2, M_ij + M_ji on w_i w_j) over the `invariant_forms`, None when
+    that polynomial is not Weyl-invariant.  Its symmetric matrix S = M + M^T
+    must be the block sum of the c_k F_k; c_k is read off the first diagonal
+    entry of block k, and one comparison checks the rest."""
     n = rd.rank
     if u.rows != n or u.cols != n:
         raise DimensionMismatch(f"twist matrix must be {n}x{n} for {rd.label}")
     m = character_basis(rd) @ u.transpose()
-    poly = [m[i, i] if i == j else m[i, j] + m[j, i] for i, j in pair_basis(n, strict=False)]
-    return m, sym_invariants(rd).coords(poly)
+    s, forms = m + m.transpose(), invariant_forms(rd)
+    c = tuple(s[lo, lo] // f[0, 0] for lo, _, f in forms)
+    return m, c if s == block_diag([f.scale(k) for k, (_, _, f) in zip(c, forms)]) else None
 
 
 def is_cycle(rd: RootDatum, u: IntMatrix) -> bool:
@@ -79,25 +87,26 @@ def boundary(rd: RootDatum, s: IntMatrix) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
-def sym_invariants(rd: RootDatum) -> Lattice:
-    """Weyl-invariant sublattice of sym^2 of the weight lattice, in closed form.
+def invariant_forms(rd: RootDatum) -> tuple[tuple[int, int, IntMatrix], ...]:
+    """The Weyl invariants of sym^2 of the weight lattice, in closed form:
+    (lo, hi, F_k) for each simple factor, rows and columns lo..hi-1.
 
     Over Q each simple factor has exactly one invariant of degree 2, its
     basic form (Bourbaki, Lie Groups ch. VI).  The weight coordinates w_i
     read coroot coordinates, so the level-1 form with Gram matrix G is the
     polynomial sum_i G_ii w_i^2 + sum_{i<j} 2 G_ij w_i w_j, supported on its
-    factor's block.  Supports are disjoint, so the span is saturated once
-    each generator is divided by the gcd of its entries.
+    factor's block G_k.  Supports are disjoint, so the invariants are
+    spanned, saturated, by these polynomials each divided by g_k, the gcd of
+    its coefficients.  F_k = 2 G_k / g_k is the symmetric matrix of the k-th
+    one (the polynomial is w^T F_k w / 2), and its diagonal is even.
     """
     g = form_pairing(rd, 1, rd.cartan)
-    mono = pair_basis(rd.rank, strict=False)
-    gens = []
+    out = []
     for lo, hi, _, _ in rd.factor_ranges():
-        v = [(1 if i == j else 2) * g[i, j] if lo <= i and j < hi else 0 for i, j in mono]
-        d = gcd(*v)
-        gens.append([x // d for x in v])
-    basis = column_hermite_form(IntMatrix.from_columns(gens))
-    return Lattice(len(mono), basis, label="sym2 Weyl invariants")
+        span = range(lo, hi)
+        gk = gcd(*(g[i, j] if i == j else 2 * g[i, j] for i in span for j in span))
+        out.append((lo, hi, IntMatrix([[2 * g[i, j] // gk for j in span] for i in span])))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +119,17 @@ H3Group = namedtuple("H3Group", "free_rank torsion")
 
 @lru_cache(maxsize=None)
 def _smith_frame(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple[int, int], ...],
-                                          Lattice]:
+                                          IntMatrix]:
     """(U, d, P, K): U X V = diag(d) is the Smith form of the character
     basis (`character_smith`), P lists the pairs i < j with d_i > 1 (the
-    pairs with gcd(d_i, d_j) > 1, as d_i | d_j), and K is the lattice of
-    invariant coordinates c with T(c)_ii = 0 mod d_i, in Hermite form.
+    pairs with gcd(d_i, d_j) > 1, as d_i | d_j), and K is the Hermite basis
+    of the lattice of invariant coordinates c with T(c)_ii = 0 mod d_i.
 
     Put N = U M U^T for M = X u^T.  The twist u = (X^-1 M)^T is integral
     exactly when row i of N is divisible by d_i, and a cycle exactly when
     N + N^T = U (2 S_c) U^T = 2T(c), S_c the symmetric matrix of the
-    invariant polynomial with coordinates c.  So c and N_ij (i < j) fix N,
+    invariant polynomial with coordinates c (S_c is the block sum of the
+    c_k F_k of `invariant_forms`).  So c and N_ij (i < j) fix N,
     subject to T(c)_ii = 0 mod d_i, N_ij = 0 mod d_i and 2T(c)_ij = N_ij
     mod d_j.  Row j of U, read as a coroot, pairs with every character into
     d_j Z (U X = D V^-1), so it is d_j times a coweight; and 2 S_c, a sum of
@@ -128,21 +138,24 @@ def _smith_frame(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple
     N_ij = 0 mod d_j.  The boundaries are the N = D A D, A integral and
     antisymmetric: N_ij in d_i d_j Z.  So the cycles modulo the boundaries
     split as K + sum over P of d_j Z / d_i d_j Z, and pairs with d_i = 1
-    carry no class.  T(c)_ii, the invariant polynomial's value on row i of
-    U, gives one kernel row (with a slack column) per d_i > 1; each value
-    sums over the nonzero monomials of its invariant only.
+    carry no class.  T(c)_ii = sum_k c_k (U_i|k F_k U_i|k^T) / 2, the
+    invariant polynomial's value on row i of U, U_i|k that row cut to block
+    k, gives one kernel row (with a slack column) per d_i > 1.
     """
     U, d = character_smith(rd)
-    n, inv = rd.rank, sym_invariants(rd)
-    f, torsion = inv.rank, [i for i in range(n) if d[i] > 1]
-    polys = [[(v, a, b) for v, (a, b) in zip(col, pair_basis(n, strict=False)) if v]
-             for col in inv.basis.columns()]
-    rows = [[sum(v * U[i, a] * U[i, b] for v, a, b in poly) for poly in polys]
-            + [d[i] if i == t else 0 for t in torsion] for i in torsion]
+    forms, torsion = invariant_forms(rd), [i for i in range(rd.rank) if d[i] > 1]
+    f = len(forms)
+
+    def value(i, lo, hi, fk):
+        w = U.row(i)[lo:hi]
+        return sum(map(mul, w, fk.apply(w))) // 2
+
+    rows = [[value(i, *form) for form in forms] + [d[i] if i == t else 0 for t in torsion]
+            for i in torsion]
     ker = kernel_of_matrix(IntMatrix(rows, cols=f + len(torsion)))
     free = IntMatrix.from_columns([c[:f] for c in ker.columns()], rows=f)
-    pairs = tuple((i, j) for i, j in pair_basis(n, strict=True) if d[i] > 1)
-    return U, d, pairs, Lattice(f, column_hermite_form(free), "H3 free part")
+    pairs = tuple((i, j) for i in torsion for j in range(i + 1, rd.rank))
+    return U, d, pairs, column_hermite_form(free)
 
 
 def h3_group(rd: RootDatum) -> H3Group:
@@ -150,7 +163,7 @@ def h3_group(rd: RootDatum) -> H3Group:
     `_smith_frame`): free of rank f, the number of simple factors, with
     torsion wedge^2 pi_1.  The d_i over P, in order, are a divisor chain."""
     _, d, pairs, free = _smith_frame(rd)
-    return H3Group(free.rank, tuple(d[i] for i, _ in pairs))
+    return H3Group(free.cols, tuple(d[i] for i, _ in pairs))
 
 
 def chern_classes(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
@@ -170,7 +183,7 @@ def class_in_h3(rd: RootDatum, u: IntMatrix) -> tuple[tuple[int, ...], tuple[int
         raise NotACycle(f"twist is not a cycle for {rd.label}")
     U, d, pairs, free = _smith_frame(rd)
     nm = U @ m @ U.transpose()
-    kc, f = free.coords(c), free.rank
+    kc, f = solve_columns(free, IntMatrix.from_columns([c])).column(0), free.cols
     return (tuple(kc[(len(pairs) + s) % f] for s in range(f)),
             tuple(nm[i, j] // d[j] % d[i] for i, j in pairs))
 
@@ -231,17 +244,18 @@ def cohomology(rd: RootDatum) -> dict:
     = 0 and H^2 = coker X, whose invariant factors are those of pi_1, read
     off the Smith form behind `h3_group`.  The flag manifold has free
     cohomology concentrated in even degrees (Bott-Samelson), with H^2 the
-    weights and H^4 sym^2 of the weights modulo the invariants;
-    `sym_invariants` is saturated, so that quotient is free of rank the
-    codimension and `H4_B_torsion_discrepancy` is always false."""
-    inv, h3 = sym_invariants(rd), h3_group(rd)
+    weights and H^4 sym^2 of the weights modulo the invariants.  Those are
+    saturated and of rank the number of simple factors (`invariant_forms`),
+    so the quotient is free of rank n(n+1)/2 minus that number, and
+    `H4_B_torsion_discrepancy` is always false."""
+    n, h3 = rd.rank, h3_group(rd)
     return {
         "group": rd.label,
         "H1_K": group_dict(0),
         "H2_K": group_dict(0, fundamental_group_of(rd)),
         "H3_K": group_dict(h3.free_rank, h3.torsion),
         "H2_B": group_dict(rd.rank),
-        "H4_B": group_dict(inv.ambient_dim - inv.rank),
+        "H4_B": group_dict(n * (n + 1) // 2 - len(rd.components)),
         "chern_classes": [list(c) for c in chern_classes(rd)],
         "filtration_notes": [
             "H^3 of the group is presented by hom-lattice representatives "

@@ -21,7 +21,7 @@ from math import gcd, lcm, prod
 
 from .errors import DimensionMismatch, InvalidCommutator, RequiresExplicitB
 from .rootdata import RootDatum, basic_form, center, character_basis, form_pairing
-from .zlinalg import IntMatrix, Lattice, Record, solve_columns
+from .zlinalg import IntMatrix, Record, solve_columns
 
 
 def mod1(p: int, q: int) -> tuple[int, int]:
@@ -39,16 +39,17 @@ def ratio(p: int, q: int) -> str:
 class CommutatorMap(Record):
     """Antisymmetric bi-additive Q/Z-valued form on the integral lattice.
 
-    `values[i][j]` is b(e_i, e_j) for the lattice's basis, as a `mod1` pair.
+    `basis` is the basis matrix of the lattice, and `values[i][j]` is
+    b(e_i, e_j) for its basis vectors, as a `mod1` pair.
     Bi-additive extension off the basis is exact and lossless because b is
     a homomorphism on the exterior square.
     """
 
-    _fields = ("lattice", "values")
+    _fields = ("basis", "values")
 
-    def __init__(self, lattice: Lattice, values: tuple[tuple[tuple[int, int], ...], ...]):
-        self.lattice, self.values = lattice, values
-        n = self.lattice.rank
+    def __init__(self, basis: IntMatrix, values: tuple[tuple[tuple[int, int], ...], ...]):
+        self.basis, self.values = basis, values
+        n = self.basis.cols
         if len(self.values) != n or any(len(r) != n for r in self.values):
             raise DimensionMismatch("commutator matrix size must match lattice rank")
         for i in range(n):
@@ -75,14 +76,14 @@ def commutator_from_level(rd: RootDatum, level: int) -> CommutatorMap:
         raise RequiresExplicitB(
             f"{rd.label} is not simply connected; supply the commutator map explicitly")
     values = tuple(tuple(mod1(x, 2) for x in row) for row in basic_form(rd, level))
-    return CommutatorMap(lattice=rd.integral, values=values)
+    return CommutatorMap(basis=rd.integral, values=values)
 
 
 def lift_commutator(b: CommutatorMap) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Rows of the canonical antisymmetric rational lift, as (p, q) pairs:
     entries above the diagonal are the [0,1) representatives, entries below
     their negatives."""
-    v, n = b.values, b.lattice.rank
+    v, n = b.values, b.basis.cols
     return tuple(tuple(v[i][j] if i <= j else (-v[j][i][0], v[j][i][1]) for j in range(n))
                  for i in range(n))
 
@@ -138,9 +139,9 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
     2 (x mod D_k) = D_k (<lambda_k, H_i> mod 2).  Violations are listed by
     basis vector, then by coroot in sorted coweight coordinates."""
     n = rd.rank
-    pairing = form_pairing(rd, level, rd.integral.basis)
+    pairing = form_pairing(rd, level, rd.integral)
     det = prod(center(rd))
-    gram = rd.integral.basis.transpose() @ solve_columns(rd.cartan.transpose(), pairing.scale(det))
+    gram = rd.integral.transpose() @ solve_columns(rd.cartan.transpose(), pairing.scale(det))
     integrality = [
         f"<lambda_{j}, lambda_{k}> = {ratio(gram[j, k], det)} is not an integer"
         for j in range(n) for k in range(j, n) if gram[j, k] % det
@@ -167,4 +168,4 @@ def commutator_from_matrix(rd: RootDatum, entries: Sequence[Sequence[tuple]]) ->
     """Build a commutator map from rational entries, each an integer pair
     (p, q) with q > 0 standing for p/q (as `cli` reads "1/2")."""
     vals = tuple(tuple(mod1(*x) for x in row) for row in entries)
-    return CommutatorMap(lattice=rd.integral, values=vals)
+    return CommutatorMap(basis=rd.integral, values=vals)

@@ -31,6 +31,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 
 from .errors import (
+    DimensionMismatch,
     InvalidCenterSubgroup,
     InvalidSeries,
     NotBetweenLattices,
@@ -40,11 +41,9 @@ from .errors import (
 )
 from .zlinalg import (
     IntMatrix,
-    Lattice,
     Record,
     block_diag,
     column_hermite_form,
-    contains_columns,
     hstack,
     smith_normal_form,
     solve_columns,
@@ -109,18 +108,21 @@ def _dual_series(series: str, rank: int) -> tuple[str, int]:
 class RootDatum(Record):
     """A compact semisimple group presented through its lattices.
 
-    `integral` is the integral lattice of the chosen maximal torus, sitting
-    between the coroot lattice (simply connected case) and the coweight
-    lattice (adjoint case); its basis is the "preferred" basis every twist
-    matrix downstream refers to: the simple coroots for a simply connected
-    group, the fundamental coweights for an adjoint one, and a Hermite basis
-    otherwise.
+    `integral` is the n x n basis matrix B of the integral lattice of the
+    chosen maximal torus, sitting between the coroot lattice (simply
+    connected case) and the coweight lattice (adjoint case); its columns are
+    the "preferred" basis every twist matrix downstream refers to: the
+    simple coroots for a simply connected group, the fundamental coweights
+    for an adjoint one, and a Hermite basis otherwise.  The containment of
+    the coroots is checked by solving B X^T = A for the cached character
+    basis, the one elimination of B per datum; as A is nonsingular, it also
+    shows that the columns of B are independent.
     """
 
     _fields = ("components", "cartan", "integral", "label", "fundamental_group")
 
     def __init__(self, components: tuple[tuple[str, int], ...], cartan: IntMatrix,
-                 integral: Lattice, label: str, fundamental_group: str = "simply_connected"):
+                 integral: IntMatrix, label: str, fundamental_group: str = "simply_connected"):
         self.components, self.cartan, self.integral = components, cartan, integral
         self.label, self.fundamental_group = label, fundamental_group
         n = self.rank
@@ -134,8 +136,9 @@ class RootDatum(Record):
                     cij, cji = self.cartan[i, j], self.cartan[j, i]
                     if cij > 0 or cij * cji not in (0, 1, 2, 3):
                         raise InvalidSeries("not a Cartan matrix of finite type")
-        if not contains_columns(self.integral.basis, self.cartan):
-            raise NotBetweenLattices("integral lattice does not contain the coroots")
+        if self.integral.rows != n or self.integral.cols != n:
+            raise DimensionMismatch(f"integral basis must be {n}x{n}")
+        character_basis(self)
 
     # -- ranks and factors ---------------------------------------------------
 
@@ -158,7 +161,7 @@ class RootDatum(Record):
     def is_simply_connected(self) -> bool:
         """The integral lattice contains the coroots (checked on construction),
         so it is the coroot lattice exactly when the coroots contain it too."""
-        return contains_columns(self.cartan, self.integral.basis)
+        return solve_columns(self.cartan, self.integral) is not None
 
     def epsilons(self) -> tuple[int, ...]:
         """eps_i = (longest root length)^2 / (alpha_i length)^2 in its factor.
@@ -250,7 +253,7 @@ def build(series_list: Sequence[tuple[str, int]], fundamental_group="simply_conn
 
     name = label if label is not None else _generic_label(components, fg)
     return RootDatum(components=components, cartan=cartan,
-                     integral=Lattice(n, basis, "integral lattice"),
+                     integral=basis,
                      label=name, fundamental_group=fg)
 
 
@@ -388,9 +391,12 @@ def character_basis(rd: RootDatum) -> IntMatrix:
     in weight coordinates, is the character x_k with x_k^T A^-1 B = e_k^T,
     the basis dual to the integral basis B.  This duality ties twist
     matrices to the degree-2 differential downstream.  X is the transpose
-    of the solution of B X^T = A, integral because `RootDatum` checked that
-    the integral lattice contains the coroots."""
-    return solve_columns(rd.integral.basis, rd.cartan).transpose()
+    of the solution of B X^T = A, which is integral exactly when the integral
+    lattice contains the coroots; `RootDatum` refuses a datum without it."""
+    x = solve_columns(rd.integral, rd.cartan)
+    if x is None:
+        raise NotBetweenLattices("integral lattice does not contain the coroots")
+    return x.transpose()
 
 
 @lru_cache(maxsize=None)
@@ -440,7 +446,7 @@ def langlands_dual(rd: RootDatum) -> RootDatum:
     return RootDatum(
         components=comps,
         cartan=rd.cartan.transpose(),
-        integral=Lattice(rd.rank, character_basis(rd), "integral lattice"),
+        integral=character_basis(rd),
         label=_dual_label(rd),
         fundamental_group=fg,
     )

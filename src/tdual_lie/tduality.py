@@ -32,7 +32,7 @@ TWIST_BASIS_CONVENTION = (
 def level_twist(rd: RootDatum, level: int) -> IntMatrix:
     """Twist induced by the invariant form: u = level * <., .> restricted to
     the integral lattice.  Always a cycle (the form is Weyl-invariant)."""
-    return form_pairing(rd, level, rd.integral.basis)
+    return form_pairing(rd, level, rd.integral)
 
 
 def dual_chern(rd: RootDatum, u: IntMatrix) -> dict:
@@ -136,7 +136,7 @@ def _langlands_transport(rd: RootDatum) -> IntMatrix:
             flip.update(range(lo, hi))
     transport = IntMatrix([[-x for x in w[p]] if p in flip else w[p] for p in perm],
                           cols=rd.rank)
-    if not is_cycle(rd, transport @ rd.integral.basis):
+    if not is_cycle(rd, transport @ rd.integral):
         raise AssertionError(f"the Langlands transport rule gives no cycle for {rd.label}")
     return transport
 
@@ -145,7 +145,7 @@ def langlands_twist(rd: RootDatum) -> IntMatrix:
     """The twist whose T-dual is the Langlands dual group: compose the
     inclusion of the integral lattice into the dual-side weight lattice with
     the Weyl-adjusted diagram-isomorphism pullback."""
-    return _langlands_transport(rd) @ rd.integral.basis
+    return _langlands_transport(rd) @ rd.integral
 
 
 def verify_langlands_tdual(rd: RootDatum) -> dict:

@@ -6,12 +6,11 @@ The module provides:
 
   * IntMatrix       -- immutable arbitrary-precision integer matrices,
   * smith_normal_form (U and D) / column_hermite_form -- normal forms,
-  * Lattice         -- free Z-modules with chosen bases,
   * kernel_of_matrix / solve_columns -- saturated kernels and integer
     solves (sublattice membership),
-  * pair_basis      -- the lexicographic index pairs (i<j for wedge^2, i<=j
-    for sym^2) that fix the bases of the degree-2 lattices,
   * Record          -- the value-class base of the package's plain classes.
+
+A lattice is the IntMatrix whose columns are a basis of it.
 
 One elimination core computes a transform only where a caller reads it:
 
@@ -19,13 +18,11 @@ One elimination core computes a transform only where a caller reads it:
     lets trailing entries ride along to record a column transform T.
     column_hermite_form tracks none; kernel_of_matrix tracks T and keeps
     the columns of T whose image ends up zero, which span the saturated
-    kernel; solve_columns keeps H = B T together with T.  Rank, and so the
-    independence check of every Lattice, is the number of its pivots.
+    kernel; solve_columns keeps H = B T together with T.  Rank is the
+    number of its pivots.
   * smith_normal_form tracks U alone, with U m V = D for a V it never
     builds.  The finite groups the package reports are cokernels of square
     nonsingular matrices, so their invariant factors are read off D.
-  * A Lattice caches its Hermite basis, pivots and transform on first use
-    for coords.
 
 Canonical forms: sublattices are compared through the column-style Hermite
 form (unique).
@@ -34,7 +31,6 @@ form (unique).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import cached_property
 from itertools import chain
 from operator import attrgetter, mul
 
@@ -279,29 +275,6 @@ def _hermite_data(basis: IntMatrix):
     return rows, _echelon(rows, n), n, k
 
 
-def _solve(data, targets: Iterable[Sequence[int]]) -> list[list[int]] | None:
-    """Integer solutions x of B x = y for each target y, from the data of
-    `_hermite_data(B)`, or None if some target is outside the span."""
-    rows, pivots, n, k = data
-    out = []
-    for y in targets:
-        if len(y) != n:
-            raise DimensionMismatch("ambient dimensions differ")
-        y = list(y)
-        x = [0] * k
-        for row, c in zip(rows, pivots):
-            q, rem = divmod(y[c], row[c])
-            if rem:
-                return None
-            if q:
-                y[c:] = [a - q * b for a, b in zip(y[c:], row[c:n])]
-                x = [a + q * b for a, b in zip(x, row[n:])]
-        if any(y):
-            return None
-        out.append(x)
-    return out
-
-
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """(U, D) with U*m*V = D for some unimodular V, U unimodular and D
     diagonal with nonnegative entries d1 | d2 | ..., zeros last.
@@ -376,51 +349,27 @@ def solve_columns(basis: IntMatrix, targets: IntMatrix) -> IntMatrix | None:
     """Solve basis @ X = targets over the integers, or return None.
 
     Used for sublattice membership: the columns of `targets` lie in the
-    Z-span of the columns of `basis` exactly when a solution exists.
+    Z-span of the columns of `basis` exactly when a solution exists.  Each
+    target is reduced down the echelon columns of `_hermite_data(basis)`,
+    and the transform parts of the columns used add up to its solution.
     """
     if basis.rows != targets.rows:
         raise DimensionMismatch("ambient dimensions differ")
-    sol = _solve(_hermite_data(basis), targets.columns())
-    return None if sol is None else _from_columns(sol, basis.cols)
-
-
-def contains_columns(basis: IntMatrix, targets: IntMatrix) -> bool:
-    return solve_columns(basis, targets) is not None
-
-
-# ---------------------------------------------------------------------------
-# Lattices
-# ---------------------------------------------------------------------------
-
-
-class Lattice(Record):
-    """Free Z-module with a chosen basis inside Z^ambient_dim.
-
-    The basis matrix has the basis vectors as columns; they must be linearly
-    independent over Q.  Its Hermite form and solve data are cached.
-    """
-
-    _fields = ("ambient_dim", "basis", "label")
-
-    def __init__(self, ambient_dim: int, basis: IntMatrix, label: str = ""):
-        self.ambient_dim, self.basis, self.label = ambient_dim, basis, label
-        if self.basis.rows != self.ambient_dim:
-            raise DimensionMismatch("basis rows must equal ambient dimension")
-        if self.basis.cols and self.basis.rank() != self.basis.cols:
-            raise DimensionMismatch(f"basis columns of {self.label or 'lattice'} are dependent")
-
-    @cached_property
-    def _hermite(self):
-        return _hermite_data(self.basis)
-
-    @property
-    def rank(self) -> int:
-        return self.basis.cols
-
-    def coords(self, vec: Sequence[int]) -> tuple[int, ...] | None:
-        """Basis coordinates of an ambient vector, or None if outside."""
-        sol = _solve(self._hermite, [vec])
-        return None if sol is None else tuple(sol[0])
+    rows, pivots, n, k = _hermite_data(basis)
+    out = []
+    for y in map(list, targets.columns()):
+        x = [0] * k
+        for row, c in zip(rows, pivots):
+            q, rem = divmod(y[c], row[c])
+            if rem:
+                return None
+            if q:
+                y[c:] = [a - q * b for a, b in zip(y[c:], row[c:n])]
+                x = [a + q * b for a, b in zip(x, row[n:])]
+        if any(y):
+            return None
+        out.append(x)
+    return _from_columns(out, k)
 
 
 def kernel_of_matrix(m: IntMatrix) -> IntMatrix:
@@ -433,14 +382,3 @@ def kernel_of_matrix(m: IntMatrix) -> IntMatrix:
     rows, pivots, n, k = _hermite_data(m)
     return column_hermite_form(_from_columns([row[n:] for row in rows[len(pivots):]], k))
 
-
-# ---------------------------------------------------------------------------
-# Degree-2 bases
-# ---------------------------------------------------------------------------
-
-
-def pair_basis(n: int, strict: bool) -> list[tuple[int, int]]:
-    """Index pairs (i, j) with i<j (strict) or i<=j, in lexicographic order."""
-    if strict:
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return [(i, j) for i in range(n) for j in range(i, n)]

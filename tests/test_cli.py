@@ -23,7 +23,7 @@ from tdual_lie.cli import (
     run,
 )
 from tdual_lie.errors import UsageError
-from tdual_lie.flagcoh import _smith_frame
+from tdual_lie.flagcoh import _smith_frame, invariant_forms
 from tdual_lie.rootdata import character_basis, character_smith
 from tdual_lie.zlinalg import solve_columns
 
@@ -521,12 +521,12 @@ def test_dualize_solves_for_the_character_basis_once(monkeypatch, capsys):
         return solve_columns(basis, targets)
 
     monkeypatch.setattr(rootdata, "solve_columns", counted)
-    for cache in (character_basis, character_smith, _smith_frame):
+    for cache in (character_basis, character_smith, _smith_frame, invariant_forms):
         cache.cache_clear()
     rd = rootdata.named_group("SU(4)")
     zero = json.dumps([[0] * 3] * 3)
     assert main(["dualize", "--group", "SU(4)", "--twist", "level:1", "--shift", zero]) == 0
-    assert calls == [(rd.integral.basis, rd.cartan)]
+    assert calls == [(rd.integral, rd.cartan)]
 
 
 def test_commutator_rational_strings_accepted():
@@ -822,9 +822,9 @@ ADJOINT_A1_32 = json.dumps({"components": [{"series": "A", "rank": 1}] * 32,
 def test_h3_verbs_at_the_rank_cap_under_two_seconds(argv):
     """H^3 at total rank 32 is read off one n x n Smith form, so each verb
     runs in process within the 2.0 s bound of the other timing gates.  The
-    caches of the Smith form and of the character basis are emptied first,
-    so that no earlier test pays the cost."""
-    for cache in (_smith_frame, character_smith, character_basis):
+    caches of the Smith form, the character basis and the invariant forms
+    are emptied first, so that no earlier test pays the cost."""
+    for cache in (_smith_frame, character_smith, character_basis, invariant_forms):
         cache.cache_clear()
     start = time.monotonic()
     assert main(argv) == 0

@@ -29,8 +29,7 @@ from tdual_lie.rootdata import (
 )
 from tdual_lie.zlinalg import IntMatrix, solve_columns
 
-from test_flagcoh import orbit_by_reflection_matrices, root_data
-from test_zlinalg import bareiss_det
+from oracles import bareiss_det, orbit_by_reflection_matrices, root_data
 
 
 def fractions_of(b):
@@ -54,16 +53,16 @@ def admissibility_by_fractions(rd, level, values):
     in the integral and coroot bases: the oracle for the integer route of
     `admissibility_check`."""
     n = rd.rank
-    pairing = form_pairing(rd, level, rd.integral.basis)
+    pairing = form_pairing(rd, level, rd.integral)
     det = abs(bareiss_det(rd.cartan))
-    gram = rd.integral.basis.transpose() @ solve_columns(rd.cartan.transpose(), pairing.scale(det))
+    gram = rd.integral.transpose() @ solve_columns(rd.cartan.transpose(), pairing.scale(det))
     integrality = [
         f"<lambda_{j}, lambda_{k}> = {Fraction(gram[j, k], det)} is not an integer"
         for j in range(n) for k in range(j, n) if gram[j, k] % det
     ]
     coroots = tuple(sorted(rd.cartan.columns()))
     targets = IntMatrix.from_columns(coroots, rows=n)
-    coords = solve_columns(rd.integral.basis, targets)
+    coords = solve_columns(rd.integral, targets)
     forms = solve_columns(rd.cartan, targets).transpose() @ pairing
     half = []
     for k in range(n):
@@ -87,9 +86,9 @@ def admissibility_on_every_coroot(rd, level, b, keep=lambda coroot: True):
     A coroot H = A c has integral coordinates X^T c, with X the character
     basis, and <lambda_k, H> = (P^T c)_k for P the form pairing."""
     n = rd.rank
-    pairing = form_pairing(rd, level, rd.integral.basis)
+    pairing = form_pairing(rd, level, rd.integral)
     det = prod(center(rd))
-    gram = rd.integral.basis.transpose() @ solve_columns(rd.cartan.transpose(), pairing.scale(det))
+    gram = rd.integral.transpose() @ solve_columns(rd.cartan.transpose(), pairing.scale(det))
     integrality = [
         f"<lambda_{j}, lambda_{k}> = {loopext.ratio(gram[j, k], det)} is not an integer"
         for j in range(n) for k in range(j, n) if gram[j, k] % det

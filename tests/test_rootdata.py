@@ -3,7 +3,14 @@
 import pytest
 from hypothesis import given, settings
 
-from tdual_lie.errors import InvalidCenterSubgroup, InvalidSeries, NotBetweenLattices, Unavailable
+from tdual_lie import zlinalg
+from tdual_lie.errors import (
+    DimensionMismatch,
+    InvalidCenterSubgroup,
+    InvalidSeries,
+    NotBetweenLattices,
+    Unavailable,
+)
 from tdual_lie.flagcoh import _smith_frame
 from tdual_lie.rootdata import (
     RootDatum,
@@ -20,33 +27,40 @@ from tdual_lie.rootdata import (
     require_phi,
     root_count,
 )
-from tdual_lie.zlinalg import IntMatrix, Lattice, column_hermite_form, hstack
+from tdual_lie.zlinalg import IntMatrix, column_hermite_form, hstack
 
-from test_flagcoh import orbit_by_reflection_matrices, reflection_matrix, root_data
-from test_zlinalg import bareiss_det, standard_lattice, subquotient
+from oracles import (
+    bareiss_det,
+    orbit_by_reflection_matrices,
+    reflection_matrix,
+    root_data,
+    standard_lattice,
+    subquotient,
+    weyl_elements_on_coweights,
+)
 
 
-def weight_lattice(rd) -> Lattice:
+def weight_lattice(rd) -> IntMatrix:
     """The weights, Z^n in fundamental-weight coordinates."""
-    return standard_lattice(rd.rank, "weights")
+    return standard_lattice(rd.rank)
 
 
-def root_lattice(rd) -> Lattice:
+def root_lattice(rd) -> IntMatrix:
     """The roots, spanned by the rows of the Cartan matrix."""
-    return Lattice(rd.rank, rd.cartan.transpose(), "roots")
+    return rd.cartan.transpose()
 
 
 def test_su2_lattices():
     su2 = named_group("SU(2)")
     # Integral lattice = coroot lattice = 2 * coweights; characters = weights.
-    assert su2.integral.basis == IntMatrix([[2]])
+    assert su2.integral == IntMatrix([[2]])
     assert character_basis(su2) == IntMatrix([[1]])
     assert su2.is_simply_connected()
 
 
 def test_so3_lattices():
     so3 = named_group("SO(3)")
-    assert so3.integral.basis == IntMatrix([[1]])
+    assert so3.integral == IntMatrix([[1]])
     # Characters = root lattice, index 2 in the weight lattice.
     assert character_basis(so3) == IntMatrix([[2]])
     assert not so3.is_simply_connected()
@@ -197,14 +211,39 @@ def test_dual_lattice_examples():
 
     su3 = named_group("SU(3)")
     assert column_hermite_form(character_basis(su3)) == \
-        column_hermite_form(weight_lattice(su3).basis)
+        column_hermite_form(weight_lattice(su3))
     # Index of the root lattice in the weight lattice is det(Cartan) = 3.
-    assert abs(bareiss_det(root_lattice(su3).basis)) == 3
+    assert abs(bareiss_det(root_lattice(su3))) == 3
 
     # 4 * coweights misses the coroots 2 * coweights: no integral dual basis.
     with pytest.raises(NotBetweenLattices):
         RootDatum(components=su2.components, cartan=su2.cartan,
-                  integral=Lattice(1, IntMatrix([[4]])), label="bad")
+                  integral=IntMatrix([[4]]), label="bad")
+    # A singular basis misses the coroots too; a basis that is not n x n is
+    # refused before any solve.
+    with pytest.raises(NotBetweenLattices, match="^integral lattice does not contain the"):
+        RootDatum(components=su3.components, cartan=su3.cartan,
+                  integral=IntMatrix([[1, 2], [1, 2]]), label="bad")
+    for bad in (IntMatrix([[1, 0, 1], [0, 1, 1]]), IntMatrix([[1], [0]]), IntMatrix([[1, 0]])):
+        with pytest.raises(DimensionMismatch):
+            RootDatum(components=su3.components, cartan=su3.cartan, integral=bad, label="bad")
+
+
+def test_integral_basis_eliminated_once(monkeypatch):
+    """Building a datum and reading its character basis eliminate the
+    integral basis once: the containment check is the cached solve for X."""
+    calls = []
+
+    def counted(rows, width):
+        calls.append(width)
+        return echelon(rows, width)
+
+    echelon = zlinalg._echelon
+    character_basis.cache_clear()
+    monkeypatch.setattr(zlinalg, "_echelon", counted)
+    rd = build([("A", 3)])
+    character_basis(rd)
+    assert len(calls) == 1
 
 
 def test_char_lattice_endpoints():
@@ -212,10 +251,10 @@ def test_char_lattice_endpoints():
     for n in (2, 3, 4):
         sc = named_group(f"SU({n})")
         assert column_hermite_form(character_basis(sc)) == \
-            column_hermite_form(weight_lattice(sc).basis)
+            column_hermite_form(weight_lattice(sc))
         ad = named_group(f"PSU({n})")
         assert column_hermite_form(character_basis(ad)) == \
-            column_hermite_form(root_lattice(ad).basis)
+            column_hermite_form(root_lattice(ad))
 
 
 def test_center_orders():
@@ -238,14 +277,14 @@ def test_center_and_pi1_match_subquotient_oracle(rd):
     `center_product_generators` has the order of the oracle's generator, and
     spans with the coroots the lattice that the oracle's lift does."""
     for datum in (rd, langlands_dual(rd)):
-        n, coroots = datum.rank, Lattice(datum.rank, datum.cartan, "coroots")
+        n, coroots = datum.rank, datum.cartan
         z, pi1 = subquotient(coroots, standard_lattice(n)), subquotient(coroots, datum.integral)
         assert (z.free_rank, pi1.free_rank) == (0, 0), datum.label
         assert center(datum) == z.torsion, datum.label
         assert fundamental_group_of(datum) == pi1.torsion, datum.label
         oracle = []
         for lo, hi, series, r in datum.factor_ranges():
-            g = subquotient(Lattice(r, IntMatrix(cartan_block(series, r))), standard_lattice(r))
+            g = subquotient(IntMatrix(cartan_block(series, r)), standard_lattice(r))
             oracle += [(d, (0,) * lo + lift + (0,) * (n - hi))
                        for d, lift in zip(g.torsion, g.torsion_generators())]
         got = center_product_generators(datum.components, datum.cartan)
@@ -254,7 +293,7 @@ def test_center_and_pi1_match_subquotient_oracle(rd):
             span = column_hermite_form(hstack(datum.cartan, IntMatrix.from_columns([lift])))
             assert span == column_hermite_form(hstack(datum.cartan,
                                                       IntMatrix.from_columns([want]))), datum.label
-            assert subquotient(coroots, Lattice(n, span)).order() == d, datum.label
+            assert subquotient(coroots, span).order() == d, datum.label
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -264,7 +303,7 @@ def test_simply_connected_matches_hermite_comparison(rd):
     of the integral and coroot lattices, on random root data and their
     Langlands duals."""
     for datum in (rd, langlands_dual(rd)):
-        same = column_hermite_form(datum.integral.basis) == column_hermite_form(datum.cartan)
+        same = column_hermite_form(datum.integral) == column_hermite_form(datum.cartan)
         assert datum.is_simply_connected() == same, datum.label
 
 
@@ -286,8 +325,8 @@ def test_langlands_dual_examples():
     su2 = named_group("SU(2)")
     dual = langlands_dual(su2)
     assert dual.label == "SO(3)"
-    assert column_hermite_form(dual.integral.basis) == \
-        column_hermite_form(standard_lattice(dual.rank).basis)
+    assert column_hermite_form(dual.integral) == \
+        column_hermite_form(standard_lattice(dual.rank))
 
     su3 = named_group("SU(3)")
     assert langlands_dual(su3).label == "PSU(3)"
@@ -308,7 +347,7 @@ def test_langlands_dual_involutive(rd):
     assert back.cartan == rd.cartan
     assert back.components == rd.components
     assert back.fundamental_group == rd.fundamental_group
-    assert column_hermite_form(back.integral.basis) == column_hermite_form(rd.integral.basis)
+    assert column_hermite_form(back.integral) == column_hermite_form(rd.integral)
 
 
 def test_find_phi():
@@ -394,26 +433,6 @@ def test_find_phi_matches_search_table(comps):
         assert perm is not None and perm == find_phi_by_search(rd)
 
 
-def weyl_elements_on_coweights(rd):
-    """Weyl elements as coweight-coordinate matrices, in BFS word order, the
-    identity first: the oracle for the closed-form Langlands transport."""
-    gens = [reflection_matrix(rd.cartan.column(i), i) for i in range(rd.rank)]
-    ident = IntMatrix.identity(rd.rank)
-    seen = {ident}
-    frontier = [ident]
-    yield ident
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                u = g @ w
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-                    yield u
-        frontier = nxt
-
-
 def test_weyl_enumeration_sizes():
     assert sum(1 for _ in weyl_elements_on_coweights(named_group("A2"))) == 6
     assert sum(1 for _ in weyl_elements_on_coweights(named_group("B2"))) == 8
@@ -425,13 +444,14 @@ def test_value_semantics():
     the contract of every lru_cache keyed on a RootDatum."""
     named, built = named_group("SU(3)"), build([("A", 2)], label="SU(3)")
     assert named is not built and named == built and hash(named) == hash(built)
-    basis = IntMatrix.identity(2)
-    assert Lattice(2, basis, "a") != Lattice(2, basis, "b")
-    assert Lattice(2, basis) == Lattice(2, basis, label="")
-    lattice = Lattice(2, basis)
-    assert lattice != (2, basis, "") and (2, basis, "") != lattice
-    assert (repr(Lattice(1, IntMatrix([[2]]), "x"))
-            == "Lattice(ambient_dim=1, basis=IntMatrix([[2]]), label='x')")
+    fields = (named.components, named.cartan, named.integral, named.label)
+    assert RootDatum(*fields[:3], "a") != RootDatum(*fields[:3], "b")
+    assert RootDatum(*fields) == RootDatum(*fields, fundamental_group="simply_connected")
+    datum = RootDatum(*fields)
+    assert datum != (*fields, "simply_connected") and (*fields, "simply_connected") != datum
+    assert (repr(named_group("SU(2)"))
+            == "RootDatum(components=(('A', 1),), cartan=IntMatrix([[2]]), "
+               "integral=IntMatrix([[2]]), label='SU(2)', fundamental_group='simply_connected')")
     _smith_frame(named)
     hits = _smith_frame.cache_info().hits
     _smith_frame(built)

@@ -19,11 +19,16 @@ from tdual_lie.tduality import (
     shift_matrix,
     verify_langlands_tdual,
 )
-from tdual_lie.zlinalg import IntMatrix, Lattice, column_hermite_form
+from tdual_lie.zlinalg import IntMatrix, column_hermite_form
 
-from test_flagcoh import tensor_complex, with_fundamental_group
-from test_rootdata import weyl_elements_on_coweights
-from test_zlinalg import bareiss_det, standard_lattice, subquotient
+from oracles import (
+    bareiss_det,
+    standard_lattice,
+    subquotient,
+    tensor_complex,
+    weyl_elements_on_coweights,
+    with_fundamental_group,
+)
 
 
 def test_dual_chern_zero():
@@ -169,8 +174,8 @@ def test_reduction_torsor_group_is_free_of_wedge2_rank():
                named_group("SO(3)"), named_group("PSU(4)"), named_group("Spin(8)"),
                named_group("G2"), build([("A", 1)] * 3, "adjoint")]:
         n = rd.rank
-        boundaries = Lattice(n * n, column_hermite_form(tensor_complex(rd)[0]))
-        group = subquotient(Lattice(n * n, IntMatrix.zero(n * n, 0)), boundaries)
+        boundaries = column_hermite_form(tensor_complex(rd)[0])
+        group = subquotient(IntMatrix.zero(n * n, 0), boundaries)
         assert (group.free_rank, group.torsion) == (n * (n - 1) // 2, ()), rd.label
 
 
@@ -214,7 +219,7 @@ def test_verify_langlands_examples():
     repg = verify_langlands_tdual(named_group("G2"))
     assert repg["match"]
     image = column_hermite_form(IntMatrix(repg["dual_chern_lattice"]))
-    assert image == column_hermite_form(standard_lattice(2).basis)  # the weight lattice
+    assert image == column_hermite_form(standard_lattice(2))  # the weight lattice
 
 
 def test_verify_langlands_all_supported():
@@ -239,7 +244,7 @@ def first_bfs_cycle(rd):
     through the Dynkin isomorphism passes the cycle test."""
     pullback = permutation_matrix(require_phi(rd))
     for w in weyl_elements_on_coweights(rd):
-        if is_cycle(rd, pullback @ w @ rd.integral.basis):
+        if is_cycle(rd, pullback @ w @ rd.integral):
             return w
     raise AssertionError(f"no Weyl element gives a cycle for {rd.label}")
 

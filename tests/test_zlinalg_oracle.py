@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
-from tdual_lie.zlinalg import IntMatrix, Lattice, kernel_of_matrix, solve_columns
+from tdual_lie.zlinalg import IntMatrix, column_hermite_form, kernel_of_matrix, solve_columns
 
-from test_flagcoh import subquotient_coords
-from test_zlinalg import reduce_mod, subquotient
+from oracles import coords, reduce_mod, subquotient, subquotient_coords, to_sympy
 
 ORACLE = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
@@ -50,20 +49,16 @@ def _independent_subset(columns):
     return kept
 
 
-def _sympy(m: IntMatrix) -> Matrix:
-    return Matrix(m.rows, m.cols, list(m.entries))
-
-
 def _nonzero_invariant_factors(m: IntMatrix) -> list[int]:
     if m.rows == 0 or m.cols == 0:
         return []
-    return [abs(int(d)) for d in invariant_factors(_sympy(m), domain=ZZ) if d != 0]
+    return [abs(int(d)) for d in invariant_factors(to_sympy(m), domain=ZZ) if d != 0]
 
 
 @ORACLE
 @given(matrices())
 def test_rank_matches_sympy(m):
-    assert m.rank() == _sympy(m).rank()
+    assert m.rank() == to_sympy(m).rank()
 
 
 @ORACLE
@@ -71,7 +66,7 @@ def test_rank_matches_sympy(m):
 def test_kernel_is_annihilated_and_saturated(m):
     k = kernel_of_matrix(m)
     assert k.rows == m.cols
-    assert k.cols == m.cols - _sympy(m).rank()
+    assert k.cols == m.cols - to_sympy(m).rank()
     assert m @ k == IntMatrix.zero(m.rows, k.cols)
     # Z^n / span(K) is torsion-free exactly when every invariant factor is 1.
     assert all(d == 1 for d in _nonzero_invariant_factors(k))
@@ -111,8 +106,7 @@ def test_subquotient_invariant_factors(outer_basis, data):
     k = outer_basis.cols
     rel = IntMatrix(data.draw(_entries(k, data.draw(st.integers(0, k)), 6), label="rel"))
     rel = IntMatrix.from_columns(_independent_subset(rel.columns()), rows=k)
-    outer = Lattice(outer_basis.rows, outer_basis)
-    inner = Lattice(outer_basis.rows, outer_basis @ rel)
+    outer, inner = outer_basis, outer_basis @ rel
     g = subquotient(inner, outer)
     factors = _nonzero_invariant_factors(rel)
     assert g.torsion == tuple(d for d in factors if d >= 2)
@@ -120,7 +114,7 @@ def test_subquotient_invariant_factors(outer_basis, data):
     # Each torsion lift lies in outer, is its own representative modulo
     # inner, and has the j-th unit vector as its coordinates.
     for j, lift in enumerate(g.torsion_generators()):
-        assert outer.coords(lift) is not None
+        assert coords(outer, lift) is not None
         assert reduce_mod(inner, lift) == lift
         unit = tuple(int(i == j) for i in range(len(g.torsion)))
         assert subquotient_coords(g, lift) == ((0,) * g.free_rank, unit)
@@ -136,5 +130,5 @@ def test_rank_is_exact_where_a_large_prime_divides():
     # Rank 2 over Z, rank 1 mod p: det = p.
     m = IntMatrix([[1, 1], [1, 1 + prime]])
     assert m.rank() == 2
-    assert Lattice(2, m).rank == 2
+    assert column_hermite_form(m).cols == 2
     assert kernel_of_matrix(m).cols == 0
