@@ -55,13 +55,14 @@ from .rootdata import (
 from .zlinalg import IntMatrix, block_diag, column_hermite_form, kernel_of_matrix, solve_columns
 
 
+@lru_cache(maxsize=None)
 def _invariant_coords(rd: RootDatum, u: IntMatrix) -> tuple[IntMatrix, tuple[int, ...] | None]:
     """M = X u^T for the twist u (integral-lattice coordinates to weight
     coordinates), and the coordinates c of its quadratic polynomial (M_ii on
     w_i^2, M_ij + M_ji on w_i w_j) over the `invariant_forms`, None when
     that polynomial is not Weyl-invariant.  Its symmetric matrix S = M + M^T
     must be the block sum of the c_k F_k; c_k is read off the first diagonal
-    entry of block k, and one comparison checks the rest."""
+    entry of block k, and one comparison checks the rest.  Cached per twist."""
     n = rd.rank
     if u.rows != n or u.cols != n:
         raise DimensionMismatch(f"twist matrix must be {n}x{n} for {rd.label}")
@@ -75,6 +76,14 @@ def is_cycle(rd: RootDatum, u: IntMatrix) -> bool:
     """True when the twist u is a cycle: the second differential sends it to
     the quadratic polynomial of M = X u^T, which must be Weyl-invariant."""
     return _invariant_coords(rd, u)[1] is not None
+
+
+def require_cycle(rd: RootDatum, u: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
+    """`_invariant_coords` of u, raising NotACycle when u is not a cycle."""
+    m, c = _invariant_coords(rd, u)
+    if c is None:
+        raise NotACycle(f"twist is not a cycle for {rd.label}")
+    return m, c
 
 
 def boundary(rd: RootDatum, s: IntMatrix) -> IntMatrix:
@@ -178,14 +187,13 @@ def class_in_h3(rd: RootDatum, u: IntMatrix) -> tuple[tuple[int, ...], tuple[int
     (see `_smith_frame`): the K coordinates of c, the invariant coordinates
     of u, rotated left by |P| places (the order a former second Smith form
     gave them), and N_ij / d_j mod d_i over (i, j) in P, N = U X u^T U^T."""
-    m, c = _invariant_coords(rd, u)
-    if c is None:
-        raise NotACycle(f"twist is not a cycle for {rd.label}")
+    m, c = require_cycle(rd, u)
     U, d, pairs, free = _smith_frame(rd)
-    nm = U @ m @ U.transpose()
+    mt = m.transpose()
+    nm = {i: U.apply(mt.apply(U.row(i))) for i in {i for i, _ in pairs}}  # P's rows of N
     kc, f = solve_columns(free, IntMatrix.from_columns([c])).column(0), free.cols
     return (tuple(kc[(len(pairs) + s) % f] for s in range(f)),
-            tuple(nm[i, j] // d[j] % d[i] for i, j in pairs))
+            tuple(nm[i][j] // d[j] % d[i] for i, j in pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -97,14 +97,6 @@ def cartan_block(series: str, rank: int) -> list[list[int]]:
     return a
 
 
-def _dual_series(series: str, rank: int) -> tuple[str, int]:
-    if series == "B":
-        return ("C", rank)
-    if series == "C":
-        return ("B", rank)
-    return (series, rank)
-
-
 class RootDatum(Record):
     """A compact semisimple group presented through its lattices.
 
@@ -119,12 +111,12 @@ class RootDatum(Record):
     shows that the columns of B are independent.
     """
 
-    _fields = ("components", "cartan", "integral", "label", "fundamental_group")
+    _fields = ("components", "cartan", "integral", "label")
 
     def __init__(self, components: tuple[tuple[str, int], ...], cartan: IntMatrix,
-                 integral: IntMatrix, label: str, fundamental_group: str = "simply_connected"):
-        self.components, self.cartan, self.integral = components, cartan, integral
-        self.label, self.fundamental_group = label, fundamental_group
+                 integral: IntMatrix, label: str):
+        self.components, self.cartan = components, cartan
+        self.integral, self.label = integral, label
         n = self.rank
         if self.cartan.rows != n or self.cartan.cols != n:
             raise InvalidSeries("Cartan matrix size does not match total rank")
@@ -252,9 +244,7 @@ def build(series_list: Sequence[tuple[str, int]], fundamental_group="simply_conn
             f"unrecognized fundamental group spec {quote(repr(fundamental_group), str)}")
 
     name = label if label is not None else _generic_label(components, fg)
-    return RootDatum(components=components, cartan=cartan,
-                     integral=basis,
-                     label=name, fundamental_group=fg)
+    return RootDatum(components=components, cartan=cartan, integral=basis, label=name)
 
 
 def _generic_label(components, fg) -> str:
@@ -440,28 +430,22 @@ def langlands_dual(rd: RootDatum) -> RootDatum:
     coweight coordinates are the original weight coordinates, and the dual
     integral lattice is the character lattice of the original torus.
     """
-    comps = tuple(_dual_series(s, r) for s, r in rd.components)
-    fg = {"simply_connected": "adjoint", "adjoint": "simply_connected"}.get(
-        rd.fundamental_group, "custom")
-    return RootDatum(
-        components=comps,
-        cartan=rd.cartan.transpose(),
-        integral=character_basis(rd),
-        label=_dual_label(rd),
-        fundamental_group=fg,
-    )
+    swap = {"B": "C", "C": "B"}
+    return RootDatum(components=tuple((swap.get(s, s), r) for s, r in rd.components),
+                     cartan=rd.cartan.transpose(), integral=character_basis(rd),
+                     label=_dual_label(rd))
 
 
 @lru_cache(maxsize=None)
-def find_phi(rd: RootDatum) -> tuple[int, ...] | None:
-    """The Dynkin isomorphism from rd onto its Langlands dual, as the
-    permutation sending simple-root indices to dual-side indices.
+def _match_factors(rd: RootDatum) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """(perm, unmatched): perm sends the simple-root indices of the matched
+    factors to dual-side indices; unmatched names the factors left over.
 
     Each source factor takes the first unused dual factor whose Cartan block
     is its own (identity) or its own reversed (G2, F4 and B2: the transposed
     block, and these diagrams have no automorphism).  Factors of one type
-    are interchangeable, so no choice needs revisiting.  None when some
-    factor finds no match: exactly when a B/C factor of rank >= 3 is unpaired.
+    are interchangeable, so no choice needs revisiting: a factor is left
+    over exactly when it is a B/C factor of rank >= 3 with no partner.
     """
     dual = langlands_dual(rd)
 
@@ -469,8 +453,8 @@ def find_phi(rd: RootDatum) -> tuple[int, ...] | None:
         return [[mat[i, j] for j in range(lo, hi)] for i in range(lo, hi)]
 
     unused = [(lo, hi, block(dual.cartan, lo, hi)) for lo, hi, _, _ in dual.factor_ranges()]
-    perm: list[int] = []
-    for lo, hi, _, _ in rd.factor_ranges():
+    perm, unmatched = [], []
+    for lo, hi, series, r in rd.factor_ranges():
         src = block(rd.cartan, lo, hi)
         reversed_src = [row[::-1] for row in src[::-1]]
         for k, (glo, ghi, dst) in enumerate(unused):
@@ -483,21 +467,25 @@ def find_phi(rd: RootDatum) -> tuple[int, ...] | None:
             del unused[k]
             break
         else:
-            return None
-    return tuple(perm)
+            unmatched.append(f"{series}{r}")
+    return tuple(perm), tuple(unmatched)
+
+
+def find_phi(rd: RootDatum) -> tuple[int, ...] | None:
+    """The Dynkin isomorphism from rd onto its Langlands dual as the
+    permutation of `_match_factors`, or None when a factor is left over."""
+    perm, unmatched = _match_factors(rd)
+    return None if unmatched else perm
 
 
 def require_phi(rd: RootDatum) -> tuple[int, ...]:
-    """find_phi, raising Unavailable with the obstruction spelled out."""
-    perm = find_phi(rd)
-    if perm is None:
-        bad = [f"{s}{r}" for s, r in rd.components
-               if _dual_series(s, r) != (s, r) and not (s in ("B", "C") and r == 2)]
+    """find_phi, raising Unavailable that names the unmatched factors."""
+    perm, unmatched = _match_factors(rd)
+    if unmatched:
         raise Unavailable(
             f"{rd.label}: no Dynkin isomorphism onto the Langlands dual "
-            f"(obstructing factors: {', '.join(bad) or 'none found by factor scan'})",
+            f"(obstructing factors: {', '.join(unmatched)})",
             evidence={"components": [list(c) for c in rd.components],
                       "dual": [list(c) for c in langlands_dual(rd).components]},
         )
     return perm
-

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DimensionMismatch, NotACycle
-from .flagcoh import boundary, is_cycle
+from .errors import DimensionMismatch
+from .flagcoh import boundary, is_cycle, require_cycle
 from .rootdata import RootDatum, character_basis, form_pairing, langlands_dual, require_phi
 from .zlinalg import IntMatrix, column_hermite_form
 
@@ -38,8 +38,7 @@ def level_twist(rd: RootDatum, level: int) -> IntMatrix:
 def dual_chern(rd: RootDatum, u: IntMatrix) -> dict:
     """Chern data of the T-dual bundle attached to a cycle representative:
     the canonical image sublattice and the basis-convention Chern tuple."""
-    if not is_cycle(rd, u):
-        raise NotACycle(f"twist is not a cycle for {rd.label}")
+    require_cycle(rd, u)
     return {
         "dual_chern_lattice": column_hermite_form(u).tolist(),
         "dual_chern_classes": [list(col) for col in u.columns()],
@@ -83,8 +82,7 @@ def reduction_torsor_shift(rd: RootDatum, u: IntMatrix, shift: IntMatrix) -> Int
     """Act on a reduction by a shift datum: u moves by the boundary of
     sum B_ij x_i ^ x_j, the degree-3 class stays put, and the dual Chern
     data moves by `bfield_shift`."""
-    if not is_cycle(rd, u):
-        raise NotACycle(f"twist is not a cycle for {rd.label}")
+    require_cycle(rd, u)
     return u + boundary(rd, shift_matrix(shift))
 
 
@@ -153,8 +151,11 @@ def verify_langlands_tdual(rd: RootDatum) -> dict:
     group: the image lattice of the twist must coincide with the transported
     character lattice of the dual torus, both in canonical form.
 
-    A mismatch is a defect indicator, not a user error; it is reported with
-    both lattices.
+    The dual's character basis is B itself (B X^T = A transposes to the
+    dual's solve X B^T = A^T), so both lattices are spanned by P.w.B and
+    `match` re-checks that solve and the transport, not the construction (H^2
+    of the T-dual against the dual group's would).  A mismatch is a defect
+    indicator, not a user error; it is reported with both lattices.
     """
     twist = langlands_twist(rd)  # raises Unavailable without an isomorphism
     mine = column_hermite_form(twist)

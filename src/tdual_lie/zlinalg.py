@@ -320,7 +320,9 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                         dirty = True
             if dirty:
                 continue
-            # Enforce d_t | (everything that remains).
+            # Enforce d_t | (everything that remains); a unit divides it all.
+            if abs(a[t][t]) == 1:
+                break
             fix = next((i for i in range(t + 1, R)
                         if any(a[i][j] % a[t][t] for j in range(t + 1, C))), None)
             if fix is None:

@@ -2,12 +2,14 @@
 
 Each oracle recomputes by a second, independent route something `src/`
 reads in closed form, and its docstring opens by naming that route; the
-few helpers (`to_sympy`, `coords`, `standard_lattice`) say what they
-build.  Lattices are their basis matrices (columns independent over Q), as
-in the package.  The module is not collected: it defines no tests, and no test
-module imports another.
+few helpers (`to_sympy`, `coords`, `standard_lattice`, `clear_caches`)
+say what they build or do.  Lattices are their basis matrices (columns
+independent over Q), as in the package.  The module is not collected: it
+defines no tests, and no test module imports another.
 """
 
+import importlib
+import pkgutil
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
@@ -15,6 +17,7 @@ from math import gcd, prod
 from hypothesis import strategies as st
 from sympy import Matrix
 
+import tdual_lie
 from tdual_lie.rootdata import build, center_product_generators, character_basis, form_pairing
 from tdual_lie.zlinalg import (
     IntMatrix,
@@ -34,6 +37,16 @@ def coords(basis: IntMatrix, vec) -> tuple[int, ...] | None:
     lattice: one column of `zlinalg.solve_columns`."""
     sol = solve_columns(basis, IntMatrix.from_columns([tuple(vec)], rows=basis.rows))
     return None if sol is None else sol.column(0)
+
+
+def clear_caches() -> None:
+    """Empty every `lru_cache` of every package module, so that a test that
+    counts or times work pays for all of it, whatever ran before."""
+    for info in pkgutil.iter_modules(tdual_lie.__path__):
+        module = importlib.import_module(f"tdual_lie.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
 
 
 # -- determinants and orders ----------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tdual_lie import cli, rootdata
+from tdual_lie import cli, flagcoh, rootdata
 from tdual_lie.cli import (
     _EXPECT_TESTS,
     FLAGS,
@@ -23,9 +23,9 @@ from tdual_lie.cli import (
     run,
 )
 from tdual_lie.errors import UsageError
-from tdual_lie.flagcoh import _smith_frame, invariant_forms
-from tdual_lie.rootdata import character_basis, character_smith
 from tdual_lie.zlinalg import solve_columns
+
+from oracles import clear_caches
 
 
 def run_json(argv):
@@ -521,12 +521,30 @@ def test_dualize_solves_for_the_character_basis_once(monkeypatch, capsys):
         return solve_columns(basis, targets)
 
     monkeypatch.setattr(rootdata, "solve_columns", counted)
-    for cache in (character_basis, character_smith, _smith_frame, invariant_forms):
-        cache.cache_clear()
+    clear_caches()
     rd = rootdata.named_group("SU(4)")
     zero = json.dumps([[0] * 3] * 3)
     assert main(["dualize", "--group", "SU(4)", "--twist", "level:1", "--shift", zero]) == 0
     assert calls == [(rd.integral, rd.cartan)]
+
+
+@pytest.mark.parametrize("argv, evaluations", [
+    (["twist", "--group", "SU(4)", "--twist", "level:1"], 1),
+    (["dualize", "--group", "SU(4)", "--twist", "level:1",
+      "--shift", "[[0,1,0],[0,0,0],[0,0,0]]"], 2),
+    (["twist", "--group", "G2", "--twist", "langlands"], 1),
+    (["langlands", "--group", "G2"], 1),
+    (["langlands", "--group", json.dumps({"components": [{"series": "B", "rank": 3},
+                                                         {"series": "C", "rank": 3}]})], 1),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_each_twist_evaluated_once(argv, evaluations):
+    """The cycle test, the H^3 class and the dual Chern data of a twist read
+    one evaluation of its cycle polynomial: `dualize --shift` evaluates the
+    twist and the moved twist, and the Langlands twist, checked as a cycle
+    where it is built, is not evaluated again."""
+    clear_caches()
+    assert main(argv) == 0
+    assert flagcoh._invariant_coords.cache_info().misses == evaluations
 
 
 def test_commutator_rational_strings_accepted():
@@ -821,11 +839,9 @@ ADJOINT_A1_32 = json.dumps({"components": [{"series": "A", "rank": 1}] * 32,
 ], ids=" ".join)
 def test_h3_verbs_at_the_rank_cap_under_two_seconds(argv):
     """H^3 at total rank 32 is read off one n x n Smith form, so each verb
-    runs in process within the 2.0 s bound of the other timing gates.  The
-    caches of the Smith form, the character basis and the invariant forms
-    are emptied first, so that no earlier test pays the cost."""
-    for cache in (_smith_frame, character_smith, character_basis, invariant_forms):
-        cache.cache_clear()
+    runs in process within the 2.0 s bound of the other timing gates.  Every
+    package cache is emptied first, so that no earlier test pays the cost."""
+    clear_caches()
     start = time.monotonic()
     assert main(argv) == 0
     assert time.monotonic() - start < 2.0

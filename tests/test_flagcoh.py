@@ -31,7 +31,6 @@ from tdual_lie.rootdata import (
     build,
     center,
     character_basis,
-    character_smith,
     form_pairing,
     fundamental_group_of,
     langlands_dual,
@@ -49,6 +48,7 @@ from tdual_lie.zlinalg import (
 
 from oracles import (
     bareiss_det,
+    clear_caches,
     coords,
     invariant_coords,
     orbit_by_reflection_matrices,
@@ -406,6 +406,32 @@ def test_h3_closed_form_matches_subquotient_route(rd, data):
         check_h3_against_subquotient(datum, draw_ints)
 
 
+def test_class_in_h3_forms_n_on_the_torsion_rows_only(monkeypatch):
+    """Past its Smith frame, `class_in_h3` multiplies one n x n pair,
+    M = X u^T, and forms row i of N = U M U^T, two matrix-vector products,
+    for each row i that P reads: none on simply connected SU(4), rows 0-2
+    on adjoint A1^4 (d = 2, 2, 2, 2)."""
+    calls = []
+
+    def counted(name, method):
+        def call(a, b):
+            calls.append((name, a.rows, a.cols, b.rows if name == "@" else len(b)))
+            return method(a, b)
+        return call
+
+    for rd, rows in ((named_group("SU(4)"), 0), (build([("A", 1)] * 4, "adjoint"), 3)):
+        u, n = level_twist(rd, 1), rd.rank
+        clear_caches()
+        _smith_frame(rd)
+        calls.clear()
+        monkeypatch.setattr(IntMatrix, "__matmul__", counted("@", IntMatrix.__matmul__))
+        monkeypatch.setattr(IntMatrix, "apply", counted("apply", IntMatrix.apply))
+        _, torsion = class_in_h3(rd, u)
+        monkeypatch.undo()
+        assert calls == [("@", n, n, n)] + [("apply", n, n, n)] * 2 * rows, rd.label
+        assert len(torsion) == len(_smith_frame(rd)[2]) == rows * (rows + 1) // 2
+
+
 def test_one_smith_form_per_group(monkeypatch):
     """`cohomology` and `class_in_h3` on adjoint A1^4, whose six pairs of
     Smith invariants all carry a Z/2, share one Smith form: the one of the
@@ -421,8 +447,7 @@ def test_one_smith_form_per_group(monkeypatch):
 
     def fresh():
         calls.clear()
-        for cache in (_smith_frame, character_smith, character_basis, center):
-            cache.cache_clear()
+        clear_caches()
 
     monkeypatch.setattr(rootdata, "smith_normal_form", counted)
     monkeypatch.setattr(zlinalg, "smith_normal_form", counted)

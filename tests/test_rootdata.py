@@ -31,6 +31,7 @@ from tdual_lie.zlinalg import IntMatrix, column_hermite_form, hstack
 
 from oracles import (
     bareiss_det,
+    clear_caches,
     orbit_by_reflection_matrices,
     reflection_matrix,
     root_data,
@@ -239,7 +240,7 @@ def test_integral_basis_eliminated_once(monkeypatch):
         return echelon(rows, width)
 
     echelon = zlinalg._echelon
-    character_basis.cache_clear()
+    clear_caches()
     monkeypatch.setattr(zlinalg, "_echelon", counted)
     rd = build([("A", 3)])
     character_basis(rd)
@@ -346,8 +347,18 @@ def test_langlands_dual_involutive(rd):
     back = langlands_dual(langlands_dual(rd))
     assert back.cartan == rd.cartan
     assert back.components == rd.components
-    assert back.fundamental_group == rd.fundamental_group
+    assert fundamental_group_of(back) == fundamental_group_of(rd)
     assert column_hermite_form(back.integral) == column_hermite_form(rd.integral)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(root_data())
+def test_dual_character_basis_is_the_integral_basis(rd):
+    """B X^T = A transposes to X B^T = A^T, the solve that gives the
+    character basis of the Langlands dual (integral basis X, Cartan matrix
+    A^T), so that basis is B itself.  This is why the two lattices of
+    `verify_langlands_tdual` agree by construction."""
+    assert character_basis(langlands_dual(rd)) == rd.integral
 
 
 def test_find_phi():
@@ -357,6 +368,23 @@ def test_find_phi():
     assert find_phi(named_group("C4")) is None
     with pytest.raises(Unavailable):
         require_phi(named_group("B3"))
+
+
+@pytest.mark.parametrize("comps, unmatched", [
+    ([("B", 3), ("C", 3), ("B", 4)], "B4"),
+    ([("C", 3), ("B", 3), ("C", 3)], "C3"),
+    ([("B", 3), ("A", 2), ("C", 4)], "B3, C4"),
+    ([("B", 5)], "B5"),
+])
+def test_require_phi_names_the_unmatched_factors(comps, unmatched):
+    """The obstruction lists the factors the matching leaves over, in
+    order, not the matched B_n or C_n of a B_n x C_n pair."""
+    rd = build(comps)
+    assert find_phi(rd) is None
+    with pytest.raises(Unavailable) as exc:
+        require_phi(rd)
+    assert str(exc.value) == (f"{rd.label}: no Dynkin isomorphism onto the Langlands dual "
+                              f"(obstructing factors: {unmatched})")
 
 
 def test_find_phi_transports_cartan():
@@ -446,12 +474,13 @@ def test_value_semantics():
     assert named is not built and named == built and hash(named) == hash(built)
     fields = (named.components, named.cartan, named.integral, named.label)
     assert RootDatum(*fields[:3], "a") != RootDatum(*fields[:3], "b")
-    assert RootDatum(*fields) == RootDatum(*fields, fundamental_group="simply_connected")
     datum = RootDatum(*fields)
-    assert datum != (*fields, "simply_connected") and (*fields, "simply_connected") != datum
+    assert datum == named and datum != fields and fields != datum
+    with pytest.raises(TypeError):
+        RootDatum(*fields, fundamental_group="simply_connected")
     assert (repr(named_group("SU(2)"))
             == "RootDatum(components=(('A', 1),), cartan=IntMatrix([[2]]), "
-               "integral=IntMatrix([[2]]), label='SU(2)', fundamental_group='simply_connected')")
+               "integral=IntMatrix([[2]]), label='SU(2)')")
     _smith_frame(named)
     hits = _smith_frame.cache_info().hits
     _smith_frame(built)

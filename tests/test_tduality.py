@@ -1,6 +1,7 @@
 """Dual bundles, torsor shifts, and the Langlands construction."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +66,20 @@ def test_dual_chern_requires_cycle():
     rd = named_group("SU(3)")
     with pytest.raises(NotACycle):
         dual_chern(rd, IntMatrix([[1, 0], [0, 0]]))
+
+
+@pytest.mark.parametrize("name", ["SU(3)", "PSU(4)"])
+def test_every_twist_entry_refuses_a_non_cycle(name):
+    """`class_in_h3`, `dual_chern` and `reduction_torsor_shift` share one
+    guard, and each raises NotACycle with its message on a non-cycle."""
+    rd = named_group(name)
+    n = rd.rank
+    zero, u = IntMatrix.zero(n, n), IntMatrix([[1] + [0] * (n - 1)] + [[0] * n] * (n - 1))
+    assert not is_cycle(rd, u)
+    for call in (lambda: class_in_h3(rd, u), lambda: dual_chern(rd, u),
+                 lambda: reduction_torsor_shift(rd, u, zero)):
+        with pytest.raises(NotACycle, match=rf"^twist is not a cycle for {re.escape(name)}$"):
+            call()
 
 
 def test_bfield_shift_zero_and_k_instances():

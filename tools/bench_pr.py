@@ -21,9 +21,12 @@ row whose stdout digest differs between the two checkouts stops the script.
 Right after the cliffs, in the same order, both checkouts run each of
 RANK_CAP_ROWS once: `group`, `cohomology`, `twist level:1` and `dualize
 level:1` on the five rank-32 groups, `extension --level 1` where b needs
-no input, `cohomology`, `twist level:1` and `dualize level:1` with a zero
-shift on adjoint A1^32, and `group` on adjoint A1^32 and on its quotient
-by the diagonal Z/2, the rows no workload or cliff runs at the rank cap.
+no input, `dualize level:1` with a shift of one entry above the diagonal
+on SU(33) and Spin(64) (the twist and the moved twist each get a cycle
+test, an H^3 class and dual Chern data), `cohomology`, `twist level:1` and
+`dualize level:1` with a zero shift on adjoint A1^32, and `group` on
+adjoint A1^32 and on its quotient by the diagonal Z/2, the rows no
+workload or cliff runs at the rank cap.
 Adjoint A1^32 has the most H^3 torsion at the cap: its character basis is
 2I, so each of its 496 pairs of Smith invariants adds a Z/2, and
 `class_in_h3` reads one torsion coordinate per pair.  The two `group` rows
@@ -68,12 +71,16 @@ ADJOINT_A1_32 = json.dumps({"components": [{"series": "A", "rank": 1}] * 32,
 DIAGONAL_A1_32 = json.dumps({"components": [{"series": "A", "rank": 1}] * 32,
                              "fundamental_group": {"generators": [[1] * 32]}},
                             separators=(",", ":"))
+UNIT_SHIFT_32 = json.dumps([[int(i == 0 and j == 1) for j in range(32)] for i in range(32)],
+                           separators=(",", ":"))
 RANK_CAP_ROWS = tuple(
     (verb, "--group", group, *extra)
     for group in ("PSU(33)", "SU(33)", "Spin(64)", "Spin(65)", "Sp(32)")
     for verb, extra in (("cohomology", ()), ("twist", ("--twist", "level:1")),
                         ("dualize", ("--twist", "level:1")), ("group", ()))
 ) + tuple(("extension", "--group", group, "--level", "1") for group in ("SU(33)", "Spin(64)")
+        ) + tuple(("dualize", "--group", group, "--twist", "level:1", "--shift", UNIT_SHIFT_32)
+                  for group in ("SU(33)", "Spin(64)")
         ) + (("cohomology", "--group", ADJOINT_A1_32),
              ("twist", "--group", ADJOINT_A1_32, "--twist", "level:1"),
              ("dualize", "--group", ADJOINT_A1_32, "--twist", "level:1",
