@@ -17,10 +17,10 @@ A value in Q/Z is the reduced integer pair (p, q) with 0 <= p < q that
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, InvalidCommutator, RequiresExplicitB
-from .rootdata import RootDatum, basic_form, center, character_basis, form_pairing
+from .rootdata import RootDatum, basic_form, character_basis, form_pairing, fundamental_group_of
 from .zlinalg import IntMatrix, Record, solve_columns
 
 
@@ -120,11 +120,13 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
       * b(lambda, H) = [<lambda, H>/2] for every lattice basis vector lambda
         and every coroot H.
 
-    With B the integral basis, A the Cartan matrix and P = form_pairing(B),
-    the Gram matrix on Lambda is B^T A^-T P.  N A^-T is integral for
-    N = |det A|, the order of the center of the simply connected form (read
-    as `prod(center(rd))`, cached), so A^T Y = N P has an integer
-    solution, and N <lambda_j, lambda_k> = (B^T Y)[j, k] is checked for
+    With B the integral basis, X the character basis (B X^T = A, A the
+    Cartan matrix) and P = form_pairing(B), lambda_j is column j of
+    A X^-T in coroot coordinates, so the Gram matrix on Lambda is X^-1 P.
+    With U X V = diag(d) the cached Smith form, X^-1 = V diag(d)^-1 U, so
+    N X^-1 is integral for N the exponent of pi_1 = coker X^T (its largest
+    invariant factor, 1 when pi_1 is trivial): X Y = N P has an integer
+    solution, and N <lambda_j, lambda_k> = Y[j, k] is checked for
     divisibility by N.
 
     Both sides of the half-pairing rule are additive in H mod 1, and every
@@ -140,11 +142,11 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
     basis vector, then by coroot in sorted coweight coordinates."""
     n = rd.rank
     pairing = form_pairing(rd, level, rd.integral)
-    det = prod(center(rd))
-    gram = rd.integral.transpose() @ solve_columns(rd.cartan.transpose(), pairing.scale(det))
+    exponent = max(fundamental_group_of(rd), default=1)
+    gram = solve_columns(character_basis(rd), pairing.scale(exponent))
     integrality = [
-        f"<lambda_{j}, lambda_{k}> = {ratio(gram[j, k], det)} is not an integer"
-        for j in range(n) for k in range(j, n) if gram[j, k] % det
+        f"<lambda_{j}, lambda_{k}> = {ratio(gram[j, k], exponent)} is not an integer"
+        for j in range(n) for k in range(j, n) if gram[j, k] % exponent
     ]
     coroots = sorted(enumerate(rd.cartan.columns()), key=lambda col: col[1])
     scales = [lcm(*(q for _, q in row)) for row in b.values]

@@ -151,9 +151,9 @@ class RootDatum(Record):
         return all(e == 1 for e in self.epsilons())
 
     def is_simply_connected(self) -> bool:
-        """The integral lattice contains the coroots (checked on construction),
-        so it is the coroot lattice exactly when the coroots contain it too."""
-        return solve_columns(self.cartan, self.integral) is not None
+        """pi_1, the integral lattice mod the coroots, is trivial: read off the
+        cached Smith form of the character basis (`fundamental_group_of`)."""
+        return not fundamental_group_of(self)
 
     def epsilons(self) -> tuple[int, ...]:
         """eps_i = (longest root length)^2 / (alpha_i length)^2 in its factor.
@@ -436,10 +436,10 @@ def langlands_dual(rd: RootDatum) -> RootDatum:
                      label=_dual_label(rd))
 
 
-@lru_cache(maxsize=None)
-def _match_factors(rd: RootDatum) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """(perm, unmatched): perm sends the simple-root indices of the matched
-    factors to dual-side indices; unmatched names the factors left over.
+def require_phi(rd: RootDatum) -> tuple[int, ...]:
+    """The Dynkin isomorphism from rd onto its Langlands dual, as the
+    permutation sending simple-root indices to dual-side indices, or
+    Unavailable naming the factors left over.
 
     Each source factor takes the first unused dual factor whose Cartan block
     is its own (identity) or its own reversed (G2, F4 and B2: the transposed
@@ -468,24 +468,11 @@ def _match_factors(rd: RootDatum) -> tuple[tuple[int, ...], tuple[str, ...]]:
             break
         else:
             unmatched.append(f"{series}{r}")
-    return tuple(perm), tuple(unmatched)
-
-
-def find_phi(rd: RootDatum) -> tuple[int, ...] | None:
-    """The Dynkin isomorphism from rd onto its Langlands dual as the
-    permutation of `_match_factors`, or None when a factor is left over."""
-    perm, unmatched = _match_factors(rd)
-    return None if unmatched else perm
-
-
-def require_phi(rd: RootDatum) -> tuple[int, ...]:
-    """find_phi, raising Unavailable that names the unmatched factors."""
-    perm, unmatched = _match_factors(rd)
     if unmatched:
         raise Unavailable(
             f"{rd.label}: no Dynkin isomorphism onto the Langlands dual "
             f"(obstructing factors: {', '.join(unmatched)})",
             evidence={"components": [list(c) for c in rd.components],
-                      "dual": [list(c) for c in langlands_dual(rd).components]},
+                      "dual": [list(c) for c in dual.components]},
         )
-    return perm
+    return tuple(perm)

@@ -104,8 +104,8 @@ def _langlands_transport(rd: RootDatum) -> IntMatrix:
     coordinates: the identity on a simply laced factor; on B2, C2, G2 and F4
     the word in `_SELF_DUAL_WORDS` (s_0 is the factor's first simple root,
     long on data from `build`, short on a Langlands dual: chosen by
-    position, not length); on a B_n or C_n with n >= 3, which `find_phi`
-    always pairs with another factor, -1 when it is the lower of the pair.
+    position, not length); on a B_n or C_n with n >= 3, which `require_phi`
+    pairs with another factor or refuses, -1 when it is the lower of the pair.
 
     The twist P.w.B is the map P.w from coweights to weights whatever the
     basis B, so the cycle test asks that the symmetric part of

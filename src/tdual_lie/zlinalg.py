@@ -18,8 +18,7 @@ One elimination core computes a transform only where a caller reads it:
     lets trailing entries ride along to record a column transform T.
     column_hermite_form tracks none; kernel_of_matrix tracks T and keeps
     the columns of T whose image ends up zero, which span the saturated
-    kernel; solve_columns keeps H = B T together with T.  Rank is the
-    number of its pivots.
+    kernel; solve_columns keeps H = B T together with T.
   * smith_normal_form tracks U alone, with U m V = D for a V it never
     builds.  The finite groups the package reports are cokernels of square
     nonsingular matrices, so their invariant factors are read off D.
@@ -182,11 +181,6 @@ class IntMatrix:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
         return tuple(sum(map(mul, row, vec)) for row in self._rows)
-
-    def rank(self) -> int:
-        """Rank over Q, by exact elimination."""
-        vectors = self._rows if self.rows <= self.cols else self.columns()
-        return len(_echelon([list(v) for v in vectors], len(vectors[0]))) if vectors else 0
 
 
 def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:

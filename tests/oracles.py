@@ -2,8 +2,8 @@
 
 Each oracle recomputes by a second, independent route something `src/`
 reads in closed form, and its docstring opens by naming that route; the
-few helpers (`to_sympy`, `coords`, `standard_lattice`, `clear_caches`)
-say what they build or do.  Lattices are their basis matrices (columns
+few helpers (`to_sympy`, `coords`, `standard_lattice`, `clear_caches`,
+`find_phi`) say what they build or do.  Lattices are their basis matrices (columns
 independent over Q), as in the package.  The module is not collected: it
 defines no tests, and no test module imports another.
 """
@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 from sympy import Matrix
 
 import tdual_lie
-from tdual_lie.rootdata import build, center_product_generators, character_basis, form_pairing
+from tdual_lie.errors import Unavailable
+from tdual_lie.rootdata import (
+    build,
+    center_product_generators,
+    character_basis,
+    form_pairing,
+    require_phi,
+)
 from tdual_lie.zlinalg import (
     IntMatrix,
     column_hermite_form,
@@ -298,6 +305,15 @@ def weyl_elements_on_coweights(rd):
                     nxt.append(u)
                     yield u
         frontier = nxt
+
+
+def find_phi(rd):
+    """The Dynkin permutation `rootdata.require_phi` returns, or None where
+    it raises Unavailable."""
+    try:
+        return require_phi(rd)
+    except Unavailable:
+        return None
 
 
 # -- the complex in tensor coordinates ------------------------------------------

@@ -7,11 +7,12 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from tdual_lie import cli, flagcoh, rootdata
+from tdual_lie import cli, flagcoh, rootdata, zlinalg
 from tdual_lie.cli import (
     _EXPECT_TESTS,
     FLAGS,
@@ -545,6 +546,38 @@ def test_each_twist_evaluated_once(argv, evaluations):
     clear_caches()
     assert main(argv) == 0
     assert flagcoh._invariant_coords.cache_info().misses == evaluations
+
+
+@pytest.mark.parametrize("argv, echelons, smith", [
+    (["group", "--group", "SU(4)"], 1, "AX"),
+    (["group", "--group", "PSU(4)"], 1, "AX"),
+    (["extension", "--group", "SU(4)", "--level", "1"], 2, "X"),
+    (["extension", "--group", "PSU(4)", "--b", json.dumps([[0] * 3] * 3)], 2, "X"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_eliminations_per_verb(monkeypatch, capsys, argv, echelons, smith):
+    """The `_echelon` runs and the Smith forms, of the Cartan matrix A or of
+    the character basis X, that a verb takes from cold caches: simple
+    connectivity is read off X's Smith form and the admissibility Gram
+    matrix is one solve against X, so neither eliminates A again."""
+    rd = cli.resolve_group(argv[2])
+    of = {"A": rd.cartan, "X": rootdata.character_basis(rd)}
+    echelon, smith_normal_form = zlinalg._echelon, rootdata.smith_normal_form
+    echelon_calls, smith_calls = [], []
+
+    def counted_echelon(rows, width):
+        echelon_calls.append(width)
+        return echelon(rows, width)
+
+    def counted_smith(m):
+        smith_calls.append(m)
+        return smith_normal_form(m)
+
+    clear_caches()
+    monkeypatch.setattr(zlinalg, "_echelon", counted_echelon)
+    monkeypatch.setattr(rootdata, "smith_normal_form", counted_smith)
+    assert main(argv) == 0
+    assert len(echelon_calls) == echelons
+    assert Counter(smith_calls) == Counter(of[name] for name in smith)
 
 
 def test_commutator_rational_strings_accepted():

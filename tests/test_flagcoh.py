@@ -258,7 +258,7 @@ def test_vanishing_pieces_match_kernels(rd):
     root data and on their Langlands duals."""
     for datum in (rd, langlands_dual(rd)):
         x = character_basis(datum)
-        assert x.rank() == datum.rank, datum.label
+        assert column_hermite_form(x).cols == datum.rank, datum.label
         if datum.rank >= 3:
             assert kernel_of_matrix(wedge3_differential(datum)).cols == 0, datum.label
         assert kernel_of_matrix(tensor_complex(datum)[0]).cols == 0, datum.label
@@ -437,8 +437,8 @@ def test_one_smith_form_per_group(monkeypatch):
     Smith invariants all carry a Z/2, share one Smith form: the one of the
     character basis, with none taken inside `zlinalg` on their behalf.
     `group` takes two, of the Cartan matrix A and of the character basis X
-    (on adjoint B3, where they differ), and `cohomology` and `class_in_h3`
-    then take none."""
+    (on adjoint B3, where they differ), in either order, and `cohomology`
+    and `class_in_h3` then take none."""
     calls = []
 
     def counted(m):
@@ -463,7 +463,7 @@ def test_one_smith_form_per_group(monkeypatch):
     assert rd.cartan != character_basis(rd)
     fresh()
     report_group(rd)
-    assert calls == [rd.cartan, character_basis(rd)]
+    assert len(calls) == 2 and set(calls) == {rd.cartan, character_basis(rd)}
     cohomology(rd)
     class_in_h3(rd, u)
     assert len(calls) == 2

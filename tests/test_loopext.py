@@ -84,7 +84,10 @@ def admissibility_on_every_coroot(rd, level, b, keep=lambda coroot: True):
     `keep` accepts, in sorted order: the n x |Phi^vee| integer route that
     `admissibility_check` took before it read the simple coroots alone.
     A coroot H = A c has integral coordinates X^T c, with X the character
-    basis, and <lambda_k, H> = (P^T c)_k for P the form pairing."""
+    basis, and <lambda_k, H> = (P^T c)_k for P the form pairing.  The
+    integrality half keeps the A^T route that `admissibility_check` left for
+    the solve against X: N <lambda_j, lambda_k> = (B^T Y)[j, k] with
+    A^T Y = N P and N = |det A| = `prod(center(rd))`."""
     n = rd.rank
     pairing = form_pairing(rd, level, rd.integral)
     det = prod(center(rd))
@@ -397,3 +400,19 @@ def test_integrality_violation_examples():
     zero = commutator_from_matrix(rd, [[(0, 1)] * 3] * 3)
     report = admissibility_check(rd, 1, zero)
     assert report["integrality_violations"] == ["<lambda_2, lambda_2> = 3/2 is not an integer"]
+
+
+@pytest.mark.parametrize("rd, integrality, half", [
+    (named_group("PSU(33)"), 508, 32),
+    (build([("A", 1)] * 32, "adjoint"), 32, 32),
+], ids=["PSU(33)", "adjoint A1^32"])
+def test_admissibility_at_the_rank_cap(rd, integrality, half):
+    """The solve against the character basis, scaled by the exponent of
+    pi_1, against the A^T route at total rank 32, past the reach of the
+    property tests: level 1 with b = 0 on two adjoint groups."""
+    b = commutator_from_matrix(rd, [[(0, 1)] * rd.rank] * rd.rank)
+    got = admissibility_check(rd, 1, b)
+    simple = set(rd.cartan.columns()).__contains__
+    assert got == admissibility_on_every_coroot(rd, 1, b, keep=simple)
+    assert len(got["integrality_violations"]) == integrality
+    assert len(got["half_pairing_violations"]) == half

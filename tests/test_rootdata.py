@@ -20,7 +20,6 @@ from tdual_lie.rootdata import (
     center,
     center_product_generators,
     character_basis,
-    find_phi,
     fundamental_group_of,
     langlands_dual,
     named_group,
@@ -32,6 +31,7 @@ from tdual_lie.zlinalg import IntMatrix, column_hermite_form, hstack
 from oracles import (
     bareiss_det,
     clear_caches,
+    find_phi,
     orbit_by_reflection_matrices,
     reflection_matrix,
     root_data,

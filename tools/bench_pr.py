@@ -24,9 +24,14 @@ level:1` on the five rank-32 groups, `extension --level 1` where b needs
 no input, `dualize level:1` with a shift of one entry above the diagonal
 on SU(33) and Spin(64) (the twist and the moved twist each get a cycle
 test, an H^3 class and dual Chern data), `cohomology`, `twist level:1` and
-`dualize level:1` with a zero shift on adjoint A1^32, and `group` on
-adjoint A1^32 and on its quotient by the diagonal Z/2, the rows no
-workload or cliff runs at the rank cap.
+`dualize level:1` with a zero shift on adjoint A1^32, `group` on
+adjoint A1^32 and on its quotient by the diagonal Z/2, and `extension`
+with a 32x32 zero `--b` on PSU(33) and on adjoint A1^32, the rows no
+workload or cliff runs at the rank cap.  The two `--level 1` extension
+rows are simply connected, so their admissibility Gram matrix is a solve
+against the character basis X = I with no scale; the two `--b` rows
+scale it by the exponent of pi_1 (33 and 2), and their integrality check
+fails (508 and 32 lines).
 Adjoint A1^32 has the most H^3 torsion at the cap: its character basis is
 2I, so each of its 496 pairs of Smith invariants adds a Z/2, and
 `class_in_h3` reads one torsion coordinate per pair.  The two `group` rows
@@ -71,6 +76,7 @@ ADJOINT_A1_32 = json.dumps({"components": [{"series": "A", "rank": 1}] * 32,
 DIAGONAL_A1_32 = json.dumps({"components": [{"series": "A", "rank": 1}] * 32,
                              "fundamental_group": {"generators": [[1] * 32]}},
                             separators=(",", ":"))
+ZERO_32 = json.dumps([[0] * 32] * 32, separators=(",", ":"))
 UNIT_SHIFT_32 = json.dumps([[int(i == 0 and j == 1) for j in range(32)] for i in range(32)],
                            separators=(",", ":"))
 RANK_CAP_ROWS = tuple(
@@ -84,8 +90,10 @@ RANK_CAP_ROWS = tuple(
         ) + (("cohomology", "--group", ADJOINT_A1_32),
              ("twist", "--group", ADJOINT_A1_32, "--twist", "level:1"),
              ("dualize", "--group", ADJOINT_A1_32, "--twist", "level:1",
-              "--shift", json.dumps([[0] * 32] * 32, separators=(",", ":"))),
-             ("group", "--group", ADJOINT_A1_32), ("group", "--group", DIAGONAL_A1_32))
+              "--shift", ZERO_32),
+             ("group", "--group", ADJOINT_A1_32), ("group", "--group", DIAGONAL_A1_32)
+        ) + tuple(("extension", "--group", group, "--b", ZERO_32)
+                  for group in ("PSU(33)", ADJOINT_A1_32))
 CONTCHECK_ROWS = tuple(("contcheck", "--grid", grid, "--format", "json")
                        for grid in ("16384", "131072"))
 
