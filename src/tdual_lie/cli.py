@@ -19,7 +19,6 @@ error.
 from __future__ import annotations
 
 import json
-import os
 import re
 import sys
 from contextlib import contextmanager
@@ -63,16 +62,13 @@ def _flag_int(text: str, what: str, signed: bool = False) -> int:
 
 
 def _contcheck_grid(flag: str | None) -> int:
-    """--grid, else TDUAL_PRECISION, else the default: an integer from
+    """--grid, else `contcheck.DEFAULT_GRID`: an integer from
     `contcheck.MIN_GRID` to `contcheck.MAX_GRID`."""
-    what, raw = "--grid", flag
     if flag is None:
-        what, raw = "TDUAL_PRECISION", os.environ.get("TDUAL_PRECISION")
-        if raw is None:
-            return cont.DEFAULT_GRID
-    val = _flag_int(raw, what)
+        return cont.DEFAULT_GRID
+    val = _flag_int(flag, "--grid")
     if not cont.MIN_GRID <= val <= cont.MAX_GRID:
-        raise UsageError(f"{what} must be from {cont.MIN_GRID} to {cont.MAX_GRID}, got {val}")
+        raise UsageError(f"--grid must be from {cont.MIN_GRID} to {cont.MAX_GRID}, got {val}")
     return val
 
 
@@ -277,8 +273,11 @@ def resolve_group(spec: str) -> RootDatum:
             comps = [(_exact_str(c["series"], "components[].series"),
                       _exact_int(c["rank"], "components[].rank"))
                      for c in data["components"]]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise UsageError(f"root-datum JSON needs components[].series/.rank: {exc}") from exc
+        except TypeError as exc:
+            raise UsageError('root-datum JSON needs components as a list of {"series", "rank"} '
+                             "objects") from exc
         fg = data.get("fundamental_group", "simply_connected")
         _known_keys(fg, ("generators",), "fundamental_group")
         if isinstance(fg, dict) and "generators" in fg:

@@ -37,6 +37,7 @@ MAX_GRID = 2**17  # about 0.3 s and 31 MB RSS; time and memory grow linearly wit
 PLATEAU_FRACTION = 0.05
 FLAT_TOL = 1e-12
 BUMP_TABLE = 4096  # intervals of the tabulated bump integral
+C_FORM_TOL = 1e-12
 
 
 class Cutoff(Record):
@@ -235,7 +236,7 @@ def _max_abs(values, denominator: int = 1) -> float:
     return max(map(abs, values), default=0) / denominator
 
 
-def check_c_form(sc: StructureConstants, tolerance: float = 1e-12) -> dict:
+def check_c_form(sc: StructureConstants) -> dict:
     """Verify the three defining properties of the curvature form's
     algebraic core: total antisymmetry, ad-invariance, and vanishing on
     pairs (and, when the rank allows, triples) of Cartan directions; and
@@ -276,8 +277,8 @@ def check_c_form(sc: StructureConstants, tolerance: float = 1e-12) -> dict:
         "cartan_pair_residual": pair,
         "cartan_triple_residual": triple,
         "jacobi_residual": jacobi,
-        "tolerance": tolerance,
-        "passed": all(x < tolerance for x in (anti, invariance, pair, jacobi, triple or 0.0)),
+        "tolerance": C_FORM_TOL,
+        "passed": all(x < C_FORM_TOL for x in (anti, invariance, pair, jacobi, triple or 0.0)),
     }
 
 

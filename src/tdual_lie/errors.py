@@ -33,7 +33,7 @@ class NotBetweenLattices(TdualError):
 
 
 class InvalidSeries(TdualError):
-    """Unknown simple series or rank outside the classification."""
+    """A simple series, rank or Cartan matrix outside the classification."""
 
 
 class InvalidCenterSubgroup(TdualError):
@@ -47,8 +47,8 @@ class RequiresExplicitB(TdualError):
 
 
 class InvalidCommutator(TdualError):
-    """A commutator matrix does not vanish on the diagonal, is not
-    antisymmetric mod 1, or has entries outside [0, 1)."""
+    """A commutator matrix has a denominator below 1, does not vanish on the
+    diagonal, is not antisymmetric mod 1, or has entries outside [0, 1)."""
 
 
 class NotACycle(TdualError):

@@ -55,7 +55,7 @@ from .rootdata import (
 from .zlinalg import IntMatrix, block_diag, column_hermite_form, kernel_of_matrix, solve_columns
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)  # each entry holds an n x n M; a report evaluates u and the shifted u
 def _invariant_coords(rd: RootDatum, u: IntMatrix) -> tuple[IntMatrix, tuple[int, ...] | None]:
     """M = X u^T for the twist u (integral-lattice coordinates to weight
     coordinates), and the coordinates c of its quadratic polynomial (M_ii on

@@ -169,5 +169,9 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
 def commutator_from_matrix(rd: RootDatum, entries: Sequence[Sequence[tuple]]) -> CommutatorMap:
     """Build a commutator map from rational entries, each an integer pair
     (p, q) with q > 0 standing for p/q (as `cli` reads "1/2")."""
+    for i, row in enumerate(entries):
+        for j, (p, q) in enumerate(row):
+            if q <= 0:
+                raise InvalidCommutator(f"entry ({i}, {j}) is {p}/{q}: a denominator must be > 0")
     vals = tuple(tuple(mod1(*x) for x in row) for row in entries)
     return CommutatorMap(basis=rd.integral, values=vals)

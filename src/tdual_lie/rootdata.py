@@ -50,8 +50,10 @@ from .zlinalg import (
 )
 
 
-def _check_series(series: str, rank: int) -> None:
-    ok = {
+def _classified(series: str, rank: int) -> bool:
+    """(series, rank) names a simple group in the classification (Bourbaki,
+    Lie Groups ch. VI), each once: B2 = C2 is B2 and D3 = A3 is A3."""
+    return {
         "A": rank >= 1,
         "B": rank >= 2,
         "C": rank >= 3,
@@ -59,9 +61,7 @@ def _check_series(series: str, rank: int) -> None:
         "E": rank in (6, 7, 8),
         "F": rank == 4,
         "G": rank == 2,
-    }.get(series)
-    if not ok:
-        raise InvalidSeries(f"no simple group of type {quote(f'{series}{rank}', str)}")
+    }.get(series, False)
 
 
 def cartan_block(series: str, rank: int) -> list[list[int]]:
@@ -97,6 +97,30 @@ def cartan_block(series: str, rank: int) -> list[list[int]]:
     return a
 
 
+_DUAL_SERIES = {"B": "C", "C": "B"}  # where a Langlands dual factor changes series
+
+
+def _block(mat: IntMatrix, lo: int, hi: int) -> list[list[int]]:
+    """Rows and columns lo..hi-1 of `mat`."""
+    return [[mat[i, j] for j in range(lo, hi)] for i in range(lo, hi)]
+
+
+def _is_cartan_of(cartan: IntMatrix, components) -> bool:
+    """`cartan` is the block sum over `components` of `cartan_block(series,
+    rank)` or its transpose, each (series, rank) or its Langlands dual (C2
+    is B2's) being in the classification."""
+    n, lo, blocks = sum(r for _, r in components), 0, []
+    if cartan.rows != n or cartan.cols != n:
+        return False
+    for series, r in components:
+        if not (_classified(series, r) or _classified(_DUAL_SERIES.get(series), r)):
+            return False
+        block = IntMatrix(cartan_block(series, r))
+        blocks.append(block if _block(cartan, lo, lo + r) == block.tolist() else block.transpose())
+        lo += r
+    return cartan == block_diag(blocks)
+
+
 class RootDatum(Record):
     """A compact semisimple group presented through its lattices.
 
@@ -107,8 +131,10 @@ class RootDatum(Record):
     simple coroots for a simply connected group, the fundamental coweights
     for an adjoint one, and a Hermite basis otherwise.  The containment of
     the coroots is checked by solving B X^T = A for the cached character
-    basis, the one elimination of B per datum; as A is nonsingular, it also
-    shows that the columns of B are independent.
+    basis, the one elimination of B per datum; it also shows that the
+    columns of B are independent, as A is nonsingular: A must be the block
+    sum over `components` of classified Cartan blocks or their transposes
+    (`_is_cartan_of`), and anything else raises InvalidSeries.
     """
 
     _fields = ("components", "cartan", "integral", "label")
@@ -117,17 +143,10 @@ class RootDatum(Record):
                  integral: IntMatrix, label: str):
         self.components, self.cartan = components, cartan
         self.integral, self.label = integral, label
+        if not _is_cartan_of(cartan, components):
+            raise InvalidSeries("the Cartan matrix is not that of "
+                                + " x ".join(f"{s}{r}" for s, r in components))
         n = self.rank
-        if self.cartan.rows != n or self.cartan.cols != n:
-            raise InvalidSeries("Cartan matrix size does not match total rank")
-        for i in range(n):
-            if self.cartan[i, i] != 2:
-                raise InvalidSeries("Cartan diagonal must be 2")
-            for j in range(n):
-                if i != j:
-                    cij, cji = self.cartan[i, j], self.cartan[j, i]
-                    if cij > 0 or cij * cji not in (0, 1, 2, 3):
-                        raise InvalidSeries("not a Cartan matrix of finite type")
         if self.integral.rows != n or self.integral.cols != n:
             raise DimensionMismatch(f"integral basis must be {n}x{n}")
         character_basis(self)
@@ -219,7 +238,8 @@ def build(series_list: Sequence[tuple[str, int]], fundamental_group="simply_conn
         if type(series) is not str or type(rank) is not int:
             raise InvalidSeries("a simple factor needs a str series and an int rank")
         series = series.upper()
-        _check_series(series, rank)
+        if not _classified(series, rank):
+            raise InvalidSeries(f"no simple group of type {quote(f'{series}{rank}', str)}")
         comps.append((series, rank))
     if not comps:
         raise InvalidSeries("a semisimple group needs at least one simple factor")
@@ -430,8 +450,7 @@ def langlands_dual(rd: RootDatum) -> RootDatum:
     coweight coordinates are the original weight coordinates, and the dual
     integral lattice is the character lattice of the original torus.
     """
-    swap = {"B": "C", "C": "B"}
-    return RootDatum(components=tuple((swap.get(s, s), r) for s, r in rd.components),
+    return RootDatum(components=tuple((_DUAL_SERIES.get(s, s), r) for s, r in rd.components),
                      cartan=rd.cartan.transpose(), integral=character_basis(rd),
                      label=_dual_label(rd))
 
@@ -448,14 +467,10 @@ def require_phi(rd: RootDatum) -> tuple[int, ...]:
     over exactly when it is a B/C factor of rank >= 3 with no partner.
     """
     dual = langlands_dual(rd)
-
-    def block(mat, lo, hi):
-        return [[mat[i, j] for j in range(lo, hi)] for i in range(lo, hi)]
-
-    unused = [(lo, hi, block(dual.cartan, lo, hi)) for lo, hi, _, _ in dual.factor_ranges()]
+    unused = [(lo, hi, _block(dual.cartan, lo, hi)) for lo, hi, _, _ in dual.factor_ranges()]
     perm, unmatched = [], []
     for lo, hi, series, r in rd.factor_ranges():
-        src = block(rd.cartan, lo, hi)
+        src = _block(rd.cartan, lo, hi)
         reversed_src = [row[::-1] for row in src[::-1]]
         for k, (glo, ghi, dst) in enumerate(unused):
             if dst == src:

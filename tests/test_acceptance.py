@@ -187,8 +187,8 @@ def test_c09_continuum_constants():
         for c in cutoffs:
             assert abs(cutoff_integral(c) + 1.0 / 6.0) < 1e-9, c.name
         for algebra in ("su2", "su3", "su4"):
-            rep = check_c_form(StructureConstants(algebra), tolerance=1e-12)
-            assert rep["passed"], rep
+            rep = check_c_form(StructureConstants(algebra))
+            assert rep["passed"] and rep["tolerance"] == 1e-12, rep
             assert rep["cartan_pair_residual"] < 1e-12
             if algebra == "su4":
                 triple = rep["cartan_triple_residual"]

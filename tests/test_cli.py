@@ -327,14 +327,29 @@ def test_contcheck_verb():
     assert payload["reports"][0]["passed"] is True
 
 
-def test_contcheck_grid_env(monkeypatch):
-    monkeypatch.setenv("TDUAL_PRECISION", "4096")
-    cfg = parse_args(["contcheck"])
-    assert cfg.grid == 4096
-    for raw in ("oops", " 8192 ", "8_192"):
-        monkeypatch.setenv("TDUAL_PRECISION", raw)
-        with pytest.raises(UsageError):
-            parse_args(["contcheck"])
+def _cli_process(argv, **env):
+    """A `tdual` process with `src` on its path, no TDUAL_* variable but
+    those in `env`: (exit code, stdout bytes)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items() if not k.startswith("TDUAL_")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "tdual_lie.cli", *argv], env={**base, **env},
+                          capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["contcheck"], ["group", "--group", "SU(3)"], ["twist", "--group", "SU(3)", "--twist", "level:1"],
+], ids=lambda argv: argv[0])
+def test_tdual_variables_change_no_output(argv):
+    """The contcheck grid comes from --grid alone: no TDUAL_* variable,
+    in range, out of range or junk, changes any verb's exit code or stdout."""
+    unset = _cli_process(argv)
+    assert unset[0] == 0
+    for env in ({"TDUAL_PRECISION": "4096", "TDUAL_FOO": "junk"}, {"TDUAL_PRECISION": "oops"},
+                {"TDUAL_PRECISION": "19"}, {"TDUAL_PRECISION": "843"},
+                {"TDUAL_PRECISION": "131073"}):
+        assert _cli_process(argv, **env) == unset, env
 
 
 def _usage_error(capsys, argv, prefix="usage error:"):
@@ -363,6 +378,19 @@ def test_shift_float_entry_rejected(capsys):
 
 def test_component_rank_must_be_integer(capsys):
     _usage_error(capsys, ["group", "--group", '{"components": [{"series": "A", "rank": "x"}]}'])
+
+
+@pytest.mark.parametrize("spec", [
+    '{"components": [1]}', '{"components": 5}', '{"components": {"series": "A"}}',
+])
+def test_components_of_the_wrong_shape_rejected(capsys, spec):
+    """Components that are not a list of objects get one fixed line naming
+    the shape, not Python's own TypeError text."""
+    capsys.readouterr()
+    assert main(["group", "--group", spec]) == 2
+    assert capsys.readouterr().err == (
+        'usage error: root-datum JSON needs components as a list of {"series", "rank"} '
+        "objects\n")
 
 
 @pytest.mark.parametrize("series", ["5", '["A"]'])
@@ -429,12 +457,6 @@ def test_output_into_missing_directory(capsys, tmp_path):
     assert not target.parent.exists()
 
 
-def test_precision_env_read_only_by_contcheck(capsys, monkeypatch):
-    monkeypatch.setenv("TDUAL_PRECISION", "oops")
-    assert main(["group", "--group", "SU(2)"]) == 0
-    _usage_error(capsys, ["contcheck"])
-
-
 @pytest.mark.parametrize("grid", ["0", "-5", "15", "19", "843"])
 def test_contcheck_grid_below_minimum_rejected(capsys, grid):
     _usage_error(capsys, ["contcheck", "--grid", grid])
@@ -442,17 +464,6 @@ def test_contcheck_grid_below_minimum_rejected(capsys, grid):
 
 def test_contcheck_grid_above_maximum_rejected(capsys):
     _usage_error(capsys, ["contcheck", "--grid", "131073"])
-
-
-def test_contcheck_precision_below_minimum_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("TDUAL_PRECISION", "19")
-    _usage_error(capsys, ["contcheck"])
-
-
-@pytest.mark.parametrize("grid", ["843", "131073"])
-def test_contcheck_precision_out_of_range_rejected(capsys, monkeypatch, grid):
-    monkeypatch.setenv("TDUAL_PRECISION", grid)
-    _usage_error(capsys, ["contcheck"])
 
 
 def test_contcheck_grid_bounds_accepted():
@@ -618,7 +629,6 @@ def test_numpy_never_loaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop("TDUAL_PRECISION", None)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -827,6 +837,11 @@ FUZZ_CASES = [
     pytest.param(["group", "--group", '{"components": [{"series": "A", "rank": 1}], '
                   '"fundamental_group": {"generators": [[1]], "extra": 1}}'], 2,
                  id="group-json-fundamental-group-extra-key"),
+    # Components of the wrong shape.
+    pytest.param(["group", "--group", '{"components":[1]}'], 2, id="group-json-component-int"),
+    pytest.param(["group", "--group", '{"components":5}'], 2, id="group-json-components-int"),
+    pytest.param(["group", "--group", '{"components":{"series":"A"}}'], 2,
+                 id="group-json-components-object"),
     # JSON nested past the recursion limit is malformed input, not a traceback.
     pytest.param(["group", "--group", "{\"a\": " + "[" * 100000], 2, id="group-json-deep"),
     pytest.param(["group", "--group-list", "SU(2),{\"a\": " + "[" * 100000], 2,

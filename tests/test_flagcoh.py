@@ -250,6 +250,18 @@ def test_invariant_coords_match_lattice_route(rd, level, data):
             assert _invariant_coords(datum, v)[1] == invariant_coords(datum, v), (datum.label, v)
 
 
+def test_twist_cache_stays_at_its_bound():
+    """Distinct twists through `is_cycle` leave the per-twist cache at its
+    bound, not one n x n entry per twist ever seen."""
+    rd = named_group("SU(9)")
+    clear_caches()
+    for k in range(200):
+        is_cycle(rd, level_twist(rd, k))
+    info = _invariant_coords.cache_info()
+    assert info.misses == 200
+    assert info.currsize == info.maxsize == 2
+
+
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(root_data())
 def test_vanishing_pieces_match_kernels(rd):

@@ -50,7 +50,6 @@ def _plain_run(config):
 def _check(argv, digest, capsys, monkeypatch):
     """Run `argv` through `main`; its stdout must hash to `digest`, and the
     report `cli.run` hands to the renderer must be plain JSON data."""
-    monkeypatch.delenv("TDUAL_PRECISION", raising=False)
     monkeypatch.setattr(cli, "run", _plain_run)
     code = main(list(argv))
     out, err = capsys.readouterr()

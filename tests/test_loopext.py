@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tdual_lie import loopext
 from tdual_lie.cli import report_extension, resolve_group
-from tdual_lie.errors import RequiresExplicitB
+from tdual_lie.errors import InvalidCommutator, RequiresExplicitB
 from tdual_lie.loopext import (
     admissibility_check,
     commutator_from_level,
@@ -359,6 +359,14 @@ def test_explicit_matrix_reduction():
     rd = named_group("SU(3)")
     b = commutator_from_matrix(rd, [[(0, 1), (3, 2)], [(1, 2), (0, 1)]])
     assert b.values == (((0, 1), (1, 2)), ((1, 2), (0, 1)))
+
+
+@pytest.mark.parametrize("q", [0, -2])
+def test_explicit_matrix_refuses_a_denominator_below_one(q):
+    """p/q needs q > 0: q = 0 is refused by name, not a ZeroDivisionError, and
+    a negative q is not reported as a value outside [0, 1)."""
+    with pytest.raises(InvalidCommutator, match=rf"^entry \(1, 0\) is 1/{q}: .* > 0$"):
+        commutator_from_matrix(named_group("SU(3)"), [[(0, 1), (1, 2)], [(1, q), (0, 1)]])
 
 
 PSO8 = '{"components": [{"series": "D", "rank": 4}], "fundamental_group": "adjoint"}'

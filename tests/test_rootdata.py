@@ -86,6 +86,38 @@ def test_series_validation():
         named_group("Spin(6)")
 
 
+@pytest.mark.parametrize("components, cartan", [
+    ((("A", 3),), [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]),
+    ((("A", 2),), [[2, -2], [-1, 2]]),
+    ((("A", 1), ("A", 1)), [[2, -1], [-1, 2]]),
+    ((("A", 1), ("A", 1)), [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]),
+], ids=["affine A2 as A3", "B2 as A2", "A1 x A1 joined", "3x3 over rank 2"])
+def test_root_datum_refuses_a_cartan_matrix_off_the_table(components, cartan):
+    """A Cartan matrix is the block sum of the classified blocks of its
+    components (or their transposes): the singular affine A2, a B2 matrix
+    labelled A2, an edge between two factors and a matrix of the wrong size
+    each raise one InvalidSeries line, which names the components."""
+    m = IntMatrix(cartan)
+    with pytest.raises(InvalidSeries) as exc:
+        RootDatum(components, m, IntMatrix.identity(m.rows), "x")
+    assert str(exc.value) == "the Cartan matrix is not that of " + " x ".join(
+        f"{s}{r}" for s, r in components)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(root_data())
+def test_built_data_and_their_duals_pass_the_cartan_rule(rd):
+    """Every datum `build` makes, its Langlands dual (C2 from B2, transposed
+    G2 and F4 blocks) and the dual's dual construct again from their fields,
+    and the dual's dual has rd's components and lattices."""
+    dual = langlands_dual(rd)
+    twice = langlands_dual(dual)
+    for datum in (rd, dual, twice):
+        assert RootDatum(datum.components, datum.cartan, datum.integral, datum.label) == datum
+    assert (twice.components, twice.cartan, twice.integral) == (
+        rd.components, rd.cartan, rd.integral)
+
+
 @pytest.mark.parametrize("comps", [
     [("A", 2.7)], [("A", True)], [("A", "2")], [("A", None)], [(5, 2)], [(["A"], 2)], [(b"A", 2)],
 ])

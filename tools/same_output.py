@@ -1,0 +1,74 @@
+"""Check that a change prints what its parent prints, argv by argv.
+
+    python3 tools/same_output.py --parent DIR
+
+DIR is a checkout of the parent commit; the change is the checkout this
+script sits in.  Each argv runs once in each checkout, as one `tdual`
+process with only that checkout's `src` on its path and no TDUAL_* or
+PYTHON* setting (`bench_pr.job_env`).  The argv are every
+`perfbench/workloads.digest_jobs()` row, `make_jobs(w, s)` for seeds 1-5 of
+each workload, the cliff rows, and bench_pr's RANK_CAP_ROWS and
+CONTCHECK_ROWS, each distinct argv once.  Every argv whose exit code,
+stdout sha256 or stderr differs is printed with both sides' stderr, and the
+script exits 1 if any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+sys.path[:0] = [str(Path(__file__).resolve().parent),
+                str(Path(__file__).resolve().parents[1] / "perfbench")]
+
+from bench_pr import CHANGE, CONTCHECK_ROWS, ENTRY, RANK_CAP_ROWS, job_env  # noqa: E402
+from workloads import CLIFFS, WORKLOADS, digest_jobs, make_jobs  # noqa: E402
+
+SEEDS = range(1, 6)
+TIMEOUT_S = 300
+
+
+def all_argv() -> list[tuple[str, ...]]:
+    """The rows named in the module docstring, in that order, each once."""
+    jobs = digest_jobs() + [job for w in WORKLOADS for s in SEEDS for job in make_jobs(w, s)]
+    rows = [job.argv for job in jobs + list(CLIFFS)] + list(RANK_CAP_ROWS + CONTCHECK_ROWS)
+    return list(dict.fromkeys(map(tuple, rows)))
+
+
+def run(root: Path, argv: tuple[str, ...]) -> tuple[str, str, str]:
+    """(exit status, stdout sha256, stderr) of one `tdual` process in `root`."""
+    try:
+        proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], cwd=root, env=job_env(root),
+                              stdin=subprocess.DEVNULL, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return f"timeout after {TIMEOUT_S} s", "", ""
+    return (f"exit {proc.returncode}", hashlib.sha256(proc.stdout).hexdigest(),
+            proc.stderr.decode("utf-8", "replace"))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    args = parser.parse_args(argv)
+    parent = args.parent.resolve()
+    rows, differ = all_argv(), 0
+    for k, row in enumerate(rows, 1):
+        old, new = run(parent, row), run(CHANGE, row)
+        if old != new:
+            differ += 1
+            what = [name for name, a, b in zip(("exit code", "stdout", "stderr"), old, new)
+                    if a != b]
+            print(f"differs ({', '.join(what)}): {' '.join(row)}")
+            print(f"  parent: {old[0]}, stderr {old[2]!r}")
+            print(f"  change: {new[0]}, stderr {new[2]!r}")
+        if k % 100 == 0:
+            print(f"same_output: {k}/{len(rows)} argv run", file=sys.stderr)
+    print(f"same_output: {len(rows)} argv, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
