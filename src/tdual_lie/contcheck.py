@@ -29,7 +29,6 @@ from functools import lru_cache
 from itertools import accumulate, chain, islice
 
 from .errors import InadmissibleCutoff
-from .zlinalg import Record
 
 DEFAULT_GRID = 8192
 MIN_GRID = 844  # every standard cutoff passes from here to 8192 (wiggle fails at 843)
@@ -40,7 +39,7 @@ BUMP_TABLE = 4096  # intervals of the tabulated bump integral
 C_FORM_TOL = 1e-12
 
 
-class Cutoff(Record):
+class Cutoff:
     """Sampled profile chi on the uniform grid t_i = i/(len(values) - 1)
     over [0, 1].
 
@@ -48,8 +47,6 @@ class Cutoff(Record):
     first and last 5% of samples (plateaus), so that differentiating and
     integrating numerically sees a function that is flat at the boundary.
     """
-
-    _fields = ("name", "values")
 
     def __init__(self, name: str, values: tuple[float, ...]):
         self.name, self.values = name, values

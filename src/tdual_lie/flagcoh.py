@@ -19,7 +19,7 @@ in even degrees, H^2 the weights and H^4 sym^2(weights) / invariants.
 
 A middle-term element is a twist: an n x n matrix u from integral-lattice
 to weight coordinates.  With X the character basis (columns in weight
-coordinates, solved for once per datum by `rootdata.character_basis`), the
+coordinates, kept on the datum and read by `rootdata.character_basis`), the
 cycle test and the boundary map are matrix algebra on u and X.  A
 quadratic polynomial in the weights is held as its symmetric matrix S (the
 polynomial w^T S w / 2), and the invariants as one block F_k per simple
@@ -46,6 +46,7 @@ from operator import mul
 
 from .errors import DimensionMismatch, NotACycle
 from .rootdata import (
+    DATUM_CACHE,
     RootDatum,
     character_basis,
     character_smith,
@@ -95,7 +96,7 @@ def boundary(rd: RootDatum, s: IntMatrix) -> IntMatrix:
     return character_basis(rd) @ (s - s.transpose())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DATUM_CACHE)
 def invariant_forms(rd: RootDatum) -> tuple[tuple[int, int, IntMatrix], ...]:
     """The Weyl invariants of sym^2 of the weight lattice, in closed form:
     (lo, hi, F_k) for each simple factor, rows and columns lo..hi-1.
@@ -126,7 +127,7 @@ def invariant_forms(rd: RootDatum) -> tuple[tuple[int, int, IntMatrix], ...]:
 H3Group = namedtuple("H3Group", "free_rank torsion")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DATUM_CACHE)
 def _smith_frame(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple[int, int], ...],
                                           IntMatrix]:
     """(U, d, P, K): U X V = diag(d) is the Smith form of the character
@@ -197,45 +198,31 @@ def class_in_h3(rd: RootDatum, u: IntMatrix) -> tuple[tuple[int, ...], tuple[int
 
 
 # ---------------------------------------------------------------------------
-# Dualizability
-# ---------------------------------------------------------------------------
-
-
-def dualizability_report(rd: RootDatum) -> dict:
-    """Every degree-3 class on K sits in the second filtration step, so a
-    T-dual always exists; the report certifies the two vanishing graded
-    pieces instead of just asserting them.
-
-    The (1,2) piece vanishes because the flag base has no odd cohomology.
-    The (0,3) piece is the kernel of the wedge^3 differential
-    (r (x) id) o Delta_3, and d20 is, up to sign, (id (x) r) o Delta_2,
-    where Delta_k: wedge^k -> V (x) wedge^(k-1) is the comultiplication
-    x_1^...^x_k -> sum_i (-1)^(i-1) x_i (x) (x_1^..^x_i-hat^..^x_k).
-    The wedge product m: V (x) wedge^(k-1) -> wedge^k satisfies
-    m o Delta_k = k * id, so Delta_k is injective over Q.  Each composite
-    is then injective over Q whenever r is, and a map of free Z-modules
-    that is injective over Q has zero kernel.  So both kernels, and
-    H^1 = ker r, vanish once the character basis X has full rank.  It has,
-    for every RootDatum: the integral basis B has n independent columns and
-    B X^T = A, which is nonsingular, so nothing is left to check.
-    """
-    return {
-        "group": rd.label,
-        "dualizable": True,
-        "wedge3_kernel_rank": 0,
-        "notes": [
-            "flag base has no degree-1 or degree-3 cohomology, so the (1,2) "
-            "graded piece vanishes and the filtration ends at the hom-lattice term",
-            "wedge^3 differential has kernel rank 0, so the (0,3) graded piece vanishes",
-            "hence H^3 of the total space equals its second filtration step: "
-            "every class admits a hom-lattice representative",
-        ],
-    }
-
-
-# ---------------------------------------------------------------------------
 # Assembled report
 # ---------------------------------------------------------------------------
+
+
+# Every degree-3 class on K, for every datum alike, sits in the second
+# filtration step, so a T-dual always exists; the notes name the two pieces.
+#
+# The (1,2) piece vanishes because the flag base has no odd cohomology.  The
+# (0,3) piece is the kernel of the wedge^3 differential (r (x) id) o Delta_3,
+# and d20 is, up to sign, (id (x) r) o Delta_2, where Delta_k: wedge^k ->
+# V (x) wedge^(k-1) is the comultiplication x_1^...^x_k -> sum_i (-1)^(i-1)
+# x_i (x) (x_1^..^x_i-hat^..^x_k).  The wedge product m: V (x) wedge^(k-1) ->
+# wedge^k satisfies m o Delta_k = k * id, so Delta_k is injective over Q.
+# Each composite is then injective over Q whenever r is, and a map of free
+# Z-modules that is injective over Q has zero kernel.  So both kernels, and
+# H^1 = ker r, vanish once the character basis X has full rank.  It has, for
+# every RootDatum: the integral basis B has n independent columns and
+# B X^T = A, which is nonsingular, so nothing is left to check.
+DUALIZABILITY_NOTES = (
+    "flag base has no degree-1 or degree-3 cohomology, so the (1,2) "
+    "graded piece vanishes and the filtration ends at the hom-lattice term",
+    "wedge^3 differential has kernel rank 0, so the (0,3) graded piece vanishes",
+    "hence H^3 of the total space equals its second filtration step: "
+    "every class admits a hom-lattice representative",
+)
 
 
 def group_dict(free_rank: int, torsion: Iterable[int] = ()) -> dict:
@@ -248,7 +235,7 @@ def group_dict(free_rank: int, torsion: Iterable[int] = ()) -> dict:
 
 def cohomology(rd: RootDatum) -> dict:
     """H^1..H^3 of the group and H^2, H^4 of the base, read off data already
-    in hand.  Restriction X is injective (see dualizability_report), so H^1
+    in hand.  Restriction X is injective (see DUALIZABILITY_NOTES), so H^1
     = 0 and H^2 = coker X, whose invariant factors are those of pi_1, read
     off the Smith form behind `h3_group`.  The flag manifold has free
     cohomology concentrated in even degrees (Bott-Samelson), with H^2 the

@@ -21,7 +21,7 @@ from math import gcd, lcm
 
 from .errors import DimensionMismatch, InvalidCommutator, RequiresExplicitB
 from .rootdata import RootDatum, basic_form, character_basis, form_pairing, fundamental_group_of
-from .zlinalg import IntMatrix, Record, solve_columns
+from .zlinalg import IntMatrix, solve_columns
 
 
 def mod1(p: int, q: int) -> tuple[int, int]:
@@ -36,21 +36,18 @@ def ratio(p: int, q: int) -> str:
     return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
-class CommutatorMap(Record):
+class CommutatorMap:
     """Antisymmetric bi-additive Q/Z-valued form on the integral lattice.
 
-    `basis` is the basis matrix of the lattice, and `values[i][j]` is
-    b(e_i, e_j) for its basis vectors, as a `mod1` pair.
+    `values[i][j]` is b(e_i, e_j), as a `mod1` pair, for the basis vectors
+    e_i of the rank-n lattice: the columns of its integral basis.
     Bi-additive extension off the basis is exact and lossless because b is
     a homomorphism on the exterior square.
     """
 
-    _fields = ("basis", "values")
-
-    def __init__(self, basis: IntMatrix, values: tuple[tuple[tuple[int, int], ...], ...]):
-        self.basis, self.values = basis, values
-        n = self.basis.cols
-        if len(self.values) != n or any(len(r) != n for r in self.values):
+    def __init__(self, n: int, values: tuple[tuple[tuple[int, int], ...], ...]):
+        self.values = values
+        if len(values) != n or any(len(r) != n for r in values):
             raise DimensionMismatch("commutator matrix size must match lattice rank")
         for i in range(n):
             if self.values[i][i] != (0, 1):
@@ -76,14 +73,14 @@ def commutator_from_level(rd: RootDatum, level: int) -> CommutatorMap:
         raise RequiresExplicitB(
             f"{rd.label} is not simply connected; supply the commutator map explicitly")
     values = tuple(tuple(mod1(x, 2) for x in row) for row in basic_form(rd, level))
-    return CommutatorMap(basis=rd.integral, values=values)
+    return CommutatorMap(rd.rank, values)
 
 
 def lift_commutator(b: CommutatorMap) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Rows of the canonical antisymmetric rational lift, as (p, q) pairs:
     entries above the diagonal are the [0,1) representatives, entries below
     their negatives."""
-    v, n = b.values, b.basis.cols
+    v, n = b.values, len(b.values)
     return tuple(tuple(v[i][j] if i <= j else (-v[j][i][0], v[j][i][1]) for j in range(n))
                  for i in range(n))
 
@@ -174,4 +171,4 @@ def commutator_from_matrix(rd: RootDatum, entries: Sequence[Sequence[tuple]]) ->
             if q <= 0:
                 raise InvalidCommutator(f"entry ({i}, {j}) is {p}/{q}: a denominator must be > 0")
     vals = tuple(tuple(mod1(*x) for x in row) for row in entries)
-    return CommutatorMap(basis=rd.integral, values=vals)
+    return CommutatorMap(rd.rank, vals)

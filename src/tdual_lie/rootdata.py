@@ -22,7 +22,8 @@ Conventions (fixed once, used by every module downstream):
 
 Everything is integral, with no rationals even in passing: a dual basis is
 the transpose of an integer solve B X = A, which has a solution exactly when
-the lattice with basis B contains the coroots.
+the lattice with basis B contains the coroots.  Each `RootDatum` takes that
+solve once and keeps its character basis.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .errors import (
 )
 from .zlinalg import (
     IntMatrix,
-    Record,
     block_diag,
     column_hermite_form,
     hstack,
@@ -97,6 +97,7 @@ def cartan_block(series: str, rank: int) -> list[list[int]]:
     return a
 
 
+_FACTOR_TYPES = "a simple factor needs a str series and an int rank"
 _DUAL_SERIES = {"B": "C", "C": "B"}  # where a Langlands dual factor changes series
 
 
@@ -121,35 +122,55 @@ def _is_cartan_of(cartan: IntMatrix, components) -> bool:
     return cartan == block_diag(blocks)
 
 
-class RootDatum(Record):
-    """A compact semisimple group presented through its lattices.
+class RootDatum:
+    """A compact semisimple group presented through its lattices, a value:
+    `==`, `hash` and repr are class-exact and read its four fields, so equal
+    data share the entries of every per-datum cache.
 
     `integral` is the n x n basis matrix B of the integral lattice of the
     chosen maximal torus, sitting between the coroot lattice (simply
     connected case) and the coweight lattice (adjoint case); its columns are
     the "preferred" basis every twist matrix downstream refers to: the
     simple coroots for a simply connected group, the fundamental coweights
-    for an adjoint one, and a Hermite basis otherwise.  The containment of
-    the coroots is checked by solving B X^T = A for the cached character
-    basis, the one elimination of B per datum; it also shows that the
-    columns of B are independent, as A is nonsingular: A must be the block
-    sum over `components` of classified Cartan blocks or their transposes
-    (`_is_cartan_of`), and anything else raises InvalidSeries.
+    for an adjoint one, and a Hermite basis otherwise.  Each factor is a
+    (str, int) pair, and A is the block sum over `components` of classified
+    Cartan blocks or their transposes (`_is_cartan_of`), else InvalidSeries.
+    So A is nonsingular, and the one solve B X^T = A for the character basis
+    X the datum keeps checks that the lattice contains the coroots and shows
+    the columns of B independent.
     """
-
-    _fields = ("components", "cartan", "integral", "label")
 
     def __init__(self, components: tuple[tuple[str, int], ...], cartan: IntMatrix,
                  integral: IntMatrix, label: str):
         self.components, self.cartan = components, cartan
         self.integral, self.label = integral, label
+        if not all(type(c) is tuple and len(c) == 2 and type(c[0]) is str
+                   and type(c[1]) is int for c in components):
+            raise InvalidSeries(_FACTOR_TYPES)
         if not _is_cartan_of(cartan, components):
             raise InvalidSeries("the Cartan matrix is not that of "
                                 + " x ".join(f"{s}{r}" for s, r in components))
         n = self.rank
-        if self.integral.rows != n or self.integral.cols != n:
+        if integral.rows != n or integral.cols != n:
             raise DimensionMismatch(f"integral basis must be {n}x{n}")
-        character_basis(self)
+        x = solve_columns(integral, cartan)
+        if x is None:
+            raise NotBetweenLattices("integral lattice does not contain the coroots")
+        self._characters = x.transpose()
+
+    def _key(self) -> tuple:
+        return self.components, self.cartan, self.integral, self.label
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._key() == other._key() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"RootDatum(components={self.components!r}, cartan={self.cartan!r}, "
+                f"integral={self.integral!r}, label={self.label!r})")
 
     # -- ranks and factors ---------------------------------------------------
 
@@ -221,6 +242,10 @@ def basic_form(rd: RootDatum, level: int) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
+# The bound of every per-datum cache: one report keeps at most a datum and its
+# Langlands dual live, so a run over many distinct data holds only the last few.
+DATUM_CACHE = 8
+
 MAX_RANK = 32  # total rank; bounds the cost of every verb (its matrices are rank x rank)
 
 
@@ -236,7 +261,7 @@ def build(series_list: Sequence[tuple[str, int]], fundamental_group="simply_conn
     comps = []
     for series, rank in series_list:
         if type(series) is not str or type(rank) is not int:
-            raise InvalidSeries("a simple factor needs a str series and an int rank")
+            raise InvalidSeries(_FACTOR_TYPES)
         series = series.upper()
         if not _classified(series, rank):
             raise InvalidSeries(f"no simple group of type {quote(f'{series}{rank}', str)}")
@@ -386,7 +411,6 @@ def root_count(rd: RootDatum) -> int:
     return sum(_ROOT_COUNTS[s](r) for s, r in rd.components)
 
 
-@lru_cache(maxsize=None)
 def center(rd: RootDatum) -> tuple[int, ...]:
     """Invariant factors of the center of the simply connected form: the
     coweights mod the coroots, coker A, read off the Smith form of A.  The
@@ -395,21 +419,16 @@ def center(rd: RootDatum) -> tuple[int, ...]:
     return tuple(d[i, i] for i in range(rd.rank) if d[i, i] >= 2)
 
 
-@lru_cache(maxsize=None)
 def character_basis(rd: RootDatum) -> IntMatrix:
-    """The character basis X of the torus, taken once per datum: column k,
-    in weight coordinates, is the character x_k with x_k^T A^-1 B = e_k^T,
-    the basis dual to the integral basis B.  This duality ties twist
-    matrices to the degree-2 differential downstream.  X is the transpose
-    of the solution of B X^T = A, which is integral exactly when the integral
-    lattice contains the coroots; `RootDatum` refuses a datum without it."""
-    x = solve_columns(rd.integral, rd.cartan)
-    if x is None:
-        raise NotBetweenLattices("integral lattice does not contain the coroots")
-    return x.transpose()
+    """The character basis X of the torus, solved for once by `RootDatum` as
+    the transpose of the solution of B X^T = A: column k, in weight
+    coordinates, is the character x_k with x_k^T A^-1 B = e_k^T, the basis
+    dual to the integral basis B.  This duality ties twist matrices to the
+    degree-2 differential downstream."""
+    return rd._characters
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DATUM_CACHE)
 def character_smith(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...]]:
     """(U, d) with U X V = diag(d) for some unimodular V: the Smith form of
     the character basis X, taken once per datum for pi_1 and for H^2 and
@@ -439,10 +458,12 @@ def _dual_label(rd: RootDatum) -> str:
             return dst + text[len(src):]
     if text in ("G2", "F4", "E8"):
         return text
+    if text.startswith("dual(") and text.endswith(")"):
+        return text[5:-1]  # the dual's dual is the datum itself
     return f"dual({text})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DATUM_CACHE)
 def langlands_dual(rd: RootDatum) -> RootDatum:
     """Swap roots with coroots and characters with cocharacters.
 

@@ -20,7 +20,8 @@ from functools import lru_cache
 
 from .errors import DimensionMismatch
 from .flagcoh import boundary, is_cycle, require_cycle
-from .rootdata import RootDatum, character_basis, form_pairing, langlands_dual, require_phi
+from .rootdata import (DATUM_CACHE, RootDatum, character_basis, form_pairing, langlands_dual,
+                       require_phi)
 from .zlinalg import IntMatrix, column_hermite_form
 
 TWIST_BASIS_CONVENTION = (
@@ -96,7 +97,7 @@ def reduction_torsor_shift(rd: RootDatum, u: IntMatrix, shift: IntMatrix) -> Int
 _SELF_DUAL_WORDS = {("B", 2): (0,), ("C", 2): (0,), ("G", 2): (0,), ("F", 4): (0, 1, 2, 0, 1, 0)}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DATUM_CACHE)
 def _langlands_transport(rd: RootDatum) -> IntMatrix:
     """Pullback P.w from dual-side weight coordinates to weight coordinates
     whose induced twist is a cycle.  P is the Dynkin isomorphism

@@ -7,8 +7,7 @@ The module provides:
   * IntMatrix       -- immutable arbitrary-precision integer matrices,
   * smith_normal_form (U and D) / column_hermite_form -- normal forms,
   * kernel_of_matrix / solve_columns -- saturated kernels and integer
-    solves (sublattice membership),
-  * Record          -- the value-class base of the package's plain classes.
+    solves (sublattice membership).
 
 A lattice is the IntMatrix whose columns are a basis of it.
 
@@ -31,33 +30,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from itertools import chain
-from operator import attrgetter, mul
+from operator import mul
 
 from .errors import DimensionMismatch
-
-
-class Record:
-    """Field-wise, class-exact `==` and `hash` and a short repr over the
-    attributes named in `_fields`.  Instances are values: nothing assigns to
-    these attributes after `__init__`, though nothing stops it.  `_key`, the
-    getter of those attributes, is built once per subclass."""
-
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls):
-        cls._key = attrgetter(*cls._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key(self) == self._key(other)
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields if f[0] != "_")
-        return f"{type(self).__name__}({shown})"
 
 
 class IntMatrix:

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from tdual_lie import cli
 from tdual_lie.contcheck import StructureConstants, check_c_form, cutoff_integral, standard_cutoffs
 from tdual_lie.errors import Unavailable
-from tdual_lie.flagcoh import boundary, cohomology, dualizability_report, h3_group, is_cycle
+from tdual_lie.flagcoh import boundary, cohomology, h3_group, is_cycle
 from tdual_lie.loopext import commutator_from_level, fibrewise_trivializable
 from tdual_lie.rootdata import named_group
 from tdual_lie.tduality import bfield_shift, langlands_twist, level_twist, verify_langlands_tdual
@@ -125,7 +125,8 @@ def test_c06_dualizability_random_cycles():
                                for a in range(n)])
                 u = u + boundary(rd, s)
                 assert is_cycle(rd, u)
-            assert dualizability_report(rd)["dualizable"]
+                rep = cli.report_twist(rd, u)
+                assert rep["dualizable"] is True and len(rep["dualizability_notes"]) == 3
 
 
 def test_c07_bfield_shift():

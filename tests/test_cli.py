@@ -393,6 +393,14 @@ def test_components_of_the_wrong_shape_rejected(capsys, spec):
         "objects\n")
 
 
+@pytest.mark.parametrize("value", [",", " , ", ""])
+def test_group_list_naming_no_group(capsys, value):
+    """A --group-list that names no group says so, rather than asking for a
+    --group-list it was given."""
+    err = _usage_error(capsys, ["group", "--group-list", value])
+    assert err == f"usage error: --group-list names no group, got {value!r}\n"
+
+
 @pytest.mark.parametrize("series", ["5", '["A"]'])
 def test_component_series_must_be_string(capsys, series):
     """A series that is not a JSON string is refused as written, not glued
@@ -532,9 +540,9 @@ def test_dualize_solves_for_the_character_basis_once(monkeypatch, capsys):
         calls.append((basis, targets))
         return solve_columns(basis, targets)
 
+    rd = rootdata.named_group("SU(4)")
     monkeypatch.setattr(rootdata, "solve_columns", counted)
     clear_caches()
-    rd = rootdata.named_group("SU(4)")
     zero = json.dumps([[0] * 3] * 3)
     assert main(["dualize", "--group", "SU(4)", "--twist", "level:1", "--shift", zero]) == 0
     assert calls == [(rd.integral, rd.cartan)]
@@ -829,6 +837,7 @@ FUZZ_CASES = [
     pytest.param(["group", "--group", "SU(2)", "SU(3)"], 2, id="stray-positional"),
     pytest.param(["twist", "--group", "SU(2)"], 2, id="twist-missing"),
     pytest.param(["contcheck", "--group", "SU(2)"], 2, id="contcheck-group"),
+    pytest.param(["group", "--group-list", ","], 2, id="group-list-names-no-group"),
     # A root-datum JSON key outside the contract is refused, not ignored.
     pytest.param(["group", "--group", '{"components": [{"series": "A", "rank": 2}], '
                   '"fundamental_group": "adjoint", "extra": 1}'], 2, id="group-json-extra-key"),

@@ -1,5 +1,8 @@
 """Cohomology of groups and flag manifolds through the lattice complex."""
 
+import importlib
+import inspect
+import pkgutil
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -10,17 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 
+import tdual_lie
 from tdual_lie import rootdata, zlinalg
-from tdual_lie.cli import report_group
+from tdual_lie.cli import report_group, report_twist
 from tdual_lie.errors import NotACycle
 from tdual_lie.flagcoh import (
+    DUALIZABILITY_NOTES,
     _invariant_coords,
     _smith_frame,
     boundary,
     chern_classes,
     class_in_h3,
     cohomology,
-    dualizability_report,
     h3_group,
     invariant_forms,
     is_cycle,
@@ -36,7 +40,7 @@ from tdual_lie.rootdata import (
     langlands_dual,
     named_group,
 )
-from tdual_lie.tduality import level_twist
+from tdual_lie.tduality import level_twist, verify_langlands_tdual
 from tdual_lie.zlinalg import (
     IntMatrix,
     column_hermite_form,
@@ -262,6 +266,40 @@ def test_twist_cache_stays_at_its_bound():
     assert info.currsize == info.maxsize == 2
 
 
+def _package_caches():
+    """(qualified name, function) of every `lru_cache` in the package whose
+    function takes arguments."""
+    for info in pkgutil.iter_modules(tdual_lie.__path__):
+        module = importlib.import_module(f"tdual_lie.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and inspect.signature(obj).parameters:
+                yield f"{info.name}.{name}", obj
+
+
+def test_every_cache_with_arguments_is_bounded():
+    """No cache keyed on its arguments grows with the number of distinct
+    arguments a run passes."""
+    caches = dict(_package_caches())
+    assert "flagcoh._smith_frame" in caches and "rootdata.character_basis" not in caches
+    assert [name for name, fn in caches.items() if fn.cache_info().maxsize is None] == []
+
+
+def test_per_datum_caches_stay_at_their_bound():
+    """Distinct rank-32 data through `cohomology` and `verify_langlands_tdual`
+    leave every per-datum cache at its bound, not one entry per datum ever
+    seen."""
+    clear_caches()
+    for i in range(3 * rootdata.DATUM_CACHE):
+        rd = build([("A", 16), ("D", 16)], "adjoint", label=f"g{i}")
+        cohomology(rd)
+        verify_langlands_tdual(rd)
+    for name, fn in _package_caches():
+        info = fn.cache_info()
+        if name != "flagcoh._invariant_coords":
+            assert info.maxsize == rootdata.DATUM_CACHE, name
+        assert info.currsize == info.maxsize, (name, info)
+
+
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(root_data())
 def test_vanishing_pieces_match_kernels(rd):
@@ -275,7 +313,9 @@ def test_vanishing_pieces_match_kernels(rd):
             assert kernel_of_matrix(wedge3_differential(datum)).cols == 0, datum.label
         assert kernel_of_matrix(tensor_complex(datum)[0]).cols == 0, datum.label
         assert kernel_of_matrix(x).cols == 0, datum.label
-        assert dualizability_report(datum)["wedge3_kernel_rank"] == 0, datum.label
+        rep = report_twist(datum, level_twist(datum, 1))
+        assert rep["dualizable"] is True, datum.label
+        assert rep["dualizability_notes"][1].startswith("wedge^3 differential has kernel rank 0")
 
 
 def generates(classes, r: int, torsion) -> bool:
@@ -765,6 +805,7 @@ def test_quadratic_form_route_agrees():
 
 
 def test_dualizability_reports():
+    """Every twist report, cycle or not, says dualizable with the same notes."""
     rng = random.Random(5)
     for name in ["SU(3)", "SO(3)"]:
         rd = named_group(name)
@@ -773,13 +814,17 @@ def test_dualizability_reports():
             k = rng.randint(-3, 3)
             u = base.scale(k) + boundary(rd, random_shift(rng, rd.rank, -2, 2))
             assert is_cycle(rd, u)
-        assert dualizability_report(rd)["dualizable"]
+            rep = report_twist(rd, u)
+            assert rep["dualizable"] is True
+            assert rep["dualizability_notes"] == list(DUALIZABILITY_NOTES)
     su2 = named_group("SU(2)")
     for k in (-2, 0, 1, 5):
         assert is_cycle(su2, IntMatrix([[k]]))
-    assert dualizability_report(named_group("SU(2)"))["dualizable"]
-    big = dualizability_report(named_group("SU(4)"))
-    assert big["dualizable"] and big["wedge3_kernel_rank"] == 0
+    su4 = named_group("SU(4)")
+    rep = report_twist(su4, IntMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+    assert rep["twist_is_cycle"] is False and rep["dualizable"] is True
+    assert rep["dualizability_notes"] == list(DUALIZABILITY_NOTES)
+    assert "wedge^3 differential has kernel rank 0" in rep["dualizability_notes"][1]
 
 
 def test_cohomology_report_shape():

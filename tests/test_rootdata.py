@@ -26,7 +26,7 @@ from tdual_lie.rootdata import (
     require_phi,
     root_count,
 )
-from tdual_lie.zlinalg import IntMatrix, column_hermite_form, hstack
+from tdual_lie.zlinalg import IntMatrix, column_hermite_form, hstack, solve_columns
 
 from oracles import (
     bareiss_det,
@@ -116,6 +116,30 @@ def test_built_data_and_their_duals_pass_the_cartan_rule(rd):
         assert RootDatum(datum.components, datum.cartan, datum.integral, datum.label) == datum
     assert (twice.components, twice.cartan, twice.integral) == (
         rd.components, rd.cartan, rd.integral)
+
+
+@pytest.mark.parametrize("factor", [("A", "1"), ("A", 1.0), (["A"], 1), ("A", True), ("A", 1, 0)],
+                         ids=["rank-str", "rank-float", "series-list", "rank-bool", "triple"])
+def test_root_datum_refuses_factors_that_are_not_a_string_and_an_int(factor):
+    """Direct construction checks each factor's types, with `build`'s
+    message, before any rank arithmetic: none is a TypeError, and True is
+    no rank."""
+    with pytest.raises(InvalidSeries) as exc:
+        RootDatum((factor,), IntMatrix([[2]]), IntMatrix([[2]]), "x")
+    assert str(exc.value) == "a simple factor needs a str series and an int rank"
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(root_data())
+def test_datum_rebuilt_from_its_fields_is_the_same_value(rd):
+    """A datum rebuilt from its four fields is equal, hashes equal and has
+    the same character basis, the transpose of the solve B X^T = A; the
+    Langlands dual's dual is the datum, label included."""
+    again = RootDatum(rd.components, rd.cartan, rd.integral, rd.label)
+    assert again == rd and hash(again) == hash(rd)
+    assert character_basis(again) == character_basis(rd) == \
+        solve_columns(rd.integral, rd.cartan).transpose()
+    assert langlands_dual(langlands_dual(rd)) == rd
 
 
 @pytest.mark.parametrize("comps", [

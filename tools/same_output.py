@@ -7,8 +7,8 @@ script sits in.  Each argv runs once in each checkout, as one `tdual`
 process with only that checkout's `src` on its path and no TDUAL_* or
 PYTHON* setting (`bench_pr.job_env`).  The argv are every
 `perfbench/workloads.digest_jobs()` row, `make_jobs(w, s)` for seeds 1-5 of
-each workload, the cliff rows, and bench_pr's RANK_CAP_ROWS and
-CONTCHECK_ROWS, each distinct argv once.  Every argv whose exit code,
+each workload, the cliff rows, bench_pr's RANK_CAP_ROWS and CONTCHECK_ROWS,
+and DOUBLE_DATUM_ROWS, each distinct argv once.  Every argv whose exit code,
 stdout sha256 or stderr differs is printed with both sides' stderr, and the
 script exits 1 if any does.
 """
@@ -29,12 +29,26 @@ from workloads import CLIFFS, WORKLOADS, digest_jobs, make_jobs  # noqa: E402
 
 SEEDS = range(1, 6)
 TIMEOUT_S = 300
+# Batches that build one datum twice: equal data built apart solve for their
+# character bases apart, and must print what one shared solve printed.
+TWICE = "SU(4),SU(4)"
+DOUBLE_DATUM_ROWS = (
+    ("group", "--group-list", TWICE),
+    ("cohomology", "--group-list", TWICE),
+    ("twist", "--group-list", TWICE, "--twist", "level:1"),
+    ("dualize", "--group-list", TWICE, "--twist", "level:1",
+     "--shift", "[[0,1,0],[0,0,0],[0,0,0]]"),
+    ("langlands", "--group-list", TWICE),
+    ("extension", "--group-list", TWICE, "--level", "1"),
+    ("extension", "--group-list", "PSU(4),PSU(4)", "--b", "[[0,0,0],[0,0,0],[0,0,0]]"),
+)
 
 
 def all_argv() -> list[tuple[str, ...]]:
     """The rows named in the module docstring, in that order, each once."""
     jobs = digest_jobs() + [job for w in WORKLOADS for s in SEEDS for job in make_jobs(w, s)]
-    rows = [job.argv for job in jobs + list(CLIFFS)] + list(RANK_CAP_ROWS + CONTCHECK_ROWS)
+    rows = ([job.argv for job in jobs + list(CLIFFS)]
+            + list(RANK_CAP_ROWS + CONTCHECK_ROWS + DOUBLE_DATUM_ROWS))
     return list(dict.fromkeys(map(tuple, rows)))
 
 
