@@ -149,10 +149,6 @@ def iter_cutoffs(n: int = DEFAULT_GRID) -> Iterator[Cutoff]:
         for t, y, x in zip(ts, base, _ramp(ts, 0.25, 0.5))))
 
 
-def standard_cutoffs(n: int = DEFAULT_GRID) -> list[Cutoff]:
-    return list(iter_cutoffs(n))
-
-
 # ---------------------------------------------------------------------------
 # Structure constants of su(n)
 # ---------------------------------------------------------------------------

@@ -132,8 +132,8 @@ class RootDatum:
     connected case) and the coweight lattice (adjoint case); its columns are
     the "preferred" basis every twist matrix downstream refers to: the
     simple coroots for a simply connected group, the fundamental coweights
-    for an adjoint one, and a Hermite basis otherwise.  Each factor is a
-    (str, int) pair, and A is the block sum over `components` of classified
+    for an adjoint one, and a Hermite basis otherwise.  `components` is a
+    tuple of (str, int) pairs, and A is the block sum over it of classified
     Cartan blocks or their transposes (`_is_cartan_of`), else InvalidSeries.
     So A is nonsingular, and the one solve B X^T = A for the character basis
     X the datum keeps checks that the lattice contains the coroots and shows
@@ -144,8 +144,9 @@ class RootDatum:
                  integral: IntMatrix, label: str):
         self.components, self.cartan = components, cartan
         self.integral, self.label = integral, label
-        if not all(type(c) is tuple and len(c) == 2 and type(c[0]) is str
-                   and type(c[1]) is int for c in components):
+        if type(components) is not tuple or not all(
+                type(c) is tuple and len(c) == 2 and type(c[0]) is str
+                and type(c[1]) is int for c in components):
             raise InvalidSeries(_FACTOR_TYPES)
         if not _is_cartan_of(cartan, components):
             raise InvalidSeries("the Cartan matrix is not that of "
@@ -311,8 +312,8 @@ def center_product_generators(components, cartan) -> list[tuple[int, tuple[int, 
     for series, r in components:
         u, d = smith_normal_form(IntMatrix(cartan_block(series, r)))
         lifts = solve_columns(u, IntMatrix.identity(r))
-        out += [(d[j, j], (0,) * start + lifts.column(j) + (0,) * (cartan.rows - start - r))
-                for j in range(r) if d[j, j] >= 2]
+        out += [(d[j], (0,) * start + lifts.column(j) + (0,) * (cartan.rows - start - r))
+                for j in range(r) if d[j] >= 2]
         start += r
     return out
 
@@ -415,8 +416,7 @@ def center(rd: RootDatum) -> tuple[int, ...]:
     """Invariant factors of the center of the simply connected form: the
     coweights mod the coroots, coker A, read off the Smith form of A.  The
     free rank is 0, as A is nonsingular."""
-    d = smith_normal_form(rd.cartan)[1]
-    return tuple(d[i, i] for i in range(rd.rank) if d[i, i] >= 2)
+    return tuple(x for x in smith_normal_form(rd.cartan)[1] if x >= 2)
 
 
 def character_basis(rd: RootDatum) -> IntMatrix:
@@ -433,8 +433,7 @@ def character_smith(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...]]:
     """(U, d) with U X V = diag(d) for some unimodular V: the Smith form of
     the character basis X, taken once per datum for pi_1 and for H^2 and
     H^3 downstream."""
-    u, dm = smith_normal_form(character_basis(rd))
-    return u, tuple(dm[i, i] for i in range(rd.rank))
+    return smith_normal_form(character_basis(rd))
 
 
 def fundamental_group_of(rd: RootDatum) -> tuple[int, ...]:

@@ -5,22 +5,25 @@ without bound (Smith normal form blows up fixed-width arithmetic quickly).
 The module provides:
 
   * IntMatrix       -- immutable arbitrary-precision integer matrices,
-  * smith_normal_form (U and D) / column_hermite_form -- normal forms,
+  * smith_normal_form (U and the diagonal d) / column_hermite_form --
+    normal forms,
   * kernel_of_matrix / solve_columns -- saturated kernels and integer
     solves (sublattice membership).
 
 A lattice is the IntMatrix whose columns are a basis of it.
 
-One elimination core computes a transform only where a caller reads it:
+One elimination core does only the work its callers read:
 
-  * `_echelon`, row-style Hermite elimination on the columns of a matrix,
-    lets trailing entries ride along to record a column transform T.
-    column_hermite_form tracks none; kernel_of_matrix tracks T and keeps
-    the columns of T whose image ends up zero, which span the saturated
-    kernel; solve_columns keeps H = B T together with T.
-  * smith_normal_form tracks U alone, with U m V = D for a V it never
-    builds.  The finite groups the package reports are cokernels of square
-    nonsingular matrices, so their invariant factors are read off D.
+  * `_echelon`, row-style echelon elimination on the columns of a matrix,
+    lets trailing entries ride along to record a column transform T, and
+    leaves the entries above each pivot as they fall.  column_hermite_form,
+    their one reader, reduces them afterwards and tracks no T;
+    kernel_of_matrix tracks T and keeps the columns of T whose image ends
+    up zero, which span the saturated kernel; solve_columns keeps the
+    echelon columns H = B T together with T.
+  * smith_normal_form tracks U alone, with U m V = diag(d) for a V it never
+    builds, and returns the diagonal d, as the finite groups the package
+    reports are cokernels of square nonsingular matrices.
 
 Canonical forms: sublattices are compared through the column-style Hermite
 form (unique).
@@ -86,11 +89,6 @@ class IntMatrix:
     @property
     def cols(self) -> int:
         return self._shape[1]
-
-    @property
-    def entries(self) -> tuple[int, ...]:
-        """Row-major flattening."""
-        return tuple(chain.from_iterable(self._rows))
 
     def row(self, i: int) -> tuple[int, ...]:
         return self._rows[i]
@@ -188,14 +186,14 @@ def _from_columns(columns: Sequence[Sequence[int]], rows: int) -> IntMatrix:
 
 
 def _echelon(rows: list[list[int]], width: int) -> list[int]:
-    """Row-style Hermite elimination, in place, on the first `width` entries.
+    """Row-style echelon elimination, in place, on the first `width` entries.
 
     Row operations are unimodular, so entries past `width` ride along as
-    their record.  Returns the pivot columns: rows[:r] (r pivots) are the
-    unique Hermite form of the span (positive pivots, entries above a pivot
-    in [0, pivot)), and rows[r:] vanish on the first `width` entries.  Rows
-    from the pivot down are zero left of column c, so operations touch the
-    slice from c on.
+    their record.  Returns the pivot columns: rows[:r] (r pivots) are an
+    echelon basis of the span with positive pivots, the entries above a
+    pivot left as they fall, and rows[r:] vanish on the first `width`
+    entries.  Rows from the pivot down are zero left of column c, so
+    operations touch the slice from c on.
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -226,30 +224,27 @@ def _echelon(rows: list[list[int]], width: int) -> list[int]:
             continue
         if pivot[c] < 0:
             pivot[c:] = [-x for x in pivot[c:]]
-        tail = pivot[c:]
-        for row in rows[:r]:
-            q = row[c] // tail[0]
-            if q:
-                row[c:] = [x - q * y for x, y in zip(row[c:], tail)]
         pivots.append(c)
     return pivots
 
 
-def _hermite_data(basis: IntMatrix):
+def _echelon_data(basis: IntMatrix):
     """(rows, pivots, n, k) for the columns of an n x k matrix B: rows[j] is
-    the j-th echelon column h_j followed by t_j with B t_j = h_j; the rows
-    past the pivots have h_j = 0."""
+    the j-th echelon column h_j (`_echelon`, not reduced above its pivot)
+    followed by t_j with B t_j = h_j; the rows past the pivots have h_j = 0."""
     n, k = basis.rows, basis.cols
     rows = [list(col) + row for col, row in zip(basis.columns(), _identity_lists(k))]
     return rows, _echelon(rows, n), n, k
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """(U, D) with U*m*V = D for some unimodular V, U unimodular and D
-    diagonal with nonnegative entries d1 | d2 | ..., zeros last.
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
+    """(U, d) with U*m*V = diag(d) for some unimodular V: U is unimodular
+    and d, of length min(R, C) for an R x C matrix m, holds nonnegative
+    entries d1 | d2 | ..., zeros last.
 
     Only U is tracked, as the trailing entries of the rows of [m | U];
-    column operations touch the m part alone.
+    column operations touch the m part alone.  The diagonal is all the
+    callers read of the reduced m.
     """
     R, C = m.rows, m.cols
     a = [list(r) + e for r, e in zip(m, _identity_lists(R))]
@@ -300,7 +295,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
 
-    return IntMatrix._of((r[C:] for r in a), R), IntMatrix._of((r[:C] for r in a), C)
+    return IntMatrix._of((r[C:] for r in a), R), tuple(a[t][t] for t in range(min(R, C)))
 
 
 def column_hermite_form(m: IntMatrix) -> IntMatrix:
@@ -310,10 +305,19 @@ def column_hermite_form(m: IntMatrix) -> IntMatrix:
     is the transpose of the (unique) row Hermite normal form of m^T: pivots
     positive, one pivot per echelon row, and entries left of a pivot reduced
     into [0, pivot).  Equal column spans give equal output, which is what
-    makes lattice equality plain data equality.
+    makes lattice equality plain data equality.  The entries above each
+    pivot of `_echelon`'s rows are reduced here, in increasing pivot order;
+    rows from a pivot down never read the rows above it, so this is the
+    form a reduction inside the elimination would give.
     """
     h = [list(col) for col in m.columns()]
-    return _from_columns(h[:len(_echelon(h, m.rows))], m.rows)
+    pivots = _echelon(h, m.rows)
+    for r, c in enumerate(pivots):
+        tail = h[r][c:]
+        for row in h[:r]:
+            if q := row[c] // tail[0]:
+                row[c:] = [x - q * y for x, y in zip(row[c:], tail)]
+    return _from_columns(h[:len(pivots)], m.rows)
 
 
 def solve_columns(basis: IntMatrix, targets: IntMatrix) -> IntMatrix | None:
@@ -321,12 +325,12 @@ def solve_columns(basis: IntMatrix, targets: IntMatrix) -> IntMatrix | None:
 
     Used for sublattice membership: the columns of `targets` lie in the
     Z-span of the columns of `basis` exactly when a solution exists.  Each
-    target is reduced down the echelon columns of `_hermite_data(basis)`,
+    target is reduced down the echelon columns of `_echelon_data(basis)`,
     and the transform parts of the columns used add up to its solution.
     """
     if basis.rows != targets.rows:
         raise DimensionMismatch("ambient dimensions differ")
-    rows, pivots, n, k = _hermite_data(basis)
+    rows, pivots, n, k = _echelon_data(basis)
     out = []
     for y in map(list, targets.columns()):
         x = [0] * k
@@ -350,6 +354,6 @@ def kernel_of_matrix(m: IntMatrix) -> IntMatrix:
     riding along; the transform columns whose image ends up zero span the
     kernel, saturated because the transform is unimodular.
     """
-    rows, pivots, n, k = _hermite_data(m)
+    rows, pivots, n, k = _echelon_data(m)
     return column_hermite_form(_from_columns([row[n:] for row in rows[len(pivots):]], k))
 

@@ -2,10 +2,10 @@
 
 Each oracle recomputes by a second, independent route something `src/`
 reads in closed form, and its docstring opens by naming that route; the
-few helpers (`to_sympy`, `coords`, `standard_lattice`, `clear_caches`,
-`find_phi`) say what they build or do.  Lattices are their basis matrices (columns
-independent over Q), as in the package.  The module is not collected: it
-defines no tests, and no test module imports another.
+few helpers (`to_sympy`, `coords`, `diagonal`, `standard_lattice`,
+`clear_caches`, `find_phi`) say what they build or do.  Lattices are their
+basis matrices (columns independent over Q), as in the package.  The module
+is not collected: it defines no tests, and no test module imports another.
 """
 
 import importlib
@@ -36,7 +36,14 @@ from tdual_lie.zlinalg import (
 
 def to_sympy(m: IntMatrix) -> Matrix:
     """m as a sympy Matrix, for the rational routes that check the integer ones."""
-    return Matrix(m.rows, m.cols, list(m.entries))
+    return Matrix(m.rows, m.cols, [x for row in m for x in row])
+
+
+def diagonal(d, rows: int, cols: int) -> IntMatrix:
+    """The rows x cols matrix with d on its diagonal and zeros elsewhere: the
+    diag(d) of a Smith form (U, d) of a rows x cols matrix."""
+    return IntMatrix([[d[i] if i == j else 0 for j in range(cols)] for i in range(rows)],
+                     cols=cols)
 
 
 def coords(basis: IntMatrix, vec) -> tuple[int, ...] | None:
@@ -184,7 +191,7 @@ def subquotient(inner: IntMatrix, outer: IntMatrix) -> FgAbGroup:
     if rel is None:
         raise NotSublattice("inner lattice is not contained in the outer one")
     u, d = smith_normal_form(rel)
-    diag = tuple(d[i, i] if i < d.cols else 0 for i in range(outer.cols))
+    diag = d + (0,) * (outer.cols - len(d))
     return FgAbGroup(free_rank=diag.count(0), torsion=tuple(x for x in diag if x >= 2),
                      _outer=outer, _inner=inner, _row_transform=u, _diag=diag)
 

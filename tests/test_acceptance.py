@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 
 from tdual_lie import cli
-from tdual_lie.contcheck import StructureConstants, check_c_form, cutoff_integral, standard_cutoffs
+from tdual_lie.contcheck import StructureConstants, check_c_form, cutoff_integral, iter_cutoffs
 from tdual_lie.errors import Unavailable
 from tdual_lie.flagcoh import boundary, cohomology, h3_group, is_cycle
 from tdual_lie.loopext import commutator_from_level, fibrewise_trivializable
@@ -23,6 +23,7 @@ from tdual_lie.zlinalg import IntMatrix
 from oracles import (
     bareiss_det,
     count_cosets_brute_force,
+    diagonal,
     reflection_matrix,
     standard_lattice,
     subquotient,
@@ -165,13 +166,14 @@ def test_c08_normal_form_substrate():
             cols = rng.randint(1, 5)
             m = IntMatrix([[rng.randint(-10, 10) for _ in range(cols)] for _ in range(rows)])
             u, d = smith_normal_form(m)
-            # Equal column lattices of U m and D: D = U m V, V unimodular.
+            assert len(d) == min(rows, cols)
+            # Equal column lattices of U m and diag(d): diag(d) = U m V, V
+            # unimodular.
             assert abs(bareiss_det(u)) == 1
-            assert column_hermite_form(u @ m) == column_hermite_form(d)
-            diag = [d[i, i] for i in range(min(rows, cols))]
-            assert all(x >= 0 for x in diag)
-            nz = [x for x in diag if x != 0]
-            assert diag[:len(nz)] == nz
+            assert column_hermite_form(u @ m) == column_hermite_form(diagonal(d, rows, cols))
+            assert all(x >= 0 for x in d)
+            nz = [x for x in d if x != 0]
+            assert list(d[:len(nz)]) == nz
             assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
             if rows == cols and 0 != abs(bareiss_det(m)) <= 50 and checked_orders < 25:
                 order = subquotient(m, standard_lattice(rows)).order()
@@ -183,7 +185,7 @@ def test_c08_normal_form_substrate():
 def test_c09_continuum_constants():
     with criterion(9, "cutoff integral -1/6 within 1e-9; c-form residuals < 1e-12"):
         start = time.monotonic()
-        cutoffs = standard_cutoffs(4096)
+        cutoffs = list(iter_cutoffs(4096))
         assert len(cutoffs) >= 5
         for c in cutoffs:
             assert abs(cutoff_integral(c) + 1.0 / 6.0) < 1e-9, c.name

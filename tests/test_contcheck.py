@@ -21,8 +21,8 @@ from tdual_lie.contcheck import (
     check_c_form,
     continuum_summary,
     cutoff_integral,
+    iter_cutoffs,
     _max_abs,
-    standard_cutoffs,
 )
 from tdual_lie.errors import InadmissibleCutoff
 
@@ -30,18 +30,18 @@ EXPECTED = -1.0 / 6.0  # antiderivative chi^3/3 - chi^2/2 evaluated 0 -> 1
 
 
 def test_cutoff_integral_all_profiles():
-    for cutoff in standard_cutoffs():
+    for cutoff in iter_cutoffs():
         val = cutoff_integral(cutoff)
         assert abs(val - EXPECTED) < 1e-9, cutoff.name
 
 
 def test_cutoff_independence():
-    vals = [cutoff_integral(c) for c in standard_cutoffs()]
+    vals = [cutoff_integral(c) for c in iter_cutoffs()]
     assert max(vals) - min(vals) < 1e-9
 
 
 def test_nonmonotone_profile_is_nonmonotone():
-    c = standard_cutoffs()[-1]
+    c = list(iter_cutoffs())[-1]
     assert c.name == "non-monotone wiggle"
     diffs = [b - a for a, b in zip(c.values, c.values[1:])]
     assert any(d < 0 for d in diffs) and any(d > 0 for d in diffs)
@@ -65,7 +65,7 @@ def test_quadrature_convergence_order():
     """Richardson-style order estimate: error should drop at order >= 2."""
     errs = []
     for n in (64, 128, 256):
-        cubic = standard_cutoffs(n)[0]
+        cubic = next(iter_cutoffs(n))
         assert cubic.name == "cubic smoothstep"
         errs.append(abs(cutoff_integral(cubic) - EXPECTED))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)

@@ -407,8 +407,7 @@ def h3_by_subquotient(rd):
     are the d_i d_j e_ij.  A second Smith form, on f + |P| coordinates,
     splits the quotient."""
     n = rd.rank
-    U, dm = smith_normal_form(character_basis(rd))
-    d = [dm[i, i] for i in range(n)]
+    U, d = smith_normal_form(character_basis(rd))
     pairs = [(i, j) for i, j in pair_basis(n, strict=True) if gcd(d[i], d[j]) > 1]
     inv, mono = sym_invariants(rd), pair_basis(n, strict=False)
     f, dim, torsion = inv.cols, inv.cols + len(pairs), [i for i in range(n) if d[i] > 1]

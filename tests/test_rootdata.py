@@ -118,14 +118,16 @@ def test_built_data_and_their_duals_pass_the_cartan_rule(rd):
         rd.components, rd.cartan, rd.integral)
 
 
-@pytest.mark.parametrize("factor", [("A", "1"), ("A", 1.0), (["A"], 1), ("A", True), ("A", 1, 0)],
-                         ids=["rank-str", "rank-float", "series-list", "rank-bool", "triple"])
-def test_root_datum_refuses_factors_that_are_not_a_string_and_an_int(factor):
-    """Direct construction checks each factor's types, with `build`'s
-    message, before any rank arithmetic: none is a TypeError, and True is
-    no rank."""
+@pytest.mark.parametrize("components", [
+    (("A", "1"),), (("A", 1.0),), ((["A"], 1),), (("A", True),), (("A", 1, 0),), [("A", 1)],
+], ids=["rank-str", "rank-float", "series-list", "rank-bool", "triple", "components-list"])
+def test_root_datum_refuses_factors_that_are_not_a_string_and_an_int(components):
+    """Direct construction checks the components' types, with `build`'s
+    message, before any rank arithmetic or cache: none is a TypeError, True
+    is no rank, and a list of factors, which no cache could hash, is no
+    tuple of them."""
     with pytest.raises(InvalidSeries) as exc:
-        RootDatum((factor,), IntMatrix([[2]]), IntMatrix([[2]]), "x")
+        RootDatum(components, IntMatrix([[2]]), IntMatrix([[2]]), "x")
     assert str(exc.value) == "a simple factor needs a str series and an int rank"
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from tdual_lie.zlinalg import (
     IntMatrix,
+    _echelon,
     column_hermite_form,
     kernel_of_matrix,
     smith_normal_form,
@@ -20,6 +21,7 @@ from oracles import (
     bareiss_det,
     coords,
     count_cosets_brute_force,
+    diagonal,
     reduce_mod,
     square_power,
     standard_lattice,
@@ -40,18 +42,14 @@ def tensor_matrix(f: IntMatrix, g: IntMatrix) -> IntMatrix:
 
 def check_snf(m):
     u, d = smith_normal_form(m)
-    # U m and D span the same column lattice exactly when D = U m V for
-    # some unimodular V.
+    assert len(d) == min(m.rows, m.cols)
+    # U m and diag(d) span the same column lattice exactly when
+    # diag(d) = U m V for some unimodular V.
     assert abs(bareiss_det(u)) == 1
-    assert column_hermite_form(u @ m) == column_hermite_form(d)
-    diag = [d[i, i] for i in range(min(d.rows, d.cols))]
-    for i in range(d.rows):
-        for j in range(d.cols):
-            if i != j:
-                assert d[i, j] == 0
-    assert all(x >= 0 for x in diag)
-    nz = [x for x in diag if x != 0]
-    assert diag[: len(nz)] == nz, "zero entries must come last"
+    assert column_hermite_form(u @ m) == column_hermite_form(diagonal(d, m.rows, m.cols))
+    assert all(x >= 0 for x in d)
+    nz = [x for x in d if x != 0]
+    assert list(d[: len(nz)]) == nz, "zero entries must come last"
     for a, b in zip(nz, nz[1:]):
         assert b % a == 0
     return d
@@ -59,19 +57,17 @@ def check_snf(m):
 
 def test_snf_identity():
     u, d = smith_normal_form(IntMatrix.identity(2))
-    assert d == IntMatrix.identity(2)
+    assert d == (1, 1)
     assert u == IntMatrix.identity(2)
 
 
 def test_snf_frozen_2x2():
     # d1 = gcd of entries = 2 and d1*d2 = |det| = 8, so D = diag(2, 4).
-    d = check_snf(IntMatrix([[2, 4], [6, 8]]))
-    assert [d[0, 0], d[1, 1]] == [2, 4]
+    assert check_snf(IntMatrix([[2, 4], [6, 8]])) == (2, 4)
 
 
 def test_snf_zero():
-    d = check_snf(IntMatrix([[0, 0], [0, 0]]))
-    assert d == IntMatrix.zero(2, 2)
+    assert check_snf(IntMatrix([[0, 0], [0, 0]])) == (0, 0)
 
 
 def test_snf_random():
@@ -127,6 +123,16 @@ def test_column_hermite_form_examples():
     for col in original:
         assert brute_force_in_span(im.columns(), col)
     assert abs(bareiss_det(im)) == abs(bareiss_det(IntMatrix.from_columns(original)))
+
+
+def test_echelon_leaves_the_entries_above_a_pivot_to_column_hermite_form():
+    """`_echelon` stops at positive pivots: the 7 above the second pivot
+    stays, and column_hermite_form alone reduces it into [0, 3)."""
+    rows = [[2, 7], [0, -3]]
+    assert _echelon(rows, 2) == [0, 1]
+    assert rows == [[2, 7], [0, 3]]
+    assert column_hermite_form(IntMatrix.from_columns([(2, 7), (0, -3)])) == \
+        IntMatrix.from_columns([(2, 1), (0, 3)])
 
 
 def test_kernel_examples():

@@ -62,6 +62,36 @@ def test_rank_matches_sympy(m):
     assert column_hermite_form(m).cols == to_sympy(m).rank()
 
 
+@st.composite
+def unimodular(draw, k):
+    """A k x k unimodular matrix: the identity after column sign changes and
+    additions of a multiple of one column to another."""
+    w = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(draw(st.integers(0, 3 * k))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        q = draw(st.integers(-3, 3))
+        for row in w:
+            row[i] = -row[i] if i == j else row[i] + q * row[j]
+    return IntMatrix(w)
+
+
+@ORACLE
+@given(matrices(), st.data())
+def test_column_hermite_form_is_the_canonical_basis_of_its_span(m, data):
+    """One positive pivot per column, in increasing rows, with the entries
+    left of each pivot in [0, pivot); the same lattice as m, each side
+    solving against the other; and the same form after a unimodular change
+    of m's columns."""
+    h = column_hermite_form(m)
+    pivots = [next(i for i, x in enumerate(col) if x) for col in h.columns()]
+    assert pivots == sorted(set(pivots))
+    for j, p in enumerate(pivots):
+        assert h[p, j] > 0
+        assert all(0 <= h[p, i] < h[p, j] for i in range(j))
+    assert solve_columns(h, m) is not None and solve_columns(m, h) is not None
+    assert column_hermite_form(m @ data.draw(unimodular(m.cols))) == h
+
+
 @ORACLE
 @given(matrices())
 def test_kernel_is_annihilated_and_saturated(m):

@@ -8,15 +8,16 @@ process with only that checkout's `src` on its path and no TDUAL_* or
 PYTHON* setting (`bench_pr.job_env`).  The argv are every
 `perfbench/workloads.digest_jobs()` row, `make_jobs(w, s)` for seeds 1-5 of
 each workload, the cliff rows, bench_pr's RANK_CAP_ROWS and CONTCHECK_ROWS,
-and DOUBLE_DATUM_ROWS, each distinct argv once.  Every argv whose exit code,
-stdout sha256 or stderr differs is printed with both sides' stderr, and the
-script exits 1 if any does.
+DOUBLE_DATUM_ROWS and QUOTIENT_ROWS, each distinct argv once.  Every argv
+whose exit code, stdout sha256 or stderr differs is printed with both sides'
+stderr, and the script exits 1 if any does.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,8 @@ from pathlib import Path
 sys.path[:0] = [str(Path(__file__).resolve().parent),
                 str(Path(__file__).resolve().parents[1] / "perfbench")]
 
-from bench_pr import CHANGE, CONTCHECK_ROWS, ENTRY, RANK_CAP_ROWS, job_env  # noqa: E402
+from bench_pr import (CHANGE, CONTCHECK_ROWS, ENTRY, RANK_CAP_ROWS, UNIT_SHIFT_32,  # noqa: E402
+                      ZERO_32, job_env)
 from workloads import CLIFFS, WORKLOADS, digest_jobs, make_jobs  # noqa: E402
 
 SEEDS = range(1, 6)
@@ -42,13 +44,29 @@ DOUBLE_DATUM_ROWS = (
     ("extension", "--group-list", TWICE, "--level", "1"),
     ("extension", "--group-list", "PSU(4),PSU(4)", "--b", "[[0,0,0],[0,0,0],[0,0,0]]"),
 )
+# A rank-32 quotient by three generators, D4^8 / (Z/2)^3: its integral basis
+# is a Hermite basis and its character basis has three Smith invariants 2, so
+# pi_1 = (Z/2)^3 and H^3 has torsion pairs.
+D4_8_QUOTIENT = json.dumps(
+    {"components": [{"series": "D", "rank": 4}] * 8,
+     "fundamental_group": {"generators": [[1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1],
+                                          [0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0],
+                                          [0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0]]}},
+    separators=(",", ":"))
+QUOTIENT_ROWS = (
+    ("group", "--group", D4_8_QUOTIENT),
+    ("cohomology", "--group", D4_8_QUOTIENT),
+    ("twist", "--group", D4_8_QUOTIENT, "--twist", "level:1"),
+    ("dualize", "--group", D4_8_QUOTIENT, "--twist", "level:1", "--shift", UNIT_SHIFT_32),
+    ("extension", "--group", D4_8_QUOTIENT, "--b", ZERO_32),
+)
 
 
 def all_argv() -> list[tuple[str, ...]]:
     """The rows named in the module docstring, in that order, each once."""
     jobs = digest_jobs() + [job for w in WORKLOADS for s in SEEDS for job in make_jobs(w, s)]
     rows = ([job.argv for job in jobs + list(CLIFFS)]
-            + list(RANK_CAP_ROWS + CONTCHECK_ROWS + DOUBLE_DATUM_ROWS))
+            + list(RANK_CAP_ROWS + CONTCHECK_ROWS + DOUBLE_DATUM_ROWS + QUOTIENT_ROWS))
     return list(dict.fromkeys(map(tuple, rows)))
 
 
