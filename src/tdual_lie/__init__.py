@@ -10,7 +10,7 @@ su(n) structure constants); it never feeds back into the exact code.
 """
 
 from .errors import TdualError
-from .rootdata import RootDatum, basic_form, build, langlands_dual, named_group
+from .rootdata import RootDatum, build, langlands_dual, named_group
 from .tduality import dual_chern, langlands_twist, verify_langlands_tdual
 
 __version__ = "0.1.0"
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "TdualError",
     "RootDatum",
-    "basic_form",
     "build",
     "dual_chern",
     "langlands_dual",

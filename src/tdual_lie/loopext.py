@@ -4,10 +4,10 @@ A central extension of the integral lattice by the circle is classified by
 its commutator map b, an antisymmetric bi-additive map with values in Q/Z;
 the extension is trivial exactly when b vanishes.  For a simply connected,
 simply laced group at level k the commutator map of the pulled-back
-extension is b = [k/2 * <.,.>] on the coroot basis; in every other case the
-formula is not asserted and an explicit b must be supplied (and can be
-checked for admissibility against the invariant form, on the simple coroots
-alone, since both sides of the rule are additive).
+extension is b = [k/2 * <.,.>] on the integral basis (`_lattice_gram`); in
+every other case the formula is not asserted and an explicit b must be
+supplied (and can be checked for admissibility against the invariant form,
+on the simple coroots alone, since both sides of the rule are additive).
 
 A value in Q/Z is the reduced integer pair (p, q) with 0 <= p < q that
 `mod1` builds, and `ratio` writes a pair as "p/q" in lowest terms ("0",
@@ -17,10 +17,11 @@ A value in Q/Z is the reduced integer pair (p, q) with 0 <= p < q that
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, InvalidCommutator, RequiresExplicitB
-from .rootdata import RootDatum, basic_form, character_basis, form_pairing, fundamental_group_of
+from .rootdata import DATUM_CACHE, RootDatum, character_basis, form_pairing, fundamental_group_of
 from .zlinalg import IntMatrix, solve_columns
 
 
@@ -60,8 +61,17 @@ class CommutatorMap:
                     raise InvalidCommutator("commutator map must be antisymmetric mod 1")
 
 
+@lru_cache(maxsize=DATUM_CACHE)
+def _lattice_gram(rd: RootDatum) -> tuple[int, IntMatrix]:
+    """(N, Y) with X Y = N form_pairing(rd, 1, B), N the exponent of pi_1:
+    Y[j, k] = N <lambda_j, lambda_k> at level 1 on the integral basis B, the
+    one Gram matrix on the lattice (derived in `admissibility_check`)."""
+    exponent = max(fundamental_group_of(rd), default=1)
+    return exponent, solve_columns(character_basis(rd), form_pairing(rd, exponent, rd.integral))
+
+
 def commutator_from_level(rd: RootDatum, level: int) -> CommutatorMap:
-    """b = [<.,.>/2] mod 1 on the coroot basis, the form taken at `level`.
+    """b = [level Y/2] mod 1 on the integral basis, Y of `_lattice_gram`.
 
     Only asserted for simply connected, simply laced groups; anything else
     raises RequiresExplicitB rather than extrapolating the formula.
@@ -72,7 +82,9 @@ def commutator_from_level(rd: RootDatum, level: int) -> CommutatorMap:
     if not rd.is_simply_connected():
         raise RequiresExplicitB(
             f"{rd.label} is not simply connected; supply the commutator map explicitly")
-    values = tuple(tuple(mod1(x, 2) for x in row) for row in basic_form(rd, level))
+    if level < 0:
+        raise ValueError("level must be nonnegative")
+    values = tuple(tuple(mod1(level * x, 2) for x in row) for row in _lattice_gram(rd)[1])
     return CommutatorMap(rd.rank, values)
 
 
@@ -123,8 +135,8 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
     With U X V = diag(d) the cached Smith form, X^-1 = V diag(d)^-1 U, so
     N X^-1 is integral for N the exponent of pi_1 = coker X^T (its largest
     invariant factor, 1 when pi_1 is trivial): X Y = N P has an integer
-    solution, and N <lambda_j, lambda_k> = Y[j, k] is checked for
-    divisibility by N.
+    solution (`_lattice_gram`, at level 1, scaled by `level`), and
+    N <lambda_j, lambda_k> = Y[j, k] is checked for divisibility by N.
 
     Both sides of the half-pairing rule are additive in H mod 1, and every
     coroot is an integer combination of the simple coroots H_i, so the rule
@@ -139,8 +151,8 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
     basis vector, then by coroot in sorted coweight coordinates."""
     n = rd.rank
     pairing = form_pairing(rd, level, rd.integral)
-    exponent = max(fundamental_group_of(rd), default=1)
-    gram = solve_columns(character_basis(rd), pairing.scale(exponent))
+    exponent, unit_gram = _lattice_gram(rd)
+    gram = unit_gram.scale(level)
     integrality = [
         f"<lambda_{j}, lambda_{k}> = {ratio(gram[j, k], exponent)} is not an integer"
         for j in range(n) for k in range(j, n) if gram[j, k] % exponent

@@ -148,6 +148,8 @@ class RootDatum:
                 type(c) is tuple and len(c) == 2 and type(c[0]) is str
                 and type(c[1]) is int for c in components):
             raise InvalidSeries(_FACTOR_TYPES)
+        if type(label) is not str:
+            raise InvalidSeries("label must be a string")
         if not _is_cartan_of(cartan, components):
             raise InvalidSeries("the Cartan matrix is not that of "
                                 + " x ".join(f"{s}{r}" for s, r in components))
@@ -232,12 +234,6 @@ def form_pairing(rd: RootDatum, level: int, coweights: IntMatrix) -> IntMatrix:
                      cols=coweights.cols)
 
 
-def basic_form(rd: RootDatum, level: int) -> IntMatrix:
-    """Gram matrix on the simple coroots of level x (the minimal invariant
-    form, long-root coroots of norm 2)."""
-    return form_pairing(rd, level, rd.cartan)
-
-
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
@@ -282,7 +278,7 @@ def build(series_list: Sequence[tuple[str, int]], fundamental_group="simply_conn
         basis = IntMatrix.identity(n)
         fg = "adjoint"
     elif isinstance(fundamental_group, dict) and "generators" in fundamental_group:
-        gens = _center_subgroup_lifts(components, cartan, fundamental_group["generators"])
+        gens = _center_subgroup_lifts(components, n, fundamental_group["generators"])
         basis = column_hermite_form(hstack(cartan, gens))
         fg = "custom"
     else:
@@ -299,29 +295,26 @@ def _generic_label(components, fg) -> str:
     return body + suffix
 
 
-def center_product_generators(components, cartan) -> list[tuple[int, tuple[int, ...]]]:
-    """Cyclic generators of the product center, with coweight-coordinate lifts.
-
-    Returns [(order, lift)] ordered factor by factor; D_even contributes two
-    entries, every other simple factor at most one.  With U A V = diag(d)
-    the Smith form of a factor's Cartan block, coweights mod coroots is the
-    sum of the Z/d_j, and U^-1 e_j lifts the generator of Z/d_j.  A lift is
-    fixed only modulo the coroots, which `build` adds to it anyway.
-    """
+def center_generators(components) -> list[tuple[int, int]]:
+    """(order, k) for each cyclic factor of the product center, factor by
+    factor: its generator is the fundamental coweight e_k mod the coroots.
+    Read off the classification (Bourbaki, Lie Groups ch. VI, Plates I-IX):
+    A_n (n+1, w_n); B_n (2, w_1); C_n (2, w_n); D_n (2, w_1), (2, w_n) for
+    n even, (4, w_{n-1}) for n odd; E6 (3, w_1); E7 (2, w_7); else none."""
     out, start = [], 0
     for series, r in components:
-        u, d = smith_normal_form(IntMatrix(cartan_block(series, r)))
-        lifts = solve_columns(u, IntMatrix.identity(r))
-        out += [(d[j], (0,) * start + lifts.column(j) + (0,) * (cartan.rows - start - r))
-                for j in range(r) if d[j] >= 2]
+        nodes = {"A": [(r + 1, r)], "B": [(2, 1)], "C": [(2, r)],
+                 "D": [(2, 1), (2, r)] if r % 2 == 0 else [(4, r - 1)],
+                 "E": {6: [(3, 1)], 7: [(2, 7)]}.get(r, [])}.get(series, [])
+        out += [(d, start + node - 1) for d, node in nodes]
         start += r
     return out
 
 
-def _center_subgroup_lifts(components, cartan, generators) -> IntMatrix:
+def _center_subgroup_lifts(components, n, generators) -> IntMatrix:
     if type(generators) is not list or any(type(gen) is not list for gen in generators):
         raise InvalidCenterSubgroup("center subgroup generators must be a list of integer lists")
-    cyclic = center_product_generators(components, cartan)
+    cyclic = center_generators(components)
     cols = []
     for gen in generators:
         if len(gen) != len(cyclic):
@@ -331,12 +324,8 @@ def _center_subgroup_lifts(components, cartan, generators) -> IntMatrix:
         if any(type(x) is not int for x in gen):
             raise InvalidCenterSubgroup(
                 f"non-integer generator entry in {quote(repr(gen), str)}")
-        col = [0] * cartan.rows
-        for a, (_, lift) in zip(gen, cyclic):
-            for i in range(cartan.rows):
-                col[i] += a * lift[i]
-        cols.append(tuple(col))
-    return IntMatrix.from_columns(cols, rows=cartan.rows)
+        cols.append([sum(a for a, (_, k) in zip(gen, cyclic) if k == i) for i in range(n)])
+    return IntMatrix.from_columns(cols, rows=n)
 
 
 _NAMED_SIMPLE = {"G2": ("G", 2), "F4": ("F", 4), "E6": ("E", 6), "E7": ("E", 7), "E8": ("E", 8)}
@@ -480,14 +469,16 @@ def require_phi(rd: RootDatum) -> tuple[int, ...]:
     permutation sending simple-root indices to dual-side indices, or
     Unavailable naming the factors left over.
 
-    Each source factor takes the first unused dual factor whose Cartan block
-    is its own (identity) or its own reversed (G2, F4 and B2: the transposed
-    block, and these diagrams have no automorphism).  Factors of one type
-    are interchangeable, so no choice needs revisiting: a factor is left
-    over exactly when it is a B/C factor of rank >= 3 with no partner.
+    The dual's Cartan blocks are the datum's own transposed, over the same
+    ranges, so no dual datum is built.  Each source factor takes the first
+    unused dual block that is its own (identity) or its own reversed (G2, F4
+    and B2: the transposed block; these diagrams have no automorphism).
+    Factors of one type are interchangeable, so no choice needs revisiting:
+    a factor is left over exactly when it is a B/C factor of rank >= 3 with
+    no partner.
     """
-    dual = langlands_dual(rd)
-    unused = [(lo, hi, _block(dual.cartan, lo, hi)) for lo, hi, _, _ in dual.factor_ranges()]
+    dual_cartan = rd.cartan.transpose()
+    unused = [(lo, hi, _block(dual_cartan, lo, hi)) for lo, hi, _, _ in rd.factor_ranges()]
     perm, unmatched = [], []
     for lo, hi, series, r in rd.factor_ranges():
         src = _block(rd.cartan, lo, hi)
@@ -508,6 +499,6 @@ def require_phi(rd: RootDatum) -> tuple[int, ...]:
             f"{rd.label}: no Dynkin isomorphism onto the Langlands dual "
             f"(obstructing factors: {', '.join(unmatched)})",
             evidence={"components": [list(c) for c in rd.components],
-                      "dual": [list(c) for c in dual.components]},
+                      "dual": [[_DUAL_SERIES.get(s, s), r] for s, r in rd.components]},
         )
     return tuple(perm)

@@ -21,7 +21,7 @@ import tdual_lie
 from tdual_lie.errors import Unavailable
 from tdual_lie.rootdata import (
     build,
-    center_product_generators,
+    center_generators,
     character_basis,
     form_pairing,
     require_phi,
@@ -144,8 +144,8 @@ def standard_lattice(n: int) -> IntMatrix:
 
 
 def reduce_mod(basis: IntMatrix, vec) -> tuple[int, ...]:
-    """Checks the reduced lifts of `rootdata.center_product_generators`
-    (through `FgAbGroup.torsion_generators`): the canonical representative
+    """Checks the generators of `rootdata.center_generators` (through
+    `FgAbGroup.torsion_generators`): the canonical representative
     of vec modulo the lattice, reduced against the Hermite basis from the
     top pivot down, with coordinates in [0, pivot) at every pivot position."""
     out = list(vec)
@@ -373,13 +373,25 @@ def root_data(draw):
     return with_fundamental_group(draw, comps, kind)
 
 
+@st.composite
+def unimodular(draw, k):
+    """A k x k unimodular matrix, for bases of one lattice: the identity after column sign changes and
+    additions of a multiple of one column to another."""
+    w = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(draw(st.integers(0, 3 * k))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        q = draw(st.integers(-3, 3))
+        for row in w:
+            row[i] = -row[i] if i == j else row[i] + q * row[j]
+    return IntMatrix(w)
+
+
 def with_fundamental_group(draw, comps, kind):
     """build(comps, kind), drawing one or two center generators when `kind`
     is "custom"."""
     if kind != "custom":
         return build(comps, kind)
-    sc = build(comps)
-    cyclic = center_product_generators(sc.components, sc.cartan)
+    cyclic = center_generators(tuple(comps))
     gens = draw(st.lists(st.lists(st.integers(0, 3), min_size=len(cyclic), max_size=len(cyclic)),
                          min_size=1, max_size=2))
     return build(comps, {"generators": gens})

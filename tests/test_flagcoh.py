@@ -31,7 +31,6 @@ from tdual_lie.flagcoh import (
 )
 from tdual_lie.loopext import admissibility_check, commutator_from_matrix
 from tdual_lie.rootdata import (
-    basic_form,
     build,
     center,
     character_basis,
@@ -77,7 +76,7 @@ def _int_matrix(m: Matrix) -> IntMatrix:
 def level_twist_matrix(rd, level):
     """u(lam) = level * <lam, .> as a weight-coordinate matrix: G A^{-1} B,
     computed over the rationals (sympy), apart from the integer route."""
-    g = to_sympy(basic_form(rd, level))
+    g = to_sympy(form_pairing(rd, level, rd.cartan))
     return _int_matrix(g * to_sympy(rd.cartan).inv() * to_sympy(rd.integral))
 
 
@@ -152,7 +151,7 @@ def test_integer_form_route_matches_rationals(rd, level, data):
     admissibility form values against G, A^{-1} and B^{-1} over Q."""
     n = rd.rank
     a, b = to_sympy(rd.cartan), to_sympy(rd.integral)
-    g = to_sympy(basic_form(rd, level))
+    g = to_sympy(form_pairing(rd, level, rd.cartan))
     assert level_twist(rd, level) == level_twist_matrix(rd, level)
     assert character_basis(rd) == _int_matrix(a.T * b.inv().T)
     # <lambda_k, H> = (A^{-1} lambda_k)^T G (A^{-1} H) for every integral basis
@@ -285,14 +284,16 @@ def test_every_cache_with_arguments_is_bounded():
 
 
 def test_per_datum_caches_stay_at_their_bound():
-    """Distinct rank-32 data through `cohomology` and `verify_langlands_tdual`
-    leave every per-datum cache at its bound, not one entry per datum ever
-    seen."""
+    """Distinct rank-32 data through `cohomology`, `verify_langlands_tdual`
+    and `admissibility_check` leave every per-datum cache at its bound, not
+    one entry per datum ever seen."""
     clear_caches()
+    zero = [[(0, 1)] * 32] * 32
     for i in range(3 * rootdata.DATUM_CACHE):
         rd = build([("A", 16), ("D", 16)], "adjoint", label=f"g{i}")
         cohomology(rd)
         verify_langlands_tdual(rd)
+        admissibility_check(rd, 1, commutator_from_matrix(rd, zero))
     for name, fn in _package_caches():
         info = fn.cache_info()
         if name != "flagcoh._invariant_coords":

@@ -20,6 +20,7 @@ from tdual_lie.loopext import (
     mod1,
 )
 from tdual_lie.rootdata import (
+    RootDatum,
     build,
     center,
     character_basis,
@@ -29,7 +30,7 @@ from tdual_lie.rootdata import (
 )
 from tdual_lie.zlinalg import IntMatrix, solve_columns
 
-from oracles import bareiss_det, orbit_by_reflection_matrices, root_data
+from oracles import bareiss_det, orbit_by_reflection_matrices, root_data, unimodular
 
 
 def fractions_of(b):
@@ -342,6 +343,16 @@ def test_trivializable_matches_direct_test_randomized():
         assert fibrewise_trivializable(b)["trivializable"] == is_zero(b)
 
 
+def test_negative_level_refused():
+    """The level is read off the datum's one Gram matrix, scaled; a negative
+    level is refused as `form_pairing` refuses it."""
+    rd = named_group("SU(3)")
+    for check in (lambda: commutator_from_level(rd, -1),
+                  lambda: admissibility_check(rd, -1, commutator_from_level(rd, 1))):
+        with pytest.raises(ValueError, match="level must be nonnegative"):
+            check()
+
+
 def test_admissibility():
     rd = named_group("SU(3)")
     good = commutator_from_level(rd, 1)
@@ -353,6 +364,40 @@ def test_admissibility():
     assert bad["half_pairing_violations"]
 
     assert admissibility_check(rd, 0, zero)["passed"]
+
+
+@st.composite
+def coroot_bases(draw):
+    """(sc, rd): a simply connected, simply laced datum sc from `build`, and
+    the same group on another basis of its coroot lattice: the trivial
+    quotient of `build` (the Hermite basis of A) or A V for a random
+    unimodular V."""
+    comps, total = [], 0
+    while not comps or (total < 8 and draw(st.booleans())):
+        ranks = {"A": range(1, 7), "D": range(4, 7), "E": (6, 7, 8)}
+        series = draw(st.sampled_from("ADE"))
+        fits = [r for r in ranks[series] if total + r <= 8]
+        if fits:
+            comps.append((series, draw(st.sampled_from(fits))))
+            total += comps[-1][1]
+    sc = build(comps)
+    if draw(st.booleans()):
+        return sc, build(comps, {"generators": []})
+    return sc, RootDatum(sc.components, sc.cartan, sc.cartan @ draw(unimodular(total)), "A V")
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(coroot_bases())
+def test_level_commutator_is_admissible_on_every_coroot_basis(pair):
+    """b = [k/2 <.,.>] from `commutator_from_level` passes `admissibility_check`
+    at k = 1, 2, 3 whatever basis of the coroot lattice the datum holds, and
+    is trivializable exactly when the named group's is."""
+    sc, rd = pair
+    for level in (1, 2, 3):
+        b = commutator_from_level(rd, level)
+        assert admissibility_check(rd, level, b)["passed"], (rd, level)
+        named = fibrewise_trivializable(commutator_from_level(sc, level))
+        assert fibrewise_trivializable(b)["trivializable"] == named["trivializable"], (rd, level)
 
 
 def test_explicit_matrix_reduction():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from tdual_lie import zlinalg
+from tdual_lie import rootdata, zlinalg
 from tdual_lie.errors import (
     DimensionMismatch,
     InvalidCenterSubgroup,
@@ -14,12 +14,13 @@ from tdual_lie.errors import (
 from tdual_lie.flagcoh import _smith_frame
 from tdual_lie.rootdata import (
     RootDatum,
-    basic_form,
+    _classified,
     build,
     cartan_block,
     center,
-    center_product_generators,
+    center_generators,
     character_basis,
+    form_pairing,
     fundamental_group_of,
     langlands_dual,
     named_group,
@@ -131,6 +132,16 @@ def test_root_datum_refuses_factors_that_are_not_a_string_and_an_int(components)
     assert str(exc.value) == "a simple factor needs a str series and an int rank"
 
 
+@pytest.mark.parametrize("label", [5, ["x"]], ids=["int", "list"])
+def test_root_datum_refuses_a_label_that_is_not_a_string(label):
+    """A label that is not a str is refused where the datum is made, not at
+    the first cache (a list, unhashable) or at `_dual_label` (an int)."""
+    with pytest.raises(InvalidSeries, match="^label must be a string$"):
+        build([("A", 1)], label=label)
+    with pytest.raises(InvalidSeries, match="^label must be a string$"):
+        RootDatum((("A", 1),), IntMatrix([[2]]), IntMatrix([[2]]), label)
+
+
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(root_data())
 def test_datum_rebuilt_from_its_fields_is_the_same_value(rd):
@@ -211,18 +222,18 @@ def test_g2_long_short():
 
 
 def test_basic_form_examples():
-    assert basic_form(named_group("A1"), 1) == IntMatrix([[2]])
-    assert basic_form(named_group("A2"), 1) == IntMatrix([[2, -1], [-1, 2]])
-    assert basic_form(named_group("G2"), 0) == IntMatrix.zero(2, 2)
+    a1, a2, g2, b2 = map(named_group, ("A1", "A2", "G2", "B2"))
+    assert form_pairing(a1, 1, a1.cartan) == IntMatrix([[2]])
+    assert form_pairing(a2, 1, a2.cartan) == IntMatrix([[2, -1], [-1, 2]])
+    assert form_pairing(g2, 0, g2.cartan) == IntMatrix.zero(2, 2)
     # Non-simply-laced normalization: long-root coroots keep norm 2.
-    b2 = basic_form(named_group("B2"), 1)
-    assert b2 == IntMatrix([[2, -2], [-2, 4]])
+    assert form_pairing(b2, 1, b2.cartan) == IntMatrix([[2, -2], [-2, 4]])
 
 
 def test_basic_form_weyl_invariant():
     for name in ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"]:
         rd = named_group(name)
-        g = basic_form(rd, 1)
+        g = form_pairing(rd, 1, rd.cartan)
         for i in range(rd.rank):
             # Reflection on coroot coordinates: s(alpha_j) = alpha_j - a_ij alpha_i.
             n = rd.rank
@@ -248,14 +259,15 @@ def test_basic_form_symmetric_on_langlands_duals():
     # swap; the form must follow the matrix, not the series letter.
     for comps in ([("G", 2)], [("F", 4)], [("F", 4), ("G", 2)], [("B", 3), ("C", 3)]):
         dual = langlands_dual(build(comps))
-        g = basic_form(dual, 1)
+        g = form_pairing(dual, 1, dual.cartan)
         assert g == g.transpose(), comps
     assert langlands_dual(named_group("G2")).epsilons() == (3, 1)
 
 
 def test_basic_form_symmetric_positive():
     for name in ["B3", "C3", "F4", "G2", "E6"]:
-        g = basic_form(named_group(name), 1)
+        rd = named_group(name)
+        g = form_pairing(rd, 1, rd.cartan)
         assert g == g.transpose()
         assert bareiss_det(g) > 0
 
@@ -327,32 +339,52 @@ def test_center_orders():
     assert center(named_group("Spin(7)")) == (2,)
 
 
+def check_center_generators(datum):
+    """Each generator of `center_generators`, a fundamental coweight, has the
+    order of the oracle's generator of its factor, and spans with the coroots
+    the lattice that the oracle's lift does."""
+    n = datum.rank
+    oracle = []
+    for lo, hi, series, r in datum.factor_ranges():
+        g = subquotient(IntMatrix(cartan_block(series, r)), standard_lattice(r))
+        oracle += [(d, (0,) * lo + lift + (0,) * (n - hi))
+                   for d, lift in zip(g.torsion, g.torsion_generators())]
+    got = center_generators(datum.components)
+    assert [d for d, _ in got] == [d for d, _ in oracle], datum.label
+    for (d, k), (_, want) in zip(got, oracle):
+        coweight = IntMatrix.from_columns([standard_lattice(n).column(k)])
+        span = column_hermite_form(hstack(datum.cartan, coweight))
+        assert span == column_hermite_form(hstack(datum.cartan,
+                                                  IntMatrix.from_columns([want]))), datum.label
+        assert subquotient(datum.cartan, span).order() == d, datum.label
+
+
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(root_data())
 def test_center_and_pi1_match_subquotient_oracle(rd):
     """`center` and `fundamental_group_of`, read off Smith diagonals, against
     the subquotients coweights / coroots and integral lattice / coroots, on
-    random root data and their Langlands duals.  Each lift of
-    `center_product_generators` has the order of the oracle's generator, and
-    spans with the coroots the lattice that the oracle's lift does."""
+    random root data and their Langlands duals, and `center_generators`
+    against the oracle's generators (`check_center_generators`)."""
     for datum in (rd, langlands_dual(rd)):
         n, coroots = datum.rank, datum.cartan
         z, pi1 = subquotient(coroots, standard_lattice(n)), subquotient(coroots, datum.integral)
         assert (z.free_rank, pi1.free_rank) == (0, 0), datum.label
         assert center(datum) == z.torsion, datum.label
         assert fundamental_group_of(datum) == pi1.torsion, datum.label
-        oracle = []
-        for lo, hi, series, r in datum.factor_ranges():
-            g = subquotient(IntMatrix(cartan_block(series, r)), standard_lattice(r))
-            oracle += [(d, (0,) * lo + lift + (0,) * (n - hi))
-                       for d, lift in zip(g.torsion, g.torsion_generators())]
-        got = center_product_generators(datum.components, datum.cartan)
-        assert [d for d, _ in got] == [d for d, _ in oracle], datum.label
-        for (d, lift), (_, want) in zip(got, oracle):
-            span = column_hermite_form(hstack(datum.cartan, IntMatrix.from_columns([lift])))
-            assert span == column_hermite_form(hstack(datum.cartan,
-                                                      IntMatrix.from_columns([want]))), datum.label
-            assert subquotient(coroots, span).order() == d, datum.label
+        check_center_generators(datum)
+
+
+def test_center_generators_of_every_classified_factor():
+    """`check_center_generators` on every simple factor of rank <= 64 in the
+    classification (past MAX_RANK, so built as a `RootDatum` directly), and
+    on C2 (the Langlands dual of B2)."""
+    for series in "ABCDEFG":
+        for r in range(1, 65):
+            if _classified(series, r):
+                a = IntMatrix(cartan_block(series, r))
+                check_center_generators(RootDatum(((series, r),), a, a, f"{series}{r}"))
+    check_center_generators(langlands_dual(build([("B", 2)])))
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -378,6 +410,17 @@ def test_custom_fundamental_group():
     for bad in ([["x"]], [[1.7]], [["1"]], [[True]], 5):
         with pytest.raises(InvalidCenterSubgroup):
             build([("A", 1)], {"generators": bad})
+
+
+def test_custom_quotient_takes_no_smith_form(monkeypatch):
+    """`build` reads the center's generators off the classification, so a
+    custom quotient takes no Smith form."""
+    calls, smith = [], rootdata.smith_normal_form
+    monkeypatch.setattr(rootdata, "smith_normal_form", lambda m: calls.append(m) or smith(m))
+    rd = build([("A", 5), ("D", 4), ("E", 6)], {"generators": [[2, 1, 0, 1], [0, 1, 1, 0]]})
+    assert calls == []
+    monkeypatch.undo()
+    assert fundamental_group_of(rd) == (2, 6)
 
 
 def test_langlands_dual_examples():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tdual_lie.errors import DimensionMismatch, NotACycle, Unavailable
 from tdual_lie.flagcoh import chern_classes, class_in_h3, is_cycle
-from tdual_lie.rootdata import build, langlands_dual, named_group, require_phi
+from tdual_lie.rootdata import RootDatum, build, langlands_dual, named_group, require_phi
 from tdual_lie.tduality import (
     _langlands_transport,
     bfield_shift,
@@ -24,6 +24,7 @@ from tdual_lie.zlinalg import IntMatrix, column_hermite_form
 
 from oracles import (
     bareiss_det,
+    clear_caches,
     standard_lattice,
     subquotient,
     tensor_complex,
@@ -220,6 +221,22 @@ def test_langlands_unavailable():
             langlands_twist(named_group(name))
         with pytest.raises(Unavailable):
             verify_langlands_tdual(named_group(name))
+
+
+def test_require_phi_builds_no_dual_datum(monkeypatch):
+    """`require_phi` matches against the datum's own Cartan blocks
+    transposed: it makes no `RootDatum`, and its `Unavailable` evidence names
+    the dual's series through the B <-> C swap."""
+    paired, unpaired = build([("B", 3), ("C", 3)]), build([("B", 3), ("A", 2), ("C", 4)])
+    clear_caches()
+    made = []
+    monkeypatch.setattr(RootDatum, "__init__", lambda self, *args: made.append(args))
+    assert require_phi(paired) == (3, 4, 5, 0, 1, 2)
+    with pytest.raises(Unavailable) as exc:
+        require_phi(unpaired)
+    assert made == []
+    assert exc.value.evidence == {"components": [["B", 3], ["A", 2], ["C", 4]],
+                                  "dual": [["C", 3], ["A", 2], ["B", 4]]}
 
 
 def test_verify_langlands_examples():

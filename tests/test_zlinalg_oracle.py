@@ -12,7 +12,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from tdual_lie.zlinalg import IntMatrix, column_hermite_form, kernel_of_matrix, solve_columns
 
-from oracles import coords, reduce_mod, subquotient, subquotient_coords, to_sympy
+from oracles import coords, reduce_mod, subquotient, subquotient_coords, to_sympy, unimodular
 
 ORACLE = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
@@ -60,19 +60,6 @@ def _nonzero_invariant_factors(m: IntMatrix) -> list[int]:
 def test_rank_matches_sympy(m):
     """The rank, read as the column count of the Hermite form."""
     assert column_hermite_form(m).cols == to_sympy(m).rank()
-
-
-@st.composite
-def unimodular(draw, k):
-    """A k x k unimodular matrix: the identity after column sign changes and
-    additions of a multiple of one column to another."""
-    w = [[int(i == j) for j in range(k)] for i in range(k)]
-    for _ in range(draw(st.integers(0, 3 * k))):
-        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
-        q = draw(st.integers(-3, 3))
-        for row in w:
-            row[i] = -row[i] if i == j else row[i] + q * row[j]
-    return IntMatrix(w)
 
 
 @ORACLE

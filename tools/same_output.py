@@ -8,9 +8,9 @@ process with only that checkout's `src` on its path and no TDUAL_* or
 PYTHON* setting (`bench_pr.job_env`).  The argv are every
 `perfbench/workloads.digest_jobs()` row, `make_jobs(w, s)` for seeds 1-5 of
 each workload, the cliff rows, bench_pr's RANK_CAP_ROWS and CONTCHECK_ROWS,
-DOUBLE_DATUM_ROWS and QUOTIENT_ROWS, each distinct argv once.  Every argv
-whose exit code, stdout sha256 or stderr differs is printed with both sides'
-stderr, and the script exits 1 if any does.
+DOUBLE_DATUM_ROWS, QUOTIENT_ROWS and SPEC_ROWS, each distinct argv once.
+Every argv whose exit code, stdout sha256 or stderr differs is printed with
+both sides' stderr, and the script exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -62,11 +62,52 @@ QUOTIENT_ROWS = (
 )
 
 
+def spec(factors, generators) -> str:
+    """The --group JSON of the product of `factors`, (series, rank) pairs, by
+    the center elements `generators`."""
+    return json.dumps({"components": [{"series": s, "rank": r} for s, r in factors],
+                       "fundamental_group": {"generators": generators}}, separators=(",", ":"))
+
+
+# One custom quotient per row of the center-generator table (A_n, B_n, C_n,
+# D_even, D_odd, E6, E7), and the trivial quotients of simply connected,
+# simply laced groups, whose integral basis is the Hermite basis of the
+# coroots rather than the coroots themselves.
+TABLE_QUOTIENTS = (
+    spec([("A", 5), ("A", 2)], [[1, 1]]),
+    spec([("A", 3)], [[2]]),
+    spec([("D", 4)], [[1, 0]]),
+    spec([("D", 4)], [[0, 1]]),
+    spec([("D", 4)], [[1, 1]]),
+    spec([("D", 5)], [[1]]),
+    spec([("D", 5)], [[2]]),
+    spec([("E", 6)], [[1]]),
+    spec([("E", 7)], [[1]]),
+    spec([("B", 3), ("C", 3)], [[1, 1]]),
+    spec([("C", 4), ("A", 3)], [[1, 2]]),
+    spec([("D", 6), ("D", 5), ("A", 1)], [[1, 0, 2, 1], [0, 1, 1, 0]]),
+)
+TRIVIAL_QUOTIENTS = (
+    spec([("A", 3)], [[0]]),
+    spec([("A", 4)], [[0]]),
+    spec([("D", 4)], [[0, 0]]),
+    spec([("D", 5)], [[0]]),
+    spec([("E", 6)], [[0]]),
+    spec([("E", 7)], [[0]]),
+)
+SPEC_ROWS = tuple(
+    [(verb, "--group", g, *extra) for g in TABLE_QUOTIENTS
+     for verb, *extra in (("group",), ("cohomology",), ("twist", "--twist", "level:1"),
+                          ("langlands",))]
+    + [("extension", "--group", g, "--level", "1") for g in TRIVIAL_QUOTIENTS])
+
+
 def all_argv() -> list[tuple[str, ...]]:
     """The rows named in the module docstring, in that order, each once."""
     jobs = digest_jobs() + [job for w in WORKLOADS for s in SEEDS for job in make_jobs(w, s)]
     rows = ([job.argv for job in jobs + list(CLIFFS)]
-            + list(RANK_CAP_ROWS + CONTCHECK_ROWS + DOUBLE_DATUM_ROWS + QUOTIENT_ROWS))
+            + list(RANK_CAP_ROWS + CONTCHECK_ROWS + DOUBLE_DATUM_ROWS + QUOTIENT_ROWS
+                   + SPEC_ROWS))
     return list(dict.fromkeys(map(tuple, rows)))
 
 
