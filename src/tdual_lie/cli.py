@@ -26,16 +26,9 @@ from types import SimpleNamespace
 
 from . import contcheck as cont
 from . import flagcoh, loopext, tduality
-from .errors import RequiresExplicitB, TdualError, Unavailable, UsageError, ascii_int, quote
-from .rootdata import (
-    RootDatum,
-    build,
-    center,
-    character_basis,
-    fundamental_group_of,
-    named_group,
-    root_count,
-)
+from .errors import RequiresExplicitB, TdualError, Unavailable, UsageError, ascii_int, escape, quote
+from .rootdata import (RootDatum, build, center, character_basis, fundamental_group_of,
+                       named_group, root_count)
 from .zlinalg import IntMatrix
 
 SCHEMA = "tdual-lie/1"
@@ -334,8 +327,8 @@ def resolve_shift(rd: RootDatum, spec: str) -> IntMatrix:
     except (TdualError, TypeError) as exc:
         raise UsageError(f"malformed shift matrix {quote(spec)}: {exc}") from exc
     if shift.rows != rd.rank:
-        raise UsageError(f"shift matrix must be {rd.rank}x{rd.rank} for {rd.label}, "
-                         f"got {shift.rows}x{shift.cols}")
+        raise UsageError(f"shift matrix must be {rd.rank}x{rd.rank} for "
+                         f"{quote(rd.label, escape)}, got {shift.rows}x{shift.cols}")
     return shift
 
 

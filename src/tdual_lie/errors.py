@@ -12,6 +12,11 @@ def quote(text: str, show=repr) -> str:
     return f"{show(text[:QUOTE_LIMIT])}... ({len(text)} characters)"
 
 
+def escape(text: str) -> str:
+    """repr(text) unquoted: control characters escaped, plain text as is."""
+    return repr(text)[1:-1]
+
+
 def ascii_int(text: str, signed: bool = False) -> int:
     """int(text) for text of ASCII digits, after one "-" when `signed`.
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
-from math import gcd
 from operator import mul
 
 from .errors import DimensionMismatch, NotACycle
@@ -107,16 +106,14 @@ def invariant_forms(rd: RootDatum) -> tuple[tuple[int, int, IntMatrix], ...]:
     polynomial sum_i G_ii w_i^2 + sum_{i<j} 2 G_ij w_i w_j, supported on its
     factor's block G_k.  Supports are disjoint, so the invariants are
     spanned, saturated, by these polynomials each divided by g_k, the gcd of
-    its coefficients.  F_k = 2 G_k / g_k is the symmetric matrix of the k-th
-    one (the polynomial is w^T F_k w / 2), and its diagonal is even.
+    its coefficients.  That gcd is 2 on every classified factor and on its
+    Langlands dual: a long simple coroot has G_ii = 2, every G_ii = 2 eps_i
+    is even, and so is every 2 G_ij.  So F_k = 2 G_k / g_k, the symmetric
+    matrix of the k-th invariant (the polynomial is w^T F_k w / 2), is G_k.
     """
     g = form_pairing(rd, 1, rd.cartan)
-    out = []
-    for lo, hi, _, _ in rd.factor_ranges():
-        span = range(lo, hi)
-        gk = gcd(*(g[i, j] if i == j else 2 * g[i, j] for i in span for j in span))
-        out.append((lo, hi, IntMatrix([[2 * g[i, j] // gk for j in span] for i in span])))
-    return tuple(out)
+    return tuple((lo, hi, IntMatrix([[g[i, j] for j in range(lo, hi)] for i in range(lo, hi)]))
+                 for lo, hi, _, _ in rd.factor_ranges())
 
 
 # ---------------------------------------------------------------------------

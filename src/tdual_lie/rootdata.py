@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
+from itertools import combinations
+from math import gcd, lcm
 
 from .errors import (
     DimensionMismatch,
@@ -38,6 +40,7 @@ from .errors import (
     NotBetweenLattices,
     Unavailable,
     ascii_int,
+    escape,
     quote,
 )
 from .zlinalg import (
@@ -191,7 +194,7 @@ class RootDatum:
         return out
 
     def is_simply_laced(self) -> bool:
-        return all(e == 1 for e in self.epsilons())
+        return all(s in "ADE" for s, _ in self.components)
 
     def is_simply_connected(self) -> bool:
         """pi_1, the integral lattice mod the coroots, is trivial: read off the
@@ -261,7 +264,7 @@ def build(series_list: Sequence[tuple[str, int]], fundamental_group="simply_conn
             raise InvalidSeries(_FACTOR_TYPES)
         series = series.upper()
         if not _classified(series, rank):
-            raise InvalidSeries(f"no simple group of type {quote(f'{series}{rank}', str)}")
+            raise InvalidSeries(f"no simple group of type {quote(f'{series}{rank}', escape)}")
         comps.append((series, rank))
     if not comps:
         raise InvalidSeries("a semisimple group needs at least one simple factor")
@@ -402,10 +405,13 @@ def root_count(rd: RootDatum) -> int:
 
 
 def center(rd: RootDatum) -> tuple[int, ...]:
-    """Invariant factors of the center of the simply connected form: the
-    coweights mod the coroots, coker A, read off the Smith form of A.  The
-    free rank is 0, as A is nonsingular."""
-    return tuple(x for x in smith_normal_form(rd.cartan)[1] if x >= 2)
+    """Invariant factors of the center of the simply connected form, the
+    coweights mod the coroots: the cyclic orders of `center_generators`,
+    merged pair by pair in order by Z/a + Z/b = Z/gcd + Z/lcm."""
+    orders = [d for d, _ in center_generators(rd.components)]
+    for i, j in combinations(range(len(orders)), 2):
+        orders[i], orders[j] = gcd(orders[i], orders[j]), lcm(orders[i], orders[j])
+    return tuple(d for d in orders if d > 1)
 
 
 def character_basis(rd: RootDatum) -> IntMatrix:

@@ -98,15 +98,16 @@ _SELF_DUAL_WORDS = {("B", 2): (0,), ("C", 2): (0,), ("G", 2): (0,), ("F", 4): (0
 
 
 @lru_cache(maxsize=DATUM_CACHE)
-def _langlands_transport(rd: RootDatum) -> IntMatrix:
-    """Pullback P.w from dual-side weight coordinates to weight coordinates
-    whose induced twist is a cycle.  P is the Dynkin isomorphism
-    `require_phi`; w is block-diagonal over the simple factors, in coweight
-    coordinates: the identity on a simply laced factor; on B2, C2, G2 and F4
-    the word in `_SELF_DUAL_WORDS` (s_0 is the factor's first simple root,
-    long on data from `build`, short on a Langlands dual: chosen by
-    position, not length); on a B_n or C_n with n >= 3, which `require_phi`
-    pairs with another factor or refuses, -1 when it is the lower of the pair.
+def _langlands_transport(rd: RootDatum) -> tuple[IntMatrix, IntMatrix]:
+    """(T, T.B): the pullback T = P.w from dual-side weight coordinates to
+    weight coordinates, and the twist it induces, formed once and checked to
+    be a cycle.  P is the Dynkin isomorphism `require_phi`; w is
+    block-diagonal over the simple factors, in coweight coordinates: the
+    identity on a simply laced factor; on B2, C2, G2 and F4 the word in
+    `_SELF_DUAL_WORDS` (s_0 is the factor's first simple root, long on data
+    from `build`, short on a Langlands dual: chosen by position, not
+    length); on a B_n or C_n with n >= 3, which `require_phi` pairs with
+    another factor or refuses, -1 when it is the lower of the pair.
 
     The twist P.w.B is the map P.w from coweights to weights whatever the
     basis B, so the cycle test asks that the symmetric part of
@@ -135,16 +136,16 @@ def _langlands_transport(rd: RootDatum) -> IntMatrix:
             flip.update(range(lo, hi))
     transport = IntMatrix([[-x for x in w[p]] if p in flip else w[p] for p in perm],
                           cols=rd.rank)
-    if not is_cycle(rd, transport @ rd.integral):
+    if not is_cycle(rd, twist := transport @ rd.integral):
         raise AssertionError(f"the Langlands transport rule gives no cycle for {rd.label}")
-    return transport
+    return transport, twist
 
 
 def langlands_twist(rd: RootDatum) -> IntMatrix:
     """The twist whose T-dual is the Langlands dual group: compose the
     inclusion of the integral lattice into the dual-side weight lattice with
     the Weyl-adjusted diagram-isomorphism pullback."""
-    return _langlands_transport(rd) @ rd.integral
+    return _langlands_transport(rd)[1]
 
 
 def verify_langlands_tdual(rd: RootDatum) -> dict:
@@ -161,7 +162,7 @@ def verify_langlands_tdual(rd: RootDatum) -> dict:
     twist = langlands_twist(rd)  # raises Unavailable without an isomorphism
     mine = column_hermite_form(twist)
     dual_rd = langlands_dual(rd)
-    expected = column_hermite_form(_langlands_transport(rd) @ character_basis(dual_rd))
+    expected = column_hermite_form(_langlands_transport(rd)[0] @ character_basis(dual_rd))
     return {
         "group": rd.label,
         "dual_group": dual_rd.label,

@@ -67,9 +67,10 @@ def clear_caches() -> None:
 
 
 def bareiss_det(m: IntMatrix) -> int:
-    """Checks the orders `src/` reads off Smith diagonals (|Z| is
-    `prod(rootdata.center(rd))`): the determinant by fraction-free (Bareiss)
-    elimination."""
+    """Checks the orders `src/` reads off Smith diagonals or the
+    classification (|Z| is `prod(rootdata.center(rd))`, merged from the
+    orders of `center_generators`): the determinant by fraction-free
+    (Bareiss) elimination."""
     assert m.rows == m.cols, "determinant of a non-square matrix"
     n = m.rows
     if n == 0:

@@ -568,16 +568,23 @@ def test_each_twist_evaluated_once(argv, evaluations):
 
 
 @pytest.mark.parametrize("argv, echelons, smith", [
-    (["group", "--group", "SU(4)"], 1, "AX"),
-    (["group", "--group", "PSU(4)"], 1, "AX"),
+    (["group", "--group", "SU(4)"], 1, "X"),
+    (["group", "--group", "PSU(4)"], 1, "X"),
+    (["cohomology", "--group", "SU(4)"], 4, "X"),
+    (["twist", "--group", "SU(4)", "--twist", "level:1"], 6, "X"),
+    (["dualize", "--group", "SU(4)", "--twist", "level:1",
+      "--shift", "[[0,1,0],[0,0,0],[0,0,0]]"], 8, "X"),
+    (["langlands", "--group", "PSU(4)"], 4, ""),
     (["extension", "--group", "SU(4)", "--level", "1"], 2, "X"),
     (["extension", "--group", "PSU(4)", "--b", json.dumps([[0] * 3] * 3)], 2, "X"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_eliminations_per_verb(monkeypatch, capsys, argv, echelons, smith):
     """The `_echelon` runs and the Smith forms, of the Cartan matrix A or of
     the character basis X, that a verb takes from cold caches: simple
-    connectivity is read off X's Smith form and the admissibility Gram
-    matrix is one solve against X, so neither eliminates A again."""
+    connectivity is read off X's Smith form, the center off the
+    classification and the admissibility Gram matrix is one solve against
+    X, so no verb takes a Smith form of A (X = 1 on SU(4)), and `langlands`
+    takes none."""
     rd = cli.resolve_group(argv[2])
     of = {"A": rd.cartan, "X": rootdata.character_basis(rd)}
     echelon, smith_normal_form = zlinalg._echelon, rootdata.smith_normal_form
@@ -597,6 +604,30 @@ def test_eliminations_per_verb(monkeypatch, capsys, argv, echelons, smith):
     assert main(argv) == 0
     assert len(echelon_calls) == echelons
     assert Counter(smith_calls) == Counter(of[name] for name in smith)
+
+
+@pytest.mark.parametrize("argv", [["langlands", "--group", "SU(4)"],
+                                  ["twist", "--group", "SU(4)", "--twist", "langlands"]],
+                         ids=" ".join)
+def test_langlands_twist_formed_once(monkeypatch, argv):
+    """`langlands` and `twist --twist langlands` multiply by the integral
+    basis B once: the cycle check and the report read the one product T.B."""
+    data, products = [], []
+    resolve_group, matmul = cli.resolve_group, zlinalg.IntMatrix.__matmul__
+
+    def resolve(spec):
+        data.append(resolve_group(spec))
+        return data[-1]
+
+    def counted(a, b):
+        products.extend(b is rd.integral for rd in data)
+        return matmul(a, b)
+
+    clear_caches()
+    monkeypatch.setattr(cli, "resolve_group", resolve)
+    monkeypatch.setattr(zlinalg.IntMatrix, "__matmul__", counted)
+    assert main(argv) == 0
+    assert len(data) == 1 and sum(products) == 1
 
 
 def test_commutator_rational_strings_accepted():
@@ -851,6 +882,16 @@ FUZZ_CASES = [
     pytest.param(["group", "--group", '{"components":5}'], 2, id="group-json-components-int"),
     pytest.param(["group", "--group", '{"components":{"series":"A"}}'], 2,
                  id="group-json-components-object"),
+    # A label or series with a newline, and a long label, are escaped and cut
+    # in the one error line.
+    pytest.param(["dualize", "--group", '{"components":[{"series":"A","rank":2}],'
+                  '"label":"two\\nlines"}', "--twist", "level:1", "--shift", "[[0]]"], 2,
+                 id="shift-label-newline"),
+    pytest.param(["dualize", "--group", '{"components":[{"series":"A","rank":2}],'
+                  '"label":"%s"}' % ("x" * 500), "--twist", "level:1", "--shift", "[[0]]"], 2,
+                 id="shift-label-long"),
+    pytest.param(["group", "--group", '{"components":[{"series":"A\\nB","rank":1}]}'], 2,
+                 id="group-series-newline"),
     # JSON nested past the recursion limit is malformed input, not a traceback.
     pytest.param(["group", "--group", "{\"a\": " + "[" * 100000], 2, id="group-json-deep"),
     pytest.param(["group", "--group-list", "SU(2),{\"a\": " + "[" * 100000], 2,

@@ -27,7 +27,8 @@ from tdual_lie.rootdata import (
     require_phi,
     root_count,
 )
-from tdual_lie.zlinalg import IntMatrix, column_hermite_form, hstack, solve_columns
+from tdual_lie.zlinalg import (IntMatrix, column_hermite_form, hstack, smith_normal_form,
+                              solve_columns)
 
 from oracles import (
     bareiss_det,
@@ -362,10 +363,11 @@ def check_center_generators(datum):
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(root_data())
 def test_center_and_pi1_match_subquotient_oracle(rd):
-    """`center` and `fundamental_group_of`, read off Smith diagonals, against
-    the subquotients coweights / coroots and integral lattice / coroots, on
-    random root data and their Langlands duals, and `center_generators`
-    against the oracle's generators (`check_center_generators`)."""
+    """`center`, read off the classification, and `fundamental_group_of`,
+    read off X's Smith diagonal, against the subquotients coweights /
+    coroots and integral lattice / coroots, on random root data and their
+    Langlands duals, and `center_generators` against the oracle's
+    generators (`check_center_generators`)."""
     for datum in (rd, langlands_dual(rd)):
         n, coroots = datum.rank, datum.cartan
         z, pi1 = subquotient(coroots, standard_lattice(n)), subquotient(coroots, datum.integral)
@@ -376,15 +378,20 @@ def test_center_and_pi1_match_subquotient_oracle(rd):
 
 
 def test_center_generators_of_every_classified_factor():
-    """`check_center_generators` on every simple factor of rank <= 64 in the
+    """`check_center_generators`, and `center` against the invariant factors
+    of the Smith form of A, on every simple factor of rank <= 64 in the
     classification (past MAX_RANK, so built as a `RootDatum` directly), and
     on C2 (the Langlands dual of B2)."""
+    data = [langlands_dual(build([("B", 2)]))]
     for series in "ABCDEFG":
         for r in range(1, 65):
             if _classified(series, r):
                 a = IntMatrix(cartan_block(series, r))
-                check_center_generators(RootDatum(((series, r),), a, a, f"{series}{r}"))
-    check_center_generators(langlands_dual(build([("B", 2)])))
+                data.append(RootDatum(((series, r),), a, a, f"{series}{r}"))
+    for datum in data:
+        check_center_generators(datum)
+        smith = smith_normal_form(datum.cartan)[1]
+        assert center(datum) == tuple(x for x in smith if x >= 2), datum.label
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

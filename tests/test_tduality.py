@@ -318,7 +318,7 @@ def dualizable_data(draw):
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
 @given(dualizable_data())
 def test_langlands_transport_is_first_bfs_cycle(rd):
-    assert _langlands_transport(rd) == permutation_matrix(require_phi(rd)) @ first_bfs_cycle(rd)
+    assert _langlands_transport(rd)[0] == permutation_matrix(require_phi(rd)) @ first_bfs_cycle(rd)
 
 
 @pytest.mark.parametrize("comps", [
@@ -329,7 +329,8 @@ def test_langlands_transport_is_first_bfs_cycle_table(comps):
     """Products past MAX_WEYL_ORDER whose BFS still ends early, and the
     Langlands dual of each adjoint form."""
     for rd in (build(comps), langlands_dual(build(comps, "adjoint"))):
-        assert _langlands_transport(rd) == permutation_matrix(require_phi(rd)) @ first_bfs_cycle(rd)
+        transport = permutation_matrix(require_phi(rd)) @ first_bfs_cycle(rd)
+        assert _langlands_transport(rd)[0] == transport
 
 
 def test_langlands_roundtrip_lens():

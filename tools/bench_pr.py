@@ -36,7 +36,8 @@ Adjoint A1^32 has the most H^3 torsion at the cap: its character basis is
 2I, so each of its 496 pairs of Smith invariants adds a Z/2, and
 `class_in_h3` reads one torsion coordinate per pair.  The two `group` rows
 have the most cyclic center factors at the cap, 32 copies of Z/2, so they
-time the center's Smith form and the 32 generator lifts of a quotient.  Then they run each of
+time the merge of 32 center orders (496 pairs) and the 32 generator lifts
+of a quotient.  Then they run each of
 CONTCHECK_ROWS once: `contcheck --grid 16384` and `--grid
 131072` in JSON, the verb's largest memory.  Each is one `tdual` process
 with only the checkout's `src` on its path.  BENCH_<N>.json keeps the same

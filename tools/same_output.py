@@ -8,7 +8,9 @@ process with only that checkout's `src` on its path and no TDUAL_* or
 PYTHON* setting (`bench_pr.job_env`).  The argv are every
 `perfbench/workloads.digest_jobs()` row, `make_jobs(w, s)` for seeds 1-5 of
 each workload, the cliff rows, bench_pr's RANK_CAP_ROWS and CONTCHECK_ROWS,
-DOUBLE_DATUM_ROWS, QUOTIENT_ROWS and SPEC_ROWS, each distinct argv once.
+DOUBLE_DATUM_ROWS, QUOTIENT_ROWS, SPEC_ROWS and CENTER_ROWS (`group --format
+json` on A1 x A2, A1 x A1 x A3, A2 x A5 x E6, A4 x A9 and D4 x D5 x A1 x E7,
+simply connected and adjoint), each distinct argv once.
 Every argv whose exit code, stdout sha256 or stderr differs is printed with
 both sides' stderr, and the script exits 1 if any does.
 """
@@ -95,6 +97,18 @@ TRIVIAL_QUOTIENTS = (
     spec([("E", 6)], [[0]]),
     spec([("E", 7)], [[0]]),
 )
+# Products whose cyclic center orders `center` merges or reorders into a
+# divisor chain (A1 x A2: 2, 3 into 6; A2 x A5 x E6: 3, 6, 3 into 3, 3, 6;
+# D4 x D5 x A1 x E7: 2, 2, 4, 2, 2 into 2, 2, 2, 2, 4), simply connected and
+# adjoint.
+CENTER_PRODUCTS = ((("A", 1), ("A", 2)), (("A", 1), ("A", 1), ("A", 3)),
+                   (("A", 2), ("A", 5), ("E", 6)), (("A", 4), ("A", 9)),
+                   (("D", 4), ("D", 5), ("A", 1), ("E", 7)))
+CENTER_ROWS = tuple(
+    ("group", "--format", "json", "--group",
+     json.dumps({"components": [{"series": s, "rank": r} for s, r in factors],
+                 "fundamental_group": fg}, separators=(",", ":")))
+    for factors in CENTER_PRODUCTS for fg in ("simply_connected", "adjoint"))
 SPEC_ROWS = tuple(
     [(verb, "--group", g, *extra) for g in TABLE_QUOTIENTS
      for verb, *extra in (("group",), ("cohomology",), ("twist", "--twist", "level:1"),
@@ -107,7 +121,7 @@ def all_argv() -> list[tuple[str, ...]]:
     jobs = digest_jobs() + [job for w in WORKLOADS for s in SEEDS for job in make_jobs(w, s)]
     rows = ([job.argv for job in jobs + list(CLIFFS)]
             + list(RANK_CAP_ROWS + CONTCHECK_ROWS + DOUBLE_DATUM_ROWS + QUOTIENT_ROWS
-                   + SPEC_ROWS))
+                   + SPEC_ROWS + CENTER_ROWS))
     return list(dict.fromkeys(map(tuple, rows)))
 
 
