@@ -13,12 +13,15 @@ Verbs
 Output is deterministic: the JSON rendering of a report is byte-identical
 across runs for identical argv (text output is a rendering of the same
 dictionary).  Exit codes: 0 success, 1 a --expect assertion failed, 2 usage
-error.
+error, also when standard output cannot be written.
 """
 
 from __future__ import annotations
 
+import errno
+import gc
 import json
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -488,7 +491,7 @@ def render_text(payload: dict) -> str:
             for i, v in enumerate(value):
                 emit(f"{prefix}{i}.", v)
         else:
-            lines.append(f"{prefix[:-1]}: {value}")
+            lines.append(f"{prefix[:-1]}: {escape(value) if isinstance(value, str) else value}")
 
     for i, rep in enumerate(payload["reports"]):
         lines.append(f"-- report {i} --")
@@ -499,6 +502,8 @@ def render_text(payload: dict) -> str:
 
 
 def main(argv=None) -> int:
+    if argv is None:  # the process ends after main: no collection walks the import-time heap
+        gc.freeze()
     try:
         config = parse_args(argv if argv is not None else sys.argv[1:])
         code, payload = run(config)
@@ -519,7 +524,18 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        try:
+            if sys.stdout is None:  # fd 1 was closed when the interpreter started
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            print(f"usage error: cannot write standard output: {exc.strerror or exc}",
+                  file=sys.stderr)
+            if sys.stdout is not None:  # so the flush at exit writes nowhere
+                with open(os.devnull, "w") as devnull:
+                    os.dup2(devnull.fileno(), sys.stdout.fileno())
+            return 2
     return code
 
 

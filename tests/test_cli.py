@@ -1,6 +1,7 @@
 """Command-line surface: parsing, reports, determinism, exit codes."""
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -316,6 +317,23 @@ def test_text_format_renders(capsys):
     assert "root_count: 2" in text
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["group"], "group: two\\nlines"),
+    (["extension", "--level", "1"],
+     "reason: two\\nlines has a non-simply-laced factor; supply the commutator map explicitly"),
+], ids=["group", "extension-reason"])
+def test_text_escapes_string_values(capsys, argv, line):
+    """Text output escapes a string value as stderr does, so a newline in a
+    label keeps its line whole; JSON output keeps the string as it is."""
+    spec = json.dumps({"components": [{"series": "B", "rank": 2}], "label": "two\nlines"})
+    argv = [argv[0], "--group", spec, *argv[1:]]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert line in text.splitlines() and "lines" not in text.replace("two\\nlines", "")
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["reports"][0]["group"] == "two\nlines"
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["cohomology", "--group", "NotAGroup(3)"]) == 2
     assert main(["twist", "--group", "SU(2)", "--twist", "[[1,2],[3"]) == 2
@@ -350,6 +368,93 @@ def test_tdual_variables_change_no_output(argv):
                 {"TDUAL_PRECISION": "19"}, {"TDUAL_PRECISION": "843"},
                 {"TDUAL_PRECISION": "131073"}):
         assert _cli_process(argv, **env) == unset, env
+
+
+ENTRY = "import sys; from tdual_lie.cli import main; sys.exit(main())"
+
+
+def _src_env(buffered: bool = False) -> dict:
+    """This environment with `src` on the path; `buffered` drops
+    PYTHONUNBUFFERED, so stdout keeps what a failed write left in its buffer
+    for the flush at exit, as it does for a user who never set it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+# `group` fits in the stream's buffer, so the flush fails; `cohomology` on
+# Spin(64) outgrows it, so the write itself fails.
+UNWRITABLE_ARGV = [["group", "--group", "SU(2)"], ["cohomology", "--group", "Spin(64)"]]
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", UNWRITABLE_ARGV, ids=lambda argv: argv[0])
+def test_broken_pipe_on_stdout_exits_2(argv, buffered):
+    """A pipe whose read end is closed before the process starts: one usage
+    error line, exit 2, and no complaint from the flush at exit (which,
+    with a buffered stdout, would print "Exception ignored" and exit 120)."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], env=_src_env(buffered),
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (
+        2, "usage error: cannot write standard output: Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_ARGV, ids=lambda argv: argv[0])
+def test_closed_stdout_exits_2(argv):
+    """fd 1 closed (`>&-`), so `sys.stdout` is None: one usage error line
+    and exit 2."""
+    proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], env=_src_env(),
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (
+        2, "usage error: cannot write standard output: Bad file descriptor\n")
+
+
+def test_in_process_main_keeps_normal_gc(capsys):
+    """`main(list)` neither freezes the heap nor switches the collector."""
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert main(["group", "--group", "SU(2)"]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["group", "--group", "SU(2)"], 0),
+    (["langlands", "--group", "Spin(7)", "--expect", "available"], 1),
+    (["group", "--group", "NotAGroup(3)"], 2),
+    (["group", "--help"], 0),
+], ids=["exit-0", "exit-1", "exit-2", "help"])
+def test_command_path_freezes_and_prints_what_main_list_prints(capsys, argv, code):
+    """`main()` reading `sys.argv`, the path of the `tdual` command, freezes
+    the heap, and prints the stdout and stderr and exits with the code of
+    `main(argv)` in process."""
+    script = ("import gc, sys\n"
+              "from tdual_lie.cli import main\n"
+              f"sys.argv = ['tdual', *{argv!r}]\n"
+              "try:\n"
+              "    code = main()\n"
+              "except SystemExit as exc:\n"
+              "    code = exc.code\n"
+              "sys.stdout.flush()\n"
+              "print(gc.get_freeze_count() > 0, file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    try:
+        in_process = main(argv)
+    except SystemExit as exc:
+        in_process = exc.code
+    captured = capsys.readouterr()
+    assert in_process == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out,
+                                                           captured.err + "True\n")
 
 
 def _usage_error(capsys, argv, prefix="usage error:"):
