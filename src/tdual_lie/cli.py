@@ -105,15 +105,14 @@ _JSON = json.JSONDecoder()
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 
-def _help(verb: str | None):
-    """Print the verbs, or the flags of `verb`, from `FLAGS` and exit 0."""
+def _help(verb: str | None) -> str:
+    """The help text: the verbs, or the flags of `verb`, from `FLAGS`."""
     lines = [f"usage: tdual {verb or '{' + ','.join(FLAGS) + '}'} [--FLAG VALUE]..."]
     for flag, choices in FLAGS.get(verb, {}).items():
         alias = "".join(f", {a}" for a, f in _ALIASES.items() if f == flag)
         lines.append(f"  {flag}{alias} {'{' + ','.join(choices) + '}' if choices else 'VALUE'}"
                      f"{' (required)' * (flag == '--twist')}")
-    print(*lines, sep="\n")
-    raise SystemExit(0)
+    return "\n".join(lines) + "\n"
 
 
 def _split_specs(text: str) -> tuple[str, ...]:
@@ -139,20 +138,21 @@ def _split_specs(text: str) -> tuple[str, ...]:
     return tuple(s for s in specs if s)
 
 
-def parse_args(argv) -> SimpleNamespace:
+def parse_args(argv) -> SimpleNamespace | str:
     """The command line read against `FLAGS`, with a field per flag,
     `groups` (a tuple of specs), a checked `level` and, for contcheck, the
-    resolved `grid`; whatever the table does not take is a UsageError."""
+    resolved `grid`, or the help text for a -h or --help before any error;
+    whatever the table does not take is a UsageError."""
     verb, *rest = argv or [None]
     if verb in ("-h", "--help"):
-        _help(None)
+        return _help(None)
     if verb not in FLAGS:
         what = f"unknown verb {quote(verb)}" if verb is not None else "no verb"
         raise UsageError(f"{what}; choose from {', '.join(FLAGS)}")
     flags, given, args = FLAGS[verb], {}, iter(rest)
     for arg in args:
         if arg in ("-h", "--help"):
-            _help(verb)
+            return _help(verb)
         flag, eq, value = arg.partition("=")
         flag = _ALIASES.get(flag, flag)
         if flag not in flags:
@@ -506,21 +506,23 @@ def main(argv=None) -> int:
         gc.freeze()
     try:
         config = parse_args(argv if argv is not None else sys.argv[1:])
-        code, payload = run(config)
+        if isinstance(config, str):  # --help: its text goes to stdout as a report would
+            code, text, output = 0, config, None
+        else:
+            code, payload = run(config)
+            with _exact_output():
+                text = (json.dumps(payload, sort_keys=True, indent=2) + "\n"
+                        if config.format == "json" else render_text(payload))
+            output = config.output
     except TdualError as exc:
         print(_error_line(exc), file=sys.stderr)
         return 2
-    with _exact_output():
-        if config.format == "json":
-            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        else:
-            text = render_text(payload)
-    if config.output:
+    if output:
         try:
-            with open(config.output, "w", encoding="utf-8") as fh:
+            with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"usage error: cannot write {quote(config.output)}: {exc.strerror or exc}",
+            print(f"usage error: cannot write {quote(output)}: {exc.strerror or exc}",
                   file=sys.stderr)
             return 2
     else:

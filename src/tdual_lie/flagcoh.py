@@ -25,11 +25,11 @@ quadratic polynomial in the weights is held as its symmetric matrix S (the
 polynomial w^T S w / 2), and the invariants as one block F_k per simple
 factor (`invariant_forms`), so the cycle test reads one coordinate per
 factor off S and nothing is indexed by the n(n+1)/2 monomials.  H^3 = K +
-sum of Z/d_i over the pairs i < j with d_i > 1 is read off the one Smith
-form U X V = diag(d) (see `_smith_frame`), so nothing is indexed by the n^2
-tensor coordinates and no second normal form is taken.  Free class
-coordinates are rotated left by the number of pairs, the order a former
-second Smith form gave them, so printed classes stay unchanged.
+sum of Z/d_i over the pairs i < j with d_i > 1 and its classes are read off
+the one Smith form U X V = diag(d) (see `_smith_frame`), so nothing is
+indexed by the n^2 tensor coordinates and no second normal form is taken.
+Free class coordinates are rotated left by the number of pairs, the order a
+former second Smith form gave them, so printed classes stay unchanged.
 
 Basis conventions are fixed once: the character lattice carries the basis
 dual to the integral lattice's preferred basis, and invariant coordinates
@@ -52,7 +52,7 @@ from .rootdata import (
     form_pairing,
     fundamental_group_of,
 )
-from .zlinalg import IntMatrix, block_diag, column_hermite_form, kernel_of_matrix, solve_columns
+from .zlinalg import IntMatrix, block_diag, kernel_of_matrix, solve_columns
 
 
 @lru_cache(maxsize=2)  # each entry holds an n x n M; a report evaluates u and the shifted u
@@ -147,7 +147,8 @@ def _smith_frame(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple
     split as K + sum over P of d_j Z / d_i d_j Z, and pairs with d_i = 1
     carry no class.  T(c)_ii = sum_k c_k (U_i|k F_k U_i|k^T) / 2, the
     invariant polynomial's value on row i of U, U_i|k that row cut to block
-    k, gives one kernel row (with a slack column) per d_i > 1.
+    k, gives one kernel row (with a slack column) per d_i > 1; c fixes the
+    slack, so the kernel's Hermite basis cut to c is K's.
     """
     U, d = character_smith(rd)
     forms, torsion = invariant_forms(rd), [i for i in range(rd.rank) if d[i] > 1]
@@ -160,17 +161,16 @@ def _smith_frame(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple
     rows = [[value(i, *form) for form in forms] + [d[i] if i == t else 0 for t in torsion]
             for i in torsion]
     ker = kernel_of_matrix(IntMatrix(rows, cols=f + len(torsion)))
-    free = IntMatrix.from_columns([c[:f] for c in ker.columns()], rows=f)
     pairs = tuple((i, j) for i in torsion for j in range(i + 1, rd.rank))
-    return U, d, pairs, column_hermite_form(free)
+    return U, d, pairs, IntMatrix.from_columns([c[:f] for c in ker.columns()], rows=f)
 
 
 def h3_group(rd: RootDatum) -> H3Group:
     """H^3 of the group, K + sum over (i, j) in P of Z/d_i (see
-    `_smith_frame`): free of rank f, the number of simple factors, with
-    torsion wedge^2 pi_1.  The d_i over P, in order, are a divisor chain."""
-    _, d, pairs, free = _smith_frame(rd)
-    return H3Group(free.cols, tuple(d[i] for i, _ in pairs))
+    `_smith_frame`), read off d: K, of finite index in Z^f, has rank f, the
+    number of simple factors; the torsion wedge^2 pi_1 is a divisor chain."""
+    return H3Group(len(rd.components), tuple(
+        x for i, x in enumerate(character_smith(rd)[1]) if x > 1 for _ in range(i + 1, rd.rank)))
 
 
 def chern_classes(rd: RootDatum) -> tuple[tuple[int, ...], ...]:

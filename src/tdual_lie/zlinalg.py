@@ -74,11 +74,11 @@ class IntMatrix:
         return cls._of(((0,) * cols for _ in range(rows)), cols)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
-        cols = [tuple(c) for c in columns]
-        if any(len(c) != len(cols[0]) for c in cols):
+    def from_columns(cls, columns: Sequence[Sequence[int]], rows: int = 0) -> "IntMatrix":
+        """The matrix with these columns; `rows` sizes it when there are none."""
+        if any(len(c) != len(columns[0]) for c in columns):
             raise DimensionMismatch("columns of different lengths")
-        return cls(zip(*cols), cols=len(cols)) if cols else cls(((),) * (rows or 0), cols=0)
+        return cls(zip(*columns), cols=len(columns)) if columns else cls.zero(rows, 0)
 
     # -- shape and access --------------------------------------------------
 
@@ -174,10 +174,6 @@ def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
 
 def _identity_lists(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _from_columns(columns: Sequence[Sequence[int]], rows: int) -> IntMatrix:
-    return IntMatrix._of(zip(*columns), len(columns)) if columns else IntMatrix.zero(rows, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +313,7 @@ def column_hermite_form(m: IntMatrix) -> IntMatrix:
         for row in h[:r]:
             if q := row[c] // tail[0]:
                 row[c:] = [x - q * y for x, y in zip(row[c:], tail)]
-    return _from_columns(h[:len(pivots)], m.rows)
+    return IntMatrix.from_columns(h[:len(pivots)], m.rows)
 
 
 def solve_columns(basis: IntMatrix, targets: IntMatrix) -> IntMatrix | None:
@@ -344,7 +340,7 @@ def solve_columns(basis: IntMatrix, targets: IntMatrix) -> IntMatrix | None:
         if any(y):
             return None
         out.append(x)
-    return _from_columns(out, k)
+    return IntMatrix.from_columns(out, k)
 
 
 def kernel_of_matrix(m: IntMatrix) -> IntMatrix:
@@ -355,5 +351,5 @@ def kernel_of_matrix(m: IntMatrix) -> IntMatrix:
     kernel, saturated because the transform is unimodular.
     """
     rows, pivots, n, k = _echelon_data(m)
-    return column_hermite_form(_from_columns([row[n:] for row in rows[len(pivots):]], k))
+    return column_hermite_form(IntMatrix.from_columns([row[n:] for row in rows[len(pivots):]], k))
 

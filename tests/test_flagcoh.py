@@ -302,14 +302,15 @@ def test_every_cache_with_arguments_is_bounded():
 
 
 def test_per_datum_caches_stay_at_their_bound():
-    """Distinct rank-32 data through `cohomology`, `verify_langlands_tdual`
-    and `admissibility_check` leave every per-datum cache at its bound, not
-    one entry per datum ever seen."""
+    """Distinct rank-32 data through `cohomology`, `class_in_h3` of a level
+    twist, `verify_langlands_tdual` and `admissibility_check` leave every
+    per-datum cache at its bound, not one entry per datum ever seen."""
     clear_caches()
     zero = [[(0, 1)] * 32] * 32
     for i in range(3 * rootdata.DATUM_CACHE):
         rd = build([("A", 16), ("D", 16)], "adjoint", label=f"g{i}")
         cohomology(rd)
+        class_in_h3(rd, level_twist(rd, 1))
         verify_langlands_tdual(rd)
         admissibility_check(rd, 1, commutator_from_matrix(rd, zero))
     for name, fn in _package_caches():
@@ -570,6 +571,21 @@ def test_h3_rank_counts_factors(rd):
         if datum.is_simply_connected():
             g = h3_group(datum)
             assert g.free_rank == len(datum.components) and g.torsion == (), datum.label
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(root_data())
+def test_h3_group_matches_its_smith_frame(rd):
+    """`h3_group`, read off the Smith diagonal d, against the route it
+    replaced, on random root data and their Langlands duals: its free rank
+    is the column count of K, the number of simple factors, its torsion is
+    d_i over P, and K, the kernel cut to the invariant coordinates, is its
+    own Hermite basis."""
+    for datum in (rd, langlands_dual(rd)):
+        _, d, pairs, free = _smith_frame(datum)
+        assert tuple(h3_group(datum)) == (free.cols, tuple(d[i] for i, _ in pairs)), datum.label
+        assert free.cols == len(datum.components), datum.label
+        assert column_hermite_form(free) == free, datum.label
 
 
 def invariant_factors(orders) -> list[int]:

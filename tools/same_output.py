@@ -10,7 +10,8 @@ PYTHON* setting (`bench_pr.job_env`).  The argv are every
 each workload, the cliff rows, bench_pr's RANK_CAP_ROWS and CONTCHECK_ROWS,
 DOUBLE_DATUM_ROWS, QUOTIENT_ROWS, SPEC_ROWS and CENTER_ROWS (`group --format
 json` on A1 x A2, A1 x A1 x A3, A2 x A5 x E6, A4 x A9 and D4 x D5 x A1 x E7,
-simply connected and adjoint), each distinct argv once.
+simply connected and adjoint) and HELP_ROWS (`--help`, `-h` and `VERB
+--help` for each of the seven verbs), each distinct argv once.
 Every argv whose exit code, stdout sha256 or stderr differs is printed with
 both sides' stderr, and the script exits 1 if any does.
 """
@@ -114,6 +115,8 @@ SPEC_ROWS = tuple(
      for verb, *extra in (("group",), ("cohomology",), ("twist", "--twist", "level:1"),
                           ("langlands",))]
     + [("extension", "--group", g, "--level", "1") for g in TRIVIAL_QUOTIENTS])
+HELP_ROWS = (("--help",), ("-h",), *((verb, "--help") for verb in (
+    "group", "cohomology", "twist", "dualize", "langlands", "extension", "contcheck")))
 
 
 def all_argv() -> list[tuple[str, ...]]:
@@ -121,7 +124,7 @@ def all_argv() -> list[tuple[str, ...]]:
     jobs = digest_jobs() + [job for w in WORKLOADS for s in SEEDS for job in make_jobs(w, s)]
     rows = ([job.argv for job in jobs + list(CLIFFS)]
             + list(RANK_CAP_ROWS + CONTCHECK_ROWS + DOUBLE_DATUM_ROWS + QUOTIENT_ROWS
-                   + SPEC_ROWS + CENTER_ROWS))
+                   + SPEC_ROWS + CENTER_ROWS + HELP_ROWS))
     return list(dict.fromkeys(map(tuple, rows)))
 
 
