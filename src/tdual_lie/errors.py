@@ -46,9 +46,9 @@ class InvalidCenterSubgroup(TdualError):
 
 
 class RequiresExplicitB(TdualError):
-    """The half-pairing formula for the commutator map only applies to
-    simply connected, simply laced groups; other inputs must supply the
-    commutator map explicitly."""
+    """The level formula for the commutator map only applies to simply
+    connected groups; a group with pi_1 != 0 must be given the commutator
+    map explicitly."""
 
 
 class InvalidCommutator(TdualError):

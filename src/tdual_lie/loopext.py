@@ -2,12 +2,12 @@
 
 A central extension of the integral lattice by the circle is classified by
 its commutator map b, an antisymmetric bi-additive map with values in Q/Z;
-the extension is trivial exactly when b vanishes.  For a simply connected,
-simply laced group at level k the commutator map of the pulled-back
-extension is b = [k/2 * <.,.>] on the integral basis (`_lattice_gram`); in
-every other case the formula is not asserted and an explicit b must be
-supplied (and can be checked for admissibility against the invariant form,
-on the simple coroots alone, since both sides of the rule are additive).
+the extension is trivial exactly when b vanishes.  For a simply connected
+group at level k, of any series, the commutator map of the pulled-back
+extension is b = [k/2 * <.,.>] on the integral basis (`_lattice_gram`); a
+group with pi_1 != 0 must be given an explicit b (which can be checked for
+admissibility against the invariant form, on the simple coroots alone,
+since both sides of the rule are additive).
 
 A value in Q/Z is the reduced integer pair (p, q) with 0 <= p < q that
 `mod1` builds, and `ratio` writes a pair as "p/q" in lowest terms ("0",
@@ -73,12 +73,11 @@ def _lattice_gram(rd: RootDatum) -> tuple[int, IntMatrix]:
 def commutator_from_level(rd: RootDatum, level: int) -> CommutatorMap:
     """b = [level Y/2] mod 1 on the integral basis, Y of `_lattice_gram`.
 
-    Only asserted for simply connected, simply laced groups; anything else
-    raises RequiresExplicitB rather than extrapolating the formula.
+    Asserted for every simply connected group, of any series: its lattice
+    is the coroot lattice, on which the basic form is even, so b vanishes
+    on the diagonal and meets the half-pairing rule by construction.  A
+    group with pi_1 != 0 raises RequiresExplicitB.
     """
-    if not rd.is_simply_laced():
-        raise RequiresExplicitB(
-            f"{rd.label} has a non-simply-laced factor; supply the commutator map explicitly")
     if not rd.is_simply_connected():
         raise RequiresExplicitB(
             f"{rd.label} is not simply connected; supply the commutator map explicitly")

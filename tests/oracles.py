@@ -355,14 +355,15 @@ def tensor_complex(rd) -> tuple[IntMatrix, IntMatrix]:
 
 
 @st.composite
-def root_data(draw):
+def root_data(draw, kinds=("simply_connected", "adjoint", "custom")):
     """Products of simple factors of total rank <= 6, B/C/F/G included, with
-    a simply connected, adjoint or custom fundamental group.  A quotient's
-    first factor is B, C, F or G, so that its integral lattice often pairs
-    roots of different lengths (PSp(n) at odd level is not integral there)."""
+    a fundamental group of one of `kinds`: simply connected, adjoint or
+    custom.  A quotient's first factor is B, C, F or G, so that its integral
+    lattice often pairs roots of different lengths (PSp(n) at odd level is
+    not integral there)."""
     factors = {"A": range(1, 7), "B": range(2, 7), "C": range(3, 7), "D": range(4, 7),
                "G": [2], "F": [4]}
-    kind = draw(st.sampled_from(["simply_connected", "adjoint", "custom"]))
+    kind = draw(st.sampled_from(kinds))
     comps, total = [], 0
     while not comps or (total < 6 and draw(st.booleans())):
         quotient_lead = kind != "simply_connected" and not comps

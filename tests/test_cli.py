@@ -190,9 +190,17 @@ def test_extension_su3_level1():
 
 
 def test_extension_requires_explicit_b():
-    code, payload = run_json(["extension", "--group", "B3", "--level", "1"])
+    """Only a group with pi_1 != 0 needs `--b`; B3, which is not simply
+    laced, reads b off the level."""
+    code, payload = run_json(["extension", "--group", "PSU(3)", "--level", "1"])
     assert code == 0
     assert payload["reports"][0]["requires_explicit_b"] is True
+    assert payload["reports"][0]["reason"] == (
+        "PSU(3) is not simply connected; supply the commutator map explicitly")
+
+    code, payload = run_json(["extension", "--group", "B3", "--level", "1"])
+    assert code == 0
+    assert payload["reports"][0]["admissibility"]["passed"] is True
 
     code, payload = run_json([
         "extension", "--group", "Spin(5)", "--level", "0",
@@ -316,12 +324,14 @@ def test_text_format_renders(capsys):
 @pytest.mark.parametrize("argv, line", [
     (["group"], "group: two\\nlines"),
     (["extension", "--level", "1"],
-     "reason: two\\nlines has a non-simply-laced factor; supply the commutator map explicitly"),
+     "reason: two\\nlines is not simply connected; supply the commutator map explicitly"),
 ], ids=["group", "extension-reason"])
 def test_text_escapes_string_values(capsys, argv, line):
     """Text output escapes a string value as stderr does, so a newline in a
-    label keeps its line whole; JSON output keeps the string as it is."""
-    spec = json.dumps({"components": [{"series": "B", "rank": 2}], "label": "two\nlines"})
+    label keeps its line whole; JSON output keeps the string as it is.  The
+    datum is a quotient, so `extension --level` reports a reason."""
+    spec = json.dumps({"components": [{"series": "B", "rank": 2}],
+                       "fundamental_group": "adjoint", "label": "two\nlines"})
     argv = [argv[0], "--group", spec, *argv[1:]]
     assert main(argv) == 0
     text = capsys.readouterr().out
@@ -682,6 +692,8 @@ def test_each_twist_evaluated_once(argv, evaluations):
       "--shift", "[[0,1,0],[0,0,0],[0,0,0]]"], 7, "X"),
     (["langlands", "--group", "PSU(4)"], 4, ""),
     (["extension", "--group", "SU(4)", "--level", "1"], 2, "X"),
+    (["extension", "--group", "Sp(3)", "--level", "1"], 2, "X"),
+    (["extension", "--group", "G2", "--level", "1"], 2, "X"),
     (["extension", "--group", "PSU(4)", "--b", json.dumps([[0] * 3] * 3)], 2, "X"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_eliminations_per_verb(monkeypatch, capsys, argv, echelons, smith):

@@ -192,7 +192,7 @@ def test_simple_coroots_decide_admissibility(data, from_level):
     at the simple coroots, in its order.  b is drawn, or the level formula's
     where that is asserted."""
     rd, level, entries = data
-    if from_level and rd.is_simply_laced() and rd.is_simply_connected():
+    if from_level and rd.is_simply_connected():
         b = commutator_from_level(rd, level)
     else:
         b = commutator_from_matrix(rd, entries)
@@ -262,9 +262,10 @@ def test_su4_level_two_trivial():
 
 
 def test_requires_explicit_b():
+    """Only pi_1 != 0 refuses: Spin(5), which is not simply laced, reads an
+    admissible b off the level."""
     b2 = named_group("Spin(5)")
-    with pytest.raises(RequiresExplicitB):
-        commutator_from_level(b2, 1)
+    assert admissibility_check(b2, 1, commutator_from_level(b2, 1))["passed"]
     psu3 = named_group("PSU(3)")
     with pytest.raises(RequiresExplicitB):
         commutator_from_level(psu3, 1)
@@ -368,14 +369,15 @@ def test_admissibility():
 
 @st.composite
 def coroot_bases(draw):
-    """(sc, rd): a simply connected, simply laced datum sc from `build`, and
+    """(sc, rd): a simply connected datum sc from `build`, of any series, and
     the same group on another basis of its coroot lattice: the trivial
     quotient of `build` (the Hermite basis of A) or A V for a random
     unimodular V."""
     comps, total = [], 0
     while not comps or (total < 8 and draw(st.booleans())):
-        ranks = {"A": range(1, 7), "D": range(4, 7), "E": (6, 7, 8)}
-        series = draw(st.sampled_from("ADE"))
+        ranks = {"A": range(1, 7), "B": range(2, 7), "C": range(3, 7), "D": range(4, 7),
+                 "E": (6, 7, 8), "F": (4,), "G": (2,)}
+        series = draw(st.sampled_from("ABCDEFG"))
         fits = [r for r in ranks[series] if total + r <= 8]
         if fits:
             comps.append((series, draw(st.sampled_from(fits))))
@@ -398,6 +400,57 @@ def test_level_commutator_is_admissible_on_every_coroot_basis(pair):
         assert admissibility_check(rd, level, b)["passed"], (rd, level)
         named = fibrewise_trivializable(commutator_from_level(sc, level))
         assert fibrewise_trivializable(b)["trivializable"] == named["trivializable"], (rd, level)
+
+
+@st.composite
+def simply_connected_data(draw):
+    """A simply connected member of `root_data()`, or the Langlands dual of
+    an adjoint one: a simply connected datum whose Cartan matrix is the
+    transpose, so B and C, and the long and short roots of F4 and G2, swap."""
+    kind = draw(st.sampled_from(["simply_connected", "adjoint"]))
+    rd = draw(root_data(kinds=(kind,)))
+    return langlands_dual(rd) if kind == "adjoint" else rd
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(simply_connected_data())
+def test_level_commutator_is_admissible_on_every_simply_connected_datum(rd):
+    """b = [k/2 <.,.>] passes `admissibility_check`, and the Fraction route
+    over every simple coroot, at k = 0..3 on every series, simple lacing or
+    not."""
+    assert rd.is_simply_connected()
+    for level in range(4):
+        b = commutator_from_level(rd, level)
+        assert admissibility_check(rd, level, b)["passed"], (rd.label, level)
+        assert admissibility_by_fractions(rd, level, fractions_of(b))["passed"], (rd.label, level)
+
+
+RANK_3_PRODUCTS = (
+    [("A", 1)], [("A", 2)], [("A", 3)], [("B", 2)], [("G", 2)], [("B", 3)], [("C", 3)],
+    [("A", 1), ("A", 1)], [("A", 1), ("A", 2)], [("A", 1), ("B", 2)], [("A", 1), ("G", 2)],
+    [("B", 2), ("A", 1)], [("A", 1), ("A", 1), ("A", 1)],
+)
+
+
+@pytest.mark.parametrize("comps", RANK_3_PRODUCTS, ids=lambda c: "x".join(f"{s}{r}" for s, r in c))
+def test_level_commutator_is_the_only_admissible_half_valued_b(comps):
+    """Every simply connected datum of total rank <= 3, and the Langlands
+    dual of its adjoint form: among all 2^(n(n-1)/2) antisymmetric b with
+    values in {0, 1/2}, exactly one passes `admissibility_check` at each
+    k = 0..3, and it is `commutator_from_level`'s."""
+    for rd in (build(comps), langlands_dual(build(comps, "adjoint"))):
+        n = rd.rank
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for level in range(4):
+            passing = []
+            for halves in range(2 ** len(pairs)):
+                entries = [[(0, 1)] * n for _ in range(n)]
+                for t, (i, j) in enumerate(pairs):
+                    entries[i][j] = entries[j][i] = (halves >> t & 1, 2)
+                b = commutator_from_matrix(rd, entries)
+                if admissibility_check(rd, level, b)["passed"]:
+                    passing.append(b.values)
+            assert passing == [commutator_from_level(rd, level).values], (rd.label, level)
 
 
 def test_explicit_matrix_reduction():

@@ -8,10 +8,12 @@ process with only that checkout's `src` on its path and no TDUAL_* or
 PYTHON* setting (`bench_pr.job_env`).  The argv are every
 `perfbench/workloads.digest_jobs()` row, `make_jobs(w, s)` for seeds 1-5 of
 each workload, the cliff rows, bench_pr's RANK_CAP_ROWS and CONTCHECK_ROWS,
-DOUBLE_DATUM_ROWS, QUOTIENT_ROWS, SPEC_ROWS and CENTER_ROWS (`group --format
+DOUBLE_DATUM_ROWS, QUOTIENT_ROWS, SPEC_ROWS, CENTER_ROWS (`group --format
 json` on A1 x A2, A1 x A1 x A3, A2 x A5 x E6, A4 x A9 and D4 x D5 x A1 x E7,
-simply connected and adjoint) and HELP_ROWS (`--help`, `-h` and `VERB
---help` for each of the seven verbs), each distinct argv once.
+simply connected and adjoint), LEVEL_ROWS (`extension --level 1..3`, text
+and JSON, on Spin(5), Sp(3), Spin(7), G2, F4, B3 x C3 and Sp(32)) and
+HELP_ROWS (`--help`, `-h` and `VERB --help` for each of the seven verbs),
+each distinct argv once.
 Every argv whose exit code, stdout sha256 or stderr differs is printed with
 both sides' stderr, and the script exits 1 if any does.
 """
@@ -115,6 +117,14 @@ SPEC_ROWS = tuple(
      for verb, *extra in (("group",), ("cohomology",), ("twist", "--twist", "level:1"),
                           ("langlands",))]
     + [("extension", "--group", g, "--level", "1") for g in TRIVIAL_QUOTIENTS])
+# Simply connected groups that are not simply laced, whose commutator map
+# `extension --level` reads off the lattice Gram matrix as on A, D and E.
+B3_C3 = json.dumps({"components": [{"series": "B", "rank": 3}, {"series": "C", "rank": 3}]},
+                   separators=(",", ":"))
+LEVEL_ROWS = tuple(
+    ("extension", "--group", g, "--level", str(k), *fmt)
+    for g in ("Spin(5)", "Sp(3)", "Spin(7)", "G2", "F4", B3_C3, "Sp(32)")
+    for k in (1, 2, 3) for fmt in ((), ("--format", "json")))
 HELP_ROWS = (("--help",), ("-h",), *((verb, "--help") for verb in (
     "group", "cohomology", "twist", "dualize", "langlands", "extension", "contcheck")))
 
@@ -124,7 +134,7 @@ def all_argv() -> list[tuple[str, ...]]:
     jobs = digest_jobs() + [job for w in WORKLOADS for s in SEEDS for job in make_jobs(w, s)]
     rows = ([job.argv for job in jobs + list(CLIFFS)]
             + list(RANK_CAP_ROWS + CONTCHECK_ROWS + DOUBLE_DATUM_ROWS + QUOTIENT_ROWS
-                   + SPEC_ROWS + CENTER_ROWS + HELP_ROWS))
+                   + SPEC_ROWS + CENTER_ROWS + LEVEL_ROWS + HELP_ROWS))
     return list(dict.fromkeys(map(tuple, rows)))
 
 
