@@ -131,6 +131,9 @@ def _smith_frame(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple
     basis (`character_smith`), P lists the pairs i < j with d_i > 1 (the
     pairs with gcd(d_i, d_j) > 1, as d_i | d_j), and K is the Hermite basis
     of the lattice of invariant coordinates c with T(c)_ii = 0 mod d_i.
+    d and K do not depend on which Smith basis U is taken; the torsion
+    coordinates N_ij are relative to U, and any Smith U gives an
+    isomorphic coordinate system.
 
     Put N = U M U^T for M = X u^T.  The twist u = (X^-1 M)^T is integral
     exactly when row i of N is divisible by d_i, and a cycle exactly when
@@ -184,7 +187,8 @@ def class_in_h3(rd: RootDatum, u: IntMatrix) -> tuple[tuple[int, ...], tuple[int
     """(free, torsion) coordinates of [u] in H^3 = K + sum over P of Z/d_i
     (see `_smith_frame`): the K coordinates of c, the invariant coordinates
     of u, rotated left by |P| places (the order a former second Smith form
-    gave them), and N_ij / d_j mod d_i over (i, j) in P, N = U X u^T U^T."""
+    gave them), and N_ij / d_j mod d_i over (i, j) in P, N = U X u^T U^T.
+    The torsion coordinates are relative to the Smith basis U."""
     m, c = require_cycle(rd, u)
     U, d, pairs, free = _smith_frame(rd)
     mt = m.transpose()

@@ -14,16 +14,18 @@ A lattice is the IntMatrix whose columns are a basis of it.
 
 One elimination core does only the work its callers read:
 
-  * `_echelon`, row-style echelon elimination on the columns of a matrix,
-    lets trailing entries ride along to record a column transform T, and
+  * `_echelon`, row-style echelon elimination on the columns (or rows) of
+    a matrix, lets trailing entries ride along to record a transform, and
     leaves the entries above each pivot as they fall.  column_hermite_form,
-    their one reader, reduces them afterwards and tracks no T;
-    kernel_of_matrix tracks T and keeps the columns of T whose image ends
-    up zero, which span the saturated kernel; solve_columns keeps the
-    echelon columns H = B T together with T.
-  * smith_normal_form tracks U alone, with U m V = diag(d) for a V it never
-    builds, and returns the diagonal d, as the finite groups the package
-    reports are cokernels of square nonsingular matrices.
+    their one reader, reduces them afterwards and tracks no transform;
+    kernel_of_matrix tracks the column transform T and keeps the columns of
+    T whose image ends up zero, which span the saturated kernel;
+    solve_columns keeps the echelon columns H = B T together with T.
+  * smith_normal_form alternates `_echelon` on the rows of m, U riding
+    along, and on its columns, tracking no V, until m is diagonal.  d is
+    unique; U is one Smith basis of many, so coordinates read through it
+    (the torsion of an H^3 class) are relative to it, and any Smith U
+    gives an isomorphic coordinate system.
 
 Canonical forms: sublattices are compared through the column-style Hermite
 form (unique).
@@ -233,65 +235,50 @@ def _echelon_data(basis: IntMatrix):
     return rows, _echelon(rows, n), n, k
 
 
+def _xgcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(x, y) = s x + t y, for x, y > 0."""
+    s, s1, t, t1 = 1, 0, 0, 1
+    while y:
+        q = x // y
+        x, y, s, s1, t, t1 = y, x - q * y, s1, s - q * s1, t1, t - q * t1
+    return x, s, t
+
+
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
     """(U, d) with U*m*V = diag(d) for some unimodular V: U is unimodular
     and d, of length min(R, C) for an R x C matrix m, holds nonnegative
-    entries d1 | d2 | ..., zeros last.
+    entries d1 | d2 | ..., zeros last.  d is unique; U is one Smith basis
+    of many, and any other gives an isomorphic coordinate system.
 
-    Only U is tracked, as the trailing entries of the rows of [m | U];
-    column operations touch the m part alone.  The diagonal is all the
-    callers read of the reduced m.
+    `_echelon` runs on the rows of [m | U], U riding along, then on the
+    columns of m alone, which tracks no V, until m is diagonal: the rows
+    past the rank stay zero, so the column pivots sit on the diagonal.  A
+    round ends with the leading pivot alone in its row and column, or with
+    it replaced by a proper divisor, so the rounds stop.  Each pair (x, y)
+    of the diagonal with x not dividing y then becomes (gcd, lcm) by one
+    unimodular row step on U, the column steps that finish it again left
+    to V.
     """
     R, C = m.rows, m.cols
     a = [list(r) + e for r, e in zip(m, _identity_lists(R))]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-
-    for t in range(min(R, C)):
-        # The first pivot of least absolute value in the trailing block.
-        nonzero = [(abs(a[i][j]), i, j) for i in range(t, R) for j in range(t, C) if a[i][j]]
-        if not nonzero:
+    while True:
+        _echelon(a, C)
+        cols = [list(c) for c in zip(*(r[:C] for r in a))]
+        d = [c[j] for j, c in zip(_echelon(cols, R), cols)]
+        if not any(any(c[j + 1:]) for j, c in enumerate(cols)):
             break
-        _, pi, pj = min(nonzero)
-        a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            col_swap(t, pj)
-        while True:
-            # Clear column t, then row t, restarting on a smaller pivot.
-            dirty = False
-            for i in range(R):
-                if i != t and a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(C):
-                if j != t and a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for r in a:
-                        r[j] -= q * r[t]
-                    if a[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # Enforce d_t | (everything that remains); a unit divides it all.
-            if abs(a[t][t]) == 1:
-                break
-            fix = next((i for i in range(t + 1, R)
-                        if any(a[i][j] % a[t][t] for j in range(t + 1, C))), None)
-            if fix is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[fix])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-
-    return IntMatrix._of((r[C:] for r in a), R), tuple(a[t][t] for t in range(min(R, C)))
+        for r, new in zip(a, zip(*cols)):
+            r[:C] = new
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            x, y = d[i], d[j]
+            if y % x:
+                g, s, t = _xgcd(x, y)
+                ui, uj = a[i][C:], a[j][C:]
+                a[i][C:] = [s * p + t * q for p, q in zip(ui, uj)]
+                a[j][C:] = [(x // g) * q - (y // g) * p for p, q in zip(ui, uj)]
+                d[i], d[j] = g, x // g * y
+    return IntMatrix._of((r[C:] for r in a), R), tuple(d) + (0,) * (min(R, C) - len(d))
 
 
 def column_hermite_form(m: IntMatrix) -> IntMatrix:

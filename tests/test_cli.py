@@ -697,24 +697,29 @@ def test_each_twist_evaluated_once(argv, evaluations):
     (["extension", "--group", "PSU(4)", "--b", json.dumps([[0] * 3] * 3)], 2, "X"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_eliminations_per_verb(monkeypatch, capsys, argv, echelons, smith):
-    """The `_echelon` runs and the Smith forms, of the Cartan matrix A or of
-    the character basis X, that a verb takes from cold caches: simple
-    connectivity is read off X's Smith form, the center off the
-    classification and the admissibility Gram matrix is one solve against
-    X, so no verb takes a Smith form of A (X = 1 on SU(4)), and `langlands`
-    takes none."""
+    """The `_echelon` runs outside Smith forms and the Smith forms, of the
+    Cartan matrix A or of the character basis X, that a verb takes from
+    cold caches: simple connectivity is read off X's Smith form, the center
+    off the classification and the admissibility Gram matrix is one solve
+    against X, so no verb takes a Smith form of A (X = 1 on SU(4)), and
+    `langlands` takes none.  Each Smith form of X is one round of
+    `_echelon`, on its rows and then on its columns: 2 runs."""
     rd = cli.resolve_group(argv[2])
     of = {"A": rd.cartan, "X": rootdata.character_basis(rd)}
     echelon, smith_normal_form = zlinalg._echelon, rootdata.smith_normal_form
-    echelon_calls, smith_calls = [], []
+    echelon_calls, smith_calls, smith_echelons = [], [], []
 
     def counted_echelon(rows, width):
         echelon_calls.append(width)
         return echelon(rows, width)
 
     def counted_smith(m):
+        start = len(echelon_calls)
+        out = smith_normal_form(m)
         smith_calls.append(m)
-        return smith_normal_form(m)
+        smith_echelons.append(len(echelon_calls) - start)
+        del echelon_calls[start:]
+        return out
 
     clear_caches()
     monkeypatch.setattr(zlinalg, "_echelon", counted_echelon)
@@ -722,6 +727,7 @@ def test_eliminations_per_verb(monkeypatch, capsys, argv, echelons, smith):
     assert main(argv) == 0
     assert len(echelon_calls) == echelons
     assert Counter(smith_calls) == Counter(of[name] for name in smith)
+    assert smith_echelons == [2] * len(smith)
 
 
 @pytest.mark.parametrize("argv", [["langlands", "--group", "SU(4)"],

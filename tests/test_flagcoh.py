@@ -797,9 +797,9 @@ def test_class_in_h3_su2():
     ([("A", 3), ("A", 1)], {"generators": [[2, 1]]}, None, ((2, 1), ())),  # was (3, 2)
     ([("B", 3), ("C", 3)], "adjoint", None, ((1, 2), (0,))),
     ([("D", 4)], "adjoint", None, ((2,), (1,))),
-    # A torsion coordinate mod 3 reads y = N_23 = 6, not N_32 = -6.
+    # A torsion coordinate mod 3 reads y = N_23 = -6, not N_32 = 6.
     ([("A", 2), ("A", 2)], "adjoint", [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]],
-     ((0, 0), (2,))),
+     ((0, 0), (1,))),
 ])
 def test_class_of_quotients(comps, fundamental_group, twist, expected):
     """Classes of non-simply-connected products, at `level:1` when no twist

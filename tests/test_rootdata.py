@@ -1,5 +1,7 @@
 """Root data: Cartan matrices, lattices, forms, duals, diagram isomorphisms."""
 
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 
@@ -341,23 +343,26 @@ def test_center_orders():
 
 
 def check_center_generators(datum):
-    """Each generator of `center_generators`, a fundamental coweight, has the
-    order of the oracle's generator of its factor, and spans with the coroots
-    the lattice that the oracle's lift does."""
-    n = datum.rank
-    oracle = []
-    for lo, hi, series, r in datum.factor_ranges():
-        g = subquotient(IntMatrix(cartan_block(series, r)), standard_lattice(r))
-        oracle += [(d, (0,) * lo + lift + (0,) * (n - hi))
-                   for d, lift in zip(g.torsion, g.torsion_generators())]
+    """The table's claim for `center_generators`, with no Smith basis
+    read: each generator, the fundamental coweight e_k, has order exactly
+    d modulo the coroots (d e_k solves against A, q e_k fails for each
+    proper divisor q of d), the lifts and the coroots span Z^n, and the
+    orders multiply to |Z| = |det A|, so Z is the direct sum of the cyclic
+    groups they generate."""
+    n, coroots = datum.rank, datum.cartan
     got = center_generators(datum.components)
-    assert [d for d, _ in got] == [d for d, _ in oracle], datum.label
-    for (d, k), (_, want) in zip(got, oracle):
-        coweight = IntMatrix.from_columns([standard_lattice(n).column(k)])
-        span = column_hermite_form(hstack(datum.cartan, coweight))
-        assert span == column_hermite_form(hstack(datum.cartan,
-                                                  IntMatrix.from_columns([want]))), datum.label
-        assert subquotient(datum.cartan, span).order() == d, datum.label
+
+    def multiple(q, k):
+        return IntMatrix.from_columns([[q * int(i == k) for i in range(n)]])
+
+    for d, k in got:
+        assert solve_columns(coroots, multiple(d, k)) is not None, datum.label
+        assert all(solve_columns(coroots, multiple(q, k)) is None
+                   for q in range(1, d) if d % q == 0), datum.label
+    lifts = IntMatrix.from_columns([standard_lattice(n).column(k) for _, k in got], rows=n)
+    assert column_hermite_form(hstack(coroots, lifts)) == standard_lattice(n), datum.label
+    assert prod(d for d, _ in got) == prod(center(datum)) == abs(bareiss_det(coroots)), \
+        datum.label
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -366,8 +371,8 @@ def test_center_and_pi1_match_subquotient_oracle(rd):
     """`center`, read off the classification, and `fundamental_group_of`,
     read off X's Smith diagonal, against the subquotients coweights /
     coroots and integral lattice / coroots, on random root data and their
-    Langlands duals, and `center_generators` against the oracle's
-    generators (`check_center_generators`)."""
+    Langlands duals, and `center_generators` against the table's claim
+    (`check_center_generators`)."""
     for datum in (rd, langlands_dual(rd)):
         n, coroots = datum.rank, datum.cartan
         z, pi1 = subquotient(coroots, standard_lattice(n)), subquotient(coroots, datum.integral)

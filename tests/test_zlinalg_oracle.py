@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
-from tdual_lie.zlinalg import IntMatrix, column_hermite_form, kernel_of_matrix, solve_columns
+from tdual_lie.zlinalg import (IntMatrix, column_hermite_form, kernel_of_matrix,
+                              smith_normal_form, solve_columns)
 
-from oracles import coords, reduce_mod, subquotient, subquotient_coords, to_sympy, unimodular
+from oracles import (bareiss_det, coords, diagonal, reduce_mod, subquotient, subquotient_coords,
+                     to_sympy, unimodular)
 
 ORACLE = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
@@ -77,6 +79,20 @@ def test_column_hermite_form_is_the_canonical_basis_of_its_span(m, data):
         assert all(0 <= h[p, i] < h[p, j] for i in range(j))
     assert solve_columns(h, m) is not None and solve_columns(m, h) is not None
     assert column_hermite_form(m @ data.draw(unimodular(m.cols))) == h
+
+
+@ORACLE
+@given(matrices())
+def test_smith_normal_form_matches_sympy(m):
+    """The nonzero Smith diagonal is sympy's invariant factors, zeros fill it
+    to min(R, C), and U is unimodular with U m spanning the columns of
+    diag(d): rank-deficient and rectangular input included, where the
+    alternating elimination has to stop with zero rows or columns left."""
+    u, d = smith_normal_form(m)
+    factors = tuple(_nonzero_invariant_factors(m))
+    assert d == factors + (0,) * (min(m.rows, m.cols) - len(factors))
+    assert abs(bareiss_det(u)) == 1
+    assert column_hermite_form(u @ m) == column_hermite_form(diagonal(d, m.rows, m.cols))
 
 
 @ORACLE

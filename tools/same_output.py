@@ -11,9 +11,12 @@ each workload, the cliff rows, bench_pr's RANK_CAP_ROWS and CONTCHECK_ROWS,
 DOUBLE_DATUM_ROWS, QUOTIENT_ROWS, SPEC_ROWS, CENTER_ROWS (`group --format
 json` on A1 x A2, A1 x A1 x A3, A2 x A5 x E6, A4 x A9 and D4 x D5 x A1 x E7,
 simply connected and adjoint), LEVEL_ROWS (`extension --level 1..3`, text
-and JSON, on Spin(5), Sp(3), Spin(7), G2, F4, B3 x C3 and Sp(32)) and
-HELP_ROWS (`--help`, `-h` and `VERB --help` for each of the seven verbs),
-each distinct argv once.
+and JSON, on Spin(5), Sp(3), Spin(7), G2, F4, B3 x C3 and Sp(32)),
+HELP_ROWS (`--help`, `-h` and `VERB --help` for each of the seven verbs) and
+TORSION_ROWS (`twist --twist level:1` and `dualize --twist level:1` with a
+one-entry shift, text and JSON, on adjoint A1^3, D4, A2 x A2, A1 x A3 and
+B3 x C3, the D6 x D5 x A1 quotient and D4^8 / (Z/2)^3), each distinct argv
+once.
 Every argv whose exit code, stdout sha256 or stderr differs is printed with
 both sides' stderr, and the script exits 1 if any does.
 """
@@ -127,6 +130,33 @@ LEVEL_ROWS = tuple(
     for k in (1, 2, 3) for fmt in ((), ("--format", "json")))
 HELP_ROWS = (("--help",), ("-h",), *((verb, "--help") for verb in (
     "group", "cohomology", "twist", "dualize", "langlands", "extension", "contcheck")))
+# Groups whose pi_1 has two or more nontrivial invariant factors, so that
+# `h3_class.torsion` is printed in coordinates relative to the Smith basis U
+# of the character basis: any Smith U gives an isomorphic coordinate system,
+# so a change of U moves these coordinates and nothing else.
+TORSION_GROUPS = (
+    *(json.dumps({"components": [{"series": s, "rank": r} for s, r in factors],
+                  "fundamental_group": "adjoint"}, separators=(",", ":"))
+      for factors in ((("A", 1),) * 3, (("D", 4),), (("A", 2), ("A", 2)),
+                      (("A", 1), ("A", 3)), (("B", 3), ("C", 3)))),
+    TABLE_QUOTIENTS[-1],  # D6 x D5 x A1 by two generators
+    D4_8_QUOTIENT,
+)
+
+
+def unit_shift(n: int) -> str:
+    """The n x n --shift matrix with a single 1, in row 0 and column 1."""
+    return json.dumps([[int(i == 0 and j == 1) for j in range(n)] for i in range(n)],
+                      separators=(",", ":"))
+
+
+TORSION_ROWS = tuple(
+    row + fmt
+    for g in TORSION_GROUPS
+    for row in (("twist", "--group", g, "--twist", "level:1"),
+                ("dualize", "--group", g, "--twist", "level:1",
+                 "--shift", unit_shift(sum(c["rank"] for c in json.loads(g)["components"]))))
+    for fmt in ((), ("--format", "json")))
 
 
 def all_argv() -> list[tuple[str, ...]]:
@@ -134,7 +164,7 @@ def all_argv() -> list[tuple[str, ...]]:
     jobs = digest_jobs() + [job for w in WORKLOADS for s in SEEDS for job in make_jobs(w, s)]
     rows = ([job.argv for job in jobs + list(CLIFFS)]
             + list(RANK_CAP_ROWS + CONTCHECK_ROWS + DOUBLE_DATUM_ROWS + QUOTIENT_ROWS
-                   + SPEC_ROWS + CENTER_ROWS + LEVEL_ROWS + HELP_ROWS))
+                   + SPEC_ROWS + CENTER_ROWS + LEVEL_ROWS + HELP_ROWS + TORSION_ROWS))
     return list(dict.fromkeys(map(tuple, rows)))
 
 
