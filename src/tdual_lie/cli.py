@@ -24,7 +24,7 @@ import json
 import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from types import SimpleNamespace
 
 from . import contcheck as cont
@@ -517,27 +517,19 @@ def main(argv=None) -> int:
     except TdualError as exc:
         print(_error_line(exc), file=sys.stderr)
         return 2
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"usage error: cannot write {quote(output)}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 2
-    else:
-        try:
-            if sys.stdout is None:  # fd 1 was closed when the interpreter started
-                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError as exc:
-            print(f"usage error: cannot write standard output: {exc.strerror or exc}",
-                  file=sys.stderr)
-            if sys.stdout is not None:  # so the flush at exit writes nowhere
-                with open(os.devnull, "w") as devnull:
-                    os.dup2(devnull.fileno(), sys.stdout.fileno())
-            return 2
+    try:
+        if not output and sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as fh:
+            fh.write(text)
+            fh.flush()
+    except OSError as exc:
+        where = quote(output) if output else "standard output"
+        print(f"usage error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        if not output and sys.stdout is not None:  # so the flush at exit writes nowhere
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 2
     return code
 
 

@@ -242,11 +242,11 @@ def form_pairing(rd: RootDatum, level: int, coweights: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-# The bound of every per-datum cache: one report keeps at most a datum and its
-# Langlands dual live, so a run over many distinct data holds only the last few.
+# The bound of every per-datum cache: one report reads the caches of its own
+# datum only, so a run over many distinct data holds only the last few.
 DATUM_CACHE = 8
 
-MAX_RANK = 32  # total rank; bounds the cost of every verb (its matrices are rank x rank)
+MAX_RANK = 128  # total rank; bounds the cost of every verb (its matrices are rank x rank)
 
 
 def build(series_list: Sequence[tuple[str, int]], fundamental_group="simply_connected",
@@ -331,14 +331,11 @@ def _center_subgroup_lifts(components, n, generators) -> IntMatrix:
     return IntMatrix.from_columns(cols, rows=n)
 
 
-_NAMED_SIMPLE = {"G2": ("G", 2), "F4": ("F", 4), "E6": ("E", 6), "E7": ("E", 7), "E8": ("E", 8)}
-
-
 def named_group(name: str) -> RootDatum:
-    """Resolve SU(n), PSU(n), Spin(n), SO(3), Sp(n), G2, ..., or bare 'B3'."""
+    """Resolve SU(n), PSU(n), Spin(n), SO(3), Sp(n), or a series letter and
+    rank such as 'B3', 'G2' or 'E8': the simply connected group, labelled as
+    written."""
     text = name.strip()
-    if text in _NAMED_SIMPLE:
-        return build([_NAMED_SIMPLE[text]], "simply_connected", label=text)
     if len(text) >= 2 and text[0] in "ABCDEFG" and text[1:].isdigit():
         return build([(text[0], _name_int(name, text[1:]))], "simply_connected", label=text)
     for prefix, maker in _NAMED_MAKERS.items():
@@ -457,7 +454,6 @@ def _dual_label(rd: RootDatum) -> str:
     return f"dual({text})"
 
 
-@lru_cache(maxsize=DATUM_CACHE)
 def langlands_dual(rd: RootDatum) -> RootDatum:
     """Swap roots with coroots and characters with cocharacters.
 

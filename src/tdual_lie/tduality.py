@@ -16,12 +16,9 @@ chat_k = u(lambda_k) for the fixed integral-lattice basis.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import DimensionMismatch
 from .flagcoh import boundary, is_cycle, require_cycle
-from .rootdata import (DATUM_CACHE, RootDatum, character_basis, form_pairing, langlands_dual,
-                       require_phi)
+from .rootdata import RootDatum, character_basis, form_pairing, langlands_dual, require_phi
 from .zlinalg import IntMatrix, column_hermite_form
 
 TWIST_BASIS_CONVENTION = (
@@ -97,7 +94,6 @@ def reduction_torsor_shift(rd: RootDatum, u: IntMatrix, shift: IntMatrix) -> Int
 _SELF_DUAL_WORDS = {("B", 2): (0,), ("C", 2): (0,), ("G", 2): (0,), ("F", 4): (0, 1, 2, 0, 1, 0)}
 
 
-@lru_cache(maxsize=DATUM_CACHE)
 def _langlands_transport(rd: RootDatum) -> tuple[IntMatrix, IntMatrix]:
     """(T, T.B): the pullback T = P.w from dual-side weight coordinates to
     weight coordinates, and the twist it induces, formed once and checked to
@@ -159,10 +155,10 @@ def verify_langlands_tdual(rd: RootDatum) -> dict:
     of the T-dual against the dual group's would).  A mismatch is a defect
     indicator, not a user error; it is reported with both lattices.
     """
-    twist = langlands_twist(rd)  # raises Unavailable without an isomorphism
+    transport, twist = _langlands_transport(rd)  # raises Unavailable without an isomorphism
     mine = column_hermite_form(twist)
     dual_rd = langlands_dual(rd)
-    expected = column_hermite_form(_langlands_transport(rd)[0] @ character_basis(dual_rd))
+    expected = column_hermite_form(transport @ character_basis(dual_rd))
     return {
         "group": rd.label,
         "dual_group": dual_rd.label,

@@ -385,8 +385,8 @@ def test_center_and_pi1_match_subquotient_oracle(rd):
 def test_center_generators_of_every_classified_factor():
     """`check_center_generators`, and `center` against the invariant factors
     of the Smith form of A, on every simple factor of rank <= 64 in the
-    classification (past MAX_RANK, so built as a `RootDatum` directly), and
-    on C2 (the Langlands dual of B2)."""
+    classification (built as a `RootDatum` directly), and on C2 (the
+    Langlands dual of B2)."""
     data = [langlands_dual(build([("B", 2)]))]
     for series in "ABCDEFG":
         for r in range(1, 65):

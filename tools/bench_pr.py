@@ -20,22 +20,23 @@ row whose stdout digest differs between the two checkouts stops the script.
 
 Right after the cliffs, in the same order, both checkouts run each of
 RANK_CAP_ROWS once: `group`, `cohomology`, `twist level:1` and `dualize
-level:1` on the five rank-32 groups, `extension --level 1` where b needs
-no input, `dualize level:1` with a shift of one entry above the diagonal
-on SU(33) and Spin(64) (the twist and the moved twist each get a cycle
-test, an H^3 class and dual Chern data), `cohomology`, `twist level:1` and
-`dualize level:1` with a zero shift on adjoint A1^32, `group` on
-adjoint A1^32 and on its quotient by the diagonal Z/2, and `extension`
-with a 32x32 zero `--b` on PSU(33) and on adjoint A1^32, the rows no
-workload or cliff runs at the rank cap.  The two `--level 1` extension
+level:1` on the five rank-32 groups, `extension --level 1` on SU(33),
+Spin(64), Sp(32) and Spin(65), where b needs no input, `dualize level:1`
+with a shift of one entry above the diagonal on SU(33) and Spin(64) (the
+twist and the moved twist each get a cycle test, an H^3 class and dual
+Chern data), `cohomology`, `twist level:1` and `dualize level:1` with a
+zero shift on adjoint A1^32, `group` on adjoint A1^32 and on its quotient
+by the diagonal Z/2, and `extension` with a 32x32 zero `--b` on PSU(33)
+and on adjoint A1^32, the rows no workload or cliff runs at total rank 32,
+the cap before `rootdata.MAX_RANK` rose to 128.  The four `--level 1` extension
 rows are simply connected, so their admissibility Gram matrix is a solve
 against the character basis X = I with no scale; the two `--b` rows
 scale it by the exponent of pi_1 (33 and 2), and their integrality check
 fails (508 and 32 lines).
-Adjoint A1^32 has the most H^3 torsion at the cap: its character basis is
+Adjoint A1^32 has the most H^3 torsion at total rank 32: its character basis is
 2I, so each of its 496 pairs of Smith invariants adds a Z/2, and
 `class_in_h3` reads one torsion coordinate per pair.  The two `group` rows
-have the most cyclic center factors at the cap, 32 copies of Z/2, so they
+have the most cyclic center factors at total rank 32, 32 copies of Z/2, so they
 time the merge of 32 center orders (496 pairs) and the 32 generator lifts
 of a quotient.  Then they run each of
 CONTCHECK_ROWS once: `contcheck --grid 16384` and `--grid
@@ -85,7 +86,8 @@ RANK_CAP_ROWS = tuple(
     for group in ("PSU(33)", "SU(33)", "Spin(64)", "Spin(65)", "Sp(32)")
     for verb, extra in (("cohomology", ()), ("twist", ("--twist", "level:1")),
                         ("dualize", ("--twist", "level:1")), ("group", ()))
-) + tuple(("extension", "--group", group, "--level", "1") for group in ("SU(33)", "Spin(64)")
+) + tuple(("extension", "--group", group, "--level", "1")
+              for group in ("SU(33)", "Spin(64)", "Sp(32)", "Spin(65)")
         ) + tuple(("dualize", "--group", group, "--twist", "level:1", "--shift", UNIT_SHIFT_32)
                   for group in ("SU(33)", "Spin(64)")
         ) + (("cohomology", "--group", ADJOINT_A1_32),

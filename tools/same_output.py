@@ -15,10 +15,16 @@ and JSON, on Spin(5), Sp(3), Spin(7), G2, F4, B3 x C3 and Sp(32)),
 HELP_ROWS (`--help`, `-h` and `VERB --help` for each of the seven verbs) and
 TORSION_ROWS (`twist --twist level:1` and `dualize --twist level:1` with a
 one-entry shift, text and JSON, on adjoint A1^3, D4, A2 x A2, A1 x A3 and
-B3 x C3, the D6 x D5 x A1 quotient and D4^8 / (Z/2)^3), each distinct argv
-once.
+B3 x C3, the D6 x D5 x A1 quotient and D4^8 / (Z/2)^3) and RANK_128_ROWS
+(`group`, `cohomology`, `twist level:1`, `dualize level:1` with a one-entry
+shift, `langlands` and `extension --level 1` on SU(129), PSU(129),
+Spin(256), Sp(128) and adjoint A1^128), each distinct argv once.  Against a
+parent whose total-rank cap is 32, the RANK_128_ROWS differ by design: the
+parent exits 2 with one `error:` line where the change prints a report.
 Every argv whose exit code, stdout sha256 or stderr differs is printed with
-both sides' stderr, and the script exits 1 if any does.
+both sides' stderr, and the script exits 1 if any does.  When both sides'
+stdout parse as JSON, the sorted key paths whose values differ
+(`reports.0.h3_class.torsion`) are printed too.
 """
 
 from __future__ import annotations
@@ -157,6 +163,15 @@ TORSION_ROWS = tuple(
                 ("dualize", "--group", g, "--twist", "level:1",
                  "--shift", unit_shift(sum(c["rank"] for c in json.loads(g)["components"]))))
     for fmt in ((), ("--format", "json")))
+# Every verb that takes a group at the total-rank cap 128.
+ADJOINT_A1_128 = json.dumps({"components": [{"series": "A", "rank": 1}] * 128,
+                             "fundamental_group": "adjoint"}, separators=(",", ":"))
+RANK_128_ROWS = tuple(
+    (verb, "--group", g, *extra)
+    for g in ("SU(129)", "PSU(129)", "Spin(256)", "Sp(128)", ADJOINT_A1_128)
+    for verb, *extra in (("group",), ("cohomology",), ("twist", "--twist", "level:1"),
+                         ("dualize", "--twist", "level:1", "--shift", unit_shift(128)),
+                         ("langlands",), ("extension", "--level", "1")))
 
 
 def all_argv() -> list[tuple[str, ...]]:
@@ -164,19 +179,49 @@ def all_argv() -> list[tuple[str, ...]]:
     jobs = digest_jobs() + [job for w in WORKLOADS for s in SEEDS for job in make_jobs(w, s)]
     rows = ([job.argv for job in jobs + list(CLIFFS)]
             + list(RANK_CAP_ROWS + CONTCHECK_ROWS + DOUBLE_DATUM_ROWS + QUOTIENT_ROWS
-                   + SPEC_ROWS + CENTER_ROWS + LEVEL_ROWS + HELP_ROWS + TORSION_ROWS))
+                   + SPEC_ROWS + CENTER_ROWS + LEVEL_ROWS + HELP_ROWS + TORSION_ROWS
+                   + RANK_128_ROWS))
     return list(dict.fromkeys(map(tuple, rows)))
 
 
-def run(root: Path, argv: tuple[str, ...]) -> tuple[str, str, str]:
-    """(exit status, stdout sha256, stderr) of one `tdual` process in `root`."""
+def run(root: Path, argv: tuple[str, ...]) -> tuple[str, str, str, bytes]:
+    """(exit status, stdout sha256, stderr, stdout) of one `tdual` process in
+    `root`."""
     try:
         proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], cwd=root, env=job_env(root),
                               stdin=subprocess.DEVNULL, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return f"timeout after {TIMEOUT_S} s", "", ""
+        return f"timeout after {TIMEOUT_S} s", "", "", b""
     return (f"exit {proc.returncode}", hashlib.sha256(proc.stdout).hexdigest(),
-            proc.stderr.decode("utf-8", "replace"))
+            proc.stderr.decode("utf-8", "replace"), proc.stdout)
+
+
+_ABSENT = object()  # the value of a key that one side's object lacks
+
+
+def differing_paths(old, new, path: tuple[str, ...] = ()) -> list[str]:
+    """The sorted dotted key paths (`reports.0.h3_class.torsion`) at which two
+    parsed JSON values differ.  Objects are compared key by key, and lists
+    of one length that hold objects or lists item by item, so a matrix is
+    named by its rows and a vector as a whole; any other difference (a key
+    on one side only, a list length, a type or a value) is named at the path
+    where it appears, `<root>` for the whole document."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        pairs = [(k, old.get(k, _ABSENT), new.get(k, _ABSENT)) for k in old.keys() | new.keys()]
+    elif (isinstance(old, list) and isinstance(new, list) and len(old) == len(new)
+          and any(isinstance(x, (dict, list)) for x in old + new)):
+        pairs = list(zip(map(str, range(len(old))), old, new))
+    else:
+        return [] if type(old) is type(new) and old == new else [".".join(path) or "<root>"]
+    return sorted(p for k, a, b in pairs for p in differing_paths(a, b, (*path, k)))
+
+
+def json_diff(old: bytes, new: bytes) -> list[str] | None:
+    """`differing_paths` of two stdouts, or None unless both parse as JSON."""
+    try:
+        return differing_paths(json.loads(old), json.loads(new))
+    except ValueError:
+        return None
 
 
 def main(argv=None) -> int:
@@ -187,13 +232,16 @@ def main(argv=None) -> int:
     rows, differ = all_argv(), 0
     for k, row in enumerate(rows, 1):
         old, new = run(parent, row), run(CHANGE, row)
-        if old != new:
+        if old[:3] != new[:3]:
             differ += 1
             what = [name for name, a, b in zip(("exit code", "stdout", "stderr"), old, new)
                     if a != b]
             print(f"differs ({', '.join(what)}): {' '.join(row)}")
             print(f"  parent: {old[0]}, stderr {old[2]!r}")
             print(f"  change: {new[0]}, stderr {new[2]!r}")
+            paths = json_diff(old[3], new[3]) if old[1] != new[1] else None
+            if paths is not None:
+                print(f"  JSON paths: {', '.join(paths) or 'none, the parsed values are equal'}")
         if k % 100 == 0:
             print(f"same_output: {k}/{len(rows)} argv run", file=sys.stderr)
     print(f"same_output: {len(rows)} argv, {differ} differ")
