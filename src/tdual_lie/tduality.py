@@ -11,15 +11,17 @@ by the exact integer formula
 
 Dual bundles are compared as canonical sublattices of the weight lattice
 (generator choices are not unique); Chern-class tuples use the convention
-chat_k = u(lambda_k) for the fixed integral-lattice basis.
+chat_k = u(lambda_k) for the fixed integral-lattice basis.  The Langlands
+twist's T-dual is a group when its image lattice holds the roots, which the
+Langlands report checks on that one lattice, building no dual datum.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatch
 from .flagcoh import boundary, is_cycle, require_cycle
-from .rootdata import RootDatum, character_basis, form_pairing, langlands_dual, require_phi
-from .zlinalg import IntMatrix, column_hermite_form
+from .rootdata import RootDatum, _dual_label, form_pairing, require_phi
+from .zlinalg import IntMatrix, column_hermite_form, solve_columns
 
 TWIST_BASIS_CONVENTION = (
     "chat_k = u(lambda_k) in weight coordinates; lambda_k = preferred basis "
@@ -94,31 +96,34 @@ def reduction_torsor_shift(rd: RootDatum, u: IntMatrix, shift: IntMatrix) -> Int
 _SELF_DUAL_WORDS = {("B", 2): (0,), ("C", 2): (0,), ("G", 2): (0,), ("F", 4): (0, 1, 2, 0, 1, 0)}
 
 
-def _langlands_transport(rd: RootDatum) -> tuple[IntMatrix, IntMatrix]:
-    """(T, T.B): the pullback T = P.w from dual-side weight coordinates to
-    weight coordinates, and the twist it induces, formed once and checked to
-    be a cycle.  P is the Dynkin isomorphism `require_phi`; w is
-    block-diagonal over the simple factors, in coweight coordinates: the
-    identity on a simply laced factor; on B2, C2, G2 and F4 the word in
-    `_SELF_DUAL_WORDS` (s_0 is the factor's first simple root, long on data
-    from `build`, short on a Langlands dual: chosen by position, not
-    length); on a B_n or C_n with n >= 3, which `require_phi` pairs with
-    another factor or refuses, -1 when it is the lower of the pair.
+def langlands_twist(rd: RootDatum) -> IntMatrix:
+    """The twist P.w.B whose T-dual is the Langlands dual group: the
+    inclusion B of the integral lattice into the dual-side weight lattice,
+    followed by the pullback P.w from dual-side weight coordinates to weight
+    coordinates, formed once and checked to be a cycle.  P is the Dynkin
+    isomorphism `require_phi`; w is block-diagonal over the simple factors,
+    in coweight coordinates: the identity on a simply laced factor; on B2,
+    C2, G2 and F4 the word in `_SELF_DUAL_WORDS` (s_0 is the factor's first
+    simple root, long on data from `build`, short on a Langlands dual: chosen
+    by position, not length); on a B_n or C_n with n >= 3, which
+    `require_phi` pairs with another factor or refuses, -1 when it is the
+    lower of the pair.
 
-    The twist P.w.B is the map P.w from coweights to weights whatever the
-    basis B, so the cycle test asks that the symmetric part of
-    beta(v, v') = <P.w v, v'> be a sum of the factors' basic forms.  This
-    splits over the orbits of the factor permutation, which have length 1
-    or 2 (the greedy matching pairs the k-th B_n with the k-th C_n).  On a
-    simply laced factor beta is the basic form.  On a pair beta vanishes on
-    each member, and with w = 1 its two cross blocks are transposes of each
-    other (as the matched Cartan blocks are), so beta is symmetric and not
-    invariant; w0 = -1 on one member flips the sign of one cross block, so
-    beta is antisymmetric and its symmetric part zero.  The words are the
-    first passing elements of a BFS over the lone factor's Weyl group.  That
-    w is also the first passing element of the product BFS in word-length
-    order, which `langlands` prints as the twist, is not proved here: the
-    property test against that BFS carries it.
+    The twist is the map P.w from coweights to weights whatever the basis B,
+    so the cycle test asks that the symmetric part of beta(v, v') =
+    <P.w v, v'> be a sum of the factors' basic forms.  This splits over the
+    orbits of the factor permutation, which have length 1 or 2 (the greedy
+    matching pairs the k-th B_n with the k-th C_n).  On a simply laced factor
+    beta is the basic form.  On a pair beta vanishes on each member, and with
+    w = 1 its two cross blocks are transposes of each other (as the matched
+    Cartan blocks are), so beta is symmetric and not invariant; w0 = -1 on
+    one member flips the sign of one cross block, so beta is antisymmetric
+    and its symmetric part zero.  The words are the first passing elements
+    of a BFS over the lone factor's Weyl group.  That w is also the first
+    passing element of the product BFS in word-length order, which
+    `langlands` prints as the twist, is not proved here: the property test
+    against that BFS carries it.  A twist that fails the cycle test is a
+    defect of this rule, not of the input, and raises AssertionError.
     """
     perm = require_phi(rd)
     w = IntMatrix.identity(rd.rank).tolist()
@@ -134,37 +139,31 @@ def _langlands_transport(rd: RootDatum) -> tuple[IntMatrix, IntMatrix]:
                           cols=rd.rank)
     if not is_cycle(rd, twist := transport @ rd.integral):
         raise AssertionError(f"the Langlands transport rule gives no cycle for {rd.label}")
-    return transport, twist
-
-
-def langlands_twist(rd: RootDatum) -> IntMatrix:
-    """The twist whose T-dual is the Langlands dual group: compose the
-    inclusion of the integral lattice into the dual-side weight lattice with
-    the Weyl-adjusted diagram-isomorphism pullback."""
-    return _langlands_transport(rd)[1]
+    return twist
 
 
 def verify_langlands_tdual(rd: RootDatum) -> dict:
-    """Two-sided check that the Langlands twist T-dualizes onto the dual
-    group: the image lattice of the twist must coincide with the transported
-    character lattice of the dual torus, both in canonical form.
+    """The Langlands report: the twist, its image lattice L in canonical
+    form, and whether the T-dual is a group.
 
-    The dual's character basis is B itself (B X^T = A transposes to the
-    dual's solve X B^T = A^T), so both lattices are spanned by P.w.B and
-    `match` re-checks that solve and the transport, not the construction (H^2
-    of the T-dual against the dual group's would).  A mismatch is a defect
-    indicator, not a user error; it is reported with both lattices.
+    `match` asks that L contain the root lattice (the simple roots are the
+    rows of A): then the T-dual is a compact group over the same flag
+    manifold, whose character lattice is L (Daenzer-van Erp).  This reads
+    the transport P.w, since L = P.w.im B.  The dual datum is not built:
+    its character basis is B itself (B X^T = A transposes to the dual's
+    solve X B^T = A^T), so its transported character lattice is L again,
+    and `expected_lattice` prints L; `dual_group` is the label
+    `langlands_dual` gives.  A false `match` is a defect indicator, not a
+    user error.
     """
-    transport, twist = _langlands_transport(rd)  # raises Unavailable without an isomorphism
+    twist = langlands_twist(rd)  # raises Unavailable without an isomorphism
     mine = column_hermite_form(twist)
-    dual_rd = langlands_dual(rd)
-    expected = column_hermite_form(transport @ character_basis(dual_rd))
     return {
         "group": rd.label,
-        "dual_group": dual_rd.label,
+        "dual_group": _dual_label(rd),
         "available": True,
-        "match": mine == expected,
+        "match": solve_columns(mine, rd.cartan.transpose()) is not None,
         "twist": twist.tolist(),
         "dual_chern_lattice": mine.tolist(),
-        "expected_lattice": expected.tolist(),
+        "expected_lattice": mine.tolist(),
     }

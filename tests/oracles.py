@@ -269,7 +269,7 @@ def invariant_coords(rd, u: IntMatrix) -> tuple[int, ...] | None:
 
 
 def reflection_matrix(root, i) -> IntMatrix:
-    """Checks the closed-form Weyl words of `tduality._langlands_transport`
+    """Checks the closed-form Weyl words of `tduality.langlands_twist`
     and the reflection rule behind `rootdata.root_count`: s(x) = x - x_i *
     root as an n x n matrix, the i-th simple reflection on weight
     coordinates for row i of the Cartan matrix, on coweight coordinates for

@@ -690,7 +690,7 @@ def test_each_twist_evaluated_once(argv, evaluations):
     (["twist", "--group", "PSU(4)", "--twist", "level:2"], 5, "X"),
     (["dualize", "--group", "SU(4)", "--twist", "level:1",
       "--shift", "[[0,1,0],[0,0,0],[0,0,0]]"], 7, "X"),
-    (["langlands", "--group", "PSU(4)"], 4, ""),
+    (["langlands", "--group", "PSU(4)"], 3, ""),
     (["extension", "--group", "SU(4)", "--level", "1"], 2, "X"),
     (["extension", "--group", "Sp(3)", "--level", "1"], 2, "X"),
     (["extension", "--group", "G2", "--level", "1"], 2, "X"),
@@ -763,18 +763,48 @@ B3_C3 = json.dumps({"components": [{"series": "B", "rank": 3}, {"series": "C", "
                                   ["twist", "--group", "F4", "--twist", "langlands"]],
                          ids=lambda argv: " ".join(argv).replace(B3_C3, "B3xC3"))
 def test_one_langlands_transport_per_report(monkeypatch, argv):
-    """A Langlands report forms the transport once, and nothing caches it:
-    `verify_langlands_tdual` reads T and T.B off one call."""
+    """A Langlands report forms the transport and its twist once, and
+    nothing caches them: `verify_langlands_tdual` reads the one twist."""
     calls = []
-    transport = tduality._langlands_transport
+    twist = tduality.langlands_twist
 
     def counted(rd):
         calls.append(rd.label)
-        return transport(rd)
+        return twist(rd)
 
-    monkeypatch.setattr(tduality, "_langlands_transport", counted)
+    monkeypatch.setattr(tduality, "langlands_twist", counted)
     assert main(argv) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, label", [(["langlands", "--group", "PSU(4)"], "PSU(4)"),
+                                         (["langlands", "--group", B3_C3], "B3 x C3")],
+                         ids=lambda v: " ".join(v).replace(B3_C3, "B3xC3")
+                         if isinstance(v, list) else v)
+def test_langlands_report_builds_one_datum(monkeypatch, argv, label):
+    """A `langlands` report constructs one `RootDatum`, the group's own: the
+    dual datum is not built."""
+    made, init = [], rootdata.RootDatum.__init__
+
+    def counted(self, **fields):
+        made.append(fields["label"])
+        init(self, **fields)
+
+    clear_caches()
+    monkeypatch.setattr(rootdata.RootDatum, "__init__", counted)
+    assert main(argv) == 0
+    assert made == [label]
+
+
+def test_langlands_match_is_not_vacuous(monkeypatch, capsys):
+    """`match` asks that the twist's image lattice hold the roots, so it
+    reads the transport: a twist of B alone, whose image is the integral
+    lattice, fails on simply connected B3 x C3, and `--expect match` exits 1."""
+    monkeypatch.setattr(tduality, "langlands_twist", lambda rd: rd.integral)
+    code, payload = run_json(["langlands", "--group", B3_C3])
+    assert code == 0 and payload["reports"][0]["match"] is False
+    assert main(["langlands", "--group", B3_C3, "--expect", "match"]) == 1
+    assert "match: False" in capsys.readouterr().out
 
 
 def test_commutator_rational_strings_accepted():

@@ -469,8 +469,9 @@ def test_langlands_dual_involutive(rd):
 def test_dual_character_basis_is_the_integral_basis(rd):
     """B X^T = A transposes to X B^T = A^T, the solve that gives the
     character basis of the Langlands dual (integral basis X, Cartan matrix
-    A^T), so that basis is B itself.  This is why the two lattices of
-    `verify_langlands_tdual` agree by construction."""
+    A^T), so that basis is B itself.  This is why `verify_langlands_tdual`
+    prints the twist's image lattice as the expected one and builds no dual
+    datum."""
     assert character_basis(langlands_dual(rd)) == rd.integral
 
 

@@ -38,7 +38,12 @@ Adjoint A1^32 has the most H^3 torsion at total rank 32: its character basis is
 `class_in_h3` reads one torsion coordinate per pair.  The two `group` rows
 have the most cyclic center factors at total rank 32, 32 copies of Z/2, so they
 time the merge of 32 center orders (496 pairs) and the 32 generator lifts
-of a quotient.  Then they run each of
+of a quotient.  Next they run each of RANK_128_ROWS once: `group`,
+`cohomology`, `twist level:1`, `dualize level:1` with a one-entry shift,
+`langlands` and `extension --level 1` on SU(129), PSU(129), Spin(256),
+Sp(128) and adjoint A1^128, every verb at the cap 128 (`langlands` and
+`extension` give their refusal reports where the group has no Langlands
+twist or no level commutator map).  Then they run each of
 CONTCHECK_ROWS once: `contcheck --grid 16384` and `--grid
 131072` in JSON, the verb's largest memory.  Each is one `tdual` process
 with only the checkout's `src` on its path.  BENCH_<N>.json keeps the same
@@ -79,8 +84,16 @@ DIAGONAL_A1_32 = json.dumps({"components": [{"series": "A", "rank": 1}] * 32,
                              "fundamental_group": {"generators": [[1] * 32]}},
                             separators=(",", ":"))
 ZERO_32 = json.dumps([[0] * 32] * 32, separators=(",", ":"))
-UNIT_SHIFT_32 = json.dumps([[int(i == 0 and j == 1) for j in range(32)] for i in range(32)],
-                           separators=(",", ":"))
+
+
+def unit_shift(n: int) -> str:
+    """The n x n --shift matrix with a single 1, in row 0 and column 1 (zero
+    when n is 1)."""
+    return json.dumps([[int(i == 0 and j == 1) for j in range(n)] for i in range(n)],
+                      separators=(",", ":"))
+
+
+UNIT_SHIFT_32 = unit_shift(32)
 RANK_CAP_ROWS = tuple(
     (verb, "--group", group, *extra)
     for group in ("PSU(33)", "SU(33)", "Spin(64)", "Spin(65)", "Sp(32)")
@@ -97,6 +110,15 @@ RANK_CAP_ROWS = tuple(
              ("group", "--group", ADJOINT_A1_32), ("group", "--group", DIAGONAL_A1_32)
         ) + tuple(("extension", "--group", group, "--b", ZERO_32)
                   for group in ("PSU(33)", ADJOINT_A1_32))
+# Every verb that takes a group at the total-rank cap 128.
+ADJOINT_A1_128 = json.dumps({"components": [{"series": "A", "rank": 1}] * 128,
+                             "fundamental_group": "adjoint"}, separators=(",", ":"))
+RANK_128_ROWS = tuple(
+    (verb, "--group", g, *extra)
+    for g in ("SU(129)", "PSU(129)", "Spin(256)", "Sp(128)", ADJOINT_A1_128)
+    for verb, *extra in (("group",), ("cohomology",), ("twist", "--twist", "level:1"),
+                         ("dualize", "--twist", "level:1", "--shift", unit_shift(128)),
+                         ("langlands",), ("extension", "--level", "1")))
 CONTCHECK_ROWS = tuple(("contcheck", "--grid", grid, "--format", "json")
                        for grid in ("16384", "131072"))
 
@@ -193,7 +215,7 @@ def summarize_startup(pairs: list[dict]) -> dict:
 
 
 def summarize_rows(pairs: list[dict]) -> dict:
-    """Per cliff, rank-cap or contcheck row (its argv joined by spaces): the
+    """Per cliff, rank-cap, rank-128 or contcheck row (its argv joined by spaces): the
     digest both sides printed, each side's median wall_s (and maxrss_mb where
     the row has it) and the change's wins in wall_s."""
     out = {}
@@ -249,6 +271,7 @@ def main(argv=None) -> int:
               "command": spec["command"] + ["--trace", "0"], "workloads": {}}
     rows = {"cliffs": (run_cliffs, []),
             "rank_cap": (functools.partial(run_rows, rows=RANK_CAP_ROWS), []),
+            "rank_128": (functools.partial(run_rows, rows=RANK_128_ROWS), []),
             "contcheck": (functools.partial(run_rows, rows=CONTCHECK_ROWS), [])}
     key = ("argv", "status", "sha256")
     startup = []

@@ -15,12 +15,15 @@ and JSON, on Spin(5), Sp(3), Spin(7), G2, F4, B3 x C3 and Sp(32)),
 HELP_ROWS (`--help`, `-h` and `VERB --help` for each of the seven verbs) and
 TORSION_ROWS (`twist --twist level:1` and `dualize --twist level:1` with a
 one-entry shift, text and JSON, on adjoint A1^3, D4, A2 x A2, A1 x A3 and
-B3 x C3, the D6 x D5 x A1 quotient and D4^8 / (Z/2)^3) and RANK_128_ROWS
-(`group`, `cohomology`, `twist level:1`, `dualize level:1` with a one-entry
-shift, `langlands` and `extension --level 1` on SU(129), PSU(129),
-Spin(256), Sp(128) and adjoint A1^128), each distinct argv once.  Against a
-parent whose total-rank cap is 32, the RANK_128_ROWS differ by design: the
-parent exits 2 with one `error:` line where the change prints a report.
+B3 x C3, the D6 x D5 x A1 quotient and D4^8 / (Z/2)^3), bench_pr's
+RANK_128_ROWS (every verb on the five groups of total rank 128) and
+LANGLANDS_ROWS (`langlands` in text and with `--expect match`, `twist
+--twist langlands` and `dualize --twist langlands` with a one-entry shift,
+on B_n x C_n and C_n x B_n for n = 3..6, simply connected and adjoint, E6 x
+G2, D4 x B2 x G2, SO(3), PSU(4) and adjoint D4), each distinct argv once.
+Against a parent whose total-rank cap is 32, the RANK_128_ROWS differ by
+design: the parent exits 2 with one `error:` line where the change prints a
+report.
 Every argv whose exit code, stdout sha256 or stderr differs is printed with
 both sides' stderr, and the script exits 1 if any does.  When both sides'
 stdout parse as JSON, the sorted key paths whose values differ
@@ -39,8 +42,8 @@ from pathlib import Path
 sys.path[:0] = [str(Path(__file__).resolve().parent),
                 str(Path(__file__).resolve().parents[1] / "perfbench")]
 
-from bench_pr import (CHANGE, CONTCHECK_ROWS, ENTRY, RANK_CAP_ROWS, UNIT_SHIFT_32,  # noqa: E402
-                      ZERO_32, job_env)
+from bench_pr import (CHANGE, CONTCHECK_ROWS, ENTRY, RANK_128_ROWS, RANK_CAP_ROWS,  # noqa: E402
+                      UNIT_SHIFT_32, ZERO_32, job_env, unit_shift)
 from workloads import CLIFFS, WORKLOADS, digest_jobs, make_jobs  # noqa: E402
 
 SEEDS = range(1, 6)
@@ -83,6 +86,12 @@ def spec(factors, generators) -> str:
                        "fundamental_group": {"generators": generators}}, separators=(",", ":"))
 
 
+def product(factors, fundamental_group="simply_connected") -> str:
+    """The --group JSON of the product of `factors`, (series, rank) pairs."""
+    return json.dumps({"components": [{"series": s, "rank": r} for s, r in factors],
+                       "fundamental_group": fundamental_group}, separators=(",", ":"))
+
+
 # One custom quotient per row of the center-generator table (A_n, B_n, C_n,
 # D_even, D_odd, E6, E7), and the trivial quotients of simply connected,
 # simply laced groups, whose integral basis is the Hermite basis of the
@@ -116,11 +125,8 @@ TRIVIAL_QUOTIENTS = (
 CENTER_PRODUCTS = ((("A", 1), ("A", 2)), (("A", 1), ("A", 1), ("A", 3)),
                    (("A", 2), ("A", 5), ("E", 6)), (("A", 4), ("A", 9)),
                    (("D", 4), ("D", 5), ("A", 1), ("E", 7)))
-CENTER_ROWS = tuple(
-    ("group", "--format", "json", "--group",
-     json.dumps({"components": [{"series": s, "rank": r} for s, r in factors],
-                 "fundamental_group": fg}, separators=(",", ":")))
-    for factors in CENTER_PRODUCTS for fg in ("simply_connected", "adjoint"))
+CENTER_ROWS = tuple(("group", "--format", "json", "--group", product(factors, fg))
+                    for factors in CENTER_PRODUCTS for fg in ("simply_connected", "adjoint"))
 SPEC_ROWS = tuple(
     [(verb, "--group", g, *extra) for g in TABLE_QUOTIENTS
      for verb, *extra in (("group",), ("cohomology",), ("twist", "--twist", "level:1"),
@@ -141,19 +147,12 @@ HELP_ROWS = (("--help",), ("-h",), *((verb, "--help") for verb in (
 # of the character basis: any Smith U gives an isomorphic coordinate system,
 # so a change of U moves these coordinates and nothing else.
 TORSION_GROUPS = (
-    *(json.dumps({"components": [{"series": s, "rank": r} for s, r in factors],
-                  "fundamental_group": "adjoint"}, separators=(",", ":"))
+    *(product(factors, "adjoint")
       for factors in ((("A", 1),) * 3, (("D", 4),), (("A", 2), ("A", 2)),
                       (("A", 1), ("A", 3)), (("B", 3), ("C", 3)))),
     TABLE_QUOTIENTS[-1],  # D6 x D5 x A1 by two generators
     D4_8_QUOTIENT,
 )
-
-
-def unit_shift(n: int) -> str:
-    """The n x n --shift matrix with a single 1, in row 0 and column 1."""
-    return json.dumps([[int(i == 0 and j == 1) for j in range(n)] for i in range(n)],
-                      separators=(",", ":"))
 
 
 TORSION_ROWS = tuple(
@@ -163,15 +162,24 @@ TORSION_ROWS = tuple(
                 ("dualize", "--group", g, "--twist", "level:1",
                  "--shift", unit_shift(sum(c["rank"] for c in json.loads(g)["components"]))))
     for fmt in ((), ("--format", "json")))
-# Every verb that takes a group at the total-rank cap 128.
-ADJOINT_A1_128 = json.dumps({"components": [{"series": "A", "rank": 1}] * 128,
-                             "fundamental_group": "adjoint"}, separators=(",", ":"))
-RANK_128_ROWS = tuple(
+
+
+# Groups with a Langlands twist, with their ranks: the cross-matched B_n x C_n
+# pairs in both orders, simply connected and adjoint, products whose
+# self-dual factors take a Weyl word, and small quotients.
+LANGLANDS_GROUPS = (
+    *((product(factors, fg), 2 * n) for n in range(3, 7)
+      for factors in ((("B", n), ("C", n)), (("C", n), ("B", n)))
+      for fg in ("simply_connected", "adjoint")),
+    (product((("E", 6), ("G", 2))), 8), (product((("D", 4), ("B", 2), ("G", 2))), 8),
+    ("SO(3)", 1), ("PSU(4)", 3), (product((("D", 4),), "adjoint"), 4),
+)
+LANGLANDS_ROWS = tuple(
     (verb, "--group", g, *extra)
-    for g in ("SU(129)", "PSU(129)", "Spin(256)", "Sp(128)", ADJOINT_A1_128)
-    for verb, *extra in (("group",), ("cohomology",), ("twist", "--twist", "level:1"),
-                         ("dualize", "--twist", "level:1", "--shift", unit_shift(128)),
-                         ("langlands",), ("extension", "--level", "1")))
+    for g, n in LANGLANDS_GROUPS
+    for verb, *extra in (("langlands",), ("langlands", "--expect", "match"),
+                         ("twist", "--twist", "langlands"),
+                         ("dualize", "--twist", "langlands", "--shift", unit_shift(n))))
 
 
 def all_argv() -> list[tuple[str, ...]]:
@@ -180,7 +188,7 @@ def all_argv() -> list[tuple[str, ...]]:
     rows = ([job.argv for job in jobs + list(CLIFFS)]
             + list(RANK_CAP_ROWS + CONTCHECK_ROWS + DOUBLE_DATUM_ROWS + QUOTIENT_ROWS
                    + SPEC_ROWS + CENTER_ROWS + LEVEL_ROWS + HELP_ROWS + TORSION_ROWS
-                   + RANK_128_ROWS))
+                   + RANK_128_ROWS + LANGLANDS_ROWS))
     return list(dict.fromkeys(map(tuple, rows)))
 
 
