@@ -104,15 +104,11 @@ _FACTOR_TYPES = "a simple factor needs a str series and an int rank"
 _DUAL_SERIES = {"B": "C", "C": "B"}  # where a Langlands dual factor changes series
 
 
-def _block(mat: IntMatrix, lo: int, hi: int) -> list[list[int]]:
-    """Rows and columns lo..hi-1 of `mat`."""
-    return [[mat[i, j] for j in range(lo, hi)] for i in range(lo, hi)]
-
-
 def _is_cartan_of(cartan: IntMatrix, components) -> bool:
     """`cartan` is the block sum over `components` of `cartan_block(series,
-    rank)` or its transpose, each (series, rank) or its Langlands dual (C2
-    is B2's) being in the classification."""
+    rank)`, each (series, rank) or its Langlands dual (C2 is B2's) being in
+    the classification; only G2 and F4, whose duals keep their letter, may
+    stand transposed.  So `require_phi` can read the blocks off the series."""
     n, lo, blocks = sum(r for _, r in components), 0, []
     if cartan.rows != n or cartan.cols != n:
         return False
@@ -120,7 +116,10 @@ def _is_cartan_of(cartan: IntMatrix, components) -> bool:
         if not (_classified(series, r) or _classified(_DUAL_SERIES.get(series), r)):
             return False
         block = IntMatrix(cartan_block(series, r))
-        blocks.append(block if _block(cartan, lo, lo + r) == block.tolist() else block.transpose())
+        if series in "FG" and any(cartan[lo + i, lo + j] != block[i, j]
+                                  for i in range(r) for j in range(r)):
+            block = block.transpose()
+        blocks.append(block)
         lo += r
     return cartan == block_diag(blocks)
 
@@ -137,7 +136,8 @@ class RootDatum:
     simple coroots for a simply connected group, the fundamental coweights
     for an adjoint one, and a Hermite basis otherwise.  `components` is a
     tuple of (str, int) pairs, and A is the block sum over it of classified
-    Cartan blocks or their transposes (`_is_cartan_of`), else InvalidSeries.
+    Cartan blocks, G2 and F4 possibly transposed (`_is_cartan_of`), else
+    InvalidSeries.
     So A is nonsingular, and the one solve B X^T = A for the character basis
     X the datum keeps checks that the lattice contains the coroots and shows
     the columns of B independent.
@@ -471,31 +471,29 @@ def require_phi(rd: RootDatum) -> tuple[int, ...]:
     permutation sending simple-root indices to dual-side indices, or
     Unavailable naming the factors left over.
 
-    The dual's Cartan blocks are the datum's own transposed, over the same
-    ranges, so no dual datum is built.  Each source factor takes the first
-    unused dual block that is its own (identity) or its own reversed (G2, F4
-    and B2: the transposed block; these diagrams have no automorphism).
-    Factors of one type are interchangeable, so no choice needs revisiting:
-    a factor is left over exactly when it is a B/C factor of rank >= 3 with
-    no partner.
+    Read off the series, which name each Cartan block (`_is_cartan_of`), so
+    no block is compared and no dual datum is built.  The dual swaps B_n and
+    C_n and keeps every other letter.  An A, D or E factor maps onto its own
+    range; B2, C2, G2 and F4, whose duals are themselves with the roots
+    reversed, onto their own range reversed; for n >= 3 the k-th B_n and the
+    k-th C_n take each other's ranges, and a B_n or C_n with no partner is
+    left over.
     """
-    dual_cartan = rd.cartan.transpose()
-    unused = [(lo, hi, _block(dual_cartan, lo, hi)) for lo, hi, _, _ in rd.factor_ranges()]
+    ranges = {}
+    for lo, hi, series, r in rd.factor_ranges():
+        ranges.setdefault((series, r), []).append(range(lo, hi))
     perm, unmatched = [], []
     for lo, hi, series, r in rd.factor_ranges():
-        src = _block(rd.cartan, lo, hi)
-        reversed_src = [row[::-1] for row in src[::-1]]
-        for k, (glo, ghi, dst) in enumerate(unused):
-            if dst == src:
-                perm += range(glo, ghi)
-            elif dst == reversed_src:
-                perm += range(ghi - 1, glo - 1, -1)
+        if series in "BC" and r > 2:
+            partners = ranges.get((_DUAL_SERIES[series], r))
+            if partners:
+                perm += partners.pop(0)
             else:
-                continue
-            del unused[k]
-            break
+                unmatched.append(f"{series}{r}")
+        elif series in "BCFG":
+            perm += range(hi - 1, lo - 1, -1)
         else:
-            unmatched.append(f"{series}{r}")
+            perm += range(lo, hi)
     if unmatched:
         raise Unavailable(
             f"{rd.label}: no Dynkin isomorphism onto the Langlands dual "

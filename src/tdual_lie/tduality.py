@@ -100,44 +100,45 @@ def langlands_twist(rd: RootDatum) -> IntMatrix:
     """The twist P.w.B whose T-dual is the Langlands dual group: the
     inclusion B of the integral lattice into the dual-side weight lattice,
     followed by the pullback P.w from dual-side weight coordinates to weight
-    coordinates, formed once and checked to be a cycle.  P is the Dynkin
-    isomorphism `require_phi`; w is block-diagonal over the simple factors,
-    in coweight coordinates: the identity on a simply laced factor; on B2,
-    C2, G2 and F4 the word in `_SELF_DUAL_WORDS` (s_0 is the factor's first
-    simple root, long on data from `build`, short on a Langlands dual: chosen
-    by position, not length); on a B_n or C_n with n >= 3, which
-    `require_phi` pairs with another factor or refuses, -1 when it is the
-    lower of the pair.
+    coordinates, checked to be a cycle.  P is the Dynkin isomorphism
+    `require_phi`; w is block-diagonal over the simple factors, in coweight
+    coordinates: the identity on a simply laced factor; on B2, C2, G2 and F4
+    the word in `_SELF_DUAL_WORDS` (s_0 is the factor's first simple root,
+    long on data from `build`, short on a Langlands dual: chosen by
+    position, not length); -1 on the lower member of each B_n/C_n pair that
+    `require_phi` makes (n >= 3).  Neither is formed: each letter, last
+    first, is s_i.B = B - a_i (x) (row i of B) on its factor's rows, and P
+    then reorders the rows.
 
     The twist is the map P.w from coweights to weights whatever the basis B,
     so the cycle test asks that the symmetric part of beta(v, v') =
     <P.w v, v'> be a sum of the factors' basic forms.  This splits over the
-    orbits of the factor permutation, which have length 1 or 2 (the greedy
-    matching pairs the k-th B_n with the k-th C_n).  On a simply laced factor
-    beta is the basic form.  On a pair beta vanishes on each member, and with
-    w = 1 its two cross blocks are transposes of each other (as the matched
-    Cartan blocks are), so beta is symmetric and not invariant; w0 = -1 on
-    one member flips the sign of one cross block, so beta is antisymmetric
-    and its symmetric part zero.  The words are the first passing elements
-    of a BFS over the lone factor's Weyl group.  That w is also the first
-    passing element of the product BFS in word-length order, which
-    `langlands` prints as the twist, is not proved here: the property test
-    against that BFS carries it.  A twist that fails the cycle test is a
-    defect of this rule, not of the input, and raises AssertionError.
+    orbits of the factor permutation, which have length 1 or 2 (the k-th
+    B_n with the k-th C_n).  On a simply laced factor beta is the basic
+    form.  On a pair beta vanishes on each member, and with w = 1 its two
+    cross blocks are transposes of each other (as the paired Cartan blocks
+    are), so beta is symmetric and not invariant; w0 = -1 on one member
+    flips the sign of one cross block, so beta is antisymmetric and its
+    symmetric part zero.  The words are the first passing elements of a BFS
+    over the lone factor's Weyl group.  That w is also the first passing
+    element of the product BFS in word-length order, which `langlands`
+    prints as the twist, is not proved here: the property test against that
+    BFS carries it.  A twist that fails the cycle test is a defect of this
+    rule, not of the input, and raises AssertionError.
     """
     perm = require_phi(rd)
-    w = IntMatrix.identity(rd.rank).tolist()
-    flip = set()
+    rows, flip = rd.integral.tolist(), set()
     for lo, hi, series, r in rd.factor_ranges():
-        for i in _SELF_DUAL_WORDS.get((series, r), ()):
-            a = rd.cartan.column(lo + i)  # w s_i = w - (w a_i) e_i^T changes one column
-            for row in w:
-                row[lo + i] -= sum(x * y for x, y in zip(row, a))
+        for i in reversed(_SELF_DUAL_WORDS.get((series, r), ())):
+            a, top = rd.cartan.column(lo + i), rows[lo + i]
+            for k in range(lo, hi):
+                if a[k]:
+                    rows[k] = [x - a[k] * y for x, y in zip(rows[k], top)]
         if series in "BC" and r > 2 and perm[lo] > lo:
             flip.update(range(lo, hi))
-    transport = IntMatrix([[-x for x in w[p]] if p in flip else w[p] for p in perm],
-                          cols=rd.rank)
-    if not is_cycle(rd, twist := transport @ rd.integral):
+    twist = IntMatrix([[-x for x in rows[p]] if p in flip else rows[p] for p in perm],
+                      cols=rd.rank)
+    if not is_cycle(rd, twist):
         raise AssertionError(f"the Langlands transport rule gives no cycle for {rd.label}")
     return twist
 

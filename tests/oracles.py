@@ -3,9 +3,10 @@
 Each oracle recomputes by a second, independent route something `src/`
 reads in closed form, and its docstring opens by naming that route; the
 few helpers (`to_sympy`, `coords`, `diagonal`, `standard_lattice`,
-`clear_caches`, `find_phi`) say what they build or do.  Lattices are their
-basis matrices (columns independent over Q), as in the package.  The module
-is not collected: it defines no tests, and no test module imports another.
+`clear_caches`, `find_phi`, `_block`) say what they build or do.  Lattices
+are their basis matrices (columns independent over Q), as in the package.
+The module is not collected: it defines no tests, and no test module
+imports another.
 """
 
 import importlib
@@ -20,6 +21,7 @@ from sympy import Matrix
 import tdual_lie
 from tdual_lie.errors import Unavailable
 from tdual_lie.rootdata import (
+    _DUAL_SERIES,
     build,
     center_generators,
     character_basis,
@@ -322,6 +324,49 @@ def find_phi(rd):
         return require_phi(rd)
     except Unavailable:
         return None
+
+
+def _block(mat: IntMatrix, lo: int, hi: int) -> list[list[int]]:
+    """Rows and columns lo..hi-1 of `mat`."""
+    return [[mat[i, j] for j in range(lo, hi)] for i in range(lo, hi)]
+
+
+def block_matching_phi(rd) -> tuple[int, ...]:
+    """Checks `rootdata.require_phi`, which reads the Dynkin isomorphism off
+    the series: the permutation found by comparing Cartan blocks instead, or
+    Unavailable with `require_phi`'s message and evidence.
+
+    The dual's Cartan blocks are the datum's own transposed, over the same
+    ranges.  Each source factor takes the first unused dual block that is
+    its own (identity) or its own reversed (G2, F4 and B2: the transposed
+    block; these diagrams have no automorphism), and a factor is left over
+    when no unused dual block is either.
+    """
+    dual_cartan = rd.cartan.transpose()
+    unused = [(lo, hi, _block(dual_cartan, lo, hi)) for lo, hi, _, _ in rd.factor_ranges()]
+    perm, unmatched = [], []
+    for lo, hi, series, r in rd.factor_ranges():
+        src = _block(rd.cartan, lo, hi)
+        reversed_src = [row[::-1] for row in src[::-1]]
+        for k, (glo, ghi, dst) in enumerate(unused):
+            if dst == src:
+                perm += range(glo, ghi)
+            elif dst == reversed_src:
+                perm += range(ghi - 1, glo - 1, -1)
+            else:
+                continue
+            del unused[k]
+            break
+        else:
+            unmatched.append(f"{series}{r}")
+    if unmatched:
+        raise Unavailable(
+            f"{rd.label}: no Dynkin isomorphism onto the Langlands dual "
+            f"(obstructing factors: {', '.join(unmatched)})",
+            evidence={"components": [list(c) for c in rd.components],
+                      "dual": [[_DUAL_SERIES.get(s, s), r] for s, r in rd.components]},
+        )
+    return tuple(perm)
 
 
 # -- the complex in tensor coordinates ------------------------------------------

@@ -95,12 +95,18 @@ def test_series_validation():
     ((("A", 2),), [[2, -2], [-1, 2]]),
     ((("A", 1), ("A", 1)), [[2, -1], [-1, 2]]),
     ((("A", 1), ("A", 1)), [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]),
-], ids=["affine A2 as A3", "B2 as A2", "A1 x A1 joined", "3x3 over rank 2"])
+    ((("B", 3),), cartan_block("C", 3)),
+    ((("C", 4),), cartan_block("B", 4)),
+    ((("B", 2),), cartan_block("C", 2)),
+], ids=["affine A2 as A3", "B2 as A2", "A1 x A1 joined", "3x3 over rank 2", "C3 as B3",
+        "B4 as C4", "B2 transposed"])
 def test_root_datum_refuses_a_cartan_matrix_off_the_table(components, cartan):
     """A Cartan matrix is the block sum of the classified blocks of its
-    components (or their transposes): the singular affine A2, a B2 matrix
-    labelled A2, an edge between two factors and a matrix of the wrong size
-    each raise one InvalidSeries line, which names the components."""
+    components, G2 and F4 blocks possibly transposed: the singular affine
+    A2, a B2 matrix labelled A2, an edge between two factors, a matrix of the
+    wrong size, a C3 block labelled B3, a B4 block labelled C4 and the
+    transposed B2 block (C2's) labelled B2 each raise one InvalidSeries
+    line, which names the components."""
     m = IntMatrix(cartan)
     with pytest.raises(InvalidSeries) as exc:
         RootDatum(components, m, IntMatrix.identity(m.rows), "x")

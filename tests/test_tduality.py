@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from tdual_lie.zlinalg import IntMatrix, column_hermite_form
 
 from oracles import (
     bareiss_det,
+    block_matching_phi,
     clear_caches,
     root_data,
     standard_lattice,
@@ -232,10 +234,11 @@ def test_langlands_unavailable():
 
 
 def test_require_phi_builds_no_dual_datum(monkeypatch):
-    """`require_phi` matches against the datum's own Cartan blocks
-    transposed: it makes no `RootDatum`, and its `Unavailable` evidence names
+    """`require_phi` reads the matching off the datum's series: it reads no
+    Cartan block, makes no `RootDatum`, and its `Unavailable` evidence names
     the dual's series through the B <-> C swap."""
     paired, unpaired = build([("B", 3), ("C", 3)]), build([("B", 3), ("A", 2), ("C", 4)])
+    paired.cartan = unpaired.cartan = None
     clear_caches()
     made = []
     monkeypatch.setattr(RootDatum, "__init__", lambda self, *args: made.append(args))
@@ -342,6 +345,36 @@ def test_langlands_transport_is_first_bfs_cycle_table(comps):
     for rd in (build(comps), langlands_dual(build(comps, "adjoint"))):
         transport = permutation_matrix(require_phi(rd)) @ first_bfs_cycle(rd)
         assert langlands_twist(rd) == transport @ rd.integral
+
+
+# Up to six factors, so that several B_n and C_n of one rank meet.
+PAIRINGS = st.lists(st.sampled_from([("B", 3), ("C", 3), ("B", 4), ("C", 4), ("G", 2), ("A", 1)]),
+                    min_size=1, max_size=6).map(build)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.one_of(root_data(), root_data().map(langlands_dual), dualizable_data(), PAIRINGS))
+def test_require_phi_against_the_cartan_matrix(rd):
+    """Where `require_phi` returns p, p is a permutation with A[p_j, p_i] =
+    A[i, j], so it carries A onto the dual's A^T; it raises Unavailable
+    exactly when some rank n >= 3 has unequal numbers of B_n and C_n
+    factors.  The permutation, or the message and evidence, are those of
+    the block-matching route."""
+    count = Counter(rd.components)
+    pairless = any(count["B", r] != count["C", r] for _, r in count if r >= 3)
+    try:
+        expected = block_matching_phi(rd)
+    except Unavailable as exc:
+        expected = (str(exc), exc.evidence)
+    try:
+        p = require_phi(rd)
+    except Unavailable as exc:
+        assert pairless and (str(exc), exc.evidence) == expected
+        return
+    n, a = rd.rank, rd.cartan
+    assert not pairless and sorted(p) == list(range(n))
+    assert all(a[p[j], p[i]] == a[i, j] for i in range(n) for j in range(n))
+    assert p == expected
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

@@ -43,8 +43,9 @@ of a quotient.  Next they run each of RANK_128_ROWS once: `group`,
 `langlands` and `extension --level 1` on SU(129), PSU(129), Spin(256),
 Sp(128) and adjoint A1^128, every verb at the cap 128 (`langlands` and
 `extension` give their refusal reports where the group has no Langlands
-twist or no level commutator map).  Then they run each of
-CONTCHECK_ROWS once: `contcheck --grid 16384` and `--grid
+twist or no level commutator map), and `langlands` and `twist --twist
+langlands` on (B32 x C32)^2, whose twist pairs each B32 with a C32.  Then
+they run each of CONTCHECK_ROWS once: `contcheck --grid 16384` and `--grid
 131072` in JSON, the verb's largest memory.  Each is one `tdual` process
 with only the checkout's `src` on its path.  BENCH_<N>.json keeps the same
 per-row figures as for the cliffs (no layer split), plus the child's
@@ -113,12 +114,18 @@ RANK_CAP_ROWS = tuple(
 # Every verb that takes a group at the total-rank cap 128.
 ADJOINT_A1_128 = json.dumps({"components": [{"series": "A", "rank": 1}] * 128,
                              "fundamental_group": "adjoint"}, separators=(",", ":"))
+# Two B_n x C_n pairs at the cap, whose Langlands twist swaps and negates rows.
+B32_C32_SQUARED = json.dumps({"components": [{"series": "B", "rank": 32},
+                                             {"series": "C", "rank": 32}] * 2},
+                             separators=(",", ":"))
 RANK_128_ROWS = tuple(
     (verb, "--group", g, *extra)
     for g in ("SU(129)", "PSU(129)", "Spin(256)", "Sp(128)", ADJOINT_A1_128)
     for verb, *extra in (("group",), ("cohomology",), ("twist", "--twist", "level:1"),
                          ("dualize", "--twist", "level:1", "--shift", unit_shift(128)),
-                         ("langlands",), ("extension", "--level", "1")))
+                         ("langlands",), ("extension", "--level", "1"))
+) + (("langlands", "--group", B32_C32_SQUARED),
+     ("twist", "--group", B32_C32_SQUARED, "--twist", "langlands"))
 CONTCHECK_ROWS = tuple(("contcheck", "--grid", grid, "--format", "json")
                        for grid in ("16384", "131072"))
 

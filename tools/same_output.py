@@ -16,11 +16,15 @@ HELP_ROWS (`--help`, `-h` and `VERB --help` for each of the seven verbs) and
 TORSION_ROWS (`twist --twist level:1` and `dualize --twist level:1` with a
 one-entry shift, text and JSON, on adjoint A1^3, D4, A2 x A2, A1 x A3 and
 B3 x C3, the D6 x D5 x A1 quotient and D4^8 / (Z/2)^3), bench_pr's
-RANK_128_ROWS (every verb on the five groups of total rank 128) and
+RANK_128_ROWS (every verb on the five groups of total rank 128, and
+`langlands` and `twist --twist langlands` on (B32 x C32)^2),
 LANGLANDS_ROWS (`langlands` in text and with `--expect match`, `twist
 --twist langlands` and `dualize --twist langlands` with a one-entry shift,
 on B_n x C_n and C_n x B_n for n = 3..6, simply connected and adjoint, E6 x
-G2, D4 x B2 x G2, SO(3), PSU(4) and adjoint D4), each distinct argv once.
+G2, D4 x B2 x G2, SO(3), PSU(4) and adjoint D4) and PAIRING_ROWS (the same
+four argv on B3 x C3 x B3 x C3, C3 x B3 x C3 x B3, B3 x B3 x C3 x C3 and
+B4 x C3 x C4 x B3, simply connected and adjoint, on the refusals C4 x B4 x
+C4 and B3 x A2 x C4, and on (B32 x C32)^2), each distinct argv once.
 Against a parent whose total-rank cap is 32, the RANK_128_ROWS differ by
 design: the parent exits 2 with one `error:` line where the change prints a
 report.
@@ -42,8 +46,9 @@ from pathlib import Path
 sys.path[:0] = [str(Path(__file__).resolve().parent),
                 str(Path(__file__).resolve().parents[1] / "perfbench")]
 
-from bench_pr import (CHANGE, CONTCHECK_ROWS, ENTRY, RANK_128_ROWS, RANK_CAP_ROWS,  # noqa: E402
-                      UNIT_SHIFT_32, ZERO_32, job_env, unit_shift)
+from bench_pr import (B32_C32_SQUARED, CHANGE, CONTCHECK_ROWS, ENTRY,  # noqa: E402
+                      RANK_128_ROWS, RANK_CAP_ROWS, UNIT_SHIFT_32, ZERO_32, job_env,
+                      unit_shift)
 from workloads import CLIFFS, WORKLOADS, digest_jobs, make_jobs  # noqa: E402
 
 SEEDS = range(1, 6)
@@ -174,12 +179,34 @@ LANGLANDS_GROUPS = (
     (product((("E", 6), ("G", 2))), 8), (product((("D", 4), ("B", 2), ("G", 2))), 8),
     ("SO(3)", 1), ("PSU(4)", 3), (product((("D", 4),), "adjoint"), 4),
 )
-LANGLANDS_ROWS = tuple(
-    (verb, "--group", g, *extra)
-    for g, n in LANGLANDS_GROUPS
-    for verb, *extra in (("langlands",), ("langlands", "--expect", "match"),
-                         ("twist", "--twist", "langlands"),
-                         ("dualize", "--twist", "langlands", "--shift", unit_shift(n))))
+# Products with several B_n x C_n pairs, in which `require_phi` pairs the
+# k-th B_n with the k-th C_n, simply connected and adjoint; two refusals,
+# where a C4 or a B3 has no partner; and (B32 x C32)^2 at total rank 128.
+PAIRING_GROUPS = (
+    *((product(factors, fg), sum(r for _, r in factors))
+      for factors in ((("B", 3), ("C", 3)) * 2, (("C", 3), ("B", 3)) * 2,
+                      (("B", 3),) * 2 + (("C", 3),) * 2,
+                      (("B", 4), ("C", 3), ("C", 4), ("B", 3)))
+      for fg in ("simply_connected", "adjoint")),
+    (product((("C", 4), ("B", 4), ("C", 4))), 12), (product((("B", 3), ("A", 2), ("C", 4))), 9),
+    (B32_C32_SQUARED, 128),
+)
+
+
+def langlands_rows(groups) -> tuple[tuple[str, ...], ...]:
+    """`langlands` in text and with `--expect match`, `twist --twist
+    langlands` and `dualize --twist langlands` with a one-entry shift, on
+    each (group, rank) of `groups`."""
+    return tuple(
+        (verb, "--group", g, *extra)
+        for g, n in groups
+        for verb, *extra in (("langlands",), ("langlands", "--expect", "match"),
+                             ("twist", "--twist", "langlands"),
+                             ("dualize", "--twist", "langlands", "--shift", unit_shift(n))))
+
+
+LANGLANDS_ROWS = langlands_rows(LANGLANDS_GROUPS)
+PAIRING_ROWS = langlands_rows(PAIRING_GROUPS)
 
 
 def all_argv() -> list[tuple[str, ...]]:
@@ -188,7 +215,7 @@ def all_argv() -> list[tuple[str, ...]]:
     rows = ([job.argv for job in jobs + list(CLIFFS)]
             + list(RANK_CAP_ROWS + CONTCHECK_ROWS + DOUBLE_DATUM_ROWS + QUOTIENT_ROWS
                    + SPEC_ROWS + CENTER_ROWS + LEVEL_ROWS + HELP_ROWS + TORSION_ROWS
-                   + RANK_128_ROWS + LANGLANDS_ROWS))
+                   + RANK_128_ROWS + LANGLANDS_ROWS + PAIRING_ROWS))
     return list(dict.fromkeys(map(tuple, rows)))
 
 
