@@ -24,12 +24,12 @@ cycle test and the boundary map are matrix algebra on u and X.  A
 quadratic polynomial in the weights is held as its symmetric matrix S (the
 polynomial w^T S w / 2), and the invariants as one block F_k per simple
 factor (`invariant_forms`), so the cycle test reads one coordinate per
-factor off S and nothing is indexed by the n(n+1)/2 monomials.  H^3 = K +
-sum of Z/d_i over the pairs i < j with d_i > 1 and its classes are read off
-the one Smith form U X V = diag(d) (see `_smith_frame`), so nothing is
-indexed by the n^2 tensor coordinates and no second normal form is taken.
-Free class coordinates are rotated left by the number of pairs, the order a
-former second Smith form gave them, so printed classes stay unchanged.
+factor off S and nothing is indexed by the n(n+1)/2 monomials.  A class
+prints as those coordinates c, c_k the multiple of factor k's form F_k (a
+level-K twist has c_k = 2K on every factor), and one torsion coordinate
+per pair i < j with d_i > 1, read off the one Smith form U X V = diag(d)
+(see `_smith_frame`), so nothing is indexed by the n^2 tensor coordinates
+and no second normal form is taken.
 
 Basis conventions are fixed once: the character lattice carries the basis
 dual to the integral lattice's preferred basis, and invariant coordinates
@@ -41,7 +41,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
-from operator import mul
 
 from .errors import DimensionMismatch, NotACycle
 from .rootdata import (
@@ -52,7 +51,7 @@ from .rootdata import (
     form_pairing,
     fundamental_group_of,
 )
-from .zlinalg import IntMatrix, block_diag, kernel_of_matrix, solve_columns
+from .zlinalg import IntMatrix, block_diag
 
 
 @lru_cache(maxsize=2)  # each entry holds an n x n M; a report evaluates u and the shifted u
@@ -125,55 +124,40 @@ H3Group = namedtuple("H3Group", "free_rank torsion")
 
 
 @lru_cache(maxsize=DATUM_CACHE)
-def _smith_frame(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple[int, int], ...],
-                                          IntMatrix]:
-    """(U, d, P, K): U X V = diag(d) is the Smith form of the character
-    basis (`character_smith`), P lists the pairs i < j with d_i > 1 (the
-    pairs with gcd(d_i, d_j) > 1, as d_i | d_j), and K is the Hermite basis
-    of the lattice of invariant coordinates c with T(c)_ii = 0 mod d_i.
-    d and K do not depend on which Smith basis U is taken; the torsion
-    coordinates N_ij are relative to U, and any Smith U gives an
-    isomorphic coordinate system.
+def _smith_frame(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """(U, d, P): U X V = diag(d) is the Smith form of the character basis
+    (`character_smith`), and P lists the pairs i < j with d_i > 1 (the pairs
+    with gcd(d_i, d_j) > 1, as d_i | d_j).  d does not depend on which Smith
+    basis U is taken; the torsion coordinates N_ij are relative to U, and
+    any Smith U gives an isomorphic coordinate system.
 
     Put N = U M U^T for M = X u^T.  The twist u = (X^-1 M)^T is integral
     exactly when row i of N is divisible by d_i, and a cycle exactly when
     N + N^T = U (2 S_c) U^T = 2T(c), S_c the symmetric matrix of the
-    invariant polynomial with coordinates c (S_c is the block sum of the
-    c_k F_k of `invariant_forms`).  So c and N_ij (i < j) fix N,
+    invariant polynomial with invariant coordinates c (S_c is the block sum
+    of the c_k F_k of `invariant_forms`).  So c and N_ij (i < j) fix N,
     subject to T(c)_ii = 0 mod d_i, N_ij = 0 mod d_i and 2T(c)_ij = N_ij
     mod d_j.  Row j of U, read as a coroot, pairs with every character into
     d_j Z (U X = D V^-1), so it is d_j times a coweight; and 2 S_c, a sum of
     forms 2G/g with g | G_aa = 2 eps_a, pairs coroots with coweights into
     Z.  So 2T(c)_ij = 0 mod d_j, and as d_i | d_j the pair congruences are
     N_ij = 0 mod d_j.  The boundaries are the N = D A D, A integral and
-    antisymmetric: N_ij in d_i d_j Z.  So the cycles modulo the boundaries
-    split as K + sum over P of d_j Z / d_i d_j Z, and pairs with d_i = 1
-    carry no class.  T(c)_ii = sum_k c_k (U_i|k F_k U_i|k^T) / 2, the
-    invariant polynomial's value on row i of U, U_i|k that row cut to block
-    k, gives one kernel row (with a slack column) per d_i > 1; c fixes the
-    slack, so the kernel's Hermite basis cut to c is K's.
+    antisymmetric: N_ij in d_i d_j Z, and c = 0.  So the cycles modulo the
+    boundaries split as the free lattice of the c with T(c)_ii = 0 mod d_i,
+    of finite index in Z^f, plus the sum over P of d_j Z / d_i d_j Z; pairs
+    with d_i = 1 carry no class.
     """
     U, d = character_smith(rd)
-    forms, torsion = invariant_forms(rd), [i for i in range(rd.rank) if d[i] > 1]
-    f = len(forms)
-
-    def value(i, lo, hi, fk):
-        w = U.row(i)[lo:hi]
-        return sum(map(mul, w, fk.apply(w))) // 2
-
-    rows = [[value(i, *form) for form in forms] + [d[i] if i == t else 0 for t in torsion]
-            for i in torsion]
-    ker = kernel_of_matrix(IntMatrix(rows, cols=f + len(torsion)))
-    pairs = tuple((i, j) for i in torsion for j in range(i + 1, rd.rank))
-    return U, d, pairs, IntMatrix.from_columns([c[:f] for c in ker.columns()], rows=f)
+    return U, d, tuple((i, j) for i in range(rd.rank) if d[i] > 1 for j in range(i + 1, rd.rank))
 
 
 def h3_group(rd: RootDatum) -> H3Group:
-    """H^3 of the group, K + sum over (i, j) in P of Z/d_i (see
-    `_smith_frame`), read off d: K, of finite index in Z^f, has rank f, the
-    number of simple factors; the torsion wedge^2 pi_1 is a divisor chain."""
-    return H3Group(len(rd.components), tuple(
-        x for i, x in enumerate(character_smith(rd)[1]) if x > 1 for _ in range(i + 1, rd.rank)))
+    """H^3 of the group, read off d (see `_smith_frame`): the free part, the
+    lattice of invariant coordinates c of cycles, has rank f, the number of
+    simple factors; the torsion, Z/d_i over (i, j) in P, is wedge^2 pi_1 as
+    a divisor chain."""
+    _, d, pairs = _smith_frame(rd)
+    return H3Group(len(rd.components), tuple(d[i] for i, _ in pairs))
 
 
 def chern_classes(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
@@ -184,18 +168,15 @@ def chern_classes(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
 
 
 def class_in_h3(rd: RootDatum, u: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(free, torsion) coordinates of [u] in H^3 = K + sum over P of Z/d_i
-    (see `_smith_frame`): the K coordinates of c, the invariant coordinates
-    of u, rotated left by |P| places (the order a former second Smith form
-    gave them), and N_ij / d_j mod d_i over (i, j) in P, N = U X u^T U^T.
-    The torsion coordinates are relative to the Smith basis U."""
+    """(free, torsion) coordinates of [u] in H^3 (see `_smith_frame`): the
+    invariant coordinates c of u, c_k the multiple of factor k's form F_k,
+    and N_ij / d_j mod d_i over (i, j) in P, N = U X u^T U^T.  The torsion
+    coordinates are relative to the Smith basis U."""
     m, c = require_cycle(rd, u)
-    U, d, pairs, free = _smith_frame(rd)
+    U, d, pairs = _smith_frame(rd)
     mt = m.transpose()
     nm = {i: U.apply(mt.apply(U.row(i))) for i in {i for i, _ in pairs}}  # P's rows of N
-    kc, f = solve_columns(free, IntMatrix.from_columns([c])).column(0), free.cols
-    return (tuple(kc[(len(pairs) + s) % f] for s in range(f)),
-            tuple(nm[i][j] // d[j] % d[i] for i, j in pairs))
+    return c, tuple(nm[i][j] // d[j] % d[i] for i, j in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@ The module provides:
   * IntMatrix       -- immutable arbitrary-precision integer matrices,
   * smith_normal_form (U and the diagonal d) / column_hermite_form --
     normal forms,
-  * kernel_of_matrix / solve_columns -- saturated kernels and integer
-    solves (sublattice membership).
+  * solve_columns -- integer solves (sublattice membership).
 
 A lattice is the IntMatrix whose columns are a basis of it.
 
@@ -18,8 +17,6 @@ One elimination core does only the work its callers read:
     a matrix, lets trailing entries ride along to record a transform, and
     leaves the entries above each pivot as they fall.  column_hermite_form,
     their one reader, reduces them afterwards and tracks no transform;
-    kernel_of_matrix tracks the column transform T and keeps the columns of
-    T whose image ends up zero, which span the saturated kernel;
     solve_columns keeps the echelon columns H = B T together with T.
   * smith_normal_form alternates `_echelon` on the rows of m, U riding
     along, and on its columns, tracking no V, until m is diagonal.  d is
@@ -226,15 +223,6 @@ def _echelon(rows: list[list[int]], width: int) -> list[int]:
     return pivots
 
 
-def _echelon_data(basis: IntMatrix):
-    """(rows, pivots, n, k) for the columns of an n x k matrix B: rows[j] is
-    the j-th echelon column h_j (`_echelon`, not reduced above its pivot)
-    followed by t_j with B t_j = h_j; the rows past the pivots have h_j = 0."""
-    n, k = basis.rows, basis.cols
-    rows = [list(col) + row for col, row in zip(basis.columns(), _identity_lists(k))]
-    return rows, _echelon(rows, n), n, k
-
-
 def _xgcd(x: int, y: int) -> tuple[int, int, int]:
     """(g, s, t) with g = gcd(x, y) = s x + t y, for x, y > 0."""
     s, s1, t, t1 = 1, 0, 0, 1
@@ -307,13 +295,17 @@ def solve_columns(basis: IntMatrix, targets: IntMatrix) -> IntMatrix | None:
     """Solve basis @ X = targets over the integers, or return None.
 
     Used for sublattice membership: the columns of `targets` lie in the
-    Z-span of the columns of `basis` exactly when a solution exists.  Each
-    target is reduced down the echelon columns of `_echelon_data(basis)`,
-    and the transform parts of the columns used add up to its solution.
+    Z-span of the columns of `basis` exactly when a solution exists.  The
+    columns of the n x k matrix `basis` are put in echelon form, each
+    followed by t_j with basis @ t_j = h_j riding along; each target is
+    reduced down the echelon columns h_j, and the t_j of the columns used
+    add up to its solution.
     """
     if basis.rows != targets.rows:
         raise DimensionMismatch("ambient dimensions differ")
-    rows, pivots, n, k = _echelon_data(basis)
+    n, k = basis.rows, basis.cols
+    rows = [list(col) + e for col, e in zip(basis.columns(), _identity_lists(k))]
+    pivots = _echelon(rows, n)
     out = []
     for y in map(list, targets.columns()):
         x = [0] * k
@@ -328,15 +320,3 @@ def solve_columns(basis: IntMatrix, targets: IntMatrix) -> IntMatrix | None:
             return None
         out.append(x)
     return IntMatrix.from_columns(out, k)
-
-
-def kernel_of_matrix(m: IntMatrix) -> IntMatrix:
-    """Columns spanning {x : m x = 0}; saturated, in canonical form.
-
-    The columns of m are put in echelon form with the column transform
-    riding along; the transform columns whose image ends up zero span the
-    kernel, saturated because the transform is unimodular.
-    """
-    rows, pivots, n, k = _echelon_data(m)
-    return column_hermite_form(IntMatrix.from_columns([row[n:] for row in rows[len(pivots):]], k))
-

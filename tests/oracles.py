@@ -20,16 +20,19 @@ from sympy import Matrix
 
 import tdual_lie
 from tdual_lie.errors import Unavailable
+from tdual_lie.flagcoh import invariant_forms
 from tdual_lie.rootdata import (
     _DUAL_SERIES,
     build,
     center_generators,
     character_basis,
+    character_smith,
     form_pairing,
     require_phi,
 )
 from tdual_lie.zlinalg import (
     IntMatrix,
+    _echelon,
     column_hermite_form,
     smith_normal_form,
     solve_columns,
@@ -53,6 +56,20 @@ def coords(basis: IntMatrix, vec) -> tuple[int, ...] | None:
     lattice: one column of `zlinalg.solve_columns`."""
     sol = solve_columns(basis, IntMatrix.from_columns([tuple(vec)], rows=basis.rows))
     return None if sol is None else sol.column(0)
+
+
+def kernel_of_matrix(m: IntMatrix) -> IntMatrix:
+    """Checks the ranks and lattices that `src/` reads in closed form (the
+    vanishing kernels behind `flagcoh.DUALIZABILITY_NOTES`, the invariants,
+    the free part of H^3): the saturated kernel {x : m x = 0}, in canonical
+    form.  The columns of m are put in echelon form (`zlinalg._echelon`)
+    with the column transform riding along; the transform columns whose
+    image ends up zero span the kernel, saturated because the transform is
+    unimodular."""
+    n, k = m.rows, m.cols
+    rows = [list(col) + [int(i == j) for i in range(k)] for j, col in enumerate(m.columns())]
+    pivots = _echelon(rows, n)
+    return column_hermite_form(IntMatrix.from_columns([row[n:] for row in rows[len(pivots):]], k))
 
 
 def clear_caches() -> None:
@@ -265,6 +282,36 @@ def invariant_coords(rd, u: IntMatrix) -> tuple[int, ...] | None:
     m = character_basis(rd) @ u.transpose()
     poly = [m[i, i] if i == j else m[i, j] + m[j, i] for i, j in pair_basis(rd.rank, strict=False)]
     return coords(sym_invariants(rd), poly)
+
+
+def free_lattice(rd) -> IntMatrix:
+    """Checks the free part of `flagcoh.class_in_h3`, which prints the
+    invariant coordinates c of a cycle: the Hermite basis of the lattice K
+    of the c that cycles reach, through one kernel with a slack column per
+    nontrivial Smith invariant.  K does not depend on which Smith basis U
+    (`rootdata.character_smith`, U X V = diag(d)) is taken.
+
+    With N = U X u^T U^T, a cycle has N + N^T = 2T(c), T(c) = U S_c U^T and
+    S_c the block sum of the c_k F_k of `flagcoh.invariant_forms`, and u is
+    integral exactly when row i of N is divisible by d_i.  The diagonal
+    N_ii = T(c)_ii then asks T(c)_ii = 0 mod d_i; every other entry can be
+    met (see `flagcoh._smith_frame`), so K is the set of c with T(c)_ii = 0
+    mod d_i.  T(c)_ii = sum_k c_k (U_i|k F_k U_i|k^T) / 2 is the invariant
+    polynomial's value on row i of U, U_i|k that row cut to block k, which
+    gives one kernel row (with a slack column) per d_i > 1; c fixes the
+    slack, so the kernel's Hermite basis cut to c is K's."""
+    U, d = character_smith(rd)
+    forms, torsion = invariant_forms(rd), [i for i in range(rd.rank) if d[i] > 1]
+    f = len(forms)
+
+    def value(i, lo, hi, fk):
+        w = U.row(i)[lo:hi]
+        return sum(x * y for x, y in zip(w, fk.apply(w))) // 2
+
+    rows = [[value(i, *form) for form in forms] + [d[i] if i == t else 0 for t in torsion]
+            for i in torsion]
+    ker = kernel_of_matrix(IntMatrix(rows, cols=f + len(torsion)))
+    return IntMatrix.from_columns([c[:f] for c in ker.columns()], rows=f)
 
 
 # -- reflections and Weyl groups ------------------------------------------------

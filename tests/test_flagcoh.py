@@ -15,7 +15,7 @@ from sympy import Matrix
 
 import tdual_lie
 from tdual_lie import rootdata, zlinalg
-from tdual_lie.cli import report_group, report_twist
+from tdual_lie.cli import report_group, report_twist, resolve_twist
 from tdual_lie.errors import NotACycle
 from tdual_lie.flagcoh import (
     DUALIZABILITY_NOTES,
@@ -44,7 +44,6 @@ from tdual_lie.zlinalg import (
     IntMatrix,
     column_hermite_form,
     hstack,
-    kernel_of_matrix,
     smith_normal_form,
     solve_columns,
 )
@@ -53,7 +52,9 @@ from oracles import (
     bareiss_det,
     clear_caches,
     coords,
+    free_lattice,
     invariant_coords,
+    kernel_of_matrix,
     orbit_by_reflection_matrices,
     pair_basis,
     reflection_matrix,
@@ -378,12 +379,13 @@ def check_h3_against_tensor_oracle(rd):
     """The oracle H^3 is the subquotient of the tensor cycles by the tensor
     boundaries.  It has the invariants of `h3_group`, `class_in_h3` vanishes
     on each oracle boundary generator, and the classes of the oracle cycle
-    basis generate `h3_group`.  So `class_in_h3` induces a surjection
-    between isomorphic finitely generated abelian groups, which is an
+    basis, their free parts c read in the basis of `oracles.free_lattice`,
+    generate `h3_group`.  So `class_in_h3` induces a surjection between
+    isomorphic finitely generated abelian groups, which is an
     isomorphism."""
     n = rd.rank
     d20, d21 = tensor_complex(rd)
-    g = h3_group(rd)
+    g, free = h3_group(rd), free_lattice(rd)
     cycles = oracle_cycles(rd, d21)
     oracle = subquotient(column_hermite_form(d20), cycles)
     assert (g.free_rank, g.torsion) == (oracle.free_rank, oracle.torsion), rd.label
@@ -391,6 +393,7 @@ def check_h3_against_tensor_oracle(rd):
     for c in d20.columns():
         assert class_in_h3(rd, as_twist(c, n)) == zero, rd.label
     classes = [class_in_h3(rd, as_twist(c, n)) for c in cycles.columns()]
+    classes = [(coords(free, c), t) for c, t in classes]
     assert generates(classes, g.free_rank, g.torsion), rd.label
 
 
@@ -408,67 +411,71 @@ def check_h3_against_tensor_oracle(rd):
 def test_h3_of_quotients_matches_tensor_oracle(comps, fundamental_group):
     """Products whose fundamental groups have several invariant factors,
     some of them distinct or above 2, which random draws reach only now and
-    then: against the tensor oracle and the (c, y) subquotient."""
+    then: against the tensor oracle and the (y, c) subquotient."""
     rd = build(comps, fundamental_group)
     rng = random.Random(len(comps) * 100 + rd.rank)
     check_h3_against_tensor_oracle(rd)
     check_h3_against_subquotient(rd, lambda k: [rng.randint(-3, 3) for _ in range(k)])
 
 
-# -- H^3 as cycles modulo boundaries in (c, y), the reference of the closed form
+# -- H^3 as cycles modulo boundaries in (y, c), the reference of the closed form
 
 
 def h3_by_subquotient(rd):
     """(H^3, its coordinates): H^3 as a subquotient in the coordinates
-    (c, y), c the invariant coordinates of a twist u and y_ij = N_ij for
-    the pairs i < j with gcd(d_i, d_j) > 1, N = U X u^T U^T, U X V =
-    diag(d).  Cycles are the (c, 0) with T(c)_ii = 0 mod d_i, T(c) = U S_c
-    U^T from the dense sum over all monomials, and the d_j e_ij; boundaries
-    are the d_i d_j e_ij.  A second Smith form, on f + |P| coordinates,
-    splits the quotient."""
+    (y, c), y_ij = N_ij for the pairs i < j with gcd(d_i, d_j) > 1, N = U X
+    u^T U^T, U X V = diag(d), and c the invariant coordinates of a twist u.
+    Cycles are the (0, c) with T(c)_ii = 0 mod d_i, T(c) = U S_c U^T from
+    the dense sum over all monomials, and the d_j e_ij; boundaries are the
+    d_i d_j e_ij.  A second Smith form, on |P| + f coordinates, splits the
+    quotient; with c last, its free coordinates are c's in the Hermite basis
+    of the lattice of those c."""
     n = rd.rank
     U, d = smith_normal_form(character_basis(rd))
     pairs = [(i, j) for i, j in pair_basis(n, strict=True) if gcd(d[i], d[j]) > 1]
     inv, mono = sym_invariants(rd), pair_basis(n, strict=False)
-    f, dim, torsion = inv.cols, inv.cols + len(pairs), [i for i in range(n) if d[i] > 1]
+    f, p, torsion = inv.cols, len(pairs), [i for i in range(n) if d[i] > 1]
     rows = [[sum(v * U[i, a] * U[i, b] for v, (a, b) in zip(poly, mono))
              for poly in inv.columns()] + [d[i] if i == t else 0 for t in torsion]
             for i in torsion]
     ker = kernel_of_matrix(IntMatrix(rows, cols=f + len(torsion)))
-    eye = IntMatrix.identity(dim).tolist()[f:]
-    cycles = [c[:f] + (0,) * len(pairs) for c in ker.columns()]
+    eye = IntMatrix.identity(p + f).tolist()[:p]
+    cycles = [(0,) * p + c[:f] for c in ker.columns()]
     cycles += [[d[j] * x for x in e] for e, (_, j) in zip(eye, pairs)]
     boundaries = [[d[i] * d[j] * x for x in e] for e, (i, j) in zip(eye, pairs)]
-    g = subquotient(IntMatrix.from_columns(boundaries, rows=dim),
+    g = subquotient(IntMatrix.from_columns(boundaries, rows=p + f),
                     column_hermite_form(IntMatrix.from_columns(cycles)))
 
     def class_of(u):
         nm = U @ character_basis(rd) @ u.transpose() @ U.transpose()
-        return subquotient_coords(g, invariant_coords(rd, u) + tuple(nm[i, j] for i, j in pairs))
+        return subquotient_coords(g, tuple(nm[i, j] for i, j in pairs) + invariant_coords(rd, u))
 
     return g, class_of
 
 
 def check_h3_against_subquotient(rd, draw_ints):
-    """`h3_group` and `class_in_h3` against the (c, y) subquotient: the same
+    """`h3_group` and `class_in_h3` against the (y, c) subquotient: the same
     invariants, and the same coordinates on random cycles, each a
-    combination of the tensor-oracle cycle basis plus a boundary.
-    `draw_ints(k)` gives k integers in [-3, 3]."""
+    combination of the tensor-oracle cycle basis plus a boundary, the free
+    part c read in the basis of `oracles.free_lattice`.  `draw_ints(k)`
+    gives k integers in [-3, 3]."""
     n = rd.rank
     g, class_of = h3_by_subquotient(rd)
+    free = free_lattice(rd)
     assert tuple(h3_group(rd)) == (g.free_rank, g.torsion), rd.label
     basis = oracle_cycles(rd, tensor_complex(rd)[1])
     for _ in range(3):
         s = draw_ints(n * n)
         u = (as_twist(basis.apply(draw_ints(basis.cols)), n)
              + boundary(rd, IntMatrix([s[k:k + n] for k in range(0, n * n, n)])))
-        assert class_in_h3(rd, u) == class_of(u), (rd.label, u)
+        c, torsion = class_in_h3(rd, u)
+        assert (coords(free, c), torsion) == class_of(u), (rd.label, u)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(root_data(), st.data())
 def test_h3_closed_form_matches_subquotient_route(rd, data):
-    """The closed form against the (c, y) subquotient on random root data and
+    """The closed form against the (y, c) subquotient on random root data and
     their Langlands duals (see check_h3_against_subquotient)."""
     def draw_ints(k):
         return data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
@@ -577,15 +584,65 @@ def test_h3_rank_counts_factors(rd):
 @given(root_data())
 def test_h3_group_matches_its_smith_frame(rd):
     """`h3_group`, read off the Smith diagonal d, against the route it
-    replaced, on random root data and their Langlands duals: its free rank
-    is the column count of K, the number of simple factors, its torsion is
-    d_i over P, and K, the kernel cut to the invariant coordinates, is its
-    own Hermite basis."""
+    replaced, on random root data and their Langlands duals: P holds the
+    pairs i < j with gcd(d_i, d_j) > 1, its free rank is the column count
+    of K (`oracles.free_lattice`), the number of simple factors, its
+    torsion is d_i over P, and K, the kernel cut to the invariant
+    coordinates, is its own Hermite basis."""
     for datum in (rd, langlands_dual(rd)):
-        _, d, pairs, free = _smith_frame(datum)
+        (_, d, pairs), free = _smith_frame(datum), free_lattice(datum)
+        assert pairs == tuple((i, j) for i, j in pair_basis(datum.rank, strict=True)
+                              if gcd(d[i], d[j]) > 1), datum.label
         assert tuple(h3_group(datum)) == (free.cols, tuple(d[i] for i, _ in pairs)), datum.label
         assert free.cols == len(datum.components), datum.label
         assert column_hermite_form(free) == free, datum.label
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(root_data(), st.integers(0, 3), st.data())
+def test_printed_free_part_is_the_invariant_coordinates(rd, level, data):
+    """The printed `h3_class` of `level:K` moved by a random boundary, on
+    random root data and their Langlands duals: its free part is
+    `_invariant_coords`' c, which is (2K, ..., 2K) and lies in
+    `oracles.free_lattice`; and a second cycle prints as its free part the
+    c of `_invariant_coords` and of the monomial route, and prints the same
+    class as the first exactly when the two differ by a boundary of the
+    tensor-complex oracle.  The second cycle adds to the first a
+    combination of the oracle's cycle basis, drawn once from the kernel of
+    the class map on that basis and once freely."""
+    for datum in (rd, langlands_dual(rd)):
+        n, f = datum.rank, len(datum.components)
+
+        def ints(k):
+            return data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+
+        def printed(u):
+            h3_class = report_twist(datum, u)["h3_class"]
+            return tuple(h3_class["free"]), tuple(h3_class["torsion"])
+
+        s = IntMatrix([ints(n) for _ in range(n)])
+        u = resolve_twist(datum, f"level:{level}") + boundary(datum, s)
+        free, torsion = printed(u)
+        assert free == _invariant_coords(datum, u)[1] == (2 * level,) * f, datum.label
+        assert coords(free_lattice(datum), free) is not None, datum.label
+
+        d20, d21 = tensor_complex(datum)
+        boundaries, cycles = column_hermite_form(d20), oracle_cycles(datum, d21)
+        classes = [class_in_h3(datum, as_twist(c, n)) for c in cycles.columns()]
+        _, d, pairs = _smith_frame(datum)
+        mods = [d[i] for i, _ in pairs]
+        rows = ([[c[k] for c, _ in classes] + [0] * len(mods) for k in range(f)]
+                + [[t[p] for _, t in classes] + [m if q == p else 0 for q, m in enumerate(mods)]
+                   for p in range(len(mods))])
+        ker = kernel_of_matrix(IntMatrix(rows, cols=cycles.cols + len(mods)))
+        zero_class = [x[:cycles.cols] for x in ker.columns()]
+        moves = [IntMatrix.from_columns(zero_class, rows=cycles.cols).apply(ints(len(zero_class))),
+                 ints(cycles.cols)]
+        for x in moves:
+            v = u + as_twist(cycles.apply(x), n)
+            assert printed(v)[0] == _invariant_coords(datum, v)[1] == invariant_coords(datum, v)
+            assert (printed(v) == (free, torsion)) == (
+                coords(boundaries, twist_coords(v - u)) is not None), (datum.label, x)
 
 
 def invariant_factors(orders) -> list[int]:
@@ -793,9 +850,9 @@ def test_class_in_h3_su2():
 
 
 @pytest.mark.parametrize("comps, fundamental_group, twist, expected", [
-    ([("A", 1), ("A", 1)], {"generators": [[1, 1]]}, None, ((2, 0), ())),  # SO(4); was (2, -2)
-    ([("A", 3), ("A", 1)], {"generators": [[2, 1]]}, None, ((2, 1), ())),  # was (3, 2)
-    ([("B", 3), ("C", 3)], "adjoint", None, ((1, 2), (0,))),
+    ([("A", 1), ("A", 1)], {"generators": [[1, 1]]}, None, ((2, 2), ())),  # SO(4)
+    ([("A", 3), ("A", 1)], {"generators": [[2, 1]]}, None, ((2, 2), ())),
+    ([("B", 3), ("C", 3)], "adjoint", None, ((2, 2), (0,))),
     ([("D", 4)], "adjoint", None, ((2,), (1,))),
     # A torsion coordinate mod 3 reads y = N_23 = -6, not N_32 = 6.
     ([("A", 2), ("A", 2)], "adjoint", [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]],
@@ -803,7 +860,8 @@ def test_class_in_h3_su2():
 ])
 def test_class_of_quotients(comps, fundamental_group, twist, expected):
     """Classes of non-simply-connected products, at `level:1` when no twist
-    is given, in the coordinates of `class_in_h3`."""
+    is given, in the coordinates of `class_in_h3`: c = (2, ..., 2) at
+    `level:1`."""
     rd = build(comps, fundamental_group)
     u = level_twist(rd, 1) if twist is None else IntMatrix(twist)
     assert class_in_h3(rd, u) == expected

@@ -111,10 +111,10 @@ UNBENCHED_DIGESTS = {
     ("extension", "--group", "SU(3)", "--b", '[[0,"1/3"],["2/3",0]]'):
         "862631d3ba9561c1e4e0270119da70ed7fcb46acf02286067eca0befc48abecb",
     # Quotients whose integral bases are built from the center's torsion
-    # lifts, and adjoint A1^n h3_class values, whose free coordinates are
-    # rotated left by the n(n-1)/2 torsion pairs: A1^3 free [1, 0, 3] and
-    # torsion [1, 0, 1], A1^2 free [2, 1], A1^4 free [3, 4, 1, 2] and torsion
-    # [1, 0, 0, 1, 0, 1].
+    # lifts, and adjoint A1^n h3_class values, whose free part is the twist's
+    # invariant coordinates c and whose torsion has one coordinate per pair:
+    # A1^3 free [2, 0, 6] and torsion [1, 0, 1], A1^2 free [2, 4], A1^4 free
+    # [2, 4, 6, 8] and torsion [1, 0, 0, 1, 0, 1].
     ("group", "--group",
      '{"components":[{"series":"D","rank":4}],"fundamental_group":{"generators":[[1,1]]}}'):
         "68be9dcd0c5980b8e290bf97516cc7b1b5b6bb0f1ce2ce036cbb716a6735daa2",
@@ -127,18 +127,18 @@ UNBENCHED_DIGESTS = {
      '"fundamental_group":"adjoint"}',
      "--twist", "[[1,1,0],[-1,0,1],[0,-1,3]]", "--shift", "[[0,1,1],[0,0,1],[0,0,0]]",
      "--format", "json"):
-        "60fc28ab04c97f6eafaf6c1f970aa2dea97b506a514c5afa419ae6b31a078eb1",
+        "b96e6be52f4e286a797a82a64cd93ff8d7cc47524472fe71f2123f03ef01de16",
     ("twist", "--group",
      '{"components":[{"series":"A","rank":1},{"series":"A","rank":1}],'
      '"fundamental_group":"adjoint"}',
      "--twist", "[[1,1],[-1,2]]", "--format", "json"):
-        "0fe95845801bc03d2f4ef7db7b55f6435e4403c41336a907c2419e6464aab011",
+        "c08930e6e19b1c3199d005d3abb64d935574f17ee65aa9dabd1787dded6b4e43",
     ("dualize", "--group",
      '{"components":[{"series":"A","rank":1},{"series":"A","rank":1},{"series":"A","rank":1},'
      '{"series":"A","rank":1}],"fundamental_group":"adjoint"}',
      "--twist", "[[1,1,0,0],[-1,2,1,0],[0,-1,3,1],[0,0,-1,4]]",
      "--shift", "[[0,1,0,2],[0,0,-1,0],[0,0,0,3],[0,0,0,0]]", "--format", "json"):
-        "70469a1723d6d1b55a0ea1d16660b674c43ad7433b81beb2dbcf0fe41f06377b",
+        "298601e227640d341bc48ee071935f4b6132bbfdfba29b5aa1a2639eb1733621",
     ("langlands", "--group", "B3"):
         "2f81bebc6f4bbef9e0488fb2efb1a22da38add80c93914a5280c83ef25372b13",
     ("contcheck", "--format", "json"):

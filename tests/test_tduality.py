@@ -34,6 +34,8 @@ from oracles import (
     bareiss_det,
     block_matching_phi,
     clear_caches,
+    coords,
+    free_lattice,
     root_data,
     standard_lattice,
     subquotient,
@@ -402,5 +404,7 @@ def test_langlands_roundtrip_lens():
     tw = langlands_twist(rd)
     data = dual_chern(rd, tw)
     assert subgroup_index(data["dual_chern_lattice"]) == 1  # full weight lattice: dual is SU(2)
+    # Its free part c = 2 generates the free lattice 2Z of SO(3)'s c.
     free, tors = class_in_h3(rd, tw)
-    assert [abs(x) for x in free] == [1] and tors == ()
+    assert free == (2,) and tors == ()
+    assert coords(free_lattice(rd), free) == (1,)

@@ -11,7 +11,6 @@ from tdual_lie.zlinalg import (
     IntMatrix,
     _echelon,
     column_hermite_form,
-    kernel_of_matrix,
     smith_normal_form,
     solve_columns,
 )
@@ -22,6 +21,7 @@ from oracles import (
     coords,
     count_cosets_brute_force,
     diagonal,
+    kernel_of_matrix,
     reduce_mod,
     square_power,
     standard_lattice,

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
-from tdual_lie.zlinalg import (IntMatrix, column_hermite_form, kernel_of_matrix,
-                              smith_normal_form, solve_columns)
+from tdual_lie.zlinalg import IntMatrix, column_hermite_form, smith_normal_form, solve_columns
 
-from oracles import (bareiss_det, coords, diagonal, reduce_mod, subquotient, subquotient_coords,
-                     to_sympy, unimodular)
+from oracles import (bareiss_det, coords, diagonal, kernel_of_matrix, reduce_mod, subquotient,
+                     subquotient_coords, to_sympy, unimodular)
 
 ORACLE = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 

@@ -15,8 +15,10 @@ in the metric's direction).
 Before the workloads, once per pair and in the same alternating order, both
 checkouts run `perfbench/cliffs.py`, the untimed report of the rows too slow
 for the workloads.  BENCH_<N>.json keeps each cliff row's wall_s, sha256 and
-layer split, and per row each side's median wall_s and the change's wins; a
-row whose stdout digest differs between the two checkouts stops the script.
+layer split, and per row each side's stdout digest, median wall_s and the
+change's wins.  A row whose argv or exit status differs between the two
+checkouts stops the script; rows whose stdout digests differ, as on a
+deliberate output change, are counted on stderr and keep both digests.
 
 Right after the cliffs, in the same order, both checkouts run each of
 RANK_CAP_ROWS once: `group`, `cohomology`, `twist level:1` and `dualize
@@ -50,7 +52,7 @@ they run each of CONTCHECK_ROWS once: `contcheck --grid 16384` and `--grid
 with only the checkout's `src` on its path.  BENCH_<N>.json keeps the same
 per-row figures as for the cliffs (no layer split), plus the child's
 `ru_maxrss` from `os.wait4` as maxrss_mb and each side's median of it; a
-digest difference stops the script in the same way.  maxrss_mb is floored
+difference is handled in the same way.  maxrss_mb is floored
 at this script's own RSS, since a child's high-water mark starts from the
 process it was forked from.
 
@@ -223,16 +225,17 @@ def summarize_startup(pairs: list[dict]) -> dict:
 
 def summarize_rows(pairs: list[dict]) -> dict:
     """Per cliff, rank-cap, rank-128 or contcheck row (its argv joined by spaces): the
-    digest both sides printed, each side's median wall_s (and maxrss_mb where
+    digest each side printed, each side's median wall_s (and maxrss_mb where
     the row has it) and the change's wins in wall_s."""
     out = {}
     for i, row in enumerate(pairs[0]["parent"]):
         walls = {side: [p[side][i]["wall_s"] for p in pairs] for side in ("parent", "change")}
         timed = all(w is not None for ws in walls.values() for w in ws)
         out[" ".join(row["argv"])] = summary = {
-            "sha256": row["sha256"], "pairs": len(pairs),
+            "pairs": len(pairs),
             "wins": sum(c < p for p, c in zip(walls["parent"], walls["change"])) if timed else None,
-            **{side: {"median_wall_s": statistics.median(ws) if timed else None}
+            **{side: {"sha256": pairs[0][side][i]["sha256"],
+                      "median_wall_s": statistics.median(ws) if timed else None}
                for side, ws in walls.items()}}
         if "maxrss_mb" in row:
             for side in ("parent", "change"):
@@ -280,16 +283,18 @@ def main(argv=None) -> int:
             "rank_cap": (functools.partial(run_rows, rows=RANK_CAP_ROWS), []),
             "rank_128": (functools.partial(run_rows, rows=RANK_128_ROWS), []),
             "contcheck": (functools.partial(run_rows, rows=CONTCHECK_ROWS), [])}
-    key = ("argv", "status", "sha256")
     startup = []
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for name, (runner, pairs) in rows.items():
             pair = {"first": order[0], **{side: runner(roots[side]) for side in order}}
-            differ = [" ".join(p["argv"]) for p, c in zip(pair["parent"], pair["change"])
-                      if [p.get(x) for x in key] != [c.get(x) for x in key]]
-            if differ or len(pair["parent"]) != len(pair["change"]):
-                raise SystemExit(f"bench_pr: {name} stdout digests differ in pair {k + 1}: {differ}")
+            both = list(zip(pair["parent"], pair["change"]))
+            if len(pair["parent"]) != len(pair["change"]) or any(
+                    (p["argv"], p["status"]) != (c["argv"], c["status"]) for p, c in both):
+                raise SystemExit(f"bench_pr: {name} argv or exit status differ in pair {k + 1}")
+            if differ := sum(p["sha256"] != c["sha256"] for p, c in both):
+                print(f"bench_pr: {name} stdout digests differ on {differ} rows in pair {k + 1}",
+                      file=sys.stderr)
             pairs.append(pair)
             print(f"bench_pr: {name} pair {k + 1}/{args.pairs} done", file=sys.stderr)
         startup.append({"first": order[0], **{side: run_startup(roots[side]) for side in order}})
