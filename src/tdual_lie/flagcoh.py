@@ -22,11 +22,11 @@ to weight coordinates.  With X the character basis (columns in weight
 coordinates, kept on the datum and read by `rootdata.character_basis`), the
 cycle test and the boundary map are matrix algebra on u and X.  A
 quadratic polynomial in the weights is held as its symmetric matrix S (the
-polynomial w^T S w / 2), and the invariants as one block F_k per simple
-factor (`invariant_forms`), so the cycle test reads one coordinate per
-factor off S and nothing is indexed by the n(n+1)/2 monomials.  A class
-prints as those coordinates c, c_k the multiple of factor k's form F_k (a
-level-K twist has c_k = 2K on every factor), and one torsion coordinate
+polynomial w^T S w / 2); the invariant with coordinates c, c_k times
+factor k's primitive basic form, is S = `form_pairing(rd, c, A)`, so the
+cycle test reads one coordinate per factor off S and nothing is indexed by
+the n(n+1)/2 monomials.  A class prints as those coordinates c (a level-K
+twist has c_k = 2K on every factor), and one torsion coordinate
 per pair i < j with d_i > 1, read off the one Smith form U X V = diag(d)
 (see `_smith_frame`), so nothing is indexed by the n^2 tensor coordinates
 and no second normal form is taken.
@@ -43,43 +43,48 @@ from collections.abc import Iterable
 from functools import lru_cache
 
 from .errors import DimensionMismatch, NotACycle
-from .rootdata import (
-    DATUM_CACHE,
-    RootDatum,
-    character_basis,
-    character_smith,
-    form_pairing,
-    fundamental_group_of,
-)
-from .zlinalg import IntMatrix, block_diag
+from .rootdata import (RootDatum, character_basis, character_smith, form_pairing,
+                       fundamental_group_of)
+from .zlinalg import IntMatrix
 
 
 @lru_cache(maxsize=2)  # each entry holds an n x n M; a report evaluates u and the shifted u
-def _invariant_coords(rd: RootDatum, u: IntMatrix) -> tuple[IntMatrix, tuple[int, ...] | None]:
+def invariant_coords(rd: RootDatum, u: IntMatrix) -> tuple[IntMatrix, tuple[int, ...] | None]:
     """M = X u^T for the twist u (integral-lattice coordinates to weight
-    coordinates), and the coordinates c of its quadratic polynomial (M_ii on
-    w_i^2, M_ij + M_ji on w_i w_j) over the `invariant_forms`, None when
-    that polynomial is not Weyl-invariant.  Its symmetric matrix S = M + M^T
-    must be the block sum of the c_k F_k; c_k is read off the first diagonal
-    entry of block k, and one comparison checks the rest.  Cached per twist."""
+    coordinates), and the invariant coordinates c of its quadratic
+    polynomial (M_ii on w_i^2, M_ij + M_ji on w_i w_j), None when that
+    polynomial is not Weyl-invariant.  Cached per twist; public, as it is
+    the cache a per-layer trace reads flagcoh's hit ratio off.
+
+    Over Q each simple factor has one invariant of degree 2, its basic form
+    (Bourbaki, Lie Groups ch. VI).  Weight coordinates read coroot
+    coordinates, so with G the level-1 `form_pairing` on A it is the
+    polynomial sum_i G_ii w_i^2 + sum_{i<j} 2 G_ij w_i w_j on its factor's
+    block.  Supports are disjoint, so the invariants are spanned, saturated,
+    by these polynomials each divided by the gcd of its coefficients, which
+    is 2 on every factor, Langlands duals included: a long simple coroot has
+    G_ii = 2, and every G_ii = 2 eps_i and 2 G_ij is even.  So u is a cycle
+    exactly when S = M + M^T is S_c = `form_pairing(rd, c, A)`: c_k is read
+    off S[lo, lo] = 2 eps_lo c_k, lo the first index of factor k, and one
+    comparison checks the rest."""
     n = rd.rank
     if u.rows != n or u.cols != n:
         raise DimensionMismatch(f"twist matrix must be {n}x{n} for {rd.label}")
     m = character_basis(rd) @ u.transpose()
-    s, forms = m + m.transpose(), invariant_forms(rd)
-    c = tuple(s[lo, lo] // f[0, 0] for lo, _, f in forms)
-    return m, c if s == block_diag([f.scale(k) for k, (_, _, f) in zip(c, forms)]) else None
+    s, eps = m + m.transpose(), rd.epsilons()
+    c = tuple(s[lo, lo] // (2 * eps[lo]) for lo, _, _, _ in rd.factor_ranges())
+    return m, c if s == form_pairing(rd, c, rd.cartan) else None
 
 
 def is_cycle(rd: RootDatum, u: IntMatrix) -> bool:
     """True when the twist u is a cycle: the second differential sends it to
     the quadratic polynomial of M = X u^T, which must be Weyl-invariant."""
-    return _invariant_coords(rd, u)[1] is not None
+    return invariant_coords(rd, u)[1] is not None
 
 
 def require_cycle(rd: RootDatum, u: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
-    """`_invariant_coords` of u, raising NotACycle when u is not a cycle."""
-    m, c = _invariant_coords(rd, u)
+    """`invariant_coords` of u, raising NotACycle when u is not a cycle."""
+    m, c = invariant_coords(rd, u)
     if c is None:
         raise NotACycle(f"twist is not a cycle for {rd.label}")
     return m, c
@@ -94,27 +99,6 @@ def boundary(rd: RootDatum, s: IntMatrix) -> IntMatrix:
     return character_basis(rd) @ (s - s.transpose())
 
 
-@lru_cache(maxsize=DATUM_CACHE)
-def invariant_forms(rd: RootDatum) -> tuple[tuple[int, int, IntMatrix], ...]:
-    """The Weyl invariants of sym^2 of the weight lattice, in closed form:
-    (lo, hi, F_k) for each simple factor, rows and columns lo..hi-1.
-
-    Over Q each simple factor has exactly one invariant of degree 2, its
-    basic form (Bourbaki, Lie Groups ch. VI).  The weight coordinates w_i
-    read coroot coordinates, so the level-1 form with Gram matrix G is the
-    polynomial sum_i G_ii w_i^2 + sum_{i<j} 2 G_ij w_i w_j, supported on its
-    factor's block G_k.  Supports are disjoint, so the invariants are
-    spanned, saturated, by these polynomials each divided by g_k, the gcd of
-    its coefficients.  That gcd is 2 on every classified factor and on its
-    Langlands dual: a long simple coroot has G_ii = 2, every G_ii = 2 eps_i
-    is even, and so is every 2 G_ij.  So F_k = 2 G_k / g_k, the symmetric
-    matrix of the k-th invariant (the polynomial is w^T F_k w / 2), is G_k.
-    """
-    g = form_pairing(rd, 1, rd.cartan)
-    return tuple((lo, hi, IntMatrix([[g[i, j] for j in range(lo, hi)] for i in range(lo, hi)]))
-                 for lo, hi, _, _ in rd.factor_ranges())
-
-
 # ---------------------------------------------------------------------------
 # Cohomology groups
 # ---------------------------------------------------------------------------
@@ -123,7 +107,6 @@ def invariant_forms(rd: RootDatum) -> tuple[tuple[int, int, IntMatrix], ...]:
 H3Group = namedtuple("H3Group", "free_rank torsion")
 
 
-@lru_cache(maxsize=DATUM_CACHE)
 def _smith_frame(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple[int, int], ...]]:
     """(U, d, P): U X V = diag(d) is the Smith form of the character basis
     (`character_smith`), and P lists the pairs i < j with d_i > 1 (the pairs
@@ -133,14 +116,15 @@ def _smith_frame(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple
 
     Put N = U M U^T for M = X u^T.  The twist u = (X^-1 M)^T is integral
     exactly when row i of N is divisible by d_i, and a cycle exactly when
-    N + N^T = U (2 S_c) U^T = 2T(c), S_c the symmetric matrix of the
-    invariant polynomial with invariant coordinates c (S_c is the block sum
-    of the c_k F_k of `invariant_forms`).  So c and N_ij (i < j) fix N,
-    subject to T(c)_ii = 0 mod d_i, N_ij = 0 mod d_i and 2T(c)_ij = N_ij
-    mod d_j.  Row j of U, read as a coroot, pairs with every character into
-    d_j Z (U X = D V^-1), so it is d_j times a coweight; and 2 S_c, a sum of
-    forms 2G/g with g | G_aa = 2 eps_a, pairs coroots with coweights into
-    Z.  So 2T(c)_ij = 0 mod d_j, and as d_i | d_j the pair congruences are
+    N + N^T = U S_c U^T for some c, S_c = `form_pairing(rd, c, A)` the
+    symmetric matrix of the invariant polynomial with invariant coordinates
+    c (see `invariant_coords`).  S_c has an even diagonal, so U S_c U^T =
+    2T(c) with T(c)_ii an integer.  So c and N_ij (i < j) fix N, subject to
+    T(c)_ii = 0 mod d_i, N_ij = 0 mod d_i and 2T(c)_ij = N_ij mod d_j.  Row
+    j of U, read as a coroot, pairs with every character into d_j Z (U X =
+    D V^-1), so it is d_j times a coweight; and S_c A^-1 = diag(c_a eps_a)
+    is integral, so S_c pairs coroots with coweights into Z.  So 2T(c)_ij =
+    0 mod d_j, and as d_i | d_j the pair congruences are
     N_ij = 0 mod d_j.  The boundaries are the N = D A D, A integral and
     antisymmetric: N_ij in d_i d_j Z, and c = 0.  So the cycles modulo the
     boundaries split as the free lattice of the c with T(c)_ii = 0 mod d_i,
@@ -169,9 +153,9 @@ def chern_classes(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
 
 def class_in_h3(rd: RootDatum, u: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(free, torsion) coordinates of [u] in H^3 (see `_smith_frame`): the
-    invariant coordinates c of u, c_k the multiple of factor k's form F_k,
-    and N_ij / d_j mod d_i over (i, j) in P, N = U X u^T U^T.  The torsion
-    coordinates are relative to the Smith basis U."""
+    invariant coordinates c of u, and N_ij / d_j mod d_i over (i, j) in P,
+    N = U X u^T U^T.  The torsion coordinates are relative to the Smith
+    basis U."""
     m, c = require_cycle(rd, u)
     U, d, pairs = _smith_frame(rd)
     mt = m.transpose()
@@ -222,7 +206,7 @@ def cohomology(rd: RootDatum) -> dict:
     off the Smith form behind `h3_group`.  The flag manifold has free
     cohomology concentrated in even degrees (Bott-Samelson), with H^2 the
     weights and H^4 sym^2 of the weights modulo the invariants.  Those are
-    saturated and of rank the number of simple factors (`invariant_forms`),
+    saturated and of rank the number of simple factors (`invariant_coords`),
     so the quotient is free of rank n(n+1)/2 minus that number, and
     `H4_B_torsion_discrepancy` is always false."""
     n, h3 = rd.rank, h3_group(rd)

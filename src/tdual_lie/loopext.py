@@ -21,7 +21,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, InvalidCommutator, RequiresExplicitB
-from .rootdata import DATUM_CACHE, RootDatum, character_basis, form_pairing, fundamental_group_of
+from .rootdata import DATUM_CACHE, RootDatum, character_basis, fundamental_group_of
+from .tduality import level_twist
 from .zlinalg import IntMatrix, solve_columns
 
 
@@ -63,11 +64,11 @@ class CommutatorMap:
 
 @lru_cache(maxsize=DATUM_CACHE)
 def _lattice_gram(rd: RootDatum) -> tuple[int, IntMatrix]:
-    """(N, Y) with X Y = N form_pairing(rd, 1, B), N the exponent of pi_1:
-    Y[j, k] = N <lambda_j, lambda_k> at level 1 on the integral basis B, the
-    one Gram matrix on the lattice (derived in `admissibility_check`)."""
+    """(N, Y) with X Y = N P = `level_twist(rd, N)`, P the level-1 form on
+    the integral basis B and N the exponent of pi_1: Y[j, k] = N <lambda_j, lambda_k>,
+    the one Gram matrix on the lattice (derived in `admissibility_check`)."""
     exponent = max(fundamental_group_of(rd), default=1)
-    return exponent, solve_columns(character_basis(rd), form_pairing(rd, exponent, rd.integral))
+    return exponent, solve_columns(character_basis(rd), level_twist(rd, exponent))
 
 
 def commutator_from_level(rd: RootDatum, level: int) -> CommutatorMap:
@@ -129,7 +130,7 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
         and every coroot H.
 
     With B the integral basis, X the character basis (B X^T = A, A the
-    Cartan matrix) and P = form_pairing(B), lambda_j is column j of
+    Cartan matrix) and P = level_twist(rd, level), lambda_j is column j of
     A X^-T in coroot coordinates, so the Gram matrix on Lambda is X^-1 P.
     With U X V = diag(d) the cached Smith form, X^-1 = V diag(d)^-1 U, so
     N X^-1 is integral for N the exponent of pi_1 = coker X^T (its largest
@@ -149,7 +150,7 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
     2 (x mod D_k) = D_k (<lambda_k, H_i> mod 2).  Violations are listed by
     basis vector, then by coroot in sorted coweight coordinates."""
     n = rd.rank
-    pairing = form_pairing(rd, level, rd.integral)
+    pairing = level_twist(rd, level)
     exponent, unit_gram = _lattice_gram(rd)
     gram = unit_gram.scale(level)
     integrality = [

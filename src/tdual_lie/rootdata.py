@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd, lcm
 
 from .errors import (
@@ -209,31 +209,33 @@ class RootDatum:
         Dynkin edge.  Squared lengths start at 6 in each factor, which keeps
         them integers (ratios within a factor are 1, 2 or 3 either way).
         """
-        a, out = self.cartan, []
+        rows, out = list(self.cartan), []
         for lo, hi, _, _ in self.factor_ranges():
             length, frontier = {lo: 6}, [lo]
             while frontier:
                 i = frontier.pop()
-                for j in range(lo, hi):
-                    if j not in length and a[i, j]:
-                        length[j] = length[i] * a[j, i] // a[i, j]
+                for j in compress(range(lo, hi), rows[i][lo:hi]):  # the Dynkin edges at i
+                    if j not in length:
+                        length[j] = length[i] * rows[j][i] // rows[i][j]
                         frontier.append(j)
             out += [max(length.values()) // length[i] for i in range(lo, hi)]
         return tuple(out)
 
 
-def form_pairing(rd: RootDatum, level: int, coweights: IntMatrix) -> IntMatrix:
-    """<H_i, v_k> under the basic form at `level`, for the simple coroots H_i
-    and the columns v_k of `coweights` (coweight coordinates).
+def form_pairing(rd: RootDatum, levels: Sequence[int], coweights: IntMatrix) -> IntMatrix:
+    """<H_i, v_k> under the basic form at `levels`, one integer of any sign
+    per simple factor, for the simple coroots H_i and the columns v_k of
+    `coweights` (coweight coordinates).
 
-    The Gram matrix on the simple coroots is G = level * diag(eps) * A and
-    they are the columns of A, so G A^{-1} = level * diag(eps): the pairing
-    is level * eps_i * v_k[i], an integer, and no inverse is taken.
+    The Gram matrix on the simple coroots is G = diag(l eps) A, l_i the
+    level of H_i's factor, and they are the columns of A, so G A^{-1} =
+    diag(l eps): the pairing is l_i eps_i v_k[i], an integer, and no
+    inverse is taken.
     """
-    if level < 0:
-        raise ValueError("level must be nonnegative")
     eps = rd.epsilons()
-    return IntMatrix([[level * eps[i] * x for x in coweights.row(i)] for i in range(rd.rank)],
+    scale = [k * e for (lo, hi, _, _), k in zip(rd.factor_ranges(), levels, strict=True)
+             for e in eps[lo:hi]]
+    return IntMatrix([[scale[i] * x for x in coweights.row(i)] for i in range(rd.rank)],
                      cols=coweights.cols)
 
 

@@ -32,7 +32,9 @@ TWIST_BASIS_CONVENTION = (
 def level_twist(rd: RootDatum, level: int) -> IntMatrix:
     """Twist induced by the invariant form: u = level * <., .> restricted to
     the integral lattice.  Always a cycle (the form is Weyl-invariant)."""
-    return form_pairing(rd, level, rd.integral)
+    if level < 0:
+        raise ValueError("level must be nonnegative")
+    return form_pairing(rd, (level,) * len(rd.components), rd.integral)
 
 
 def dual_chern(rd: RootDatum, u: IntMatrix) -> dict:

@@ -20,7 +20,6 @@ from sympy import Matrix
 
 import tdual_lie
 from tdual_lie.errors import Unavailable
-from tdual_lie.flagcoh import invariant_forms
 from tdual_lie.rootdata import (
     _DUAL_SERIES,
     build,
@@ -239,7 +238,7 @@ def pair_basis(n: int, strict: bool) -> list[tuple[int, int]]:
 
 
 def square_power(f: IntMatrix, strict: bool) -> IntMatrix:
-    """Checks `flagcoh.invariant_forms` (through the reflection kernel):
+    """Checks `invariant_forms` (through the reflection kernel):
     wedge^2 f (strict) or sym^2 f on the pair_basis monomials e_a e_b.
 
     The coefficient of e_a e_b (a < b) in f(e_i) f(e_j) is
@@ -252,20 +251,20 @@ def square_power(f: IntMatrix, strict: bool) -> IntMatrix:
 
 
 def sym2_matrix(f: IntMatrix) -> IntMatrix:
-    """Checks `flagcoh.invariant_forms` (through the reflection kernel):
+    """Checks `invariant_forms` (through the reflection kernel):
     sym^2 f on the pair_basis monomials."""
     return square_power(f, strict=False)
 
 
 def sym_invariants(rd) -> IntMatrix:
-    """Checks `flagcoh.invariant_forms`: the Weyl-invariant sublattice of
+    """Checks `invariant_forms`: the Weyl-invariant sublattice of
     sym^2 of the weights as a Hermite basis over all n(n+1)/2 monomials.
 
     The level-1 form with Gram matrix G is the polynomial sum_i G_ii w_i^2 +
     sum_{i<j} 2 G_ij w_i w_j, one per simple factor on its block; each is
     divided by the gcd of its entries and the lot put in Hermite form.
     """
-    g = form_pairing(rd, 1, rd.cartan)
+    g = form_pairing(rd, (1,) * len(rd.components), rd.cartan)
     mono = pair_basis(rd.rank, strict=False)
     gens = []
     for lo, hi, _, _ in rd.factor_ranges():
@@ -275,8 +274,30 @@ def sym_invariants(rd) -> IntMatrix:
     return column_hermite_form(IntMatrix.from_columns(gens))
 
 
+def invariant_forms(rd) -> tuple[tuple[int, int, IntMatrix], ...]:
+    """Checks the cycle test of `flagcoh.invariant_coords`, which compares S
+    with `form_pairing(rd, c, A)` in one piece: the Weyl invariants of sym^2
+    of the weight lattice as one block per simple factor, (lo, hi, F_k) with
+    rows and columns lo..hi-1.
+
+    Over Q each simple factor has exactly one invariant of degree 2, its
+    basic form (Bourbaki, Lie Groups ch. VI).  The weight coordinates w_i
+    read coroot coordinates, so the level-1 form with Gram matrix G is the
+    polynomial sum_i G_ii w_i^2 + sum_{i<j} 2 G_ij w_i w_j, supported on its
+    factor's block G_k.  Supports are disjoint, so the invariants are
+    spanned, saturated, by these polynomials each divided by g_k, the gcd of
+    its coefficients.  That gcd is 2 on every classified factor and on its
+    Langlands dual: a long simple coroot has G_ii = 2, every G_ii = 2 eps_i
+    is even, and so is every 2 G_ij.  So F_k = 2 G_k / g_k, the symmetric
+    matrix of the k-th invariant (the polynomial is w^T F_k w / 2), is G_k.
+    """
+    g = form_pairing(rd, (1,) * len(rd.components), rd.cartan)
+    return tuple((lo, hi, IntMatrix([[g[i, j] for j in range(lo, hi)] for i in range(lo, hi)]))
+                 for lo, hi, _, _ in rd.factor_ranges())
+
+
 def invariant_coords(rd, u: IntMatrix) -> tuple[int, ...] | None:
-    """Checks `flagcoh._invariant_coords`: the `sym_invariants` coordinates
+    """Checks `flagcoh.invariant_coords`: the `sym_invariants` coordinates
     of the quadratic polynomial of M = X u^T (M_ii on w_i^2, M_ij + M_ji on
     w_i w_j), by a solve over the monomials, or None when there are none."""
     m = character_basis(rd) @ u.transpose()
@@ -291,8 +312,8 @@ def free_lattice(rd) -> IntMatrix:
     nontrivial Smith invariant.  K does not depend on which Smith basis U
     (`rootdata.character_smith`, U X V = diag(d)) is taken.
 
-    With N = U X u^T U^T, a cycle has N + N^T = 2T(c), T(c) = U S_c U^T and
-    S_c the block sum of the c_k F_k of `flagcoh.invariant_forms`, and u is
+    With N = U X u^T U^T, a cycle has N + N^T = 2T(c), 2T(c) = U S_c U^T
+    and S_c the block sum of the c_k F_k of `invariant_forms`, and u is
     integral exactly when row i of N is divisible by d_i.  The diagonal
     N_ii = T(c)_ii then asks T(c)_ii = 0 mod d_i; every other entry can be
     met (see `flagcoh._smith_frame`), so K is the set of c with T(c)_ii = 0

@@ -683,7 +683,7 @@ def test_each_twist_evaluated_once(argv, evaluations):
     where it is built, is not evaluated again."""
     clear_caches()
     assert main(argv) == 0
-    assert flagcoh._invariant_coords.cache_info().misses == evaluations
+    assert flagcoh.invariant_coords.cache_info().misses == evaluations
 
 
 ELIMINATIONS = [

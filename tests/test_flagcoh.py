@@ -14,19 +14,17 @@ from hypothesis import strategies as st
 from sympy import Matrix
 
 import tdual_lie
-from tdual_lie import rootdata, zlinalg
+from tdual_lie import flagcoh, rootdata, zlinalg
 from tdual_lie.cli import report_group, report_twist, resolve_twist
 from tdual_lie.errors import NotACycle
 from tdual_lie.flagcoh import (
     DUALIZABILITY_NOTES,
-    _invariant_coords,
     _smith_frame,
     boundary,
     chern_classes,
     class_in_h3,
     cohomology,
     h3_group,
-    invariant_forms,
     is_cycle,
 )
 from tdual_lie.loopext import admissibility_check, commutator_from_matrix
@@ -42,6 +40,7 @@ from tdual_lie.rootdata import (
 from tdual_lie.tduality import level_twist, verify_langlands_tdual
 from tdual_lie.zlinalg import (
     IntMatrix,
+    block_diag,
     column_hermite_form,
     hstack,
     smith_normal_form,
@@ -54,6 +53,7 @@ from oracles import (
     coords,
     free_lattice,
     invariant_coords,
+    invariant_forms,
     kernel_of_matrix,
     orbit_by_reflection_matrices,
     pair_basis,
@@ -77,7 +77,7 @@ def _int_matrix(m: Matrix) -> IntMatrix:
 def level_twist_matrix(rd, level):
     """u(lam) = level * <lam, .> as a weight-coordinate matrix: G A^{-1} B,
     computed over the rationals (sympy), apart from the integer route."""
-    g = to_sympy(form_pairing(rd, level, rd.cartan))
+    g = to_sympy(form_pairing(rd, (level,) * len(rd.components), rd.cartan))
     return _int_matrix(g * to_sympy(rd.cartan).inv() * to_sympy(rd.integral))
 
 
@@ -150,9 +150,9 @@ def random_shift(rng, n, lo, hi) -> IntMatrix:
 def test_integer_form_route_matches_rationals(rd, level, data):
     """The integer route of the level twist, the character lattice and the
     admissibility form values against G, A^{-1} and B^{-1} over Q."""
-    n = rd.rank
+    n, n_factors = rd.rank, len(rd.components)
     a, b = to_sympy(rd.cartan), to_sympy(rd.integral)
-    g = to_sympy(form_pairing(rd, level, rd.cartan))
+    g = to_sympy(form_pairing(rd, (level,) * n_factors, rd.cartan))
     assert level_twist(rd, level) == level_twist_matrix(rd, level)
     assert character_basis(rd) == _int_matrix(a.T * b.inv().T)
     # <lambda_k, H> = (A^{-1} lambda_k)^T G (A^{-1} H) for every integral basis
@@ -160,7 +160,7 @@ def test_integer_form_route_matches_rationals(rd, level, data):
     coroots = orbit_by_reflection_matrices(rd.cartan.columns())
     h = Matrix([list(v) for v in coroots]).T
     want = (a.inv() * b).T * g * a.inv() * h
-    got = _int_matrix((a.inv() * h).T) @ form_pairing(rd, level, rd.integral)
+    got = _int_matrix((a.inv() * h).T) @ form_pairing(rd, (level,) * n_factors, rd.integral)
     assert got.transpose() == _int_matrix(want)
     # The whole report, against b(lambda_k, H) = [<lambda_k, H>/2] over Q at
     # the simple coroots, the only ones admissibility_check reads.
@@ -191,7 +191,7 @@ def test_integer_form_route_matches_rationals(rd, level, data):
 
 
 def monomial_columns(rd) -> IntMatrix:
-    """The `invariant_forms` blocks expanded to columns over the pair_basis
+    """The `oracles.invariant_forms` blocks expanded to columns over the pair_basis
     monomials: F_ii / 2 on w_i^2 and F_ij on w_i w_j (i < j)."""
     mono = pair_basis(rd.rank, strict=False)
     return IntMatrix.from_columns(
@@ -237,7 +237,8 @@ def test_sym_invariants_match_reflection_kernel(rd):
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(root_data())
 def test_classification_rules_match_their_old_routes(rd):
-    """`center`, `is_simply_laced` and `invariant_forms`, read off the
+    """`center`, `is_simply_laced` and `oracles.invariant_forms` (the closed
+    form `flagcoh.invariant_coords` compares with), read off the
     classification, against the routes they replaced, on random root data
     and their Langlands duals: the invariant factors >= 2 of the Smith form
     of A, every eps_i = 1, and 2 G_k / g_k, g_k the gcd of the coefficients
@@ -245,7 +246,7 @@ def test_classification_rules_match_their_old_routes(rd):
     for datum in (rd, langlands_dual(rd)):
         assert center(datum) == tuple(x for x in smith_normal_form(datum.cartan)[1] if x >= 2)
         assert datum.is_simply_laced() == all(e == 1 for e in datum.epsilons()), datum.label
-        g = form_pairing(datum, 1, datum.cartan)
+        g = form_pairing(datum, (1,) * len(datum.components), datum.cartan)
         for lo, hi, f in invariant_forms(datum):
             span = range(lo, hi)
             gk = gcd(*(g[i, j] if i == j else 2 * g[i, j] for i in span for j in span))
@@ -255,7 +256,7 @@ def test_classification_rules_match_their_old_routes(rd):
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(root_data(), st.integers(0, 4), st.data())
 def test_invariant_coords_match_lattice_route(rd, level, data):
-    """`_invariant_coords`, read off the factor blocks of S = M + M^T,
+    """`flagcoh.invariant_coords`, read off the factor blocks of S = M + M^T,
     against the coordinates in the monomial Hermite basis (or None), on
     level twists, level twists moved by boundaries and random matrices, on
     random root data and on their Langlands duals."""
@@ -269,7 +270,29 @@ def test_invariant_coords_match_lattice_route(rd, level, data):
             twists += [u + boundary(datum, s), IntMatrix(data.draw(st.lists(ints, min_size=n,
                                                                             max_size=n)))]
         for v in twists:
-            assert _invariant_coords(datum, v)[1] == invariant_coords(datum, v), (datum.label, v)
+            assert flagcoh.invariant_coords(datum, v)[1] == invariant_coords(datum, v), (datum.label, v)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(root_data(), st.data())
+def test_form_pairing_at_per_factor_levels(rd, data):
+    """`form_pairing` at per-factor levels k in [-3, 3]^f, mixed signs and
+    zeros included, on random root data and their Langlands duals: on the
+    integral basis it is a cycle whose `flagcoh.invariant_coords` are c = 2k, as
+    the monomial route (`oracles.invariant_coords`) reads them, and on the
+    simple coroots it is the block sum of the k_f F_f of
+    `oracles.invariant_forms`.  Each drawn k is also tried with the sign of
+    every other entry flipped, so most multi-factor draws mix signs."""
+    for datum in (rd, langlands_dual(rd)):
+        f = len(datum.components)
+        drawn = data.draw(st.lists(st.integers(-3, 3), min_size=f, max_size=f))
+        for k in (tuple(drawn), tuple(x if i % 2 else -x for i, x in enumerate(drawn))):
+            u = form_pairing(datum, k, datum.integral)
+            assert is_cycle(datum, u), (datum.label, k)
+            c = flagcoh.invariant_coords(datum, u)[1]
+            assert c == tuple(2 * x for x in k) == invariant_coords(datum, u), (datum.label, k)
+            blocks = block_diag([fk.scale(x) for x, (_, _, fk) in zip(k, invariant_forms(datum))])
+            assert form_pairing(datum, k, datum.cartan) == blocks, (datum.label, k)
 
 
 def test_twist_cache_stays_at_its_bound():
@@ -279,7 +302,7 @@ def test_twist_cache_stays_at_its_bound():
     clear_caches()
     for k in range(200):
         is_cycle(rd, level_twist(rd, k))
-    info = _invariant_coords.cache_info()
+    info = flagcoh.invariant_coords.cache_info()
     assert info.misses == 200
     assert info.currsize == info.maxsize == 2
 
@@ -298,7 +321,7 @@ def test_every_cache_with_arguments_is_bounded():
     """No cache keyed on its arguments grows with the number of distinct
     arguments a run passes."""
     caches = dict(_package_caches())
-    assert "flagcoh._smith_frame" in caches and "rootdata.character_basis" not in caches
+    assert "rootdata.character_smith" in caches and "rootdata.character_basis" not in caches
     assert [name for name, fn in caches.items() if fn.cache_info().maxsize is None] == []
 
 
@@ -316,7 +339,7 @@ def test_per_datum_caches_stay_at_their_bound():
         admissibility_check(rd, 1, commutator_from_matrix(rd, zero))
     for name, fn in _package_caches():
         info = fn.cache_info()
-        if name != "flagcoh._invariant_coords":
+        if name != "flagcoh.invariant_coords":
             assert info.maxsize == rootdata.DATUM_CACHE, name
         assert info.currsize == info.maxsize, (name, info)
 
@@ -603,9 +626,9 @@ def test_h3_group_matches_its_smith_frame(rd):
 def test_printed_free_part_is_the_invariant_coordinates(rd, level, data):
     """The printed `h3_class` of `level:K` moved by a random boundary, on
     random root data and their Langlands duals: its free part is
-    `_invariant_coords`' c, which is (2K, ..., 2K) and lies in
+    `flagcoh.invariant_coords`' c, which is (2K, ..., 2K) and lies in
     `oracles.free_lattice`; and a second cycle prints as its free part the
-    c of `_invariant_coords` and of the monomial route, and prints the same
+    c of `flagcoh.invariant_coords` and of the monomial route, and prints the same
     class as the first exactly when the two differ by a boundary of the
     tensor-complex oracle.  The second cycle adds to the first a
     combination of the oracle's cycle basis, drawn once from the kernel of
@@ -623,7 +646,7 @@ def test_printed_free_part_is_the_invariant_coordinates(rd, level, data):
         s = IntMatrix([ints(n) for _ in range(n)])
         u = resolve_twist(datum, f"level:{level}") + boundary(datum, s)
         free, torsion = printed(u)
-        assert free == _invariant_coords(datum, u)[1] == (2 * level,) * f, datum.label
+        assert free == flagcoh.invariant_coords(datum, u)[1] == (2 * level,) * f, datum.label
         assert coords(free_lattice(datum), free) is not None, datum.label
 
         d20, d21 = tensor_complex(datum)
@@ -640,7 +663,7 @@ def test_printed_free_part_is_the_invariant_coordinates(rd, level, data):
                  ints(cycles.cols)]
         for x in moves:
             v = u + as_twist(cycles.apply(x), n)
-            assert printed(v)[0] == _invariant_coords(datum, v)[1] == invariant_coords(datum, v)
+            assert printed(v)[0] == flagcoh.invariant_coords(datum, v)[1] == invariant_coords(datum, v)
             assert (printed(v) == (free, torsion)) == (
                 coords(boundaries, twist_coords(v - u)) is not None), (datum.label, x)
 
@@ -769,7 +792,7 @@ def test_h4_base_ranks_with_weyl_oracle():
 
 def test_h4_base_torsion_free_across_types():
     """sym^2(weights) / invariants has no torsion: the invariants of
-    `invariant_forms` are saturated, which the closed form of H^4 relies on."""
+    `oracles.invariant_forms` are saturated, which the closed form of H^4 relies on."""
     for name in ["SU(2)", "SO(3)", "SU(3)", "PSU(3)", "SU(4)", "B2", "C3", "G2"]:
         assert cohomology_by_subquotients(named_group(name))["H4_B"][1] == [], name
 

@@ -28,6 +28,7 @@ from tdual_lie.rootdata import (
     langlands_dual,
     named_group,
 )
+from tdual_lie.tduality import level_twist
 from tdual_lie.zlinalg import IntMatrix, solve_columns
 
 from oracles import bareiss_det, orbit_by_reflection_matrices, root_data, unimodular
@@ -54,7 +55,7 @@ def admissibility_by_fractions(rd, level, values):
     in the integral and coroot bases: the oracle for the integer route of
     `admissibility_check`."""
     n = rd.rank
-    pairing = form_pairing(rd, level, rd.integral)
+    pairing = form_pairing(rd, (level,) * len(rd.components), rd.integral)
     det = abs(bareiss_det(rd.cartan))
     gram = rd.integral.transpose() @ solve_columns(rd.cartan.transpose(), pairing.scale(det))
     integrality = [
@@ -90,7 +91,7 @@ def admissibility_on_every_coroot(rd, level, b, keep=lambda coroot: True):
     the solve against X: N <lambda_j, lambda_k> = (B^T Y)[j, k] with
     A^T Y = N P and N = |det A| = `prod(center(rd))`."""
     n = rd.rank
-    pairing = form_pairing(rd, level, rd.integral)
+    pairing = form_pairing(rd, (level,) * len(rd.components), rd.integral)
     det = prod(center(rd))
     gram = rd.integral.transpose() @ solve_columns(rd.cartan.transpose(), pairing.scale(det))
     integrality = [
@@ -345,11 +346,14 @@ def test_trivializable_matches_direct_test_randomized():
 
 
 def test_negative_level_refused():
-    """The level is read off the datum's one Gram matrix, scaled; a negative
-    level is refused as `form_pairing` refuses it."""
+    """The level is read off the datum's one Gram matrix, scaled; each entry
+    point that takes one level refuses a negative one, while `form_pairing`
+    takes per-factor levels of any sign (a cycle's invariant coordinates
+    can be negative)."""
     rd = named_group("SU(3)")
     for check in (lambda: commutator_from_level(rd, -1),
-                  lambda: admissibility_check(rd, -1, commutator_from_level(rd, 1))):
+                  lambda: admissibility_check(rd, -1, commutator_from_level(rd, 1)),
+                  lambda: level_twist(rd, -1)):
         with pytest.raises(ValueError, match="level must be nonnegative"):
             check()
 

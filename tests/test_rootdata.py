@@ -13,7 +13,6 @@ from tdual_lie.errors import (
     NotBetweenLattices,
     Unavailable,
 )
-from tdual_lie.flagcoh import _smith_frame
 from tdual_lie.rootdata import (
     RootDatum,
     _classified,
@@ -22,6 +21,7 @@ from tdual_lie.rootdata import (
     center,
     center_generators,
     character_basis,
+    character_smith,
     form_pairing,
     fundamental_group_of,
     langlands_dual,
@@ -232,17 +232,24 @@ def test_g2_long_short():
 
 def test_basic_form_examples():
     a1, a2, g2, b2 = map(named_group, ("A1", "A2", "G2", "B2"))
-    assert form_pairing(a1, 1, a1.cartan) == IntMatrix([[2]])
-    assert form_pairing(a2, 1, a2.cartan) == IntMatrix([[2, -1], [-1, 2]])
-    assert form_pairing(g2, 0, g2.cartan) == IntMatrix.zero(2, 2)
+    assert form_pairing(a1, (1,), a1.cartan) == IntMatrix([[2]])
+    assert form_pairing(a2, (1,), a2.cartan) == IntMatrix([[2, -1], [-1, 2]])
+    assert form_pairing(g2, (0,), g2.cartan) == IntMatrix.zero(2, 2)
     # Non-simply-laced normalization: long-root coroots keep norm 2.
-    assert form_pairing(b2, 1, b2.cartan) == IntMatrix([[2, -2], [-2, 4]])
+    assert form_pairing(b2, (1,), b2.cartan) == IntMatrix([[2, -2], [-2, 4]])
+    # One level per simple factor, no more and no fewer.
+    a1a2 = build([("A", 1), ("A", 2)])
+    assert form_pairing(a1a2, (3, -1), a1a2.cartan) == IntMatrix(
+        [[6, 0, 0], [0, -2, 1], [0, 1, -2]])
+    for levels in ((1,), (1, 1, 1)):
+        with pytest.raises(ValueError):
+            form_pairing(a1a2, levels, a1a2.cartan)
 
 
 def test_basic_form_weyl_invariant():
     for name in ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"]:
         rd = named_group(name)
-        g = form_pairing(rd, 1, rd.cartan)
+        g = form_pairing(rd, (1,) * len(rd.components), rd.cartan)
         for i in range(rd.rank):
             # Reflection on coroot coordinates: s(alpha_j) = alpha_j - a_ij alpha_i.
             n = rd.rank
@@ -268,7 +275,7 @@ def test_basic_form_symmetric_on_langlands_duals():
     # swap; the form must follow the matrix, not the series letter.
     for comps in ([("G", 2)], [("F", 4)], [("F", 4), ("G", 2)], [("B", 3), ("C", 3)]):
         dual = langlands_dual(build(comps))
-        g = form_pairing(dual, 1, dual.cartan)
+        g = form_pairing(dual, (1,) * len(dual.components), dual.cartan)
         assert g == g.transpose(), comps
     assert langlands_dual(named_group("G2")).epsilons() == (3, 1)
 
@@ -276,7 +283,7 @@ def test_basic_form_symmetric_on_langlands_duals():
 def test_basic_form_symmetric_positive():
     for name in ["B3", "C3", "F4", "G2", "E6"]:
         rd = named_group(name)
-        g = form_pairing(rd, 1, rd.cartan)
+        g = form_pairing(rd, (1,) * len(rd.components), rd.cartan)
         assert g == g.transpose()
         assert bareiss_det(g) > 0
 
@@ -601,10 +608,10 @@ def test_value_semantics():
     assert (repr(named_group("SU(2)"))
             == "RootDatum(components=(('A', 1),), cartan=IntMatrix([[2]]), "
                "integral=IntMatrix([[2]]), label='SU(2)')")
-    _smith_frame(named)
-    hits = _smith_frame.cache_info().hits
-    _smith_frame(built)
-    assert _smith_frame.cache_info().hits == hits + 1
+    character_smith(named)
+    hits = character_smith.cache_info().hits
+    character_smith(built)
+    assert character_smith.cache_info().hits == hits + 1
 
 
 def test_named_vs_json_style_build():

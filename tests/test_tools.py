@@ -34,3 +34,14 @@ def test_json_diff_needs_json_on_both_sides():
     payload = json.dumps({"reports": [{"torsion": [0]}]}).encode()
     assert same_output.json_diff(payload, payload.replace(b"0", b"1")) == ["reports.0.torsion"]
     assert same_output.json_diff(payload, b"# twist  [tdual-lie/1]\n") is None
+
+
+def test_text_diff_names_the_keys_of_differing_lines():
+    """A text stdout that is not JSON is compared line by line: each line
+    changed, added or dropped is named by its key, the part before ": "."""
+    old = (b"# twist  [tdual-lie/1]\n-- report 0 --\ngroup: SO(3)\n"
+           b"h3_class.free: [1]\nh3_class.torsion: []\ndualizable: True\n")
+    new = old.replace(b"free: [1]", b"free: [2]").replace(b"dualizable: True\n", b"") + b"end\n"
+    assert same_output.text_diff(old, new) == ["dualizable", "end", "h3_class.free"]
+    assert same_output.text_diff(old, old) == []
+    assert same_output.json_diff(old, new) is None

@@ -31,12 +31,15 @@ report.
 Every argv whose exit code, stdout sha256 or stderr differs is printed with
 both sides' stderr, and the script exits 1 if any does.  When both sides'
 stdout parse as JSON, the sorted key paths whose values differ
-(`reports.0.h3_class.torsion`) are printed too.
+(`reports.0.h3_class.torsion`) are printed too; otherwise the sorted keys of
+the text lines that differ (`h3_class.free`, the part of a line before
+": ").
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import json
 import subprocess
@@ -259,6 +262,17 @@ def json_diff(old: bytes, new: bytes) -> list[str] | None:
         return None
 
 
+def text_diff(old: bytes, new: bytes) -> list[str]:
+    """The sorted keys of the lines that differ between two text stdouts,
+    lines matched as `difflib` matches them: a key is the part of a line
+    before ": " (`h3_class.free`), or the whole line if it has none."""
+    a, b = (out.decode("utf-8", "replace").splitlines() for out in (old, new))
+    opcodes = difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
+    changed = [line for tag, i1, i2, j1, j2 in opcodes if tag != "equal"
+               for line in a[i1:i2] + b[j1:j2]]
+    return sorted({line.split(": ", 1)[0] for line in changed})
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -277,6 +291,9 @@ def main(argv=None) -> int:
             paths = json_diff(old[3], new[3]) if old[1] != new[1] else None
             if paths is not None:
                 print(f"  JSON paths: {', '.join(paths) or 'none, the parsed values are equal'}")
+            elif old[1] != new[1]:
+                keys = text_diff(old[3], new[3])
+                print(f"  text keys: {', '.join(keys) or 'none, the lines are equal'}")
         if k % 100 == 0:
             print(f"same_output: {k}/{len(rows)} argv run", file=sys.stderr)
     print(f"same_output: {len(rows)} argv, {differ} differ")
