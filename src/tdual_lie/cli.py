@@ -470,12 +470,9 @@ def run(config: SimpleNamespace) -> tuple[int, dict]:
     }
     code = 0
     if config.expect is not None:
-        test = _EXPECT_TESTS[config.expect]
-        if not all(test(r) for r in reports):
-            payload["expect"] = {"asserted": config.expect, "satisfied": False}
-            code = 1
-        else:
-            payload["expect"] = {"asserted": config.expect, "satisfied": True}
+        satisfied = all(map(_EXPECT_TESTS[config.expect], reports))
+        payload["expect"] = {"asserted": config.expect, "satisfied": satisfied}
+        code = int(not satisfied)
     return (2 if failed else code), payload
 
 

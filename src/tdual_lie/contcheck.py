@@ -29,6 +29,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, islice
 
 from .errors import InadmissibleCutoff
+from .zlinalg import IntMatrix
 
 DEFAULT_GRID = 8192
 MIN_GRID = 844  # every standard cutoff passes from here to 8192 (wiggle fails at 843)
@@ -211,8 +212,7 @@ class StructureConstants:
         self.denominator = den = 2 * n
         inv = [[2 * (min(a, b) + 1) * (r - max(a, b)) if a < r and b < r else n * (a == b)
                 for b in range(dim)] for a in range(dim)]
-        assert all(sum(g * i for g, i in zip(row, col)) == den * (a == b)
-                   for a, row in enumerate(self.gram) for b, col in enumerate(zip(*inv)))
+        assert IntMatrix(self.gram) @ IntMatrix(inv) == IntMatrix.identity(dim).scale(den)
         f: dict = defaultdict(int)
         for (a, b, e), val in self.c.items():
             for d in range(dim):

@@ -155,12 +155,16 @@ def class_in_h3(rd: RootDatum, u: IntMatrix) -> tuple[tuple[int, ...], tuple[int
     """(free, torsion) coordinates of [u] in H^3 (see `_smith_frame`): the
     invariant coordinates c of u, and N_ij / d_j mod d_i over (i, j) in P,
     N = U X u^T U^T.  The torsion coordinates are relative to the Smith
-    basis U."""
+    basis U.  P reads rows lo..n-2 of N, as d_i > 1 on a suffix of d; with
+    U_P those rows of U, they are the columns of U (U_P M)^T: two products
+    with U_P and U on the left, and N is never formed in full."""
     m, c = require_cycle(rd, u)
     U, d, pairs = _smith_frame(rd)
-    mt = m.transpose()
-    nm = {i: U.apply(mt.apply(U.row(i))) for i in {i for i, _ in pairs}}  # P's rows of N
-    return c, tuple(nm[i][j] // d[j] % d[i] for i, j in pairs)
+    if not pairs:
+        return c, ()
+    lo = pairs[0][0]
+    nt = U @ (IntMatrix(U.tolist()[lo:-1], cols=U.cols) @ m).transpose()
+    return c, tuple(nt[j, i - lo] // d[j] % d[i] for i, j in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -160,9 +160,9 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
     coroots = sorted(enumerate(rd.cartan.columns()), key=lambda col: col[1])
     scales = [lcm(*(q for _, q in row)) for row in b.values]
     scaled = IntMatrix([p * (d // q) for p, q in row] for d, row in zip(scales, b.values))
-    products = scaled @ character_basis(rd).transpose()
+    products = character_basis(rd) @ scaled.transpose()  # column k: scaled row k of b on the H_i
     half = []
-    for k, (d, xs, ws) in enumerate(zip(scales, products, pairing.transpose())):
+    for k, (d, xs, ws) in enumerate(zip(scales, products.columns(), pairing.columns())):
         for i, coroot in coroots:
             x, w = xs[i] % d, ws[i] % 2
             if 2 * x != d * w:

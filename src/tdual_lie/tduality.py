@@ -60,24 +60,12 @@ def shift_matrix(m: IntMatrix) -> IntMatrix:
 
 def bfield_shift(chat: tuple[tuple[int, ...], ...], shift: IntMatrix,
                  c: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Dual Chern classes after moving the reduction by the shift datum."""
-    n, b = len(chat), shift_matrix(shift)
-    if len(c) != n or b.rows != n:
-        raise DimensionMismatch("shift and Chern data sizes disagree")
-    dim = len(chat[0]) if n else 0
-    if any(len(v) != dim for v in c):
-        raise DimensionMismatch("Chern class vectors live in different spaces")
-    out = []
-    for k in range(n):
-        acc = list(chat[k])
-        for i in range(k):
-            for t in range(dim):
-                acc[t] += b[i, k] * c[i][t]
-        for j in range(k + 1, n):
-            for t in range(dim):
-                acc[t] -= b[k, j] * c[j][t]
-        out.append(tuple(acc))
-    return tuple(out)
+    """Dual Chern classes after moving the reduction by the shift datum:
+    chat_k' = chat_k + sum_i (B^T - B)_ki c_i, the module formula with the
+    vectors as rows.  Chern data of other sizes, or with ragged vectors,
+    raise DimensionMismatch."""
+    b = shift_matrix(shift)
+    return tuple(IntMatrix(chat) + (b.transpose() - b) @ IntMatrix(c))
 
 
 def reduction_torsor_shift(rd: RootDatum, u: IntMatrix, shift: IntMatrix) -> IntMatrix:

@@ -4,7 +4,8 @@ Everything here is plain Python integers, so intermediate entries may grow
 without bound (Smith normal form blows up fixed-width arithmetic quickly).
 The module provides:
 
-  * IntMatrix       -- immutable arbitrary-precision integer matrices,
+  * IntMatrix       -- immutable arbitrary-precision integer matrices, with
+    one product `@`, whose work follows its left factor's nonzeros,
   * smith_normal_form (U and the diagonal d) / column_hermite_form --
     normal forms,
   * solve_columns -- integer solves (sublattice membership).
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from itertools import chain
-from operator import mul
 
 from .errors import DimensionMismatch
 
@@ -122,12 +122,19 @@ class IntMatrix:
     # -- arithmetic ---------------------------------------------------------
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Row i of the product is the sum of the rows of `other` picked by
+        the nonzero entries of row i of self, each times its entry: the work
+        follows self's nonzeros, so the sparser factor goes on the left."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self._shape} by {other._shape}")
-        bt = other.columns()
-        return IntMatrix._of(
-            ([sum(map(mul, row, col)) for col in bt] for row in self._rows), other.cols
-        )
+        out = []
+        for row in self._rows:
+            acc = [0] * other.cols
+            for a, picked in zip(row, other._rows):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, picked)]
+            out.append(acc)
+        return IntMatrix._of(out, other.cols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self._shape != other._shape:
@@ -148,11 +155,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix._of(self.columns(), self.rows)
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length does not match column count")
-        return tuple(sum(map(mul, row, vec)) for row in self._rows)
 
 
 def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:

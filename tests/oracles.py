@@ -2,7 +2,7 @@
 
 Each oracle recomputes by a second, independent route something `src/`
 reads in closed form, and its docstring opens by naming that route; the
-few helpers (`to_sympy`, `coords`, `diagonal`, `standard_lattice`,
+few helpers (`to_sympy`, `mat_vec`, `coords`, `diagonal`, `standard_lattice`,
 `clear_caches`, `find_phi`, `_block`) say what they build or do.  Lattices
 are their basis matrices (columns independent over Q), as in the package.
 The module is not collected: it defines no tests, and no test module
@@ -48,6 +48,11 @@ def diagonal(d, rows: int, cols: int) -> IntMatrix:
     diag(d) of a Smith form (U, d) of a rows x cols matrix."""
     return IntMatrix([[d[i] if i == j else 0 for j in range(cols)] for i in range(rows)],
                      cols=cols)
+
+
+def mat_vec(m: IntMatrix, vec) -> tuple[int, ...]:
+    """m times the vector vec: `@` on vec as a one-column matrix."""
+    return (m @ IntMatrix.from_columns([tuple(vec)])).column(0)
 
 
 def coords(basis: IntMatrix, vec) -> tuple[int, ...] | None:
@@ -196,7 +201,7 @@ class FgAbGroup:
         units = IntMatrix.from_columns(
             [[int(i == j) for i in range(n)] for j in range(n) if self._diag[j] >= 2], rows=n)
         xs = solve_columns(self._row_transform, units)
-        return [reduce_mod(self._inner, self._outer.apply(x)) for x in xs.columns()]
+        return [reduce_mod(self._inner, x) for x in (self._outer @ xs).columns()]
 
 
 def subquotient(inner: IntMatrix, outer: IntMatrix) -> FgAbGroup:
@@ -220,7 +225,7 @@ def subquotient_coords(g: FgAbGroup, vec) -> tuple[tuple[int, ...], tuple[int, .
     class of an ambient vector in the subquotient g, its outer-basis
     coordinates through g's Smith row transform, free where the Smith
     diagonal is 0 and reduced mod each diagonal entry >= 2 elsewhere."""
-    cc = g._row_transform.apply(coords(g._outer, vec))
+    cc = mat_vec(g._row_transform, coords(g._outer, vec))
     rank = sum(1 for d in g._diag if d)
     return tuple(cc[rank:]), tuple(x % d for x, d in zip(cc, g._diag) if d >= 2)
 
@@ -326,8 +331,8 @@ def free_lattice(rd) -> IntMatrix:
     f = len(forms)
 
     def value(i, lo, hi, fk):
-        w = U.row(i)[lo:hi]
-        return sum(x * y for x, y in zip(w, fk.apply(w))) // 2
+        w = IntMatrix([U.row(i)[lo:hi]])
+        return (w @ fk @ w.transpose())[0, 0] // 2
 
     rows = [[value(i, *form) for form in forms] + [d[i] if i == t else 0 for t in torsion]
             for i in torsion]
@@ -358,7 +363,8 @@ def orbit_by_reflection_matrices(simple):
     seen = set(simple)
     frontier = list(seen)
     while frontier:
-        new = {s.apply(v) for v in frontier for s in reflections} - seen
+        vs = IntMatrix.from_columns(frontier)
+        new = {v for s in reflections for v in (s @ vs).columns()} - seen
         seen |= new
         frontier = list(new)
     return tuple(sorted(seen))

@@ -55,6 +55,7 @@ from oracles import (
     invariant_coords,
     invariant_forms,
     kernel_of_matrix,
+    mat_vec,
     orbit_by_reflection_matrices,
     pair_basis,
     reflection_matrix,
@@ -126,11 +127,11 @@ def as_twist(c, n: int) -> IntMatrix:
 
 def boundary_of(d20: IntMatrix, n: int, wedge_coeffs) -> IntMatrix:
     """Twist matrix of the boundary of an element of wedge^2(chars)."""
-    return as_twist(d20.apply(tuple(wedge_coeffs)), n)
+    return as_twist(mat_vec(d20, wedge_coeffs), n)
 
 
 def oracle_is_cycle(rd, d21: IntMatrix, u: IntMatrix) -> bool:
-    return coords(sym_invariants(rd), d21.apply(twist_coords(u))) is not None
+    return coords(sym_invariants(rd), mat_vec(d21, twist_coords(u))) is not None
 
 
 def oracle_cycles(rd, d21: IntMatrix) -> IntMatrix:
@@ -217,9 +218,9 @@ def test_sym_invariants_a1_generator():
 
 def test_sym_invariants_a2_generator_invariant():
     rd = named_group("A2")
-    gen = monomial_columns(rd).column(0)
+    gen = IntMatrix.from_columns([monomial_columns(rd).column(0)])
     for i in range(2):
-        assert sym2_matrix(reflection_matrix(rd.cartan.row(i), i)).apply(gen) == gen
+        assert sym2_matrix(reflection_matrix(rd.cartan.row(i), i)) @ gen == gen
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -489,7 +490,7 @@ def check_h3_against_subquotient(rd, draw_ints):
     basis = oracle_cycles(rd, tensor_complex(rd)[1])
     for _ in range(3):
         s = draw_ints(n * n)
-        u = (as_twist(basis.apply(draw_ints(basis.cols)), n)
+        u = (as_twist(mat_vec(basis, draw_ints(basis.cols)), n)
              + boundary(rd, IntMatrix([s[k:k + n] for k in range(0, n * n, n)])))
         c, torsion = class_in_h3(rd, u)
         assert (coords(free, c), torsion) == class_of(u), (rd.label, u)
@@ -507,29 +508,48 @@ def test_h3_closed_form_matches_subquotient_route(rd, data):
         check_h3_against_subquotient(datum, draw_ints)
 
 
-def test_class_in_h3_forms_n_on_the_torsion_rows_only(monkeypatch):
-    """Past its Smith frame, `class_in_h3` multiplies one n x n pair,
-    M = X u^T, and forms row i of N = U M U^T, two matrix-vector products,
-    for each row i that P reads: none on simply connected SU(4), rows 0-2
-    on adjoint A1^4 (d = 2, 2, 2, 2)."""
-    calls = []
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(root_data(), st.integers(0, 3), st.data())
+def test_class_in_h3_torsion_reads_n_in_full(rd, level, data):
+    """The torsion coordinates of `class_in_h3`, formed on P's rows of N
+    alone, against N = U X u^T U^T formed in full, for u a level twist
+    moved by a random boundary: on random root data, quotients included,
+    their Langlands duals, and the adjoint quotient of each datum's square,
+    whose pi_1, the center squared, has two invariant factors for each one
+    of the center, so that P has rows whenever the center is nontrivial."""
+    for datum in (rd, langlands_dual(rd), build(rd.components * 2, "adjoint")):
+        n = datum.rank
+        s = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+        u = level_twist(datum, level) + boundary(datum, IntMatrix(s))
+        U, d, pairs = _smith_frame(datum)
+        nm = U @ character_basis(datum) @ u.transpose() @ U.transpose()
+        expected = tuple(nm[i, j] // d[j] % d[i] for i, j in pairs)
+        assert class_in_h3(datum, u)[1] == expected, (datum.label, u)
 
-    def counted(name, method):
-        def call(a, b):
-            calls.append((name, a.rows, a.cols, b.rows if name == "@" else len(b)))
-            return method(a, b)
-        return call
+
+def test_class_in_h3_forms_n_on_the_torsion_rows_only(monkeypatch):
+    """Past its Smith frame, `class_in_h3` multiplies one n x n pair, M =
+    X u^T, and then, for the k rows of N = U M U^T that P reads, U_P M
+    (k x n by n x n) and U (U_P M)^T (n x n by n x k): none on simply
+    connected SU(4), k = 3 on adjoint A1^4 (d = 2, 2, 2, 2).  Forming N in
+    full would take more n x n products."""
+    shapes, matmul = [], IntMatrix.__matmul__
+
+    def counted(a, b):
+        shapes.append((a.rows, a.cols, b.rows, b.cols))
+        return matmul(a, b)
 
     for rd, rows in ((named_group("SU(4)"), 0), (build([("A", 1)] * 4, "adjoint"), 3)):
         u, n = level_twist(rd, 1), rd.rank
         clear_caches()
         _smith_frame(rd)
-        calls.clear()
-        monkeypatch.setattr(IntMatrix, "__matmul__", counted("@", IntMatrix.__matmul__))
-        monkeypatch.setattr(IntMatrix, "apply", counted("apply", IntMatrix.apply))
+        shapes.clear()
+        monkeypatch.setattr(IntMatrix, "__matmul__", counted)
         _, torsion = class_in_h3(rd, u)
         monkeypatch.undo()
-        assert calls == [("@", n, n, n)] + [("apply", n, n, n)] * 2 * rows, rd.label
+        products = [(rows, n, n, n), (n, n, n, rows)] if rows else []
+        assert shapes == [(n, n, n, n)] + products, rd.label
         assert len(torsion) == len(_smith_frame(rd)[2]) == rows * (rows + 1) // 2
 
 
@@ -659,10 +679,10 @@ def test_printed_free_part_is_the_invariant_coordinates(rd, level, data):
                    for p in range(len(mods))])
         ker = kernel_of_matrix(IntMatrix(rows, cols=cycles.cols + len(mods)))
         zero_class = [x[:cycles.cols] for x in ker.columns()]
-        moves = [IntMatrix.from_columns(zero_class, rows=cycles.cols).apply(ints(len(zero_class))),
+        moves = [mat_vec(IntMatrix.from_columns(zero_class, rows=cycles.cols), ints(len(zero_class))),
                  ints(cycles.cols)]
         for x in moves:
-            v = u + as_twist(cycles.apply(x), n)
+            v = u + as_twist(mat_vec(cycles, x), n)
             assert printed(v)[0] == flagcoh.invariant_coords(datum, v)[1] == invariant_coords(datum, v)
             assert (printed(v) == (free, torsion)) == (
                 coords(boundaries, twist_coords(v - u)) is not None), (datum.label, x)

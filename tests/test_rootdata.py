@@ -219,7 +219,8 @@ def test_g2_long_short():
     def orbit(root):
         seen, frontier = {root}, [root]
         while frontier:
-            new = {s.apply(v) for v in frontier for s in reflections} - seen
+            vs = IntMatrix.from_columns(frontier)
+            new = {v for s in reflections for v in (s @ vs).columns()} - seen
             seen |= new
             frontier = list(new)
         return seen

@@ -178,7 +178,9 @@ def test_reduction_torsor_shift_zero():
 
 def test_shift_matrix_checks():
     """A shift is square and strictly upper triangular; both functions that
-    take one check it."""
+    take one check it.  `bfield_shift` also refuses Chern data of another
+    size, and ragged Chern data, with the shortest or the longest vector
+    last, rather than index past it or leave a coordinate unshifted."""
     ok = IntMatrix([[0, 1], [0, 0]])
     assert shift_matrix(ok) is ok
     rd, c = named_group("SU(3)"), ((1, 0), (0, 1))
@@ -191,6 +193,11 @@ def test_shift_matrix_checks():
                      lambda: reduction_torsor_shift(rd, level_twist(rd, 1), bad)):
             with pytest.raises(DimensionMismatch, match=f"^{message}$"):
                 call()
+    for chat, message in ((((1, 0),), "shape mismatch in addition"),
+                          (((1, 2), (3,)), "ragged rows in matrix"),
+                          (((1, 2), (3, 4, 5)), "ragged rows in matrix")):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            bfield_shift(chat, ok, c)
 
 
 def test_reduction_torsor_group_is_free_of_wedge2_rank():

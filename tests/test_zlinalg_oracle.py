@@ -2,7 +2,8 @@
 
 Matrices are at most 8x8 with entries up to 50 in absolute value; half of
 them are products through a narrower middle dimension so that rank-deficient
-cases, nonzero kernels and torsion come up often.
+cases, nonzero kernels and torsion come up often.  The product is checked
+on its own shapes, empty ones included, with entries past 64 bits.
 """
 
 from hypothesis import given, settings
@@ -124,6 +125,29 @@ def test_solve_columns_membership(basis, data):
     assert (sol is not None) == (same_rank and same_index)
     if sol is not None:
         assert basis @ sol == target
+
+
+@st.composite
+def sparse_matrices(draw, rows, cols):
+    """A rows x cols matrix whose entries are zero but for a drawn share,
+    from none to all of them, the others up to 2^70 in absolute value."""
+    share = draw(st.integers(0, 4))
+    entry = st.integers(-2**70, 2**70)
+    return IntMatrix([[draw(entry) if draw(st.integers(1, 4)) <= share else 0
+                       for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+@ORACLE
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.data())
+def test_product_matches_sympy(rows, mid, cols, data):
+    """`@`, which adds up the rows its left factor's nonzeros pick, against
+    sympy's dense product: empty shapes, all-zero to dense factors, and
+    entries past 64 bits."""
+    a = data.draw(sparse_matrices(rows, mid))
+    b = data.draw(sparse_matrices(mid, cols))
+    prod = a @ b
+    assert (prod.rows, prod.cols) == (rows, cols)
+    assert to_sympy(prod) == to_sympy(a) * to_sympy(b)
 
 
 def _product(xs):

@@ -14,8 +14,10 @@ simply connected and adjoint), LEVEL_ROWS (`extension --level 1..3`, text
 and JSON, on Spin(5), Sp(3), Spin(7), G2, F4, B3 x C3 and Sp(32)),
 HELP_ROWS (`--help`, `-h` and `VERB --help` for each of the seven verbs) and
 TORSION_ROWS (`twist --twist level:1` and `dualize --twist level:1` with a
-one-entry shift, text and JSON, on adjoint A1^3, D4, A2 x A2, A1 x A3 and
-B3 x C3, the D6 x D5 x A1 quotient and D4^8 / (Z/2)^3), bench_pr's
+one-entry shift, text and JSON, on adjoint A1^3, D4, A2 x A2, A1 x A3,
+B3 x C3 and D4^32, the D6 x D5 x A1 quotient, D4^8 / (Z/2)^3 and A1^128
+modulo 60 fixed Z/2 generators; D4^32 and the A1^128 quotient have total
+rank 128 and a Smith basis U that is not the identity), bench_pr's
 RANK_128_ROWS (every verb on the five groups of total rank 128, and
 `langlands` and `twist --twist langlands` on (B32 x C32)^2),
 LANGLANDS_ROWS (`langlands` in text and with `--expect match`, `twist
@@ -42,6 +44,7 @@ import argparse
 import difflib
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -150,6 +153,14 @@ LEVEL_ROWS = tuple(
     for k in (1, 2, 3) for fmt in ((), ("--format", "json")))
 HELP_ROWS = (("--help",), ("-h",), *((verb, "--help") for verb in (
     "group", "cohomology", "twist", "dualize", "langlands", "extension", "contcheck")))
+# At total rank 128, adjoint A1^128 has U = I, so two more groups read their
+# torsion rows through a U that is not the identity: adjoint D4^32, and
+# A1^128 modulo 60 Z/2 generators, drawn once from a fixed seed (random()
+# keeps its sequence across Python versions), which make U about half
+# nonzero.
+_DRAW = random.Random(128)
+A1_128_QUOTIENT = spec([("A", 1)] * 128,
+                       [[int(_DRAW.random() < 0.5) for _ in range(128)] for _ in range(60)])
 # Groups whose pi_1 has two or more nontrivial invariant factors, so that
 # `h3_class.torsion` is printed in coordinates relative to the Smith basis U
 # of the character basis: any Smith U gives an isomorphic coordinate system,
@@ -157,9 +168,10 @@ HELP_ROWS = (("--help",), ("-h",), *((verb, "--help") for verb in (
 TORSION_GROUPS = (
     *(product(factors, "adjoint")
       for factors in ((("A", 1),) * 3, (("D", 4),), (("A", 2), ("A", 2)),
-                      (("A", 1), ("A", 3)), (("B", 3), ("C", 3)))),
+                      (("A", 1), ("A", 3)), (("B", 3), ("C", 3)), (("D", 4),) * 32)),
     TABLE_QUOTIENTS[-1],  # D6 x D5 x A1 by two generators
     D4_8_QUOTIENT,
+    A1_128_QUOTIENT,
 )
 
 
