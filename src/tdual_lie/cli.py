@@ -361,16 +361,12 @@ def report_twist(rd: RootDatum, u: IntMatrix) -> dict:
         "twist_is_cycle": flagcoh.is_cycle(rd, u),
     }
     if out["twist_is_cycle"]:
-        out["h3_class"] = _h3_class(rd, u)
+        free, tors = flagcoh.class_in_h3(rd, u)
+        out["h3_class"] = {"free": list(free), "torsion": list(tors)}
         out.update(tduality.dual_chern(rd, u))
     out["dualizable"] = True
     out["dualizability_notes"] = list(flagcoh.DUALIZABILITY_NOTES)
     return out
-
-
-def _h3_class(rd: RootDatum, u: IntMatrix) -> dict:
-    free, tors = flagcoh.class_in_h3(rd, u)
-    return {"free": list(free), "torsion": list(tors)}
 
 
 def report_dualize(rd: RootDatum, u: IntMatrix, shift: IntMatrix | None) -> dict:
@@ -378,7 +374,9 @@ def report_dualize(rd: RootDatum, u: IntMatrix, shift: IntMatrix | None) -> dict
     if shift is not None and out["twist_is_cycle"]:
         moved = tduality.reduction_torsor_shift(rd, u, shift)
         out["shift"] = shift.tolist()
-        out["shifted"] = {"shifted_twist": moved.tolist(), "h3_class": _h3_class(rd, moved),
+        # The move adds a boundary (c = 0, N_ij in d_i d_j Z: `flagcoh._smith_frame`),
+        # so the moved twist's class is u's and is not computed again.
+        out["shifted"] = {"shifted_twist": moved.tolist(), "h3_class": out["h3_class"],
                           **tduality.dual_chern(rd, moved)}
     return out
 

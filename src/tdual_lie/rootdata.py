@@ -329,7 +329,10 @@ def _center_subgroup_lifts(components, n, generators) -> IntMatrix:
         if any(type(x) is not int for x in gen):
             raise InvalidCenterSubgroup(
                 f"non-integer generator entry in {quote(repr(gen), str)}")
-        cols.append([sum(a for a, (_, k) in zip(gen, cyclic) if k == i) for i in range(n)])
+        col = [0] * n
+        for a, (_, k) in zip(gen, cyclic):
+            col[k] += a
+        cols.append(col)
     return IntMatrix.from_columns(cols, rows=n)
 
 

@@ -58,20 +58,11 @@ def shift_matrix(m: IntMatrix) -> IntMatrix:
     return m
 
 
-def bfield_shift(chat: tuple[tuple[int, ...], ...], shift: IntMatrix,
-                 c: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Dual Chern classes after moving the reduction by the shift datum:
-    chat_k' = chat_k + sum_i (B^T - B)_ki c_i, the module formula with the
-    vectors as rows.  Chern data of other sizes, or with ragged vectors,
-    raise DimensionMismatch."""
-    b = shift_matrix(shift)
-    return tuple(IntMatrix(chat) + (b.transpose() - b) @ IntMatrix(c))
-
-
 def reduction_torsor_shift(rd: RootDatum, u: IntMatrix, shift: IntMatrix) -> IntMatrix:
     """Act on a reduction by a shift datum: u moves by the boundary of
     sum B_ij x_i ^ x_j, the degree-3 class stays put, and the dual Chern
-    data moves by `bfield_shift`."""
+    data, the columns of u, move by chat_k' - chat_k = sum_{i<k} B_ik c_i -
+    sum_{k<j} B_kj c_j."""
     require_cycle(rd, u)
     return u + boundary(rd, shift_matrix(shift))
 

@@ -29,6 +29,7 @@ from tdual_lie.rootdata import (
     form_pairing,
     require_phi,
 )
+from tdual_lie.tduality import shift_matrix
 from tdual_lie.zlinalg import (
     IntMatrix,
     _echelon,
@@ -338,6 +339,17 @@ def free_lattice(rd) -> IntMatrix:
             for i in torsion]
     ker = kernel_of_matrix(IntMatrix(rows, cols=f + len(torsion)))
     return IntMatrix.from_columns([c[:f] for c in ker.columns()], rows=f)
+
+
+def bfield_shift(chat: tuple[tuple[int, ...], ...], shift: IntMatrix,
+                 c: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Checks `tduality.reduction_torsor_shift`, whose moved twist has the
+    moved dual Chern classes as its columns: the dual Chern classes after
+    moving the reduction by the shift datum, chat_k' = chat_k + sum_i (B^T
+    - B)_ki c_i, the module formula with the vectors as rows.  Chern data
+    of other sizes, or with ragged vectors, raise DimensionMismatch."""
+    b = shift_matrix(shift)
+    return tuple(IntMatrix(chat) + (b.transpose() - b) @ IntMatrix(c))
 
 
 # -- reflections and Weyl groups ------------------------------------------------

@@ -16,12 +16,18 @@ from tdual_lie.contcheck import StructureConstants, check_c_form, cutoff_integra
 from tdual_lie.errors import Unavailable
 from tdual_lie.flagcoh import boundary, cohomology, h3_group, is_cycle
 from tdual_lie.loopext import commutator_from_level, fibrewise_trivializable
-from tdual_lie.rootdata import named_group
-from tdual_lie.tduality import bfield_shift, langlands_twist, level_twist, verify_langlands_tdual
+from tdual_lie.rootdata import build, named_group
+from tdual_lie.tduality import (
+    langlands_twist,
+    level_twist,
+    reduction_torsor_shift,
+    verify_langlands_tdual,
+)
 from tdual_lie.zlinalg import IntMatrix
 
 from oracles import (
     bareiss_det,
+    bfield_shift,
     count_cosets_brute_force,
     diagonal,
     reflection_matrix,
@@ -140,6 +146,13 @@ def test_c07_bfield_shift():
             moved = bfield_shift(chat, IntMatrix([[0, b], [0, 0]]), c)
             assert moved[0] == (5 - b * 3, 6 - b * 4)
             assert moved[1] == (7 + b * 1, 8 + b * 2)
+        # The same expansion through the moved twist, whose columns are the
+        # dual Chern classes: on A1 x A1 at level 1, chat = (2, 0), (0, 2)
+        # and c = (1, 0), (0, 1).
+        rd = build([("A", 1), ("A", 1)])
+        for b in (1, 2, -3):
+            moved = reduction_torsor_shift(rd, level_twist(rd, 1), IntMatrix([[0, b], [0, 0]]))
+            assert moved.columns() == [(2, -b), (b, 2)]
 
         rng = random.Random(7)
         for _ in range(100):

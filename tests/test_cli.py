@@ -663,27 +663,37 @@ def test_dualize_solves_for_the_character_basis_once(monkeypatch, capsys):
 
 
 EVALUATIONS = [
-    (["twist", "--group", "SU(4)", "--twist", "level:1"], 1),
+    (["twist", "--group", "SU(4)", "--twist", "level:1"], 1, 1),
     (["dualize", "--group", "SU(4)", "--twist", "level:1",
-      "--shift", "[[0,1,0],[0,0,0],[0,0,0]]"], 2),
-    (["twist", "--group", "G2", "--twist", "langlands"], 1),
-    (["langlands", "--group", "G2"], 1),
+      "--shift", "[[0,1,0],[0,0,0],[0,0,0]]"], 2, 1),
+    (["twist", "--group", "G2", "--twist", "langlands"], 1, 1),
+    (["langlands", "--group", "G2"], 1, 0),
     (["langlands", "--group", json.dumps({"components": [{"series": "B", "rank": 3},
-                                                         {"series": "C", "rank": 3}]})], 1),
+                                                         {"series": "C", "rank": 3}]})], 1, 0),
 ]
 
 
 # Each id is the argv alone, so a count that changes leaves the test's name as it is.
-@pytest.mark.parametrize("argv, evaluations", EVALUATIONS,
-                         ids=[" ".join(argv) for argv, _ in EVALUATIONS])
-def test_each_twist_evaluated_once(argv, evaluations):
+@pytest.mark.parametrize("argv, evaluations, classes", EVALUATIONS,
+                         ids=[" ".join(argv) for argv, _, _ in EVALUATIONS])
+def test_each_twist_evaluated_once(monkeypatch, argv, evaluations, classes):
     """The cycle test, the H^3 class and the dual Chern data of a twist read
-    one evaluation of its cycle polynomial: `dualize --shift` evaluates the
-    twist and the moved twist, and the Langlands twist, checked as a cycle
-    where it is built, is not evaluated again."""
+    one evaluation of its cycle polynomial, and a report takes at most one
+    class.  `dualize --shift` evaluates the twist and, once, by
+    `dual_chern`'s guard, the moved twist, whose class it does not compute
+    again: a boundary moves no class.  The Langlands twist, checked as a
+    cycle where it is built, is not evaluated again."""
+    calls, class_in_h3 = [], flagcoh.class_in_h3
+
+    def counted(rd, u):
+        calls.append(u)
+        return class_in_h3(rd, u)
+
+    monkeypatch.setattr(flagcoh, "class_in_h3", counted)
     clear_caches()
     assert main(argv) == 0
     assert flagcoh.invariant_coords.cache_info().misses == evaluations
+    assert len(calls) == classes
 
 
 ELIMINATIONS = [

@@ -499,12 +499,14 @@ def check_h3_against_subquotient(rd, draw_ints):
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(root_data(), st.data())
 def test_h3_closed_form_matches_subquotient_route(rd, data):
-    """The closed form against the (y, c) subquotient on random root data and
-    their Langlands duals (see check_h3_against_subquotient)."""
+    """The closed form against the (y, c) subquotient on random root data,
+    their Langlands duals and the adjoint quotient of each datum's square,
+    which has torsion pairs whenever the center is nontrivial (see
+    check_h3_against_subquotient and test_class_in_h3_torsion_reads_n_in_full)."""
     def draw_ints(k):
         return data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
 
-    for datum in (rd, langlands_dual(rd)):
+    for datum in (rd, langlands_dual(rd), build(rd.components * 2, "adjoint")):
         check_h3_against_subquotient(datum, draw_ints)
 
 

@@ -1,6 +1,10 @@
 """Root data: Cartan matrices, lattices, forms, duals, diagram isomorphisms."""
 
+import json
+import random
+import sys
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from tdual_lie.errors import (
 )
 from tdual_lie.rootdata import (
     RootDatum,
+    _center_subgroup_lifts,
     _classified,
     build,
     cartan_block,
@@ -43,6 +48,12 @@ from oracles import (
     subquotient,
     weyl_elements_on_coweights,
 )
+
+_path = list(sys.path)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import same_output  # noqa: E402
+
+sys.path[:] = _path
 
 
 def weight_lattice(rd) -> IntMatrix:
@@ -447,6 +458,33 @@ def test_custom_quotient_takes_no_smith_form(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert fundamental_group_of(rd) == (2, 6)
+
+
+def test_center_subgroup_lifts_add_each_coordinate_at_its_node():
+    """Each lift adds coordinate a of a generator at the node k of its cyclic
+    factor, against the sum over every cyclic factor for each of the n
+    coordinates: on every custom quotient of the center-generator table and
+    on a drawn rank-128 product by eight generators."""
+    def reference(components, n, generators):
+        cyclic = center_generators(components)
+        return IntMatrix.from_columns(
+            [[sum(a for a, (_, k) in zip(gen, cyclic) if k == i) for i in range(n)]
+             for gen in generators], rows=n)
+
+    specs = [json.loads(g) for g in same_output.TABLE_QUOTIENTS]
+    data = [([(c["series"], c["rank"]) for c in g["components"]],
+             g["fundamental_group"]["generators"]) for g in specs]
+    rng, components = random.Random(128), []
+    while sum(r for _, r in components) < 120:
+        components.append(rng.choice([("A", 1), ("A", 4), ("B", 3), ("C", 2), ("D", 4),
+                                      ("D", 5), ("E", 6), ("E", 7)]))
+    components += [("A", 1)] * (128 - sum(r for _, r in components))
+    cyclic = center_generators(components)
+    data.append((components, [[rng.randrange(-d, 2 * d) for d, _ in cyclic] for _ in range(8)]))
+    for comps, generators in data:
+        n = sum(r for _, r in comps)
+        assert _center_subgroup_lifts(comps, n, generators) == \
+            reference(comps, n, generators), comps
 
 
 def test_langlands_dual_examples():

@@ -20,7 +20,6 @@ from tdual_lie.rootdata import (
     require_phi,
 )
 from tdual_lie.tduality import (
-    bfield_shift,
     dual_chern,
     langlands_twist,
     level_twist,
@@ -32,6 +31,7 @@ from tdual_lie.zlinalg import IntMatrix, column_hermite_form
 
 from oracles import (
     bareiss_det,
+    bfield_shift,
     block_matching_phi,
     clear_caches,
     coords,
@@ -95,37 +95,10 @@ def test_every_twist_entry_refuses_a_non_cycle(name):
             call()
 
 
-def test_bfield_shift_zero_and_k_instances():
-    c = ((1, 0), (0, 1))
-    chat = ((2, 3), (4, 5))
-    assert bfield_shift(chat, IntMatrix.zero(2, 2), c) == chat
-
-    # One off-diagonal unit: chat_1' = chat_1 - c_2, chat_2' = chat_2 + c_1.
-    shift = IntMatrix([[0, 1], [0, 0]])
-    moved = bfield_shift(chat, shift, c)
-    assert moved[0] == (2 - 0, 3 - 1)
-    assert moved[1] == (4 + 1, 5 + 0)
-
-
-def test_bfield_shift_additive_and_invertible():
-    rng = random.Random(31)
-    for _ in range(100):
-        n = rng.choice((2, 3))
-        dim = rng.choice((2, 3))
-        mk = lambda: tuple(tuple(rng.randint(-5, 5) for _ in range(dim)) for _ in range(n))
-        c, chat = mk(), mk()
-        rows = [[rng.randint(-4, 4) if j > i else 0 for j in range(n)] for i in range(n)]
-        rows2 = [[rng.randint(-4, 4) if j > i else 0 for j in range(n)] for i in range(n)]
-        b1, b2 = IntMatrix(rows), IntMatrix(rows2)
-        once = bfield_shift(bfield_shift(chat, b1, c), b2, c)
-        combined = bfield_shift(chat, b1 + b2, c)
-        assert once == combined
-        assert bfield_shift(bfield_shift(chat, b1, c), -b1, c) == chat
-
-
 def test_reduction_torsor_shift_matches_formula():
     """Moving the reduction and then reading Chern data must agree with the
-    componentwise shift formula applied to the old Chern data."""
+    componentwise shift formula (`oracles.bfield_shift`) applied to the old
+    Chern data."""
     rng = random.Random(71)
     for name in ["SU(3)", "SU(4)", "PSU(3)"]:
         rd = named_group(name)
@@ -156,6 +129,8 @@ def test_torsor_shift_rank2_product_instantiation():
 
 
 def test_reduction_torsor_shift_additive():
+    """Two shifts in turn are their sum in one, and a shift by -B undoes a
+    shift by B."""
     rng = random.Random(9)
     rd = named_group("SU(4)")
     n = rd.rank
@@ -167,6 +142,7 @@ def test_reduction_torsor_shift_additive():
         two_steps = reduction_torsor_shift(rd, reduction_torsor_shift(rd, base, b1), b2)
         one_step = reduction_torsor_shift(rd, base, b1 + b2)
         assert two_steps == one_step
+        assert reduction_torsor_shift(rd, reduction_torsor_shift(rd, base, b1), -b1) == base
 
 
 def test_reduction_torsor_shift_zero():
@@ -177,27 +153,20 @@ def test_reduction_torsor_shift_zero():
 
 
 def test_shift_matrix_checks():
-    """A shift is square and strictly upper triangular; both functions that
-    take one check it.  `bfield_shift` also refuses Chern data of another
-    size, and ragged Chern data, with the shortest or the longest vector
-    last, rather than index past it or leave a coordinate unshifted."""
+    """A shift is square and strictly upper triangular: `shift_matrix`
+    checks it, and `reduction_torsor_shift` refuses a shift that fails."""
     ok = IntMatrix([[0, 1], [0, 0]])
     assert shift_matrix(ok) is ok
-    rd, c = named_group("SU(3)"), ((1, 0), (0, 1))
+    rd = named_group("SU(3)")
     for bad, message in ((IntMatrix([[0, 1]]), "shift matrix must be square"),
                          (IntMatrix([[0, 0], [1, 0]]),
                           "shift entries live strictly above the diagonal"),
                          (IntMatrix([[1, 0], [0, 0]]),
                           "shift entries live strictly above the diagonal")):
-        for call in (lambda: shift_matrix(bad), lambda: bfield_shift(c, bad, c),
+        for call in (lambda: shift_matrix(bad),
                      lambda: reduction_torsor_shift(rd, level_twist(rd, 1), bad)):
             with pytest.raises(DimensionMismatch, match=f"^{message}$"):
                 call()
-    for chat, message in ((((1, 0),), "shape mismatch in addition"),
-                          (((1, 2), (3,)), "ragged rows in matrix"),
-                          (((1, 2), (3, 4, 5)), "ragged rows in matrix")):
-        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
-            bfield_shift(chat, ok, c)
 
 
 def test_reduction_torsor_group_is_free_of_wedge2_rank():

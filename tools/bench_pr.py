@@ -25,8 +25,9 @@ RANK_CAP_ROWS once: `group`, `cohomology`, `twist level:1` and `dualize
 level:1` on the five rank-32 groups, `extension --level 1` on SU(33),
 Spin(64), Sp(32) and Spin(65), where b needs no input, `dualize level:1`
 with a shift of one entry above the diagonal on SU(33) and Spin(64) (the
-twist and the moved twist each get a cycle test, an H^3 class and dual
-Chern data), `cohomology`, `twist level:1` and `dualize level:1` with a
+twist gets a cycle test, an H^3 class and dual Chern data; the moved twist
+gets dual Chern data and their cycle test, and reuses the twist's class),
+`cohomology`, `twist level:1` and `dualize level:1` with a
 zero shift on adjoint A1^32, `group` on adjoint A1^32 and on its quotient
 by the diagonal Z/2, and `extension` with a 32x32 zero `--b` on PSU(33)
 and on adjoint A1^32, the rows no workload or cliff runs at total rank 32,
