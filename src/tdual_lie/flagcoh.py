@@ -48,7 +48,7 @@ from .rootdata import (RootDatum, character_basis, character_smith, form_pairing
 from .zlinalg import IntMatrix
 
 
-@lru_cache(maxsize=2)  # each entry holds an n x n M; a report evaluates u and the shifted u
+@lru_cache(maxsize=1)
 def invariant_coords(rd: RootDatum, u: IntMatrix) -> tuple[IntMatrix, tuple[int, ...] | None]:
     """M = X u^T for the twist u (integral-lattice coordinates to weight
     coordinates), and the invariant coordinates c of its quadratic

@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, InvalidCommutator, RequiresExplicitB
-from .rootdata import DATUM_CACHE, RootDatum, character_basis, fundamental_group_of
+from .rootdata import RootDatum, character_basis, fundamental_group_of
 from .tduality import level_twist
 from .zlinalg import IntMatrix, solve_columns
 
@@ -62,7 +62,7 @@ class CommutatorMap:
                     raise InvalidCommutator("commutator map must be antisymmetric mod 1")
 
 
-@lru_cache(maxsize=DATUM_CACHE)
+@lru_cache(maxsize=1)
 def _lattice_gram(rd: RootDatum) -> tuple[int, IntMatrix]:
     """(N, Y) with X Y = N P = `level_twist(rd, N)`, P the level-1 form on
     the integral basis B and N the exponent of pi_1: Y[j, k] = N <lambda_j, lambda_k>,

@@ -102,6 +102,9 @@ def cartan_block(series: str, rank: int) -> list[list[int]]:
 
 _FACTOR_TYPES = "a simple factor needs a str series and an int rank"
 _DUAL_SERIES = {"B": "C", "C": "B"}  # where a Langlands dual factor changes series
+# The Weyl word of each self-dual factor that Dynkin reversal matches to
+# itself, on its own simple reflections, leftmost letter applied last.
+_SELF_DUAL_WORDS = {("B", 2): (0,), ("C", 2): (0,), ("G", 2): (0,), ("F", 4): (0, 1, 2, 0, 1, 0)}
 
 
 def _is_cartan_of(cartan: IntMatrix, components) -> bool:
@@ -127,7 +130,10 @@ def _is_cartan_of(cartan: IntMatrix, components) -> bool:
 class RootDatum:
     """A compact semisimple group presented through its lattices, a value:
     `==`, `hash` and repr are class-exact and read its four fields, so equal
-    data share the entries of every per-datum cache.
+    data share the entries of every cache keyed on a datum.  Each such cache
+    (`character_smith`, `loopext._lattice_gram`, `flagcoh.invariant_coords`)
+    holds one entry: a report reads one datum, and it evaluates its twist u,
+    then the moved twist, and never u again.
 
     `integral` is the n x n basis matrix B of the integral lattice of the
     chosen maximal torus, sitting between the coroot lattice (simply
@@ -243,10 +249,6 @@ def form_pairing(rd: RootDatum, levels: Sequence[int], coweights: IntMatrix) -> 
 # Construction
 # ---------------------------------------------------------------------------
 
-
-# The bound of every per-datum cache: one report reads the caches of its own
-# datum only, so a run over many distinct data holds only the last few.
-DATUM_CACHE = 8
 
 MAX_RANK = 128  # total rank; bounds the cost of every verb (its matrices are rank x rank)
 
@@ -425,7 +427,7 @@ def character_basis(rd: RootDatum) -> IntMatrix:
     return rd._characters
 
 
-@lru_cache(maxsize=DATUM_CACHE)
+@lru_cache(maxsize=1)
 def character_smith(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...]]:
     """(U, d) with U X V = diag(d) for some unimodular V: the Smith form of
     the character basis X, taken once per datum for pi_1 and for H^2 and
@@ -495,7 +497,7 @@ def require_phi(rd: RootDatum) -> tuple[int, ...]:
                 perm += partners.pop(0)
             else:
                 unmatched.append(f"{series}{r}")
-        elif series in "BCFG":
+        elif (series, r) in _SELF_DUAL_WORDS:
             perm += range(hi - 1, lo - 1, -1)
         else:
             perm += range(lo, hi)

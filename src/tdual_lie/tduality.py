@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .errors import DimensionMismatch
 from .flagcoh import boundary, is_cycle, require_cycle
-from .rootdata import RootDatum, _dual_label, form_pairing, require_phi
+from .rootdata import _SELF_DUAL_WORDS, RootDatum, _dual_label, form_pairing, require_phi
 from .zlinalg import IntMatrix, column_hermite_form, solve_columns
 
 TWIST_BASIS_CONVENTION = (
@@ -72,11 +72,6 @@ def reduction_torsor_shift(rd: RootDatum, u: IntMatrix, shift: IntMatrix) -> Int
 # ---------------------------------------------------------------------------
 
 
-# The Weyl word of each self-dual factor that Dynkin reversal matches to
-# itself, on its own simple reflections, leftmost letter applied last.
-_SELF_DUAL_WORDS = {("B", 2): (0,), ("C", 2): (0,), ("G", 2): (0,), ("F", 4): (0, 1, 2, 0, 1, 0)}
-
-
 def langlands_twist(rd: RootDatum) -> IntMatrix:
     """The twist P.w.B whose T-dual is the Langlands dual group: the
     inclusion B of the integral lattice into the dual-side weight lattice,
@@ -87,9 +82,10 @@ def langlands_twist(rd: RootDatum) -> IntMatrix:
     the word in `_SELF_DUAL_WORDS` (s_0 is the factor's first simple root,
     long on data from `build`, short on a Langlands dual: chosen by
     position, not length); -1 on the lower member of each B_n/C_n pair that
-    `require_phi` makes (n >= 3).  Neither is formed: each letter, last
-    first, is s_i.B = B - a_i (x) (row i of B) on its factor's rows, and P
-    then reorders the rows.
+    `require_phi` makes (n >= 3), the factors P sends past their own range
+    (P[lo] = hi - 1 on a reversed factor, lo on an unmoved one).  Neither
+    is formed: each letter, last first, is s_i.B = B - a_i (x) (row i of B)
+    on its factor's rows, and P then reorders the rows.
 
     The twist is the map P.w from coweights to weights whatever the basis B,
     so the cycle test asks that the symmetric part of beta(v, v') =
@@ -115,7 +111,7 @@ def langlands_twist(rd: RootDatum) -> IntMatrix:
             for k in range(lo, hi):
                 if a[k]:
                     rows[k] = [x - a[k] * y for x, y in zip(rows[k], top)]
-        if series in "BC" and r > 2 and perm[lo] > lo:
+        if perm[lo] >= hi:
             flip.update(range(lo, hi))
     twist = IntMatrix([[-x for x in rows[p]] if p in flip else rows[p] for p in perm],
                       cols=rd.rank)

@@ -1,6 +1,8 @@
 """Lattice central extensions: commutator maps and trivializability."""
 
+import json
 import random
+import time
 from fractions import Fraction
 from math import lcm, prod
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdual_lie import loopext
-from tdual_lie.cli import report_extension, resolve_group
+from tdual_lie.cli import main, report_extension, resolve_group
 from tdual_lie.errors import InvalidCommutator, RequiresExplicitB
 from tdual_lie.loopext import (
     admissibility_check,
@@ -31,7 +33,8 @@ from tdual_lie.rootdata import (
 from tdual_lie.tduality import level_twist
 from tdual_lie.zlinalg import IntMatrix, solve_columns
 
-from oracles import bareiss_det, orbit_by_reflection_matrices, root_data, unimodular
+from oracles import (bareiss_det, clear_caches, orbit_by_reflection_matrices, root_data,
+                     unimodular)
 
 
 def fractions_of(b):
@@ -526,3 +529,23 @@ def test_admissibility_at_the_rank_cap(rd, integrality, half):
     assert got == admissibility_on_every_coroot(rd, 1, b, keep=simple)
     assert len(got["integrality_violations"]) == integrality
     assert len(got["half_pairing_violations"]) == half
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])
+def test_long_denominators_under_two_seconds(capsys, fmt):
+    """`extension --b` on SU(17) with 1/q above the diagonal and -1/q below,
+    each q a distinct odd 1000-digit integer, runs in process within the
+    2.0 s bound of the other timing gates: `admissibility_check` scales each
+    row by its own denominators, so no integer outgrows the ones b has.
+    Every package cache is emptied first."""
+    n, draw = 16, random.Random(17)
+    q = {(i, j): draw.randrange(10 ** 999, 10 ** 1000) | 1
+         for i in range(n) for j in range(i + 1, n)}
+    assert len(set(q.values())) == len(q)
+    b = [[f"1/{q[i, j]}" if i < j else f"-1/{q[j, i]}" if i > j else 0 for j in range(n)]
+         for i in range(n)]
+    clear_caches()
+    start = time.monotonic()
+    assert main(["extension", "--group", "SU(17)", "--b", json.dumps(b), *fmt]) == 0
+    assert time.monotonic() - start < 2.0
+    assert "admissibility" in capsys.readouterr().out

@@ -6,6 +6,7 @@ from pathlib import Path
 
 _path = list(sys.path)
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import bench_pr  # noqa: E402
 import same_output  # noqa: E402
 
 sys.path[:] = _path
@@ -45,3 +46,13 @@ def test_text_diff_names_the_keys_of_differing_lines():
     assert same_output.text_diff(old, new) == ["dualizable", "end", "h3_class.free"]
     assert same_output.text_diff(old, old) == []
     assert same_output.json_diff(old, new) is None
+
+
+def test_run_rows_kills_a_row_past_the_timeout(monkeypatch):
+    """A row still running after TIMEOUT_S is killed and recorded as timed
+    out, with no wall time; the next row runs as usual."""
+    monkeypatch.setattr(bench_pr, "TIMEOUT_S", 0.5)
+    monkeypatch.setattr(bench_pr, "ENTRY", "import sys, time; time.sleep(float(sys.argv[1]))")
+    slow, fast = bench_pr.run_rows(bench_pr.CHANGE, (("60",), ("0",)))
+    assert (slow["status"], slow["wall_s"]) == ("timeout after 0.5 s", None)
+    assert fast["status"] == "exit 0" and fast["wall_s"] is not None

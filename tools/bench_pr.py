@@ -50,18 +50,21 @@ twist or no level commutator map), and `langlands` and `twist --twist
 langlands` on (B32 x C32)^2, whose twist pairs each B32 with a C32.  Then
 they run each of CONTCHECK_ROWS once: `contcheck --grid 16384` and `--grid
 131072` in JSON, the verb's largest memory.  Each is one `tdual` process
-with only the checkout's `src` on its path.  BENCH_<N>.json keeps the same
-per-row figures as for the cliffs (no layer split), plus the child's
-`ru_maxrss` from `os.wait4` as maxrss_mb and each side's median of it; a
-difference is handled in the same way.  maxrss_mb is floored
-at this script's own RSS, since a child's high-water mark starts from the
-process it was forked from.
+with only the checkout's `src` on its path, killed after TIMEOUT_S = 300 s
+and then recorded with status "timeout after 300 s" and wall_s None; as
+the status differs, a timeout on one side only stops the script.
+BENCH_<N>.json keeps the same per-row figures as for the cliffs (no layer
+split), plus the child's `ru_maxrss` from `os.wait4` as maxrss_mb and each
+side's median of it; a difference is handled in the same way.  maxrss_mb
+is floored at this script's own RSS, since a child's high-water mark
+starts from the process it was forked from.
 
 After those rows, in the same order, both checkouts time STARTUP_SPAWNS
 fresh processes of each of STARTUP_ROWS: `import tdual_lie.cli` alone and
 `group --group SU(2)`.  BENCH_<N>.json keeps, under `startup`, each side's
 raw median wall_s per pair (not calibrated, unlike perfbench's `setup_s`)
-and per row each side's median over the pairs and the change's wins.
+and per row each side's median over the pairs and the change's wins.  A
+start-up process still running after TIMEOUT_S stops the script.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ import os
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -82,6 +86,7 @@ ENTRY = "import sys; from tdual_lie.cli import main; sys.exit(main())"
 STARTUP_ROWS = {"import": ("-c", "import tdual_lie.cli"),
                 "group SU(2)": ("-c", ENTRY, "group", "--group", "SU(2)")}
 STARTUP_SPAWNS = 20
+TIMEOUT_S = 300  # a row that runs longer is killed and reported as timed out
 ADJOINT_A1_32 = json.dumps({"components": [{"series": "A", "rank": 1}] * 32,
                             "fundamental_group": "adjoint"}, separators=(",", ":"))
 DIAGONAL_A1_32 = json.dumps({"components": [{"series": "A", "rank": 1}] * 32,
@@ -174,7 +179,8 @@ def job_env(root: Path) -> dict:
 def run_rows(root: Path, rows: tuple) -> list[dict]:
     """Each argv of `rows` once in `root`, as one `tdual` process in
     `job_env`: per row its argv, status, wall_s, sha256 and the child's
-    ru_maxrss in MB (maxrss_mb)."""
+    ru_maxrss in MB (maxrss_mb).  A child still running after TIMEOUT_S is
+    killed, with status "timeout after TIMEOUT_S s" and wall_s None."""
     env = job_env(root)
     out = []
     for argv in rows:
@@ -182,12 +188,20 @@ def run_rows(root: Path, rows: tuple) -> list[dict]:
         proc = subprocess.Popen([sys.executable, "-c", ENTRY, *argv], cwd=root, env=env,
                                 stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
                                 stderr=subprocess.DEVNULL)
+        timed_out = threading.Event()
+        killer = threading.Timer(TIMEOUT_S, lambda p=proc, e=timed_out: (e.set(), p.kill()))
+        killer.start()
         with proc.stdout:
             stdout = proc.stdout.read()
         _, status, usage = os.wait4(proc.pid, 0)
+        killer.cancel()
         wall_s = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
-        out.append({"argv": list(argv), "status": f"exit {proc.returncode}", "wall_s": wall_s,
+        if timed_out.is_set():
+            status, wall_s = f"timeout after {TIMEOUT_S} s", None
+        else:
+            status = f"exit {proc.returncode}"
+        out.append({"argv": list(argv), "status": status, "wall_s": wall_s,
                     "sha256": hashlib.sha256(stdout).hexdigest(),
                     "maxrss_mb": usage.ru_maxrss / 1024.0})
     return out
@@ -195,14 +209,20 @@ def run_rows(root: Path, rows: tuple) -> list[dict]:
 
 def run_startup(root: Path) -> dict:
     """Per row of STARTUP_ROWS, the median wall_s of STARTUP_SPAWNS fresh
-    processes in `root`, in `job_env`."""
+    processes in `root`, in `job_env`; a process still running after
+    TIMEOUT_S stops the run."""
     env, out = job_env(root), {}
     for name, argv in STARTUP_ROWS.items():
         walls = []
         for _ in range(STARTUP_SPAWNS):
             start = time.perf_counter()
-            proc = subprocess.run([sys.executable, *argv], cwd=root, env=env,
-                                  stdin=subprocess.DEVNULL, capture_output=True)
+            try:
+                proc = subprocess.run([sys.executable, *argv], cwd=root, env=env,
+                                      stdin=subprocess.DEVNULL, capture_output=True,
+                                      timeout=TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                raise SystemExit(f"bench_pr: startup row {name!r} in {root}: "
+                                 f"timeout after {TIMEOUT_S} s") from None
             walls.append(time.perf_counter() - start)
             if proc.returncode != 0:
                 raise SystemExit(f"bench_pr: startup row {name!r} in {root} exited "

@@ -26,7 +26,15 @@ on B_n x C_n and C_n x B_n for n = 3..6, simply connected and adjoint, E6 x
 G2, D4 x B2 x G2, SO(3), PSU(4) and adjoint D4) and PAIRING_ROWS (the same
 four argv on B3 x C3 x B3 x C3, C3 x B3 x C3 x B3, B3 x B3 x C3 x C3 and
 B4 x C3 x C4 x B3, simply connected and adjoint, on the refusals C4 x B4 x
-C4 and B3 x A2 x C4, and on (B32 x C32)^2), each distinct argv once.
+C4 and B3 x A2 x C4, and on (B32 x C32)^2) and EDGE_ROWS (`extension --b`
+on SU(3), SO(3), PSU(4) and adjoint D4 at `--level` 1 and 2, text and JSON,
+with the entries "1/3", "1/4", "1/6", "2/4", "-1/2" and "0.25" above the
+diagonal and their negatives below; the nonzero-diagonal,
+non-antisymmetric and wrong-size `--b` refusals on SU(3); `cohomology` and
+`twist --twist level:1` over the `--group-list` of SU(2), a JSON quotient
+spec and SO(3); `twist` and `dualize` with a one-entry shift at `level:0`,
+u = 0, on SU(3) and PSU(4); `langlands` and `twist --twist langlands` on
+SU(2)), each distinct argv once.
 Against a parent whose total-rank cap is 32, the RANK_128_ROWS differ by
 design: the parent exits 2 with one `error:` line where the change prints a
 report.
@@ -53,12 +61,11 @@ sys.path[:0] = [str(Path(__file__).resolve().parent),
                 str(Path(__file__).resolve().parents[1] / "perfbench")]
 
 from bench_pr import (B32_C32_SQUARED, CHANGE, CONTCHECK_ROWS, ENTRY,  # noqa: E402
-                      RANK_128_ROWS, RANK_CAP_ROWS, UNIT_SHIFT_32, ZERO_32, job_env,
-                      unit_shift)
+                      RANK_128_ROWS, RANK_CAP_ROWS, TIMEOUT_S, UNIT_SHIFT_32, ZERO_32,
+                      job_env, unit_shift)
 from workloads import CLIFFS, WORKLOADS, digest_jobs, make_jobs  # noqa: E402
 
 SEEDS = range(1, 6)
-TIMEOUT_S = 300
 # Batches that build one datum twice: equal data built apart solve for their
 # character bases apart, and must print what one shared solve printed.
 TWICE = "SU(4),SU(4)"
@@ -224,13 +231,46 @@ LANGLANDS_ROWS = langlands_rows(LANGLANDS_GROUPS)
 PAIRING_ROWS = langlands_rows(PAIRING_GROUPS)
 
 
+def b_matrix(n: int, entry: str) -> str:
+    """The n x n --b matrix with `entry` above the diagonal and its negative
+    below."""
+    neg = entry[1:] if entry.startswith("-") else "-" + entry
+    return json.dumps([[0 if i == j else entry if i < j else neg for j in range(n)]
+                       for i in range(n)], separators=(",", ":"))
+
+
+# Inputs that no other row reaches: `--b` entries with denominators 3, 4 and
+# 6, unreduced, negative and decimal; the three `--b` refusals (a nonzero
+# diagonal, no antisymmetry, the wrong size); a JSON spec inside
+# `--group-list`; the zero twist `level:0`; and SU(2)'s Langlands dual label.
+EDGE_ROWS = tuple(
+    ("extension", "--group", g, "--level", str(k), "--b", b_matrix(n, entry), *fmt)
+    for g, n in (("SU(3)", 2), ("SO(3)", 1), ("PSU(4)", 3), (product((("D", 4),), "adjoint"), 4))
+    for k in (1, 2) for entry in ("1/3", "1/4", "1/6", "2/4", "-1/2", "0.25")
+    for fmt in ((), ("--format", "json"))
+) + tuple(
+    ("extension", "--group", "SU(3)", "--b", b, *fmt)
+    for b in ('[["1/2","1/3"],["-1/3",0]]', '[[0,"1/3"],["1/3",0]]', b_matrix(3, "1/3"))
+    for fmt in ((), ("--format", "json"))
+) + tuple(
+    (verb, "--group-list", f"SU(2),{TABLE_QUOTIENTS[1]},SO(3)", *extra)
+    for verb, *extra in (("cohomology",), ("twist", "--twist", "level:1"))
+) + tuple(
+    row + fmt
+    for g, n in (("SU(3)", 2), ("PSU(4)", 3))
+    for row in (("twist", "--group", g, "--twist", "level:0"),
+                ("dualize", "--group", g, "--twist", "level:0", "--shift", unit_shift(n)))
+    for fmt in ((), ("--format", "json"))
+) + (("langlands", "--group", "SU(2)"), ("twist", "--group", "SU(2)", "--twist", "langlands"))
+
+
 def all_argv() -> list[tuple[str, ...]]:
     """The rows named in the module docstring, in that order, each once."""
     jobs = digest_jobs() + [job for w in WORKLOADS for s in SEEDS for job in make_jobs(w, s)]
     rows = ([job.argv for job in jobs + list(CLIFFS)]
             + list(RANK_CAP_ROWS + CONTCHECK_ROWS + DOUBLE_DATUM_ROWS + QUOTIENT_ROWS
                    + SPEC_ROWS + CENTER_ROWS + LEVEL_ROWS + HELP_ROWS + TORSION_ROWS
-                   + RANK_128_ROWS + LANGLANDS_ROWS + PAIRING_ROWS))
+                   + RANK_128_ROWS + LANGLANDS_ROWS + PAIRING_ROWS + EDGE_ROWS))
     return list(dict.fromkeys(map(tuple, rows)))
 
 
