@@ -3,68 +3,66 @@
     python3 tools/bench_pr.py --pr N --parent DIR --pairs K [--seed0 S]
 
 DIR is a checkout of the parent commit; the change is the checkout this
-script sits in.  For each workload of BENCHMARK.json and each pair k, both
-checkouts run `perfbench/run.py --workload W --seed S+k --trace 0` from
-their own root, one after the other; the parent goes first in even pairs
-and the change in odd ones, so a drift of the host's speed favours neither.
-BENCH_<N>.json, in the root of the change's checkout, holds every run (its
-metrics and fail_ratio), and per end-to-end metric each side's median,
-quartiles and IQR and the number of pairs the change won (strictly better
-in the metric's direction).
+script sits in.  Every child that this script or tools/same_output.py starts
+goes through `spawn`: `python3 args...` in one checkout's root, in `job_env`
+(no TDUAL_* or PYTHON* setting, only that checkout's `src` on the path),
+killed after TIMEOUT_S = 300 s.  A `tdual` row (`python3 -c ENTRY argv...`)
+that times out is recorded with status "timeout after 300 s" and wall_s
+None; any other child that times out or exits non-zero stops the script.
+ENTRY runs the CLI and, at exit, writes the process's own peak RSS, its
+VmHWM, to a file descriptor that `spawn` passes and names in PEAK_FD, so
+stdout and stderr stay the program's own.  Exec starts VmHWM afresh, so a
+row's maxrss_mb is its own peak, whatever this script holds.
 
-Before the workloads, once per pair and in the same alternating order, both
-checkouts run `perfbench/cliffs.py`, the untimed report of the rows too slow
-for the workloads.  BENCH_<N>.json keeps each cliff row's wall_s, sha256 and
-layer split, and per row each side's stdout digest, median wall_s and the
-change's wins.  A row whose argv or exit status differs between the two
-checkouts stops the script; rows whose stdout digests differ, as on a
-deliberate output change, are counted on stderr and keep both digests.
+First both checkouts run `python3 -m compileall -q src perfbench`, so that
+no timed run compiles a module.  Then each step below runs on both
+checkouts, one after the other, once per pair k: the parent goes first in
+even pairs and the change in odd ones, so a drift of the host's speed
+favours neither.
 
-Right after the cliffs, in the same order, both checkouts run each of
-RANK_CAP_ROWS once: `group`, `cohomology`, `twist level:1` and `dualize
-level:1` on the five rank-32 groups, `extension --level 1` on SU(33),
-Spin(64), Sp(32) and Spin(65), where b needs no input, `dualize level:1`
-with a shift of one entry above the diagonal on SU(33) and Spin(64) (the
-twist gets a cycle test, an H^3 class and dual Chern data; the moved twist
-gets dual Chern data and their cycle test, and reuses the twist's class),
-`cohomology`, `twist level:1` and `dualize level:1` with a
-zero shift on adjoint A1^32, `group` on adjoint A1^32 and on its quotient
-by the diagonal Z/2, and `extension` with a 32x32 zero `--b` on PSU(33)
-and on adjoint A1^32, the rows no workload or cliff runs at total rank 32,
-the cap before `rootdata.MAX_RANK` rose to 128.  The four `--level 1` extension
-rows are simply connected, so their admissibility Gram matrix is a solve
-against the character basis X = I with no scale; the two `--b` rows
-scale it by the exponent of pi_1 (33 and 2), and their integrality check
-fails (508 and 32 lines).
-Adjoint A1^32 has the most H^3 torsion at total rank 32: its character basis is
-2I, so each of its 496 pairs of Smith invariants adds a Z/2, and
-`class_in_h3` reads one torsion coordinate per pair.  The two `group` rows
-have the most cyclic center factors at total rank 32, 32 copies of Z/2, so they
-time the merge of 32 center orders (496 pairs) and the 32 generator lifts
-of a quotient.  Next they run each of RANK_128_ROWS once: `group`,
-`cohomology`, `twist level:1`, `dualize level:1` with a one-entry shift,
-`langlands` and `extension --level 1` on SU(129), PSU(129), Spin(256),
-Sp(128) and adjoint A1^128, every verb at the cap 128 (`langlands` and
-`extension` give their refusal reports where the group has no Langlands
-twist or no level commutator map), and `langlands` and `twist --twist
-langlands` on (B32 x C32)^2, whose twist pairs each B32 with a C32.  Then
-they run each of CONTCHECK_ROWS once: `contcheck --grid 16384` and `--grid
-131072` in JSON, the verb's largest memory.  Each is one `tdual` process
-with only the checkout's `src` on its path, killed after TIMEOUT_S = 300 s
-and then recorded with status "timeout after 300 s" and wall_s None; as
-the status differs, a timeout on one side only stops the script.
-BENCH_<N>.json keeps the same per-row figures as for the cliffs (no layer
-split), plus the child's `ru_maxrss` from `os.wait4` as maxrss_mb and each
-side's median of it; a difference is handled in the same way.  maxrss_mb
-is floored at this script's own RSS, since a child's high-water mark
-starts from the process it was forked from.
+Each pair starts with four sections of rows:
+- `cliffs`: `perfbench/cliffs.py`, the untimed report of the rows too slow
+  for the workloads, with each row's layer split;
+- `rank_cap`: RANK_CAP_ROWS, the rows no workload or cliff runs at total
+  rank 32, the cap before `rootdata.MAX_RANK` rose to 128: `group`,
+  `cohomology`, `twist level:1` and `dualize level:1` on the five rank-32
+  groups; `extension --level 1` on the simply connected SU(33), Spin(64),
+  Sp(32) and Spin(65), whose admissibility Gram matrix is a solve against
+  X = I; `dualize level:1` with a one-entry shift on SU(33) and Spin(64);
+  `cohomology`, `twist level:1` and `dualize level:1` with a zero shift on
+  adjoint A1^32, whose 496 pairs of Smith invariants each add a Z/2 to H^3,
+  the most H^3 torsion at that rank; `group` on adjoint A1^32 and on its
+  quotient by the diagonal Z/2, the most cyclic center factors (32 copies
+  of Z/2); and `extension` with a 32x32 zero `--b` on PSU(33) and adjoint
+  A1^32, whose integrality check fails (508 and 32 lines);
+- `rank_128`: RANK_128_ROWS, every verb at the cap 128: `group`,
+  `cohomology`, `twist level:1`, `dualize level:1` with a one-entry shift,
+  `langlands` and `extension --level 1` on SU(129), PSU(129), Spin(256),
+  Sp(128) and adjoint A1^128, refusals included, and `langlands` and
+  `twist --twist langlands` on (B32 x C32)^2;
+- `contcheck`: CONTCHECK_ROWS, `contcheck --grid 16384` and `--grid 131072`
+  in JSON, the verb's largest memory.
+Each section of BENCH_<N>.json lists its argv once, under `rows`; its
+`runs` and `summary` follow that order.  A run holds, per pair, the side
+that went first and per side one record per row: status, wall_s, sha256,
+and layers for a cliff or maxrss_mb for the others.  The summary holds,
+per row, each side's distinct stdout digests, median wall_s and median
+maxrss_mb, and the change's wins in wall_s.  A row whose argv or exit
+status differs between the checkouts stops the script.  Rows whose digests
+differ between the checkouts in a pair, as on a deliberate output change,
+or between the pairs of one side are counted on stderr.
 
-After those rows, in the same order, both checkouts time STARTUP_SPAWNS
-fresh processes of each of STARTUP_ROWS: `import tdual_lie.cli` alone and
-`group --group SU(2)`.  BENCH_<N>.json keeps, under `startup`, each side's
-raw median wall_s per pair (not calibrated, unlike perfbench's `setup_s`)
-and per row each side's median over the pairs and the change's wins.  A
-start-up process still running after TIMEOUT_S stops the script.
+Then both checkouts time STARTUP_SPAWNS fresh processes of each of
+STARTUP_ROWS, `import tdual_lie.cli` alone and `group --group SU(2)`.
+`startup` keeps each side's median wall_s per pair (raw, unlike
+perfbench's calibrated `setup_s`), and per row each side's median over the
+pairs and the change's wins.
+
+Last, for each workload W of BENCHMARK.json and each pair k, both
+checkouts run `perfbench/run.py --workload W --seed S+k --trace 0`.
+`workloads` keeps every run's metrics and fail_ratio, and per end-to-end
+metric each side's median, quartiles and IQR and the number of pairs the
+change won (strictly better in the metric's direction).
 """
 
 from __future__ import annotations
@@ -77,16 +75,27 @@ import os
 import statistics
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 CHANGE = Path(__file__).resolve().parents[1]
-ENTRY = "import sys; from tdual_lie.cli import main; sys.exit(main())"
+SIDES = ("parent", "change")
+# The CLI, which at exit writes the process's VmHWM in kB to fd PEAK_FD.
+ENTRY = """\
+import atexit, os, sys
+def peak():
+    with open("/proc/self/status", "rb") as status:
+        kb = next(line.split()[1] for line in status if line.startswith(b"VmHWM:"))
+    os.write(int(os.environ["PEAK_FD"]), kb)
+atexit.register(peak)
+from tdual_lie.cli import main
+sys.exit(main())
+"""
 STARTUP_ROWS = {"import": ("-c", "import tdual_lie.cli"),
                 "group SU(2)": ("-c", ENTRY, "group", "--group", "SU(2)")}
 STARTUP_SPAWNS = 20
-TIMEOUT_S = 300  # a row that runs longer is killed and reported as timed out
+TIMEOUT_S = 300  # a child that runs longer is killed
 ADJOINT_A1_32 = json.dumps({"components": [{"series": "A", "rank": 1}] * 32,
                             "fundamental_group": "adjoint"}, separators=(",", ":"))
 DIAGONAL_A1_32 = json.dumps({"components": [{"series": "A", "rank": 1}] * 32,
@@ -138,35 +147,6 @@ CONTCHECK_ROWS = tuple(("contcheck", "--grid", grid, "--format", "json")
                        for grid in ("16384", "131072"))
 
 
-def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py --trace 0` run in `root`: its end-to-end
-    metric values, fail_ratio and environment."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"bench_pr: {' '.join(argv[1:])} in {root} exited "
-                         f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
-    details, result = map(json.loads, proc.stdout.strip().splitlines()[-2:])
-    return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "fail_ratio": details["fail_ratio"]["value"],
-            "environment": details["environment"]}
-
-
-def run_cliffs(root: Path) -> list[dict]:
-    """One `perfbench/cliffs.py` run in `root`: per row its argv, status,
-    wall_s, sha256 and layers."""
-    argv = [sys.executable, "perfbench/cliffs.py"]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"bench_pr: perfbench/cliffs.py in {root} exited "
-                         f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
-    keep = ("argv", "status", "wall_s", "sha256", "layers")
-    return [{k: row.get(k) for k in keep}
-            for row in map(json.loads, filter(lambda line: line.startswith("{"),
-                                              proc.stdout.splitlines()))]
-
-
 def job_env(root: Path) -> dict:
     """This process's environment with its PYTHON* and TDUAL_* settings
     stripped as perfbench strips them, and only `root`'s `src` on the path."""
@@ -176,113 +156,137 @@ def job_env(root: Path) -> dict:
     return env
 
 
+class Child(NamedTuple):
+    status: str  # "exit N", or "timeout after TIMEOUT_S s"
+    stdout: bytes
+    stderr: bytes
+    wall_s: float | None  # None after a timeout
+    maxrss_mb: float | None  # the VmHWM that ENTRY writes, in MB; None from others
+
+
+def spawn(root: Path, args) -> Child:
+    """`python3 args...` in `root`, in `job_env`, killed after TIMEOUT_S; the
+    write end of a pipe is passed to the child as fd PEAK_FD."""
+    read, write = os.pipe()
+    with open(read, "rb") as peak:
+        start = time.perf_counter()
+        try:
+            proc = subprocess.run([sys.executable, *args], cwd=root,
+                                  env={**job_env(root), "PEAK_FD": str(write)},
+                                  pass_fds=(write,), stdin=subprocess.DEVNULL,
+                                  capture_output=True, timeout=TIMEOUT_S)
+            status, wall_s = f"exit {proc.returncode}", time.perf_counter() - start
+        except subprocess.TimeoutExpired as timeout:  # holds what the child printed
+            proc, status, wall_s = timeout, f"timeout after {TIMEOUT_S} s", None
+        finally:
+            os.close(write)
+        kb = peak.read()
+    return Child(status, proc.stdout or b"", proc.stderr or b"", wall_s,
+                 int(kb) / 1024.0 if kb else None)
+
+
+def checked(root: Path, args) -> Child:
+    """`spawn(root, args)`, stopping the script unless the child exits 0."""
+    child = spawn(root, args)
+    if child.status != "exit 0":
+        raise SystemExit(f"bench_pr: python3 {' '.join(args)} in {root}: {child.status}: "
+                         f"{child.stderr.decode('utf-8', 'replace').strip()[-500:]}")
+    return child
+
+
+def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One `perfbench/run.py --trace 0` run in `root`: its end-to-end
+    metric values, fail_ratio and environment."""
+    child = checked(root, ("perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds), "--trace", "0"))
+    details, result = map(json.loads, child.stdout.strip().splitlines()[-2:])
+    return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "fail_ratio": details["fail_ratio"]["value"],
+            "environment": details["environment"]}
+
+
+def run_cliffs(root: Path) -> list[dict]:
+    """One `perfbench/cliffs.py` run in `root`: per row its argv, status,
+    wall_s, sha256 and layers."""
+    lines = checked(root, ("perfbench/cliffs.py",)).stdout.splitlines()
+    keep = ("argv", "status", "wall_s", "sha256", "layers")
+    return [{k: row.get(k) for k in keep}
+            for row in map(json.loads, (line for line in lines if line.startswith(b"{")))]
+
+
 def run_rows(root: Path, rows: tuple) -> list[dict]:
-    """Each argv of `rows` once in `root`, as one `tdual` process in
-    `job_env`: per row its argv, status, wall_s, sha256 and the child's
-    ru_maxrss in MB (maxrss_mb).  A child still running after TIMEOUT_S is
-    killed, with status "timeout after TIMEOUT_S s" and wall_s None."""
-    env = job_env(root)
+    """Each argv of `rows` once in `root`, as one `tdual` process: per row its
+    argv, status, wall_s, sha256 and peak RSS in MB (maxrss_mb)."""
     out = []
     for argv in rows:
-        start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-c", ENTRY, *argv], cwd=root, env=env,
-                                stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-                                stderr=subprocess.DEVNULL)
-        timed_out = threading.Event()
-        killer = threading.Timer(TIMEOUT_S, lambda p=proc, e=timed_out: (e.set(), p.kill()))
-        killer.start()
-        with proc.stdout:
-            stdout = proc.stdout.read()
-        _, status, usage = os.wait4(proc.pid, 0)
-        killer.cancel()
-        wall_s = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        if timed_out.is_set():
-            status, wall_s = f"timeout after {TIMEOUT_S} s", None
-        else:
-            status = f"exit {proc.returncode}"
-        out.append({"argv": list(argv), "status": status, "wall_s": wall_s,
-                    "sha256": hashlib.sha256(stdout).hexdigest(),
-                    "maxrss_mb": usage.ru_maxrss / 1024.0})
+        child = spawn(root, ("-c", ENTRY, *argv))
+        out.append({"argv": list(argv), "status": child.status, "wall_s": child.wall_s,
+                    "sha256": hashlib.sha256(child.stdout).hexdigest(),
+                    "maxrss_mb": child.maxrss_mb})
     return out
 
 
 def run_startup(root: Path) -> dict:
     """Per row of STARTUP_ROWS, the median wall_s of STARTUP_SPAWNS fresh
-    processes in `root`, in `job_env`; a process still running after
-    TIMEOUT_S stops the run."""
-    env, out = job_env(root), {}
-    for name, argv in STARTUP_ROWS.items():
-        walls = []
-        for _ in range(STARTUP_SPAWNS):
-            start = time.perf_counter()
-            try:
-                proc = subprocess.run([sys.executable, *argv], cwd=root, env=env,
-                                      stdin=subprocess.DEVNULL, capture_output=True,
-                                      timeout=TIMEOUT_S)
-            except subprocess.TimeoutExpired:
-                raise SystemExit(f"bench_pr: startup row {name!r} in {root}: "
-                                 f"timeout after {TIMEOUT_S} s") from None
-            walls.append(time.perf_counter() - start)
-            if proc.returncode != 0:
-                raise SystemExit(f"bench_pr: startup row {name!r} in {root} exited "
-                                 f"{proc.returncode}: {proc.stderr.decode().strip()[-500:]}")
-        out[name] = statistics.median(walls)
+    processes in `root`."""
+    return {name: statistics.median(checked(root, args).wall_s for _ in range(STARTUP_SPAWNS))
+            for name, args in STARTUP_ROWS.items()}
+
+
+def alternate(k: int, roots: dict, run) -> dict:
+    """Pair k of `run(root)` on both checkouts: the parent runs first in even
+    pairs and the change in odd ones."""
+    order = SIDES if k % 2 == 0 else SIDES[::-1]
+    return {"first": order[0], **{side: run(roots[side]) for side in order}}
+
+
+def median(values: list) -> float | None:
+    """The median of `values`, or None if one is None (a timed-out row)."""
+    return None if None in values else statistics.median(values)
+
+
+def compare(walls: list[list]) -> dict:
+    """The pairs, the change's wins and each side's median_wall_s of one row,
+    given its wall times [parent's, change's]; wins is None after a timeout."""
+    timed = None not in walls[0] + walls[1]
+    return {"pairs": len(walls[0]), "wins": sum(c < p for p, c in zip(*walls)) if timed else None,
+            **{side: {"median_wall_s": median(ws)} for side, ws in zip(SIDES, walls)}}
+
+
+def summarize_rows(runs: list[dict]) -> list[dict]:
+    """Per row of a section, in its order: `compare` of its wall times, and
+    each side's distinct stdout digests, in the order the pairs printed them,
+    and median maxrss_mb where the row has it."""
+    out = []
+    for i in range(len(runs[0]["parent"])):
+        rows = {side: [run[side][i] for run in runs] for side in SIDES}
+        out.append(compare([[row["wall_s"] for row in rows[side]] for side in SIDES]))
+        for side in SIDES:
+            out[-1][side]["sha256"] = list(dict.fromkeys(row["sha256"] for row in rows[side]))
+            if "maxrss_mb" in rows[side][0]:
+                out[-1][side]["median_maxrss_mb"] = median([row["maxrss_mb"]
+                                                            for row in rows[side]])
     return out
 
 
-def summarize_startup(pairs: list[dict]) -> dict:
-    """Per startup row: each side's median over the pairs and the change's
-    wins."""
-    out = {}
-    for name in STARTUP_ROWS:
-        walls = {side: [p[side][name] for p in pairs] for side in ("parent", "change")}
-        out[name] = {"pairs": len(pairs),
-                     "wins": sum(c < p for p, c in zip(walls["parent"], walls["change"])),
-                     **{side: {"median_wall_s": statistics.median(ws)}
-                        for side, ws in walls.items()}}
-    return out
+def summarize_startup(runs: list[dict]) -> dict:
+    """Per startup row, `compare` of its per-pair medians."""
+    return {name: compare([[run[side][name] for run in runs] for side in SIDES])
+            for name in STARTUP_ROWS}
 
 
-def summarize_rows(pairs: list[dict]) -> dict:
-    """Per cliff, rank-cap, rank-128 or contcheck row (its argv joined by spaces): the
-    digest each side printed, each side's median wall_s (and maxrss_mb where
-    the row has it) and the change's wins in wall_s."""
-    out = {}
-    for i, row in enumerate(pairs[0]["parent"]):
-        walls = {side: [p[side][i]["wall_s"] for p in pairs] for side in ("parent", "change")}
-        timed = all(w is not None for ws in walls.values() for w in ws)
-        out[" ".join(row["argv"])] = summary = {
-            "pairs": len(pairs),
-            "wins": sum(c < p for p, c in zip(walls["parent"], walls["change"])) if timed else None,
-            **{side: {"sha256": pairs[0][side][i]["sha256"],
-                      "median_wall_s": statistics.median(ws) if timed else None}
-               for side, ws in walls.items()}}
-        if "maxrss_mb" in row:
-            for side in ("parent", "change"):
-                summary[side]["median_maxrss_mb"] = statistics.median(
-                    p[side][i]["maxrss_mb"] for p in pairs)
-    return out
-
-
-def quartiles(values: list[float]) -> tuple[float, float]:
-    q = statistics.quantiles(values, n=4, method="inclusive")
-    return q[0], q[2]
-
-
-def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per metric: each side's median, quartiles and IQR, and the change's
     wins."""
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
-        sides = {side: [p[side]["metrics"][name] for p in pairs] for side in ("parent", "change")}
-        wins = sum((c < p) if lower else (c > p)
-                   for p, c in zip(sides["parent"], sides["change"]))
-        out[name] = {"better": m["better"], "wins": wins, "pairs": len(pairs)}
-        for side, values in sides.items():
-            q1, q3 = quartiles(values)
-            out[name][side] = {"median": statistics.median(values), "q1": q1, "q3": q3,
+        values = {side: [run[side]["metrics"][name] for run in runs] for side in SIDES}
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(*values.values()))
+        out[name] = {"better": m["better"], "wins": wins, "pairs": len(runs)}
+        for side in SIDES:
+            q1, _, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
+            out[name][side] = {"median": statistics.median(values[side]), "q1": q1, "q3": q3,
                                "iqr": q3 - q1}
     return out
 
@@ -300,45 +304,49 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": CHANGE}
     report = {"pr": args.pr, "parent": str(roots["parent"]), "pairs": args.pairs,
               "command": spec["command"] + ["--trace", "0"], "workloads": {}}
-    rows = {"cliffs": (run_cliffs, []),
-            "rank_cap": (functools.partial(run_rows, rows=RANK_CAP_ROWS), []),
-            "rank_128": (functools.partial(run_rows, rows=RANK_128_ROWS), []),
-            "contcheck": (functools.partial(run_rows, rows=CONTCHECK_ROWS), [])}
+    sections = {"cliffs": run_cliffs,
+                "rank_cap": functools.partial(run_rows, rows=RANK_CAP_ROWS),
+                "rank_128": functools.partial(run_rows, rows=RANK_128_ROWS),
+                "contcheck": functools.partial(run_rows, rows=CONTCHECK_ROWS)}
+    for root in roots.values():
+        checked(root, ("-m", "compileall", "-q", "src", "perfbench"))
     startup = []
     for k in range(args.pairs):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for name, (runner, pairs) in rows.items():
-            pair = {"first": order[0], **{side: runner(roots[side]) for side in order}}
+        for name, runner in sections.items():
+            pair = alternate(k, roots, runner)
+            argvs = [[row.pop("argv") for row in pair[side]] for side in SIDES]
+            section = report.setdefault(name, {"rows": argvs[0], "runs": []})
             both = list(zip(pair["parent"], pair["change"]))
-            if len(pair["parent"]) != len(pair["change"]) or any(
-                    (p["argv"], p["status"]) != (c["argv"], c["status"]) for p, c in both):
+            if argvs != [section["rows"]] * 2 or any(p["status"] != c["status"] for p, c in both):
                 raise SystemExit(f"bench_pr: {name} argv or exit status differ in pair {k + 1}")
             if differ := sum(p["sha256"] != c["sha256"] for p, c in both):
                 print(f"bench_pr: {name} stdout digests differ on {differ} rows in pair {k + 1}",
                       file=sys.stderr)
-            pairs.append(pair)
+            section["runs"].append(pair)
             print(f"bench_pr: {name} pair {k + 1}/{args.pairs} done", file=sys.stderr)
-        startup.append({"first": order[0], **{side: run_startup(roots[side]) for side in order}})
-    for name, (_, pairs) in rows.items():
-        report[name] = {"summary": summarize_rows(pairs), "runs": pairs}
+        startup.append(alternate(k, roots, run_startup))
+    for name in sections:
+        summary = report[name]["summary"] = summarize_rows(report[name]["runs"])
+        for side in SIDES:
+            if varies := sum(len(row[side]["sha256"]) > 1 for row in summary):
+                print(f"bench_pr: {name} {side} stdout digests vary between pairs on {varies} "
+                      "rows", file=sys.stderr)
     report["startup"] = {"spawns": STARTUP_SPAWNS, "summary": summarize_startup(startup),
                          "runs": startup}
     for workload in (w["name"] for w in spec["workloads"]):
-        pairs = []
+        runs = []
         for k in range(args.pairs):
-            seed = args.seed0 + k
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = run_side(roots[side], workload, seed, spec["run_seconds"])
+            run = functools.partial(run_side, workload=workload, seed=args.seed0 + k,
+                                    seconds=spec["run_seconds"])
+            pair = {"seed": args.seed0 + k, **alternate(k, roots, run)}
             report["environment"] = pair["change"].pop("environment")
             pair["parent"].pop("environment")
-            pairs.append(pair)
+            runs.append(pair)
             print(f"bench_pr: {workload} pair {k + 1}/{args.pairs} done", file=sys.stderr)
         report["workloads"][workload] = {
-            "summary": summarize(pairs, spec["end_to_end"]),
-            "max_fail_ratio": max(p[s]["fail_ratio"] for p in pairs for s in ("parent", "change")),
-            "runs": pairs,
+            "summary": summarize(runs, spec["end_to_end"]),
+            "max_fail_ratio": max(run[side]["fail_ratio"] for run in runs for side in SIDES),
+            "runs": runs,
         }
     out = CHANGE / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

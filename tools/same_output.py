@@ -4,8 +4,8 @@
 
 DIR is a checkout of the parent commit; the change is the checkout this
 script sits in.  Each argv runs once in each checkout, as one `tdual`
-process with only that checkout's `src` on its path and no TDUAL_* or
-PYTHON* setting (`bench_pr.job_env`).  The argv are every
+process that `bench_pr.spawn` starts in that checkout and kills after
+`bench_pr.TIMEOUT_S`.  The argv are every
 `perfbench/workloads.digest_jobs()` row, `make_jobs(w, s)` for seeds 1-5 of
 each workload, the cliff rows, bench_pr's RANK_CAP_ROWS and CONTCHECK_ROWS,
 DOUBLE_DATUM_ROWS, QUOTIENT_ROWS, SPEC_ROWS, CENTER_ROWS (`group --format
@@ -38,22 +38,20 @@ SU(2)), each distinct argv once.
 Against a parent whose total-rank cap is 32, the RANK_128_ROWS differ by
 design: the parent exits 2 with one `error:` line where the change prints a
 report.
-Every argv whose exit code, stdout sha256 or stderr differs is printed with
-both sides' stderr, and the script exits 1 if any does.  When both sides'
-stdout parse as JSON, the sorted key paths whose values differ
-(`reports.0.h3_class.torsion`) are printed too; otherwise the sorted keys of
-the text lines that differ (`h3_class.free`, the part of a line before
-": ").
+Every argv whose exit code, stdout or stderr differs, or that timed out on
+both sides, is printed with both sides' status and stderr, and the script
+exits 1 if any is.  When both sides' stdout parse as JSON, the sorted key
+paths whose values differ (`reports.0.h3_class.torsion`) are printed too;
+otherwise the sorted keys of the text lines that differ (`h3_class.free`,
+the part of a line before ": ").
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
-import hashlib
 import json
 import random
-import subprocess
 import sys
 from pathlib import Path
 
@@ -61,8 +59,7 @@ sys.path[:0] = [str(Path(__file__).resolve().parent),
                 str(Path(__file__).resolve().parents[1] / "perfbench")]
 
 from bench_pr import (B32_C32_SQUARED, CHANGE, CONTCHECK_ROWS, ENTRY,  # noqa: E402
-                      RANK_128_ROWS, RANK_CAP_ROWS, TIMEOUT_S, UNIT_SHIFT_32, ZERO_32,
-                      job_env, unit_shift)
+                      RANK_128_ROWS, RANK_CAP_ROWS, UNIT_SHIFT_32, ZERO_32, spawn, unit_shift)
 from workloads import CLIFFS, WORKLOADS, digest_jobs, make_jobs  # noqa: E402
 
 SEEDS = range(1, 6)
@@ -274,18 +271,6 @@ def all_argv() -> list[tuple[str, ...]]:
     return list(dict.fromkeys(map(tuple, rows)))
 
 
-def run(root: Path, argv: tuple[str, ...]) -> tuple[str, str, str, bytes]:
-    """(exit status, stdout sha256, stderr, stdout) of one `tdual` process in
-    `root`."""
-    try:
-        proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], cwd=root, env=job_env(root),
-                              stdin=subprocess.DEVNULL, capture_output=True, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return f"timeout after {TIMEOUT_S} s", "", "", b""
-    return (f"exit {proc.returncode}", hashlib.sha256(proc.stdout).hexdigest(),
-            proc.stderr.decode("utf-8", "replace"), proc.stdout)
-
-
 _ABSENT = object()  # the value of a key that one side's object lacks
 
 
@@ -332,19 +317,21 @@ def main(argv=None) -> int:
     parent = args.parent.resolve()
     rows, differ = all_argv(), 0
     for k, row in enumerate(rows, 1):
-        old, new = run(parent, row), run(CHANGE, row)
-        if old[:3] != new[:3]:
+        old, new = (spawn(root, ("-c", ENTRY, *row)) for root in (parent, CHANGE))
+        what = [name for name, a, b in zip(("exit code", "stdout", "stderr"), old, new) if a != b]
+        if old.wall_s is None and new.wall_s is None:
+            what = ["timed out on both sides"]
+        if what:
             differ += 1
-            what = [name for name, a, b in zip(("exit code", "stdout", "stderr"), old, new)
-                    if a != b]
             print(f"differs ({', '.join(what)}): {' '.join(row)}")
-            print(f"  parent: {old[0]}, stderr {old[2]!r}")
-            print(f"  change: {new[0]}, stderr {new[2]!r}")
-            paths = json_diff(old[3], new[3]) if old[1] != new[1] else None
+            for side, child in (("parent", old), ("change", new)):
+                print(f"  {side}: {child.status}, stderr "
+                      f"{child.stderr.decode('utf-8', 'replace')!r}")
+            paths = json_diff(old.stdout, new.stdout) if old.stdout != new.stdout else None
             if paths is not None:
                 print(f"  JSON paths: {', '.join(paths) or 'none, the parsed values are equal'}")
-            elif old[1] != new[1]:
-                keys = text_diff(old[3], new[3])
+            elif old.stdout != new.stdout:
+                keys = text_diff(old.stdout, new.stdout)
                 print(f"  text keys: {', '.join(keys) or 'none, the lines are equal'}")
         if k % 100 == 0:
             print(f"same_output: {k}/{len(rows)} argv run", file=sys.stderr)
