@@ -30,8 +30,7 @@ from types import SimpleNamespace
 from . import contcheck as cont
 from . import flagcoh, loopext, tduality
 from .errors import RequiresExplicitB, TdualError, Unavailable, UsageError, ascii_int, escape, quote
-from .rootdata import (RootDatum, build, center, character_basis, fundamental_group_of,
-                       named_group, root_count)
+from .rootdata import RootDatum, build, center, fundamental_group_of, named_group, root_count
 from .zlinalg import IntMatrix
 
 SCHEMA = "tdual-lie/1"
@@ -347,7 +346,7 @@ def report_group(rd: RootDatum) -> dict:
         "simply_connected": rd.is_simply_connected(),
         "simply_laced": rd.is_simply_laced(),
         "integral_basis": rd.integral.tolist(),
-        "character_basis": character_basis(rd).tolist(),
+        "character_basis": rd.character_basis.tolist(),
         "center": flagcoh.group_dict(0, center(rd)),
         "fundamental_group": flagcoh.group_dict(0, fundamental_group_of(rd)),
         "root_count": root_count(rd),

@@ -19,7 +19,7 @@ in even degrees, H^2 the weights and H^4 sym^2(weights) / invariants.
 
 A middle-term element is a twist: an n x n matrix u from integral-lattice
 to weight coordinates.  With X the character basis (columns in weight
-coordinates, kept on the datum and read by `rootdata.character_basis`), the
+coordinates, kept on the datum as `RootDatum.character_basis`), the
 cycle test and the boundary map are matrix algebra on u and X.  A
 quadratic polynomial in the weights is held as its symmetric matrix S (the
 polynomial w^T S w / 2); the invariant with coordinates c, c_k times
@@ -43,8 +43,7 @@ from collections.abc import Iterable
 from functools import lru_cache
 
 from .errors import DimensionMismatch, NotACycle
-from .rootdata import (RootDatum, character_basis, character_smith, form_pairing,
-                       fundamental_group_of)
+from .rootdata import RootDatum, form_pairing, fundamental_group_of
 from .zlinalg import IntMatrix
 
 
@@ -70,8 +69,8 @@ def invariant_coords(rd: RootDatum, u: IntMatrix) -> tuple[IntMatrix, tuple[int,
     n = rd.rank
     if u.rows != n or u.cols != n:
         raise DimensionMismatch(f"twist matrix must be {n}x{n} for {rd.label}")
-    m = character_basis(rd) @ u.transpose()
-    s, eps = m + m.transpose(), rd.epsilons()
+    m = rd.character_basis @ u.transpose()
+    s, eps = m + m.transpose(), rd.epsilons
     c = tuple(s[lo, lo] // (2 * eps[lo]) for lo, _, _, _ in rd.factor_ranges())
     return m, c if s == form_pairing(rd, c, rd.cartan) else None
 
@@ -96,7 +95,7 @@ def boundary(rd: RootDatum, s: IntMatrix) -> IntMatrix:
     d(x_a ^ x_b) = x_b (x) r(x_a) - x_a (x) r(x_b) is X(E_ab - E_ba), so the
     sum is X(S - S^T); only the antisymmetric part of s counts.
     """
-    return character_basis(rd) @ (s - s.transpose())
+    return rd.character_basis @ (s - s.transpose())
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +108,7 @@ H3Group = namedtuple("H3Group", "free_rank torsion")
 
 def _smith_frame(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple[int, int], ...]]:
     """(U, d, P): U X V = diag(d) is the Smith form of the character basis
-    (`character_smith`), and P lists the pairs i < j with d_i > 1 (the pairs
+    (`rd.character_smith`), and P lists the pairs i < j with d_i > 1 (the pairs
     with gcd(d_i, d_j) > 1, as d_i | d_j).  d does not depend on which Smith
     basis U is taken; the torsion coordinates N_ij are relative to U, and
     any Smith U gives an isomorphic coordinate system.
@@ -131,7 +130,7 @@ def _smith_frame(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple
     of finite index in Z^f, plus the sum over P of d_j Z / d_i d_j Z; pairs
     with d_i = 1 carry no class.
     """
-    U, d = character_smith(rd)
+    U, d = rd.character_smith
     return U, d, tuple((i, j) for i in range(rd.rank) if d[i] > 1 for j in range(i + 1, rd.rank))
 
 
@@ -148,7 +147,7 @@ def chern_classes(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     """Chern classes of K -> B: c_k is the restriction of the k-th character
     basis vector, in weight coordinates through the transgression
     isomorphism."""
-    return tuple(character_basis(rd).columns())
+    return tuple(rd.character_basis.columns())
 
 
 def class_in_h3(rd: RootDatum, u: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:

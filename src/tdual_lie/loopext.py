@@ -4,7 +4,7 @@ A central extension of the integral lattice by the circle is classified by
 its commutator map b, an antisymmetric bi-additive map with values in Q/Z;
 the extension is trivial exactly when b vanishes.  For a simply connected
 group at level k, of any series, the commutator map of the pulled-back
-extension is b = [k/2 * <.,.>] on the integral basis (`_lattice_gram`); a
+extension is b = [k/2 * <.,.>] on the integral basis (`rd.lattice_gram`); a
 group with pi_1 != 0 must be given an explicit b (which can be checked for
 admissibility against the invariant form, on the simple coroots alone,
 since both sides of the rule are additive).
@@ -17,13 +17,12 @@ A value in Q/Z is the reduced integer pair (p, q) with 0 <= p < q that
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, InvalidCommutator, RequiresExplicitB
-from .rootdata import RootDatum, character_basis, fundamental_group_of
+from .rootdata import RootDatum
 from .tduality import level_twist
-from .zlinalg import IntMatrix, solve_columns
+from .zlinalg import IntMatrix
 
 
 def mod1(p: int, q: int) -> tuple[int, int]:
@@ -62,17 +61,8 @@ class CommutatorMap:
                     raise InvalidCommutator("commutator map must be antisymmetric mod 1")
 
 
-@lru_cache(maxsize=1)
-def _lattice_gram(rd: RootDatum) -> tuple[int, IntMatrix]:
-    """(N, Y) with X Y = N P = `level_twist(rd, N)`, P the level-1 form on
-    the integral basis B and N the exponent of pi_1: Y[j, k] = N <lambda_j, lambda_k>,
-    the one Gram matrix on the lattice (derived in `admissibility_check`)."""
-    exponent = max(fundamental_group_of(rd), default=1)
-    return exponent, solve_columns(character_basis(rd), level_twist(rd, exponent))
-
-
 def commutator_from_level(rd: RootDatum, level: int) -> CommutatorMap:
-    """b = [level Y/2] mod 1 on the integral basis, Y of `_lattice_gram`.
+    """b = [level Y/2] mod 1 on the integral basis, Y of `rd.lattice_gram`.
 
     Asserted for every simply connected group, of any series: its lattice
     is the coroot lattice, on which the basic form is even, so b vanishes
@@ -84,7 +74,7 @@ def commutator_from_level(rd: RootDatum, level: int) -> CommutatorMap:
             f"{rd.label} is not simply connected; supply the commutator map explicitly")
     if level < 0:
         raise ValueError("level must be nonnegative")
-    values = tuple(tuple(mod1(level * x, 2) for x in row) for row in _lattice_gram(rd)[1])
+    values = tuple(tuple(mod1(level * x, 2) for x in row) for row in rd.lattice_gram[1])
     return CommutatorMap(rd.rank, values)
 
 
@@ -132,10 +122,10 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
     With B the integral basis, X the character basis (B X^T = A, A the
     Cartan matrix) and P = level_twist(rd, level), lambda_j is column j of
     A X^-T in coroot coordinates, so the Gram matrix on Lambda is X^-1 P.
-    With U X V = diag(d) the cached Smith form, X^-1 = V diag(d)^-1 U, so
+    With U X V = diag(d) the datum's Smith form, X^-1 = V diag(d)^-1 U, so
     N X^-1 is integral for N the exponent of pi_1 = coker X^T (its largest
     invariant factor, 1 when pi_1 is trivial): X Y = N P has an integer
-    solution (`_lattice_gram`, at level 1, scaled by `level`), and
+    solution (`rd.lattice_gram`, at level 1, scaled by `level`), and
     N <lambda_j, lambda_k> = Y[j, k] is checked for divisibility by N.
 
     Both sides of the half-pairing rule are additive in H mod 1, and every
@@ -151,7 +141,7 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
     basis vector, then by coroot in sorted coweight coordinates."""
     n = rd.rank
     pairing = level_twist(rd, level)
-    exponent, unit_gram = _lattice_gram(rd)
+    exponent, unit_gram = rd.lattice_gram
     gram = unit_gram.scale(level)
     integrality = [
         f"<lambda_{j}, lambda_{k}> = {ratio(gram[j, k], exponent)} is not an integer"
@@ -160,7 +150,7 @@ def admissibility_check(rd: RootDatum, level: int, b: CommutatorMap) -> dict:
     coroots = sorted(enumerate(rd.cartan.columns()), key=lambda col: col[1])
     scales = [lcm(*(q for _, q in row)) for row in b.values]
     scaled = IntMatrix([p * (d // q) for p, q in row] for d, row in zip(scales, b.values))
-    products = character_basis(rd) @ scaled.transpose()  # column k: scaled row k of b on the H_i
+    products = rd.character_basis @ scaled.transpose()  # column k: scaled row k of b on the H_i
     half = []
     for k, (d, xs, ws) in enumerate(zip(scales, products.columns(), pairing.columns())):
         for i, coroot in coroots:

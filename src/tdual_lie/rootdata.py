@@ -29,7 +29,7 @@ solve once and keeps its character basis.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations, compress
 from math import gcd, lcm
 
@@ -129,11 +129,12 @@ def _is_cartan_of(cartan: IntMatrix, components) -> bool:
 
 class RootDatum:
     """A compact semisimple group presented through its lattices, a value:
-    `==`, `hash` and repr are class-exact and read its four fields, so equal
-    data share the entries of every cache keyed on a datum.  Each such cache
-    (`character_smith`, `loopext._lattice_gram`, `flagcoh.invariant_coords`)
-    holds one entry: a report reads one datum, and it evaluates its twist u,
-    then the moved twist, and never u again.
+    `==`, `hash` and repr are class-exact and read its four fields.  What
+    those fields determine is kept on the datum, computed at most once: the
+    character basis X (`character_basis`, solved for here), its Smith form
+    (`character_smith`), the lattice Gram matrix (`lattice_gram`) and the
+    root-length ratios (`epsilons`).  An equal datum built apart computes
+    its own.
 
     `integral` is the n x n basis matrix B of the integral lattice of the
     chosen maximal torus, sitting between the coroot lattice (simply
@@ -145,8 +146,10 @@ class RootDatum:
     Cartan blocks, G2 and F4 possibly transposed (`_is_cartan_of`), else
     InvalidSeries.
     So A is nonsingular, and the one solve B X^T = A for the character basis
-    X the datum keeps checks that the lattice contains the coroots and shows
-    the columns of B independent.
+    X checks that the lattice contains the coroots and shows the columns of
+    B independent.  Column k of X, in weight coordinates, is the character
+    x_k with x_k^T A^-1 B = e_k^T, the basis dual to B: this duality ties
+    twist matrices to the degree-2 differential downstream.
     """
 
     def __init__(self, components: tuple[tuple[str, int], ...], cartan: IntMatrix,
@@ -168,7 +171,7 @@ class RootDatum:
         x = solve_columns(integral, cartan)
         if x is None:
             raise NotBetweenLattices("integral lattice does not contain the coroots")
-        self._characters = x.transpose()
+        self.character_basis = x.transpose()
 
     def _key(self) -> tuple:
         return self.components, self.cartan, self.integral, self.label
@@ -204,9 +207,29 @@ class RootDatum:
 
     def is_simply_connected(self) -> bool:
         """pi_1, the integral lattice mod the coroots, is trivial: read off the
-        cached Smith form of the character basis (`fundamental_group_of`)."""
+        Smith form of the character basis (`fundamental_group_of`)."""
         return not fundamental_group_of(self)
 
+    # -- values kept on the datum, each computed on first read ---------------
+
+    @cached_property
+    def character_smith(self) -> tuple[IntMatrix, tuple[int, ...]]:
+        """(U, d) with U X V = diag(d) for some unimodular V: the Smith form of
+        the character basis X, for pi_1 and for H^2 and H^3 downstream."""
+        return smith_normal_form(self.character_basis)
+
+    @cached_property
+    def lattice_gram(self) -> tuple[int, IntMatrix]:
+        """(N, Y) with X Y = N P, P the level-1 form on the integral basis B and
+        N the exponent of pi_1: Y[j, k] = N <lambda_j, lambda_k>, the one Gram
+        matrix on the lattice (derived in `loopext.admissibility_check`).  N P
+        is `form_pairing` at level N on every factor, as
+        `tduality.level_twist(rd, N)` builds it."""
+        exponent = max(fundamental_group_of(self), default=1)
+        pairing = form_pairing(self, (exponent,) * len(self.components), self.integral)
+        return exponent, solve_columns(self.character_basis, pairing)
+
+    @cached_property
     def epsilons(self) -> tuple[int, ...]:
         """eps_i = (longest root length)^2 / (alpha_i length)^2 in its factor.
 
@@ -238,7 +261,7 @@ def form_pairing(rd: RootDatum, levels: Sequence[int], coweights: IntMatrix) -> 
     diag(l eps): the pairing is l_i eps_i v_k[i], an integer, and no
     inverse is taken.
     """
-    eps = rd.epsilons()
+    eps = rd.epsilons
     scale = [k * e for (lo, hi, _, _), k in zip(rd.factor_ranges(), levels, strict=True)
              for e in eps[lo:hi]]
     return IntMatrix([[scale[i] * x for x in coweights.row(i)] for i in range(rd.rank)],
@@ -418,28 +441,11 @@ def center(rd: RootDatum) -> tuple[int, ...]:
     return tuple(d for d in orders if d > 1)
 
 
-def character_basis(rd: RootDatum) -> IntMatrix:
-    """The character basis X of the torus, solved for once by `RootDatum` as
-    the transpose of the solution of B X^T = A: column k, in weight
-    coordinates, is the character x_k with x_k^T A^-1 B = e_k^T, the basis
-    dual to the integral basis B.  This duality ties twist matrices to the
-    degree-2 differential downstream."""
-    return rd._characters
-
-
-@lru_cache(maxsize=1)
-def character_smith(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...]]:
-    """(U, d) with U X V = diag(d) for some unimodular V: the Smith form of
-    the character basis X, taken once per datum for pi_1 and for H^2 and
-    H^3 downstream."""
-    return smith_normal_form(character_basis(rd))
-
-
 def fundamental_group_of(rd: RootDatum) -> tuple[int, ...]:
     """Invariant factors of pi_1: the integral lattice mod the coroots.  In
     integral-basis coordinates the simple coroots are the columns of X^T
     (B X^T = A), so pi_1 = coker X^T, whose invariant factors are X's."""
-    return tuple(x for x in character_smith(rd)[1] if x >= 2)
+    return tuple(x for x in rd.character_smith[1] if x >= 2)
 
 
 _DUAL_LABELS = {"SU": "PSU", "PSU": "SU"}
@@ -469,7 +475,7 @@ def langlands_dual(rd: RootDatum) -> RootDatum:
     integral lattice is the character lattice of the original torus.
     """
     return RootDatum(components=tuple((_DUAL_SERIES.get(s, s), r) for s, r in rd.components),
-                     cartan=rd.cartan.transpose(), integral=character_basis(rd),
+                     cartan=rd.cartan.transpose(), integral=rd.character_basis,
                      label=_dual_label(rd))
 
 

@@ -24,8 +24,6 @@ from tdual_lie.rootdata import (
     _DUAL_SERIES,
     build,
     center_generators,
-    character_basis,
-    character_smith,
     form_pairing,
     require_phi,
 )
@@ -306,7 +304,7 @@ def invariant_coords(rd, u: IntMatrix) -> tuple[int, ...] | None:
     """Checks `flagcoh.invariant_coords`: the `sym_invariants` coordinates
     of the quadratic polynomial of M = X u^T (M_ii on w_i^2, M_ij + M_ji on
     w_i w_j), by a solve over the monomials, or None when there are none."""
-    m = character_basis(rd) @ u.transpose()
+    m = rd.character_basis @ u.transpose()
     poly = [m[i, i] if i == j else m[i, j] + m[j, i] for i, j in pair_basis(rd.rank, strict=False)]
     return coords(sym_invariants(rd), poly)
 
@@ -316,7 +314,7 @@ def free_lattice(rd) -> IntMatrix:
     invariant coordinates c of a cycle: the Hermite basis of the lattice K
     of the c that cycles reach, through one kernel with a slack column per
     nontrivial Smith invariant.  K does not depend on which Smith basis U
-    (`rootdata.character_smith`, U X V = diag(d)) is taken.
+    (`RootDatum.character_smith`, U X V = diag(d)) is taken.
 
     With N = U X u^T U^T, a cycle has N + N^T = 2T(c), 2T(c) = U S_c U^T
     and S_c the block sum of the c_k F_k of `invariant_forms`, and u is
@@ -327,7 +325,7 @@ def free_lattice(rd) -> IntMatrix:
     polynomial's value on row i of U, U_i|k that row cut to block k, which
     gives one kernel row (with a slack column) per d_i > 1; c fixes the
     slack, so the kernel's Hermite basis cut to c is K's."""
-    U, d = character_smith(rd)
+    U, d = rd.character_smith
     forms, torsion = invariant_forms(rd), [i for i in range(rd.rank) if d[i] > 1]
     f = len(forms)
 
@@ -465,7 +463,7 @@ def tensor_complex(rd) -> tuple[IntMatrix, IntMatrix]:
     weights -> sym^2(weights), with x_a (x) w_j at a*n + j and the
     pair_basis orders."""
     n = rd.rank
-    x = character_basis(rd)
+    x = rd.character_basis
     wedge = pair_basis(n, strict=True)
     mono = pair_basis(n, strict=False)
     mono_index = {p: k for k, p in enumerate(mono)}

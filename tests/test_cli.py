@@ -724,7 +724,7 @@ def test_eliminations_per_verb(monkeypatch, capsys, argv, echelons, smith):
     `langlands` takes none.  Each Smith form of X is one round of
     `_echelon`, on its rows and then on its columns: 2 runs."""
     rd = cli.resolve_group(argv[2])
-    of = {"A": rd.cartan, "X": rootdata.character_basis(rd)}
+    of = {"A": rd.cartan, "X": rd.character_basis}
     echelon, smith_normal_form = zlinalg._echelon, rootdata.smith_normal_form
     echelon_calls, smith_calls, smith_echelons = [], [], []
 

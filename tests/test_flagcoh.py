@@ -4,6 +4,7 @@ import importlib
 import inspect
 import pkgutil
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
@@ -27,11 +28,10 @@ from tdual_lie.flagcoh import (
     h3_group,
     is_cycle,
 )
-from tdual_lie.loopext import admissibility_check, commutator_from_matrix
+from tdual_lie.loopext import admissibility_check, commutator_from_level, commutator_from_matrix
 from tdual_lie.rootdata import (
     build,
     center,
-    character_basis,
     form_pairing,
     fundamental_group_of,
     langlands_dual,
@@ -100,7 +100,7 @@ def wedge3_differential(rd) -> IntMatrix:
     + r(z)(x)(x^y) inside weights (x) wedge^2(chars).
     """
     n = rd.rank
-    x = character_basis(rd)
+    x = rd.character_basis
     wedge2 = pair_basis(n, strict=True)
     w2_index = {p: k for k, p in enumerate(wedge2)}
     triples = [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)]
@@ -155,7 +155,7 @@ def test_integer_form_route_matches_rationals(rd, level, data):
     a, b = to_sympy(rd.cartan), to_sympy(rd.integral)
     g = to_sympy(form_pairing(rd, (level,) * n_factors, rd.cartan))
     assert level_twist(rd, level) == level_twist_matrix(rd, level)
-    assert character_basis(rd) == _int_matrix(a.T * b.inv().T)
+    assert rd.character_basis == _int_matrix(a.T * b.inv().T)
     # <lambda_k, H> = (A^{-1} lambda_k)^T G (A^{-1} H) for every integral basis
     # vector lambda_k and every coroot H, as form_pairing gives it.
     coroots = orbit_by_reflection_matrices(rd.cartan.columns())
@@ -246,7 +246,7 @@ def test_classification_rules_match_their_old_routes(rd):
     of the level-1 polynomial on factor k (G = diag(eps) A)."""
     for datum in (rd, langlands_dual(rd)):
         assert center(datum) == tuple(x for x in smith_normal_form(datum.cartan)[1] if x >= 2)
-        assert datum.is_simply_laced() == all(e == 1 for e in datum.epsilons()), datum.label
+        assert datum.is_simply_laced() == all(e == 1 for e in datum.epsilons), datum.label
         g = form_pairing(datum, (1,) * len(datum.components), datum.cartan)
         for lo, hi, f in invariant_forms(datum):
             span = range(lo, hi)
@@ -320,28 +320,74 @@ def _package_caches():
 
 def test_every_cache_with_arguments_is_bounded():
     """No cache keyed on its arguments grows with the number of distinct
-    arguments a run passes."""
+    arguments a run passes: the one such cache is `invariant_coords`, keyed
+    per twist, and what a datum determines is kept on the datum."""
     caches = dict(_package_caches())
-    assert "rootdata.character_smith" in caches and "rootdata.character_basis" not in caches
+    assert list(caches) == ["flagcoh.invariant_coords"]
     assert [name for name, fn in caches.items() if fn.cache_info().maxsize is None] == []
 
 
 def test_per_datum_caches_stay_at_their_bound():
     """Distinct rank-32 data through `cohomology`, `class_in_h3` of a level
-    twist, `verify_langlands_tdual` and `admissibility_check` leave every
-    cache keyed on its arguments at its one entry, not one per datum ever
-    seen."""
+    twist, `verify_langlands_tdual` and `admissibility_check` leave the one
+    cache keyed on its arguments, `invariant_coords`, at its one entry, not
+    one per datum ever seen, and it holds no datum but the last: what each
+    datum computed goes with it."""
     clear_caches()
-    zero = [[(0, 1)] * 32] * 32
+    zero, seen = [[(0, 1)] * 32] * 32, []
     for i in range(3):
         rd = build([("A", 16), ("D", 16)], "adjoint", label=f"g{i}")
         cohomology(rd)
         class_in_h3(rd, level_twist(rd, 1))
         verify_langlands_tdual(rd)
         admissibility_check(rd, 1, commutator_from_matrix(rd, zero))
-    for name, fn in _package_caches():
-        info = fn.cache_info()
-        assert info.currsize == info.maxsize == 1, (name, info)
+        seen.append(weakref.ref(rd))
+    info = flagcoh.invariant_coords.cache_info()
+    assert info.currsize == info.maxsize == 1, info
+    del rd
+    assert [ref() is not None for ref in seen] == [False, False, True]
+
+
+@pytest.mark.parametrize("factors, fundamental_group", [
+    ([("A", 3)], "simply_connected"),
+    ([("A", 3)], "adjoint"),
+    ([("D", 4)], "adjoint"),
+    ([("A", 3), ("A", 1)], {"generators": [[2, 1]]}),
+], ids=["SU(4)", "PSU(4)", "adjoint D4", "A3xA1/<(2,1)>"])
+def test_each_datum_takes_one_smith_form_and_one_gram_solve(monkeypatch, factors,
+                                                            fundamental_group):
+    """Whichever of `fundamental_group_of`, `h3_group`, `class_in_h3`,
+    `commutator_from_level` and `admissibility_check` reads them first, a
+    datum takes one Smith form of X and, besides the solve for X, one Gram
+    solve, and keeps them.  An equal datum built apart takes its own and
+    gets equal ones."""
+    smiths, solves = [], []
+    smith, solve = rootdata.smith_normal_form, rootdata.solve_columns
+    monkeypatch.setattr(rootdata, "smith_normal_form", lambda m: smiths.append(m) or smith(m))
+    monkeypatch.setattr(rootdata, "solve_columns",
+                        lambda basis, targets: solves.append(basis) or solve(basis, targets))
+
+    def level(rd):
+        if rd.is_simply_connected():
+            commutator_from_level(rd, 1)
+
+    readers = [fundamental_group_of, h3_group, lambda rd: class_in_h3(rd, level_twist(rd, 1)),
+               level, lambda rd: admissibility_check(rd, 1, commutator_from_matrix(
+                   rd, [[(0, 1)] * rd.rank] * rd.rank))]
+    data = []
+    for order in (readers, readers[::-1]):
+        rd = build(factors, fundamental_group)
+        for read in order + order:
+            read(rd)
+        data.append(rd)
+    first, second = data
+    assert first == second
+    assert smiths == [first.character_basis, second.character_basis]
+    assert solves == [first.integral, first.character_basis] * 2
+    assert first.character_smith is not second.character_smith
+    assert first.character_smith == second.character_smith
+    assert first.lattice_gram is not second.lattice_gram
+    assert first.lattice_gram == second.lattice_gram
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -351,7 +397,7 @@ def test_vanishing_pieces_match_kernels(rd):
     differential, d20 and the character basis have zero kernel, on random
     root data and on their Langlands duals."""
     for datum in (rd, langlands_dual(rd)):
-        x = character_basis(datum)
+        x = datum.character_basis
         assert column_hermite_form(x).cols == datum.rank, datum.label
         if datum.rank >= 3:
             assert kernel_of_matrix(wedge3_differential(datum)).cols == 0, datum.label
@@ -454,7 +500,7 @@ def h3_by_subquotient(rd):
     quotient; with c last, its free coordinates are c's in the Hermite basis
     of the lattice of those c."""
     n = rd.rank
-    U, d = smith_normal_form(character_basis(rd))
+    U, d = smith_normal_form(rd.character_basis)
     pairs = [(i, j) for i, j in pair_basis(n, strict=True) if gcd(d[i], d[j]) > 1]
     inv, mono = sym_invariants(rd), pair_basis(n, strict=False)
     f, p, torsion = inv.cols, len(pairs), [i for i in range(n) if d[i] > 1]
@@ -470,7 +516,7 @@ def h3_by_subquotient(rd):
                     column_hermite_form(IntMatrix.from_columns(cycles)))
 
     def class_of(u):
-        nm = U @ character_basis(rd) @ u.transpose() @ U.transpose()
+        nm = U @ rd.character_basis @ u.transpose() @ U.transpose()
         return subquotient_coords(g, tuple(nm[i, j] for i, j in pairs) + invariant_coords(rd, u))
 
     return g, class_of
@@ -524,7 +570,7 @@ def test_class_in_h3_torsion_reads_n_in_full(rd, level, data):
                                min_size=n, max_size=n))
         u = level_twist(datum, level) + boundary(datum, IntMatrix(s))
         U, d, pairs = _smith_frame(datum)
-        nm = U @ character_basis(datum) @ u.transpose() @ U.transpose()
+        nm = U @ datum.character_basis @ u.transpose() @ U.transpose()
         expected = tuple(nm[i, j] // d[j] % d[i] for i, j in pairs)
         assert class_in_h3(datum, u)[1] == expected, (datum.label, u)
 
@@ -578,14 +624,14 @@ def test_one_smith_form_per_group(monkeypatch):
     fresh()
     cohomology(rd)
     class_in_h3(rd, u)
-    assert calls == [character_basis(rd)]
+    assert calls == [rd.character_basis]
 
     rd = build([("B", 3)], "adjoint")
     u = level_twist(rd, 2)
-    assert rd.cartan != character_basis(rd)
+    assert rd.cartan != rd.character_basis
     fresh()
     report_group(rd)
-    assert calls == [character_basis(rd)]
+    assert calls == [rd.character_basis]
     cohomology(rd)
     class_in_h3(rd, u)
     assert len(calls) == 1
@@ -736,7 +782,7 @@ def test_complex_ranks():
     assert su2["H4_B"] == so3["H4_B"]
 
     # restriction is times 2
-    assert character_basis(named_group("SO(3)")) == IntMatrix([[2]])
+    assert named_group("SO(3)").character_basis == IntMatrix([[2]])
 
     a2 = named_group("SU(3)")
     d20, d21 = tensor_complex(a2)
@@ -824,7 +870,7 @@ def cohomology_by_subquotients(rd) -> dict:
     weights/characters, weights/0 and sym^2(weights)/invariants, each by
     its own Smith form.  Values are (free_rank, invariant_factors)."""
     n, inv = rd.rank, sym_invariants(rd)
-    chars = column_hermite_form(character_basis(rd))
+    chars = column_hermite_form(rd.character_basis)
     zero = IntMatrix.zero(n, 0)
     groups = {
         "H1_K": subquotient(IntMatrix.zero(0, 0), standard_lattice(0)),

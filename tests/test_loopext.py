@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdual_lie import loopext
+from tdual_lie import loopext, rootdata
 from tdual_lie.cli import main, report_extension, resolve_group
 from tdual_lie.errors import InvalidCommutator, RequiresExplicitB
 from tdual_lie.loopext import (
@@ -25,7 +25,6 @@ from tdual_lie.rootdata import (
     RootDatum,
     build,
     center,
-    character_basis,
     form_pairing,
     langlands_dual,
     named_group,
@@ -105,7 +104,7 @@ def admissibility_on_every_coroot(rd, level, b, keep=lambda coroot: True):
     simple_coords = solve_columns(rd.cartan, IntMatrix.from_columns(coroots, rows=n))
     scales = [lcm(*(q for _, q in row)) for row in b.values]
     scaled = IntMatrix([p * (d // q) for p, q in row] for d, row in zip(scales, b.values))
-    products = (scaled @ character_basis(rd).transpose()) @ simple_coords
+    products = (scaled @ rd.character_basis.transpose()) @ simple_coords
     half = []
     for k, (d, xs, ws) in enumerate(zip(scales, products, pairing.transpose() @ simple_coords)):
         for coroot, x, w in zip(coroots, xs, ws):
@@ -228,7 +227,7 @@ def test_admissibility_solves_at_most_rank_columns(monkeypatch, name):
         widths.append(targets.cols)
         return solve_columns(basis, targets)
 
-    monkeypatch.setattr(loopext, "solve_columns", counted)
+    monkeypatch.setattr(rootdata, "solve_columns", counted)
     admissibility_check(rd, 1, commutator_from_matrix(rd, [[(0, 1)] * rd.rank] * rd.rank))
     assert widths and max(widths) <= rd.rank
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from tdual_lie import rootdata, zlinalg
+from tdual_lie import flagcoh, rootdata, zlinalg
 from tdual_lie.errors import (
     DimensionMismatch,
     InvalidCenterSubgroup,
@@ -25,8 +25,6 @@ from tdual_lie.rootdata import (
     cartan_block,
     center,
     center_generators,
-    character_basis,
-    character_smith,
     form_pairing,
     fundamental_group_of,
     langlands_dual,
@@ -34,6 +32,7 @@ from tdual_lie.rootdata import (
     require_phi,
     root_count,
 )
+from tdual_lie.tduality import level_twist
 from tdual_lie.zlinalg import (IntMatrix, column_hermite_form, hstack, smith_normal_form,
                               solve_columns)
 
@@ -70,7 +69,7 @@ def test_su2_lattices():
     su2 = named_group("SU(2)")
     # Integral lattice = coroot lattice = 2 * coweights; characters = weights.
     assert su2.integral == IntMatrix([[2]])
-    assert character_basis(su2) == IntMatrix([[1]])
+    assert su2.character_basis == IntMatrix([[1]])
     assert su2.is_simply_connected()
 
 
@@ -78,7 +77,7 @@ def test_so3_lattices():
     so3 = named_group("SO(3)")
     assert so3.integral == IntMatrix([[1]])
     # Characters = root lattice, index 2 in the weight lattice.
-    assert character_basis(so3) == IntMatrix([[2]])
+    assert so3.character_basis == IntMatrix([[2]])
     assert not so3.is_simply_connected()
     assert fundamental_group_of(so3) == (2,)
 
@@ -170,7 +169,7 @@ def test_datum_rebuilt_from_its_fields_is_the_same_value(rd):
     Langlands dual's dual is the datum, label included."""
     again = RootDatum(rd.components, rd.cartan, rd.integral, rd.label)
     assert again == rd and hash(again) == hash(rd)
-    assert character_basis(again) == character_basis(rd) == \
+    assert again.character_basis == rd.character_basis == \
         solve_columns(rd.integral, rd.cartan).transpose()
     assert langlands_dual(langlands_dual(rd)) == rd
 
@@ -224,7 +223,7 @@ def test_g2_long_short():
     # Root length is constant on Weyl orbits: the long simple root alpha_1
     # and the short alpha_2 each sweep out six roots, together all twelve.
     g2 = named_group("G2")
-    assert g2.epsilons() == (1, 3)
+    assert g2.epsilons == (1, 3)
     reflections = [reflection_matrix(g2.cartan.row(i), i) for i in range(2)]
 
     def orbit(root):
@@ -278,7 +277,7 @@ def test_epsilons_match_classification():
     table = {"A3": (1, 1, 1), "B3": (1, 1, 2), "C3": (2, 2, 1), "D4": (1, 1, 1, 1),
              "E6": (1,) * 6, "F4": (1, 1, 2, 2), "G2": (1, 3)}
     for name, eps in table.items():
-        assert named_group(name).epsilons() == eps, name
+        assert named_group(name).epsilons == eps, name
         assert named_group(name).is_simply_laced() == (set(eps) == {1}), name
 
 
@@ -289,7 +288,7 @@ def test_basic_form_symmetric_on_langlands_duals():
         dual = langlands_dual(build(comps))
         g = form_pairing(dual, (1,) * len(dual.components), dual.cartan)
         assert g == g.transpose(), comps
-    assert langlands_dual(named_group("G2")).epsilons() == (3, 1)
+    assert langlands_dual(named_group("G2")).epsilons == (3, 1)
 
 
 def test_basic_form_symmetric_positive():
@@ -303,13 +302,13 @@ def test_basic_form_symmetric_positive():
 def test_dual_lattice_examples():
     # The character lattice is the dual of the integral lattice.
     su2 = named_group("SU(2)")
-    assert character_basis(su2) == IntMatrix([[1]])
+    assert su2.character_basis == IntMatrix([[1]])
 
     so3 = named_group("SO(3)")
-    assert character_basis(so3) == IntMatrix([[2]])
+    assert so3.character_basis == IntMatrix([[2]])
 
     su3 = named_group("SU(3)")
-    assert column_hermite_form(character_basis(su3)) == \
+    assert column_hermite_form(su3.character_basis) == \
         column_hermite_form(weight_lattice(su3))
     # Index of the root lattice in the weight lattice is det(Cartan) = 3.
     assert abs(bareiss_det(root_lattice(su3))) == 3
@@ -341,7 +340,7 @@ def test_integral_basis_eliminated_once(monkeypatch):
     clear_caches()
     monkeypatch.setattr(zlinalg, "_echelon", counted)
     rd = build([("A", 3)])
-    character_basis(rd)
+    rd.character_basis
     assert len(calls) == 1
 
 
@@ -349,10 +348,10 @@ def test_char_lattice_endpoints():
     # Simply connected: characters = weights; adjoint: characters = roots.
     for n in (2, 3, 4):
         sc = named_group(f"SU({n})")
-        assert column_hermite_form(character_basis(sc)) == \
+        assert column_hermite_form(sc.character_basis) == \
             column_hermite_form(weight_lattice(sc))
         ad = named_group(f"PSU({n})")
-        assert column_hermite_form(character_basis(ad)) == \
+        assert column_hermite_form(ad.character_basis) == \
             column_hermite_form(root_lattice(ad))
 
 
@@ -524,7 +523,7 @@ def test_dual_character_basis_is_the_integral_basis(rd):
     A^T), so that basis is B itself.  This is why `verify_langlands_tdual`
     prints the twist's image lattice as the expected one and builds no dual
     datum."""
-    assert character_basis(langlands_dual(rd)) == rd.integral
+    assert langlands_dual(rd).character_basis == rd.integral
 
 
 def test_find_phi():
@@ -635,7 +634,8 @@ def test_weyl_enumeration_sizes():
 
 def test_value_semantics():
     """Equal fields give equal objects with equal hashes, of one class only:
-    the contract of every lru_cache keyed on a RootDatum."""
+    the contract of the one cache keyed on a RootDatum,
+    `flagcoh.invariant_coords`."""
     named, built = named_group("SU(3)"), build([("A", 2)], label="SU(3)")
     assert named is not built and named == built and hash(named) == hash(built)
     fields = (named.components, named.cartan, named.integral, named.label)
@@ -647,10 +647,11 @@ def test_value_semantics():
     assert (repr(named_group("SU(2)"))
             == "RootDatum(components=(('A', 1),), cartan=IntMatrix([[2]]), "
                "integral=IntMatrix([[2]]), label='SU(2)')")
-    character_smith(named)
-    hits = character_smith.cache_info().hits
-    character_smith(built)
-    assert character_smith.cache_info().hits == hits + 1
+    u = level_twist(named, 1)
+    flagcoh.invariant_coords(named, u)
+    hits = flagcoh.invariant_coords.cache_info().hits
+    flagcoh.invariant_coords(built, u)
+    assert flagcoh.invariant_coords.cache_info().hits == hits + 1
 
 
 def test_named_vs_json_style_build():

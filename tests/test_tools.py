@@ -121,6 +121,15 @@ def test_main_writes_each_argv_of_a_section_once(monkeypatch, tmp_path):
         assert [row["change"]["median_wall_s"] for row in summary] == [1.5, 1.5]
     assert report["rank_128"]["summary"][0]["parent"]["median_maxrss_mb"] == 9.0
     assert "median_maxrss_mb" not in report["cliffs"]["summary"][0]["parent"]
+    assert set(report["startup"]["summary"]) == {"interpreter", "import", "group SU(2)"}
+
+
+def test_the_interpreter_row_names_no_package_module():
+    """The startup floor is the command path's `gc.freeze()` alone: the row
+    runs, and its code names no module of the package."""
+    args = bench_pr.STARTUP_ROWS["interpreter"]
+    assert "tdual_lie" not in " ".join(args)
+    assert bench_pr.checked(bench_pr.CHANGE, args).status == "exit 0"
 
 
 def test_main_reports_a_digest_that_varies_between_pairs(monkeypatch, tmp_path, capsys):

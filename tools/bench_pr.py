@@ -53,8 +53,11 @@ differ between the checkouts in a pair, as on a deliberate output change,
 or between the pairs of one side are counted on stderr.
 
 Then both checkouts time STARTUP_SPAWNS fresh processes of each of
-STARTUP_ROWS, `import tdual_lie.cli` alone and `group --group SU(2)`.
-`startup` keeps each side's median wall_s per pair (raw, unlike
+STARTUP_ROWS: the bare interpreter (`-c "import gc; gc.freeze()"`, the
+command path's first step, which loads nothing of the package), `import
+tdual_lie.cli` alone and `group --group SU(2)`.  The bare interpreter is
+the floor under every job, so the other rows less it are the package's own
+share.  `startup` keeps each side's median wall_s per pair (raw, unlike
 perfbench's calibrated `setup_s`), and per row each side's median over the
 pairs and the change's wins.
 
@@ -92,7 +95,8 @@ atexit.register(peak)
 from tdual_lie.cli import main
 sys.exit(main())
 """
-STARTUP_ROWS = {"import": ("-c", "import tdual_lie.cli"),
+STARTUP_ROWS = {"interpreter": ("-c", "import gc; gc.freeze()"),
+                "import": ("-c", "import tdual_lie.cli"),
                 "group SU(2)": ("-c", ENTRY, "group", "--group", "SU(2)")}
 STARTUP_SPAWNS = 20
 TIMEOUT_S = 300  # a child that runs longer is killed

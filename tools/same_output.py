@@ -8,7 +8,10 @@ process that `bench_pr.spawn` starts in that checkout and kills after
 `bench_pr.TIMEOUT_S`.  The argv are every
 `perfbench/workloads.digest_jobs()` row, `make_jobs(w, s)` for seeds 1-5 of
 each workload, the cliff rows, bench_pr's RANK_CAP_ROWS and CONTCHECK_ROWS,
-DOUBLE_DATUM_ROWS, QUOTIENT_ROWS, SPEC_ROWS, CENTER_ROWS (`group --format
+DOUBLE_DATUM_ROWS (every verb over `--group-list SU(4),SU(4)`, `extension
+--b` over PSU(4) twice, and `cohomology`, `twist --twist level:1` and
+`extension --level 1` over `--group-list SU(4),Sp(3),SU(4),PSU(4)`),
+QUOTIENT_ROWS, SPEC_ROWS, CENTER_ROWS (`group --format
 json` on A1 x A2, A1 x A1 x A3, A2 x A5 x E6, A4 x A9 and D4 x D5 x A1 x E7,
 simply connected and adjoint), LEVEL_ROWS (`extension --level 1..3`, text
 and JSON, on Spin(5), Sp(3), Spin(7), G2, F4, B3 x C3 and Sp(32)),
@@ -64,8 +67,11 @@ from workloads import CLIFFS, WORKLOADS, digest_jobs, make_jobs  # noqa: E402
 
 SEEDS = range(1, 6)
 # Batches that build one datum twice: equal data built apart solve for their
-# character bases apart, and must print what one shared solve printed.
+# character bases apart, and must print what one shared solve printed.  Then
+# batches that alternate distinct data, where a cache of one datum's values
+# would be evicted and refilled: each datum computes and keeps its own.
 TWICE = "SU(4),SU(4)"
+ALTERNATING = "SU(4),Sp(3),SU(4),PSU(4)"
 DOUBLE_DATUM_ROWS = (
     ("group", "--group-list", TWICE),
     ("cohomology", "--group-list", TWICE),
@@ -75,6 +81,9 @@ DOUBLE_DATUM_ROWS = (
     ("langlands", "--group-list", TWICE),
     ("extension", "--group-list", TWICE, "--level", "1"),
     ("extension", "--group-list", "PSU(4),PSU(4)", "--b", "[[0,0,0],[0,0,0],[0,0,0]]"),
+    ("cohomology", "--group-list", ALTERNATING),
+    ("twist", "--group-list", ALTERNATING, "--twist", "level:1"),
+    ("extension", "--group-list", ALTERNATING, "--level", "1"),
 )
 # A rank-32 quotient by three generators, D4^8 / (Z/2)^3: its integral basis
 # is a Hermite basis and its character basis has three Smith invariants 2, so
