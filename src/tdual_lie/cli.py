@@ -171,7 +171,7 @@ def parse_args(argv) -> SimpleNamespace | str:
                             **_DEFAULTS, "verb": verb, **given})
     ns.groups = ()
     if "--group" in flags:
-        if ns.group and ns.group_list:
+        if ns.group is not None and ns.group_list is not None:
             raise UsageError("--group and --group-list are mutually exclusive")
         if ns.group:
             ns.groups = (ns.group,)
@@ -422,12 +422,12 @@ def report_for(config: SimpleNamespace, spec: str) -> dict:
     """The report of `config.verb` on the group `spec`."""
     rd = resolve_group(spec)
     if config.verb in ("twist", "dualize"):
-        shift = resolve_shift(rd, config.shift) if config.shift else None
+        shift = resolve_shift(rd, config.shift) if config.shift is not None else None
         try:
             twist = resolve_twist(rd, config.twist)
         except Unavailable as exc:
             return {"group": rd.label, "available": False, "reason": str(exc)}
-    b = resolve_commutator(config.b) if config.b else None
+    b = resolve_commutator(config.b) if config.b is not None else None
     with _exact_output():
         if config.verb == "group":
             return report_group(rd)
@@ -512,15 +512,16 @@ def main(argv=None) -> int:
         print(_error_line(exc), file=sys.stderr)
         return 2
     try:
-        if not output and sys.stdout is None:  # fd 1 was closed when the interpreter started
+        if output is None and sys.stdout is None:  # fd 1 was closed when the interpreter started
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as fh:
+        with (nullcontext(sys.stdout) if output is None
+              else open(output, "w", encoding="utf-8")) as fh:
             fh.write(text)
             fh.flush()
     except OSError as exc:
-        where = quote(output) if output else "standard output"
+        where = "standard output" if output is None else quote(output)
         print(f"usage error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
-        if not output and sys.stdout is not None:  # so the flush at exit writes nowhere
+        if output is None and sys.stdout is not None:  # so the flush at exit writes nowhere
             with open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 2

@@ -25,8 +25,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Iterator
-from functools import lru_cache
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, starmap
 
 from .errors import InadmissibleCutoff
 from .zlinalg import IntMatrix
@@ -40,43 +39,30 @@ BUMP_TABLE = 4096  # intervals of the tabulated bump integral
 C_FORM_TOL = 1e-12
 
 
-class Cutoff:
-    """Sampled profile chi on the uniform grid t_i = i/(len(values) - 1)
-    over [0, 1].
+def cutoff_integral(name: str, values: tuple[float, ...]) -> float:
+    """Composite-trapezoid value of int chi' (chi^2 - chi) dt for the profile
+    chi sampled on the uniform grid t_i = i/(len(values) - 1) over [0, 1].
 
-    Admissible profiles satisfy chi(0)=0, chi(1)=1 and are constant on the
-    first and last 5% of samples (plateaus), so that differentiating and
-    integrating numerically sees a function that is flat at the boundary.
+    An admissible profile has chi(0)=0, chi(1)=1 and is constant on the first
+    and last 5% of samples (plateaus), so that differentiating and
+    integrating numerically sees a function that is flat at the boundary;
+    any other raises InadmissibleCutoff, naming the profile.  chi' uses the
+    five-point central-difference stencil in the interior (fourth order) and
+    low-order stencils at the edge, where the plateau makes the derivative
+    vanish anyway.  The answer must be -1/6 for every admissible profile.
+    The integrand is summed in grid order as it is made, so nothing
+    grid-sized is built.
     """
-
-    def __init__(self, name: str, values: tuple[float, ...]):
-        self.name, self.values = name, values
-
-    def validate(self) -> None:
-        values = self.values
-        n = len(values)
-        if n < 16:
-            raise InadmissibleCutoff(f"{self.name}: need a grid of at least 16 samples")
-        if abs(values[0]) > FLAT_TOL or abs(values[-1] - 1.0) > FLAT_TOL:
-            raise InadmissibleCutoff(f"{self.name}: chi(0)=0 and chi(1)=1 are required")
-        k = max(2, int(PLATEAU_FRACTION * n))
-        if any(max(islice(values, lo, lo + k)) - min(islice(values, lo, lo + k)) > FLAT_TOL
-               for lo in (0, n - k)):
-            raise InadmissibleCutoff(f"{self.name}: first/last 5% of samples must be constant")
-
-
-def cutoff_integral(cutoff: Cutoff) -> float:
-    """Composite-trapezoid value of int chi' (chi^2 - chi) dt.
-
-    chi' uses the five-point central-difference stencil in the interior
-    (fourth order) and low-order stencils at the edge, where the plateau
-    makes the derivative vanish anyway.  The answer must be -1/6 for every
-    admissible profile.  The integrand is summed in grid order as it is
-    made, so nothing grid-sized is built.
-    """
-    cutoff.validate()
-    v = cutoff.values
-    h = 1.0 / (len(v) - 1)
+    v, n = values, len(values)
+    if n < 16:
+        raise InadmissibleCutoff(f"{name}: need a grid of at least 16 samples")
+    if abs(v[0]) > FLAT_TOL or abs(v[-1] - 1.0) > FLAT_TOL:
+        raise InadmissibleCutoff(f"{name}: chi(0)=0 and chi(1)=1 are required")
+    k = max(2, int(PLATEAU_FRACTION * n))
+    if any(max(islice(v, lo, lo + k)) - min(islice(v, lo, lo + k)) > FLAT_TOL
+           for lo in (0, n - k)):
+        raise InadmissibleCutoff(f"{name}: first/last 5% of samples must be constant")
+    h = 1.0 / (n - 1)
     two_h, twelve_h = 2.0 * h, 12.0 * h
     g = [dx * (x * x - x) for dx, x in (
         ((-3.0 * v[0] + 4.0 * v[1] - v[2]) / two_h, v[0]),
@@ -102,52 +88,52 @@ def _bump(x: float) -> float:
     return math.exp(-1.0 / x) if x > 0 else 0.0
 
 
-@lru_cache(maxsize=None)
-def _bump_table() -> tuple[list[float], list[float], list[float]]:
-    """Grid s on [0, 1], the normalized cumulative trapezoid `cum` of the
-    standard bump exp(-1/(s(1-s))) on it, and its steps cum[k+1] - cum[k]."""
-    s = [k / BUMP_TABLE for k in range(BUMP_TABLE + 1)]
-    bump = [_bump(x * (1.0 - x)) for x in s]
+def _bump_table() -> tuple[list[float], list[float]]:
+    """The normalized cumulative trapezoid `cum` of the standard bump
+    exp(-1/(s(1-s))) on the grid s_k = k / BUMP_TABLE over [0, 1], and its
+    steps cum[k+1] - cum[k]."""
+    bump = [_bump(x * (1.0 - x)) for x in (k / BUMP_TABLE for k in range(BUMP_TABLE + 1))]
     cum = list(accumulate(((lo + hi) * 0.5 / BUMP_TABLE for lo, hi in zip(bump, bump[1:])),
                           initial=0.0))
     cum = [x / cum[-1] for x in cum]
-    return s, cum, [hi - lo for lo, hi in zip(cum, cum[1:])]
+    return cum, [hi - lo for lo, hi in zip(cum, cum[1:])]
 
 
-def _bump_integral(tau):
+def _bump_integral(tau, table: tuple[list[float], list[float]]):
     """Normalized integral of the standard bump at each x of tau in [0, 1],
-    interpolated linearly in the table (exactly 0 at 0 and 1 at 1), lazily.
-    s[k] = k / 2**12 exactly, so the interval holding x is int(x * BUMP_TABLE),
-    the last one for x = 1."""
-    s, cum, step = _bump_table()
-    return (cum[k] + (x - s[k]) * step[k] * BUMP_TABLE
+    interpolated linearly in `table`, the (cum, step) of `_bump_table`
+    (exactly 0 at 0 and 1 at 1), lazily.  The node s_k = k / 2**12 is exact,
+    so the interval holding x is int(x * BUMP_TABLE), the last one for x = 1."""
+    cum, step = table
+    return (cum[k] + (x - k / BUMP_TABLE) * step[k] * BUMP_TABLE
             for x in tau for k in (min(int(x * BUMP_TABLE), BUMP_TABLE - 1),))
 
 
-def iter_cutoffs(n: int = DEFAULT_GRID) -> Iterator[Cutoff]:
-    """The six standard profiles on the uniform grid t_i = i/n, built one at
-    a time: all share that grid, the first four the core ramp tau (flat on
-    both plateaus), and the mollified step and the wiggle one bump integral
-    of tau.  A profile the caller drops is freed before the next is built."""
+def iter_cutoffs(n: int = DEFAULT_GRID) -> Iterator[tuple[str, tuple[float, ...]]]:
+    """The six standard profiles, as (name, values) pairs on the uniform grid
+    t_i = i/n, built one at a time: all share that grid, the first four the
+    core ramp tau (flat on both plateaus), and the mollified step and the
+    wiggle one bump integral of tau; the bump table is built once per call.
+    A profile the caller drops is freed before the next is built."""
     ts = tuple([i / n for i in range(n + 1)])
     a, b = PLATEAU_FRACTION, 1.0 - PLATEAU_FRACTION
     tau = list(_ramp(ts, a, b - a))
-    yield Cutoff("cubic smoothstep", tuple([x * x * (3.0 - 2.0 * x) for x in tau]))
-    yield Cutoff("quintic smoothstep",
-                 tuple([x**3 * (10.0 - 15.0 * x + 6.0 * x * x) for x in tau]))
-    yield Cutoff("septic smoothstep",
-                 tuple([x**4 * (35.0 - 84.0 * x + 70.0 * x**2 - 20.0 * x**3) for x in tau]))
-    base = tuple(_bump_integral(tau))
+    yield "cubic smoothstep", tuple([x * x * (3.0 - 2.0 * x) for x in tau])
+    yield "quintic smoothstep", tuple([x**3 * (10.0 - 15.0 * x + 6.0 * x * x) for x in tau])
+    yield "septic smoothstep", tuple(
+        [x**4 * (35.0 - 84.0 * x + 70.0 * x**2 - 20.0 * x**3) for x in tau])
+    table = _bump_table()
+    base = tuple(_bump_integral(tau, table))
     del tau
-    yield Cutoff("mollified step", base)
+    yield "mollified step", base
     # Climb to 0.6, sit on an interior plateau, then climb to 1.
-    yield Cutoff("plateaued ramp", tuple(
-        0.6 * lo + 0.4 * hi for lo, hi in zip(_bump_integral(_ramp(ts, 0.05, 0.30)),
-                                              _bump_integral(_ramp(ts, 0.60, 0.35)))))
+    yield "plateaued ramp", tuple(
+        0.6 * lo + 0.4 * hi for lo, hi in zip(_bump_integral(_ramp(ts, 0.05, 0.30), table),
+                                              _bump_integral(_ramp(ts, 0.60, 0.35), table)))
     # Non-monotone: a smooth interior wiggle on top of the step.
-    yield Cutoff("non-monotone wiggle", tuple(
+    yield "non-monotone wiggle", tuple(
         y + 0.6 * _bump(16.0 * (x * (1.0 - x)) ** 2) * math.sin(6.0 * math.pi * t)
-        for t, y, x in zip(ts, base, _ramp(ts, 0.25, 0.5))))
+        for t, y, x in zip(ts, base, _ramp(ts, 0.25, 0.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +261,17 @@ def check_c_form(sc: StructureConstants) -> dict:
     }
 
 
-def _cutoff_row(cutoff: Cutoff) -> dict:
-    val = cutoff_integral(cutoff)
+def _cutoff_row(name: str, values: tuple[float, ...]) -> dict:
+    val = cutoff_integral(name, values)
     err = abs(val + 1.0 / 6.0)
-    return {"cutoff": cutoff.name, "integral": val, "error": err, "passed": err < 1e-9}
+    return {"cutoff": name, "integral": val, "error": err, "passed": err < 1e-9}
 
 
 def continuum_summary(grid: int = DEFAULT_GRID) -> dict:
-    """Pass/fail table for the CLI: every cutoff and every algebra.  `map`
+    """Pass/fail table for the CLI: every cutoff and every algebra.  `starmap`
     drops each cutoff before it asks for the next, so memory peaks at about
     three grid-sized float arrays (the grid, tau and one profile)."""
-    cut_rows = list(map(_cutoff_row, iter_cutoffs(grid)))
+    cut_rows = list(starmap(_cutoff_row, iter_cutoffs(grid)))
     alg_rows = [check_c_form(StructureConstants(a)) for a in ("su2", "su3", "su4")]
     return {
         "grid": grid,

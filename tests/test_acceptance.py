@@ -200,8 +200,8 @@ def test_c09_continuum_constants():
         start = time.monotonic()
         cutoffs = list(iter_cutoffs(4096))
         assert len(cutoffs) >= 5
-        for c in cutoffs:
-            assert abs(cutoff_integral(c) + 1.0 / 6.0) < 1e-9, c.name
+        for name, values in cutoffs:
+            assert abs(cutoff_integral(name, values) + 1.0 / 6.0) < 1e-9, name
         for algebra in ("su2", "su3", "su4"):
             rep = check_c_form(StructureConstants(algebra))
             assert rep["passed"] and rep["tolerance"] == 1e-12, rep

@@ -1066,6 +1066,13 @@ FUZZ_CASES = [
     pytest.param(["twist", "--group", "SU(2)"], 2, id="twist-missing"),
     pytest.param(["contcheck", "--group", "SU(2)"], 2, id="contcheck-group"),
     pytest.param(["group", "--group-list", ","], 2, id="group-list-names-no-group"),
+    # An empty flag value is taken as written, not dropped as if the flag were absent.
+    pytest.param(["dualize", "--group", "SU(3)", "--twist", "level:1", "--shift", ""], 2,
+                 id="shift-empty-string"),
+    pytest.param(["extension", "--group", "SU(3)", "--b", ""], 2, id="b-empty-string"),
+    pytest.param(["group", "--group", "SU(2)", "--output", ""], 2, id="output-empty-string"),
+    pytest.param(["group", "--group", "", "--group-list", "SU(2)"], 2,
+                 id="group-empty-string-with-group-list"),
     # A root-datum JSON key outside the contract is refused, not ignored.
     pytest.param(["group", "--group", '{"components": [{"series": "A", "rank": 2}], '
                   '"fundamental_group": "adjoint", "extra": 1}'], 2, id="group-json-extra-key"),

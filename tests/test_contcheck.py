@@ -1,5 +1,6 @@
 """Numerical checks of the curvature constants."""
 
+import gc
 import math
 import time
 import tracemalloc
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 
 from tdual_lie.contcheck import (
     BUMP_TABLE,
-    Cutoff,
     StructureConstants,
     _bump_integral,
     _bump_table,
@@ -30,22 +30,22 @@ EXPECTED = -1.0 / 6.0  # antiderivative chi^3/3 - chi^2/2 evaluated 0 -> 1
 
 
 def test_cutoff_integral_all_profiles():
-    for cutoff in iter_cutoffs():
-        val = cutoff_integral(cutoff)
-        assert abs(val - EXPECTED) < 1e-9, cutoff.name
+    for name, values in iter_cutoffs():
+        val = cutoff_integral(name, values)
+        assert abs(val - EXPECTED) < 1e-9, name
 
 
 def test_cutoff_independence():
-    vals = [cutoff_integral(c) for c in iter_cutoffs()]
+    vals = [cutoff_integral(name, values) for name, values in iter_cutoffs()]
     assert max(vals) - min(vals) < 1e-9
 
 
 def test_nonmonotone_profile_is_nonmonotone():
-    c = list(iter_cutoffs())[-1]
-    assert c.name == "non-monotone wiggle"
-    diffs = [b - a for a, b in zip(c.values, c.values[1:])]
+    name, values = list(iter_cutoffs())[-1]
+    assert name == "non-monotone wiggle"
+    diffs = [b - a for a, b in zip(values, values[1:])]
     assert any(d < 0 for d in diffs) and any(d > 0 for d in diffs)
-    assert abs(cutoff_integral(c) - EXPECTED) < 1e-9
+    assert abs(cutoff_integral(name, values) - EXPECTED) < 1e-9
 
 
 def test_inadmissible_profiles_rejected():
@@ -53,21 +53,21 @@ def test_inadmissible_profiles_rejected():
     ts = tuple(i / n for i in range(n + 1))
     ramp = ts  # no plateaus
     with pytest.raises(InadmissibleCutoff):
-        cutoff_integral(Cutoff("ramp", ramp))
+        cutoff_integral("ramp", ramp)
     wrong_end = tuple(0.5 * t for t in ts)
     with pytest.raises(InadmissibleCutoff):
-        cutoff_integral(Cutoff("wrong end", wrong_end))
+        cutoff_integral("wrong end", wrong_end)
     with pytest.raises(InadmissibleCutoff):
-        cutoff_integral(Cutoff("too short", (0.0,) * 8 + (1.0,) * 7))
+        cutoff_integral("too short", (0.0,) * 8 + (1.0,) * 7)
 
 
 def test_quadrature_convergence_order():
     """Richardson-style order estimate: error should drop at order >= 2."""
     errs = []
     for n in (64, 128, 256):
-        cubic = next(iter_cutoffs(n))
-        assert cubic.name == "cubic smoothstep"
-        errs.append(abs(cutoff_integral(cubic) - EXPECTED))
+        name, values = next(iter_cutoffs(n))
+        assert name == "cubic smoothstep"
+        errs.append(abs(cutoff_integral(name, values) - EXPECTED))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)
               if errs[i + 1] > 1e-15]
     assert orders, "errors already at machine precision; lower the base grid"
@@ -210,28 +210,31 @@ def test_structure_constants_match_triple_products(algebra):
     assert list(sc.f.items()) == list(f.items())
 
 
+NODES = [k / BUMP_TABLE for k in range(BUMP_TABLE + 1)]  # the grid s of the bump table
+TABLE = _bump_table()
+
+
 def _bisect_bump(x: float) -> tuple[int, float]:
-    """The table interval holding x, found by bisection, and the linear
-    interpolation of the bump integral in it."""
-    s, cum, _ = _bump_table()
-    k = min(bisect_right(s, x), BUMP_TABLE) - 1
-    return k, cum[k] + (x - s[k]) * (cum[k + 1] - cum[k]) * BUMP_TABLE
+    """The table interval holding x, found by bisection among the nodes, and
+    the linear interpolation of the bump integral in it."""
+    cum, _ = TABLE
+    k = min(bisect_right(NODES, x), BUMP_TABLE) - 1
+    return k, cum[k] + (x - NODES[k]) * (cum[k + 1] - cum[k]) * BUMP_TABLE
 
 
 def _assert_bump_index(x: float) -> None:
     k, value = _bisect_bump(x)
     assert min(int(x * BUMP_TABLE), BUMP_TABLE - 1) == k, x
-    assert list(_bump_integral([x])) == [value], x
+    assert list(_bump_integral([x], TABLE)) == [value], x
 
 
 def test_bump_index_at_every_table_node():
     """0, 1, every node k/4096 and both float neighbours of each that lie in
     [0, 1]: the table index is int(x * BUMP_TABLE), capped at the last interval."""
-    nodes = [k / BUMP_TABLE for k in range(BUMP_TABLE + 1)]
-    xs = {y for x in nodes for y in (math.nextafter(x, -1.0), x, math.nextafter(x, 2.0))}
+    xs = {y for x in NODES for y in (math.nextafter(x, -1.0), x, math.nextafter(x, 2.0))}
     for x in sorted(y for y in xs if 0.0 <= y <= 1.0):
         _assert_bump_index(x)
-    assert list(_bump_integral([0.0, 1.0])) == [0.0, 1.0]
+    assert list(_bump_integral([0.0, 1.0], TABLE)) == [0.0, 1.0]
 
 
 @settings(max_examples=500, deadline=None, database=None, derandomize=True)
@@ -240,8 +243,21 @@ def test_bump_index_is_the_bisection(x):
     _assert_bump_index(x)
 
 
+def test_continuum_summary_keeps_no_state():
+    """Two calls in one process return equal reports, and the first leaves
+    nothing allocated but its report: no table outlives the call that built
+    it (a kept bump table would hold about 400 kB)."""
+    tracemalloc.start()
+    try:
+        first = continuum_summary(844)
+        gc.collect()  # also empties the interpreter's free lists
+        assert tracemalloc.get_traced_memory()[0] < 50_000
+        assert continuum_summary(844) == first
+    finally:
+        tracemalloc.stop()
+
+
 def _traced_peak(grid: int) -> int:
-    continuum_summary(844)  # the bump table is cached once per process
     tracemalloc.start()
     try:
         continuum_summary(grid)

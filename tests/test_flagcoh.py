@@ -309,20 +309,26 @@ def test_twist_cache_stays_at_its_bound():
 
 
 def _package_caches():
-    """(qualified name, function) of every `lru_cache` in the package whose
-    function takes arguments."""
+    """(qualified name, function) of every `lru_cache` in the package."""
     for info in pkgutil.iter_modules(tdual_lie.__path__):
         module = importlib.import_module(f"tdual_lie.{info.name}")
         for name, obj in vars(module).items():
-            if hasattr(obj, "cache_info") and inspect.signature(obj).parameters:
+            if hasattr(obj, "cache_info"):
                 yield f"{info.name}.{name}", obj
+
+
+def test_the_package_has_one_lru_cache():
+    """The one `lru_cache` in the package is `invariant_coords`: no table is
+    kept for the life of the process, and what a datum determines is kept on
+    the datum."""
+    assert [name for name, _ in _package_caches()] == ["flagcoh.invariant_coords"]
 
 
 def test_every_cache_with_arguments_is_bounded():
     """No cache keyed on its arguments grows with the number of distinct
     arguments a run passes: the one such cache is `invariant_coords`, keyed
     per twist, and what a datum determines is kept on the datum."""
-    caches = dict(_package_caches())
+    caches = {name: fn for name, fn in _package_caches() if inspect.signature(fn).parameters}
     assert list(caches) == ["flagcoh.invariant_coords"]
     assert [name for name, fn in caches.items() if fn.cache_info().maxsize is None] == []
 

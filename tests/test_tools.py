@@ -51,11 +51,12 @@ def test_text_diff_names_the_keys_of_differing_lines():
 
 def test_run_rows_kills_a_row_past_the_timeout(monkeypatch):
     """A row still running after TIMEOUT_S is killed and recorded as timed
-    out, with no wall time; the next row runs as usual."""
-    monkeypatch.setattr(bench_pr, "TIMEOUT_S", 0.5)
+    out, with no wall time; the next row runs as usual.  The budget leaves the
+    fast row's interpreter start-up (up to about 0.5 s on a busy host) room."""
+    monkeypatch.setattr(bench_pr, "TIMEOUT_S", 2.0)
     monkeypatch.setattr(bench_pr, "ENTRY", "import sys, time; time.sleep(float(sys.argv[1]))")
     slow, fast = bench_pr.run_rows(bench_pr.CHANGE, (("60",), ("0",)))
-    assert (slow["status"], slow["wall_s"]) == ("timeout after 0.5 s", None)
+    assert (slow["status"], slow["wall_s"]) == ("timeout after 2.0 s", None)
     assert fast["status"] == "exit 0" and fast["wall_s"] is not None
 
 
@@ -145,8 +146,9 @@ def test_main_reports_a_digest_that_varies_between_pairs(monkeypatch, tmp_path, 
 
 
 def test_same_output_counts_a_timeout_on_both_sides(monkeypatch, capsys):
-    """A row that times out in both checkouts compared nothing, so it differs."""
-    monkeypatch.setattr(bench_pr, "TIMEOUT_S", 0.5)
+    """A row that times out in both checkouts compared nothing, so it differs;
+    the fast row gets the same budget as in the test above."""
+    monkeypatch.setattr(bench_pr, "TIMEOUT_S", 2.0)
     monkeypatch.setattr(same_output, "ENTRY", "import sys, time; time.sleep(float(sys.argv[1]))")
     monkeypatch.setattr(same_output, "all_argv", lambda: [("60",), ("0",)])
     assert same_output.main(["--parent", str(bench_pr.CHANGE)]) == 1

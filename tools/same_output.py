@@ -37,10 +37,16 @@ non-antisymmetric and wrong-size `--b` refusals on SU(3); `cohomology` and
 `twist --twist level:1` over the `--group-list` of SU(2), a JSON quotient
 spec and SO(3); `twist` and `dualize` with a one-entry shift at `level:0`,
 u = 0, on SU(3) and PSU(4); `langlands` and `twist --twist langlands` on
-SU(2)), each distinct argv once.
+SU(2)), CONTCHECK_TEXT_ROWS (`contcheck` in text at the default grid,
+and `contcheck --grid 844` in text and JSON) and EMPTY_FLAG_ROWS (an empty
+`--shift` on `dualize`, an empty `--b` on `extension`, an empty `--output`
+on `group`, and an empty `--group` beside `--group-list`), each distinct
+argv once.
 Against a parent whose total-rank cap is 32, the RANK_128_ROWS differ by
 design: the parent exits 2 with one `error:` line where the change prints a
-report.
+report.  Against a parent that drops an empty flag value as if the flag
+were absent, the EMPTY_FLAG_ROWS differ by design: the parent prints a
+report and exits 0 where the change exits 2 with one `usage error:` line.
 Every argv whose exit code, stdout or stderr differs, or that timed out on
 both sides, is printed with both sides' status and stderr, and the script
 exits 1 if any is.  When both sides' stdout parse as JSON, the sorted key
@@ -270,13 +276,24 @@ EDGE_ROWS = tuple(
 ) + (("langlands", "--group", "SU(2)"), ("twist", "--group", "SU(2)", "--twist", "langlands"))
 
 
+CONTCHECK_TEXT_ROWS = (("contcheck",), ("contcheck", "--grid", "844"),
+                       ("contcheck", "--grid", "844", "--format", "json"))
+EMPTY_FLAG_ROWS = (
+    ("dualize", "--group", "SU(3)", "--twist", "level:1", "--shift", ""),
+    ("extension", "--group", "SU(3)", "--b", ""),
+    ("group", "--group", "SU(2)", "--output", ""),
+    ("group", "--group", "", "--group-list", "SU(2)"),
+)
+
+
 def all_argv() -> list[tuple[str, ...]]:
     """The rows named in the module docstring, in that order, each once."""
     jobs = digest_jobs() + [job for w in WORKLOADS for s in SEEDS for job in make_jobs(w, s)]
     rows = ([job.argv for job in jobs + list(CLIFFS)]
             + list(RANK_CAP_ROWS + CONTCHECK_ROWS + DOUBLE_DATUM_ROWS + QUOTIENT_ROWS
                    + SPEC_ROWS + CENTER_ROWS + LEVEL_ROWS + HELP_ROWS + TORSION_ROWS
-                   + RANK_128_ROWS + LANGLANDS_ROWS + PAIRING_ROWS + EDGE_ROWS))
+                   + RANK_128_ROWS + LANGLANDS_ROWS + PAIRING_ROWS + EDGE_ROWS
+                   + CONTCHECK_TEXT_ROWS + EMPTY_FLAG_ROWS))
     return list(dict.fromkeys(map(tuple, rows)))
 
 
