@@ -173,7 +173,7 @@ def parse_args(argv) -> SimpleNamespace | str:
     if "--group" in flags:
         if ns.group is not None and ns.group_list is not None:
             raise UsageError("--group and --group-list are mutually exclusive")
-        if ns.group:
+        if ns.group is not None:
             ns.groups = (ns.group,)
         elif ns.group_list is not None:
             ns.groups = _split_specs(ns.group_list)
@@ -373,7 +373,7 @@ def report_dualize(rd: RootDatum, u: IntMatrix, shift: IntMatrix | None) -> dict
     if shift is not None and out["twist_is_cycle"]:
         moved = tduality.reduction_torsor_shift(rd, u, shift)
         out["shift"] = shift.tolist()
-        # The move adds a boundary (c = 0, N_ij in d_i d_j Z: `flagcoh._smith_frame`),
+        # The move adds a boundary (c = 0, N_ij in d_i d_j Z: `flagcoh.h3_group`),
         # so the moved twist's class is u's and is not computed again.
         out["shifted"] = {"shifted_twist": moved.tolist(), "h3_class": out["h3_class"],
                           **tduality.dual_chern(rd, moved)}

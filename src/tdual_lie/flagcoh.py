@@ -28,7 +28,7 @@ cycle test reads one coordinate per factor off S and nothing is indexed by
 the n(n+1)/2 monomials.  A class prints as those coordinates c (a level-K
 twist has c_k = 2K on every factor), and one torsion coordinate
 per pair i < j with d_i > 1, read off the one Smith form U X V = diag(d)
-(see `_smith_frame`), so nothing is indexed by the n^2 tensor coordinates
+(see `h3_group`), so nothing is indexed by the n^2 tensor coordinates
 and no second normal form is taken.
 
 Basis conventions are fixed once: the character lattice carries the basis
@@ -38,7 +38,6 @@ follow the simple factors in order.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
 
@@ -103,44 +102,35 @@ def boundary(rd: RootDatum, s: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-H3Group = namedtuple("H3Group", "free_rank torsion")
+def h3_group(rd: RootDatum) -> tuple[int, tuple[int, ...]]:
+    """(f, torsion): H^3 of the group, f the number of simple factors and the
+    torsion wedge^2 pi_1 as a divisor chain, each p_a of pi_1 repeated once
+    for every later factor.
 
-
-def _smith_frame(rd: RootDatum) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """(U, d, P): U X V = diag(d) is the Smith form of the character basis
-    (`rd.character_smith`), and P lists the pairs i < j with d_i > 1 (the pairs
-    with gcd(d_i, d_j) > 1, as d_i | d_j).  d does not depend on which Smith
-    basis U is taken; the torsion coordinates N_ij are relative to U, and
-    any Smith U gives an isomorphic coordinate system.
-
-    Put N = U M U^T for M = X u^T.  The twist u = (X^-1 M)^T is integral
-    exactly when row i of N is divisible by d_i, and a cycle exactly when
-    N + N^T = U S_c U^T for some c, S_c = `form_pairing(rd, c, A)` the
-    symmetric matrix of the invariant polynomial with invariant coordinates
-    c (see `invariant_coords`).  S_c has an even diagonal, so U S_c U^T =
-    2T(c) with T(c)_ii an integer.  So c and N_ij (i < j) fix N, subject to
-    T(c)_ii = 0 mod d_i, N_ij = 0 mod d_i and 2T(c)_ij = N_ij mod d_j.  Row
-    j of U, read as a coroot, pairs with every character into d_j Z (U X =
-    D V^-1), so it is d_j times a coweight; and S_c A^-1 = diag(c_a eps_a)
-    is integral, so S_c pairs coroots with coweights into Z.  So 2T(c)_ij =
-    0 mod d_j, and as d_i | d_j the pair congruences are
-    N_ij = 0 mod d_j.  The boundaries are the N = D A D, A integral and
-    antisymmetric: N_ij in d_i d_j Z, and c = 0.  So the cycles modulo the
-    boundaries split as the free lattice of the c with T(c)_ii = 0 mod d_i,
-    of finite index in Z^f, plus the sum over P of d_j Z / d_i d_j Z; pairs
-    with d_i = 1 carry no class.
+    Let U X V = diag(d) be the Smith form of the character basis
+    (`rd.character_smith`); pi_1 is the suffix d_lo..d_n-1 of d with d_i > 1.
+    d does not depend on which Smith basis U is taken; the torsion
+    coordinates N_ij are relative to U, and any Smith U gives an isomorphic
+    coordinate system.  Put N = U M U^T for M = X u^T.  The twist u =
+    (X^-1 M)^T is integral exactly when row i of N is divisible by d_i, and
+    a cycle exactly when N + N^T = U S_c U^T for some c, S_c =
+    `form_pairing(rd, c, A)` the symmetric matrix of the invariant
+    polynomial with invariant coordinates c (see `invariant_coords`).  S_c
+    has an even diagonal, so U S_c U^T = 2T(c) with T(c)_ii an integer.  So
+    c and N_ij (i < j) fix N, subject to T(c)_ii = 0 mod d_i, N_ij = 0 mod
+    d_i and 2T(c)_ij = N_ij mod d_j.  Row j of U, read as a coroot, pairs
+    with every character into d_j Z (U X = D V^-1), so it is d_j times a
+    coweight; and S_c A^-1 = diag(c_a eps_a) is integral, so S_c pairs
+    coroots with coweights into Z.  So 2T(c)_ij = 0 mod d_j, and as d_i |
+    d_j the pair congruences are N_ij = 0 mod d_j.  The boundaries are the
+    N = D A D, A integral and antisymmetric: N_ij in d_i d_j Z, and c = 0.
+    So the cycles modulo the boundaries split as the free lattice of the c
+    with T(c)_ii = 0 mod d_i, of finite index in Z^f, plus d_j Z / d_i d_j Z
+    over the pairs lo <= i < j, which is Z/d_i; pairs with d_i = 1 carry no
+    class.
     """
-    U, d = rd.character_smith
-    return U, d, tuple((i, j) for i in range(rd.rank) if d[i] > 1 for j in range(i + 1, rd.rank))
-
-
-def h3_group(rd: RootDatum) -> H3Group:
-    """H^3 of the group, read off d (see `_smith_frame`): the free part, the
-    lattice of invariant coordinates c of cycles, has rank f, the number of
-    simple factors; the torsion, Z/d_i over (i, j) in P, is wedge^2 pi_1 as
-    a divisor chain."""
-    _, d, pairs = _smith_frame(rd)
-    return H3Group(len(rd.components), tuple(d[i] for i, _ in pairs))
+    pi1 = fundamental_group_of(rd)
+    return len(rd.components), tuple(p for a, p in enumerate(pi1) for _ in pi1[a + 1:])
 
 
 def chern_classes(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
@@ -151,19 +141,19 @@ def chern_classes(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
 
 
 def class_in_h3(rd: RootDatum, u: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(free, torsion) coordinates of [u] in H^3 (see `_smith_frame`): the
-    invariant coordinates c of u, and N_ij / d_j mod d_i over (i, j) in P,
-    N = U X u^T U^T.  The torsion coordinates are relative to the Smith
-    basis U.  P reads rows lo..n-2 of N, as d_i > 1 on a suffix of d; with
-    U_P those rows of U, they are the columns of U (U_P M)^T: two products
-    with U_P and U on the left, and N is never formed in full."""
+    """(free, torsion) coordinates of [u] in H^3 (see `h3_group`): the
+    invariant coordinates c of u, and N_ij / d_j mod d_i over the pairs
+    lo <= i < j, lo = n - len(pi_1), N = U X u^T U^T relative to the Smith
+    basis U.  With T rows lo..n-1 of U, those entries are the columns of
+    T (T[:-1] M)^T, so only U's torsion rows are multiplied."""
     m, c = require_cycle(rd, u)
-    U, d, pairs = _smith_frame(rd)
-    if not pairs:
+    pi1, U = fundamental_group_of(rd), rd.character_smith[0]
+    if len(pi1) <= 1:
         return c, ()
-    lo = pairs[0][0]
-    nt = U @ (IntMatrix(U.tolist()[lo:-1], cols=U.cols) @ m).transpose()
-    return c, tuple(nt[j, i - lo] // d[j] % d[i] for i, j in pairs)
+    rows = U.tolist()[rd.rank - len(pi1):]
+    nt = IntMatrix(rows, cols=U.cols) @ (IntMatrix(rows[:-1], cols=U.cols) @ m).transpose()
+    return c, tuple(nt[b, a] // pi1[b] % p
+                    for a, p in enumerate(pi1) for b in range(a + 1, len(pi1)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +202,12 @@ def cohomology(rd: RootDatum) -> dict:
     saturated and of rank the number of simple factors (`invariant_coords`),
     so the quotient is free of rank n(n+1)/2 minus that number, and
     `H4_B_torsion_discrepancy` is always false."""
-    n, h3 = rd.rank, h3_group(rd)
+    n, (free, torsion) = rd.rank, h3_group(rd)
     return {
         "group": rd.label,
         "H1_K": group_dict(0),
         "H2_K": group_dict(0, fundamental_group_of(rd)),
-        "H3_K": group_dict(h3.free_rank, h3.torsion),
+        "H3_K": group_dict(free, torsion),
         "H2_B": group_dict(rd.rank),
         "H4_B": group_dict(n * (n + 1) // 2 - len(rd.components)),
         "chern_classes": [list(c) for c in chern_classes(rd)],

@@ -320,7 +320,7 @@ def free_lattice(rd) -> IntMatrix:
     and S_c the block sum of the c_k F_k of `invariant_forms`, and u is
     integral exactly when row i of N is divisible by d_i.  The diagonal
     N_ii = T(c)_ii then asks T(c)_ii = 0 mod d_i; every other entry can be
-    met (see `flagcoh._smith_frame`), so K is the set of c with T(c)_ii = 0
+    met (see `flagcoh.h3_group`), so K is the set of c with T(c)_ii = 0
     mod d_i.  T(c)_ii = sum_k c_k (U_i|k F_k U_i|k^T) / 2 is the invariant
     polynomial's value on row i of U, U_i|k that row cut to block k, which
     gives one kernel row (with a slack column) per d_i > 1; c fixes the

@@ -477,6 +477,14 @@ def _usage_error(capsys, argv, prefix="usage error:"):
     return err
 
 
+@pytest.mark.parametrize("name", ["", " "])
+def test_empty_group_name_is_an_unknown_name(capsys, name):
+    """An empty `--group` is a given group with an unknown name, refused as
+    one blank name is, not a missing `--group`."""
+    err = _usage_error(capsys, ["group", "--group", name], prefix="error:")
+    assert err == f"error: unknown group name {name!r}\n"
+
+
 def test_twist_float_entry_rejected(capsys):
     _usage_error(capsys, ["twist", "--group", "SU(2)", "--twist", "[[1.5]]"])
 
@@ -1073,6 +1081,7 @@ FUZZ_CASES = [
     pytest.param(["group", "--group", "SU(2)", "--output", ""], 2, id="output-empty-string"),
     pytest.param(["group", "--group", "", "--group-list", "SU(2)"], 2,
                  id="group-empty-string-with-group-list"),
+    pytest.param(["group", "--group", ""], 2, id="group-empty-string"),
     # A root-datum JSON key outside the contract is refused, not ignored.
     pytest.param(["group", "--group", '{"components": [{"series": "A", "rank": 2}], '
                   '"fundamental_group": "adjoint", "extra": 1}'], 2, id="group-json-extra-key"),

@@ -20,7 +20,6 @@ from tdual_lie.cli import report_group, report_twist, resolve_twist
 from tdual_lie.errors import NotACycle
 from tdual_lie.flagcoh import (
     DUALIZABILITY_NOTES,
-    _smith_frame,
     boundary,
     chern_classes,
     class_in_h3,
@@ -460,16 +459,16 @@ def check_h3_against_tensor_oracle(rd):
     isomorphism."""
     n = rd.rank
     d20, d21 = tensor_complex(rd)
-    g, free = h3_group(rd), free_lattice(rd)
+    (free_rank, torsion), free = h3_group(rd), free_lattice(rd)
     cycles = oracle_cycles(rd, d21)
     oracle = subquotient(column_hermite_form(d20), cycles)
-    assert (g.free_rank, g.torsion) == (oracle.free_rank, oracle.torsion), rd.label
-    zero = ((0,) * g.free_rank, (0,) * len(g.torsion))
+    assert (free_rank, torsion) == (oracle.free_rank, oracle.torsion), rd.label
+    zero = ((0,) * free_rank, (0,) * len(torsion))
     for c in d20.columns():
         assert class_in_h3(rd, as_twist(c, n)) == zero, rd.label
     classes = [class_in_h3(rd, as_twist(c, n)) for c in cycles.columns()]
     classes = [(coords(free, c), t) for c, t in classes]
-    assert generates(classes, g.free_rank, g.torsion), rd.label
+    assert generates(classes, free_rank, torsion), rd.label
 
 
 @pytest.mark.parametrize("comps, fundamental_group", [
@@ -496,6 +495,12 @@ def test_h3_of_quotients_matches_tensor_oracle(comps, fundamental_group):
 # -- H^3 as cycles modulo boundaries in (y, c), the reference of the closed form
 
 
+def torsion_pairs(d):
+    """The pairs i < j, in `pair_basis` order, whose Smith invariants d_i,
+    d_j share a factor: the pairs that carry a torsion coordinate of H^3."""
+    return tuple((i, j) for i, j in pair_basis(len(d), strict=True) if gcd(d[i], d[j]) > 1)
+
+
 def h3_by_subquotient(rd):
     """(H^3, its coordinates): H^3 as a subquotient in the coordinates
     (y, c), y_ij = N_ij for the pairs i < j with gcd(d_i, d_j) > 1, N = U X
@@ -507,7 +512,7 @@ def h3_by_subquotient(rd):
     of the lattice of those c."""
     n = rd.rank
     U, d = smith_normal_form(rd.character_basis)
-    pairs = [(i, j) for i, j in pair_basis(n, strict=True) if gcd(d[i], d[j]) > 1]
+    pairs = torsion_pairs(d)
     inv, mono = sym_invariants(rd), pair_basis(n, strict=False)
     f, p, torsion = inv.cols, len(pairs), [i for i in range(n) if d[i] > 1]
     rows = [[sum(v * U[i, a] * U[i, b] for v, (a, b) in zip(poly, mono))
@@ -575,35 +580,40 @@ def test_class_in_h3_torsion_reads_n_in_full(rd, level, data):
         s = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                                min_size=n, max_size=n))
         u = level_twist(datum, level) + boundary(datum, IntMatrix(s))
-        U, d, pairs = _smith_frame(datum)
+        U, d = datum.character_smith
+        pairs = torsion_pairs(d)
         nm = U @ datum.character_basis @ u.transpose() @ U.transpose()
         expected = tuple(nm[i, j] // d[j] % d[i] for i, j in pairs)
         assert class_in_h3(datum, u)[1] == expected, (datum.label, u)
 
 
 def test_class_in_h3_forms_n_on_the_torsion_rows_only(monkeypatch):
-    """Past its Smith frame, `class_in_h3` multiplies one n x n pair, M =
-    X u^T, and then, for the k rows of N = U M U^T that P reads, U_P M
-    (k x n by n x n) and U (U_P M)^T (n x n by n x k): none on simply
-    connected SU(4), k = 3 on adjoint A1^4 (d = 2, 2, 2, 2).  Forming N in
-    full would take more n x n products."""
+    """Past the Smith form, `class_in_h3` multiplies one n x n pair, M =
+    X u^T, and then, with T the k + 1 torsion rows of U (d_i > 1) and k the
+    rows of N = U M U^T that the pairs read, T[:-1] M (k x n by n x n) and
+    T (T[:-1] M)^T (k + 1 x n by n x k): none on simply connected SU(4),
+    k = 3 on adjoint A1^4 (d = 2, 2, 2, 2) and k = 1 on adjoint D4 (d = 1,
+    1, 2, 2), whose two torsion rows are the last of four.  Forming N in
+    full, or multiplying by all of U, would take more n x n products."""
     shapes, matmul = [], IntMatrix.__matmul__
 
     def counted(a, b):
         shapes.append((a.rows, a.cols, b.rows, b.cols))
         return matmul(a, b)
 
-    for rd, rows in ((named_group("SU(4)"), 0), (build([("A", 1)] * 4, "adjoint"), 3)):
+    for rd, rows in ((named_group("SU(4)"), 0), (build([("A", 1)] * 4, "adjoint"), 3),
+                     (build([("D", 4)], "adjoint"), 1)):
         u, n = level_twist(rd, 1), rd.rank
         clear_caches()
-        _smith_frame(rd)
+        rd.character_smith
         shapes.clear()
         monkeypatch.setattr(IntMatrix, "__matmul__", counted)
         _, torsion = class_in_h3(rd, u)
         monkeypatch.undo()
-        products = [(rows, n, n, n), (n, n, n, rows)] if rows else []
+        products = [(rows, n, n, n), (rows + 1, n, n, rows)] if rows else []
         assert shapes == [(n, n, n, n)] + products, rd.label
-        assert len(torsion) == len(_smith_frame(rd)[2]) == rows * (rows + 1) // 2
+        pairs = torsion_pairs(rd.character_smith[1])
+        assert len(torsion) == len(pairs) == rows * (rows + 1) // 2
 
 
 def test_one_smith_form_per_group(monkeypatch):
@@ -672,24 +682,26 @@ def test_h3_rank_counts_factors(rd):
     factors, on random root data and on their Langlands duals."""
     for datum in (rd, langlands_dual(rd)):
         if datum.is_simply_connected():
-            g = h3_group(datum)
-            assert g.free_rank == len(datum.components) and g.torsion == (), datum.label
+            free_rank, torsion = h3_group(datum)
+            assert free_rank == len(datum.components) and torsion == (), datum.label
 
 
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
 @given(root_data())
 def test_h3_group_matches_its_smith_frame(rd):
-    """`h3_group`, read off the Smith diagonal d, against the route it
-    replaced, on random root data and their Langlands duals: P holds the
-    pairs i < j with gcd(d_i, d_j) > 1, its free rank is the column count
-    of K (`oracles.free_lattice`), the number of simple factors, its
+    """`h3_group`, read off pi_1, against the route it replaced, on random
+    root data and their Langlands duals: P, the pairs i < j with gcd(d_i,
+    d_j) > 1 on the Smith diagonal d, are the pairs i < j with d_i > 1;
+    the free rank of `h3_group` is the column count of K
+    (`oracles.free_lattice`), the number of simple factors, its
     torsion is d_i over P, and K, the kernel cut to the invariant
     coordinates, is its own Hermite basis."""
     for datum in (rd, langlands_dual(rd)):
-        (_, d, pairs), free = _smith_frame(datum), free_lattice(datum)
-        assert pairs == tuple((i, j) for i, j in pair_basis(datum.rank, strict=True)
-                              if gcd(d[i], d[j]) > 1), datum.label
-        assert tuple(h3_group(datum)) == (free.cols, tuple(d[i] for i, _ in pairs)), datum.label
+        (_, d), free = datum.character_smith, free_lattice(datum)
+        pairs = torsion_pairs(d)
+        assert pairs == tuple((i, j) for i in range(datum.rank) if d[i] > 1
+                              for j in range(i + 1, datum.rank)), datum.label
+        assert h3_group(datum) == (free.cols, tuple(d[i] for i, _ in pairs)), datum.label
         assert free.cols == len(datum.components), datum.label
         assert column_hermite_form(free) == free, datum.label
 
@@ -725,8 +737,8 @@ def test_printed_free_part_is_the_invariant_coordinates(rd, level, data):
         d20, d21 = tensor_complex(datum)
         boundaries, cycles = column_hermite_form(d20), oracle_cycles(datum, d21)
         classes = [class_in_h3(datum, as_twist(c, n)) for c in cycles.columns()]
-        _, d, pairs = _smith_frame(datum)
-        mods = [d[i] for i, _ in pairs]
+        d = datum.character_smith[1]
+        mods = [d[i] for i, _ in torsion_pairs(d)]
         rows = ([[c[k] for c, _ in classes] + [0] * len(mods) for k in range(f)]
                 + [[t[p] for _, t in classes] + [m if q == p else 0 for q, m in enumerate(mods)]
                    for p in range(len(mods))])
@@ -807,8 +819,8 @@ def test_complex_is_complex_everywhere():
 
 def test_h3_examples():
     for name in ["SU(2)", "SO(3)", "SU(3)"]:
-        g = h3_group(named_group(name))
-        assert g.free_rank == 1 and g.torsion == (), name
+        free_rank, torsion = h3_group(named_group(name))
+        assert free_rank == 1 and torsion == (), name
 
 
 def test_h3_simply_connected_rank_counts_factors():
@@ -816,11 +828,11 @@ def test_h3_simply_connected_rank_counts_factors():
 
     for comps in [[("A", 1)], [("A", 2)], [("A", 3)], [("A", 4)], [("B", 2)],
                   [("C", 3)], [("D", 4)], [("G", 2)]]:
-        g = h3_group(build(comps))
-        assert g.free_rank == 1 and g.torsion == (), comps
+        free_rank, torsion = h3_group(build(comps))
+        assert free_rank == 1 and torsion == (), comps
     two = build([("A", 1), ("A", 2)])
-    g = h3_group(two)
-    assert g.free_rank == 2 and g.torsion == ()
+    free_rank, torsion = h3_group(two)
+    assert free_rank == 2 and torsion == ()
 
 
 def test_h2_examples():

@@ -133,6 +133,20 @@ def test_the_interpreter_row_names_no_package_module():
     assert bench_pr.checked(bench_pr.CHANGE, args).status == "exit 0"
 
 
+def test_every_startup_row_freezes_the_collector_first():
+    """Every startup row starts as the interpreter row does, or runs `main`,
+    whose first statement is `gc.freeze()`, so no row's shutdown
+    collections walk a heap that the others' skip: each row exits with a
+    frozen heap, read off `gc.get_freeze_count()` in an exit hook."""
+    floor = bench_pr.STARTUP_ROWS["interpreter"][1]
+    hook = ("import atexit, gc, os\n"
+            "atexit.register(lambda: os.write(2, b'frozen %d' % gc.get_freeze_count()))\n")
+    for name, (flag, code, *argv) in bench_pr.STARTUP_ROWS.items():
+        assert code == bench_pr.ENTRY or code.startswith(floor), name
+        child = bench_pr.checked(bench_pr.CHANGE, (flag, hook + code, *argv))
+        assert int(child.stderr.rsplit(b"frozen ", 1)[1]) > 0, name
+
+
 def test_main_reports_a_digest_that_varies_between_pairs(monkeypatch, tmp_path, capsys):
     """A row whose stdout changes between the pairs of one side is counted on
     stderr, per side and section, and the summary keeps every digest."""

@@ -38,8 +38,11 @@ Each pair starts with four sections of rows:
 - `rank_128`: RANK_128_ROWS, every verb at the cap 128: `group`,
   `cohomology`, `twist level:1`, `dualize level:1` with a one-entry shift,
   `langlands` and `extension --level 1` on SU(129), PSU(129), Spin(256),
-  Sp(128) and adjoint A1^128, refusals included, and `langlands` and
-  `twist --twist langlands` on (B32 x C32)^2;
+  Sp(128) and adjoint A1^128, refusals included; `langlands` and
+  `twist --twist langlands` on (B32 x C32)^2; and `twist level:1` and
+  `dualize level:1` with a one-entry shift on A1_128_QUOTIENT, A1^128
+  modulo 60 Z/2 generators, whose dense Smith basis U makes `class_in_h3`'s
+  products with U's torsion rows the largest cost of any rank-128 row;
 - `contcheck`: CONTCHECK_ROWS, `contcheck --grid 16384` and `--grid 131072`
   in JSON, the verb's largest memory.
 Each section of BENCH_<N>.json lists its argv once, under `rows`; its
@@ -54,10 +57,13 @@ or between the pairs of one side are counted on stderr.
 
 Then both checkouts time STARTUP_SPAWNS fresh processes of each of
 STARTUP_ROWS: the bare interpreter (`-c "import gc; gc.freeze()"`, the
-command path's first step, which loads nothing of the package), `import
-tdual_lie.cli` alone and `group --group SU(2)`.  The bare interpreter is
-the floor under every job, so the other rows less it are the package's own
-share.  `startup` keeps each side's median wall_s per pair (raw, unlike
+command path's first step, which loads nothing of the package), the same
+followed by `import tdual_lie.cli`, and `group --group SU(2)`.  Every row
+freezes the collector before it exits, as the command path does, so no
+row's shutdown collections walk the import-time heap.  The bare
+interpreter is the floor under every job: the import row less it is the
+package's import, and the `group` row less the import row is `main`.
+`startup` keeps each side's median wall_s per pair (raw, unlike
 perfbench's calibrated `setup_s`), and per row each side's median over the
 pairs and the change's wins.
 
@@ -75,6 +81,7 @@ import functools
 import hashlib
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -96,7 +103,7 @@ from tdual_lie.cli import main
 sys.exit(main())
 """
 STARTUP_ROWS = {"interpreter": ("-c", "import gc; gc.freeze()"),
-                "import": ("-c", "import tdual_lie.cli"),
+                "import": ("-c", "import gc; gc.freeze(); import tdual_lie.cli"),
                 "group SU(2)": ("-c", ENTRY, "group", "--group", "SU(2)")}
 STARTUP_SPAWNS = 20
 TIMEOUT_S = 300  # a child that runs longer is killed
@@ -139,6 +146,16 @@ ADJOINT_A1_128 = json.dumps({"components": [{"series": "A", "rank": 1}] * 128,
 B32_C32_SQUARED = json.dumps({"components": [{"series": "B", "rank": 32},
                                              {"series": "C", "rank": 32}] * 2},
                              separators=(",", ":"))
+# At total rank 128, adjoint A1^128 has U = I, so a second group reads its
+# torsion rows through a U that is not the identity: A1^128 modulo 60 Z/2
+# generators, drawn once from a fixed seed (random() keeps its sequence
+# across Python versions), which make U about half nonzero.
+_DRAW = random.Random(128)
+A1_128_QUOTIENT = json.dumps(
+    {"components": [{"series": "A", "rank": 1}] * 128,
+     "fundamental_group": {"generators": [[int(_DRAW.random() < 0.5) for _ in range(128)]
+                                          for _ in range(60)]}},
+    separators=(",", ":"))
 RANK_128_ROWS = tuple(
     (verb, "--group", g, *extra)
     for g in ("SU(129)", "PSU(129)", "Spin(256)", "Sp(128)", ADJOINT_A1_128)
@@ -146,7 +163,10 @@ RANK_128_ROWS = tuple(
                          ("dualize", "--twist", "level:1", "--shift", unit_shift(128)),
                          ("langlands",), ("extension", "--level", "1"))
 ) + (("langlands", "--group", B32_C32_SQUARED),
-     ("twist", "--group", B32_C32_SQUARED, "--twist", "langlands"))
+     ("twist", "--group", B32_C32_SQUARED, "--twist", "langlands"),
+     ("twist", "--group", A1_128_QUOTIENT, "--twist", "level:1"),
+     ("dualize", "--group", A1_128_QUOTIENT, "--twist", "level:1",
+      "--shift", unit_shift(128)))
 CONTCHECK_ROWS = tuple(("contcheck", "--grid", grid, "--format", "json")
                        for grid in ("16384", "131072"))
 

@@ -18,11 +18,12 @@ and JSON, on Spin(5), Sp(3), Spin(7), G2, F4, B3 x C3 and Sp(32)),
 HELP_ROWS (`--help`, `-h` and `VERB --help` for each of the seven verbs) and
 TORSION_ROWS (`twist --twist level:1` and `dualize --twist level:1` with a
 one-entry shift, text and JSON, on adjoint A1^3, D4, A2 x A2, A1 x A3,
-B3 x C3 and D4^32, the D6 x D5 x A1 quotient, D4^8 / (Z/2)^3 and A1^128
-modulo 60 fixed Z/2 generators; D4^32 and the A1^128 quotient have total
-rank 128 and a Smith basis U that is not the identity), bench_pr's
-RANK_128_ROWS (every verb on the five groups of total rank 128, and
-`langlands` and `twist --twist langlands` on (B32 x C32)^2),
+B3 x C3, D4^32, A1 x A1 and A3, the D6 x D5 x A1 quotient, D4^8 / (Z/2)^3
+and bench_pr's A1_128_QUOTIENT, A1^128 modulo 60 fixed Z/2 generators;
+D4^32 and the A1^128 quotient have total rank 128 and a Smith basis U that
+is not the identity), bench_pr's RANK_128_ROWS (every verb on the five
+groups of total rank 128, `langlands` and `twist --twist langlands` on
+(B32 x C32)^2, and `twist` and `dualize` at `level:1` on A1_128_QUOTIENT),
 LANGLANDS_ROWS (`langlands` in text and with `--expect match`, `twist
 --twist langlands` and `dualize --twist langlands` with a one-entry shift,
 on B_n x C_n and C_n x B_n for n = 3..6, simply connected and adjoint, E6 x
@@ -40,13 +41,17 @@ u = 0, on SU(3) and PSU(4); `langlands` and `twist --twist langlands` on
 SU(2)), CONTCHECK_TEXT_ROWS (`contcheck` in text at the default grid,
 and `contcheck --grid 844` in text and JSON) and EMPTY_FLAG_ROWS (an empty
 `--shift` on `dualize`, an empty `--b` on `extension`, an empty `--output`
-on `group`, and an empty `--group` beside `--group-list`), each distinct
-argv once.
+on `group`, and an empty `--group` beside `--group-list` and alone), each
+distinct argv once.
 Against a parent whose total-rank cap is 32, the RANK_128_ROWS differ by
 design: the parent exits 2 with one `error:` line where the change prints a
 report.  Against a parent that drops an empty flag value as if the flag
 were absent, the EMPTY_FLAG_ROWS differ by design: the parent prints a
 report and exits 0 where the change exits 2 with one `usage error:` line.
+Against a parent that reads an empty `--group` as no `--group`, `group
+--group ""` differs by design: both exit 2 with one line, the parent's a
+`usage error:` that asks for `--group`, the change's `error: unknown group
+name ''`.
 Every argv whose exit code, stdout or stderr differs, or that timed out on
 both sides, is printed with both sides' status and stderr, and the script
 exits 1 if any is.  When both sides' stdout parse as JSON, the sorted key
@@ -60,15 +65,15 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
-import random
 import sys
 from pathlib import Path
 
 sys.path[:0] = [str(Path(__file__).resolve().parent),
                 str(Path(__file__).resolve().parents[1] / "perfbench")]
 
-from bench_pr import (B32_C32_SQUARED, CHANGE, CONTCHECK_ROWS, ENTRY,  # noqa: E402
-                      RANK_128_ROWS, RANK_CAP_ROWS, UNIT_SHIFT_32, ZERO_32, spawn, unit_shift)
+from bench_pr import (A1_128_QUOTIENT, B32_C32_SQUARED, CHANGE, CONTCHECK_ROWS,  # noqa: E402
+                      ENTRY, RANK_128_ROWS, RANK_CAP_ROWS, UNIT_SHIFT_32, ZERO_32, spawn,
+                      unit_shift)
 from workloads import CLIFFS, WORKLOADS, digest_jobs, make_jobs  # noqa: E402
 
 SEEDS = range(1, 6)
@@ -172,22 +177,17 @@ LEVEL_ROWS = tuple(
     for k in (1, 2, 3) for fmt in ((), ("--format", "json")))
 HELP_ROWS = (("--help",), ("-h",), *((verb, "--help") for verb in (
     "group", "cohomology", "twist", "dualize", "langlands", "extension", "contcheck")))
-# At total rank 128, adjoint A1^128 has U = I, so two more groups read their
-# torsion rows through a U that is not the identity: adjoint D4^32, and
-# A1^128 modulo 60 Z/2 generators, drawn once from a fixed seed (random()
-# keeps its sequence across Python versions), which make U about half
-# nonzero.
-_DRAW = random.Random(128)
-A1_128_QUOTIENT = spec([("A", 1)] * 128,
-                       [[int(_DRAW.random() < 0.5) for _ in range(128)] for _ in range(60)])
 # Groups whose pi_1 has two or more nontrivial invariant factors, so that
 # `h3_class.torsion` is printed in coordinates relative to the Smith basis U
 # of the character basis: any Smith U gives an isomorphic coordinate system,
-# so a change of U moves these coordinates and nothing else.
+# so a change of U moves these coordinates and nothing else.  Adjoint
+# A1 x A1 (one torsion pair) and adjoint A3 = PSU(4) (one invariant factor,
+# no pair) are the two edges of `flagcoh.class_in_h3`'s early return.
 TORSION_GROUPS = (
     *(product(factors, "adjoint")
       for factors in ((("A", 1),) * 3, (("D", 4),), (("A", 2), ("A", 2)),
-                      (("A", 1), ("A", 3)), (("B", 3), ("C", 3)), (("D", 4),) * 32)),
+                      (("A", 1), ("A", 3)), (("B", 3), ("C", 3)), (("D", 4),) * 32,
+                      (("A", 1),) * 2, (("A", 3),))),
     TABLE_QUOTIENTS[-1],  # D6 x D5 x A1 by two generators
     D4_8_QUOTIENT,
     A1_128_QUOTIENT,
@@ -283,6 +283,7 @@ EMPTY_FLAG_ROWS = (
     ("extension", "--group", "SU(3)", "--b", ""),
     ("group", "--group", "SU(2)", "--output", ""),
     ("group", "--group", "", "--group-list", "SU(2)"),
+    ("group", "--group", ""),
 )
 
 
