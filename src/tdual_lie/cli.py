@@ -97,10 +97,22 @@ FLAGS = {
     "extension": {**_GROUPS, "--level": None, "--b": None},
     "contcheck": {**_COMMON, "--grid": None},
 }
-_ALIASES = {"-g": "--group"}
 _DEFAULTS = {"format": "text", "level": "1", "twist": None, "shift": None, "b": None, "grid": None}
 _SPACE = re.compile(r"\s*")
-_JSON = json.JSONDecoder()
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a repeated key is refused, not overwritten."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {quote(key)}")
+        out[key] = value
+    return out
+
+
+_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)  # reads every JSON input
+_EXTENT = json.JSONDecoder()  # where a --group-list spec's JSON ends, repeated keys or not
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 
@@ -108,26 +120,25 @@ def _help(verb: str | None) -> str:
     """The help text: the verbs, or the flags of `verb`, from `FLAGS`."""
     lines = [f"usage: tdual {verb or '{' + ','.join(FLAGS) + '}'} [--FLAG VALUE]..."]
     for flag, choices in FLAGS.get(verb, {}).items():
-        alias = "".join(f", {a}" for a, f in _ALIASES.items() if f == flag)
-        lines.append(f"  {flag}{alias} {'{' + ','.join(choices) + '}' if choices else 'VALUE'}"
+        lines.append(f"  {flag} {'{' + ','.join(choices) + '}' if choices else 'VALUE'}"
                      f"{' (required)' * (flag == '--twist')}")
     return "\n".join(lines) + "\n"
 
 
 def _split_specs(text: str) -> tuple[str, ...]:
     """The specs of a --group-list: split at commas, except that a spec that
-    starts with "{" runs to the end of its JSON value.  A spec whose JSON does
-    not parse ends at the next comma, and `resolve_group` refuses it.  So does
-    a spec that starts before the point where such a parse failed (anywhere,
-    when it hit the nesting or digit limit, which give no point): it is not
-    parsed again, so the decoder reads each character at most once."""
+    starts with "{" runs to the end of its JSON value, repeated keys and all.
+    A spec whose JSON does not parse ends at the next comma, and `resolve_group`
+    refuses it.  So does a spec that starts before the point where such a parse
+    failed (anywhere, when it hit the nesting or digit limit, which give no
+    point): it is not parsed again, so the decoder reads each character at most once."""
     specs, start, parsed = [], 0, 0
     while start <= len(text):
         lead = _SPACE.match(text, start).end()
         end = text.find(",", lead)
         if text.startswith("{", lead) and lead >= parsed:
             try:
-                parsed = _JSON.raw_decode(text, lead)[1]
+                parsed = _EXTENT.raw_decode(text, lead)[1]
                 end = text.find(",", parsed)
             except (ValueError, RecursionError) as exc:
                 parsed = getattr(exc, "pos", len(text))
@@ -153,7 +164,6 @@ def parse_args(argv) -> SimpleNamespace | str:
         if arg in ("-h", "--help"):
             return _help(verb)
         flag, eq, value = arg.partition("=")
-        flag = _ALIASES.get(flag, flag)
         if flag not in flags:
             raise UsageError(f"{verb} takes no {'flag' if flag.startswith('-') else 'argument'} "
                              f"{quote(arg)}; its flags: {', '.join(flags)}")
@@ -213,23 +223,18 @@ def _load_json(spec: str):
         except UnicodeDecodeError as exc:
             raise UsageError(f"cannot read {quote(spec[1:])}: {exc}") from exc
     try:
-        return json.loads(text)
+        return _JSON.decode(text)
     except (ValueError, RecursionError) as exc:  # malformed, too deep, or past the digit limit
         raise UsageError(f"malformed JSON in {quote(spec)}: {exc}") from exc
 
 
-def _exact_int(value, what: str) -> int:
-    """JSON integers are taken as written; a float, bool or string is refused."""
-    if type(value) is not int:
-        raise UsageError(f"{what} must be an integer, got {quote(json.dumps(value), str)}")
-    return value
-
-
-def _exact_str(value, what: str) -> str:
-    """A JSON string; a number, list or anything else is refused, not glued
-    into a name."""
-    if type(value) is not str:
-        raise UsageError(f"{what} must be a string, got {quote(json.dumps(value), str)}")
+def _exact(value, kind: type, what: str):
+    """A JSON integer or string (`kind` int or str) taken as written; a
+    value of another type (a float or bool for an integer, a number or list
+    for a string) is refused, not converted or glued into a name."""
+    if type(value) is not kind:
+        raise UsageError(f"{what} must be {'an integer' if kind is int else 'a string'}, "
+                         f"got {quote(json.dumps(value), str)}")
     return value
 
 
@@ -263,12 +268,12 @@ def _known_keys(value, keys: tuple[str, ...], where: str) -> None:
 def resolve_group(spec: str) -> RootDatum:
     if spec.startswith("{") or spec.startswith("@"):
         data = _load_json(spec)
-        _known_keys(data, ("components", "fundamental_group", "label"), "root-datum JSON")
+        _known_keys(data, ("components", "fundamental_group"), "root-datum JSON")
         try:
             for c in data["components"]:
                 _known_keys(c, ("series", "rank"), "components[]")
-            comps = [(_exact_str(c["series"], "components[].series"),
-                      _exact_int(c["rank"], "components[].rank"))
+            comps = [(_exact(c["series"], str, "components[].series"),
+                      _exact(c["rank"], int, "components[].rank"))
                      for c in data["components"]]
         except KeyError as exc:
             raise UsageError(f"root-datum JSON needs components[].series/.rank: {exc}") from exc
@@ -283,11 +288,8 @@ def resolve_group(spec: str) -> RootDatum:
                 raise UsageError("fundamental_group.generators must be a list of integer lists")
             for gen in gens:
                 for x in gen:
-                    _exact_int(x, "fundamental_group generator entry")
-        label = data.get("label")
-        if label is not None:
-            _exact_str(label, "label")
-        return build(comps, fg, label=label)
+                    _exact(x, int, "fundamental_group generator entry")
+        return build(comps, fg)
     return named_group(spec)
 
 

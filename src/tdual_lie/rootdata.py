@@ -364,13 +364,12 @@ def _center_subgroup_lifts(components, n, generators) -> IntMatrix:
 def named_group(name: str) -> RootDatum:
     """Resolve SU(n), PSU(n), Spin(n), SO(3), Sp(n), or a series letter and
     rank such as 'B3', 'G2' or 'E8': the simply connected group, labelled as
-    written."""
-    text = name.strip()
-    if len(text) >= 2 and text[0] in "ABCDEFG" and text[1:].isdigit():
-        return build([(text[0], _name_int(name, text[1:]))], "simply_connected", label=text)
+    written, with no space trimmed."""
+    if len(name) >= 2 and name[0] in "ABCDEFG" and name[1:].isdigit():
+        return build([(name[0], _name_int(name, name[1:]))], "simply_connected", label=name)
     for prefix, maker in _NAMED_MAKERS.items():
-        if text.startswith(prefix + "(") and text.endswith(")"):
-            return maker(_name_int(name, text[len(prefix) + 1:-1]), text)
+        if name.startswith(prefix + "(") and name.endswith(")"):
+            return maker(_name_int(name, name[len(prefix) + 1:-1]), name)
     raise InvalidSeries(f"unknown group name {quote(name)}")
 
 
@@ -448,20 +447,18 @@ def fundamental_group_of(rd: RootDatum) -> tuple[int, ...]:
     return tuple(x for x in rd.character_smith[1] if x >= 2)
 
 
-_DUAL_LABELS = {"SU": "PSU", "PSU": "SU"}
+_DUAL_NAMES = {"SU(2)": "SO(3)", "SO(3)": "SU(2)", "G2": "G2", "F4": "F4", "E8": "E8"}
 
 
 def _dual_label(rd: RootDatum) -> str:
+    """The name of rd's dual, read off rd.label, trusted to name rd as every label
+    `build` and `named_group` make does: SU(n) and PSU(n), SU(2) and SO(3) swap,
+    G2, F4 and E8 keep theirs, and any other X and dual(X) swap."""
     text = rd.label
-    if text == "SU(2)":
-        return "SO(3)"
-    if text == "SO(3)":
-        return "SU(2)"
-    for src, dst in _DUAL_LABELS.items():
-        if text.startswith(src + "("):
-            return dst + text[len(src):]
-    if text in ("G2", "F4", "E8"):
-        return text
+    if text in _DUAL_NAMES:
+        return _DUAL_NAMES[text]
+    if text.startswith(("SU(", "PSU(")):
+        return text[1:] if text[0] == "P" else "P" + text
     if text.startswith("dual(") and text.endswith(")"):
         return text[5:-1]  # the dual's dual is the datum itself
     return f"dual({text})"

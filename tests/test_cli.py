@@ -22,9 +22,10 @@ from tdual_lie.cli import (
     _nonnegative_level,
     main,
     parse_args,
+    render_text,
     run,
 )
-from tdual_lie.errors import UsageError
+from tdual_lie.errors import UsageError, quote
 from tdual_lie.zlinalg import solve_columns
 
 from oracles import clear_caches
@@ -69,7 +70,7 @@ def argparse_oracle(argv) -> argparse.Namespace:
         p.add_argument("--output", default=None)
         p.add_argument("--expect", default=None, choices=tuple(_EXPECT_TESTS))
         if verb != "contcheck":
-            p.add_argument("--group", "-g", default=None)
+            p.add_argument("--group", default=None)
             p.add_argument("--group-list", default=None)
             needs_group[verb] = True
         if verb in ("twist", "dualize"):
@@ -106,8 +107,7 @@ SAMPLE_VALUES = {"--output": "out.json", "--group": "SU(3)", "--group-list": "SU
 
 def _valid_argvs():
     """Every verb alone, then with each of its flags and each value it
-    takes (as `--flag value` and `--flag=value`), plus `-g` and all flags
-    at once."""
+    takes (as `--flag value` and `--flag=value`), plus all flags at once."""
     for verb, flags in FLAGS.items():
         base = [verb] + (["--twist", "level:1"] if "--twist" in flags else [])
         group = ["--group", "G2"] if "--group" in flags else []
@@ -119,9 +119,6 @@ def _valid_argvs():
             for value in choices or (SAMPLE_VALUES[flag],):
                 yield rest + [flag, value]
                 yield rest + [f"{flag}={value}"]
-        if group:
-            yield [verb, "-g", "SU(2)"] + base[1:]
-            yield [verb, "-g=SU(2)"] + base[1:]
         everything = [verb] + [a for f, c in flags.items() if f != "--group-list"
                                for a in (f, c[-1] if c else SAMPLE_VALUES[f])]
         yield everything
@@ -158,7 +155,7 @@ def test_help_lists_verbs_and_flags(capsys):
     for verb, flags in FLAGS.items():
         assert main([verb, "--help"]) == 0
         out = capsys.readouterr().out
-        assert all(flag in out for flag in flags) and (", -g " in out) == ("--group" in flags)
+        assert [line.split()[0] for line in out.splitlines()[1:]] == list(flags)
 
 
 def test_group_report():
@@ -280,8 +277,7 @@ def test_group_list_keeps_the_reports_around_a_bad_group(capsys, argv, line, fmt
 
 
 def test_json_group_spec(tmp_path):
-    spec = {"components": [{"series": "A", "rank": 1}], "fundamental_group": "adjoint",
-            "label": "SO(3)-from-json"}
+    spec = {"components": [{"series": "A", "rank": 1}], "fundamental_group": "adjoint"}
     path = tmp_path / "group.json"
     path.write_text(json.dumps(spec))
     code, payload = run_json(["cohomology", "--group", f"@{path}"])
@@ -326,18 +322,32 @@ def test_text_format_renders(capsys):
     (["extension", "--level", "1"],
      "reason: two\\nlines is not simply connected; supply the commutator map explicitly"),
 ], ids=["group", "extension-reason"])
-def test_text_escapes_string_values(capsys, argv, line):
+def test_text_escapes_string_values(argv, line):
     """Text output escapes a string value as stderr does, so a newline in a
-    label keeps its line whole; JSON output keeps the string as it is.  The
-    datum is a quotient, so `extension --level` reports a reason."""
+    value keeps its line whole; the payload, which JSON output dumps, keeps
+    the string as it is.  The datum is a quotient, so `extension --level`
+    reports a reason, which names the group; its label is replaced by one
+    with a newline, which no input can set."""
     spec = json.dumps({"components": [{"series": "B", "rank": 2}],
-                       "fundamental_group": "adjoint", "label": "two\nlines"})
-    argv = [argv[0], "--group", spec, *argv[1:]]
-    assert main(argv) == 0
-    text = capsys.readouterr().out
+                       "fundamental_group": "adjoint"})
+    code, payload = run(parse_args([argv[0], "--group", spec, *argv[1:]]))
+    assert code == 0
+    label = payload["reports"][0]["group"]
+    payload = json.loads(json.dumps(payload).replace(label, "two\\nlines"))
+    text = render_text(payload)
     assert line in text.splitlines() and "lines" not in text.replace("two\\nlines", "")
-    assert main([*argv, "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["reports"][0]["group"] == "two\nlines"
+    assert payload["reports"][0]["group"] == "two\nlines"
+
+
+def test_group_list_record_keeps_a_newline_whole(capsys):
+    """A --group-list spec with a newline comes back in its error record:
+    escaped on its one text line and in the stderr line, as written in JSON."""
+    argv = ["group", "--group-list", "SU(2),two\nlines"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "group: two\\nlines" in out.splitlines() and err.count("\n") == 1
+    assert main([*argv, "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["reports"][1]["group"] == "two\nlines"
 
 
 def test_usage_error_exit_2(capsys):
@@ -541,8 +551,10 @@ def test_generator_float_entry_rejected(capsys):
 @pytest.mark.parametrize("label", ["5", "[1, 2]", "true"])
 @pytest.mark.parametrize("verb", ["group", "langlands"])
 def test_non_string_label_rejected(capsys, verb, label):
+    """A label of any JSON type is an unknown key, as a string one is."""
     spec = '{"components": [{"series": "A", "rank": 1}], "label": %s}' % label
-    _usage_error(capsys, [verb, "--group", spec])
+    err = _usage_error(capsys, [verb, "--group", spec])
+    assert err == "usage error: unknown key 'label' in root-datum JSON\n"
 
 
 @pytest.mark.parametrize("spec, key", [
@@ -553,19 +565,42 @@ def test_non_string_label_rejected(capsys, verb, label):
      '"fundamental_group": {"generators": [[1]], "order": 2}}', "order"),
     ('{"components": [{"series": "A", "rank": 1}], "fundamental_group": {"gens": [[1]]}}',
      "gens"),
+    ('{"components": [{"series": "A", "rank": 2}], "fundamental_group": "adjoint", '
+     '"label": "SU(3)"}', "label"),
 ])
 def test_unknown_json_key_rejected(capsys, spec, key):
-    """A root-datum JSON key outside components, fundamental_group and label,
-    series and rank in a component, or generators in a fundamental_group
-    object is named in the one usage-error line, not ignored."""
+    """A root-datum JSON key outside components and fundamental_group (such
+    as a label, which would rename the group and its Langlands dual), series
+    and rank in a component, or generators in a fundamental_group object is
+    named in the one usage-error line, not ignored."""
     assert f"unknown key '{key}'" in _usage_error(capsys, ["group", "--group", spec])
 
 
-def test_null_label_keeps_generic_label():
-    spec = '{"components": [{"series": "A", "rank": 1}], "label": null}'
-    code, payload = run_json(["group", "--group", spec])
-    assert code == 0
-    assert payload["reports"][0]["group"] == "A1"
+@pytest.mark.parametrize("spec, key", [
+    ('{"components": [{"series": "A", "rank": 1}], "components": [{"series": "A", "rank": 2}]}',
+     "components"),
+    ('{"components": [{"series": "A", "series": "B", "rank": 2}]}', "series"),
+], ids=["top-level", "in-a-component"])
+def test_repeated_json_key_rejected(capsys, spec, key):
+    """A JSON key given twice is refused, in a --group and in a --group-list
+    spec alike, rather than read as its last value; the groups around it in
+    the list still report."""
+    line = f"usage error: malformed JSON in {quote(spec)}: repeated key '{key}'\n"
+    assert _usage_error(capsys, ["group", "--group", spec]) == line
+    assert main(["group", "--group-list", f"SU(2),{spec},SO(3)", "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert err == line
+    assert [r["group"] for r in json.loads(out)["reports"]] == ["SU(2)", spec, "SO(3)"]
+
+
+@pytest.mark.parametrize("name", [" SU(3) ", "SU(3) ", "\tG2", "A3\n"])
+def test_group_name_is_taken_as_written(capsys, name):
+    """A named group is matched as written, with no space trimmed; only a
+    --group-list trims its items at their commas."""
+    err = _usage_error(capsys, ["group", "--group", name], prefix="error:")
+    assert err == f"error: unknown group name {name!r}\n"
+    code, payload = run_json(["group", "--group-list", f"{name},SU(2)"])
+    assert code == 0 and [r["group"] for r in payload["reports"]] == [name.strip(), "SU(2)"]
 
 
 def test_missing_input_file(capsys, tmp_path):
@@ -915,14 +950,14 @@ def test_import_loads_no_dataclasses():
 def test_group_list_takes_inline_json(capsys, fmt):
     """A --group-list spec that starts with "{" runs to the end of its JSON
     value, so its commas do not split it."""
-    spec = '{"components": [{"series": "A", "rank": 1}], "label": "x,y"}'
+    spec = '{"components": [{"series": "A", "rank": 1}, {"series": "A", "rank": 1}]}'
     capsys.readouterr()
     assert main(["group", "--group-list", f" {spec} ,SU(2)", "--format", fmt]) == 0
     out = capsys.readouterr().out
     if fmt == "json":
-        assert [r["group"] for r in json.loads(out)["reports"]] == ["x,y", "SU(2)"]
+        assert [r["group"] for r in json.loads(out)["reports"]] == ["A1 x A1", "SU(2)"]
     else:
-        assert out.count("-- report") == 2 and "group: x,y\n" in out
+        assert out.count("-- report") == 2 and "group: A1 x A1\n" in out
 
 
 def test_group_list_malformed_json_ends_at_a_comma(capsys):
@@ -938,7 +973,7 @@ def test_group_list_malformed_json_ends_at_a_comma(capsys):
 
 
 class CountingDecoder:
-    """Stand-in for `cli._JSON` that adds up the characters its raw_decode
+    """Stand-in for `cli._EXTENT` that adds up the characters its raw_decode
     calls read: to the end of the value, or to where the parse failed (to
     the end of the text after an unterminated string, or when the failure
     gives no position)."""
@@ -977,7 +1012,7 @@ def test_group_list_split_reads_each_character_once(capsys, monkeypatch, text):
         assert main(["group", "--group", spec]) == 2
         lines[spec] = capsys.readouterr().err
     decoder = CountingDecoder()
-    monkeypatch.setattr(cli, "_JSON", decoder)
+    monkeypatch.setattr(cli, "_EXTENT", decoder)
     assert main(["group", "--group-list", text]) == 2
     assert capsys.readouterr().err == "".join(lines[spec] for spec in specs)
     assert decoder.read <= len(text)
@@ -1095,14 +1130,14 @@ FUZZ_CASES = [
     pytest.param(["group", "--group", '{"components":5}'], 2, id="group-json-components-int"),
     pytest.param(["group", "--group", '{"components":{"series":"A"}}'], 2,
                  id="group-json-components-object"),
-    # A label or series with a newline, and a long label, are escaped and cut
-    # in the one error line.
+    # An unknown JSON key or a series with a newline, and a long unknown key,
+    # are escaped and cut in the one error line.
     pytest.param(["dualize", "--group", '{"components":[{"series":"A","rank":2}],'
-                  '"label":"two\\nlines"}', "--twist", "level:1", "--shift", "[[0]]"], 2,
-                 id="shift-label-newline"),
+                  '"two\\nlines":1}', "--twist", "level:1", "--shift", "[[0]]"], 2,
+                 id="json-key-newline"),
     pytest.param(["dualize", "--group", '{"components":[{"series":"A","rank":2}],'
-                  '"label":"%s"}' % ("x" * 500), "--twist", "level:1", "--shift", "[[0]]"], 2,
-                 id="shift-label-long"),
+                  '"%s":1}' % ("x" * 500), "--twist", "level:1", "--shift", "[[0]]"], 2,
+                 id="json-key-long"),
     pytest.param(["group", "--group", '{"components":[{"series":"A\\nB","rank":1}]}'], 2,
                  id="group-series-newline"),
     # JSON nested past the recursion limit is malformed input, not a traceback.

@@ -14,6 +14,7 @@ from tdual_lie.rootdata import (
     RootDatum,
     _dual_label,
     build,
+    fundamental_group_of,
     langlands_dual,
     named_group,
     require_phi,
@@ -371,6 +372,27 @@ def test_langlands_report_reads_no_dual_datum(rd, dual):
     assert rep["match"] is True
     assert rep["expected_lattice"] == rep["dual_chern_lattice"]
     assert rep["dual_group"] == langlands_dual(rd).label
+
+
+@pytest.mark.parametrize("name", [
+    "SU(2)", "SU(3)", "SU(8)", "PSU(2)", "PSU(3)", "PSU(8)", "SO(3)", "Spin(5)", "Spin(7)",
+    "Spin(8)", "Spin(10)", "Spin(11)", "Sp(3)", "Sp(4)",
+    "A1", "A4", "B2", "B3", "C3", "D4", "D5", "E6", "E7", "E8", "F4", "G2",
+])
+def test_dual_group_names_what_langlands_dual_builds(name):
+    """The `dual_group` a report prints (the dual's label where no twist
+    exists) is either dual(<name>) or a name that `named_group` resolves to
+    a group with the components and pi_1 of `langlands_dual`'s datum."""
+    rd, dual = named_group(name), langlands_dual(named_group(name))
+    try:
+        printed = verify_langlands_tdual(rd)["dual_group"]
+    except Unavailable:  # an unpaired B_n or C_n, n >= 3
+        printed = _dual_label(rd)
+    assert printed == dual.label
+    if printed != f"dual({name})":
+        named = named_group(printed)
+        assert named.components == dual.components
+        assert fundamental_group_of(named) == fundamental_group_of(dual)
 
 
 def test_langlands_roundtrip_lens():

@@ -125,6 +125,23 @@ def test_main_writes_each_argv_of_a_section_once(monkeypatch, tmp_path):
     assert set(report["startup"]["summary"]) == {"interpreter", "import", "group SU(2)"}
 
 
+def test_startup_rows_take_turns_and_keep_their_least_time(monkeypatch):
+    """Each round spawns every startup row once, in the table's order, so a
+    drift of the host's speed between rounds reaches all rows; a row keeps
+    the least wall time of its spawns."""
+    monkeypatch.setattr(bench_pr, "STARTUP_SPAWNS", 3)
+    calls, walls = [], iter([0.5, 0.6, 0.7, 0.2, 0.9, 0.8, 0.4, 0.3, 0.1])
+
+    def spawn(root, args):
+        calls.append(args)
+        return bench_pr.Child("exit 0", b"", b"", next(walls), None)
+
+    monkeypatch.setattr(bench_pr, "spawn", spawn)
+    assert bench_pr.run_startup(bench_pr.CHANGE) == {
+        "interpreter": 0.2, "import": 0.3, "group SU(2)": 0.1}
+    assert calls == list(bench_pr.STARTUP_ROWS.values()) * 3
+
+
 def test_the_interpreter_row_names_no_package_module():
     """The startup floor is the command path's `gc.freeze()` alone: the row
     runs, and its code names no module of the package."""

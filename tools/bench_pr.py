@@ -55,17 +55,19 @@ status differs between the checkouts stops the script.  Rows whose digests
 differ between the checkouts in a pair, as on a deliberate output change,
 or between the pairs of one side are counted on stderr.
 
-Then both checkouts time STARTUP_SPAWNS fresh processes of each of
-STARTUP_ROWS: the bare interpreter (`-c "import gc; gc.freeze()"`, the
+Then both checkouts time STARTUP_SPAWNS rounds of fresh processes, one of
+each of STARTUP_ROWS per round, the rows in turn, so that a drift of the
+host's speed reaches every row alike: the bare interpreter (`-c "import gc; gc.freeze()"`, the
 command path's first step, which loads nothing of the package), the same
 followed by `import tdual_lie.cli`, and `group --group SU(2)`.  Every row
 freezes the collector before it exits, as the command path does, so no
 row's shutdown collections walk the import-time heap.  The bare
 interpreter is the floor under every job: the import row less it is the
 package's import, and the `group` row less the import row is `main`.
-`startup` keeps each side's median wall_s per pair (raw, unlike
-perfbench's calibrated `setup_s`), and per row each side's median over the
-pairs and the change's wins.
+`startup` keeps each side's least wall_s per row and pair (raw, unlike
+perfbench's calibrated `setup_s`), the floor that the host's noise only
+adds to, and per row each side's median of those minima over the pairs
+and the change's wins.
 
 Last, for each workload W of BENCHMARK.json and each pair k, both
 checkouts run `perfbench/run.py --workload W --seed S+k --trace 0`.
@@ -251,10 +253,13 @@ def run_rows(root: Path, rows: tuple) -> list[dict]:
 
 
 def run_startup(root: Path) -> dict:
-    """Per row of STARTUP_ROWS, the median wall_s of STARTUP_SPAWNS fresh
-    processes in `root`."""
-    return {name: statistics.median(checked(root, args).wall_s for _ in range(STARTUP_SPAWNS))
-            for name, args in STARTUP_ROWS.items()}
+    """Per row of STARTUP_ROWS, the least wall_s of STARTUP_SPAWNS fresh
+    processes in `root`, spawned in rounds of one process per row."""
+    walls = {name: [] for name in STARTUP_ROWS}
+    for _ in range(STARTUP_SPAWNS):
+        for name, args in STARTUP_ROWS.items():
+            walls[name].append(checked(root, args).wall_s)
+    return {name: min(ws) for name, ws in walls.items()}
 
 
 def alternate(k: int, roots: dict, run) -> dict:
@@ -294,7 +299,8 @@ def summarize_rows(runs: list[dict]) -> list[dict]:
 
 
 def summarize_startup(runs: list[dict]) -> dict:
-    """Per startup row, `compare` of its per-pair medians."""
+    """Per startup row, `compare` of its per-pair minima: each side's median
+    of them and the change's wins."""
     return {name: compare([[run[side][name] for run in runs] for side in SIDES])
             for name in STARTUP_ROWS}
 

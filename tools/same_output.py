@@ -39,10 +39,13 @@ non-antisymmetric and wrong-size `--b` refusals on SU(3); `cohomology` and
 spec and SO(3); `twist` and `dualize` with a one-entry shift at `level:0`,
 u = 0, on SU(3) and PSU(4); `langlands` and `twist --twist langlands` on
 SU(2)), CONTCHECK_TEXT_ROWS (`contcheck` in text at the default grid,
-and `contcheck --grid 844` in text and JSON) and EMPTY_FLAG_ROWS (an empty
+and `contcheck --grid 844` in text and JSON), EMPTY_FLAG_ROWS (an empty
 `--shift` on `dualize`, an empty `--b` on `extension`, an empty `--output`
-on `group`, and an empty `--group` beside `--group-list` and alone), each
-distinct argv once.
+on `group`, and an empty `--group` beside `--group-list` and alone) and
+REFUSED_INPUT_ROWS (`langlands` on root-datum JSON with a `label` key,
+adjoint A2 labelled SU(3) and G2 labelled dual(E8); `group -g SU(2)`;
+`group --group " SU(3) "`; and a JSON key given twice, in a `--group` and
+inside a `--group-list`), each distinct argv once.
 Against a parent whose total-rank cap is 32, the RANK_128_ROWS differ by
 design: the parent exits 2 with one `error:` line where the change prints a
 report.  Against a parent that drops an empty flag value as if the flag
@@ -52,6 +55,12 @@ Against a parent that reads an empty `--group` as no `--group`, `group
 --group ""` differs by design: both exit 2 with one line, the parent's a
 `usage error:` that asks for `--group`, the change's `error: unknown group
 name ''`.
+Against a parent that reads a JSON `label`, the `-g` alias, a padded group
+name or a repeated JSON key, the REFUSED_INPUT_ROWS differ by design: the
+parent prints a report and exits 0 where the change exits 2 with one
+`usage error:` or `error:` line (the `--group-list` row keeps its other
+two reports), and the six `VERB --help` rows of the verbs that take
+`--group` differ in their `--group` line, which no longer names `-g`.
 Every argv whose exit code, stdout or stderr differs, or that timed out on
 both sides, is printed with both sides' status and stderr, and the script
 exits 1 if any is.  When both sides' stdout parse as JSON, the sorted key
@@ -285,6 +294,19 @@ EMPTY_FLAG_ROWS = (
     ("group", "--group", "", "--group-list", "SU(2)"),
     ("group", "--group", ""),
 )
+# Inputs a parent read and the change refuses: a root-datum `label`, which
+# renamed the group and its Langlands dual (PSU(3) as SU(3), G2 as dual(E8)),
+# the `-g` alias, a group name with spaces around it, and a repeated key.
+REPEATED_KEY = '{"components":[{"series":"A","rank":1}],"components":[{"series":"A","rank":2}]}'
+REFUSED_INPUT_ROWS = (
+    ("langlands", "--group", '{"components":[{"series":"A","rank":2}],'
+     '"fundamental_group":"adjoint","label":"SU(3)"}'),
+    ("langlands", "--group", '{"components":[{"series":"G","rank":2}],"label":"dual(E8)"}'),
+    ("group", "-g", "SU(2)"),
+    ("group", "--group", " SU(3) "),
+    ("group", "--group", REPEATED_KEY),
+    ("group", "--group-list", f"SU(2),{REPEATED_KEY},SO(3)"),
+)
 
 
 def all_argv() -> list[tuple[str, ...]]:
@@ -294,7 +316,7 @@ def all_argv() -> list[tuple[str, ...]]:
             + list(RANK_CAP_ROWS + CONTCHECK_ROWS + DOUBLE_DATUM_ROWS + QUOTIENT_ROWS
                    + SPEC_ROWS + CENTER_ROWS + LEVEL_ROWS + HELP_ROWS + TORSION_ROWS
                    + RANK_128_ROWS + LANGLANDS_ROWS + PAIRING_ROWS + EDGE_ROWS
-                   + CONTCHECK_TEXT_ROWS + EMPTY_FLAG_ROWS))
+                   + CONTCHECK_TEXT_ROWS + EMPTY_FLAG_ROWS + REFUSED_INPUT_ROWS))
     return list(dict.fromkeys(map(tuple, rows)))
 
 
