@@ -383,7 +383,8 @@ def test_dual_group_names_what_langlands_dual_builds(name):
     """The `dual_group` a report prints (the dual's label where no twist
     exists) is either dual(<name>) or a name that `named_group` resolves to
     a group with the components and pi_1 of `langlands_dual`'s datum."""
-    rd, dual = named_group(name), langlands_dual(named_group(name))
+    rd = named_group(name)
+    dual = langlands_dual(rd)
     try:
         printed = verify_langlands_tdual(rd)["dual_group"]
     except Unavailable:  # an unpaired B_n or C_n, n >= 3

@@ -57,9 +57,10 @@ or between the pairs of one side are counted on stderr.
 
 Then both checkouts time STARTUP_SPAWNS rounds of fresh processes, one of
 each of STARTUP_ROWS per round, the rows in turn, so that a drift of the
-host's speed reaches every row alike: the bare interpreter (`-c "import gc; gc.freeze()"`, the
-command path's first step, which loads nothing of the package), the same
-followed by `import tdual_lie.cli`, and `group --group SU(2)`.  Every row
+host's speed reaches every row alike: the bare interpreter (`-c "import
+gc; gc.freeze()"`, the command path's first step, which loads nothing of
+the package), the same followed by `import tdual_lie.cli`, and `group
+--group SU(2)`.  Every row
 freezes the collector before it exits, as the command path does, so no
 row's shutdown collections walk the import-time heap.  The bare
 interpreter is the floor under every job: the import row less it is the
