@@ -98,7 +98,7 @@ FLAGS = {
     "contcheck": {**_COMMON, "--grid": None},
 }
 _DEFAULTS = {"format": "text", "level": "1", "twist": None, "shift": None, "b": None, "grid": None}
-_SPACE = re.compile(r"\s*")
+MAX_FILE_CHARS = 2 ** 26  # an @FILE read stops here; an argv string is far shorter
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -112,7 +112,6 @@ def _unique_keys(pairs: list) -> dict:
 
 
 _JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)  # reads every JSON input
-_EXTENT = json.JSONDecoder()  # where a --group-list spec's JSON ends, repeated keys or not
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 
@@ -125,34 +124,12 @@ def _help(verb: str | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _split_specs(text: str) -> tuple[str, ...]:
-    """The specs of a --group-list: split at commas, except that a spec that
-    starts with "{" runs to the end of its JSON value, repeated keys and all.
-    A spec whose JSON does not parse ends at the next comma, and `resolve_group`
-    refuses it.  So does a spec that starts before the point where such a parse
-    failed (anywhere, when it hit the nesting or digit limit, which give no
-    point): it is not parsed again, so the decoder reads each character at most once."""
-    specs, start, parsed = [], 0, 0
-    while start <= len(text):
-        lead = _SPACE.match(text, start).end()
-        end = text.find(",", lead)
-        if text.startswith("{", lead) and lead >= parsed:
-            try:
-                parsed = _EXTENT.raw_decode(text, lead)[1]
-                end = text.find(",", parsed)
-            except (ValueError, RecursionError) as exc:
-                parsed = getattr(exc, "pos", len(text))
-        end = len(text) if end < 0 else end
-        specs.append(text[start:end].strip())
-        start = end + 1
-    return tuple(s for s in specs if s)
-
-
 def parse_args(argv) -> SimpleNamespace | str:
     """The command line read against `FLAGS`, with a field per flag,
-    `groups` (a tuple of specs), a checked `level` and, for contcheck, the
-    resolved `grid`, or the help text for a -h or --help before any error;
-    whatever the table does not take is a UsageError."""
+    `groups` (a tuple of specs; a --group-list split at every comma), a
+    checked `level` and, for contcheck, the resolved `grid`, or the help text
+    for a -h or --help before any error; whatever the table does not take is
+    a UsageError."""
     verb, *rest = argv or [None]
     if verb in ("-h", "--help"):
         return _help(None)
@@ -186,9 +163,12 @@ def parse_args(argv) -> SimpleNamespace | str:
         if ns.group is not None:
             ns.groups = (ns.group,)
         elif ns.group_list is not None:
-            ns.groups = _split_specs(ns.group_list)
+            ns.groups = tuple(s.strip() for s in ns.group_list.split(",") if s.strip())
             if not ns.groups:
                 raise UsageError(f"--group-list names no group, got {quote(ns.group_list)}")
+            if inline := next((s for s in ns.groups if s.startswith("{")), None):
+                raise UsageError(f"--group-list takes no inline JSON, got the item "
+                                 f"{quote(inline)}; give it as @FILE")
         if not ns.groups:
             raise UsageError(f"verb {ns.verb!r} needs --group or --group-list")
     ns.level = _nonnegative_level(_flag_int(ns.level, "--level", signed=True), "--level")
@@ -217,11 +197,14 @@ def _load_json(spec: str):
     if spec.startswith("@"):
         try:
             with open(spec[1:], "r", encoding="utf-8") as fh:
-                text = fh.read()
+                text = fh.read(MAX_FILE_CHARS + 1)
         except OSError as exc:
             raise UsageError(f"cannot read {quote(spec[1:])}: {exc.strerror or exc}") from exc
         except UnicodeDecodeError as exc:
             raise UsageError(f"cannot read {quote(spec[1:])}: {exc}") from exc
+        if len(text) > MAX_FILE_CHARS:
+            raise UsageError(f"cannot read {quote(spec[1:])}: longer than {MAX_FILE_CHARS} "
+                             "characters")
     try:
         return _JSON.decode(text)
     except (ValueError, RecursionError) as exc:  # malformed, too deep, or past the digit limit

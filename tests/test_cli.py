@@ -5,6 +5,7 @@ import gc
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -576,21 +577,65 @@ def test_unknown_json_key_rejected(capsys, spec, key):
     assert f"unknown key '{key}'" in _usage_error(capsys, ["group", "--group", spec])
 
 
-@pytest.mark.parametrize("spec, key", [
-    ('{"components": [{"series": "A", "rank": 1}], "components": [{"series": "A", "rank": 2}]}',
-     "components"),
-    ('{"components": [{"series": "A", "series": "B", "rank": 2}]}', "series"),
-], ids=["top-level", "in-a-component"])
-def test_repeated_json_key_rejected(capsys, spec, key):
-    """A JSON key given twice is refused, in a --group and in a --group-list
-    spec alike, rather than read as its last value; the groups around it in
-    the list still report."""
+REPEATED_KEYS = {
+    "top-level": ('{"components": [{"series": "A", "rank": 1}], '
+                  '"components": [{"series": "A", "rank": 2}]}', "components"),
+    "in-a-component": ('{"components": [{"series": "A", "series": "B", "rank": 2}]}', "series"),
+}
+
+
+@pytest.mark.parametrize("spec, key", REPEATED_KEYS.values(), ids=REPEATED_KEYS)
+def test_repeated_json_key_rejected(capsys, tmp_path, spec, key):
+    """A JSON key given twice is refused, in a --group and in an @FILE of a
+    --group-list alike, rather than read as its last value; the groups
+    around the file in the list still report."""
     line = f"usage error: malformed JSON in {quote(spec)}: repeated key '{key}'\n"
     assert _usage_error(capsys, ["group", "--group", spec]) == line
-    assert main(["group", "--group-list", f"SU(2),{spec},SO(3)", "--format", "json"]) == 2
+    path = tmp_path / "repeated.json"
+    path.write_text(spec)
+    assert main(["group", "--group-list", f"SU(2),@{path},SO(3)", "--format", "json"]) == 2
     out, err = capsys.readouterr()
-    assert err == line
-    assert [r["group"] for r in json.loads(out)["reports"]] == ["SU(2)", spec, "SO(3)"]
+    assert err == f"usage error: malformed JSON in {quote(f'@{path}')}: repeated key '{key}'\n"
+    assert [r["group"] for r in json.loads(out)["reports"]] == ["SU(2)", f"@{path}", "SO(3)"]
+
+
+A1_A1 = '{"components": [{"series": "A", "rank": 1}, {"series": "A", "rank": 1}]}'
+
+
+@pytest.mark.parametrize("text", [
+    f" {A1_A1} ,SU(2)",
+    '{"components": [x,SU(2)',
+    '{"x": [1,' * 12000,
+    '{"x": [1,' * 200 + "x",
+    '{"x": [1,' * 200 + '"',
+    *(f"SU(2),{spec},SO(3)" for spec, _ in REPEATED_KEYS.values()),
+], ids=["spaced-a1xa1", "unclosed-components", "past-depth-limit", "bad-value",
+        "unterminated-string", "repeated-top-level", "repeated-in-a-component"])
+def test_group_list_refuses_inline_json(capsys, text):
+    """A --group-list is split at every comma, so an item that starts with
+    "{" is a piece of JSON at best: the list is refused before any group is
+    built, with one line that names the first such item and points to @FILE."""
+    item = next(s.strip() for s in text.split(",") if s.strip().startswith("{"))
+    capsys.readouterr()
+    assert main(["group", "--group-list", text]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"usage error: --group-list takes no inline JSON, got the item {quote(item)}; "
+                   "give it as @FILE\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_group_list_reads_json_from_a_file(capsys, tmp_path, fmt):
+    """JSON joins a batch as @FILE, its commas inside the file."""
+    path = tmp_path / "a1a1.json"
+    path.write_text(A1_A1)
+    capsys.readouterr()
+    assert main(["group", "--group-list", f"SU(2),@{path}", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert [r["group"] for r in json.loads(out)["reports"]] == ["SU(2)", "A1 x A1"]
+    else:
+        assert out.count("-- report") == 2 and "group: A1 x A1\n" in out
 
 
 @pytest.mark.parametrize("name", [" SU(3) ", "SU(3) ", "\tG2", "A3\n"])
@@ -614,6 +659,29 @@ def test_input_file_not_utf8(capsys, tmp_path):
     bad.write_bytes(b"\xff")
     _usage_error(capsys, ["group", "--group", f"@{bad}"])
     _usage_error(capsys, ["twist", "--group", "SU(2)", "--twist", f"@{bad}"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "--group", "@/dev/zero"],
+    ["twist", "--group", "SU(2)", "--twist", "@/dev/zero"],
+    ["dualize", "--group", "SU(2)", "--twist", "level:1", "--shift", "@/dev/zero"],
+    ["extension", "--group", "SU(2)", "--b", "@/dev/zero"],
+], ids=lambda argv: argv[-2])
+def test_input_file_read_is_bounded(argv):
+    """An @FILE read stops past `cli.MAX_FILE_CHARS` characters, so an endless
+    file exits 2 with one line naming the cap, in a child whose address space
+    is held to 400 MB, rather than reading until memory runs out."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "tdual_lie.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=limit_memory)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-300:]
+    assert proc.stderr == (f"usage error: cannot read '/dev/zero': longer than "
+                           f"{cli.MAX_FILE_CHARS} characters\n")
 
 
 def test_output_into_missing_directory(capsys, tmp_path):
@@ -944,78 +1012,6 @@ def test_import_loads_no_dataclasses():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n[]\n[]\n"
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_group_list_takes_inline_json(capsys, fmt):
-    """A --group-list spec that starts with "{" runs to the end of its JSON
-    value, so its commas do not split it."""
-    spec = '{"components": [{"series": "A", "rank": 1}, {"series": "A", "rank": 1}]}'
-    capsys.readouterr()
-    assert main(["group", "--group-list", f" {spec} ,SU(2)", "--format", fmt]) == 0
-    out = capsys.readouterr().out
-    if fmt == "json":
-        assert [r["group"] for r in json.loads(out)["reports"]] == ["A1 x A1", "SU(2)"]
-    else:
-        assert out.count("-- report") == 2 and "group: A1 x A1\n" in out
-
-
-def test_group_list_malformed_json_ends_at_a_comma(capsys):
-    """JSON that does not parse is a spec up to the next comma, refused as a
-    --group of the same text would be; the groups after it still report."""
-    capsys.readouterr()
-    assert main(["group", "--group-list", '{"components": [x,SU(2)', "--format", "json"]) == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("""usage error: malformed JSON in '{"components": [x'""")
-    assert err.count("\n") == 1
-    reports = json.loads(out)["reports"]
-    assert [r["group"] for r in reports] == ['{"components": [x', "SU(2)"]
-
-
-class CountingDecoder:
-    """Stand-in for `cli._EXTENT` that adds up the characters its raw_decode
-    calls read: to the end of the value, or to where the parse failed (to
-    the end of the text after an unterminated string, or when the failure
-    gives no position)."""
-
-    def __init__(self):
-        self.read = 0
-
-    def raw_decode(self, text, idx):
-        try:
-            value, end = json.JSONDecoder().raw_decode(text, idx)
-        except json.JSONDecodeError as exc:
-            unterminated = exc.msg.startswith("Unterminated string")
-            self.read += (len(text) if unterminated else exc.pos + 1) - idx
-            raise
-        except (ValueError, RecursionError):
-            self.read += len(text) - idx
-            raise
-        self.read += end - idx
-        return value, end
-
-
-@pytest.mark.parametrize("text", [
-    '{"x": [1,' * 12000,
-    '{"x": [1,' * 200 + "x",
-    '{"x": [1,' * 200 + '"',
-], ids=["past-depth-limit", "bad-value", "unterminated-string"])
-def test_group_list_split_reads_each_character_once(capsys, monkeypatch, text):
-    """Every spec here is JSON that does not parse and starts inside the
-    text an earlier spec's parse read, so the split decodes none of them
-    again: it reads at most len(text) characters in all.  Each spec is then
-    refused with the line a --group of it prints, in order, with exit 2."""
-    specs = [spec for spec in text.split(",") if spec]
-    lines = {}
-    for spec in set(specs):
-        capsys.readouterr()
-        assert main(["group", "--group", spec]) == 2
-        lines[spec] = capsys.readouterr().err
-    decoder = CountingDecoder()
-    monkeypatch.setattr(cli, "_EXTENT", decoder)
-    assert main(["group", "--group-list", text]) == 2
-    assert capsys.readouterr().err == "".join(lines[spec] for spec in specs)
-    assert decoder.read <= len(text)
 
 
 HUGE = "9" * 5000

@@ -122,7 +122,7 @@ def test_main_writes_each_argv_of_a_section_once(monkeypatch, tmp_path):
         assert [row["change"]["median_wall_s"] for row in summary] == [1.5, 1.5]
     assert report["rank_128"]["summary"][0]["parent"]["median_maxrss_mb"] == 9.0
     assert "median_maxrss_mb" not in report["cliffs"]["summary"][0]["parent"]
-    assert set(report["startup"]["summary"]) == {"interpreter", "import", "group SU(2)"}
+    assert set(report["startup"]["summary"]) == {"import - interpreter", "group SU(2) - import"}
 
 
 def test_startup_rows_take_turns_and_keep_their_least_time(monkeypatch):
@@ -140,6 +140,29 @@ def test_startup_rows_take_turns_and_keep_their_least_time(monkeypatch):
     assert bench_pr.run_startup(bench_pr.CHANGE) == {
         "interpreter": 0.2, "import": 0.3, "group SU(2)": 0.1}
     assert calls == list(bench_pr.STARTUP_ROWS.values()) * 3
+
+
+def test_startup_summary_reads_the_differences_within_each_pair():
+    """The startup summary holds, per side, the median and quartiles of each
+    pair's row differences, which a drift of the host between pairs leaves
+    alone, and no row's own level."""
+    drift = [0.040, 0.060, 0.050, 0.045, 0.065]
+    runs = [{"parent": {"interpreter": d, "import": d + 0.006 + 0.001 * k,
+                        "group SU(2)": d + 0.007 + 0.001 * k},
+             "change": {"interpreter": d, "import": d + 0.005,
+                        "group SU(2)": d + 0.005 - 0.001 * k}}
+            for k, d in enumerate(drift)]
+    summary = bench_pr.summarize_startup(runs)
+    assert list(summary) == ["import - interpreter", "group SU(2) - import"]
+    rounded = {name: {side: {key: round(value * 1000, 6) for key, value in stats.items()}
+                      for side, stats in sides.items()} for name, sides in summary.items()}
+    assert rounded == {
+        "import - interpreter": {
+            "parent": {"median": 8.0, "q1": 7.0, "q3": 9.0, "iqr": 2.0},
+            "change": {"median": 5.0, "q1": 5.0, "q3": 5.0, "iqr": 0.0}},
+        "group SU(2) - import": {
+            "parent": {"median": 1.0, "q1": 1.0, "q3": 1.0, "iqr": 0.0},
+            "change": {"median": -2.0, "q1": -3.0, "q3": -1.0, "iqr": 2.0}}}
 
 
 def test_the_interpreter_row_names_no_package_module():

@@ -67,8 +67,10 @@ interpreter is the floor under every job: the import row less it is the
 package's import, and the `group` row less the import row is `main`.
 `startup` keeps each side's least wall_s per row and pair (raw, unlike
 perfbench's calibrated `setup_s`), the floor that the host's noise only
-adds to, and per row each side's median of those minima over the pairs
-and the change's wins.
+adds to.  Its summary compares rows, not levels: the host's speed drifts
+between pairs far more than the rows differ, so per pair of adjacent rows
+(`import - interpreter`, `group SU(2) - import`) it holds each side's
+median, quartiles and IQR of the per-pair differences.
 
 Last, for each workload W of BENCHMARK.json and each pair k, both
 checkouts run `perfbench/run.py --workload W --seed S+k --trace 0`.
@@ -299,11 +301,19 @@ def summarize_rows(runs: list[dict]) -> list[dict]:
     return out
 
 
+def spread(values: list) -> dict:
+    """The median, quartiles and IQR of `values`."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
 def summarize_startup(runs: list[dict]) -> dict:
-    """Per startup row, `compare` of its per-pair minima: each side's median
-    of them and the change's wins."""
-    return {name: compare([[run[side][name] for run in runs] for side in SIDES])
-            for name in STARTUP_ROWS}
+    """Per pair of adjacent STARTUP_ROWS, `"later - earlier"`: each side's
+    `spread` of the differences of their per-pair minima."""
+    names = list(STARTUP_ROWS)
+    return {f"{later} - {earlier}": {side: spread([run[side][later] - run[side][earlier]
+                                                   for run in runs]) for side in SIDES}
+            for earlier, later in zip(names, names[1:])}
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
@@ -314,11 +324,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         name, lower = m["name"], m["better"] == "lower"
         values = {side: [run[side]["metrics"][name] for run in runs] for side in SIDES}
         wins = sum((c < p) if lower else (c > p) for p, c in zip(*values.values()))
-        out[name] = {"better": m["better"], "wins": wins, "pairs": len(runs)}
-        for side in SIDES:
-            q1, _, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
-            out[name][side] = {"median": statistics.median(values[side]), "q1": q1, "q3": q3,
-                               "iqr": q3 - q1}
+        out[name] = {"better": m["better"], "wins": wins, "pairs": len(runs),
+                     **{side: spread(values[side]) for side in SIDES}}
     return out
 
 

@@ -35,10 +35,11 @@ on SU(3), SO(3), PSU(4) and adjoint D4 at `--level` 1 and 2, text and JSON,
 with the entries "1/3", "1/4", "1/6", "2/4", "-1/2" and "0.25" above the
 diagonal and their negatives below; the nonzero-diagonal,
 non-antisymmetric and wrong-size `--b` refusals on SU(3); `cohomology` and
-`twist --twist level:1` over the `--group-list` of SU(2), a JSON quotient
-spec and SO(3); `twist` and `dualize` with a one-entry shift at `level:0`,
-u = 0, on SU(3) and PSU(4); `langlands` and `twist --twist langlands` on
-SU(2)), CONTCHECK_TEXT_ROWS (`contcheck` in text at the default grid,
+`twist --twist level:1` over the `--group-list` of SU(2), an inline JSON
+quotient of A3 and SO(3), which is refused; `twist` and `dualize` with a
+one-entry shift at `level:0`, u = 0, on SU(3) and PSU(4); `langlands` and
+`twist --twist langlands` on SU(2)), CONTCHECK_TEXT_ROWS (`contcheck`
+in text at the default grid,
 and `contcheck --grid 844` in text and JSON), EMPTY_FLAG_ROWS (an empty
 `--shift` on `dualize`, an empty `--b` on `extension`, an empty `--output`
 on `group`, and an empty `--group` beside `--group-list` and alone) and
@@ -46,21 +47,11 @@ REFUSED_INPUT_ROWS (`langlands` on root-datum JSON with a `label` key,
 adjoint A2 labelled SU(3) and G2 labelled dual(E8); `group -g SU(2)`;
 `group --group " SU(3) "`; and a JSON key given twice, in a `--group` and
 inside a `--group-list`), each distinct argv once.
-Against a parent whose total-rank cap is 32, the RANK_128_ROWS differ by
-design: the parent exits 2 with one `error:` line where the change prints a
-report.  Against a parent that drops an empty flag value as if the flag
-were absent, the EMPTY_FLAG_ROWS differ by design: the parent prints a
-report and exits 0 where the change exits 2 with one `usage error:` line.
-Against a parent that reads an empty `--group` as no `--group`, `group
---group ""` differs by design: both exit 2 with one line, the parent's a
-`usage error:` that asks for `--group`, the change's `error: unknown group
-name ''`.
-Against a parent that reads a JSON `label`, the `-g` alias, a padded group
-name or a repeated JSON key, the REFUSED_INPUT_ROWS differ by design: the
-parent prints a report and exits 0 where the change exits 2 with one
-`usage error:` or `error:` line (the `--group-list` row keeps its other
-two reports), and the six `VERB --help` rows of the verbs that take
-`--group` differ in their `--group` line, which no longer names `-g`.
+Against a parent that reads inline JSON inside a `--group-list`, three
+argv differ by design: `cohomology` and `twist --twist level:1` over
+`SU(2),<A3 JSON>,SO(3)`, and `group` over `SU(2),<repeated-key JSON>,SO(3)`.
+The parent prints reports, or error records for the repeated key, where the
+change exits 2 with one `usage error:` line and an empty stdout.
 Every argv whose exit code, stdout or stderr differs, or that timed out on
 both sides, is printed with both sides' status and stderr, and the script
 exits 1 if any is.  When both sides' stdout parse as JSON, the sorted key
@@ -263,7 +254,8 @@ def b_matrix(n: int, entry: str) -> str:
 # Inputs that no other row reaches: `--b` entries with denominators 3, 4 and
 # 6, unreduced, negative and decimal; the three `--b` refusals (a nonzero
 # diagonal, no antisymmetry, the wrong size); a JSON spec inside
-# `--group-list`; the zero twist `level:0`; and SU(2)'s Langlands dual label.
+# `--group-list`, which is refused; the zero twist `level:0`; and SU(2)'s
+# Langlands dual label.
 EDGE_ROWS = tuple(
     ("extension", "--group", g, "--level", str(k), "--b", b_matrix(n, entry), *fmt)
     for g, n in (("SU(3)", 2), ("SO(3)", 1), ("PSU(4)", 3), (product((("D", 4),), "adjoint"), 4))
