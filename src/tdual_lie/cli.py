@@ -24,7 +24,7 @@ import json
 import os
 import re
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 from . import contcheck as cont
@@ -73,31 +73,30 @@ def _nonnegative_level(level: int, what: str) -> int:
     return level
 
 
-_EXPECT_TESTS = {
-    "trivializable": lambda r: r.get("trivializable") is True,
-    "not-trivializable": lambda r: r.get("trivializable") is False,
-    "match": lambda r: r.get("match") is True,
-    "available": lambda r: r.get("available") is True,
-    "dualizable": lambda r: r.get("dualizable") is True,
-    "cycle": lambda r: r.get("twist_is_cycle") is True,
-    "pass": lambda r: r.get("passed") is True,
-}
+# The report entry (key, value) that an --expect KEY asserts in every report.
+_EXPECT = {"cycle": ("twist_is_cycle", True), "dualizable": ("dualizable", True),
+           "available": ("available", True), "match": ("match", True),
+           "trivializable": ("trivializable", True),
+           "not-trivializable": ("trivializable", False), "pass": ("passed", True)}
 
 # Each verb's flags and the values each takes (None: any string).  Every flag
 # takes one value, as `--flag value` or `--flag=value`; names match exactly.
-# --twist is required by the verbs that take it.
-_COMMON = {"--format": ("text", "json"), "--output": None, "--expect": tuple(_EXPECT_TESTS)}
-_GROUPS = {**_COMMON, "--group": None, "--group-list": None}
+# --twist is required by the verbs that take it.  A verb's --expect takes the
+# keys whose entry its reports carry; group and cohomology take no --expect.
+_GROUPS = {"--format": ("text", "json"), "--group": None, "--group-list": None}
+_TWIST = {**_GROUPS, "--expect": ("cycle", "dualizable"), "--twist": None}
 FLAGS = {
     "group": _GROUPS,
     "cohomology": _GROUPS,
-    "twist": {**_GROUPS, "--twist": None},
-    "dualize": {**_GROUPS, "--twist": None, "--shift": None},
-    "langlands": _GROUPS,
-    "extension": {**_GROUPS, "--level": None, "--b": None},
-    "contcheck": {**_COMMON, "--grid": None},
+    "twist": _TWIST,
+    "dualize": {**_TWIST, "--shift": None},
+    "langlands": {**_GROUPS, "--expect": ("available", "match")},
+    "extension": {**_GROUPS, "--expect": ("trivializable", "not-trivializable"),
+                  "--level": None, "--b": None},
+    "contcheck": {"--format": ("text", "json"), "--expect": ("pass",), "--grid": None},
 }
-_DEFAULTS = {"format": "text", "level": "1", "twist": None, "shift": None, "b": None, "grid": None}
+_DEFAULTS = {"format": "text", "expect": None, "level": "1", "twist": None, "shift": None,
+             "b": None, "grid": None}
 MAX_FILE_CHARS = 2 ** 26  # an @FILE read stops here; an argv string is far shorter
 
 
@@ -452,7 +451,8 @@ def run(config: SimpleNamespace) -> tuple[int, dict]:
     }
     code = 0
     if config.expect is not None:
-        satisfied = all(map(_EXPECT_TESTS[config.expect], reports))
+        key, value = _EXPECT[config.expect]
+        satisfied = all(r.get(key) is value for r in reports)
         payload["expect"] = {"asserted": config.expect, "satisfied": satisfied}
         code = int(not satisfied)
     return (2 if failed else code), payload
@@ -486,27 +486,23 @@ def main(argv=None) -> int:
     try:
         config = parse_args(argv if argv is not None else sys.argv[1:])
         if isinstance(config, str):  # --help: its text goes to stdout as a report would
-            code, text, output = 0, config, None
+            code, text = 0, config
         else:
             code, payload = run(config)
             with _exact_output():
                 text = (json.dumps(payload, sort_keys=True, indent=2) + "\n"
                         if config.format == "json" else render_text(payload))
-            output = config.output
     except TdualError as exc:
         print(_error_line(exc), file=sys.stderr)
         return 2
     try:
-        if output is None and sys.stdout is None:  # fd 1 was closed when the interpreter started
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        with (nullcontext(sys.stdout) if output is None
-              else open(output, "w", encoding="utf-8")) as fh:
-            fh.write(text)
-            fh.flush()
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except OSError as exc:
-        where = "standard output" if output is None else quote(output)
-        print(f"usage error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
-        if output is None and sys.stdout is not None:  # so the flush at exit writes nowhere
+        print(f"usage error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+        if sys.stdout is not None:  # so the flush at exit writes nowhere
             with open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 2

@@ -344,6 +344,9 @@ def center_generators(components) -> list[tuple[int, int]]:
 def _center_subgroup_lifts(components, n, generators) -> IntMatrix:
     if type(generators) is not list or any(type(gen) is not list for gen in generators):
         raise InvalidCenterSubgroup("center subgroup generators must be a list of integer lists")
+    if len(generators) > MAX_RANK:  # no subgroup of <= MAX_RANK cyclic factors needs more
+        raise InvalidCenterSubgroup(f"{len(generators)} center subgroup generators, more than "
+                                    f"the maximum {MAX_RANK}")
     cyclic = center_generators(components)
     cols = []
     for gen in generators:

@@ -16,7 +16,6 @@ import pytest
 
 from tdual_lie import cli, flagcoh, rootdata, tduality, zlinalg
 from tdual_lie.cli import (
-    _EXPECT_TESTS,
     FLAGS,
     _contcheck_grid,
     _flag_int,
@@ -58,18 +57,28 @@ def test_parse_examples(capsys):
         parse_args(["cohomology"])  # no group
 
 
+# The --expect keys, and those each verb takes: the keys whose entry its
+# reports carry (`twist_is_cycle`, `dualizable`, `available`, `match`,
+# `trivializable`, `passed`).
+EXPECT_KEYS = ("trivializable", "not-trivializable", "match", "available", "dualizable",
+               "cycle", "pass")
+EXPECT_CHOICES = {"twist": ("cycle", "dualizable"), "dualize": ("cycle", "dualizable"),
+                  "langlands": ("available", "match"),
+                  "extension": ("trivializable", "not-trivializable"), "contcheck": ("pass",)}
+
+
 def argparse_oracle(argv) -> argparse.Namespace:
     """The argparse reader the flag table replaced: the same fields, checks
     and defaults, kept as the oracle of `parse_args`."""
     parser = argparse.ArgumentParser(prog="tdual")
-    parser.set_defaults(level="1", twist=None, shift=None, b=None, grid=None)
+    parser.set_defaults(expect=None, level="1", twist=None, shift=None, b=None, grid=None)
     sub = parser.add_subparsers(dest="verb", required=True)
     needs_group = {}
     for verb in FLAGS:
         p = sub.add_parser(verb)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--output", default=None)
-        p.add_argument("--expect", default=None, choices=tuple(_EXPECT_TESTS))
+        if verb in EXPECT_CHOICES:
+            p.add_argument("--expect", default=None, choices=EXPECT_CHOICES[verb])
         if verb != "contcheck":
             p.add_argument("--group", default=None)
             p.add_argument("--group-list", default=None)
@@ -101,15 +110,16 @@ def argparse_oracle(argv) -> argparse.Namespace:
     return ns
 
 
-SAMPLE_VALUES = {"--output": "out.json", "--group": "SU(3)", "--group-list": "SU(2), SO(3),,B3",
-                 "--twist": "level:2", "--shift": "[[0, 1], [0, 0]]", "--level": "3",
+SAMPLE_VALUES = {"--group": "SU(3)", "--group-list": "SU(2), SO(3),,B3", "--twist": "level:2",
+                 "--shift": "[[0, 1], [0, 0]]", "--level": "3",
                  "--b": '[[0, "1/2"], ["1/2", 0]]', "--grid": "2048"}
 
 
-def _valid_argvs():
-    """Every verb alone, then with each of its flags and each value it
-    takes (as `--flag value` and `--flag=value`), plus all flags at once."""
-    for verb, flags in FLAGS.items():
+def _argvs(flag_table):
+    """Every verb alone, then with each of its flags in `flag_table` and each
+    value it takes (as `--flag value` and `--flag=value`), plus all flags at
+    once."""
+    for verb, flags in flag_table.items():
         base = [verb] + (["--twist", "level:1"] if "--twist" in flags else [])
         group = ["--group", "G2"] if "--group" in flags else []
         yield base + group
@@ -125,12 +135,31 @@ def _valid_argvs():
         yield everything
 
 
-VALID_ARGVS = list(_valid_argvs())
+# Each verb's flags widened with every --expect key and with --output, a flag
+# no verb takes: what a verb does not take, both readers refuse.
+WIDE_FLAGS = {verb: {"--format": flags["--format"], "--output": ("out.json",),
+                     "--expect": EXPECT_KEYS,
+                     **{f: c for f, c in flags.items() if f not in ("--format", "--expect")}}
+              for verb, flags in FLAGS.items()}
+VALID_ARGVS = list(dict.fromkeys(map(tuple, _argvs(FLAGS))))
+TABLE_ARGVS = list(dict.fromkeys([*VALID_ARGVS, *map(tuple, _argvs(WIDE_FLAGS))]))
 
 
-@pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+def _fields(reader, argv):
+    """`reader`'s fields for `argv`, or "refused"."""
+    try:
+        return vars(reader(list(argv)))
+    except (UsageError, SystemExit):
+        return "refused"
+
+
+@pytest.mark.parametrize("argv", TABLE_ARGVS, ids=" ".join)
 def test_flag_table_matches_argparse(argv):
-    assert vars(parse_args(argv)) == vars(argparse_oracle(argv))
+    """`parse_args` takes an argv with the oracle's fields exactly when the
+    oracle takes it, which is when `FLAGS` yields it, and refuses the rest."""
+    fields = _fields(parse_args, argv)
+    assert fields == _fields(argparse_oracle, argv)
+    assert (fields != "refused") == (argv in VALID_ARGVS)
 
 
 @pytest.mark.parametrize("argv", [
@@ -295,6 +324,39 @@ def test_expect_passing_and_failing():
     assert code == 1
 
 
+# Per verb, an argv to add an --expect KEY to; per pair a verb takes, an argv
+# on which its key holds.
+EXPECT_BASE = {"group": ["group", "--group", "SU(2)"],
+               "cohomology": ["cohomology", "--group", "SU(2)"],
+               "twist": ["twist", "--group", "SU(2)", "--twist", "level:1"],
+               "dualize": ["dualize", "--group", "SU(3)", "--twist", "level:1",
+                           "--shift", "[[0, 1], [0, 0]]"],
+               "langlands": ["langlands", "--group", "SU(3)"],
+               "extension": ["extension", "--group", "SU(3)", "--level", "2"],
+               "contcheck": ["contcheck", "--grid", "844"]}
+EXPECT_HOLDS = {**{(verb, key): EXPECT_BASE[verb]
+                   for verb, keys in EXPECT_CHOICES.items() for key in keys},
+                ("extension", "not-trivializable"): ["extension", "--group", "SU(3)",
+                                                     "--level", "1"]}
+
+
+@pytest.mark.parametrize("key", EXPECT_KEYS)
+@pytest.mark.parametrize("verb", FLAGS)
+def test_expect_key_is_taken_only_where_reports_carry_it(capsys, verb, key):
+    """Of the 49 (verb, --expect KEY) pairs, the 9 whose key a verb's reports
+    carry exit 0 on an argv where it holds; the other 40 exit 2 with one
+    `usage error:` line and print nothing, rather than exit 1 untested."""
+    capsys.readouterr()
+    if (verb, key) in EXPECT_HOLDS:
+        assert main(EXPECT_HOLDS[verb, key] + ["--expect", key]) == 0
+        assert capsys.readouterr().out.endswith(
+            f"expect.asserted: {key}\nexpect.satisfied: True\n")
+    else:
+        assert main(EXPECT_BASE[verb] + ["--expect", key]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error:") and err.count("\n") == 1, err
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["langlands", "--group", "SU(3)", "--format", "json"]
     assert main(argv) == 0
@@ -302,14 +364,6 @@ def test_determinism_byte_identical(capsys):
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert first == second and first.strip()
-
-
-def test_output_file(tmp_path):
-    out = tmp_path / "report.json"
-    code = main(["group", "--group", "G2", "--format", "json", "--output", str(out)])
-    assert code == 0
-    data = json.loads(out.read_text())
-    assert data["reports"][0]["root_count"] == 12
 
 
 def test_text_format_renders(capsys):
@@ -682,12 +736,6 @@ def test_input_file_read_is_bounded(argv):
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-300:]
     assert proc.stderr == (f"usage error: cannot read '/dev/zero': longer than "
                            f"{cli.MAX_FILE_CHARS} characters\n")
-
-
-def test_output_into_missing_directory(capsys, tmp_path):
-    target = tmp_path / "no-such-dir" / "out.json"
-    _usage_error(capsys, ["group", "--group", "SU(2)", "--output", str(target)])
-    assert not target.parent.exists()
 
 
 @pytest.mark.parametrize("grid", ["0", "-5", "15", "19", "843"])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from tdual_lie import flagcoh, rootdata, zlinalg
+from tdual_lie.cli import main, resolve_group
 from tdual_lie.errors import (
     DimensionMismatch,
     InvalidCenterSubgroup,
@@ -446,6 +447,28 @@ def test_custom_fundamental_group():
     for bad in ([["x"]], [[1.7]], [["1"]], [[True]], 5):
         with pytest.raises(InvalidCenterSubgroup):
             build([("A", 1)], {"generators": bad})
+
+
+def test_generator_list_is_refused_past_max_rank_before_any_lift(monkeypatch, capsys):
+    """A product center has at most `MAX_RANK` cyclic factors, so no subgroup
+    needs more generators: MAX_RANK + 1 of them exit 2 with one line, before
+    any Hermite form is built.  A1^128 by 60 generators still builds."""
+    def no_hermite_form(m):
+        raise AssertionError("a Hermite form was built")
+
+    monkeypatch.setattr(rootdata, "column_hermite_form", no_hermite_form)
+    gens = [[1]] * (rootdata.MAX_RANK + 1)
+    spec = json.dumps({"components": [{"series": "A", "rank": 1}],
+                       "fundamental_group": {"generators": gens}})
+    capsys.readouterr()
+    assert main(["group", "--group", spec]) == 2
+    assert capsys.readouterr() == ("", f"error: {len(gens)} center subgroup generators, "
+                                       f"more than the maximum {rootdata.MAX_RANK}\n")
+    monkeypatch.undo()
+    quotient = json.loads(same_output.A1_128_QUOTIENT)
+    assert len(quotient["fundamental_group"]["generators"]) == 60
+    rd = resolve_group(same_output.A1_128_QUOTIENT)
+    assert rd.rank == 128 and not rd.is_simply_connected()
 
 
 def test_custom_quotient_takes_no_smith_form(monkeypatch):

@@ -42,16 +42,23 @@ one-entry shift at `level:0`, u = 0, on SU(3) and PSU(4); `langlands` and
 in text at the default grid,
 and `contcheck --grid 844` in text and JSON), EMPTY_FLAG_ROWS (an empty
 `--shift` on `dualize`, an empty `--b` on `extension`, an empty `--output`
-on `group`, and an empty `--group` beside `--group-list` and alone) and
+on `group`, and an empty `--group` beside `--group-list` and alone),
 REFUSED_INPUT_ROWS (`langlands` on root-datum JSON with a `label` key,
 adjoint A2 labelled SU(3) and G2 labelled dual(E8); `group -g SU(2)`;
 `group --group " SU(3) "`; and a JSON key given twice, in a `--group` and
-inside a `--group-list`), each distinct argv once.
-Against a parent that reads inline JSON inside a `--group-list`, three
-argv differ by design: `cohomology` and `twist --twist level:1` over
-`SU(2),<A3 JSON>,SO(3)`, and `group` over `SU(2),<repeated-key JSON>,SO(3)`.
-The parent prints reports, or error records for the repeated key, where the
-change exits 2 with one `usage error:` line and an empty stdout.
+inside a `--group-list`) and EXPECT_ROWS (each verb with each of the seven
+`--expect` keys on SU(3), `twist` and `dualize` at `level:1`, `dualize` with
+a one-entry shift, `extension` at the default level and `contcheck` at the
+default grid), each distinct argv once.
+Against a parent whose every verb takes `--output` and all seven `--expect`
+keys, 49 argv differ by design: the seven `VERB --help` rows, which list
+neither `--output` nor the keys a verb does not take; `group -g SU(2)`,
+whose one `usage error:` line lists the flags `group` takes; `group --group
+SU(2) --output ""`; and the 40 EXPECT_ROWS whose key the verb's reports do
+not carry.  On those 40 the parent exits 1 with a report, where the change
+exits 2 with one `usage error:` line and an empty stdout; on the empty
+`--output` both exit 2, the parent's line naming the path it cannot write
+and the change's the flag that `group` does not take.
 Every argv whose exit code, stdout or stderr differs, or that timed out on
 both sides, is printed with both sides' status and stderr, and the script
 exits 1 if any is.  When both sides' stdout parse as JSON, the sorted key
@@ -114,13 +121,6 @@ QUOTIENT_ROWS = (
 )
 
 
-def spec(factors, generators) -> str:
-    """The --group JSON of the product of `factors`, (series, rank) pairs, by
-    the center elements `generators`."""
-    return json.dumps({"components": [{"series": s, "rank": r} for s, r in factors],
-                       "fundamental_group": {"generators": generators}}, separators=(",", ":"))
-
-
 def product(factors, fundamental_group="simply_connected") -> str:
     """The --group JSON of the product of `factors`, (series, rank) pairs."""
     return json.dumps({"components": [{"series": s, "rank": r} for s, r in factors],
@@ -131,28 +131,28 @@ def product(factors, fundamental_group="simply_connected") -> str:
 # D_even, D_odd, E6, E7), and the trivial quotients of simply connected,
 # simply laced groups, whose integral basis is the Hermite basis of the
 # coroots rather than the coroots themselves.
-TABLE_QUOTIENTS = (
-    spec([("A", 5), ("A", 2)], [[1, 1]]),
-    spec([("A", 3)], [[2]]),
-    spec([("D", 4)], [[1, 0]]),
-    spec([("D", 4)], [[0, 1]]),
-    spec([("D", 4)], [[1, 1]]),
-    spec([("D", 5)], [[1]]),
-    spec([("D", 5)], [[2]]),
-    spec([("E", 6)], [[1]]),
-    spec([("E", 7)], [[1]]),
-    spec([("B", 3), ("C", 3)], [[1, 1]]),
-    spec([("C", 4), ("A", 3)], [[1, 2]]),
-    spec([("D", 6), ("D", 5), ("A", 1)], [[1, 0, 2, 1], [0, 1, 1, 0]]),
-)
-TRIVIAL_QUOTIENTS = (
-    spec([("A", 3)], [[0]]),
-    spec([("A", 4)], [[0]]),
-    spec([("D", 4)], [[0, 0]]),
-    spec([("D", 5)], [[0]]),
-    spec([("E", 6)], [[0]]),
-    spec([("E", 7)], [[0]]),
-)
+TABLE_QUOTIENTS = tuple(product(factors, {"generators": gens}) for factors, gens in (
+    ([("A", 5), ("A", 2)], [[1, 1]]),
+    ([("A", 3)], [[2]]),
+    ([("D", 4)], [[1, 0]]),
+    ([("D", 4)], [[0, 1]]),
+    ([("D", 4)], [[1, 1]]),
+    ([("D", 5)], [[1]]),
+    ([("D", 5)], [[2]]),
+    ([("E", 6)], [[1]]),
+    ([("E", 7)], [[1]]),
+    ([("B", 3), ("C", 3)], [[1, 1]]),
+    ([("C", 4), ("A", 3)], [[1, 2]]),
+    ([("D", 6), ("D", 5), ("A", 1)], [[1, 0, 2, 1], [0, 1, 1, 0]]),
+))
+TRIVIAL_QUOTIENTS = tuple(product(factors, {"generators": gens}) for factors, gens in (
+    ([("A", 3)], [[0]]),
+    ([("A", 4)], [[0]]),
+    ([("D", 4)], [[0, 0]]),
+    ([("D", 5)], [[0]]),
+    ([("E", 6)], [[0]]),
+    ([("E", 7)], [[0]]),
+))
 # Products whose cyclic center orders `center` merges or reorders into a
 # divisor chain (A1 x A2: 2, 3 into 6; A2 x A5 x E6: 3, 6, 3 into 3, 3, 6;
 # D4 x D5 x A1 x E7: 2, 2, 4, 2, 2 into 2, 2, 2, 2, 4), simply connected and
@@ -299,6 +299,17 @@ REFUSED_INPUT_ROWS = (
     ("group", "--group", REPEATED_KEY),
     ("group", "--group-list", f"SU(2),{REPEATED_KEY},SO(3)"),
 )
+# Every verb with each --expect key, on SU(3): a verb takes only the keys
+# whose entry its reports carry, and refuses the others.
+EXPECT_ROWS = tuple(
+    (*row, "--expect", key)
+    for row in (("group", "--group", "SU(3)"), ("cohomology", "--group", "SU(3)"),
+                ("twist", "--group", "SU(3)", "--twist", "level:1"),
+                ("dualize", "--group", "SU(3)", "--twist", "level:1", "--shift", unit_shift(2)),
+                ("langlands", "--group", "SU(3)"), ("extension", "--group", "SU(3)"),
+                ("contcheck",))
+    for key in ("trivializable", "not-trivializable", "match", "available", "dualizable",
+                "cycle", "pass"))
 
 
 def all_argv() -> list[tuple[str, ...]]:
@@ -308,7 +319,8 @@ def all_argv() -> list[tuple[str, ...]]:
             + list(RANK_CAP_ROWS + CONTCHECK_ROWS + DOUBLE_DATUM_ROWS + QUOTIENT_ROWS
                    + SPEC_ROWS + CENTER_ROWS + LEVEL_ROWS + HELP_ROWS + TORSION_ROWS
                    + RANK_128_ROWS + LANGLANDS_ROWS + PAIRING_ROWS + EDGE_ROWS
-                   + CONTCHECK_TEXT_ROWS + EMPTY_FLAG_ROWS + REFUSED_INPUT_ROWS))
+                   + CONTCHECK_TEXT_ROWS + EMPTY_FLAG_ROWS + REFUSED_INPUT_ROWS
+                   + EXPECT_ROWS))
     return list(dict.fromkeys(map(tuple, rows)))
 
 
