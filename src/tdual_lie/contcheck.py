@@ -27,7 +27,7 @@ from collections import defaultdict
 from collections.abc import Iterator
 from itertools import accumulate, chain, islice, starmap
 
-from .errors import InadmissibleCutoff
+from .errors import TdualError
 from .zlinalg import IntMatrix
 
 DEFAULT_GRID = 8192
@@ -46,7 +46,7 @@ def cutoff_integral(name: str, values: tuple[float, ...]) -> float:
     An admissible profile has chi(0)=0, chi(1)=1 and is constant on the first
     and last 5% of samples (plateaus), so that differentiating and
     integrating numerically sees a function that is flat at the boundary;
-    any other raises InadmissibleCutoff, naming the profile.  chi' uses the
+    any other raises TdualError, naming the profile.  chi' uses the
     five-point central-difference stencil in the interior (fourth order) and
     low-order stencils at the edge, where the plateau makes the derivative
     vanish anyway.  The answer must be -1/6 for every admissible profile.
@@ -55,13 +55,13 @@ def cutoff_integral(name: str, values: tuple[float, ...]) -> float:
     """
     v, n = values, len(values)
     if n < 16:
-        raise InadmissibleCutoff(f"{name}: need a grid of at least 16 samples")
+        raise TdualError(f"{name}: need a grid of at least 16 samples")
     if abs(v[0]) > FLAT_TOL or abs(v[-1] - 1.0) > FLAT_TOL:
-        raise InadmissibleCutoff(f"{name}: chi(0)=0 and chi(1)=1 are required")
+        raise TdualError(f"{name}: chi(0)=0 and chi(1)=1 are required")
     k = max(2, int(PLATEAU_FRACTION * n))
     if any(max(islice(v, lo, lo + k)) - min(islice(v, lo, lo + k)) > FLAT_TOL
            for lo in (0, n - k)):
-        raise InadmissibleCutoff(f"{name}: first/last 5% of samples must be constant")
+        raise TdualError(f"{name}: first/last 5% of samples must be constant")
     h = 1.0 / (n - 1)
     two_h, twelve_h = 2.0 * h, 12.0 * h
     g = [dx * (x * x - x) for dx, x in (

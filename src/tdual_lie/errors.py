@@ -30,39 +30,15 @@ def ascii_int(text: str, signed: bool = False) -> int:
 
 
 class TdualError(Exception):
-    """Base class for all errors raised by this package."""
+    """A refusal: its one-line message names the check that failed.
 
-
-class NotBetweenLattices(TdualError):
-    """A lattice does not sit between the coroot and coweight lattices."""
-
-
-class InvalidSeries(TdualError):
-    """A simple series, rank or Cartan matrix outside the classification."""
-
-
-class InvalidCenterSubgroup(TdualError):
-    """Fundamental-group generators do not define a subgroup of the center."""
+    The subclasses below are the ones `cli` tells apart."""
 
 
 class RequiresExplicitB(TdualError):
     """The level formula for the commutator map only applies to simply
     connected groups; a group with pi_1 != 0 must be given the commutator
     map explicitly."""
-
-
-class InvalidCommutator(TdualError):
-    """A commutator matrix has a denominator below 1, does not vanish on the
-    diagonal, is not antisymmetric mod 1, or has entries outside [0, 1)."""
-
-
-class NotACycle(TdualError):
-    """The given twist representative is not killed by the degree-2
-    differential, so it does not represent a degree-3 class."""
-
-
-class DimensionMismatch(TdualError):
-    """Vector or matrix dimensions do not agree."""
 
 
 class Unavailable(TdualError):
@@ -74,10 +50,6 @@ class Unavailable(TdualError):
     def __init__(self, message: str, evidence=None):
         super().__init__(message)
         self.evidence = evidence
-
-
-class InadmissibleCutoff(TdualError):
-    """A cutoff profile violates the boundary/plateau requirements."""
 
 
 class UsageError(TdualError):

@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import lru_cache
 
-from .errors import DimensionMismatch, NotACycle
+from .errors import TdualError
 from .rootdata import RootDatum, form_pairing, fundamental_group_of
 from .zlinalg import IntMatrix
 
@@ -67,7 +67,7 @@ def invariant_coords(rd: RootDatum, u: IntMatrix) -> tuple[IntMatrix, tuple[int,
     comparison checks the rest."""
     n = rd.rank
     if u.rows != n or u.cols != n:
-        raise DimensionMismatch(f"twist matrix must be {n}x{n} for {rd.label}")
+        raise TdualError(f"twist matrix must be {n}x{n} for {rd.label}")
     m = rd.character_basis @ u.transpose()
     s, eps = m + m.transpose(), rd.epsilons
     c = tuple(s[lo, lo] // (2 * eps[lo]) for lo, _, _, _ in rd.factor_ranges())
@@ -81,10 +81,10 @@ def is_cycle(rd: RootDatum, u: IntMatrix) -> bool:
 
 
 def require_cycle(rd: RootDatum, u: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
-    """`invariant_coords` of u, raising NotACycle when u is not a cycle."""
+    """`invariant_coords` of u, raising TdualError when u is not a cycle."""
     m, c = invariant_coords(rd, u)
     if c is None:
-        raise NotACycle(f"twist is not a cycle for {rd.label}")
+        raise TdualError(f"twist is not a cycle for {rd.label}")
     return m, c
 
 

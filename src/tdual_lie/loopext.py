@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, InvalidCommutator, RequiresExplicitB
+from .errors import RequiresExplicitB, TdualError
 from .rootdata import RootDatum
 from .tduality import level_twist
 from .zlinalg import IntMatrix
@@ -49,16 +49,16 @@ class CommutatorMap:
     def __init__(self, n: int, values: tuple[tuple[tuple[int, int], ...], ...]):
         self.values = values
         if len(values) != n or any(len(r) != n for r in values):
-            raise DimensionMismatch("commutator matrix size must match lattice rank")
+            raise TdualError("commutator matrix size must match lattice rank")
         for i in range(n):
             if self.values[i][i] != (0, 1):
-                raise InvalidCommutator("commutator map must vanish on the diagonal")
+                raise TdualError("commutator map must vanish on the diagonal")
             for j in range(n):
                 p, q = self.values[i][j]
                 if not (0 <= p < q and gcd(p, q) == 1):
-                    raise InvalidCommutator("values must be reduced into [0, 1)")
+                    raise TdualError("values must be reduced into [0, 1)")
                 if self.values[j][i] != mod1(-p, q):
-                    raise InvalidCommutator("commutator map must be antisymmetric mod 1")
+                    raise TdualError("commutator map must be antisymmetric mod 1")
 
 
 def commutator_from_level(rd: RootDatum, level: int) -> CommutatorMap:
@@ -171,6 +171,6 @@ def commutator_from_matrix(rd: RootDatum, entries: Sequence[Sequence[tuple]]) ->
     for i, row in enumerate(entries):
         for j, (p, q) in enumerate(row):
             if q <= 0:
-                raise InvalidCommutator(f"entry ({i}, {j}) is {p}/{q}: a denominator must be > 0")
+                raise TdualError(f"entry ({i}, {j}) is {p}/{q}: a denominator must be > 0")
     vals = tuple(tuple(mod1(*x) for x in row) for row in entries)
     return CommutatorMap(rd.rank, vals)

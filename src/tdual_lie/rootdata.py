@@ -33,16 +33,7 @@ from functools import cached_property
 from itertools import combinations, compress
 from math import gcd, lcm
 
-from .errors import (
-    DimensionMismatch,
-    InvalidCenterSubgroup,
-    InvalidSeries,
-    NotBetweenLattices,
-    Unavailable,
-    ascii_int,
-    escape,
-    quote,
-)
+from .errors import TdualError, Unavailable, ascii_int, escape, quote
 from .zlinalg import (
     IntMatrix,
     block_diag,
@@ -96,7 +87,7 @@ def cartan_block(series: str, rank: int) -> list[list[int]]:
         a[0][1] = -3  # alpha_2 short
         a[1][0] = -1
     else:
-        raise InvalidSeries(f"unknown series {series!r}")
+        raise TdualError(f"unknown series {series!r}")
     return a
 
 
@@ -144,7 +135,7 @@ class RootDatum:
     for an adjoint one, and a Hermite basis otherwise.  `components` is a
     tuple of (str, int) pairs, and A is the block sum over it of classified
     Cartan blocks, G2 and F4 possibly transposed (`_is_cartan_of`), else
-    InvalidSeries.
+    TdualError.
     So A is nonsingular, and the one solve B X^T = A for the character basis
     X checks that the lattice contains the coroots and shows the columns of
     B independent.  Column k of X, in weight coordinates, is the character
@@ -159,18 +150,18 @@ class RootDatum:
         if type(components) is not tuple or not all(
                 type(c) is tuple and len(c) == 2 and type(c[0]) is str
                 and type(c[1]) is int for c in components):
-            raise InvalidSeries(_FACTOR_TYPES)
+            raise TdualError(_FACTOR_TYPES)
         if type(label) is not str:
-            raise InvalidSeries("label must be a string")
+            raise TdualError("label must be a string")
         if not _is_cartan_of(cartan, components):
-            raise InvalidSeries("the Cartan matrix is not that of "
-                                + " x ".join(f"{s}{r}" for s, r in components))
+            raise TdualError("the Cartan matrix is not that of "
+                             + " x ".join(f"{s}{r}" for s, r in components))
         n = self.rank
         if integral.rows != n or integral.cols != n:
-            raise DimensionMismatch(f"integral basis must be {n}x{n}")
+            raise TdualError(f"integral basis must be {n}x{n}")
         x = solve_columns(integral, cartan)
         if x is None:
-            raise NotBetweenLattices("integral lattice does not contain the coroots")
+            raise TdualError("integral lattice does not contain the coroots")
         self.character_basis = x.transpose()
 
     def _key(self) -> tuple:
@@ -288,15 +279,14 @@ def build(series_list: Sequence[tuple[str, int]], fundamental_group="simply_conn
     comps = []
     for series, rank in series_list:
         if type(series) is not str or type(rank) is not int:
-            raise InvalidSeries(_FACTOR_TYPES)
-        series = series.upper()
+            raise TdualError(_FACTOR_TYPES)
         if not _classified(series, rank):
-            raise InvalidSeries(f"no simple group of type {quote(f'{series}{rank}', escape)}")
+            raise TdualError(f"no simple group of type {quote(f'{series}{rank}', escape)}")
         comps.append((series, rank))
     if not comps:
-        raise InvalidSeries("a semisimple group needs at least one simple factor")
+        raise TdualError("a semisimple group needs at least one simple factor")
     if sum(r for _, r in comps) > MAX_RANK:  # checked before anything rank x rank exists
-        raise InvalidSeries(f"the factor ranks add up to more than the maximum {MAX_RANK}")
+        raise TdualError(f"the factor ranks add up to more than the maximum {MAX_RANK}")
     components = tuple(comps)
     cartan = block_diag([IntMatrix(cartan_block(s, r)) for s, r in components])
     n = cartan.rows
@@ -312,7 +302,7 @@ def build(series_list: Sequence[tuple[str, int]], fundamental_group="simply_conn
         basis = column_hermite_form(hstack(cartan, gens))
         fg = "custom"
     else:
-        raise InvalidCenterSubgroup(
+        raise TdualError(
             f"unrecognized fundamental group spec {quote(repr(fundamental_group), str)}")
 
     name = label if label is not None else _generic_label(components, fg)
@@ -343,20 +333,19 @@ def center_generators(components) -> list[tuple[int, int]]:
 
 def _center_subgroup_lifts(components, n, generators) -> IntMatrix:
     if type(generators) is not list or any(type(gen) is not list for gen in generators):
-        raise InvalidCenterSubgroup("center subgroup generators must be a list of integer lists")
+        raise TdualError("center subgroup generators must be a list of integer lists")
     if len(generators) > MAX_RANK:  # no subgroup of <= MAX_RANK cyclic factors needs more
-        raise InvalidCenterSubgroup(f"{len(generators)} center subgroup generators, more than "
-                                    f"the maximum {MAX_RANK}")
+        raise TdualError(f"{len(generators)} center subgroup generators, more than "
+                         f"the maximum {MAX_RANK}")
     cyclic = center_generators(components)
     cols = []
     for gen in generators:
         if len(gen) != len(cyclic):
-            raise InvalidCenterSubgroup(
+            raise TdualError(
                 f"generator {quote(repr(gen), str)} needs {len(cyclic)} coordinates "
                 f"(one per cyclic factor of the center)")
         if any(type(x) is not int for x in gen):
-            raise InvalidCenterSubgroup(
-                f"non-integer generator entry in {quote(repr(gen), str)}")
+            raise TdualError(f"non-integer generator entry in {quote(repr(gen), str)}")
         col = [0] * n
         for a, (_, k) in zip(gen, cyclic):
             col[k] += a
@@ -373,25 +362,25 @@ def named_group(name: str) -> RootDatum:
     for prefix, maker in _NAMED_MAKERS.items():
         if name.startswith(prefix + "(") and name.endswith(")"):
             return maker(_name_int(name, name[len(prefix) + 1:-1]), name)
-    raise InvalidSeries(f"unknown group name {quote(name)}")
+    raise TdualError(f"unknown group name {quote(name)}")
 
 
 def _name_int(name: str, digits: str) -> int:
     try:
         return ascii_int(digits)
     except ValueError as exc:  # not ASCII digits, or past Python's 4300-digit limit
-        raise InvalidSeries(f"cannot parse group name {quote(name)}") from exc
+        raise TdualError(f"cannot parse group name {quote(name)}") from exc
 
 
 def _make_su(n, label):
     if n < 2:
-        raise InvalidSeries("SU(n) needs n >= 2")
+        raise TdualError("SU(n) needs n >= 2")
     return build([("A", n - 1)], "simply_connected", label=label)
 
 
 def _make_psu(n, label):
     if n < 2:
-        raise InvalidSeries("PSU(n) needs n >= 2")
+        raise TdualError("PSU(n) needs n >= 2")
     return build([("A", n - 1)], "adjoint", label=label)
 
 
@@ -400,18 +389,18 @@ def _make_spin(n, label):
         return build([("B", (n - 1) // 2)], "simply_connected", label=label)
     if n >= 8 and n % 2 == 0:
         return build([("D", n // 2)], "simply_connected", label=label)
-    raise InvalidSeries(f"Spin({n}) is outside the supported BD range (odd >=5, even >=8)")
+    raise TdualError(f"Spin({n}) is outside the supported BD range (odd >=5, even >=8)")
 
 
 def _make_so(n, label):
     if n != 3:
-        raise InvalidSeries("only SO(3) is provided as a named quotient")
+        raise TdualError("only SO(3) is provided as a named quotient")
     return build([("A", 1)], "adjoint", label=label)
 
 
 def _make_sp(n, label):
     if n < 3:
-        raise InvalidSeries("Sp(n) needs n >= 3 here; use SU(2) or Spin(5) instead")
+        raise TdualError("Sp(n) needs n >= 3 here; use SU(2) or Spin(5) instead")
     return build([("C", n)], "simply_connected", label=label)
 
 

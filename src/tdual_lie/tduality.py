@@ -18,7 +18,7 @@ Langlands report checks on that one lattice, building no dual datum.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch
+from .errors import TdualError
 from .flagcoh import boundary, is_cycle, require_cycle
 from .rootdata import _SELF_DUAL_WORDS, RootDatum, _dual_label, form_pairing, require_phi
 from .zlinalg import IntMatrix, column_hermite_form, solve_columns
@@ -52,9 +52,9 @@ def shift_matrix(m: IntMatrix) -> IntMatrix:
     """m, checked to be a square, strictly upper-triangular matrix of
     torsor-shift coefficients."""
     if m.rows != m.cols:
-        raise DimensionMismatch("shift matrix must be square")
+        raise TdualError("shift matrix must be square")
     if any(m[i, j] for i in range(m.rows) for j in range(i + 1)):
-        raise DimensionMismatch("shift entries live strictly above the diagonal")
+        raise TdualError("shift entries live strictly above the diagonal")
     return m
 
 

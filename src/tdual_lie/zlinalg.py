@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from itertools import chain
 
-from .errors import DimensionMismatch
+from .errors import TdualError
 
 
 class IntMatrix:
@@ -51,7 +51,7 @@ class IntMatrix:
             raise TypeError("matrix entries must be integers")
         width = len(data[0]) if data else (cols or 0)
         if any(len(r) != width for r in data):
-            raise DimensionMismatch("ragged rows in matrix")
+            raise TdualError("ragged rows in matrix")
         self._rows, self._shape = data, (len(data), width)
 
     @classmethod
@@ -76,7 +76,7 @@ class IntMatrix:
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int = 0) -> "IntMatrix":
         """The matrix with these columns; `rows` sizes it when there are none."""
         if any(len(c) != len(columns[0]) for c in columns):
-            raise DimensionMismatch("columns of different lengths")
+            raise TdualError("columns of different lengths")
         return cls(zip(*columns), cols=len(columns)) if columns else cls.zero(rows, 0)
 
     # -- shape and access --------------------------------------------------
@@ -126,7 +126,7 @@ class IntMatrix:
         the nonzero entries of row i of self, each times its entry: the work
         follows self's nonzeros, so the sparser factor goes on the left."""
         if self.cols != other.rows:
-            raise DimensionMismatch(f"cannot multiply {self._shape} by {other._shape}")
+            raise TdualError(f"cannot multiply {self._shape} by {other._shape}")
         out = []
         for row in self._rows:
             acc = [0] * other.cols
@@ -138,7 +138,7 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self._shape != other._shape:
-            raise DimensionMismatch("shape mismatch in addition")
+            raise TdualError("shape mismatch in addition")
         return IntMatrix._of(
             ([a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)),
             self.cols,
@@ -159,7 +159,7 @@ class IntMatrix:
 
 def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows:
-        raise DimensionMismatch("row mismatch in hstack")
+        raise TdualError("row mismatch in hstack")
     return IntMatrix._of((ra + rb for ra, rb in zip(a, b)), a.cols + b.cols)
 
 
@@ -304,7 +304,7 @@ def solve_columns(basis: IntMatrix, targets: IntMatrix) -> IntMatrix | None:
     add up to its solution.
     """
     if basis.rows != targets.rows:
-        raise DimensionMismatch("ambient dimensions differ")
+        raise TdualError("ambient dimensions differ")
     n, k = basis.rows, basis.cols
     rows = [list(col) + e for col, e in zip(basis.columns(), _identity_lists(k))]
     pivots = _echelon(rows, n)

@@ -345,7 +345,7 @@ def bfield_shift(chat: tuple[tuple[int, ...], ...], shift: IntMatrix,
     moved dual Chern classes as its columns: the dual Chern classes after
     moving the reduction by the shift datum, chat_k' = chat_k + sum_i (B^T
     - B)_ki c_i, the module formula with the vectors as rows.  Chern data
-    of other sizes, or with ragged vectors, raise DimensionMismatch."""
+    of other sizes, or with ragged vectors, raise TdualError."""
     b = shift_matrix(shift)
     return tuple(IntMatrix(chat) + (b.transpose() - b) @ IntMatrix(c))
 

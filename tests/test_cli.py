@@ -702,6 +702,55 @@ def test_group_name_is_taken_as_written(capsys, name):
     assert code == 0 and [r["group"] for r in payload["reports"]] == [name.strip(), "SU(2)"]
 
 
+A1_JSON = '{"components":[{"series":"A","rank":1}]'
+A1_GENERATORS_129 = A1_JSON + ',"fundamental_group":{"generators":%s}}' % json.dumps([[1]] * 129)
+SU3_LEVEL_1 = ["dualize", "--group", "SU(3)", "--twist", "level:1"]
+
+
+# Each refusal a library check raises as a TdualError: the one stderr line
+# is all that names the check.  "@GENS" is a file holding A1_GENERATORS_129.
+@pytest.mark.parametrize("argv, line", [
+    (["group", "--group", "E9"], "error: no simple group of type E9"),
+    (["group", "--group", '{"components":[]}'],
+     "error: a semisimple group needs at least one simple factor"),
+    (["group", "--group", "A129"], "error: the factor ranks add up to more than the maximum 128"),
+    (["group", "--group", A1_JSON + ',"fundamental_group":"weird"}'],
+     "error: unrecognized fundamental group spec 'weird'"),
+    (["group", "--group", A1_JSON + ',"fundamental_group":{"generators":[[1,1]]}}'],
+     "error: generator [1, 1] needs 1 coordinates (one per cyclic factor of the center)"),
+    (["group", "--group", "@GENS"],
+     "error: 129 center subgroup generators, more than the maximum 128"),
+    (["group", "--group", "SU(x)"], "error: cannot parse group name 'SU(x)'"),
+    (["group", "--group", "SU(1)"], "error: SU(n) needs n >= 2"),
+    (["group", "--group", "PSU(1)"], "error: PSU(n) needs n >= 2"),
+    (["group", "--group", "Spin(6)"],
+     "error: Spin(6) is outside the supported BD range (odd >=5, even >=8)"),
+    (["group", "--group", "SO(4)"], "error: only SO(3) is provided as a named quotient"),
+    (["group", "--group", "Sp(2)"],
+     "error: Sp(n) needs n >= 3 here; use SU(2) or Spin(5) instead"),
+    ([*SU3_LEVEL_1, "--shift", "[[0,1]]"],
+     "usage error: malformed shift matrix '[[0,1]]': shift matrix must be square"),
+    ([*SU3_LEVEL_1, "--shift", "[[0,0],[1,0]]"],
+     "usage error: malformed shift matrix '[[0,0],[1,0]]': shift entries live strictly above "
+     "the diagonal"),
+    (["twist", "--group", "SU(3)", "--twist", "[[1,2],[3]]"],
+     "usage error: malformed twist matrix '[[1,2],[3]]': ragged rows in matrix"),
+    (["group", "--group", '{"components":[{"series":"a","rank":2}]}'],
+     "error: no simple group of type a2"),
+], ids=["E9", "no-components", "A129", "fundamental-group-string", "generator-length",
+        "129-generators-file", "SU(x)", "SU(1)", "PSU(1)", "Spin(6)", "SO(4)", "Sp(2)",
+        "shift-not-square", "shift-below-diagonal", "twist-ragged", "lowercase-series"])
+def test_library_refusal_is_one_line(capsys, tmp_path, argv, line):
+    """Each library refusal the command line reaches exits 2 with an empty
+    stdout and its one line on stderr."""
+    gens = tmp_path / "gens.json"
+    gens.write_text(A1_GENERATORS_129)
+    argv = [f"@{gens}" if arg == "@GENS" else arg for arg in argv]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", line + "\n")
+
+
 def test_missing_input_file(capsys, tmp_path):
     missing = tmp_path / "absent.json"
     _usage_error(capsys, ["group", "--group", f"@{missing}"])

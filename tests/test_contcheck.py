@@ -24,7 +24,7 @@ from tdual_lie.contcheck import (
     iter_cutoffs,
     _max_abs,
 )
-from tdual_lie.errors import InadmissibleCutoff
+from tdual_lie.errors import TdualError
 
 EXPECTED = -1.0 / 6.0  # antiderivative chi^3/3 - chi^2/2 evaluated 0 -> 1
 
@@ -52,12 +52,12 @@ def test_inadmissible_profiles_rejected():
     n = 256
     ts = tuple(i / n for i in range(n + 1))
     ramp = ts  # no plateaus
-    with pytest.raises(InadmissibleCutoff):
+    with pytest.raises(TdualError, match="^ramp: first/last 5% of samples must be constant$"):
         cutoff_integral("ramp", ramp)
     wrong_end = tuple(0.5 * t for t in ts)
-    with pytest.raises(InadmissibleCutoff):
+    with pytest.raises(TdualError, match=r"^wrong end: chi\(0\)=0 and chi\(1\)=1 are required$"):
         cutoff_integral("wrong end", wrong_end)
-    with pytest.raises(InadmissibleCutoff):
+    with pytest.raises(TdualError, match="^too short: need a grid of at least 16 samples$"):
         cutoff_integral("too short", (0.0,) * 8 + (1.0,) * 7)
 
 

@@ -17,7 +17,7 @@ from sympy import Matrix
 import tdual_lie
 from tdual_lie import flagcoh, rootdata, zlinalg
 from tdual_lie.cli import report_group, report_twist, resolve_twist
-from tdual_lie.errors import NotACycle
+from tdual_lie.errors import TdualError
 from tdual_lie.flagcoh import (
     DUALIZABILITY_NOTES,
     boundary,
@@ -977,7 +977,7 @@ def test_class_of_quotients(comps, fundamental_group, twist, expected):
 
 def test_class_in_h3_requires_cycle():
     rd = named_group("SU(3)")
-    with pytest.raises(NotACycle):
+    with pytest.raises(TdualError, match=r"^twist is not a cycle for SU\(3\)$"):
         class_in_h3(rd, IntMatrix([[1, 0], [0, 0]]))
 
 

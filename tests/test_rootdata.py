@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 from math import prod
 from pathlib import Path
@@ -11,13 +12,7 @@ from hypothesis import given, settings
 
 from tdual_lie import flagcoh, rootdata, zlinalg
 from tdual_lie.cli import main, resolve_group
-from tdual_lie.errors import (
-    DimensionMismatch,
-    InvalidCenterSubgroup,
-    InvalidSeries,
-    NotBetweenLattices,
-    Unavailable,
-)
+from tdual_lie.errors import TdualError, Unavailable
 from tdual_lie.rootdata import (
     RootDatum,
     _center_subgroup_lifts,
@@ -91,13 +86,15 @@ def test_b3_c3_transposed():
 
 
 def test_series_validation():
-    with pytest.raises(InvalidSeries):
+    with pytest.raises(TdualError, match="^no simple group of type C2$"):
         build([("C", 2)])
-    with pytest.raises(InvalidSeries):
+    with pytest.raises(TdualError, match="^no simple group of type D3$"):
         build([("D", 3)])
-    with pytest.raises(InvalidSeries):
+    with pytest.raises(TdualError, match=r"^Sp\(n\) needs n >= 3 here; use SU\(2\) or Spin\(5\) "
+                                         r"instead$"):
         named_group("Sp(2)")
-    with pytest.raises(InvalidSeries):
+    with pytest.raises(TdualError, match=r"^Spin\(6\) is outside the supported BD range "
+                                         r"\(odd >=5, even >=8\)$"):
         named_group("Spin(6)")
 
 
@@ -116,10 +113,10 @@ def test_root_datum_refuses_a_cartan_matrix_off_the_table(components, cartan):
     components, G2 and F4 blocks possibly transposed: the singular affine
     A2, a B2 matrix labelled A2, an edge between two factors, a matrix of the
     wrong size, a C3 block labelled B3, a B4 block labelled C4 and the
-    transposed B2 block (C2's) labelled B2 each raise one InvalidSeries
+    transposed B2 block (C2's) labelled B2 each raise one TdualError
     line, which names the components."""
     m = IntMatrix(cartan)
-    with pytest.raises(InvalidSeries) as exc:
+    with pytest.raises(TdualError) as exc:
         RootDatum(components, m, IntMatrix.identity(m.rows), "x")
     assert str(exc.value) == "the Cartan matrix is not that of " + " x ".join(
         f"{s}{r}" for s, r in components)
@@ -147,7 +144,7 @@ def test_root_datum_refuses_factors_that_are_not_a_string_and_an_int(components)
     message, before any rank arithmetic or cache: none is a TypeError, True
     is no rank, and a list of factors, which no cache could hash, is no
     tuple of them."""
-    with pytest.raises(InvalidSeries) as exc:
+    with pytest.raises(TdualError) as exc:
         RootDatum(components, IntMatrix([[2]]), IntMatrix([[2]]), "x")
     assert str(exc.value) == "a simple factor needs a str series and an int rank"
 
@@ -156,9 +153,9 @@ def test_root_datum_refuses_factors_that_are_not_a_string_and_an_int(components)
 def test_root_datum_refuses_a_label_that_is_not_a_string(label):
     """A label that is not a str is refused where the datum is made, not at
     the first cache (a list, unhashable) or at `_dual_label` (an int)."""
-    with pytest.raises(InvalidSeries, match="^label must be a string$"):
+    with pytest.raises(TdualError, match="^label must be a string$"):
         build([("A", 1)], label=label)
-    with pytest.raises(InvalidSeries, match="^label must be a string$"):
+    with pytest.raises(TdualError, match="^label must be a string$"):
         RootDatum((("A", 1),), IntMatrix([[2]]), IntMatrix([[2]]), label)
 
 
@@ -181,12 +178,16 @@ def test_datum_rebuilt_from_its_fields_is_the_same_value(rd):
 def test_build_refuses_factors_that_are_not_a_string_and_an_int(comps):
     """A rank is taken exactly, never truncated (2.7 is not 2) or read off a
     bool, and a series is never stringified."""
-    with pytest.raises(InvalidSeries):
+    with pytest.raises(TdualError, match="^a simple factor needs a str series and an int rank$"):
         build(comps)
 
 
-def test_build_upper_cases_the_series():
-    assert build([("d", 4)]) == build([("D", 4)])
+@pytest.mark.parametrize("series, rank", [("d", 4), ("a", 2), ("e", 8)])
+def test_build_takes_the_series_as_written(series, rank):
+    """A series is never case-folded: a lowercase letter is no series, as
+    `group --group e8` is no group name."""
+    with pytest.raises(TdualError, match=f"^no simple group of type {series}{rank}$"):
+        build([(series, rank)])
 
 
 def test_root_counts():
@@ -315,16 +316,16 @@ def test_dual_lattice_examples():
     assert abs(bareiss_det(root_lattice(su3))) == 3
 
     # 4 * coweights misses the coroots 2 * coweights: no integral dual basis.
-    with pytest.raises(NotBetweenLattices):
+    with pytest.raises(TdualError, match="^integral lattice does not contain the coroots$"):
         RootDatum(components=su2.components, cartan=su2.cartan,
                   integral=IntMatrix([[4]]), label="bad")
     # A singular basis misses the coroots too; a basis that is not n x n is
     # refused before any solve.
-    with pytest.raises(NotBetweenLattices, match="^integral lattice does not contain the"):
+    with pytest.raises(TdualError, match="^integral lattice does not contain the coroots$"):
         RootDatum(components=su3.components, cartan=su3.cartan,
                   integral=IntMatrix([[1, 2], [1, 2]]), label="bad")
     for bad in (IntMatrix([[1, 0, 1], [0, 1, 1]]), IntMatrix([[1], [0]]), IntMatrix([[1, 0]])):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(TdualError, match="^integral basis must be 2x2$"):
             RootDatum(components=su3.components, cartan=su3.cartan, integral=bad, label="bad")
 
 
@@ -440,13 +441,18 @@ def test_custom_fundamental_group():
     rd = build([("A", 1), ("A", 1)], {"generators": [[1, 1]]})
     assert fundamental_group_of(rd) == (2,)
     assert not rd.is_simply_connected()
-    with pytest.raises(InvalidCenterSubgroup):
+    with pytest.raises(TdualError, match=r"^generator \[1\] needs 2 coordinates "
+                                         r"\(one per cyclic factor of the center\)$"):
         build([("A", 1), ("A", 1)], {"generators": [[1]]})
     # An entry must be an int: 1.7, "1" and True are refused, not truncated
     # or parsed into the quotient by 1; the generators must be a list of lists.
-    for bad in ([["x"]], [[1.7]], [["1"]], [[True]], 5):
-        with pytest.raises(InvalidCenterSubgroup):
+    for bad in ([["x"]], [[1.7]], [["1"]], [[True]]):
+        with pytest.raises(TdualError, match=rf"^non-integer generator entry in "
+                                             rf"{re.escape(repr(bad[0]))}$"):
             build([("A", 1)], {"generators": bad})
+    with pytest.raises(TdualError, match="^center subgroup generators must be a list of "
+                                         "integer lists$"):
+        build([("A", 1)], {"generators": 5})
 
 
 def test_generator_list_is_refused_past_max_rank_before_any_lift(monkeypatch, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdual_lie.errors import DimensionMismatch, NotACycle, Unavailable
+from tdual_lie.errors import TdualError, Unavailable
 from tdual_lie.flagcoh import chern_classes, class_in_h3, is_cycle
 from tdual_lie.rootdata import (
     RootDatum,
@@ -77,21 +77,21 @@ def test_dual_chern_depends_only_on_image():
 
 def test_dual_chern_requires_cycle():
     rd = named_group("SU(3)")
-    with pytest.raises(NotACycle):
+    with pytest.raises(TdualError, match=r"^twist is not a cycle for SU\(3\)$"):
         dual_chern(rd, IntMatrix([[1, 0], [0, 0]]))
 
 
 @pytest.mark.parametrize("name", ["SU(3)", "PSU(4)"])
 def test_every_twist_entry_refuses_a_non_cycle(name):
     """`class_in_h3`, `dual_chern` and `reduction_torsor_shift` share one
-    guard, and each raises NotACycle with its message on a non-cycle."""
+    guard, and each raises TdualError with its message on a non-cycle."""
     rd = named_group(name)
     n = rd.rank
     zero, u = IntMatrix.zero(n, n), IntMatrix([[1] + [0] * (n - 1)] + [[0] * n] * (n - 1))
     assert not is_cycle(rd, u)
     for call in (lambda: class_in_h3(rd, u), lambda: dual_chern(rd, u),
                  lambda: reduction_torsor_shift(rd, u, zero)):
-        with pytest.raises(NotACycle, match=rf"^twist is not a cycle for {re.escape(name)}$"):
+        with pytest.raises(TdualError, match=rf"^twist is not a cycle for {re.escape(name)}$"):
             call()
 
 
@@ -165,7 +165,7 @@ def test_shift_matrix_checks():
                           "shift entries live strictly above the diagonal")):
         for call in (lambda: shift_matrix(bad),
                      lambda: reduction_torsor_shift(rd, level_twist(rd, 1), bad)):
-            with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            with pytest.raises(TdualError, match=f"^{message}$"):
                 call()
 
 

@@ -204,7 +204,7 @@ def test_same_output_counts_a_timeout_on_both_sides(monkeypatch, capsys):
     the fast row gets the same budget as in the test above."""
     monkeypatch.setattr(bench_pr, "TIMEOUT_S", 2.0)
     monkeypatch.setattr(same_output, "ENTRY", "import sys, time; time.sleep(float(sys.argv[1]))")
-    monkeypatch.setattr(same_output, "all_argv", lambda: [("60",), ("0",)])
+    monkeypatch.setattr(same_output, "all_argv", lambda directory: [("60",), ("0",)])
     assert same_output.main(["--parent", str(bench_pr.CHANGE)]) == 1
     out = capsys.readouterr().out
     assert "differs (timed out on both sides): 60\n" in out

@@ -46,19 +46,24 @@ on `group`, and an empty `--group` beside `--group-list` and alone),
 REFUSED_INPUT_ROWS (`langlands` on root-datum JSON with a `label` key,
 adjoint A2 labelled SU(3) and G2 labelled dual(E8); `group -g SU(2)`;
 `group --group " SU(3) "`; and a JSON key given twice, in a `--group` and
-inside a `--group-list`) and EXPECT_ROWS (each verb with each of the seven
+inside a `--group-list`), EXPECT_ROWS (each verb with each of the seven
 `--expect` keys on SU(3), `twist` and `dualize` at `level:1`, `dualize` with
 a one-entry shift, `extension` at the default level and `contcheck` at the
-default grid), each distinct argv once.
-Against a parent whose every verb takes `--output` and all seven `--expect`
-keys, 49 argv differ by design: the seven `VERB --help` rows, which list
-neither `--output` nor the keys a verb does not take; `group -g SU(2)`,
-whose one `usage error:` line lists the flags `group` takes; `group --group
-SU(2) --output ""`; and the 40 EXPECT_ROWS whose key the verb's reports do
-not carry.  On those 40 the parent exits 1 with a report, where the change
-exits 2 with one `usage error:` line and an empty stdout; on the empty
-`--output` both exit 2, the parent's line naming the path it cannot write
-and the change's the flag that `group` does not take.
+default grid), REFUSAL_ROWS (`group --group` on E9, JSON with no
+components, A129, an unknown `fundamental_group` string, a generator of the
+wrong length on A1, SU(x), SU(1), PSU(1), Spin(6), SO(4), Sp(2) and a
+lowercase JSON series; a non-square and a below-diagonal `--shift` on
+`dualize` of SU(3) at `level:1`; a ragged `--twist` on SU(3)) and FILE_ROWS
+(`file_rows`: `--group @F` on the A3 quotient and on A1 with 129
+generators, `cohomology --group-list SU(2),@F,SO(3)`, `twist --twist @T`,
+`dualize --shift @S` and `extension --b @B` on SU(3), `--group @/dev/null`,
+which is malformed JSON, and an @FILE that does not exist), each distinct
+argv once.  `main` writes
+the files FILE_ROWS read into one temporary directory before any row runs.
+Against a parent that upper-cases a JSON series, one argv differs by design:
+`group --group '{"components":[{"series":"a","rank":2}]}'`, where the
+parent exits 0 with A2's report and the change exits 2 with one `error:`
+line and an empty stdout.
 Every argv whose exit code, stdout or stderr differs, or that timed out on
 both sides, is printed with both sides' status and stderr, and the script
 exits 1 if any is.  When both sides' stdout parse as JSON, the sorted key
@@ -73,6 +78,7 @@ import argparse
 import difflib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path[:0] = [str(Path(__file__).resolve().parent),
@@ -310,17 +316,59 @@ EXPECT_ROWS = tuple(
                 ("contcheck",))
     for key in ("trivializable", "not-trivializable", "match", "available", "dualizable",
                 "cycle", "pass"))
+# A refusal from each library check that the command line reaches and no
+# other row does: every such check raises a plain TdualError, so its one
+# stderr line is all that names it.
+A1 = '{"components":[{"series":"A","rank":1}]'
+REFUSAL_ROWS = (
+    *(("group", "--group", g) for g in (
+        "E9", '{"components":[]}', "A129", A1 + ',"fundamental_group":"weird"}',
+        A1 + ',"fundamental_group":{"generators":[[1,1]]}}',
+        "SU(x)", "SU(1)", "PSU(1)", "Spin(6)", "SO(4)", "Sp(2)",
+        '{"components":[{"series":"a","rank":2}]}')),
+    ("dualize", "--group", "SU(3)", "--twist", "level:1", "--shift", "[[0,1]]"),
+    ("dualize", "--group", "SU(3)", "--twist", "level:1", "--shift", "[[0,0],[1,0]]"),
+    ("twist", "--group", "SU(3)", "--twist", "[[1,2],[3]]"),
+)
+# The files FILE_ROWS read, by name.  `main` writes them into one temporary
+# directory before any row runs, so each path is absolute and the same in
+# both checkouts; MISSING is never written.
+FILES = {
+    "quotient.json": TABLE_QUOTIENTS[1],
+    "generators.json": A1 + ',"fundamental_group":{"generators":%s}}' % json.dumps([[1]] * 129),
+    "twist.json": "[[2,-1],[-1,2]]",
+    "shift.json": "[[0,1],[0,0]]",
+    "b.json": '[[0,"1/3"],["-1/3",0]]',
+}
+MISSING = "missing.json"
 
 
-def all_argv() -> list[tuple[str, ...]]:
-    """The rows named in the module docstring, in that order, each once."""
+def file_rows(directory: Path) -> tuple[tuple[str, ...], ...]:
+    """FILE_ROWS: each @FILE input read from FILES in `directory`, then
+    /dev/null (malformed JSON) and MISSING (unreadable)."""
+    at = {name: f"@{directory / name}" for name in (*FILES, MISSING)}
+    return (
+        ("group", "--group", at["quotient.json"]),
+        ("group", "--group", at["generators.json"]),
+        ("cohomology", "--group-list", f"SU(2),{at['quotient.json']},SO(3)"),
+        ("twist", "--group", "SU(3)", "--twist", at["twist.json"]),
+        ("dualize", "--group", "SU(3)", "--twist", "level:1", "--shift", at["shift.json"]),
+        ("extension", "--group", "SU(3)", "--b", at["b.json"]),
+        ("group", "--group", "@/dev/null"),
+        ("group", "--group", at[MISSING]),
+    )
+
+
+def all_argv(directory: Path) -> list[tuple[str, ...]]:
+    """The rows named in the module docstring, in that order, each once;
+    FILE_ROWS read their files from `directory`."""
     jobs = digest_jobs() + [job for w in WORKLOADS for s in SEEDS for job in make_jobs(w, s)]
     rows = ([job.argv for job in jobs + list(CLIFFS)]
             + list(RANK_CAP_ROWS + CONTCHECK_ROWS + DOUBLE_DATUM_ROWS + QUOTIENT_ROWS
                    + SPEC_ROWS + CENTER_ROWS + LEVEL_ROWS + HELP_ROWS + TORSION_ROWS
                    + RANK_128_ROWS + LANGLANDS_ROWS + PAIRING_ROWS + EDGE_ROWS
                    + CONTCHECK_TEXT_ROWS + EMPTY_FLAG_ROWS + REFUSED_INPUT_ROWS
-                   + EXPECT_ROWS))
+                   + EXPECT_ROWS + REFUSAL_ROWS + file_rows(directory)))
     return list(dict.fromkeys(map(tuple, rows)))
 
 
@@ -368,7 +416,16 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     args = parser.parse_args(argv)
     parent = args.parent.resolve()
-    rows, differ = all_argv(), 0
+    with tempfile.TemporaryDirectory(prefix="same_output-") as tmp:
+        for name, text in FILES.items():
+            (Path(tmp) / name).write_text(text, encoding="utf-8")
+        return compare(parent, all_argv(Path(tmp)))
+
+
+def compare(parent: Path, rows) -> int:
+    """Run each row in `parent` and in this checkout and print what differs;
+    1 if any row does, else 0."""
+    differ = 0
     for k, row in enumerate(rows, 1):
         old, new = (spawn(root, ("-c", ENTRY, *row)) for root in (parent, CHANGE))
         what = [name for name, a, b in zip(("exit code", "stdout", "stderr"), old, new) if a != b]
